@@ -1,0 +1,29 @@
+"""CLI output on the shipped instances, compared byte for byte with recorded files.
+
+``tests/data/golden/cases.json`` maps each case name to its argv and exit
+code; ``<name>.out`` holds the exact stdout.  ``{instances}`` in an argv
+stands for the shipped instance directory.  The files were recorded before
+the engine and band checks were consolidated, so any drift in verdict,
+``km``, ``gamma`` or batch JSON fails here.
+"""
+
+import json
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from surfemb4 import cli
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+INSTANCES = str(resources.files("surfemb4").joinpath("data", "instances"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys):
+    case = CASES[name]
+    argv = [INSTANCES if a == "{instances}" else a for a in case["argv"]]
+    code = cli.main(argv)
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+    assert code == case["exit"]
