@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .errors import InternalConsistency
 from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_alt, t_count, to_convenient
 
 
@@ -96,25 +97,10 @@ class SurfaceModel:
             self.basis += [(comp.id, name) for name in comp.basis_names()]
             self._slices[comp.id] = (start, len(self.basis))
         self.dim = len(self.basis)
-        self.w1 = tuple(
-            1 if (not self._by_id(cid).orientable and name.startswith("e")) else 0
-            for cid, name in self.basis
-        )
-        self._form = [[0] * self.dim for _ in range(self.dim)]
-        for i, (cid, name) in enumerate(self.basis):
-            comp = self._by_id(cid)
-            if comp.orientable and name.startswith("a"):
-                j = i + 1  # the matching b-class follows immediately
-                self._form[i][j] = self._form[j][i] = 1
-            if not comp.orientable and name.startswith("e"):
-                self._form[i][i] = 1
-        assert all(self._form[i][i] == self.w1[i] for i in range(self.dim))
-
-    def _by_id(self, cid: int) -> SurfaceComponent:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise BandError(f"no surface component {cid}")
+        # The form pairs each a-class with the b-class right after it, and is
+        # 1 on the diagonal exactly at the cross-cap classes, where w1 is 1.
+        self.w1 = tuple(1 if name.startswith("e") else 0 for _, name in self.basis)
+        self._a_classes = tuple(i for i, (_, name) in enumerate(self.basis) if name.startswith("a"))
 
     def check_vec(self, vec) -> tuple[int, ...]:
         if len(vec) != self.dim or any(x not in (0, 1) for x in vec):
@@ -123,7 +109,9 @@ class SurfaceModel:
 
     def form(self, x, y) -> int:
         x, y = self.check_vec(x), self.check_vec(y)
-        return sum(x[i] * self._form[i][j] * y[j] for i in range(self.dim) for j in range(self.dim)) % 2
+        diagonal = sum(a * b * w for a, b, w in zip(x, y, self.w1))
+        pairs = sum(x[i] * y[i + 1] + x[i + 1] * y[i] for i in self._a_classes)
+        return (diagonal + pairs) % 2
 
     def w1_of(self, vec) -> int:
         vec = self.check_vec(vec)
@@ -263,21 +251,23 @@ def theta(record: BandRecord) -> int:
     return (record.mu_boundary + record.arc_count + record.interior + record.euler) % 2
 
 
-def lambda_boundary_check(catalog: BandCatalog) -> bool:
-    """True when the intersection form vanishes on all declared boundaries."""
+def _boundary_form_witness(catalog: BandCatalog) -> Optional[tuple[str, str]]:
+    """First pair of record ids, in i <= j order, whose total boundaries pair to 1.
+
+    This O(R^2) scan is the only evaluation of the boundary form lambda_Sigma
+    on the declared records; None when the form vanishes on all of them.
+    """
     surface = catalog.surface
-    totals = [r.total_boundary(surface.dim) for r in catalog.records]
-    for i, x in enumerate(totals):
-        for y in totals[i:]:
+    totals = [(r.id, r.total_boundary(surface.dim)) for r in catalog.records]
+    for i, (id1, x) in enumerate(totals):
+        for id2, y in totals[i:]:
             if surface.form(x, y):
-                return False
-    return True
+                return id1, id2
+    return None
 
 
-def validate_theta_well_defined(catalog: BandCatalog) -> Optional[ThetaConflict]:
-    """Records with equal class must agree on Theta; returns the conflict if not."""
-    if not lambda_boundary_check(catalog):
-        raise NotLinearizable("Theta is undefined while the boundary form is nonzero")
+def _theta_conflict(catalog: BandCatalog) -> Optional[ThetaConflict]:
+    """Two records with equal class and different Theta; the form is not checked here."""
     seen: dict[tuple, tuple[str, int]] = {}
     for r in catalog.records:
         value = theta(r)
@@ -288,6 +278,26 @@ def validate_theta_well_defined(catalog: BandCatalog) -> Optional[ThetaConflict]
         else:
             seen[r.rel_class] = (r.id, value)
     return None
+
+
+def _theta_witness(catalog: BandCatalog) -> Optional[str]:
+    """First record with Theta = 1; raises on a Theta conflict.  Needs a vanishing form."""
+    conflict = _theta_conflict(catalog)
+    if conflict is not None:
+        raise conflict
+    return next((r.id for r in catalog.records if theta(r)), None)
+
+
+def lambda_boundary_check(catalog: BandCatalog) -> bool:
+    """True when the intersection form vanishes on all declared boundaries."""
+    return _boundary_form_witness(catalog) is None
+
+
+def validate_theta_well_defined(catalog: BandCatalog) -> Optional[ThetaConflict]:
+    """Records with equal class must agree on Theta; returns the conflict if not."""
+    if _boundary_form_witness(catalog) is not None:
+        raise NotLinearizable("Theta is undefined while the boundary form is nonzero")
+    return _theta_conflict(catalog)
 
 
 class ThetaFunctional:
@@ -325,9 +335,9 @@ class ThetaFunctional:
 
 def theta_on_span(catalog: BandCatalog) -> ThetaFunctional:
     """Linear functional given by the records; needs the boundary form to vanish."""
-    if not lambda_boundary_check(catalog):
+    if _boundary_form_witness(catalog) is not None:
         raise NotLinearizable("the cross-term lambda(C,C') obstructs linearity")
-    conflict = validate_theta_well_defined(catalog)
+    conflict = _theta_conflict(catalog)
     if conflict is not None:
         raise conflict
     return ThetaFunctional([(r.rel_class, theta(r)) for r in catalog.records])
@@ -344,19 +354,11 @@ class BCharResult:
 
 def is_b_characteristic(catalog: BandCatalog) -> BCharResult:
     """Boundary form zero and Theta identically zero on the declared generators."""
-    surface = catalog.surface
-    totals = [(r.id, r.total_boundary(surface.dim)) for r in catalog.records]
-    for i, (id1, x) in enumerate(totals):
-        for id2, y in totals[i:]:
-            if surface.form(x, y):
-                return BCharResult(False, (id1, id2))
-    conflict = validate_theta_well_defined(catalog)
-    if conflict is not None:
-        raise conflict
-    for r in catalog.records:
-        if theta(r):
-            return BCharResult(False, r.id)
-    return BCharResult(True)
+    pair = _boundary_form_witness(catalog)
+    if pair is not None:
+        return BCharResult(False, pair)
+    witness = _theta_witness(catalog)
+    return BCharResult(witness is None, witness)
 
 
 def is_s_characteristic(sphere_catalog: Sequence[tuple[int, int]]) -> bool:
@@ -399,7 +401,7 @@ def band_fibre_finger_move(points, collection: WhitneyCollection, record: BandRe
 
     The new disc inherits the band's four parities; after normalising to a
     convenient collection the t-count changes by exactly Theta of the band,
-    which is asserted.  Returns (points, collection, delta_t).
+    which is checked.  Returns (points, collection, delta_t).
     """
     expected = theta(record)
     comps_touched = sorted(
@@ -439,7 +441,8 @@ def band_fibre_finger_move(points, collection: WhitneyCollection, record: BandRe
     out = to_convenient(new_points, weak)
     after = t_count(new_points, components, out)
     delta = (after - before) % 2
-    assert delta == expected, "finger move changed t by a value other than Theta"
+    if delta != expected:
+        raise InternalConsistency("finger move changed t by a value other than Theta")
     return new_points, out, delta
 
 

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation failure, 3 internal consistency
-failure (e.g. the two Arf computations disagreeing).
+failure (two independent computations of one quantity disagreeing, e.g.
+the two Arf methods).
 """
 
 from __future__ import annotations
@@ -9,12 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from . import engine, knots, schema
+from .errors import InternalConsistency
 from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list, smith_oracle
 from .gamma import AmbientNotFinite
 from .knots import KnotError, SeifertMatrix
@@ -71,17 +72,15 @@ def cmd_decide(args) -> int:
         if not paths:
             _emit({"ok": False, "errors": [f"no instance files in {args.instance}"]})
             return EXIT_VALIDATION
-        with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-            results = list(pool.map(lambda p: (_decide_one(str(p), args.mode), p), paths))
         worst = EXIT_OK
         out = {}
-        for (code, doc), p in results:
-            out[p.name] = doc
+        for p in paths:
+            code, out[p.name] = _decide_one(str(p), args.mode)
             worst = max(worst, code)
         _emit(out)
         return worst
     code, doc = _decide_one(str(_resolve(args.instance, "instances")), args.mode)
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _emit(doc)
     return code
 
 
@@ -136,10 +135,7 @@ def cmd_gamma(args) -> int:
         report["smith_oracle"] = {"free_rank": oracle_rank, "torsion": oracle_torsion}
     else:
         report["note"] = "infinite ambient group; orbits reported per queried element"
-    if i == j:
-        pts = [p for p in inst.points if p.components == (i, i)]
-    else:
-        pts = [p for p in inst.points if set(p.components) == {i, j}]
+    pts = engine.points_between(inst.points, i, j)
     elem = reduce_list([(p.sign, p.eta) for p in pts], gamma)
     queries = []
     for value, g in parsed_queries:
@@ -194,9 +190,6 @@ def cmd_knot(args) -> int:
                    "incomplete": v.incomplete, "scan_limit": v.scan_limit})
         elif args.invariant == "shake-genus":
             _emit({"shake_genus_pm1": knots.shake_genus_pm1(V)})
-    except knots.ArfMethodsDisagree as exc:
-        _emit({"ok": False, "errors": [str(exc)]})
-        return EXIT_INTERNAL
     except KnotError as exc:
         _emit({"ok": False, "errors": [str(exc)]})
         return EXIT_VALIDATION
@@ -267,6 +260,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         _emit({"ok": False, "errors": [str(exc)]})
         return EXIT_VALIDATION
+    except InternalConsistency as exc:
+        _emit({"ok": False, "errors": [str(exc)]})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,14 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .bands import (
-    BandCatalog,
-    BCharResult,
-    SurfaceModel,
-    is_b_characteristic,
-    theta,
-    validate_theta_well_defined,
-)
+from .bands import BandCatalog, BCharResult, SurfaceModel, _boundary_form_witness, _theta_witness
+from .errors import InternalConsistency
 from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list
 from .groups import AmbientGroup, Character, SignedSubgroup
 from .whitney import (
@@ -122,9 +116,6 @@ class ProblemInstance:
                 return c
         raise ValidationError(f"no component {cid}")
 
-    def identity_elem(self):
-        return self.group.identity
-
 
 @dataclass
 class TraceEntry:
@@ -161,12 +152,9 @@ class Verdict:
 # -- primary obstructions ----------------------------------------------------
 
 
-def _self_points(inst: ProblemInstance, cid: int) -> list[DoublePoint]:
-    return [p for p in inst.points if p.components == (cid, cid)]
-
-
-def _pair_points(inst: ProblemInstance, i: int, j: int) -> list[DoublePoint]:
-    return [p for p in inst.points if set(p.components) == {i, j}]
+def points_between(points: Sequence[DoublePoint], i: int, j: int) -> list[DoublePoint]:
+    """Double points between components i and j; self-intersections when i == j."""
+    return [p for p in points if set(p.components) == {i, j}]
 
 
 def primary_obstructions(inst: ProblemInstance) -> dict:
@@ -177,11 +165,11 @@ def primary_obstructions(inst: ProblemInstance) -> dict:
         ctx = PairingContext(inst.group, inst.wM, inst.component(i).subgroup,
                              inst.component(i).subgroup, self_pairing=True)
         gamma = build_gamma(ctx)
-        pts = _self_points(inst, i)
+        pts = points_between(inst.points, i, i)
         out[("mu", i)] = reduce_list([(p.sign, p.eta) for p in pts], gamma)
     for a, i in enumerate(ids):
         for j in ids[a + 1:]:
-            pts = _pair_points(inst, i, j)
+            pts = points_between(inst.points, i, j)
             if not pts:
                 continue
             ctx = PairingContext(inst.group, inst.wM, inst.component(i).subgroup,
@@ -229,32 +217,21 @@ def _bchar_nodes(inst: ProblemInstance, ft: Sequence[int], trace: list[TraceEntr
         ))
         return BCharResult(False, tuple(flagged))
     catalog = _catalog_for(inst, ft)
-    lam_bad = not _lambda_ok(catalog)
+    pair = _boundary_form_witness(catalog)
     trace.append(TraceEntry(
         "Is lambda_Sigma|_dB(F^t) != 0?",
         "Fig. 2; Def 5.6, Lemma 5.7",
-        "yes" if lam_bad else "no",
+        "yes" if pair is not None else "no",
     ))
-    if lam_bad:
-        return is_b_characteristic(catalog)
-    conflict = validate_theta_well_defined(catalog)
-    if conflict is not None:
-        raise conflict
-    nontrivial = [r.id for r in catalog.records if theta(r)]
+    if pair is not None:
+        return BCharResult(False, pair)
+    witness = _theta_witness(catalog)
     trace.append(TraceEntry(
         "Is Theta: B(F^t) -> Z/2 nontrivial?",
         "Fig. 2; Defs 5.8/5.9, Lemma 5.10",
-        "yes" if nontrivial else "no",
+        "yes" if witness is not None else "no",
     ))
-    if nontrivial:
-        return BCharResult(False, nontrivial[0])
-    return BCharResult(True)
-
-
-def _lambda_ok(catalog: BandCatalog) -> bool:
-    from .bands import lambda_boundary_check
-
-    return lambda_boundary_check(catalog)
+    return BCharResult(witness is None, witness)
 
 
 def _normalized_collection(inst: ProblemInstance) -> Optional[WhitneyCollection]:
@@ -296,14 +273,10 @@ def compute_km(inst: ProblemInstance) -> int:
     """
     if not all(c.has_alg_dual for c in inst.components):
         raise NoDualSpheres("every component needs an algebraically dual sphere")
-    if not primary_vanishes(inst):
+    verdict = flowchart(inst)
+    if verdict.km is None:  # with dual spheres, only a nonzero primary obstruction leaves km open
         raise PrimaryObstructionNonzero("lambda or mu is nonzero; km is undefined")
-    ft = restrict_Ft(inst)
-    trace: list[TraceEntry] = []
-    status = _bchar_nodes(inst, ft, trace)
-    if not status.yes:
-        return 0
-    return _t_for_ft(inst, ft)
+    return verdict.km
 
 
 # -- the flowchart -------------------------------------------------------------
@@ -311,8 +284,11 @@ def compute_km(inst: ProblemInstance) -> int:
 
 def flowchart(inst: ProblemInstance) -> Verdict:
     """Deterministic traversal of the embedding decision diagram."""
+    return _flowchart(inst, primary_obstructions(inst))
+
+
+def _flowchart(inst: ProblemInstance, obstructions: dict) -> Verdict:
     trace: list[TraceEntry] = []
-    obstructions = primary_obstructions(inst)
     primary_ok = all(v.is_zero() for v in obstructions.values())
     trace.append(TraceEntry(
         "Is lambda(f_i,f_j)=mu(f_i)=0 for all i != j?",
@@ -335,8 +311,6 @@ def flowchart(inst: ProblemInstance) -> Verdict:
     ))
 
     status = _bchar_nodes(inst, ft, trace)
-    duals = all(c.has_alg_dual for c in inst.components)
-
     if status.yes:
         trace.append(TraceEntry("F^t is b-characteristic", "Def 5.11", "yes"))
         t = _t_for_ft(inst, ft)
@@ -353,22 +327,31 @@ def flowchart(inst: ProblemInstance) -> Verdict:
                 NOT_REG_EMBED,
             ))
             return Verdict(NOT_REG_EMBED, 1, 1, "yes", trace)
+        b_char = "yes"
+    else:
         trace.append(TraceEntry(
-            "Are there algebraically dual spheres?",
-            "Fig. 2; Def 4.1",
-            "yes" if duals else "no",
+            "F^t is not b-characteristic",
+            "Def 5.11",
+            {"witness": status.witness},
         ))
-        if not duals:
-            trace.append(TraceEntry("no conclusion", "Fig. 2", NO_CONCLUSION))
-            return Verdict(NO_CONCLUSION, None, 0, "yes", trace)
-        trace.append(TraceEntry("km(F) = 0", "Thm 1.2", 0))
-        return _good_group_tail(inst, trace, km=0, t=0, b_char="yes")
+        t, b_char = None, "no"
+    success = TraceEntry(
+        "F is regularly homotopic, rel. boundary, to an embedding",
+        "Thm 1.1",
+        REG_EMBED,
+    )
+    return _dual_spheres_tail(inst, trace, success, km=0, t=t, b_char=b_char)
 
-    trace.append(TraceEntry(
-        "F^t is not b-characteristic",
-        "Def 5.11",
-        {"witness": status.witness},
-    ))
+
+def _dual_spheres_tail(inst: ProblemInstance, trace: list[TraceEntry], success: TraceEntry,
+                       km: Optional[int], t: Optional[int], b_char: str) -> Verdict:
+    """The Fig. 2 tail "dual spheres? -> good group?", ending in ``success``.
+
+    ``success.value`` is the outcome reached when both answers are yes.  A
+    ``km`` of 0 is what the dual spheres establish (Thm 1.2), so its trace
+    node follows the dual-sphere node; None leaves km undefined.
+    """
+    duals = all(c.has_alg_dual for c in inst.components)
     trace.append(TraceEntry(
         "Are there algebraically dual spheres?",
         "Fig. 2; Def 4.1",
@@ -376,13 +359,9 @@ def flowchart(inst: ProblemInstance) -> Verdict:
     ))
     if not duals:
         trace.append(TraceEntry("no conclusion", "Fig. 2", NO_CONCLUSION))
-        return Verdict(NO_CONCLUSION, None, None, "no", trace)
-    trace.append(TraceEntry("km(F) = 0", "Thm 1.2", 0))
-    return _good_group_tail(inst, trace, km=0, t=None, b_char="no")
-
-
-def _good_group_tail(inst: ProblemInstance, trace: list[TraceEntry], km: int,
-                     t: Optional[int], b_char: str) -> Verdict:
+        return Verdict(NO_CONCLUSION, None, t, b_char, trace)
+    if km is not None:
+        trace.append(TraceEntry(f"km(F) = {km}", "Thm 1.2", km))
     trace.append(TraceEntry(
         "Is pi_1(M) good?",
         "Fig. 2; virtually solvable and subexponential-growth groups are good",
@@ -391,25 +370,11 @@ def _good_group_tail(inst: ProblemInstance, trace: list[TraceEntry], km: int,
     if not inst.good_group:
         trace.append(TraceEntry("no conclusion", "Fig. 2", NO_CONCLUSION))
         return Verdict(NO_CONCLUSION, km, t, b_char, trace)
-    trace.append(TraceEntry(
-        "F is regularly homotopic, rel. boundary, to an embedding",
-        "Thm 1.1",
-        REG_EMBED,
-    ))
-    return Verdict(REG_EMBED, km, t, b_char, trace)
+    trace.append(success)
+    return Verdict(success.value, km, t, b_char, trace)
 
 
 # -- homotopy-class analysis ---------------------------------------------------
-
-
-def _mu1_values(inst: ProblemInstance) -> dict[int, int]:
-    out = {}
-    for c in inst.components:
-        ctx = PairingContext(inst.group, inst.wM, c.subgroup, c.subgroup, self_pairing=True)
-        gamma = build_gamma(ctx)
-        elem = reduce_list([(p.sign, p.eta) for p in _self_points(inst, c.id)], gamma)
-        out[c.id] = coefficient_at(elem, inst.identity_elem()).value
-    return out
 
 
 def homotopy_analysis(inst: ProblemInstance) -> Verdict:
@@ -420,15 +385,18 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
     kernel class, the count t can be traded away, so dual spheres plus a
     good group give an embedding regardless of the characteristic status.
     """
-    mu1 = _mu1_values(inst)
-    bad = sorted(cid for cid, v in mu1.items() if v != 0)
+    obstructions = primary_obstructions(inst)
+    bad = sorted(
+        c.id for c in inst.components
+        if coefficient_at(obstructions[("mu", c.id)], inst.group.identity).value != 0
+    )
     if bad:
         raise ValidationError(
             f"mu(f_i)_1 != 0 for components {bad}; homotope to the normalized "
             "representative before running the analysis"
         )
     trace: list[TraceEntry] = []
-    primary_ok = primary_vanishes(inst)
+    primary_ok = all(v.is_zero() for v in obstructions.values())
     trace.append(TraceEntry(
         "Is lambda(f_i,f_j)=mu(f_i)=0 for all i != j?",
         "§1.4 (after normalizing mu_1 = 0)",
@@ -451,32 +419,15 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
         {"case": 2, "components": case2} if case2 else {"case": 1},
     ))
     if not case2:
-        inner = flowchart(inst)
+        inner = _flowchart(inst, obstructions)
         inner.trace = trace + inner.trace
         return inner
-    duals = all(c.has_alg_dual for c in inst.components)
-    trace.append(TraceEntry(
-        "Are there algebraically dual spheres?",
-        "Fig. 2; Def 4.1",
-        "yes" if duals else "no",
-    ))
-    if not duals:
-        trace.append(TraceEntry("no conclusion", "Fig. 2", NO_CONCLUSION))
-        return Verdict(NO_CONCLUSION, None, None, "undefined", trace)
-    trace.append(TraceEntry(
-        "Is pi_1(M) good?",
-        "Fig. 2; virtually solvable and subexponential-growth groups are good",
-        "yes" if inst.good_group else "no",
-    ))
-    if not inst.good_group:
-        trace.append(TraceEntry("no conclusion", "Fig. 2", NO_CONCLUSION))
-        return Verdict(NO_CONCLUSION, None, None, "undefined", trace)
-    trace.append(TraceEntry(
+    success = TraceEntry(
         "F is homotopic, rel. boundary, to an embedding",
         "Thm 1.5 (the count t can be normalized to 0 by Construction 5.16)",
         HOMOTOPIC_EMBED,
-    ))
-    return Verdict(HOMOTOPIC_EMBED, None, None, "undefined", trace)
+    )
+    return _dual_spheres_tail(inst, trace, success, km=None, t=None, b_char="undefined")
 
 
 # -- auxiliary operations -------------------------------------------------------
@@ -496,7 +447,7 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
             "no F^t component has orientation-reversing kernel classes"
         )
     cid = min(eligible)
-    identity = inst.identity_elem()
+    identity = inst.group.identity
     next_pid = max((p.id for p in inst.points), default=-1) + 1
     new_points = [
         DoublePoint(next_pid + k, (cid, cid), 1, identity) for k in range(4)
@@ -517,10 +468,10 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
     ctx = PairingContext(inst.group, inst.wM, inst.component(cid).subgroup,
                          inst.component(cid).subgroup, self_pairing=True)
     gamma = build_gamma(ctx)
-    before = reduce_list([(p.sign, p.eta) for p in _self_points(inst, cid)], gamma)
-    after_pts = [p for p in all_points if p.components == (cid, cid)]
-    after = reduce_list([(p.sign, p.eta) for p in after_pts], gamma)
-    assert before == after, "cusp quadruple changed mu"
+    before = reduce_list([(p.sign, p.eta) for p in points_between(inst.points, cid, cid)], gamma)
+    after = reduce_list([(p.sign, p.eta) for p in points_between(all_points, cid, cid)], gamma)
+    if before != after:
+        raise InternalConsistency("cusp quadruple changed mu")
 
     return replace(inst, points=tuple(all_points), collection=new_collection)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .errors import InternalConsistency
 from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit
 from .intlinalg import HermiteLattice, smith_diagonal
 
@@ -215,15 +216,18 @@ class GammaGroup:
         if self._proj.contains(diff):
             if self._hat.contains(diff + [0]):
                 return 1
-            assert self._hat.contains(diff + [1])
+            if not self._hat.contains(diff + [1]):
+                raise InternalConsistency(f"no signed lift of {e} to its orbit representative")
             return -1
         # inversion branch: elem = -rep + m
         summ = [x + y for x, y in zip(e, rep)]
-        assert self.ctx.self_pairing and self._proj.contains(summ)
+        if not (self.ctx.self_pairing and self._proj.contains(summ)):
+            raise InternalConsistency(f"{e} is neither a translate nor an inverse of its representative")
         wr = self.ctx.wM(G.canon(rep))
         if self._hat.contains(summ + [0]):
             return wr
-        assert self._hat.contains(summ + [1])
+        if not self._hat.contains(summ + [1]):
+            raise InternalConsistency(f"no signed lift of {e} to its inverted representative")
         return -wr
 
 
@@ -255,7 +259,8 @@ class GammaElement:
         return self.gamma is other.gamma and self._normalized() == other._normalized()
 
     def __add__(self, other: "GammaElement") -> "GammaElement":
-        assert self.gamma is other.gamma
+        if self.gamma is not other.gamma:
+            raise InternalConsistency("adding elements of different target groups")
         out = dict(self.coeffs)
         for orbit, v in other.coeffs.items():
             out[orbit] = out.get(orbit, 0) + v
@@ -305,12 +310,9 @@ def mu1_home(ctx: PairingContext) -> str:
         raise GammaError("mu1_home needs a self-pairing context")
     s = ctx.s_f
     home_z = (not s.contains_minus_one) and s.character_trivial_on_projection(ctx.wM)
-    gamma = build_gamma(ctx)
-    identity = (
-        ctx.ambient.identity if ctx.ambient.kind == "finite" else ctx.ambient.identity
-    )
-    tag_two = gamma.orbit_of(identity).order_two
-    assert home_z == (not tag_two), "identity orbit tag disagrees with subgroup criterion"
+    tag_two = build_gamma(ctx).orbit_of(ctx.ambient.identity).order_two
+    if home_z != (not tag_two):
+        raise InternalConsistency("identity orbit tag disagrees with subgroup criterion")
     return "Z" if home_z else "Z/2"
 
 

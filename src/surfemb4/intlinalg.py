@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .errors import InternalConsistency
+
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with g = gcd(a,b) > 0 and x*a + y*b = g."""
@@ -201,7 +203,8 @@ def linear_pencil_det(pairs: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
             coeffs[k] += scale * c
     out = []
     for c in coeffs:
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise InternalConsistency("interpolated integer polynomial has a fractional coefficient")
         out.append(int(c))
     return out
 
@@ -211,7 +214,8 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list
     den = list(den)
     while den and den[-1] == 0:
         den.pop()
-    assert den and den[-1] == 1, "divisor must be monic"
+    if not den or den[-1] != 1:
+        raise InternalConsistency("divisor must be monic")
     rem = list(num)
     qlen = max(0, len(rem) - len(den) + 1)
     quot = [0] * qlen
@@ -232,11 +236,13 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
     for d in range(1, m):
         if m % d == 0:
             poly, rem = poly_divmod(poly, list(_cyclotomic(d)))
-            assert not rem
+            if rem:
+                raise InternalConsistency(f"cyclotomic polynomial {d} does not divide x^{m} - 1")
     return tuple(poly)
 
 
 def cyclotomic(m: int) -> list[int]:
     """Coefficients of the m-th cyclotomic polynomial, low degree first."""
-    assert m >= 1
+    if m < 1:
+        raise InternalConsistency(f"cyclotomic polynomial of order {m} < 1")
     return list(_cyclotomic(m))

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import mpmath
 
+from .errors import InternalConsistency
 from .intlinalg import bareiss_det, cyclotomic, linear_pencil_det, poly_divmod
 
 
@@ -23,7 +24,7 @@ class KnotError(ValueError):
     pass
 
 
-class ArfMethodsDisagree(KnotError):
+class ArfMethodsDisagree(InternalConsistency):
     pass
 
 
@@ -212,7 +213,8 @@ def _bounds_for_d(V: SeifertMatrix, d: int) -> list[int]:
                 primes = []  # signature jump point: no usable bound at this d
             for p in primes:
                 out.append(abs(Fraction((p * p - 1) * d * d, 2 * p * p) - 1 - s))
-    assert all(b.denominator == 1 for b in out)
+    if any(b.denominator != 1 for b in out):
+        raise InternalConsistency("a cp2 genus bound is not an integer")
     return [int(b) for b in out]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
+from .errors import InternalConsistency
 from .gamma import GammaGroup, reduce_list
 
 
@@ -152,7 +153,8 @@ def find_pairing(points: list[DoublePoint], gamma: GammaGroup) -> list[tuple[int
     for (orbit, eff), ids in buckets.items():
         if not orbit.order_two and eff == -1 and (orbit, 1) not in buckets and ids:
             raise NoPairing(f"unbalanced signs on orbit {orbit.rep!r}")
-    assert reduce_list([(p.sign, p.eta) for p in points], gamma).is_zero()
+    if not reduce_list([(p.sign, p.eta) for p in points], gamma).is_zero():
+        raise InternalConsistency("a complete pairing left a nonzero intersection number")
     return sorted(pairs)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 import random
 from dataclasses import replace
 
@@ -368,3 +369,48 @@ def test_split_cut_every_edge_once():
         selected = set(split_cut_components(list(range(n)), edges))
         for u, v, _ in edges:
             assert (u in selected) != (v in selected)
+
+
+def _dense_form(surface):
+    """The intersection matrix written out entry by entry from the basis names."""
+    dim = surface.dim
+    dense = [[0] * dim for _ in range(dim)]
+    for i, (ci, ni) in enumerate(surface.basis):
+        for j, (cj, nj) in enumerate(surface.basis):
+            if ci != cj:
+                continue
+            if {ni[0], nj[0]} == {"a", "b"} and ni[1:] == nj[1:]:
+                dense[i][j] = 1
+            if i == j and ni[0] == "e":
+                dense[i][j] = 1
+    return dense
+
+
+def test_structured_form_matches_dense_reference():
+    rng = random.Random(11)
+    for _ in range(40):
+        comps = []
+        for cid in range(rng.randint(1, 4)):
+            orientable = rng.random() < 0.5
+            genus = rng.randint(0 if orientable else 1, 3)
+            comps.append(SurfaceComponent(cid, genus, orientable, rng.randint(0, 3)))
+        surface = SurfaceModel(comps)
+        dense = _dense_form(surface)
+        for _ in range(20):
+            x = tuple(rng.randint(0, 1) for _ in range(surface.dim))
+            y = tuple(rng.randint(0, 1) for _ in range(surface.dim))
+            expected = sum(x[i] * dense[i][j] * y[j]
+                           for i in range(surface.dim) for j in range(surface.dim)) % 2
+            assert surface.form(x, y) == expected
+        assert all(dense[i][i] == surface.w1[i] for i in range(surface.dim))
+
+
+def test_form_on_large_model_is_linear_time():
+    # a dense form would need 1.6e9 entries here
+    start = time.perf_counter()
+    surface = SurfaceModel([SurfaceComponent(0, 15000, True, 2),
+                            SurfaceComponent(1, 10000, False)])
+    assert surface.dim >= 40000
+    ones = (1,) * surface.dim
+    assert surface.form(ones, ones) == 10000 % 2
+    assert time.perf_counter() - start < 1.0

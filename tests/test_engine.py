@@ -417,3 +417,68 @@ def test_theta_zero_band_move_keeps_flowchart_outcome():
     assert delta == 0
     moved = replace(inst, points=tuple(new_points), collection=new_coll)
     assert flowchart(moved).outcome == flowchart(inst).outcome
+
+
+def _records_on_a_classes(surface, count):
+    """Records with a-class boundaries only, so the boundary form vanishes on them."""
+    a_vectors = [tuple(int(k == i) for k in range(surface.dim))
+                 for i, (_, name) in enumerate(surface.basis) if name.startswith("a")]
+    names = [f"r{k}" for k in range(count)]
+    rel = RelH2(tuple(names), {n: a_vectors[k % len(a_vectors)] for k, n in enumerate(names)})
+    records = tuple(
+        BandRecord(n, "surface", tuple(int(m == k) for m in range(count)),
+                   (a_vectors[k % len(a_vectors)],), (0,), 0, 0, 0, 0, 0)
+        for k, n in enumerate(names)
+    )
+    return rel, records
+
+
+def test_flowchart_evaluates_boundary_form_once_per_record_pair(monkeypatch):
+    count = 6
+    base = simple_instance(genus=3)
+    rel, records = _records_on_a_classes(base.surface, count)
+    inst = replace(base, band_catalog=BandCatalog(base.surface, rel, records))
+    calls = []
+    original = SurfaceModel.form
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(SurfaceModel, "form", counting)
+    verdict = flowchart(inst)
+    assert verdict.b_char == "yes"
+    assert len(calls) == count * (count + 1) // 2
+
+
+def _two_component_instance(*, case2):
+    group = cyclic_group(1)
+    surface = SurfaceModel([SurfaceComponent(0, 2, False) if case2 else SurfaceComponent(0, 1, True),
+                            SurfaceComponent(1, 0, True)])
+    components = (
+        ComponentData(0, subgroup_closure(group, [(0, -1)] if case2 else []), True, False),
+        ComponentData(1, subgroup_closure(group, []), True, False),
+    )
+    points = tuple(DoublePoint(i, comps, sign, 0) for i, (comps, sign) in enumerate(
+        [((0, 0), 1), ((0, 0), -1), ((0, 1), 1), ((0, 1), -1)]))
+    collection = WhitneyCollection((WhitneyDisc(0, (0, 1), {}), WhitneyDisc(1, (2, 3), {})), {})
+    return ProblemInstance(
+        group=group, wM=trivial_character(group), components=components, surface=surface,
+        points=points, collection=collection, sphere_catalog=(), rp2_catalog=(),
+        band_catalog=BandCatalog(surface, RelH2((), {}), ()), good_group=True,
+    )
+
+
+@pytest.mark.parametrize("case2", [False, True])
+def test_homotopy_analysis_builds_each_gamma_once(monkeypatch, case2):
+    contexts = []
+    original = engine.build_gamma
+
+    def counting(ctx):
+        contexts.append((id(ctx.s_f), id(ctx.s_g), ctx.self_pairing))
+        return original(ctx)
+
+    monkeypatch.setattr(engine, "build_gamma", counting)
+    verdict = homotopy_analysis(_two_component_instance(case2=case2))
+    assert verdict.outcome == (HOMOTOPIC_EMBED if case2 else REG_EMBED)
+    assert len(contexts) == len(set(contexts)) == 3  # two self-pairings, one cross pairing

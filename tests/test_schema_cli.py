@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -195,3 +198,47 @@ def test_cli_examples_list(capsys):
 
 def test_cli_unknown_file(capsys):
     assert cli.main(["decide", "no_such_instance"]) == 2
+
+
+def test_internal_consistency_is_not_a_validation_error(monkeypatch, capsys):
+    from surfemb4.errors import InternalConsistency
+
+    def boom(inst):
+        raise InternalConsistency("forced for the exit-code contract")
+
+    assert not issubclass(InternalConsistency, ValueError)
+    monkeypatch.setattr(cli.engine, "flowchart", boom)
+    assert cli.main(["decide", "torus_s3s1"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": False, "errors": ["forced for the exit-code contract"]}
+
+
+_OPTIMIZED_CHECKS = """
+import contextlib, io, json, sys
+from surfemb4 import cli, intlinalg, knots
+from surfemb4.errors import InternalConsistency
+
+raised = False
+try:
+    intlinalg.poly_divmod([1, 0, 1], [0, 2])
+except InternalConsistency:
+    raised = True
+knots.alexander_at_minus_one = lambda V: 1  # the determinant rule now says Arf 0
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["knot", "arf", "trefoil"])
+print(json.dumps({"optimize": sys.flags.optimize, "raised": raised, "code": code,
+                  "out": json.loads(out.getvalue())}))
+"""
+
+
+def test_internal_checks_survive_python_O():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == 1 and result["raised"]
+    assert result["code"] == 3
+    assert result["out"]["ok"] is False
+    assert "determinant rule gives 0" in result["out"]["errors"][0]
