@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 validation failure, 3 internal consistency
 failure (two independent computations of one quantity disagreeing, e.g.
-the two Arf methods).
+the two Arf methods).  ``main`` alone turns errors into exit codes.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from pathlib import Path
 from . import engine, knots, schema
 from .errors import InternalConsistency
 from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list, smith_oracle
-from .gamma import AmbientNotFinite
-from .knots import KnotError, SeifertMatrix
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -36,33 +34,37 @@ def _resolve(path: str, kind: str) -> Path:
     candidate = _data_dir(kind).joinpath(path if path.endswith(".json") else path + ".json")
     if candidate.is_file():
         return Path(str(candidate))
-    raise FileNotFoundError(f"no such file or shipped {kind[:-1]} '{path}'")
+    raise ValueError(f"no such file or shipped {kind[:-1]} '{path}'")
 
 
 def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_validate(args) -> int:
-    inst, errors = schema.load_instance(str(_resolve(args.instance, "instances")))
+def _error_doc(exc: ValueError) -> dict:
+    return {"ok": False, "errors": exc.errors if isinstance(exc, schema.SchemaError) else [str(exc)]}
+
+
+def _load_instance(name: str) -> engine.ProblemInstance:
+    inst, errors = schema.load_instance(str(_resolve(name, "instances")))
     if errors:
-        _emit({"ok": False, "errors": errors})
-        return EXIT_VALIDATION
+        raise schema.SchemaError(errors)
+    return inst
+
+
+def cmd_validate(args) -> int:
+    _load_instance(args.instance)
     _emit({"ok": True, "errors": []})
     return EXIT_OK
 
 
 def _decide_one(path: str, mode: str) -> tuple[int, dict]:
-    inst, errors = schema.load_instance(path)
-    if errors:
-        return EXIT_VALIDATION, {"ok": False, "errors": errors}
+    """Exit code and output of one instance; errors stay in the entry, for batches."""
     try:
-        if mode == "regular":
-            verdict = engine.flowchart(inst)
-        else:
-            verdict = engine.homotopy_analysis(inst)
-    except ValueError as exc:  # all domain errors (engine, bands, whitney, groups)
-        return EXIT_VALIDATION, {"ok": False, "errors": [str(exc)]}
+        inst = _load_instance(path)
+        verdict = engine.flowchart(inst) if mode == "regular" else engine.homotopy_analysis(inst)
+    except ValueError as exc:  # bad input and every domain error derived from it
+        return EXIT_VALIDATION, _error_doc(exc)
     return EXIT_OK, verdict.as_dict()
 
 
@@ -70,8 +72,7 @@ def cmd_decide(args) -> int:
     if args.batch:
         paths = sorted(Path(args.instance).glob("*.json"))
         if not paths:
-            _emit({"ok": False, "errors": [f"no instance files in {args.instance}"]})
-            return EXIT_VALIDATION
+            raise ValueError(f"no instance files in {args.instance}")
         worst = EXIT_OK
         out = {}
         for p in paths:
@@ -79,48 +80,29 @@ def cmd_decide(args) -> int:
             worst = max(worst, code)
         _emit(out)
         return worst
-    code, doc = _decide_one(str(_resolve(args.instance, "instances")), args.mode)
+    code, doc = _decide_one(args.instance, args.mode)
     _emit(doc)
     return code
 
 
 def cmd_km(args) -> int:
-    inst, errors = schema.load_instance(str(_resolve(args.instance, "instances")))
-    if errors:
-        _emit({"ok": False, "errors": errors})
-        return EXIT_VALIDATION
-    try:
-        value = engine.compute_km(inst)
-    except ValueError as exc:
-        _emit({"ok": False, "errors": [str(exc)]})
-        return EXIT_VALIDATION
-    _emit({"km": value})
+    _emit({"km": engine.compute_km(_load_instance(args.instance))})
     return EXIT_OK
 
 
 def cmd_gamma(args) -> int:
-    inst, errors = schema.load_instance(str(_resolve(args.instance, "instances")))
-    if errors:
-        _emit({"ok": False, "errors": errors})
-        return EXIT_VALIDATION
+    inst = _load_instance(args.instance)
     i = args.component
     j = args.other if args.other is not None else i
-    try:
-        s_f = inst.component(i).subgroup
-        s_g = inst.component(j).subgroup
-    except engine.ValidationError as exc:
-        _emit({"ok": False, "errors": [str(exc)]})
-        return EXIT_VALIDATION
+    s_f = inst.component(i).subgroup
+    s_g = inst.component(j).subgroup
     parsed_queries = []
     for raw in args.query or []:
         try:
             value = json.loads(raw)
-            parsed_queries.append(
-                (value, inst.group.check_elem(value if inst.group.kind == "finite" else tuple(value)))
-            )
-        except (ValueError, TypeError) as exc:
-            _emit({"ok": False, "errors": [f"bad query element {raw!r}: {exc}"]})
-            return EXIT_VALIDATION
+            parsed_queries.append((value, inst.group.check_elem(value)))
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"bad query element {raw!r}: {exc}") from None
     ctx = PairingContext(inst.group, inst.wM, s_f, s_g, self_pairing=(i == j))
     gamma = build_gamma(ctx)
     report: dict = {"self_pairing": i == j}
@@ -153,46 +135,30 @@ def cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def _load_knot(path: str) -> SeifertMatrix:
-    doc = json.loads(_resolve(path, "knots").read_text())
-    if not isinstance(doc, dict) or "seifert" not in doc:
-        raise KnotError("knot files are objects with a 'seifert' matrix")
-    return SeifertMatrix(doc["seifert"])
-
-
 def cmd_knot(args) -> int:
-    try:
-        V = _load_knot(args.knot)
-    except (OSError, json.JSONDecodeError, KnotError, FileNotFoundError) as exc:
-        _emit({"ok": False, "errors": [str(exc)]})
-        return EXIT_VALIDATION
-    try:
-        if args.invariant == "arf":
-            _emit({"arf": knots.arf(V)})
-        elif args.invariant == "alex":
-            _emit({"alexander_at_minus_one": knots.alexander_at_minus_one(V)})
-        elif args.invariant == "sig":
-            try:
-                p, q = args.omega.split("/") if "/" in args.omega else (args.omega, "1")
-                omega = Fraction(int(p), int(q))
-            except (ValueError, ZeroDivisionError) as exc:
-                _emit({"ok": False, "errors": [f"bad --omega {args.omega!r}: {exc}"]})
-                return EXIT_VALIDATION
-            _emit({"signature": knots.levine_tristram(V, omega)})
-        elif args.invariant == "sigma-d":
-            _emit({"sigma_d": knots.sigma_d(V, args.d)})
-        elif args.invariant == "cp2-bound":
-            _emit({"lower_bound": knots.cp2_genus_lower_bound(V, args.d)})
-        elif args.invariant == "cp2-verdict":
-            v = knots.cp2_genus_verdict(V)
-            _emit({"lower": v.lower, "upper": v.upper,
-                   "exact": v.exact if v.exact is not None else "unknown",
-                   "incomplete": v.incomplete, "scan_limit": v.scan_limit})
-        elif args.invariant == "shake-genus":
-            _emit({"shake_genus_pm1": knots.shake_genus_pm1(V)})
-    except KnotError as exc:
-        _emit({"ok": False, "errors": [str(exc)]})
-        return EXIT_VALIDATION
+    V = schema.load_knot(str(_resolve(args.knot, "knots")))
+    if args.invariant == "arf":
+        _emit({"arf": knots.arf(V)})
+    elif args.invariant == "alex":
+        _emit({"alexander_at_minus_one": knots.alexander_at_minus_one(V)})
+    elif args.invariant == "sig":
+        try:
+            p, q = args.omega.split("/") if "/" in args.omega else (args.omega, "1")
+            omega = Fraction(int(p), int(q))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad --omega {args.omega!r}: {exc}") from None
+        _emit({"signature": knots.levine_tristram(V, omega)})
+    elif args.invariant == "sigma-d":
+        _emit({"sigma_d": knots.sigma_d(V, args.d)})
+    elif args.invariant == "cp2-bound":
+        _emit({"lower_bound": knots.cp2_genus_lower_bound(V, args.d)})
+    elif args.invariant == "cp2-verdict":
+        v = knots.cp2_genus_verdict(V)
+        _emit({"lower": v.lower, "upper": v.upper,
+               "exact": v.exact if v.exact is not None else "unknown",
+               "incomplete": v.incomplete, "scan_limit": v.scan_limit})
+    elif args.invariant == "shake-genus":
+        _emit({"shake_genus_pm1": knots.shake_genus_pm1(V)})
     return EXIT_OK
 
 
@@ -254,11 +220,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AmbientNotFinite as exc:
-        _emit({"ok": False, "errors": [str(exc)]})
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        _emit({"ok": False, "errors": [str(exc)]})
+    except ValueError as exc:  # bad input and every domain error derived from it
+        _emit(_error_doc(exc))
         return EXIT_VALIDATION
     except InternalConsistency as exc:
         _emit({"ok": False, "errors": [str(exc)]})

@@ -109,6 +109,9 @@ class ProblemInstance:
             point_ids = {p.id for p in self.points}
             if not self.collection.paired_point_ids() <= point_ids:
                 raise ValidationError("Whitney collection references unknown double points")
+            for d in self.collection.discs:
+                if not set(d.interior) <= known:
+                    raise ValidationError(f"Whitney disc {d.id} meets unknown components")
 
     def component(self, cid: int) -> ComponentData:
         for c in self.components:

@@ -10,6 +10,7 @@ surface's orientation character.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -30,6 +31,9 @@ class NoIdentity(GroupError):
 
 class NoInverse(GroupError):
     pass
+
+
+_INTS = frozenset((int,))  # exact type: a bool is not a group-element entry
 
 
 class FiniteTableGroup:
@@ -53,8 +57,8 @@ class FiniteTableGroup:
         return range(self.order)
 
     def check_elem(self, a) -> int:
-        if not isinstance(a, int) or not (0 <= a < self.order):
-            raise GroupError(f"invalid element {a!r} for group of order {self.order}")
+        if type(a) is not int or not (0 <= a < self.order):
+            raise GroupError(f"invalid element {reprlib.repr(a)} for group of order {self.order}")
         return a
 
     def canon(self, a: int) -> int:
@@ -83,9 +87,10 @@ class FGAbelianGroup:
         )
 
     def check_elem(self, a) -> tuple[int, ...]:
-        if not isinstance(a, (tuple, list)) or len(a) != self.rank:
-            raise GroupError(f"invalid element {a!r} for factors {self.factors}")
-        return self.canon(tuple(int(x) for x in a))
+        if (not isinstance(a, (tuple, list)) or len(a) != self.rank
+                or not _INTS.issuperset(map(type, a))):
+            raise GroupError(f"invalid element {reprlib.repr(a)} for factors {self.factors}")
+        return self.canon(a)
 
     def mul(self, a, b):
         return self.canon(tuple(x + y for x, y in zip(a, b)))

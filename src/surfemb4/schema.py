@@ -1,367 +1,393 @@
-"""Instance-file schema: strict validation, loading, and serialization.
+"""Instance and knot files: one strict reader, loading, and serialization.
 
-The interchange format is JSON.  There are no implicit defaults: every
-field of every object must be present (the only optional data are the w2
-and Euler fields on a component, and the Whitney collection, which must
-still appear explicitly as null when absent).  Validation accumulates all
-errors with JSON-pointer-style paths instead of stopping at the first.
+Each JSON document is declared once as a shape (``INSTANCE_SHAPE``,
+``KNOT_SHAPE``) giving each field's exact type and whether it may be absent;
+unknown fields, bools for integers and floats are errors.  The walk gathers
+every mismatch as a JSON-pointer error; only then are the domain objects
+built, and their constructors' errors are reported at the pointer of the
+data they were given.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+from operator import itemgetter, le
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
-from . import bands as _bands
-from . import engine as _engine
-from .bands import BandCatalog, BandRecord, RelH2, SurfaceComponent, SurfaceModel
-from .engine import ComponentData, ProblemInstance, Verdict
-from .groups import (
-    Character,
-    GroupError,
-    abelian_group,
-    make_finite_group,
-    subgroup_closure,
-)
-from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc
+from .bands import BandCatalog, BandError, BandRecord, RelH2, SurfaceComponent, SurfaceModel
+from .engine import ComponentData, EngineError, ProblemInstance, Verdict
+from .groups import Character, GroupError, abelian_group, make_finite_group, subgroup_closure
+from .knots import KnotError, SeifertMatrix
+from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc, WhitneyError
 
 SCHEMA_VERSION = 1
 
+# Errors a domain constructor raises on data that fits the shape.
+_DOMAIN_ERRORS = (GroupError, BandError, WhitneyError, EngineError)
+
 
 class SchemaError(ValueError):
+    """An invalid input file; ``errors`` are its "pointer: message" strings."""
+
     def __init__(self, errors: list[str]):
         super().__init__("; ".join(errors))
         self.errors = errors
 
 
-class _Checker:
-    def __init__(self):
-        self.errors: list[str] = []
+# -- the declared shapes ---------------------------------------------------------
+#
+# ``check(value)`` returns (relative JSON pointer, message) pairs, empty when
+# the value fits.  ``fits_all`` tests a whole array column by column in C-level
+# passes; only when it fails are the entries walked one by one for the errors.
 
-    def fail(self, path: str, message: str) -> None:
-        self.errors.append(f"{path}: {message}")
+_FITS = ()  # no errors
 
-    def require(self, obj: dict, path: str, keys: dict, optional=()) -> bool:
-        """Presence and type check; returns False when the object is unusable."""
-        ok = True
-        if not isinstance(obj, dict):
-            self.fail(path, f"expected an object, got {type(obj).__name__}")
+
+def _describe(value) -> str:
+    """The value itself when it is short, else the name of its JSON type."""
+    if (type(value) in (bool, float, type(None)) or (type(value) is int and value.bit_length() <= 64)
+            or (type(value) is str and len(value) <= 40)):
+        return json.dumps(value)
+    names = {str: "a string", list: "an array", dict: "an object", int: "a large integer"}
+    return names.get(type(value), type(value).__name__)
+
+
+def _expected(what: str, value) -> list:
+    return [("", f"expected {what}, got {_describe(value)}")]
+
+
+def _each(entries) -> list:
+    """Errors of ``(key, shape, value)`` entries, each under its own key."""
+    out = []
+    for key, shape, value in entries:
+        errors = shape.check(value)
+        if errors:
+            out += [(f"/{key}{pointer}", message) for pointer, message in errors]
+    return out
+
+
+def _token(key) -> str:
+    """``key`` escaped as one JSON-pointer reference token."""
+    return str(key).replace("~", "~0").replace("/", "~1")
+
+
+class _Shape:
+    """Any JSON value; the subclasses narrow it."""
+
+    def check(self, value) -> Sequence:
+        return _FITS
+
+    def fits_all(self, values: list) -> bool:
+        return not any(map(self.check, values))
+
+
+class _Leaf(_Shape):
+    """A JSON scalar of one exact type, optionally limited to a value set or a minimum."""
+
+    def __init__(self, expected: str, typ: type, values=None, minimum=None):
+        self.expected, self.typ, self.minimum = expected, typ, minimum
+        self.values = None if values is None else frozenset(values)
+
+    def check(self, value) -> Sequence:
+        return _FITS if self.fits_all([value]) else _expected(self.expected, value)
+
+    def fits_all(self, values: list) -> bool:
+        return ({self.typ}.issuperset(map(type, values))
+                and (self.values is None or self.values.issuperset(values))
+                and (self.minimum is None or not values or min(values) >= self.minimum))
+
+
+class _Array(_Shape):
+    def __init__(self, item: _Shape):
+        self.item = item
+
+    def check(self, value) -> Sequence:
+        if type(value) is not list:
+            return _expected("an array", value)
+        if self.item.fits_all(value):
+            return _FITS
+        return _each((i, self.item, entry) for i, entry in enumerate(value))
+
+    def fits_all(self, values: list) -> bool:
+        return ({list}.issuperset(map(type, values))
+                and self.item.fits_all(list(chain.from_iterable(values))))
+
+
+class _Tuple(_Shape):
+    """An array of fixed length with one shape per position."""
+
+    def __init__(self, *items: _Shape):
+        self.items = items
+
+    def check(self, value) -> Sequence:
+        if type(value) is not list or len(value) != len(self.items):
+            got = f"{len(value)}" if type(value) is list else _describe(value)
+            return [("", f"expected an array of {len(self.items)} entries, got {got}")]
+        return _each(zip(range(len(value)), self.items, value))
+
+    def fits_all(self, values: list) -> bool:
+        return ({list}.issuperset(map(type, values))
+                and {len(self.items)}.issuperset(map(len, values))
+                and all(item.fits_all(list(map(itemgetter(i), values)))
+                        for i, item in enumerate(self.items)))
+
+
+class _Object(_Shape):
+    """An object with exactly the declared fields, less any listed as optional."""
+
+    def __init__(self, fields: dict, optional=()):
+        self.fields = tuple(fields.items())
+        self.allowed = frozenset(fields)
+        self.required = self.allowed - frozenset(optional)
+
+    def check(self, value) -> Sequence:
+        if type(value) is not dict:
+            return _expected("an object", value)
+        out = [(f"/{key}", "missing required field")
+               for key, _ in self.fields if key in self.required and key not in value]
+        out += [(f"/{_token(key)}", "unknown field") for key in value if key not in self.allowed]
+        return out + _each((key, shape, value[key]) for key, shape in self.fields if key in value)
+
+    def fits_all(self, values: list) -> bool:
+        if not ({dict}.issuperset(map(type, values))
+                and all(map(le, repeat(self.required), map(dict.keys, values)))
+                and all(map(le, map(dict.keys, values), repeat(self.allowed)))):
             return False
-        for key, typ in keys.items():
-            if key not in obj:
-                if key in optional:
-                    continue
-                self.fail(f"{path}/{key}", "missing required field")
-                ok = False
-            elif typ is not None and not isinstance(obj[key], typ):
-                self.fail(f"{path}/{key}", f"expected {typ}, got {type(obj[key]).__name__}")
-                ok = False
-        for key in obj:
-            if key not in keys:
-                self.fail(f"{path}/{key}", "unknown field")
-                ok = False
-        return ok
-
-    def bit(self, value, path: str) -> int:
-        if value not in (0, 1):
-            self.fail(path, f"expected 0 or 1, got {value!r}")
-            return 0
-        return value
+        return all(shape.fits_all([v[key] for v in values if key in v])
+                   for key, shape in self.fields)
 
 
-def _parse_group(doc, check: _Checker):
-    if not check.require(doc, "/group", {"kind": str, "table": list, "factors": list},
-                         optional=("table", "factors")):
-        return None
-    kind = doc.get("kind")
-    if kind == "finite":
-        if "table" not in doc:
-            check.fail("/group/table", "finite groups need a multiplication table")
-            return None
-        if "factors" in doc:
-            check.fail("/group/factors", "not a field of finite groups")
-        try:
-            return make_finite_group(doc["table"])
-        except GroupError as exc:
-            check.fail("/group/table", str(exc))
-            return None
-    if kind == "abelian":
-        if "factors" not in doc:
-            check.fail("/group/factors", "abelian groups need invariant factors")
-            return None
-        if "table" in doc:
-            check.fail("/group/table", "not a field of abelian groups")
-        try:
-            return abelian_group(doc["factors"])
-        except GroupError as exc:
-            check.fail("/group/factors", str(exc))
-            return None
-    check.fail("/group/kind", f"unknown kind {kind!r}")
-    return None
+class _Map(_Shape):
+    """An object with free keys (decimal integers when ``int_keys``) and one value shape."""
+
+    def __init__(self, value: _Shape, int_keys=False):
+        self.value, self.int_keys = value, int_keys
+
+    def check(self, value) -> Sequence:
+        if type(value) is not dict:
+            return _expected("an object", value)
+        out = [(f"/{_token(key)}", "keys are integers written in decimal, like \"0\"")
+               for key in value if self.int_keys and not _is_int_key(key)]
+        return out + _each((_token(key), self.value, entry) for key, entry in value.items())
+
+    def fits_all(self, values: list) -> bool:
+        return ({dict}.issuperset(map(type, values))
+                and (not self.int_keys or all(map(_is_int_key, chain.from_iterable(values))))
+                and self.value.fits_all(list(chain.from_iterable(map(dict.values, values)))))
 
 
-def _parse_elem(group, raw, path: str, check: _Checker):
+def _is_int_key(key) -> bool:
     try:
-        if group.kind == "finite":
-            if not isinstance(raw, int):
-                raise GroupError(f"finite-group elements are indices, got {raw!r}")
-            return group.check_elem(raw)
-        if not isinstance(raw, list):
-            raise GroupError(f"abelian elements are integer tuples, got {raw!r}")
-        return group.check_elem(tuple(raw))
-    except GroupError as exc:
-        check.fail(path, str(exc))
-        return None
+        return str(int(key)) == key  # canonical, so "01" cannot alias "1"
+    except (TypeError, ValueError):
+        return False
 
 
-def instance_from_dict(doc: dict) -> tuple[Optional[ProblemInstance], list[str]]:
-    check = _Checker()
-    top = {
-        "version": int, "group": dict, "characters": dict, "components": list,
-        "surface": dict, "double_points": list, "whitney_collection": (dict, type(None)),
-        "catalogs": dict, "flags": dict,
-    }
-    if not check.require(doc, "", top):
-        return None, check.errors
-    if doc["version"] != SCHEMA_VERSION:
-        check.fail("/version", f"expected {SCHEMA_VERSION}, got {doc['version']!r}")
+class _Tagged(_Shape):
+    """An object whose ``tag`` field picks one of several object shapes."""
 
-    group = _parse_group(doc["group"], check)
+    def __init__(self, tag: str, variants: dict):
+        self.tag, self.variants = tag, variants
 
-    wM = None
-    if check.require(doc["characters"], "/characters", {"wM": list}) and group is not None:
-        try:
-            wM = Character(group, doc["characters"]["wM"])
-        except GroupError as exc:
-            check.fail("/characters/wM", str(exc))
+    def check(self, value) -> Sequence:
+        if type(value) is not dict:
+            return _expected("an object", value)
+        tag = value.get(self.tag)
+        if type(tag) is str and tag in self.variants:
+            return self.variants[tag].check(value)
+        if self.tag not in value:
+            return [(f"/{self.tag}", "missing required field")]
+        names = " or ".join(map(json.dumps, self.variants))
+        return [(f"/{self.tag}", f"expected {names}, got {_describe(tag)}")]
 
-    components: list[ComponentData] = []
-    for i, comp in enumerate(doc["components"]):
-        path = f"/components/{i}"
-        fields = {"id": int, "signed_subgroup": list, "has_alg_dual": bool,
-                  "dual_framed": bool, "w2": int, "e": int}
-        if not check.require(comp, path, fields, optional=("w2", "e")):
-            continue
-        if group is None or wM is None:
-            continue
-        gens = []
-        ok = True
-        for k, pair in enumerate(comp["signed_subgroup"]):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                check.fail(f"{path}/signed_subgroup/{k}", "expected [element, sign]")
-                ok = False
-                continue
-            elem = _parse_elem(group, pair[0], f"{path}/signed_subgroup/{k}", check)
-            if elem is None or pair[1] not in (1, -1):
-                if pair[1] not in (1, -1):
-                    check.fail(f"{path}/signed_subgroup/{k}", f"sign must be +-1, got {pair[1]!r}")
-                ok = False
-                continue
-            gens.append((elem, pair[1]))
-        if not ok:
-            continue
-        w2 = comp.get("w2")
-        if w2 is not None:
-            w2 = check.bit(w2, f"{path}/w2")
-        components.append(ComponentData(
-            id=comp["id"],
-            subgroup=subgroup_closure(group, gens),
-            has_alg_dual=comp["has_alg_dual"],
-            dual_framed=comp["dual_framed"],
-            w2=w2,
-            euler=comp.get("e"),
-        ))
 
-    surface = None
-    if check.require(doc["surface"], "/surface", {"components": list}):
-        comps = []
-        ok = True
-        for i, sc in enumerate(doc["surface"]["components"]):
-            path = f"/surface/components/{i}"
-            if not check.require(sc, path, {"id": int, "genus": int, "orientable": bool,
-                                            "boundary_circles": int}):
-                ok = False
-                continue
-            try:
-                comps.append(SurfaceComponent(sc["id"], sc["genus"], sc["orientable"],
-                                              sc["boundary_circles"]))
-            except _bands.BandError as exc:
-                check.fail(path, str(exc))
-                ok = False
-        if ok:
-            try:
-                surface = SurfaceModel(comps)
-            except _bands.BandError as exc:
-                check.fail("/surface", str(exc))
+class _Nullable(_Shape):
+    def __init__(self, shape: _Shape):
+        self.shape = shape
 
-    declared_ids = {c.get("id") for c in doc["components"] if isinstance(c, dict)}
-    points: list[DoublePoint] = []
-    seen_pids = set()
-    for i, dp in enumerate(doc["double_points"]):
-        path = f"/double_points/{i}"
-        if not check.require(dp, path, {"id": int, "components": list, "sign": int, "eta": None}):
-            continue
-        if len(dp["components"]) != 2:
-            check.fail(f"{path}/components", "expected a pair [i, j]")
-            continue
-        if not set(dp["components"]) <= declared_ids:
-            check.fail(f"{path}/components", f"unknown component in {dp['components']}")
-            continue
-        if dp["sign"] not in (1, -1):
-            check.fail(f"{path}/sign", f"sign must be +-1, got {dp['sign']!r}")
-            continue
-        if dp["id"] in seen_pids:
-            check.fail(f"{path}/id", "duplicate double-point id")
-            continue
-        seen_pids.add(dp["id"])
-        if group is None:
-            continue
-        eta = _parse_elem(group, dp["eta"], f"{path}/eta", check)
-        if eta is None:
-            continue
-        points.append(DoublePoint(dp["id"], tuple(dp["components"]), dp["sign"], eta))
+    def check(self, value) -> Sequence:
+        return _FITS if value is None else self.shape.check(value)
 
-    collection = None
-    wc = doc["whitney_collection"]
-    if wc is not None:
-        path = "/whitney_collection"
-        if check.require(wc, path, {"convenient": bool, "discs": list,
-                                    "boundary_intersections": list}):
-            discs = []
-            ok = True
-            for i, d in enumerate(wc["discs"]):
-                dpath = f"{path}/discs/{i}"
-                if not check.require(d, dpath, {"id": int, "pairs": list, "interior": dict,
-                                                "mu_boundary": int, "euler": int}):
-                    ok = False
-                    continue
-                if len(d["pairs"]) != 2:
-                    check.fail(f"{dpath}/pairs", "expected two double-point ids")
-                    ok = False
-                    continue
-                interior = {}
-                for key, count in d["interior"].items():
-                    try:
-                        cid = int(key)
-                    except ValueError:
-                        check.fail(f"{dpath}/interior/{key}", "component keys are integers")
-                        ok = False
-                        continue
-                    if not isinstance(count, int) or count < 0:
-                        check.fail(f"{dpath}/interior/{key}", "counts are nonnegative integers")
-                        ok = False
-                        continue
-                    interior[cid] = count
-                discs.append(WhitneyDisc(d["id"], tuple(d["pairs"]), interior,
-                                         d["mu_boundary"], d["euler"]))
-            boundary = {}
-            for i, entry in enumerate(wc["boundary_intersections"]):
-                bpath = f"{path}/boundary_intersections/{i}"
-                if not (isinstance(entry, list) and len(entry) == 3):
-                    check.fail(bpath, "expected [disc_id, disc_id, count]")
-                    ok = False
-                    continue
-                d1, d2, count = entry
-                if d1 == d2:
-                    check.fail(bpath, "boundary self-intersections belong on the disc")
-                    ok = False
-                    continue
-                boundary[frozenset((d1, d2))] = count
-            if ok:
-                try:
-                    collection = WhitneyCollection(tuple(discs), boundary, wc["convenient"])
-                except _bands.BandError as exc:
-                    check.fail(path, str(exc))
-                except ValueError as exc:
-                    check.fail(path, str(exc))
 
-    catalogs = doc["catalogs"]
-    band_catalog = None
-    spheres: list[tuple[int, int]] = []
-    rp2: list[tuple[int, int]] = []
-    if check.require(catalogs, "/catalogs", {"rel_h2": dict, "bands": list,
-                                             "spheres": list, "rp2": list}):
-        rel = None
-        if check.require(catalogs["rel_h2"], "/catalogs/rel_h2", {"basis": list, "boundary": dict}):
-            try:
-                rel = RelH2(tuple(catalogs["rel_h2"]["basis"]),
-                            {k: tuple(v) for k, v in catalogs["rel_h2"]["boundary"].items()})
-            except _bands.BandError as exc:
-                check.fail("/catalogs/rel_h2", str(exc))
-        records = []
-        ok = rel is not None and surface is not None
-        for i, b in enumerate(catalogs["bands"]):
-            path = f"/catalogs/bands/{i}"
-            fields = {"id": str, "kind": str, "rel_class": list, "boundary_classes": list,
-                      "w1_sigma": list, "w1m_core": int, "mu_boundary": int,
-                      "arc_count": int, "interior": int, "euler": int}
-            if not check.require(b, path, fields):
-                ok = False
-                continue
-            try:
-                records.append(BandRecord(
-                    id=b["id"], kind=b["kind"],
-                    rel_class=tuple(b["rel_class"]),
-                    boundary_classes=tuple(tuple(c) for c in b["boundary_classes"]),
-                    w1_sigma=tuple(b["w1_sigma"]),
-                    w1m_core=b["w1m_core"], mu_boundary=b["mu_boundary"],
-                    arc_count=b["arc_count"], interior=b["interior"], euler=b["euler"],
-                ))
-            except _bands.BandError as exc:
-                check.fail(path, str(exc))
-                ok = False
-        if ok:
-            try:
-                band_catalog = BandCatalog(surface, rel, tuple(records))
-            except _bands.BandError as exc:
-                check.fail("/catalogs/bands", str(exc))
-        for name, target in (("spheres", spheres), ("rp2", rp2)):
-            for i, pair in enumerate(catalogs[name]):
-                if not (isinstance(pair, list) and len(pair) == 2
-                        and all(v in (0, 1) for v in pair)):
-                    check.fail(f"/catalogs/{name}/{i}", "expected a pair of bits")
-                    continue
-                target.append((pair[0], pair[1]))
+INT = _Leaf("an integer", int)
+COUNT = _Leaf("a nonnegative integer", int, minimum=0)
+BIT = _Leaf("0 or 1", int, values=(0, 1))
+SIGN = _Leaf("+1 or -1", int, values=(1, -1))
+BOOL = _Leaf("true or false", bool)
+STR = _Leaf("a string", str)
+ELEMENT = _Shape()  # its form depends on the group, so check_elem checks it
 
-    good = True
-    torus: frozenset[int] = frozenset()
-    if check.require(doc["flags"], "/flags", {"good_group": bool, "torus_summand": list}):
-        good = doc["flags"]["good_group"]
-        torus = frozenset(doc["flags"]["torus_summand"])
+INSTANCE_SHAPE = _Object({
+    "version": _Leaf(str(SCHEMA_VERSION), int, values=(SCHEMA_VERSION,)),
+    "group": _Tagged("kind", {
+        "finite": _Object({"kind": STR, "table": _Array(_Array(INT))}),
+        "abelian": _Object({"kind": STR, "factors": _Array(INT)}),
+    }),
+    "characters": _Object({"wM": _Array(SIGN)}),
+    "components": _Array(_Object(
+        {"id": INT, "signed_subgroup": _Array(_Tuple(ELEMENT, SIGN)), "has_alg_dual": BOOL,
+         "dual_framed": BOOL, "w2": BIT, "e": INT},
+        optional=("w2", "e"))),
+    "surface": _Object({"components": _Array(_Object(
+        {"id": INT, "genus": COUNT, "orientable": BOOL, "boundary_circles": COUNT}))}),
+    "double_points": _Array(_Object(
+        {"id": INT, "components": _Tuple(INT, INT), "sign": SIGN, "eta": ELEMENT})),
+    "whitney_collection": _Nullable(_Object({
+        "convenient": BOOL,
+        "discs": _Array(_Object(
+            {"id": INT, "pairs": _Tuple(INT, INT), "interior": _Map(COUNT, int_keys=True),
+             "mu_boundary": COUNT, "euler": INT})),
+        "boundary_intersections": _Array(_Tuple(INT, INT, COUNT)),
+    })),
+    "catalogs": _Object({
+        "rel_h2": _Object({"basis": _Array(STR), "boundary": _Map(_Array(BIT))}),
+        "bands": _Array(_Object(
+            {"id": STR, "kind": STR, "rel_class": _Array(BIT),
+             "boundary_classes": _Array(_Array(BIT)), "w1_sigma": _Array(BIT),
+             "w1m_core": BIT, "mu_boundary": BIT, "arc_count": BIT, "interior": BIT,
+             "euler": BIT})),
+        "spheres": _Array(_Tuple(BIT, BIT)),
+        "rp2": _Array(_Tuple(BIT, BIT)),
+    }),
+    "flags": _Object({"good_group": BOOL, "torus_summand": _Array(INT)}),
+})
 
-    if check.errors:
-        return None, check.errors
+KNOT_SHAPE = _Object({"seifert": _Array(_Array(INT)), "name": STR}, optional=("name",))
+
+
+def _shape_errors(shape, doc) -> list[str]:
+    """Every mismatch between ``doc`` and ``shape``, as pointer messages."""
+    return [f"{pointer or '/'}: {message}" for pointer, message in shape.check(doc)]
+
+
+# -- reading files ---------------------------------------------------------------
+
+
+def _read_json(path, what: str):
+    """Parse a UTF-8 JSON file; any failure to read it is a SchemaError at "/"."""
     try:
-        inst = ProblemInstance(
-            group=group, wM=wM, components=tuple(components), surface=surface,
-            points=tuple(points), collection=collection,
-            sphere_catalog=tuple(spheres), rp2_catalog=tuple(rp2),
-            band_catalog=band_catalog, good_group=good, torus_summands=torus,
-        )
-    except (ValueError, _engine.EngineError) as exc:
-        return None, [f"/: {exc}"]
-    # cross-references the shape checks cannot see
-    errors = []
-    point_ids = {p.id for p in inst.points}
-    if inst.collection is not None:
-        for d in inst.collection.discs:
-            for pid in d.pair:
-                if pid not in point_ids:
-                    errors.append(f"/whitney_collection: disc {d.id} pairs unknown point {pid}")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # decode errors are ValueErrors
+        raise SchemaError([f"/: unreadable {what}: {exc}"]) from None
+
+
+def load_knot(path) -> SeifertMatrix:
+    """The Seifert matrix of a knot file, or a SchemaError."""
+    doc = _read_json(path, "knot file")
+    errors = _shape_errors(KNOT_SHAPE, doc)
     if errors:
-        return None, errors
-    return inst, []
+        raise SchemaError(errors)
+    try:
+        return SeifertMatrix(doc["seifert"])
+    except KnotError as exc:
+        raise SchemaError([f"/seifert: {exc}"]) from None
 
 
 def load_instance(path) -> tuple[Optional[ProblemInstance], list[str]]:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return None, [f"/: unreadable instance file: {exc}"]
-    if not isinstance(doc, dict):
-        return None, ["/: instance file must hold a JSON object"]
+        doc = _read_json(path, "instance file")
+    except SchemaError as exc:
+        return None, exc.errors
     return instance_from_dict(doc)
+
+
+# -- building the domain objects -------------------------------------------------
+
+
+def _build(errors: list[str], pointer: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, or None with its domain error recorded at ``pointer``."""
+    try:
+        return make(*args, **kwargs)
+    except _DOMAIN_ERRORS as exc:
+        errors.append(f"{pointer}: {exc}")
+        return None
+
+
+def instance_from_dict(doc) -> tuple[Optional[ProblemInstance], list[str]]:
+    errors = _shape_errors(INSTANCE_SHAPE, doc)
+    if errors:
+        return None, errors
+
+    gdoc = doc["group"]
+    if gdoc["kind"] == "finite":
+        group = _build(errors, "/group/table", make_finite_group, gdoc["table"])
+    else:
+        group = _build(errors, "/group/factors", abelian_group, gdoc["factors"])
+
+    wM = None
+    components: list[ComponentData] = []
+    if group is not None:
+        wM = _build(errors, "/characters/wM", Character, group, doc["characters"]["wM"])
+        for i, comp in enumerate(doc["components"]):
+            subgroup = _build(errors, f"/components/{i}/signed_subgroup", subgroup_closure,
+                              group, comp["signed_subgroup"])
+            if subgroup is not None:
+                components.append(ComponentData(
+                    comp["id"], subgroup, comp["has_alg_dual"], comp["dual_framed"],
+                    comp.get("w2"), comp.get("e")))
+
+    parts = [_build(errors, f"/surface/components/{i}", SurfaceComponent, **sc)
+             for i, sc in enumerate(doc["surface"]["components"])]
+    surface = None if None in parts else _build(errors, "/surface", SurfaceModel, parts)
+
+    declared = {c["id"] for c in doc["components"]}
+    points: list[DoublePoint] = []
+    seen: set[int] = set()
+    for i, dp in enumerate(doc["double_points"]):
+        pid, pair = dp["id"], dp["components"]
+        if not set(pair) <= declared:
+            errors.append(f"/double_points/{i}/components: unknown component in {pair}")
+        elif pid in seen:
+            errors.append(f"/double_points/{i}/id: duplicate double-point id")
+        elif group is not None:
+            try:
+                points.append(DoublePoint(pid, tuple(pair), dp["sign"], group.check_elem(dp["eta"])))
+            except GroupError as exc:
+                errors.append(f"/double_points/{i}/eta: {exc}")
+        seen.add(pid)
+
+    collection = None
+    wc = doc["whitney_collection"]
+    if wc is not None:
+        discs = tuple(
+            WhitneyDisc(d["id"], tuple(d["pairs"]), {int(k): v for k, v in d["interior"].items()},
+                        d["mu_boundary"], d["euler"])
+            for d in wc["discs"])
+        boundary = {}
+        for i, (d1, d2, count) in enumerate(wc["boundary_intersections"]):
+            if frozenset((d1, d2)) in boundary:
+                errors.append(f"/whitney_collection/boundary_intersections/{i}: disc pair listed twice")
+            boundary[frozenset((d1, d2))] = count
+        collection = _build(errors, "/whitney_collection", WhitneyCollection,
+                            discs, boundary, wc["convenient"])
+
+    catalogs = doc["catalogs"]
+    rel = _build(errors, "/catalogs/rel_h2", RelH2, tuple(catalogs["rel_h2"]["basis"]),
+                 {k: tuple(v) for k, v in catalogs["rel_h2"]["boundary"].items()})
+    records = [
+        _build(errors, f"/catalogs/bands/{i}", BandRecord, **dict(
+            b, rel_class=tuple(b["rel_class"]), w1_sigma=tuple(b["w1_sigma"]),
+            boundary_classes=tuple(tuple(c) for c in b["boundary_classes"])))
+        for i, b in enumerate(catalogs["bands"])
+    ]
+    band_catalog = None
+    if rel is not None and surface is not None and None not in records:
+        band_catalog = _build(errors, "/catalogs/bands", BandCatalog, surface, rel, tuple(records))
+
+    if errors:
+        return None, errors
+    inst = _build(
+        errors, "/", ProblemInstance,
+        group=group, wM=wM, components=tuple(components), surface=surface,
+        points=tuple(points), collection=collection,
+        sphere_catalog=tuple(tuple(p) for p in catalogs["spheres"]),
+        rp2_catalog=tuple(tuple(p) for p in catalogs["rp2"]),
+        band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
+        torus_summands=frozenset(doc["flags"]["torus_summand"]),
+    )
+    return inst, errors
 
 
 def _elem_to_json(group, elem):

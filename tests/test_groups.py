@@ -136,3 +136,20 @@ def test_trivial_character_helper():
     for name, g in all_groups_up_to_8():
         chi = trivial_character(g)
         assert chi.is_trivial(), name
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None, [0]])
+def test_finite_check_elem_takes_exact_ints(bad):
+    with pytest.raises(GroupError):
+        make_finite_group([[0, 1], [1, 0]]).check_elem(bad)
+
+
+@pytest.mark.parametrize("bad", [[True, 0], [1.5, 0], ["1", 0], [None, 0], (0,), "01", 3])
+def test_abelian_check_elem_takes_exact_int_entries(bad):
+    with pytest.raises(GroupError):
+        abelian_group([0, 2]).check_elem(bad)
+
+
+def test_abelian_check_elem_accepts_lists_and_tuples():
+    g = abelian_group([0, 2])
+    assert g.check_elem([-3, 5]) == g.check_elem((-3, 5)) == (-3, 1)

@@ -5,6 +5,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from surfemb4 import cli, schema
 from surfemb4.engine import flowchart
 
@@ -242,3 +244,145 @@ def test_internal_checks_survive_python_O():
     assert result["code"] == 3
     assert result["out"]["ok"] is False
     assert "determinant rule gives 0" in result["out"]["errors"][0]
+
+
+def _cli(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("field, value, pointer", [
+    (("version",), True, "/version"),
+    (("characters", "wM", 0), 1.5, "/characters/wM/0"),
+    (("double_points", 0, "sign"), True, "/double_points/0/sign"),
+    (("whitney_collection", "discs", 0, "interior", "0"), 1.0, "/whitney_collection/discs/0/interior/0"),
+    (("double_points", 0, "eta", 0), True, "/double_points/0/eta"),
+])
+def test_bools_and_floats_are_not_integers(field, value, pointer):
+    doc = example_doc("torus_s3s1")
+    node = doc
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    inst, errors = schema.instance_from_dict(doc)
+    assert inst is None
+    assert [e.split(": ", 1)[0] for e in errors] == [pointer]
+
+
+def test_shape_errors_are_all_gathered():
+    doc = example_doc("torus_s3s1")
+    doc["version"] = "1"
+    doc["group"]["factors"] = [0.5]
+    del doc["flags"]["good_group"]
+    doc["double_points"][1]["components"] = [0]
+    _, errors = schema.instance_from_dict(doc)
+    assert sorted(e.split(": ", 1)[0] for e in errors) == [
+        "/double_points/1/components", "/flags/good_group", "/group/factors/0", "/version"]
+
+
+def test_instance_must_be_an_object():
+    assert schema.instance_from_dict([]) == (None, ["/: expected an object, got an array"])
+
+
+@pytest.mark.parametrize("query", ['"1"', "[1.5]", "[true]", "{}", "[" * 100000],
+                         ids=["string", "float", "bool", "object", "deep"])
+def test_cli_gamma_rejects_non_elements(query, capsys):
+    code, out = _cli(capsys, "gamma", "torus_s3s1", "--component", "0", "--query", query)
+    assert code == 2 and out["ok"] is False
+    assert out["errors"][0].startswith("bad query element")
+
+
+@pytest.mark.parametrize("seifert", [None, [[1, "x"], [0, 1]], [[-1, 1.5], [0, -1]],
+                                     [[-1, True], [False, -1]], [[-1, 1], [0]], "x"])
+def test_cli_knot_rejects_bad_matrices(seifert, tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"seifert": seifert}))
+    code, out = _cli(capsys, "knot", "arf", str(path))
+    assert code == 2 and out["ok"] is False
+    assert all(e.startswith("/seifert") for e in out["errors"]), out
+
+
+def test_knot_file_fields(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"seifert": [[-1, 1], [0, -1]]}))
+    assert _cli(capsys, "knot", "arf", str(path)) == (0, {"arf": 1})
+    path.write_text(json.dumps({"seifert": [[-1, 1], [0, -1]], "name": "trefoil", "genus": 1}))
+    assert _cli(capsys, "knot", "arf", str(path)) == (
+        2, {"ok": False, "errors": ["/genus: unknown field"]})
+    path.write_text(json.dumps([[-1, 1], [0, -1]]))
+    assert _cli(capsys, "knot", "arf", str(path))[0] == 2
+
+
+UNREADABLE = {
+    "utf16_bom.json": b"\xff\xfe{}",
+    "deep.json": b"[" * 100000 + b"]" * 100000,
+    "truncated.json": b'{"version": ',
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+@pytest.mark.parametrize("argv", [["validate"], ["decide"], ["km"], ["knot", "arf"]])
+def test_unreadable_files_exit_2(name, argv, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(UNREADABLE[name])
+    code, out = _cli(capsys, *argv, str(path))
+    assert code == 2 and out["ok"] is False
+    assert len(out["errors"]) == 1 and out["errors"][0].startswith("/: unreadable ")
+
+
+def test_batch_reports_unreadable_files_per_entry(tmp_path, capsys):
+    for name, data in UNREADABLE.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "torus_s3s1.json").write_text(Path(example_path("torus_s3s1")).read_text())
+    code, out = _cli(capsys, "decide", "--batch", str(tmp_path))
+    assert code == 2
+    assert out["torus_s3s1.json"]["outcome"] == "NotRegHomotopicToEmbedding"
+    for name in UNREADABLE:
+        assert out[name]["ok"] is False
+        assert out[name]["errors"][0].startswith("/: unreadable instance file")
+
+
+@pytest.mark.parametrize("where, pointer", [
+    (("characters", "wM", 0), "/characters/wM/0"),
+    (("double_points", 0, "eta"), "/double_points/0/eta"),
+])
+def test_deeply_nested_values_are_not_walked(where, pointer):
+    deep = 0
+    for _ in range(100_000):
+        deep = [deep]
+    doc = example_doc("torus_s3s1")
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = deep
+    inst, errors = schema.instance_from_dict(doc)
+    assert inst is None
+    assert [e.split(": ", 1)[0] for e in errors] == [pointer]
+
+
+@pytest.mark.parametrize("interior, pointer", [
+    ({"7": 1}, "/"),
+    ({"01": 1}, "/whitney_collection/discs/0/interior/01"),
+    ({"0": 1, "+0": 1}, "/whitney_collection/discs/0/interior/+0"),
+])
+def test_disc_interior_keys_are_declared_component_ids(interior, pointer):
+    doc = example_doc("torus_s3s1")
+    doc["whitney_collection"]["discs"][0]["interior"] = interior
+    inst, errors = schema.instance_from_dict(doc)
+    assert inst is None
+    assert [e.split(": ", 1)[0] for e in errors] == [pointer]
+
+
+def test_boundary_intersection_pairs_are_listed_once():
+    doc = example_doc("torus_s3s1")
+    doc["double_points"] += [{"id": 2, "components": [0, 0], "sign": 1, "eta": [0]},
+                             {"id": 3, "components": [0, 0], "sign": -1, "eta": [0]}]
+    wc = doc["whitney_collection"]
+    wc["convenient"] = False
+    wc["discs"].append({"id": 1, "pairs": [2, 3], "interior": {}, "mu_boundary": 0, "euler": 0})
+    wc["boundary_intersections"] = [[0, 1, 1]]
+    assert schema.instance_from_dict(doc)[1] == []
+    wc["boundary_intersections"] = [[0, 1, 1], [1, 0, 2]]
+    inst, errors = schema.instance_from_dict(doc)
+    assert inst is None
+    assert [e.split(": ", 1)[0] for e in errors] == ["/whitney_collection/boundary_intersections/1"]
