@@ -107,13 +107,14 @@ class GammaGroup:
                         if node not in orbit_id:
                             orbit_id[node] = oid
                             stack.append(node)
-        # project signed orbits to element orbits
+        # project signed orbits to element orbits, represented by their least element
+        least = [G.order] * next_id
+        for (g, _), oid in orbit_id.items():
+            least[oid] = min(least[oid], g)
         self._elem_info: dict[int, tuple[int, bool, Optional[int]]] = {}
         orbits: dict[int, Orbit] = {}
         for e in G.elements():
-            plus = orbit_id[(e, 1)]
-            members = sorted(g for (g, s), oid in orbit_id.items() if oid == plus)
-            rep = members[0]
+            rep = least[orbit_id[(e, 1)]]
             two = orbit_id[(e, 1)] == orbit_id[(e, -1)]
             if rep not in orbits:
                 orbits[rep] = Orbit(rep, two)

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
+from .errors import InternalConsistency
 from .intlinalg import HermiteLattice
 
 
@@ -37,15 +40,21 @@ _INTS = frozenset((int,))  # exact type: a bool is not a group-element entry
 
 
 class FiniteTableGroup:
-    """Finite group as a Cayley table on indices 0..n-1."""
+    """Finite group as a Cayley table on indices 0..n-1.
+
+    ``generators`` generate the group under multiplication alone; there are
+    at most floor(log2 n) + 1 of them (see ``make_finite_group``).
+    """
 
     kind = "finite"
 
-    def __init__(self, table: Sequence[Sequence[int]], identity: int, inverse: Sequence[int]):
-        self.table = tuple(tuple(row) for row in table)
+    def __init__(self, table: tuple[tuple[int, ...], ...], identity: int,
+                 inverse: Sequence[int], generators: Sequence[int]):
+        self.table = table
         self.identity = identity
         self.inverse = tuple(inverse)
-        self.order = len(self.table)
+        self.generators = tuple(generators)
+        self.order = len(table)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -119,39 +128,103 @@ AmbientGroup = FiniteTableGroup | FGAbelianGroup
 def make_finite_group(table: Sequence[Sequence[int]]) -> FiniteTableGroup:
     """Validate a multiplication table and build the group.
 
-    Checks are exhaustive and report the first failing axiom, in the order
-    associativity, identity, inverses.
+    After the shape and range checks, reports the first failing axiom in the
+    order identity (``NoIdentity``), inverses (``NoInverse``), associativity
+    (``NotAssociative``, whose message names a failing triple).
+
+    Associativity is checked in two steps.  With an identity and inverses,
+    a repeated entry a*b = a*c breaks it at (a^-1, a, b) or (a^-1, a, c),
+    and b*a = c*a at (b, a, a^-1) or (c, a, a^-1); so the table must be a
+    Latin square.  Then Light's test: if (x*g)*y = x*(g*y) for all x, y and
+    every g in a set generating the table under multiplication, the table is
+    associative.  In a Latin square with identity every product-closed
+    subset H is a subloop, and g*H is disjoint from H for g outside H, so
+    each greedy generator at least doubles the closure and at most
+    floor(log2 n) + 1 are needed.  Every step is O(n^2) except Light's
+    test, which is O(n^2 log n).
     """
-    n = len(table)
+    rows = tuple(map(tuple, table))
+    n = len(rows)
     if n == 0:
         raise GroupError("empty table")
-    for i, row in enumerate(table):
+    for i, row in enumerate(rows):
         if len(row) != n:
             raise GroupError(f"row {i} has length {len(row)}, expected {n}")
-        for v in row:
-            if not isinstance(v, int) or not (0 <= v < n):
-                raise GroupError(f"entry {v!r} out of range in row {i}")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            identity = e
-            break
+        if not (all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n):
+            v = next(v for v in row if not isinstance(v, int) or not (0 <= v < n))
+            raise GroupError(f"entry {v!r} out of range in row {i}")
+    cols = tuple(zip(*rows))
+    ident = tuple(range(n))
+    identity = next((e for e in range(n) if rows[e] == ident and cols[e] == ident), None)
     if identity is None:
         raise NoIdentity("no two-sided identity")
-    inverse = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if table[a][b] == identity and table[b][a] == identity:
-                inverse[a] = b
-                break
-        if inverse[a] is None:
+    inverse = []
+    for a, row in enumerate(rows):
+        right = compress(range(n), map(identity.__eq__, row))
+        b = next((b for b in right if rows[b][a] == identity), None)
+        if b is None:
             raise NoInverse(f"element {a} has no inverse")
-    return FiniteTableGroup(table, identity, inverse)
+        inverse.append(b)
+    for a, (row, col) in enumerate(zip(rows, cols)):
+        if len(set(row)) < n:
+            b, c = _repeat(row)
+            raise _failing_triple(rows, (inverse[a], a, b), (inverse[a], a, c))
+        if len(set(col)) < n:
+            b, c = _repeat(col)
+            raise _failing_triple(rows, (b, a, inverse[a]), (c, a, inverse[a]))
+    generators = _greedy_generators(rows, cols)
+    for g in generators:
+        if g == identity:  # passes trivially; the others exist only when n >= 2,
+            continue       # where itemgetter below returns tuples
+        x_g_y = list(map(rows.__getitem__, cols[g]))  # row x: (x*g)*y for all y
+        x_gy = list(map(itemgetter(*rows[g]), rows))  # row x: x*(g*y) for all y
+        if x_g_y != x_gy:
+            x = next(x for x in range(n) if x_g_y[x] != x_gy[x])
+            y = next(y for y in range(n) if x_g_y[x][y] != x_gy[x][y])
+            raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
+    return FiniteTableGroup(rows, identity, inverse, generators)
+
+
+def _repeat(seq: Sequence[int]) -> tuple[int, int]:
+    """The first positions b < c with seq[b] == seq[c]; ``seq`` has a repeat."""
+    first: dict[int, int] = {}
+    c = next(c for c, v in enumerate(seq) if first.setdefault(v, c) != c)
+    return first[seq[c]], c
+
+
+def _failing_triple(rows, *triples) -> NotAssociative:
+    for a, b, c in triples:
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            return NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    raise InternalConsistency(f"a repeated table entry without a failing triple among {triples}")
+
+
+def _greedy_generators(rows, cols) -> list[int]:
+    """Smallest elements not yet generated, until they generate all of ``rows``.
+
+    The closure grows by multiplying each new member with every earlier one
+    on both sides, so each ordered pair is multiplied once: O(n^2) in all.
+    """
+    generators: list[int] = []
+    closure: set[int] = set()
+    members: list[int] = []
+    for g in range(len(rows)):
+        if g in closure:
+            continue
+        generators.append(g)
+        closure.add(g)
+        members.append(g)
+        done = len(members) - 1
+        while done < len(members):
+            x = members[done]
+            done += 1
+            prefix = members[:done]
+            fresh = set(map(rows[x].__getitem__, prefix))
+            fresh.update(map(cols[x].__getitem__, prefix))
+            fresh -= closure
+            closure |= fresh
+            members += fresh
+    return generators
 
 
 def cyclic_group(n: int) -> AmbientGroup:
@@ -172,7 +245,8 @@ class Character:
     """A homomorphism G -> {+1,-1}.
 
     For a finite group the values are given per element and multiplicativity
-    is checked exhaustively; for an abelian group they are given per
+    is checked at every (a, b) with b in the group's generating set, which
+    implies it everywhere; for an abelian group they are given per
     invariant-factor generator and compatibility with the factors is checked.
     """
 
@@ -184,8 +258,9 @@ class Character:
         if group.kind == "finite":
             if len(self.values) != group.order:
                 raise GroupError("need one value per group element")
-            for a in group.elements():
-                for b in group.elements():
+            # the b with chi(a*b) = chi(a)*chi(b) for all a are closed under products
+            for b in group.generators:
+                for a in group.elements():
                     if self.values[group.mul(a, b)] != self.values[a] * self.values[b]:
                         raise GroupError(f"not multiplicative at ({a},{b})")
         else:

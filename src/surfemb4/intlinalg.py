@@ -1,8 +1,11 @@
 """Exact integer matrix routines: Smith diagonal, Hermite form, determinants.
 
 Everything here works on plain Python ints (arbitrary precision) held in
-lists of lists.  Matrices stay small throughout the package, so the
-classical cubic algorithms are used without any fill-in control.
+lists of lists.  The Hermite form and the determinants use the classical
+cubic algorithms, since their matrices stay small.  The Smith diagonal
+first eliminates unit pivots on sparse rows, which keeps the large and very
+sparse relation matrices of the Smith oracle cheap, and runs the cubic
+dense loop only on what is left.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Sequence
 
 from .errors import InternalConsistency
@@ -32,12 +36,77 @@ def smith_diagonal(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
 
     Returns the invariant factors d_1 | d_2 | ... | d_r (all positive); the
     cokernel of the row lattice is Z^(ncols-r) + sum_i Z/d_i.
+
+    A pivot of +-1 splits the matrix as 1 + (the rest): clearing its column
+    with row operations and then its row with column operations changes
+    nothing else.  Such pivots are eliminated first on sparse rows, each
+    costing the rows that meet its column; the dense loop then runs on the
+    distinct residue rows only, over the columns they still use.
     """
-    a = [list(row) for row in rows if any(row)]
+    ones, residue = _eliminate_unit_pivots(rows)
+    cols = sorted({j for row in residue for j in row})
+    at = {j: k for k, j in enumerate(cols)}
+    distinct = set()  # rows equal up to sign span the same lattice, so one of each is enough
+    for row in residue:
+        out = [0] * len(cols)
+        for j, v in row.items():
+            out[at[j]] = v
+        sign = 1 if next(filter(None, out)) > 0 else -1
+        distinct.add(tuple(sign * v for v in out))
+    return [1] * ones + _dense_smith_diagonal([list(row) for row in distinct], len(cols))
+
+
+def _eliminate_unit_pivots(rows: Sequence[Sequence[int]]) -> tuple[int, list[dict[int, int]]]:
+    """(number of +-1 pivots eliminated, the nonzero rows left, as {column: entry})."""
+    live: dict[int, dict[int, int]] = {}
+    where: dict[int, set[int]] = {}  # column -> live rows with a nonzero there
+    for i, row in enumerate(rows):
+        sparse = {j: row[j] for j in compress(range(len(row)), row)}
+        if sparse:
+            live[i] = sparse
+            for j in sparse:
+                where.setdefault(j, set()).add(i)
+    ones = 0
+    queue = list(live)
+    while queue:
+        r = queue.pop()
+        pivot_row = live.get(r)
+        if pivot_row is None:
+            continue
+        units = [j for j, v in pivot_row.items() if v in (1, -1)]
+        if not units:
+            continue
+        j = min(units, key=lambda c: len(where[c]))
+        p = pivot_row[j]
+        del live[r]
+        for k in pivot_row:
+            where[k].discard(r)
+        for i in where.pop(j):
+            row = live[i]
+            q = row[j] * p  # p = +-1, so row[j] / p
+            for k, v in pivot_row.items():
+                nv = row.get(k, 0) - q * v
+                if nv:
+                    if k not in row:
+                        where[k].add(i)
+                    row[k] = nv
+                else:
+                    del row[k]
+                    if k != j:
+                        where[k].discard(i)
+            if row:
+                queue.append(i)
+            else:
+                del live[i]
+        ones += 1
+    return ones, list(live.values())
+
+
+def _dense_smith_diagonal(a: list[list[int]], n: int) -> list[int]:
+    """``smith_diagonal`` by a full pivot search each step, on nonzero rows ``a`` (changed)."""
     m = len(a)
     if m == 0:
         return []
-    n = ncols
     diag: list[int] = []
     t = 0
     while t < m and t < n:

@@ -24,6 +24,11 @@ from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc, WhitneyError
 
 SCHEMA_VERSION = 1
 
+# Largest total GF(2) H1 dimension of the surface an instance may declare.  The
+# basis is enumerated, so one large genus would otherwise cost time and memory
+# far beyond the size of the file.  The shipped instances have dimension <= 2.
+MAX_H1_DIM = 10_000
+
 # Errors a domain constructor raises on data that fits the shape.
 _DOMAIN_ERRORS = (GroupError, BandError, WhitneyError, EngineError)
 
@@ -305,6 +310,22 @@ def _build(errors: list[str], pointer: str, make, *args, **kwargs):
         return None
 
 
+def _h1_dim_error(components) -> list[str]:
+    """An error at the field that takes the H1 dimension past ``MAX_H1_DIM``, if any.
+
+    Counts as ``SurfaceComponent.basis_names`` does, without building the names.
+    """
+    dim = 0
+    for i, sc in enumerate(components):
+        for key, size in (("genus", sc["genus"] * (2 if sc["orientable"] else 1)),
+                          ("boundary_circles", max(sc["boundary_circles"] - 1, 0))):
+            dim += size
+            if dim > MAX_H1_DIM:
+                return [f"/surface/components/{i}/{key}: the surface's H1 dimension "
+                        f"exceeds the cap of {MAX_H1_DIM}"]
+    return []
+
+
 def instance_from_dict(doc) -> tuple[Optional[ProblemInstance], list[str]]:
     errors = _shape_errors(INSTANCE_SHAPE, doc)
     if errors:
@@ -330,7 +351,9 @@ def instance_from_dict(doc) -> tuple[Optional[ProblemInstance], list[str]]:
 
     parts = [_build(errors, f"/surface/components/{i}", SurfaceComponent, **sc)
              for i, sc in enumerate(doc["surface"]["components"])]
-    surface = None if None in parts else _build(errors, "/surface", SurfaceModel, parts)
+    too_large = _h1_dim_error(doc["surface"]["components"])
+    errors += too_large
+    surface = None if too_large or None in parts else _build(errors, "/surface", SurfaceModel, parts)
 
     declared = {c["id"] for c in doc["components"]}
     points: list[DoublePoint] = []

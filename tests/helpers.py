@@ -30,6 +30,66 @@ def direct_product(a: FiniteTableGroup, b: FiniteTableGroup) -> FiniteTableGroup
     return make_finite_group(table)
 
 
+def dihedral(m: int) -> FiniteTableGroup:
+    """The dihedral group of order 2m, with r^i s^a at index i + m*a."""
+
+    def mul(x, y):
+        (a, i), (b, k) = divmod(x, m), divmod(y, m)
+        return (i + (-k if a else k)) % m + m * ((a + b) % 2)
+
+    return make_finite_group([[mul(x, y) for y in range(2 * m)] for x in range(2 * m)])
+
+
+def relabel(table, perm) -> list[list[int]]:
+    """The same multiplication with element a renamed perm[a]."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            out[perm[a]][perm[b]] = perm[v]
+    return out
+
+
+def is_group_table(table) -> bool:
+    """The group axioms checked directly, associativity over all n^3 triples.
+
+    The reference for ``make_finite_group``; the table must be square with
+    entries in range.
+    """
+    n = len(table)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return False
+    identity = next((e for e in range(n)
+                     if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
+    return identity is not None and all(
+        any(table[a][b] == identity and table[b][a] == identity for b in range(n))
+        for a in range(n))
+
+
+def is_multiplicative(group: FiniteTableGroup, values) -> bool:
+    """values[a*b] == values[a] * values[b] at every pair: the reference for ``Character``."""
+    return all(values[group.mul(a, b)] == values[a] * values[b]
+               for a in group.elements() for b in group.elements())
+
+
+def random_character(group: FiniteTableGroup, rng: random.Random) -> Character:
+    """A random homomorphism to {+1,-1}: random values on the generators, when they extend."""
+    while True:
+        on_gens = {g: 1 if g == group.identity else rng.choice((1, -1)) for g in group.generators}
+        values = {group.identity: 1}
+        frontier = [group.identity]
+        while frontier:
+            x = frontier.pop()
+            for g, v in on_gens.items():
+                y = group.mul(x, g)
+                if y not in values:
+                    values[y] = values[x] * v
+                    frontier.append(y)
+        values = [values[x] for x in group.elements()]
+        if is_multiplicative(group, values):
+            return Character(group, values)
+
+
 def _perm_group(generators: list[tuple[int, ...]]) -> FiniteTableGroup:
     degree = len(generators[0])
     identity = tuple(range(degree))
@@ -101,18 +161,9 @@ def all_groups_up_to_8() -> list[tuple[str, FiniteTableGroup]]:
 
 def all_characters(group: FiniteTableGroup) -> list[Character]:
     """Every homomorphism to {+1,-1}, found by exhaustive filtering."""
-    n = group.order
-    out = []
-    for signs in itertools.product((1, -1), repeat=n):
-        if signs[group.identity] != 1:
-            continue
-        if all(
-            signs[group.mul(a, b)] == signs[a] * signs[b]
-            for a in range(n)
-            for b in range(n)
-        ):
-            out.append(Character(group, signs))
-    return out
+    return [Character(group, signs)
+            for signs in itertools.product((1, -1), repeat=group.order)
+            if signs[group.identity] == 1 and is_multiplicative(group, signs)]
 
 
 def random_signed_subgroup(group: FiniteTableGroup, rng: random.Random):

@@ -18,7 +18,16 @@ from surfemb4.gamma import (
 )
 from surfemb4.groups import Character, abelian_group, cyclic_group, subgroup_closure, trivial_character
 
-from helpers import all_characters, all_groups_up_to_8, random_signed_subgroup
+from helpers import (
+    all_characters,
+    all_groups_up_to_8,
+    dihedral,
+    direct_product,
+    quaternion8,
+    random_character,
+    random_signed_subgroup,
+    symmetric3,
+)
 
 
 def _ctx(group, wM=None, gens_f=(), gens_g=(), self_pairing=False):
@@ -161,6 +170,38 @@ def test_oracle_equivalence_self_pairing_sample():
             rank, torsion = smith_oracle(ctx)
             assert set(torsion) <= {2}, name
             assert (gamma.free_rank(), gamma.two_count()) == (rank, len(torsion)), name
+
+
+def test_oracle_equivalence_on_products_and_dihedral_groups_up_to_64():
+    c = {n: cyclic_group(n) for n in (2, 3, 4, 8)}
+    groups = [(f"D{m}", dihedral(m)) for m in (5, 6, 9, 16, 32)] + [
+        ("C4xC8", direct_product(c[4], c[8])),
+        ("C8xC8", direct_product(c[8], c[8])),
+        ("C2xC2xC2xC2xC4", direct_product(direct_product(direct_product(c[2], c[2]),
+                                                         direct_product(c[2], c[2])), c[4])),
+        ("S3xC8", direct_product(symmetric3(), c[8])),
+        ("Q8xC8", direct_product(quaternion8(), c[8])),
+        ("C2xD16", direct_product(c[2], dihedral(16))),
+        ("D6xC3", direct_product(dihedral(6), c[3])),
+    ]
+    rng = random.Random(64)
+    for name, g in groups:
+        assert g.order <= 64, name
+        for _ in range(6):
+            wM = random_character(g, rng)
+            s_f = random_signed_subgroup(g, rng)
+            self_pairing = rng.random() < 0.5
+            s_g = s_f if self_pairing else random_signed_subgroup(g, rng)
+            ctx = PairingContext(g, wM, s_f, s_g, self_pairing=self_pairing)
+            gamma = build_gamma(ctx)
+            rank, torsion = smith_oracle(ctx)
+            assert set(torsion) <= {2}, name
+            assert (gamma.free_rank(), gamma.two_count()) == (rank, len(torsion)), name
+            # each orbit is represented by its least element
+            least = {}
+            for e in g.elements():
+                least.setdefault(gamma.orbit_of(e), e)
+            assert all(orbit.rep == e for orbit, e in least.items()), name
 
 
 def test_finger_move_invariance():

@@ -1,10 +1,17 @@
+import itertools
+import math
+import random
+import re
+
 import pytest
 
 from surfemb4.groups import (
     Character,
     FGAbelianGroup,
     GroupError,
+    NoIdentity,
     NoInverse,
+    NotAssociative,
     abelian_group,
     cyclic_group,
     make_finite_group,
@@ -12,7 +19,14 @@ from surfemb4.groups import (
     trivial_character,
 )
 
-from helpers import all_groups_up_to_8, direct_product
+from helpers import (
+    all_groups_up_to_8,
+    dihedral,
+    direct_product,
+    is_group_table,
+    is_multiplicative,
+    relabel,
+)
 
 
 def test_trivial_table():
@@ -42,12 +56,136 @@ def test_cyclic_cases():
 
 
 def test_axioms_exhaustive_up_to_12():
-    # construction validates the axioms exhaustively; these must all pass
+    # construction checks every group axiom (associativity by Light's test on
+    # a generating set); these must all pass
     for name, g in all_groups_up_to_8():
         assert g.order <= 8, name
     cyclic_group(12)
     direct_product(cyclic_group(6), cyclic_group(2))
     direct_product(cyclic_group(3), cyclic_group(4))
+
+
+_TRIPLE = re.compile(r"\((\d+)\*(\d+)\)\*(\d+) != (\d+)\*\((\d+)\*(\d+)\)$")
+
+
+def _check_against_oracle(table) -> bool:
+    """make_finite_group accepts ``table`` exactly when the n^3 oracle does, and
+    a NotAssociative message names a triple that really fails."""
+    try:
+        make_finite_group(table)
+        accepted = True
+    except NotAssociative as exc:
+        accepted = False
+        match = _TRIPLE.match(str(exc))
+        assert match, str(exc)
+        a, b, c, a2, b2, c2 = map(int, match.groups())
+        assert (a, b, c) == (a2, b2, c2)
+        assert table[table[a][b]][c] != table[a][table[b][c]], (table, str(exc))
+    except GroupError:
+        accepted = False
+    assert accepted == is_group_table(table), table
+    return accepted
+
+
+def test_order_five_loop_is_not_a_group():
+    # the smallest Latin square with identity and inverses that is not associative
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    assert all(sorted(row) == list(range(5)) for row in loop)
+    assert all(sorted(col) == list(range(5)) for col in zip(*loop))
+    with pytest.raises(NotAssociative):
+        make_finite_group(loop)
+    assert not _check_against_oracle(loop)
+
+
+def test_non_latin_tables_with_identity_and_inverses():
+    rng = random.Random(31)
+    seen = 0
+    for _ in range(400):
+        n = rng.randrange(2, 8)
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        table[0] = list(range(n))
+        for x in range(n):
+            table[x][0] = x
+        for a in range(1, n):
+            b = rng.randrange(1, n)
+            table[a][b] = table[b][a] = 0
+        if all(len(set(row)) == n for row in table) and all(len(set(c)) == n for c in zip(*table)):
+            continue
+        with pytest.raises(NotAssociative):
+            make_finite_group(table)
+        assert not _check_against_oracle(table)
+        seen += 1
+    assert seen > 300
+
+
+def test_random_magmas_match_oracle():
+    rng = random.Random(37)
+    kinds = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.randrange(1, 7)
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:  # a two-sided identity, so later axioms get reached
+            e = rng.randrange(n)
+            for x in range(n):
+                table[e][x] = table[x][e] = x
+        kinds[_check_against_oracle(table)] += 1
+    # every group of order <= 8, under random labels
+    for name, g in all_groups_up_to_8():
+        for _ in range(5):
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            kinds[_check_against_oracle(relabel(g.table, perm))] += 1
+    assert kinds[True] > 100 and kinds[False] > 1000
+
+
+def test_error_order_identity_then_inverses_then_associativity():
+    # neither associative nor with an identity: the identity is reported first
+    with pytest.raises(NoIdentity):
+        make_finite_group([[1, 0], [1, 1]])
+    # identity 0 and (1*1)*2 != 1*(1*2), but 1 has no inverse: reported before associativity
+    with pytest.raises(NoInverse):
+        make_finite_group([[0, 1, 2], [1, 2, 2], [2, 2, 1]])
+
+
+def _closure(group, gens) -> set:
+    out = set(gens)
+    while True:
+        more = {group.mul(a, b) for a in out for b in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_finite_group([[(a + b) % 256 for b in range(256)] for a in range(256)]),
+    lambda: dihedral(128),
+    lambda: direct_product(make_finite_group([[0, 1], [1, 0]]), dihedral(64)),
+], ids=["C256", "D128", "C2xD64"])
+def test_greedy_generating_set_is_logarithmic(make):
+    g = make()
+    rng = random.Random(g.order)
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    for group in (g, make_finite_group(relabel(g.table, perm))):
+        assert len(group.generators) <= math.floor(math.log2(group.order)) + 1
+        assert _closure(group, group.generators) == set(group.elements())
+
+
+def test_generator_character_check_matches_all_pairs():
+    for name, g in all_groups_up_to_8():
+        for values in itertools.product((1, -1), repeat=g.order):
+            try:
+                Character(g, values)
+                accepted = True
+            except GroupError:
+                accepted = False
+            assert accepted == is_multiplicative(g, values), (name, values)
 
 
 def test_closure_empty_generators():

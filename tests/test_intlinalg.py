@@ -5,6 +5,7 @@ import pytest
 
 from surfemb4.intlinalg import (
     HermiteLattice,
+    _eliminate_unit_pivots,
     bareiss_det,
     cyclotomic,
     linear_pencil_det,
@@ -42,6 +43,32 @@ def test_smith_diagonal_against_sympy():
         snf = smith_normal_form(sympy.Matrix(rows))
         theirs = sorted(abs(snf[i, i]) for i in range(min(m, n)) if snf[i, i] != 0)
         assert mine == theirs, rows
+
+
+def test_smith_diagonal_sparse_against_sympy():
+    # sparse entries in {0, +-1, +-2}: unit pivots are eliminated first, and the
+    # dense loop runs on whatever is left
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(29)
+    paths = {"units": 0, "residue": 0, "both": 0}
+    for _ in range(250):
+        m, n = rng.randrange(1, 11), rng.randrange(1, 11)
+        density = rng.choice((0.15, 0.3, 0.5))
+        entries = rng.choice(((1, -1, 2, -2), (2, -2, 1), (2, -2)))
+        rows = [[rng.choice(entries) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)]
+        ones, residue = _eliminate_unit_pivots(rows)
+        paths["units"] += ones > 0
+        paths["residue"] += bool(residue)
+        paths["both"] += ones > 0 and bool(residue)
+        mine = smith_diagonal(rows, n)
+        snf = smith_normal_form(sympy.Matrix(rows))
+        theirs = sorted(abs(snf[i, i]) for i in range(min(m, n)) if snf[i, i] != 0)
+        assert mine == theirs, rows
+        assert mine[:ones] == [1] * ones
+    assert min(paths.values()) >= 40, paths
 
 
 def test_hermite_reduce_is_coset_invariant():

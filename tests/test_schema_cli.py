@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -386,3 +387,22 @@ def test_boundary_intersection_pairs_are_listed_once():
     inst, errors = schema.instance_from_dict(doc)
     assert inst is None
     assert [e.split(": ", 1)[0] for e in errors] == ["/whitney_collection/boundary_intersections/1"]
+
+
+@pytest.mark.parametrize("component, pointer", [
+    ({"genus": 10**9}, "/surface/components/0/genus"),
+    ({"genus": schema.MAX_H1_DIM // 2 + 1}, "/surface/components/0/genus"),
+    ({"genus": 0, "boundary_circles": schema.MAX_H1_DIM + 2}, "/surface/components/0/boundary_circles"),
+    # at the cap the surface is built, and the band's H1 vector is too short for it
+    ({"genus": schema.MAX_H1_DIM // 2}, "/catalogs/bands"),
+])
+def test_surface_h1_dimension_is_capped(component, pointer, tmp_path, capsys):
+    doc = example_doc("torus_s3s1")
+    doc["surface"]["components"][0].update(component)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    assert cli.main(["validate", str(path)]) == 2
+    assert time.perf_counter() - started < 2.0
+    out = json.loads(capsys.readouterr().out)
+    assert [e.split(": ", 1)[0] for e in out["errors"]] == [pointer]
