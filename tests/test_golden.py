@@ -1,10 +1,11 @@
-"""CLI output on the shipped instances, compared byte for byte with recorded files.
+"""CLI output on the shipped instances and knots, compared byte for byte with recorded files.
 
 ``tests/data/golden/cases.json`` maps each case name to its argv and exit
 code; ``<name>.out`` holds the exact stdout.  ``{instances}`` in an argv
-stands for the shipped instance directory.  The files were recorded before
-the engine and band checks were consolidated, so any drift in verdict,
-``km``, ``gamma`` or batch JSON fails here.
+stands for the shipped instance directory.  The instance files were
+recorded before the engine and band checks were consolidated, and the
+``<knot>.knot-*`` files before the knot invariants were made polynomial, so
+any drift in verdict, ``km``, ``gamma``, batch or knot JSON fails here.
 """
 
 import json
