@@ -1,18 +1,22 @@
 """Seifert-matrix knot invariants and topological genus bounds.
 
-Signatures are evaluated by adaptive-precision Hermitian eigenvalue
-computation with an exact singularity pre-check against the cyclotomic
-minimal polynomial; the Arf invariant is computed two independent ways
-(mod-8 determinant rule and brute-force counting of a quadratic form over
-GF(2)) and the two must agree.
+Every invariant is polynomial in the Seifert size n.  The Arf invariant is
+computed two independent ways, the mod-8 determinant rule (O(n^3)) and a
+symplectic basis of the quadratic form over GF(2) (O(n^3) bit operations),
+and the two must agree.  The Alexander polynomial det(tV - V^T) costs
+O(n^4) and is computed at most once per matrix.  Signatures are evaluated
+by adaptive-precision Hermitian eigenvalue computation, one eigen-solve per
+point, with an exact singularity pre-check against the cyclotomic minimal
+polynomial; the cp2 class scan evaluates each distinct point once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import mpmath
 
@@ -63,6 +67,13 @@ class SeifertMatrix:
             raise KnotError("V - V^T must be unimodular")
         self.size = n
 
+    @cached_property
+    def alexander(self) -> list[int]:
+        """det(tV - V^T) as integer coefficients, low degree first."""
+        return linear_pencil_det(
+            [[(self.rows[i][j], self.rows[j][i]) for j in range(self.size)]
+             for i in range(self.size)])
+
     def transpose(self) -> list[list[int]]:
         return [[self.rows[j][i] for j in range(self.size)] for i in range(self.size)]
 
@@ -98,34 +109,70 @@ def alexander_at_minus_one(V: SeifertMatrix) -> int:
     return bareiss_det(V.symmetrized())
 
 
-def arf(V: SeifertMatrix) -> int:
-    """Arf invariant, via the mod-8 determinant rule and a counting oracle.
+def _arf_symplectic(rows: Sequence[Sequence[int]]) -> int:
+    """Arf invariant of q(x) = x V x^T mod 2 from a symplectic basis of its form.
 
-    Rule (a): 0 iff |det(V+V^T)| = +-1 mod 8.  Oracle (b): the majority
-    value of q(x) = x V x^T mod 2 over GF(2)^(2g).  Disagreement is an
-    internal-consistency failure and raises.
+    The bilinear form B = V + V^T mod 2 is reduced pair by pair: take any
+    remaining e, a partner f with B(e, f) = 1, add q(e) q(f), and project the
+    other vectors off the pair by v <- v + B(v, f) e + B(v, e) f.  The pairs
+    form a symplectic basis, and Arf = sum q(a_i) q(b_i) (Lickorish, An
+    Introduction to Knot Theory, ch. 10).  Vectors are int bitmasks, so the
+    reduction costs O(n^3) bit operations.  A form with no partner for some
+    e is degenerate, which V - V^T unimodular rules out: that raises.
+    """
+    n = len(rows)
+    odd = [sum(1 << j for j in range(n) if rows[i][j] % 2) for i in range(n)]
+    form = [sum(1 << j for j in range(n) if (rows[i][j] + rows[j][i]) % 2) for i in range(n)]
+
+    def bits(x: int):
+        while x:
+            low = x & -x
+            yield low.bit_length() - 1
+            x ^= low
+
+    def image(x: int) -> int:  # B(x, .) as a bitmask
+        out = 0
+        for i in bits(x):
+            out ^= form[i]
+        return out
+
+    def dot(x: int, y: int) -> int:  # over GF(2)
+        return (x & y).bit_count() & 1
+
+    def q(x: int) -> int:
+        return sum((odd[i] & x).bit_count() for i in bits(x)) & 1
+
+    vectors = [1 << i for i in range(n)]
+    result = 0
+    while vectors:
+        e = vectors.pop()
+        be = image(e)
+        k = next((k for k, v in enumerate(vectors) if dot(be, v)), None)
+        if k is None:
+            raise InternalConsistency("V + V^T is degenerate mod 2: no symplectic partner")
+        f = vectors.pop(k)
+        bf = image(f)
+        result ^= q(e) & q(f)
+        vectors = [v ^ (e if dot(bf, v) else 0) ^ (f if dot(be, v) else 0) for v in vectors]
+    return result
+
+
+def arf(V: SeifertMatrix) -> int:
+    """Arf invariant, via the mod-8 determinant rule and a symplectic basis.
+
+    Rule (a): 0 iff |det(V+V^T)| = +-1 mod 8.  Method (b): the symplectic
+    reduction of q(x) = x V x^T mod 2 over GF(2)^(2g) (``_arf_symplectic``).
+    Both cost O(n^3).  Disagreement is an internal-consistency failure and
+    raises.
     """
     det = abs(alexander_at_minus_one(V))
     if det % 2 == 0:
         raise KnotError("knot determinant must be odd")
     by_det = 0 if det % 8 in (1, 7) else 1
-    n = V.size
-    counts = [0, 0]
-    for mask in range(1 << n):
-        x = [(mask >> i) & 1 for i in range(n)]
-        q = 0
-        for i in range(n):
-            if x[i]:
-                for j in range(n):
-                    if x[j]:
-                        q += V.rows[i][j]
-        counts[q % 2] += 1
-    if counts[0] == counts[1]:
-        raise ArfMethodsDisagree("quadratic form has no majority value")
-    by_form = 0 if counts[0] > counts[1] else 1
+    by_form = _arf_symplectic(V.rows)
     if by_det != by_form:
         raise ArfMethodsDisagree(
-            f"determinant rule gives {by_det}, quadratic-form count gives {by_form}"
+            f"determinant rule gives {by_det}, symplectic basis gives {by_form}"
         )
     return by_det
 
@@ -136,17 +183,9 @@ def _omega_order(r: Fraction) -> int:
     return half.denominator
 
 
-def _alexander_poly(V: SeifertMatrix) -> list[int]:
-    """det(tV - V^T) as integer coefficients, low degree first."""
-    pairs = [
-        [(V.rows[i][j], V.rows[j][i]) for j in range(V.size)] for i in range(V.size)
-    ]
-    return linear_pencil_det(pairs)
-
-
 def _is_alexander_root(V: SeifertMatrix, r: Fraction) -> bool:
     m = _omega_order(r)
-    poly = _alexander_poly(V)
+    poly = V.alexander
     if not any(poly):
         return True
     _, rem = poly_divmod(poly, cyclotomic(m))
@@ -198,26 +237,6 @@ def sigma_d(V: SeifertMatrix, d: int) -> int:
     return levine_tristram(V, Fraction(d - 1, d))
 
 
-def _bounds_for_d(V: SeifertMatrix, d: int) -> list[int]:
-    """Right-hand sides 2g+1 >= |...| applicable to homology class d."""
-    out = []
-    if d % 2 == 0:
-        sigma = levine_tristram(V, Fraction(1))
-        out.append(abs(Fraction(d * d, 2) - 1 - sigma))
-    if d != 0:
-        primes = _odd_prime_divisors(abs(d))
-        if primes:
-            try:
-                s = sigma_d(V, d)
-            except SingularAtOmega:
-                primes = []  # signature jump point: no usable bound at this d
-            for p in primes:
-                out.append(abs(Fraction((p * p - 1) * d * d, 2 * p * p) - 1 - s))
-    if any(b.denominator != 1 for b in out):
-        raise InternalConsistency("a cp2 genus bound is not an integer")
-    return [int(b) for b in out]
-
-
 def _odd_prime_divisors(n: int) -> list[int]:
     out = []
     p = 3
@@ -232,14 +251,59 @@ def _odd_prime_divisors(n: int) -> list[int]:
     return out
 
 
-def cp2_genus_lower_bound(V: SeifertMatrix, d: int) -> int:
-    """Genus lower bound for a surface in class d, from the signature bounds."""
+def _lower_bound(d: int, signature: Callable[[Fraction], int]) -> int:
+    """Genus lower bound in class d from the bounds 2g+1 >= |...| that apply to it.
+
+    ``signature(r)`` is the Levine-Tristram signature at exp(i*pi*r).
+    """
     if d in (1, -1):
         raise DNotCovered("classes +-1 are governed by the Arf invariant")
-    bounds = _bounds_for_d(V, d)
-    if not bounds:
-        return 0
-    return max(0, max(b // 2 for b in bounds))
+    bounds = []
+    if d % 2 == 0:
+        sigma = signature(Fraction(1))
+        bounds.append(abs(Fraction(d * d, 2) - 1 - sigma))
+    if d != 0:
+        primes = _odd_prime_divisors(abs(d))
+        if primes:
+            try:
+                s = signature(Fraction(d - 1, d))  # sigma_d
+            except SingularAtOmega:
+                primes = []  # signature jump point: no usable bound at this d
+            for p in primes:
+                bounds.append(abs(Fraction((p * p - 1) * d * d, 2 * p * p) - 1 - s))
+    if any(b.denominator != 1 for b in bounds):
+        raise InternalConsistency("a cp2 genus bound is not an integer")
+    return max((int(b) // 2 for b in bounds), default=0)
+
+
+def cp2_genus_lower_bound(V: SeifertMatrix, d: int) -> int:
+    """Genus lower bound for a surface in class d, from the signature bounds."""
+    return _lower_bound(d, lambda r: levine_tristram(V, r))
+
+
+def _folded_signatures(V: SeifertMatrix) -> Callable[[Fraction], int]:
+    """``levine_tristram(V, .)`` evaluated once per point min(r, 2 - r).
+
+    Folding is exact: the matrix at conj(w) is the complex conjugate of the
+    one at w, so its Hermitian eigenvalues are the same.  A SingularAtOmega
+    outcome is remembered and raised again.
+    """
+    memo: dict[Fraction, object] = {}
+
+    def signature(r: Fraction) -> int:
+        r = Fraction(r) % 2
+        key = min(r, 2 - r)
+        if key not in memo:
+            try:
+                memo[key] = levine_tristram(V, key)
+            except SingularAtOmega as exc:
+                memo[key] = exc
+        out = memo[key]
+        if isinstance(out, SingularAtOmega):
+            raise out
+        return out
+
+    return signature
 
 
 @dataclass(frozen=True)
@@ -269,10 +333,11 @@ def cp2_genus_verdict(V: SeifertMatrix, scan_cap: int = 64) -> CP2GenusVerdict:
     window = math.isqrt(need) + 1
     incomplete = window > scan_cap
     window = min(window, scan_cap)
+    signature = _folded_signatures(V)
     for d in range(-window, window + 1):
         if d in (-1, 1):
             continue
-        if cp2_genus_lower_bound(V, d) < 1:
+        if _lower_bound(d, signature) < 1:
             return CP2GenusVerdict(lower=0, upper=1, exact=None,
                                    incomplete=incomplete, scan_limit=window)
     if incomplete:

@@ -29,6 +29,11 @@ SCHEMA_VERSION = 1
 # far beyond the size of the file.  The shipped instances have dimension <= 2.
 MAX_H1_DIM = 10_000
 
+# Largest Seifert matrix a knot file may declare.  Checked before the matrix
+# is built, since its unimodularity check and every invariant cost O(n^3) to
+# O(n^4) and the cp2 scan's eigen-solves grow with n.
+MAX_SEIFERT_SIZE = 40
+
 # Errors a domain constructor raises on data that fits the shape.
 _DOMAIN_ERRORS = (GroupError, BandError, WhitneyError, EngineError)
 
@@ -284,6 +289,9 @@ def load_knot(path) -> SeifertMatrix:
     errors = _shape_errors(KNOT_SHAPE, doc)
     if errors:
         raise SchemaError(errors)
+    if len(doc["seifert"]) > MAX_SEIFERT_SIZE:
+        raise SchemaError([f"/seifert: the Seifert size {len(doc['seifert'])} "
+                           f"exceeds the cap of {MAX_SEIFERT_SIZE}"])
     try:
         return SeifertMatrix(doc["seifert"])
     except KnotError as exc:

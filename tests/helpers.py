@@ -1,4 +1,4 @@
-"""Shared test fixtures: small-group catalog, characters, random subgroups."""
+"""Shared test fixtures: small-group catalog, characters, random subgroups, knot oracles."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from surfemb4.groups import (
     make_finite_group,
     subgroup_closure,
 )
+from surfemb4.knots import SeifertMatrix
 
 
 def direct_product(a: FiniteTableGroup, b: FiniteTableGroup) -> FiniteTableGroup:
@@ -188,3 +189,32 @@ def random_seifert_rows(rng: random.Random, max_genus: int = 3) -> list[list[int
             rows[j][i] = vji
             rows[i][j] = vji + target
     return rows
+
+
+def torus_sum(qs) -> SeifertMatrix:
+    """The connected sum of the T(2,q), q in ``qs``: block sums of -1 on the diagonal, 1 above it."""
+    blocks = [SeifertMatrix([[-1 if i == j else 1 if j == i + 1 else 0 for j in range(q - 1)]
+                             for i in range(q - 1)]) for q in qs]
+    out = blocks[0]
+    for b in blocks[1:]:
+        out = out.block_sum(b)
+    return out
+
+
+def arf_bruteforce(V: SeifertMatrix) -> int:
+    """The majority value of q(x) = x V x^T mod 2 over all 2^n vectors x.
+
+    The counting reference for ``knots.arf``, at O(2^n n^2): use it for n <= 12.
+    """
+    n = V.size
+    counts = [0, 0]
+    for mask in range(1 << n):
+        q = 0
+        for i in range(n):
+            if (mask >> i) & 1:
+                for j in range(n):
+                    if (mask >> j) & 1:
+                        q += V.rows[i][j]
+        counts[q % 2] += 1
+    assert counts[0] != counts[1]
+    return 0 if counts[0] > counts[1] else 1

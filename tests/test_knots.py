@@ -5,6 +5,8 @@ from importlib import resources
 
 import pytest
 
+from surfemb4 import knots
+from surfemb4.errors import InternalConsistency
 from surfemb4.knots import (
     CP2GenusVerdict,
     DNotCovered,
@@ -23,7 +25,7 @@ from surfemb4.knots import (
     sigma_d,
 )
 
-from helpers import random_seifert_rows
+from helpers import arf_bruteforce, random_seifert_rows, torus_sum
 
 
 def load(name) -> SeifertMatrix:
@@ -60,35 +62,114 @@ def test_alexander_values():
     assert alexander_at_minus_one(SUM3) == alexander_at_minus_one(TREFOIL) ** 3 == 27
 
 
-def _arf_bruteforce(V: SeifertMatrix) -> int:
-    n = V.size
-    counts = [0, 0]
-    for mask in range(1 << n):
-        q = 0
-        for i in range(n):
-            if (mask >> i) & 1:
-                for j in range(n):
-                    if (mask >> j) & 1:
-                        q += V.rows[i][j]
-        counts[q % 2] += 1
-    assert counts[0] != counts[1]
-    return 0 if counts[0] > counts[1] else 1
-
-
 def test_arf_values():
     assert arf(UNKNOT) == 0
     assert arf(SUM3) == 1
-    assert arf(TREFOIL) == _arf_bruteforce(TREFOIL) == 1
+    assert arf(TREFOIL) == arf_bruteforce(TREFOIL) == 1
     assert arf(load("figure_eight")) == 1
     assert arf(load("t2_5")) == 1
     assert arf(load("t2_7")) == 0
 
 
+def _congruent(rows, rng) -> list[list[int]]:
+    """P V P^T for a random unimodular P: the same Seifert form in another basis."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        for k in range(n):  # row i += s row j, then column i += s column j
+            rows[i][k] += s * rows[j][k]
+        for k in range(n):
+            rows[k][i] += s * rows[k][j]
+    return rows
+
+
 def test_arf_agreement_random_sample():
+    # random_seifert_rows gives V - V^T in standard symplectic form; the
+    # congruent copy mixes the basis so the reduction has to project
     rng = random.Random(53)
-    for _ in range(500):
-        V = SeifertMatrix(random_seifert_rows(rng))
-        assert arf(V) == _arf_bruteforce(V)
+    sizes = set()
+    for _ in range(150):
+        rows = random_seifert_rows(rng, max_genus=6)
+        V, W = SeifertMatrix(rows), SeifertMatrix(_congruent(rows, rng))
+        sizes.add(V.size)
+        assert arf(V) == arf_bruteforce(V) == arf(W) == arf_bruteforce(W)
+    assert sizes == {2, 4, 6, 8, 10, 12}
+
+
+def test_arf_of_torus_sums_n20_to_40():
+    # closed form: Arf(T(2,q)) = 0 iff q = +-1 mod 8, additive under connected sum
+    rng = random.Random(71)
+    sizes = set()
+    for _ in range(40):
+        qs = []
+        while sum(q - 1 for q in qs) < 20:
+            qs.append(rng.randrange(3, 22, 2))
+        if sum(q - 1 for q in qs) > 40:
+            continue
+        V = torus_sum(qs)
+        sizes.add(V.size)
+        assert arf(V) == sum(0 if q % 8 in (1, 7) else 1 for q in qs) % 2, qs
+    assert min(sizes) <= 24 and max(sizes) >= 36
+
+
+@pytest.mark.parametrize("rows", [[[0, 0], [0, 0]], [[1, 1], [1, 1]], [[1]],
+                                  [[0, 1, 0], [0, 0, 0], [0, 0, 1]]])
+def test_symplectic_reduction_rejects_degenerate_forms(rows):
+    # V + V^T mod 2 has a kernel, so some vector has no symplectic partner
+    with pytest.raises(InternalConsistency):
+        knots._arf_symplectic(rows)
+
+
+def test_alexander_polynomial_once_per_matrix(monkeypatch):
+    calls = []
+    pencil = knots.linear_pencil_det
+    monkeypatch.setattr(knots, "linear_pencil_det", lambda pairs: calls.append(1) or pencil(pairs))
+    V = load("sum3_trefoil")
+    assert cp2_genus_verdict(V).exact == 1
+    for r in (Fraction(1), Fraction(1, 2), Fraction(2, 7), Fraction(-3, 5)):
+        levine_tristram(V, r)
+    with pytest.raises(SingularAtOmega):
+        levine_tristram(V, Fraction(1, 3))
+    sigma_d(V, 5)
+    cp2_genus_lower_bound(V, 3)
+    assert len(calls) == 1
+    levine_tristram(load("sum3_trefoil"), Fraction(1))  # a new matrix computes its own
+    assert len(calls) == 2
+
+
+def test_cp2_scan_evaluates_each_folded_point_once(monkeypatch):
+    points = []
+    signature = knots.levine_tristram
+
+    def counted(V, omega, *args):
+        r = Fraction(omega) % 2
+        points.append(min(r, 2 - r))
+        return signature(V, omega, *args)
+
+    monkeypatch.setattr(knots, "levine_tristram", counted)
+    for qs in [(3, 3, 3), (5,), (11,), (3, 5, 5)]:
+        V = torus_sum(qs)
+        points.clear()
+        verdict = cp2_genus_verdict(V)
+        assert verdict.exact == 1 and verdict.scan_limit >= 5
+        # the scan covers d and -d, and sigma(-1) at every even d
+        assert len(points) == len(set(points)) >= 3, (qs, points)
+        assert Fraction(1) in points
+
+
+def test_folded_signatures_remember_singular_points(monkeypatch):
+    calls = []
+    signature = knots.levine_tristram
+    monkeypatch.setattr(knots, "levine_tristram",
+                        lambda V, r: calls.append(r) or signature(V, r))
+    memo = knots._folded_signatures(TREFOIL)
+    for r in (Fraction(1, 3), Fraction(5, 3), Fraction(-1, 3), Fraction(1, 3)):
+        with pytest.raises(SingularAtOmega):
+            memo(r)
+    assert memo(Fraction(3, 2)) == memo(Fraction(1, 2)) == levine_tristram(TREFOIL, Fraction(1, 2))
+    assert calls == [Fraction(1, 3), Fraction(1, 2)]
 
 
 def test_levine_tristram_unknot():

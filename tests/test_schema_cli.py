@@ -314,6 +314,27 @@ def test_knot_file_fields(tmp_path, capsys):
     assert _cli(capsys, "knot", "arf", str(path))[0] == 2
 
 
+@pytest.mark.parametrize("size", [schema.MAX_SEIFERT_SIZE + 2, 1000])
+def test_seifert_size_is_capped(size, tmp_path, capsys):
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"seifert": [[0] * size for _ in range(size)]}))
+    started = time.perf_counter()
+    code, out = _cli(capsys, "knot", "arf", str(path))
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    assert out["errors"] == [f"/seifert: the Seifert size {size} exceeds the cap of "
+                             f"{schema.MAX_SEIFERT_SIZE}"]
+
+
+def test_seifert_size_at_the_cap_is_read(tmp_path, capsys):
+    # T(2, 41): Seifert size 40, Arf 0 since 41 = 1 mod 8
+    n = schema.MAX_SEIFERT_SIZE
+    path = tmp_path / "t2_41.json"
+    path.write_text(json.dumps(
+        {"seifert": [[-1 if i == j else 1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]}))
+    assert _cli(capsys, "knot", "arf", str(path)) == (0, {"arf": 0})
+
+
 UNREADABLE = {
     "utf16_bom.json": b"\xff\xfe{}",
     "deep.json": b"[" * 100000 + b"]" * 100000,
