@@ -125,9 +125,6 @@ class SurfaceModel:
                 out.add(cid)
         return out
 
-    def zero_vec(self) -> tuple[int, ...]:
-        return (0,) * self.dim
-
 
 @dataclass(frozen=True)
 class RelH2:

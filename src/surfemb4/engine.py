@@ -482,21 +482,12 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
 def rp2_euler_parity(e: int) -> int:
     """t of a projective plane in 4-space from its normal Euler number.
 
-    Walks from the base Euler numbers +-2 (where t = 0) in steps of 8,
-    flipping t at each step; equivalently t = 0 iff e = +-2 mod 16.
+    t = 0 at the base Euler numbers +-2 and flips at each step of 8 from
+    there, so t = 0 iff e = +-2 mod 16.
     """
     if e % 4 != 2:
         raise InvalidEulerParity(f"normal Euler number must be 2 mod 4, got {e}")
-    base = 2 if e % 8 == 2 else -2
-    t = 0
-    cur = base
-    while cur < e:
-        cur += 8
-        t ^= 1
-    while cur > e:
-        cur -= 8
-        t ^= 1
-    return t
+    return 0 if e % 16 in (2, 14) else 1
 
 
 def stong_t_formula(sigma_m: int, self_int: int) -> int:

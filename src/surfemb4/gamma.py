@@ -7,6 +7,18 @@ relation in the self-intersection case.  The group splits as a direct sum
 of Z summands (one per "infinite" orbit, with a chosen section sign) and
 Z/2 summands (one per orbit containing both signs of an element).
 
+Each element is classified once, as (orbit, section sign), and cached.
+For a finitely generated abelian ambient G = Z^k / (factors), one signed
+lattice L in Z^(k+1) does it: the subgroup generators with their sign bit,
+the s_g generators with the sign twisted by wM, the factors, and (0, 2).
+A Hermite reduction returns the one vector of its coset with
+0 <= v[c] < pivot at every pivot column, so reducing (e, 0) gives
+(r, bit), where r is e reduced modulo the projection of L (the canonical
+orbit element) and bit is the lift sign, (-1)^bit.  With self-pairing,
+(e, +1) ~ (-e, wM(e)), so (-e, bit(wM(e))) reduces to the class of the
+inverse; the orbit takes the lesser of the two, and has order two when
+(0, 1) lies in L or when both land on one element with opposite bits.
+
 ``smith_oracle`` recomputes the same invariants by brute force from the
 relation presentation via Smith normal form and is kept independent of
 the orbit enumeration.
@@ -68,10 +80,16 @@ class Orbit:
 
 
 class GammaGroup:
-    """Orbit decomposition of the quotient; backend chosen by the ambient."""
+    """Orbit decomposition of the quotient; backend chosen by the ambient.
+
+    Both backends answer ``classify`` from one table of element ->
+    (orbit, section sign): the finite backend fills it at build time, the
+    abelian backend on first query of each element.
+    """
 
     def __init__(self, ctx: PairingContext):
         self.ctx = ctx
+        self._table: dict = {}  # element -> (Orbit, sign or None)
         if ctx.ambient.kind == "finite":
             self._build_finite()
         else:
@@ -111,19 +129,15 @@ class GammaGroup:
         least = [G.order] * next_id
         for (g, _), oid in orbit_id.items():
             least[oid] = min(least[oid], g)
-        self._elem_info: dict[int, tuple[int, bool, Optional[int]]] = {}
         orbits: dict[int, Orbit] = {}
         for e in G.elements():
             rep = least[orbit_id[(e, 1)]]
             two = orbit_id[(e, 1)] == orbit_id[(e, -1)]
-            if rep not in orbits:
-                orbits[rep] = Orbit(rep, two)
+            orbit = orbits.setdefault(rep, Orbit(rep, two))
             if two:
-                self._elem_info[e] = (rep, True, None)
+                self._table[e] = (orbit, None)
             else:
-                rep_plus = orbit_id[(rep, 1)]
-                sign = 1 if orbit_id[(e, 1)] == rep_plus else -1
-                self._elem_info[e] = (rep, False, sign)
+                self._table[e] = (orbit, 1 if orbit_id[(e, 1)] == orbit_id[(rep, 1)] else -1)
         self._orbits = [orbits[r] for r in sorted(orbits)]
 
     # -- abelian backend ------------------------------------------------
@@ -131,33 +145,22 @@ class GammaGroup:
     def _build_abelian(self):
         G = self.ctx.ambient
         wM = self.ctx.wM
-        k = G.rank
-        hat_rows: list[list[int]] = []
-        proj_rows: list[list[int]] = []
-        gen_pairs = [(g, s) for g, s in self.ctx.s_f.generators]
-        gen_pairs += [
-            (g, s * wM(G.canon(g))) for g, s in self.ctx.s_g.generators
-        ]
-        wm_nontrivial_on_span = False
-        for g, s in gen_pairs:
-            v = list(G.canon(g))
-            hat_rows.append(v + [_sign_bit(s)])
-            proj_rows.append(v)
-            if wM(tuple(v)) == -1:
-                wm_nontrivial_on_span = True
-        for i, f in enumerate(G.factors):
-            if f:
-                row = [f if j == i else 0 for j in range(k)]
-                hat_rows.append(row + [0])
-                proj_rows.append(row)
-        hat_rows.append([0] * k + [2])
-        if self.ctx.self_pairing and wm_nontrivial_on_span:
-            # double-inversion paths make the sign ambiguous everywhere
-            hat_rows.append([0] * k + [1])
-        self._hat = HermiteLattice(hat_rows, k + 1)
-        self._proj = HermiteLattice(proj_rows, k) if proj_rows else HermiteLattice([], k)
-        self._global_two = self._hat.contains([0] * k + [1])
-        self._orbit_cache: dict[tuple, Orbit] = {}
+        # with self-pairing, a generator g with wM(g) = -1 enters with both sign
+        # bits, so (0, 1) lies in the lattice and every orbit has order two
+        twisted = [list(g) + [_sign_bit(s * wM(g))] for g, s in self.ctx.s_g.generators]
+        self._hat = HermiteLattice(self.ctx.s_f.lattice.rows + twisted, G.rank + 1)
+        self._global_two = self._hat.contains([0] * G.rank + [1])
+
+    def _classify_abelian(self, e: tuple) -> tuple[Orbit, Optional[int]]:
+        *rep, bit = self._hat.reduce(e + (0,))
+        two = self._global_two
+        if self.ctx.self_pairing:
+            # (e, +1) ~ (-e, wM(e)): the inverse's class, compared with this one
+            *inv, ibit = self._hat.reduce([-x for x in e] + [_sign_bit(self.ctx.wM(e))])
+            two = two or (inv == rep and ibit != bit)
+            if inv < rep:
+                rep, bit = inv, ibit
+        return Orbit(tuple(rep), two), None if two else 1 - 2 * bit
 
     # -- shared API ------------------------------------------------------
 
@@ -176,60 +179,23 @@ class GammaGroup:
     def two_count(self) -> int:
         return sum(1 for o in self.orbits() if o.order_two)
 
+    def classify(self, elem) -> tuple[Orbit, Optional[int]]:
+        """(orbit of ``elem``, its sign relative to the representative, or None on order two)."""
+        e = self.ctx.ambient.check_elem(elem)
+        found = self._table.get(e)
+        if found is None:
+            found = self._table[e] = self._classify_abelian(e)
+        return found
+
     def orbit_of(self, elem) -> Orbit:
-        G = self.ctx.ambient
-        e = G.check_elem(elem)
-        if self.finite:
-            rep, two, _ = self._elem_info[e]
-            return Orbit(rep, two)
-        if e in self._orbit_cache:
-            return self._orbit_cache[e]
-        k = G.rank
-        r_plus = self._proj.reduce(e)
-        if self.ctx.self_pairing:
-            r_minus = self._proj.reduce([-x for x in e])
-            rep = min(r_plus, r_minus)
-        else:
-            rep = r_plus
-        if self._global_two:
-            two = True
-        elif self.ctx.self_pairing:
-            wbit = _sign_bit(self.ctx.wM(e))
-            double = [2 * x for x in e]
-            two = self._hat.contains(double + [wbit ^ 1])
-        else:
-            two = False
-        orbit = Orbit(rep, two)
-        self._orbit_cache[e] = orbit
-        return orbit
+        return self.classify(elem)[0]
 
     def section_sign(self, elem) -> int:
         """Sign of ``elem`` relative to its orbit representative (+1 there)."""
-        G = self.ctx.ambient
-        e = G.check_elem(elem)
-        orbit = self.orbit_of(e)
-        if orbit.order_two:
+        sign = self.classify(elem)[1]
+        if sign is None:
             raise GammaError("section signs only exist on infinite-order orbits")
-        if self.finite:
-            return self._elem_info[e][2]
-        rep = orbit.rep
-        diff = [x - y for x, y in zip(e, rep)]
-        if self._proj.contains(diff):
-            if self._hat.contains(diff + [0]):
-                return 1
-            if not self._hat.contains(diff + [1]):
-                raise InternalConsistency(f"no signed lift of {e} to its orbit representative")
-            return -1
-        # inversion branch: elem = -rep + m
-        summ = [x + y for x, y in zip(e, rep)]
-        if not (self.ctx.self_pairing and self._proj.contains(summ)):
-            raise InternalConsistency(f"{e} is neither a translate nor an inverse of its representative")
-        wr = self.ctx.wM(G.canon(rep))
-        if self._hat.contains(summ + [0]):
-            return wr
-        if not self._hat.contains(summ + [1]):
-            raise InternalConsistency(f"no signed lift of {e} to its inverted representative")
-        return -wr
+        return sign
 
 
 def build_gamma(ctx: PairingContext) -> GammaGroup:
@@ -282,21 +248,21 @@ def reduce_list(entries: Iterable, gamma: GammaGroup) -> GammaElement:
     for sign, elem in entries:
         if sign not in (1, -1):
             raise GammaError(f"sign must be +1 or -1, got {sign!r}")
-        orbit = gamma.orbit_of(elem)
-        if orbit.order_two:
+        orbit, section = gamma.classify(elem)
+        if section is None:
             coeffs[orbit] = (coeffs.get(orbit, 0) + 1) % 2
         else:
-            coeffs[orbit] = coeffs.get(orbit, 0) + sign * gamma.section_sign(elem)
+            coeffs[orbit] = coeffs.get(orbit, 0) + sign * section
     return GammaElement(gamma, {k: v for k, v in coeffs.items() if v})
 
 
 def coefficient_at(elem: GammaElement, g) -> Coefficient:
     """Coefficient at g, with the convention that the section sends [g] to g."""
-    orbit = elem.gamma.orbit_of(g)
+    orbit, section = elem.gamma.classify(g)
     raw = elem.coeffs.get(orbit, 0)
-    if orbit.order_two:
+    if section is None:
         return Coefficient(raw % 2, "Z/2")
-    return Coefficient(raw * elem.gamma.section_sign(g), "Z")
+    return Coefficient(raw * section, "Z")
 
 
 def mu1_home(ctx: PairingContext) -> str:

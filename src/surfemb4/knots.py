@@ -44,10 +44,6 @@ class DNotCovered(KnotError):
     pass
 
 
-class NotDivisibleBy8(KnotError):
-    pass
-
-
 class RankZero(KnotError):
     pass
 
@@ -73,9 +69,6 @@ class SeifertMatrix:
         return linear_pencil_det(
             [[(self.rows[i][j], self.rows[j][i]) for j in range(self.size)]
              for i in range(self.size)])
-
-    def transpose(self) -> list[list[int]]:
-        return [[self.rows[j][i] for j in range(self.size)] for i in range(self.size)]
 
     def symmetrized(self) -> list[list[int]]:
         return [

@@ -97,9 +97,6 @@ class WhitneyCollection:
             if any(self.boundary.values()):
                 raise NotConvenient("convenient collections have disjoint boundaries")
 
-    def boundary_count(self, i: int, j: int) -> int:
-        return self.boundary.get(frozenset((i, j)), 0)
-
     def paired_point_ids(self) -> set[int]:
         return set(itertools.chain.from_iterable(d.pair for d in self.discs))
 
@@ -132,12 +129,9 @@ def find_pairing(points: list[DoublePoint], gamma: GammaGroup) -> list[tuple[int
         raise MixedComponents(f"points span component pairs {sorted(map(sorted, comp_pairs))}")
     buckets: dict = {}
     for p in sorted(points, key=lambda p: p.id):
-        orbit = gamma.orbit_of(p.eta)
-        if orbit.order_two:
-            buckets.setdefault((orbit, 0), []).append(p.id)
-        else:
-            eff = p.sign * gamma.section_sign(p.eta)
-            buckets.setdefault((orbit, eff), []).append(p.id)
+        orbit, section = gamma.classify(p.eta)
+        eff = 0 if section is None else p.sign * section
+        buckets.setdefault((orbit, eff), []).append(p.id)
     pairs: list[tuple[int, int]] = []
     for (orbit, eff), ids in sorted(buckets.items(), key=lambda kv: str(kv[0])):
         if orbit.order_two:
@@ -169,16 +163,13 @@ def t_count(points, components, collection: WhitneyCollection) -> int:
 
 
 def t_alt(points, components, collection: WhitneyCollection) -> int:
-    """Weak-collection t: adds framing, boundary, and arc terms mod 2."""
+    """Weak-collection t: adds framing, boundary, and arc terms mod 2, in O(D + B)."""
     _check_pairs_exactly(points, components, collection)
     comps = set(components)
-    total = 0
-    order = [d.id for d in collection.discs]
-    for idx, d in enumerate(collection.discs):
+    total = sum(collection.boundary.values())
+    for d in collection.discs:
         total += d.mu_boundary + d.euler
         total += sum(c for comp, c in d.interior.items() if comp in comps)
-        for later in order[idx + 1 :]:
-            total += collection.boundary_count(d.id, later)
     return total % 2
 
 
@@ -187,18 +178,18 @@ def to_convenient(points, collection: WhitneyCollection) -> WhitneyCollection:
 
     Boundary twists fix the framing at the cost of one interior intersection
     each; arc intersections are pushed off the end of the lower-indexed
-    disc's arc.  The t-count of the result equals t_alt of the input.
+    disc's arc.  The t-count of the result equals t_alt of the input.  One
+    pass over the discs and one over the boundary counts, O(D + B).
     """
     by_id = {p.id: p for p in points}
-    order = [d.id for d in collection.discs]
+    position = {d.id: idx for idx, d in enumerate(collection.discs)}
+    bumps = [d.euler + d.mu_boundary for d in collection.discs]
+    for key, count in collection.boundary.items():
+        bumps[min(position[i] for i in key)] += count
     new_discs = []
-    for idx, d in enumerate(collection.discs):
-        bump = d.euler + d.mu_boundary
-        for later in order[idx + 1 :]:
-            bump += collection.boundary_count(d.id, later)
-        bump %= 2
+    for d, bump in zip(collection.discs, bumps):
         interior = dict(d.interior)
-        if bump:
+        if bump % 2:
             comp = min(by_id[d.pair[0]].components)
             interior[comp] = interior.get(comp, 0) + 1
         new_discs.append(replace(d, interior=interior, mu_boundary=0, euler=0))

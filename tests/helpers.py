@@ -1,18 +1,30 @@
-"""Shared test fixtures: small-group catalog, characters, random subgroups, knot oracles."""
+"""Shared test fixtures and reference implementations.
+
+Small-group catalog, characters, random subgroups and contexts, and the
+slow or older computations that the package's fast paths are compared
+against: knot, gamma, Whitney-conversion and projective-plane oracles.
+"""
 
 from __future__ import annotations
 
 import itertools
 import random
 
+from dataclasses import replace
+
+from surfemb4.gamma import Orbit, PairingContext
 from surfemb4.groups import (
     Character,
     FiniteTableGroup,
+    _sign_bit,
+    abelian_group,
     cyclic_group,
     make_finite_group,
     subgroup_closure,
 )
+from surfemb4.intlinalg import HermiteLattice
 from surfemb4.knots import SeifertMatrix
+from surfemb4.whitney import WhitneyCollection
 
 
 def direct_product(a: FiniteTableGroup, b: FiniteTableGroup) -> FiniteTableGroup:
@@ -218,3 +230,157 @@ def arf_bruteforce(V: SeifertMatrix) -> int:
         counts[q % 2] += 1
     assert counts[0] != counts[1]
     return 0 if counts[0] > counts[1] else 1
+
+
+ABELIAN_FACTORS = (0, 2, 3, 4, 6, 8, 12)
+
+
+def random_abelian_element(group, rng: random.Random) -> tuple[int, ...]:
+    """A small element, often not in canonical form; one in four has order <= 2."""
+    if rng.random() < 0.25:
+        return tuple(rng.randrange(-2, 3) * f + rng.choice((0, f // 2)) for f in group.factors)
+    return tuple(rng.randrange(-2 * f, 2 * f + 1) if f else rng.randrange(-9, 10)
+                 for f in group.factors)
+
+
+def random_abelian_signed_subgroup(group, rng: random.Random, minus_one: bool = False):
+    gens = [(random_abelian_element(group, rng), rng.choice((1, -1)))
+            for _ in range(rng.randrange(3))]
+    if minus_one:
+        gens.append((group.identity, -1))
+    return subgroup_closure(group, gens)
+
+
+def random_abelian_context(rng: random.Random, self_pairing: bool) -> PairingContext:
+    """Rank <= 4, factors from ``ABELIAN_FACTORS``, a random character, sometimes (1, -1) in a subgroup."""
+    group = abelian_group([rng.choice(ABELIAN_FACTORS) for _ in range(rng.randrange(5))])
+    wM = Character(group, [1 if f % 2 else rng.choice((1, -1)) for f in group.factors])
+    s_f = random_abelian_signed_subgroup(group, rng, rng.random() < 0.1)
+    s_g = s_f if self_pairing else random_abelian_signed_subgroup(group, rng, rng.random() < 0.1)
+    return PairingContext(group, wM, s_f, s_g, self_pairing=self_pairing)
+
+
+class TwoLatticeGamma:
+    """Orbits and section signs of an abelian context, from two Hermite lattices.
+
+    The projection lattice (subgroup generators and factors, signs dropped)
+    gives the orbit representative, min(r+, r-) under self-pairing; the
+    signed lattice with an extra mod-2 sign coordinate gives the order-two
+    test and, by a search over the translate and the inverted translate of
+    the representative, the section sign.  The reference for
+    ``GammaGroup.classify`` on abelian ambients.
+    """
+
+    def __init__(self, ctx: PairingContext):
+        G, wM = ctx.ambient, ctx.wM
+        k = G.rank
+        self.ctx = ctx
+        hat_rows, proj_rows = [], []
+        gen_pairs = list(ctx.s_f.generators)
+        gen_pairs += [(g, s * wM(G.canon(g))) for g, s in ctx.s_g.generators]
+        wm_nontrivial_on_span = False
+        for g, s in gen_pairs:
+            v = list(G.canon(g))
+            hat_rows.append(v + [_sign_bit(s)])
+            proj_rows.append(v)
+            wm_nontrivial_on_span |= wM(tuple(v)) == -1
+        for i, f in enumerate(G.factors):
+            if f:
+                row = [f if j == i else 0 for j in range(k)]
+                hat_rows.append(row + [0])
+                proj_rows.append(row)
+        hat_rows.append([0] * k + [2])
+        if ctx.self_pairing and wm_nontrivial_on_span:
+            hat_rows.append([0] * k + [1])
+        self.hat = HermiteLattice(hat_rows, k + 1)
+        self.proj = HermiteLattice(proj_rows, k)
+        self.global_two = self.hat.contains([0] * k + [1])
+
+    def orbit_of(self, elem) -> Orbit:
+        e = self.ctx.ambient.check_elem(elem)
+        r_plus = self.proj.reduce(e)
+        if self.ctx.self_pairing:
+            rep = min(r_plus, self.proj.reduce([-x for x in e]))
+        else:
+            rep = r_plus
+        two = self.global_two
+        if not two and self.ctx.self_pairing:
+            wbit = _sign_bit(self.ctx.wM(e))
+            two = self.hat.contains([2 * x for x in e] + [wbit ^ 1])
+        return Orbit(rep, two)
+
+    def section_sign(self, elem):
+        """+-1 relative to the representative, or None on an order-two orbit."""
+        e = self.ctx.ambient.check_elem(elem)
+        orbit = self.orbit_of(e)
+        if orbit.order_two:
+            return None
+        rep = orbit.rep
+        diff = [x - y for x, y in zip(e, rep)]
+        if self.proj.contains(diff):
+            if self.hat.contains(diff + [0]):
+                return 1
+            assert self.hat.contains(diff + [1]), e
+            return -1
+        summ = [x + y for x, y in zip(e, rep)]
+        assert self.ctx.self_pairing and self.proj.contains(summ), e
+        wr = self.ctx.wM(self.ctx.ambient.canon(rep))
+        if self.hat.contains(summ + [0]):
+            return wr
+        assert self.hat.contains(summ + [1]), e
+        return -wr
+
+    def reduce(self, entries) -> dict:
+        """{Orbit: nonzero coefficient} of a list of (sign, element) pairs."""
+        coeffs: dict = {}
+        for sign, elem in entries:
+            orbit = self.orbit_of(elem)
+            if orbit.order_two:
+                coeffs[orbit] = (coeffs.get(orbit, 0) + 1) % 2
+            else:
+                coeffs[orbit] = coeffs.get(orbit, 0) + sign * self.section_sign(elem)
+        return {k: v for k, v in coeffs.items() if v}
+
+    def coefficient_at(self, coeffs: dict, elem) -> tuple[int, str]:
+        """(value, "Z" or "Z/2") at ``elem`` of a reduced element, as ``gamma.coefficient_at``."""
+        orbit = self.orbit_of(elem)
+        raw = coeffs.get(orbit, 0)
+        if orbit.order_two:
+            return raw % 2, "Z/2"
+        return raw * self.section_sign(elem), "Z"
+
+
+def to_convenient_quadratic(points, collection: WhitneyCollection) -> WhitneyCollection:
+    """``whitney.to_convenient`` by a scan of all later discs for every disc, O(D^2).
+
+    Each disc's bump is its framing, boundary self-intersections and the
+    boundary counts against every later disc, mod 2; a bumped disc gains one
+    interior point on the lesser component of its first double point.
+    """
+    by_id = {p.id: p for p in points}
+    order = [d.id for d in collection.discs]
+    new_discs = []
+    for idx, d in enumerate(collection.discs):
+        bump = d.euler + d.mu_boundary
+        for later in order[idx + 1:]:
+            bump += collection.boundary.get(frozenset((d.id, later)), 0)
+        interior = dict(d.interior)
+        if bump % 2:
+            comp = min(by_id[d.pair[0]].components)
+            interior[comp] = interior.get(comp, 0) + 1
+        new_discs.append(replace(d, interior=interior, mu_boundary=0, euler=0))
+    return WhitneyCollection(tuple(new_discs), {}, convenient=True)
+
+
+def rp2_euler_parity_walk(e: int) -> int:
+    """t of a projective plane from its Euler number e = 2 mod 4, by walking in steps of 8.
+
+    Starts at the base value +-2 (t = 0) congruent to e mod 8 and flips t at
+    each step: the reference for ``engine.rp2_euler_parity``, O(|e|).
+    """
+    assert e % 4 == 2, e
+    cur, t = (2 if e % 8 == 2 else -2), 0
+    while cur != e:
+        cur += 8 if cur < e else -8
+        t ^= 1
+    return t

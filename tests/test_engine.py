@@ -32,6 +32,8 @@ from surfemb4.engine import (
 from surfemb4.groups import cyclic_group, subgroup_closure, trivial_character
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, transfer_move
 
+from helpers import rp2_euler_parity_walk
+
 
 def load_example(name):
     path = resources.files("surfemb4").joinpath("data", "instances", name + ".json")
@@ -238,6 +240,18 @@ def test_rp2_euler_parity():
     assert rp2_euler_parity(14) == 0
     with pytest.raises(InvalidEulerParity):
         rp2_euler_parity(4)
+
+
+def test_rp2_euler_parity_matches_walk():
+    for e in range(-1000, 1001):
+        if e % 4 == 2:
+            assert rp2_euler_parity(e) == rp2_euler_parity_walk(e), e
+        else:
+            with pytest.raises(InvalidEulerParity):
+                rp2_euler_parity(e)
+    # the closed form costs nothing at sizes no walk could reach
+    assert rp2_euler_parity(16 * 10**18 + 2) == 0
+    assert rp2_euler_parity(-(16 * 10**18 + 2)) == 0
 
 
 def test_stong_formula():

@@ -17,13 +17,17 @@ from surfemb4.gamma import (
     smith_oracle,
 )
 from surfemb4.groups import Character, abelian_group, cyclic_group, subgroup_closure, trivial_character
+from surfemb4.intlinalg import HermiteLattice
 
 from helpers import (
+    TwoLatticeGamma,
     all_characters,
     all_groups_up_to_8,
     dihedral,
     direct_product,
     quaternion8,
+    random_abelian_context,
+    random_abelian_element,
     random_character,
     random_signed_subgroup,
     symmetric3,
@@ -312,3 +316,58 @@ def test_mu1_home_agrees_with_identity_tag_sweep():
                 ctx = PairingContext(g, wM, s, s, self_pairing=True)
                 home = mu1_home(ctx)
                 assert home in ("Z", "Z/2")
+
+
+@pytest.mark.parametrize("self_pairing", [False, True])
+def test_abelian_orbits_and_signs_match_two_lattice_reference(self_pairing):
+    rng = random.Random(2201 + self_pairing)
+    twisted = two_torsion = 0
+    for _ in range(400):
+        ctx = random_abelian_context(rng, self_pairing)
+        gamma, ref = build_gamma(ctx), TwoLatticeGamma(ctx)
+        elems = [random_abelian_element(ctx.ambient, rng) for _ in range(8)]
+        for e in elems:
+            orbit = gamma.orbit_of(e)
+            assert orbit == ref.orbit_of(e), (ctx, e)
+            if orbit.order_two:
+                two_torsion += 1
+                with pytest.raises(GammaError):
+                    gamma.section_sign(e)
+            else:
+                assert gamma.section_sign(e) == ref.section_sign(e), (ctx, e)
+        entries = [(rng.choice((1, -1)), rng.choice(elems)) for _ in range(10)]
+        elem = reduce_list(entries, gamma)
+        assert elem.coeffs == ref.reduce(entries), (ctx, entries)
+        for e in elems:
+            c = coefficient_at(elem, e)
+            assert (c.value, c.order) == ref.coefficient_at(ref.reduce(entries), e)
+        twisted += any(v == -1 for v in ctx.wM.values)
+    # the draw reaches twisted characters and both orbit orders
+    assert twisted > 100 and two_torsion > 100
+
+
+def test_abelian_queries_reduce_at_most_twice_per_distinct_element(monkeypatch):
+    calls = [0]
+    reduce = HermiteLattice.reduce
+
+    def counted(self, vec):
+        calls[0] += 1
+        return reduce(self, vec)
+
+    monkeypatch.setattr(HermiteLattice, "reduce", counted)
+    rng = random.Random(3001)
+    for trial in range(200):
+        ctx = random_abelian_context(rng, self_pairing=trial % 2 == 1)
+        gamma = build_gamma(ctx)
+        seen = set()
+        for _ in range(12):
+            e = random_abelian_element(ctx.ambient, rng)
+            before = calls[0]
+            orbit = gamma.orbit_of(e)
+            if not orbit.order_two:
+                gamma.section_sign(e)
+            coefficient_at(reduce_list([(1, e), (-1, e)], gamma), e)
+            spent = calls[0] - before
+            canon = ctx.ambient.canon(e)
+            assert spent <= (0 if canon in seen else 2 if ctx.self_pairing else 1), (ctx, e)
+            seen.add(canon)

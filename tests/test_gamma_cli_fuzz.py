@@ -1,0 +1,84 @@
+"""``gamma`` prints JSON and exits 0, 2 or 3 on small abelian instances.
+
+Hypothesis draws the invariant factors (rank 1-3, from 0, 2, 3, 4, 6), a
+character, the signed subgroup of component 0 (sometimes with (1, -1)), its
+self-intersection points and the queried elements, a few of them
+malformed.  The rest of the instance is the shipped torus in S^3 x S^1.  On
+exit 0 every query's orbit representative, order and coefficient must
+match the two-lattice reference in ``helpers``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+from hypothesis import event, given, settings, strategies as st
+
+from surfemb4 import cli
+from surfemb4.gamma import PairingContext
+from surfemb4.groups import Character, abelian_group, subgroup_closure
+
+from helpers import TwoLatticeGamma
+
+TEMPLATE = json.loads(resources.files("surfemb4").joinpath(
+    "data", "instances", "torus_s3s1.json").read_text())
+
+
+@st.composite
+def instances(draw):
+    factors = draw(st.lists(st.sampled_from((0, 2, 3, 4, 6)), min_size=1, max_size=3))
+    elem = st.tuples(*[st.integers(-13, 13) for _ in factors]).map(list)
+    sign = st.sampled_from((1, -1))
+    wM = [1 if f % 2 else draw(sign) for f in factors]
+    gens = draw(st.lists(st.tuples(elem, sign).map(list), max_size=3))
+    if draw(st.booleans()) and draw(st.booleans()):
+        gens.append([[0] * len(factors), -1])
+    points = draw(st.lists(st.tuples(elem, sign), max_size=4))
+    bad_query = st.sampled_from(("[", "[]", "3", json.dumps([0] * (len(factors) + 1))))
+    queries = draw(st.lists(elem.map(json.dumps) | bad_query, min_size=1, max_size=3))
+    return factors, wM, gens, points, queries
+
+
+def _document(factors, wM, gens, points):
+    doc = json.loads(json.dumps(TEMPLATE))
+    doc["group"]["factors"] = factors
+    doc["characters"]["wM"] = wM
+    doc["components"][0]["signed_subgroup"] = gens
+    doc["double_points"] = [{"components": [0, 0], "eta": eta, "id": i, "sign": s}
+                            for i, (eta, s) in enumerate(points)]
+    doc["whitney_collection"] = None
+    return doc
+
+
+@settings(max_examples=150)
+@given(case=instances())
+def test_gamma_query_exits_with_json_and_matches_reference(case):
+    factors, wM, gens, points, queries = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        Path(path).write_text(json.dumps(_document(factors, wM, gens, points)))
+        argv = ["gamma", path, "--component", "0"] + [f"--query={q}" for q in queries]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(argv)
+    doc = json.loads(out.getvalue())
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert (doc.get("ok") is False) is (code != 0), doc
+    if code:
+        return
+    group = abelian_group(factors)
+    s = subgroup_closure(group, [(tuple(g), sg) for g, sg in gens])
+    ref = TwoLatticeGamma(PairingContext(group, Character(group, wM), s, s, self_pairing=True))
+    coeffs = ref.reduce([(sg, tuple(eta)) for eta, sg in points])
+    assert [q["element"] for q in doc["queries"]] == [json.loads(q) for q in queries]
+    for q in doc["queries"]:
+        orbit = ref.orbit_of(q["element"])
+        value, order = ref.coefficient_at(coeffs, q["element"])
+        event(order)
+        assert q["orbit_rep"] == list(orbit.rep)
+        assert (q["coefficient"], q["order"]) == (value, order)
+    assert doc["reduced_is_zero"] == (not coeffs)

@@ -21,7 +21,7 @@ from surfemb4.whitney import (
     transfer_move,
 )
 
-from helpers import all_characters, all_groups_up_to_8, random_signed_subgroup
+from helpers import all_characters, all_groups_up_to_8, random_signed_subgroup, to_convenient_quadratic
 
 
 def _gamma_trivial():
@@ -234,3 +234,30 @@ def test_transfer_move_preserves_t_randomized():
         before = t_count(points, comps, coll)
         new_points, out = transfer_move(points, coll, 0, 1, identity=0)
         assert t_count(new_points, comps, out) == before
+
+
+def _random_weak_collection(rng, max_discs):
+    """Discs with shuffled ids on components 0-2, interiors also on 3, random boundary counts."""
+    n_discs = rng.randrange(1, max_discs + 1)
+    disc_ids = rng.sample(range(10 * max_discs), n_discs)
+    points, discs = [], []
+    for k, did in enumerate(disc_ids):
+        comps = (rng.randrange(3), rng.randrange(3))
+        points += [DoublePoint(2 * k, comps, 1, 0), DoublePoint(2 * k + 1, comps, -1, 0)]
+        interior = {c: rng.randrange(3) for c in rng.sample(range(4), rng.randrange(3))}
+        discs.append(WhitneyDisc(did, (2 * k, 2 * k + 1), interior,
+                                 mu_boundary=rng.randrange(3), euler=rng.randrange(-3, 4)))
+    pairs = [frozenset(rng.sample(disc_ids, 2)) for _ in range(rng.randrange(3 * n_discs))
+             if n_discs > 1]
+    boundary = {key: rng.randrange(4) for key in pairs}
+    return points, WhitneyCollection(tuple(discs), boundary, convenient=False)
+
+
+def test_to_convenient_matches_quadratic_reference():
+    rng = random.Random(41)
+    for _ in range(400):
+        points, weak = _random_weak_collection(rng, 60)
+        out = to_convenient(points, weak)
+        assert out == to_convenient_quadratic(points, weak)
+        # t_alt stays its own formula; it must agree with t of the conversion
+        assert t_alt(points, [0, 1, 2], weak) == t_count(points, [0, 1, 2], out)
