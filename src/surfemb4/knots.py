@@ -232,6 +232,8 @@ def sigma_d(V: SeifertMatrix, d: int) -> int:
 
 def _odd_prime_divisors(n: int) -> list[int]:
     out = []
+    while n and n % 2 == 0:
+        n //= 2
     p = 3
     while p * p <= n:
         if n % p == 0:
@@ -239,7 +241,7 @@ def _odd_prime_divisors(n: int) -> list[int]:
             while n % p == 0:
                 n //= p
         p += 2
-    if n > 1 and n % 2:
+    if n > 1:
         out.append(n)
     return out
 

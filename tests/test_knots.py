@@ -242,6 +242,21 @@ def test_cp2_lower_bounds():
         cp2_genus_lower_bound(SUM3, 1)
 
 
+def test_odd_prime_divisors_strip_the_factor_two():
+    assert [knots._odd_prime_divisors(n) for n in (3, 6, 10, 12, 14, 15, 18, 30)] == [
+        [3], [3], [5], [3], [7], [3, 5], [3], [3, 5]]
+
+
+def test_cp2_lower_bound_uses_the_odd_prime_of_an_even_class():
+    # mirror of T(2,11)#T(2,11): at d = 6 the p = 3 bound |(8/9)*18 - 1 - sigma_6| = 5
+    # beats the sigma(-1) bound |18 - 1 - 20| = 3
+    V = torus_sum([11, 11])
+    mirror = SeifertMatrix([[-v for v in row] for row in V.rows])
+    assert levine_tristram(mirror, Fraction(1)) == 20
+    assert sigma_d(mirror, 6) == 20
+    assert cp2_genus_lower_bound(mirror, 6) == cp2_genus_lower_bound(mirror, -6) == 2
+
+
 def test_cp2_lower_bound_monotone_in_rhs():
     values = [b // 2 for b in range(20)]
     assert values == sorted(values)
