@@ -4,10 +4,14 @@ Every invariant is polynomial in the Seifert size n.  The Arf invariant is
 computed two independent ways, the mod-8 determinant rule (O(n^3)) and a
 symplectic basis of the quadratic form over GF(2) (O(n^3) bit operations),
 and the two must agree.  The Alexander polynomial det(tV - V^T) costs
-O(n^4) and is computed at most once per matrix.  Signatures are evaluated
-by adaptive-precision Hermitian eigenvalue computation, one eigen-solve per
-point, with an exact singularity pre-check against the cyclotomic minimal
-polynomial; the cp2 class scan evaluates each distinct point once.
+O(n^4); a signature needs it only where the float certificate declines.  A
+signature is first proven in floats in O(n^3): a congruence from a pivoted
+LDL^H, checked by Gershgorin intervals with rigorous rounding bounds (see
+``_certified_signature``).  The certificate never answers at a singular point.
+Where it declines, an exact singularity pre-check against the cyclotomic
+minimal polynomial, then adaptive-precision Hermitian eigenvalues, decide;
+that path computes the Alexander polynomial at most once per matrix.  The cp2
+class scan evaluates each distinct point once.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import mpmath
@@ -185,19 +190,143 @@ def _is_alexander_root(V: SeifertMatrix, r: Fraction) -> bool:
     return not rem
 
 
+# Seifert entries of magnitude below 2^53 are exact as floats.  The signature
+# certificate accepts only those, and knot files may hold only those.
+FLOAT_EXACT_BOUND = 1 << 53
+
+
+def _certified_signature(V: SeifertMatrix, r: Fraction) -> Optional[int]:
+    """Signature of H = (1-w)V + (1-conj(w))V^T, w = exp(i*pi*r), proven in floats, or None.
+
+    First, the integer congruence V -> P V P^T, P = I + e_i e_j^T, replaces
+    each zero V_ii by V_jj + (V + V^T)_ij, for the first j where (V + V^T)_ij
+    is nonzero; where that sum is 0, V_jj is not.  So the elimination below
+    is not left with only zero pivots, as it would be on a zero diagonal.  H
+    changes to P H P^T: the same inertia, exactly.
+
+    Error in H.  With S = V + V^T and A = V - V^T, H = (1-c)S - i s A for
+    c = cos(pi r), s = sin(pi r).  c^ and s^ are mpmath's cospi and sinpi at
+    113 bits rounded to the nearest float, so each is within 2u of c and s
+    (u = 2^-53).  H^ has the entries fl(fl(1 - c^) S) - i fl(s^ A) and is
+    exactly Hermitian, and following each rounding gives |H - H^| <= E with
+    E_jk = 20u max(|V_jk|, |V_kj|).
+
+    The congruence.  Gaussian elimination of H^ by congruence, each pivot the
+    largest remaining |diagonal|, accumulates X ~ L^-1 of H^ = L D L^H.  In
+    pivot order X is unit lower triangular as stored, so it is exactly
+    nonsingular, and by Sylvester's law of inertia C = X H X^H has the inertia
+    of H.  C^ = fl(fl(X H^) X^H) is formed from complex inner products of
+    length <= n, each within gamma_(n+2) |x|^T |y| of exact, gamma_k = ku/(1-ku)
+    (Higham, Accuracy and Stability of Numerical Algorithms, sections 3.1 and
+    3.6).  Hence
+
+        |C - C^| <= B = |X| (g |H^| + E) |X|^T,  g = gamma_(n+2) (2 + gamma_(n+2)),
+
+    whose row sums cost two matrix-vector products.  Underflow adds less than
+    2^-1000 (sum |X| + n) to a row sum.
+
+    The count.  Every eigenvalue of the Hermitian C lies in one of the
+    Gershgorin intervals [C_ii +- sum_(j != i) |C_ij|], and these lie inside
+    the intervals [Re C^_ii +- (sum_(j != i) |C^_ij| + sum_j B_ij)].  If none
+    of the latter contains 0, then neither does any interval of
+    C(t) = diag C + t (C - diag C) for 0 <= t <= 1.  So no eigenvalue crosses 0
+    between diag C and C, and the signature of H is the number of positive
+    centres minus the number of negative ones (Rump, Verification methods,
+    Acta Numerica 2010).  H is then nonsingular, so w is not a root of the
+    Alexander polynomial.  The radii are summed in floats and then scaled by
+    1 + 2^-20, which exceeds their own rounding, (1 - u)^-(4n + 16) - 1, for
+    n < 2^30.
+
+    Returns None when an interval meets 0 or is not finite, when a pivot is 0,
+    or when an entry has |v| >= 2^53.  Cost: O(n^3) float operations.
+    """
+    n, rows = V.size, [list(row) for row in V.rows]
+    for i in range(n):
+        if rows[i][i]:
+            continue
+        j = next((j for j in range(n) if rows[i][j] + rows[j][i]), None)
+        if j is not None:
+            rows[i] = [v + w for v, w in zip(rows[i], rows[j])]
+            for row in rows:
+                row[i] += row[j]
+    if any(abs(v) >= FLOAT_EXACT_BOUND for row in rows for v in row):
+        return None
+    with mpmath.workprec(113):
+        x = mpmath.mpf(r.numerator) / r.denominator
+        c, s = float(mpmath.cospi(x)), float(mpmath.sinpi(x))
+    a = 1.0 - c
+    H = [[complex(a * (v + w), s * (w - v)) for v, w in zip(row, col)]
+         for row, col in zip(rows, zip(*rows))]
+
+    # elimination; X[i] holds row i of X on the pivots chosen before i
+    X: list[list[complex]] = [[] for _ in range(n)]
+    order = []
+    active, block = list(range(n)), [row[:] for row in H]
+    while active:
+        q = max(range(len(active)), key=lambda t: abs(block[t][t].real))
+        d = block[q][q].real
+        if not abs(d) > 0:
+            return None
+        p = active.pop(q)
+        order.append(p)
+        pivot_row, xp = block.pop(q), X[p]
+        del pivot_row[q]
+        for t, i in enumerate(active):
+            row = block[t]
+            m = row.pop(q) / d
+            block[t] = [h - m * g for h, g in zip(row, pivot_row)]
+            X[i] = [xi - m * xj for xi, xj in zip(X[i], xp)] + [-m]
+    X = [X[p] + [1.0] for p in order]
+
+    # C^ = X H^ X^H in pivot order: its diagonal, and |C^_ij| above it
+    H_cols = [[H[j][k] for j in order] for k in order]
+    Xc = [[x.conjugate() for x in row] for row in X]
+    Y = [[sum(map(mul, xa, col)) for col in H_cols] for xa in X]
+    centres, upper = [], []
+    for i, y in enumerate(Y):
+        centres.append(sum(map(mul, y, Xc[i])).real)
+        upper.append([abs(sum(map(mul, y, Xc[j]))) for j in range(i + 1, n)])
+
+    # row sums of B: |X| (G (|X|^T 1)), G = g |H^| + E
+    u = 2.0 ** -53
+    gamma = (n + 2) * u / (1 - (n + 2) * u)
+    g = gamma * (2 + gamma)
+    col_sums = [0.0] * n
+    for row in X:
+        for k, xk in enumerate(row):
+            col_sums[k] += abs(xk)
+    gw = [sum((g * abs(H[j][k]) + 20 * u * max(abs(rows[j][k]), abs(rows[k][j]))) * col_sums[t]
+              for t, k in enumerate(order)) for j in order]
+    underflow = 2.0 ** -1000 * (sum(col_sums) + n)
+
+    signature = 0
+    for i, row in enumerate(X):
+        radius = (sum(upper[i]) + sum(upper[j][i - j - 1] for j in range(i))
+                  + sum(abs(xk) * gk for xk, gk in zip(row, gw)) + underflow)
+        if not abs(centres[i]) > radius * (1 + 2.0 ** -20):
+            return None
+        signature += 1 if centres[i] > 0 else -1
+    return signature
+
+
 def levine_tristram(V: SeifertMatrix, omega: Fraction, max_dps: int = 400) -> int:
     """Signature of (1-w)V + (1-conj(w))V^T at w = exp(i*pi*omega).
 
-    Eigenvalue signs are resolved by raising the working precision until no
-    eigenvalue interval straddles zero; values of w where the matrix is
-    singular (roots of the Alexander polynomial, where the signature jumps)
-    raise instead of guessing.
+    The float certificate of ``_certified_signature`` decides first; it never
+    answers at a singular point.  When it declines, the exact path runs: values
+    of w where the matrix is singular (roots of the Alexander polynomial, where
+    the signature jumps) raise instead of guessing, and eigenvalue signs are
+    resolved by raising the working precision until no eigenvalue interval
+    straddles zero.
     """
     if V.size == 0:
         return 0
     r = Fraction(omega) % 2
     if r == 0:
         raise SingularAtOmega("omega = 1 annihilates the pairing")
+    certified = _certified_signature(V, r)
+    if certified is not None:
+        return certified
     if _is_alexander_root(V, r):
         raise SingularAtOmega(f"exp(i*pi*{r}) is a root of the Alexander polynomial")
     n = V.size

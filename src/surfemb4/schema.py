@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .bands import BandCatalog, BandError, BandRecord, RelH2, SurfaceComponent, SurfaceModel
 from .engine import ComponentData, EngineError, ProblemInstance, Verdict
 from .groups import Character, GroupError, abelian_group, make_finite_group, subgroup_closure
-from .knots import KnotError, SeifertMatrix
+from .knots import FLOAT_EXACT_BOUND, KnotError, SeifertMatrix
 from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc, WhitneyError
 
 SCHEMA_VERSION = 1
@@ -31,7 +31,7 @@ MAX_H1_DIM = 10_000
 
 # Largest Seifert matrix a knot file may declare.  Checked before the matrix
 # is built, since its unimodularity check and every invariant cost O(n^3) to
-# O(n^4) and the cp2 scan's eigen-solves grow with n.
+# O(n^4) and the cp2 scan's signatures grow with n.
 MAX_SEIFERT_SIZE = 40
 
 # Errors a domain constructor raises on data that fits the shape.
@@ -94,10 +94,10 @@ class _Shape:
 
 
 class _Leaf(_Shape):
-    """A JSON scalar of one exact type, optionally limited to a value set or a minimum."""
+    """A JSON scalar of one exact type, optionally limited to a value set or a range."""
 
-    def __init__(self, expected: str, typ: type, values=None, minimum=None):
-        self.expected, self.typ, self.minimum = expected, typ, minimum
+    def __init__(self, expected: str, typ: type, values=None, minimum=None, maximum=None):
+        self.expected, self.typ, self.minimum, self.maximum = expected, typ, minimum, maximum
         self.values = None if values is None else frozenset(values)
 
     def check(self, value) -> Sequence:
@@ -106,7 +106,8 @@ class _Leaf(_Shape):
     def fits_all(self, values: list) -> bool:
         return ({self.typ}.issuperset(map(type, values))
                 and (self.values is None or self.values.issuperset(values))
-                and (self.minimum is None or not values or min(values) >= self.minimum))
+                and (self.minimum is None or not values or min(values) >= self.minimum)
+                and (self.maximum is None or not values or max(values) <= self.maximum))
 
 
 class _Array(_Shape):
@@ -264,7 +265,13 @@ INSTANCE_SHAPE = _Object({
     "flags": _Object({"good_group": BOOL, "torus_summand": _Array(INT)}),
 })
 
-KNOT_SHAPE = _Object({"seifert": _Array(_Array(INT)), "name": STR}, optional=("name",))
+# Seifert entries below 2^53 are exact as floats, as the signature certificate
+# needs.  Larger ones would also raise the exact path's working precision: one
+# signature of a 40 x 40 matrix with 100-digit entries took 75 s.
+SEIFERT_ENTRY = _Leaf("an integer of magnitude below 2^53", int,
+                      minimum=1 - FLOAT_EXACT_BOUND, maximum=FLOAT_EXACT_BOUND - 1)
+
+KNOT_SHAPE = _Object({"seifert": _Array(_Array(SEIFERT_ENTRY)), "name": STR}, optional=("name",))
 
 
 def _shape_errors(shape, doc) -> list[str]:

@@ -11,6 +11,7 @@ import itertools
 import random
 
 from dataclasses import replace
+from fractions import Fraction
 
 from surfemb4.gamma import Orbit, PairingContext
 from surfemb4.groups import (
@@ -187,17 +188,18 @@ def random_signed_subgroup(group: FiniteTableGroup, rng: random.Random):
     return subgroup_closure(group, gens)
 
 
-def random_seifert_rows(rng: random.Random, max_genus: int = 3) -> list[list[int]]:
-    """Random Seifert matrix with entries in [-2, 2] and V - V^T symplectic."""
-    g = rng.randrange(1, max_genus + 1)
+def random_seifert_rows(rng: random.Random, max_genus: int = 3, min_genus: int = 1,
+                        bound: int = 2) -> list[list[int]]:
+    """Random Seifert matrix with entries in [-bound, bound] and V - V^T symplectic."""
+    g = rng.randrange(min_genus, max_genus + 1)
     n = 2 * g
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = rng.randrange(-2, 3)
+        rows[i][i] = rng.randrange(-bound, bound + 1)
     for i in range(n):
         for j in range(i + 1, n):
             target = 1 if (j == i + 1 and i % 2 == 0) else 0
-            vji = rng.randrange(-2, 3 - target)
+            vji = rng.randrange(-bound, bound + 1 - target)
             rows[j][i] = vji
             rows[i][j] = vji + target
     return rows
@@ -211,6 +213,18 @@ def torus_sum(qs) -> SeifertMatrix:
     for b in blocks[1:]:
         out = out.block_sum(b)
     return out
+
+
+def torus_sum_signature(qs, r: Fraction) -> int:
+    """Closed form of the Levine-Tristram signature of the sum of the T(2,q), q in ``qs``.
+
+    The roots of (t^q + 1)/(t + 1) are exp(i*pi*k/q), k odd, k != q, all simple,
+    and the signature of T(2,q) drops by 2 at each of them from 0 near w = 1:
+    -2 #{odd k < q : k/q < r} for r folded into (0, 1].  Meaningless at a root.
+    """
+    r = Fraction(r) % 2
+    r = min(r, 2 - r)
+    return -2 * sum(1 for q in qs for k in range(1, q, 2) if Fraction(k, q) < r)
 
 
 def arf_bruteforce(V: SeifertMatrix) -> int:

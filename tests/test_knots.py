@@ -2,8 +2,10 @@ import json
 import random
 from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from surfemb4 import knots
 from surfemb4.errors import InternalConsistency
@@ -25,7 +27,7 @@ from surfemb4.knots import (
     sigma_d,
 )
 
-from helpers import arf_bruteforce, random_seifert_rows, torus_sum
+from helpers import arf_bruteforce, random_seifert_rows, torus_sum, torus_sum_signature
 
 
 def load(name) -> SeifertMatrix:
@@ -130,12 +132,18 @@ def test_alexander_polynomial_once_per_matrix(monkeypatch):
     assert cp2_genus_verdict(V).exact == 1
     for r in (Fraction(1), Fraction(1, 2), Fraction(2, 7), Fraction(-3, 5)):
         levine_tristram(V, r)
-    with pytest.raises(SingularAtOmega):
-        levine_tristram(V, Fraction(1, 3))
+    assert calls == []  # every point so far is certified: no polynomial at all
+    for r in (Fraction(1, 3), Fraction(5, 3)):  # the roots need it, once per matrix
+        with pytest.raises(SingularAtOmega):
+            levine_tristram(V, r)
     sigma_d(V, 5)
     cp2_genus_lower_bound(V, 3)
     assert len(calls) == 1
-    levine_tristram(load("sum3_trefoil"), Fraction(1))  # a new matrix computes its own
+    W = load("sum3_trefoil")  # a new matrix computes its own, and only at a root
+    levine_tristram(W, Fraction(1))
+    assert len(calls) == 1
+    with pytest.raises(SingularAtOmega):
+        levine_tristram(W, Fraction(1, 3))
     assert len(calls) == 2
 
 
@@ -192,6 +200,121 @@ def test_levine_tristram_singular_point():
         levine_tristram(TREFOIL, Fraction(1, 3))
     with pytest.raises(SingularAtOmega):
         levine_tristram(TREFOIL, Fraction(0))
+
+
+def _exact_signature(V, r):
+    """The signature by the exact path alone, the oracle; None at a singular point."""
+    with mock.patch.object(knots, "_certified_signature", lambda V, r: None):
+        try:
+            return levine_tristram(V, r)
+        except SingularAtOmega:
+            return None
+
+
+def _check_against_exact_path(V, r):
+    """Where the certificate answers it equals the exact path; every singular point raises."""
+    exact = _exact_signature(V, r)
+    certified = knots._certified_signature(V, Fraction(r) % 2)
+    if exact is None:
+        assert certified is None
+        with pytest.raises(SingularAtOmega):
+            levine_tristram(V, r)
+    else:
+        assert certified in (None, exact)
+        assert levine_tristram(V, r) == exact
+    low = V.size // 10 * 10
+    event(f"{low} <= n < {low + 10}")
+    event("singular" if exact is None else "declined" if certified is None else "certified")
+    return exact, certified
+
+
+@settings(max_examples=20)
+@given(genus=st.integers(1, 15), bound=st.sampled_from([2, 100, 1 << 20]),
+       zero_diagonal=st.booleans(), seed=st.integers(0, 2 ** 32), p=st.integers(1, 59),
+       q=st.integers(1, 30))
+@example(genus=20, bound=1 << 20, zero_diagonal=False, seed=0, p=1, q=1)
+def test_certificate_agrees_with_exact_path_on_random_matrices(genus, bound, zero_diagonal,
+                                                               seed, p, q):
+    rows = random_seifert_rows(random.Random(seed), max_genus=genus, min_genus=genus, bound=bound)
+    if zero_diagonal:  # V - V^T stays unimodular
+        for i, row in enumerate(rows):
+            row[i] = 0
+    _check_against_exact_path(SeifertMatrix(rows), Fraction(p, q))
+
+
+def _within_cap(qs):
+    """The longest prefix of ``qs`` whose torus sum has Seifert size <= 40."""
+    while sum(q - 1 for q in qs) > 40:
+        qs = qs[:-1]
+    return qs
+
+
+TORUS_SUMS = st.lists(st.integers(1, 10).map(lambda k: 2 * k + 1), min_size=1, max_size=3).map(
+    _within_cap)
+
+
+@settings(max_examples=20)
+@given(qs=TORUS_SUMS, pick=st.integers(0, 10 ** 6), side=st.sampled_from([-1, 0, 1]))
+@example(qs=[41], pick=0, side=1)
+@example(qs=[11, 31], pick=1, side=-1)
+def test_certificate_agrees_with_exact_path_next_to_alexander_roots(qs, pick, side):
+    # the roots of T(2,q) are k/q with k odd, k != q; k/q +- 1/(100q) has an even
+    # denominator, so it is a root of no T(2,q') and the closed form holds there
+    q = qs[pick % len(qs)]
+    ks = [k for k in range(1, 2 * q, 2) if k != q]
+    r = Fraction(ks[pick // len(qs) % len(ks)], q) + side * Fraction(1, 100 * q)
+    exact, certified = _check_against_exact_path(torus_sum(qs), r)
+    if side:
+        assert exact == torus_sum_signature(qs, r)
+    else:
+        assert exact is None and certified is None
+
+
+@pytest.mark.parametrize("qs", [(3, 3, 3), (5,), (11,), (3, 5, 7, 9, 11), (41,), (11, 31)])
+def test_certificate_decides_torus_sums_without_exact_path(qs, monkeypatch):
+    V = torus_sum(qs)
+    with monkeypatch.context() as m:  # the cp2 scan on the closed form
+        m.setattr(knots, "levine_tristram", lambda V, r: torus_sum_signature(qs, r))
+        expected = cp2_genus_verdict(V)
+
+    def exact_path(*args, **kwargs):
+        raise AssertionError("the exact path ran at a certified point")
+
+    monkeypatch.setattr(knots.mpmath, "eighe", exact_path)
+    monkeypatch.setattr(knots, "linear_pencil_det", exact_path)
+    for r in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(9, 10),
+              Fraction(7, 8)):
+        assert levine_tristram(V, r) == torus_sum_signature(qs, r)
+    assert cp2_genus_verdict(V) == expected
+
+
+def test_exact_path_decides_when_the_certificate_declines(monkeypatch):
+    monkeypatch.setattr(knots, "_certified_signature", lambda V, r: None)
+    assert levine_tristram(TREFOIL, Fraction(1)) == -2
+    assert levine_tristram(SUM3, Fraction(1, 2)) == torus_sum_signature((3, 3, 3), Fraction(1, 2))
+    for r in (Fraction(1, 3), Fraction(0)):
+        with pytest.raises(SingularAtOmega):
+            levine_tristram(TREFOIL, r)
+    assert cp2_genus_verdict(SUM3).exact == 1
+
+
+def test_certificate_decides_zero_diagonals():
+    # ten hyperbolic blocks [[0, 1], [0, 0]]: every pivot would be 0 before
+    # the integer congruence fills the diagonal
+    hyperbolic = SeifertMatrix([[0, 1], [0, 0]])
+    V = hyperbolic
+    for _ in range(9):
+        V = V.block_sum(hyperbolic)
+    for r in (Fraction(1), Fraction(1, 3), Fraction(9, 10)):
+        assert knots._certified_signature(V, r) == _exact_signature(V, r) == 0
+
+
+def test_certificate_declines_entries_beyond_float_precision():
+    # V + V^T = [[2a, 1], [1, 2a]] is positive definite: signature 2 at w = -1
+    for a, certified in ((2 ** 53 - 1, 2), (2 ** 53, None)):
+        V = SeifertMatrix([[a, 1], [0, a]])
+        assert knots._certified_signature(V, Fraction(1)) == certified
+        assert levine_tristram(V, Fraction(1)) == 2
 
 
 def test_signature_conjugation_symmetry_and_evenness():

@@ -335,6 +335,24 @@ def test_seifert_size_at_the_cap_is_read(tmp_path, capsys):
     assert _cli(capsys, "knot", "arf", str(path)) == (0, {"arf": 0})
 
 
+@pytest.mark.parametrize("entry", [2 ** 53 - 1, 1 - 2 ** 53])
+def test_seifert_entries_below_two_to_the_53_are_read(entry, tmp_path, capsys):
+    # V + V^T = [[2a, 1], [1, 2a]]: definite, signature 2 sign(a) at w = -1
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"seifert": [[entry, 1], [0, entry]]}))
+    assert _cli(capsys, "knot", "sig", "--omega", "1/1", str(path)) == (
+        0, {"signature": 2 if entry > 0 else -2})
+
+
+@pytest.mark.parametrize("entry, shown", [(2 ** 53, str(2 ** 53)), (-2 ** 53, str(-2 ** 53)),
+                                          (10 ** 100, "a large integer")])
+def test_seifert_entries_are_capped(entry, shown, tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"seifert": [[-1, 1], [entry, -1]]}))
+    assert _cli(capsys, "knot", "sig", "--omega", "1/1", str(path)) == (2, {"ok": False, "errors": [
+        f"/seifert/1/0: expected an integer of magnitude below 2^53, got {shown}"]})
+
+
 UNREADABLE = {
     "utf16_bom.json": b"\xff\xfe{}",
     "deep.json": b"[" * 100000 + b"]" * 100000,
