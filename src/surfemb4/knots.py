@@ -198,12 +198,6 @@ FLOAT_EXACT_BOUND = 1 << 53
 def _certified_signature(V: SeifertMatrix, r: Fraction) -> Optional[int]:
     """Signature of H = (1-w)V + (1-conj(w))V^T, w = exp(i*pi*r), proven in floats, or None.
 
-    First, the integer congruence V -> P V P^T, P = I + e_i e_j^T, replaces
-    each zero V_ii by V_jj + (V + V^T)_ij, for the first j where (V + V^T)_ij
-    is nonzero; where that sum is 0, V_jj is not.  So the elimination below
-    is not left with only zero pivots, as it would be on a zero diagonal.  H
-    changes to P H P^T: the same inertia, exactly.
-
     Error in H.  With S = V + V^T and A = V - V^T, H = (1-c)S - i s A for
     c = cos(pi r), s = sin(pi r).  c^ and s^ are mpmath's cospi and sinpi at
     113 bits rounded to the nearest float, so each is within 2u of c and s
@@ -240,15 +234,7 @@ def _certified_signature(V: SeifertMatrix, r: Fraction) -> Optional[int]:
     Returns None when an interval meets 0 or is not finite, when a pivot is 0,
     or when an entry has |v| >= 2^53.  Cost: O(n^3) float operations.
     """
-    n, rows = V.size, [list(row) for row in V.rows]
-    for i in range(n):
-        if rows[i][i]:
-            continue
-        j = next((j for j in range(n) if rows[i][j] + rows[j][i]), None)
-        if j is not None:
-            rows[i] = [v + w for v, w in zip(rows[i], rows[j])]
-            for row in rows:
-                row[i] += row[j]
+    n, rows = V.size, V.rows
     if any(abs(v) >= FLOAT_EXACT_BOUND for row in rows for v in row):
         return None
     with mpmath.workprec(113):

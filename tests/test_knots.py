@@ -298,17 +298,6 @@ def test_exact_path_decides_when_the_certificate_declines(monkeypatch):
     assert cp2_genus_verdict(SUM3).exact == 1
 
 
-def test_certificate_decides_zero_diagonals():
-    # ten hyperbolic blocks [[0, 1], [0, 0]]: every pivot would be 0 before
-    # the integer congruence fills the diagonal
-    hyperbolic = SeifertMatrix([[0, 1], [0, 0]])
-    V = hyperbolic
-    for _ in range(9):
-        V = V.block_sum(hyperbolic)
-    for r in (Fraction(1), Fraction(1, 3), Fraction(9, 10)):
-        assert knots._certified_signature(V, r) == _exact_signature(V, r) == 0
-
-
 def test_certificate_declines_entries_beyond_float_precision():
     # V + V^T = [[2a, 1], [1, 2a]] is positive definite: signature 2 at w = -1
     for a, certified in ((2 ** 53 - 1, 2), (2 ** 53, None)):
