@@ -6,6 +6,12 @@ boundary-parallel classes).  Band records declare the four parity
 ingredients of the invariant Theta for a generating set of classes in the
 relative second homology; the checks here validate the declarations and
 decide the b-/r-/s-characteristic conditions.
+
+Once the boundary form vanishes on the declared boundaries, Theta is a
+GF(2)-linear functional on the span of the record classes (Lemma 5.10).
+``ThetaFunctional`` is the one consistency check: records whose classes sum
+to zero while their Theta values sum to 1 raise ``ThetaConflict`` naming
+exactly those records.
 """
 
 from __future__ import annotations
@@ -41,13 +47,14 @@ class NotLinearizable(BandError):
 
 
 class ThetaConflict(BandError):
-    def __init__(self, rel_class, id1, id2):
+    """Records whose classes sum to zero while their Theta values sum to 1."""
+
+    def __init__(self, witnesses: tuple[str, ...]):
         super().__init__(
-            f"records {id1!r} and {id2!r} share class {list(rel_class)} but disagree on Theta; "
-            "inconsistent declaration"
+            f"records {', '.join(map(repr, witnesses))} have classes summing to zero but "
+            "Theta summing to 1; Theta is not linear on the span, inconsistent declaration"
         )
-        self.rel_class = rel_class
-        self.witnesses = (id1, id2)
+        self.witnesses = witnesses
 
 
 class InconsistentCut(BandError):
@@ -263,98 +270,96 @@ def _boundary_form_witness(catalog: BandCatalog) -> Optional[tuple[str, str]]:
     return None
 
 
-def _theta_conflict(catalog: BandCatalog) -> Optional[ThetaConflict]:
-    """Two records with equal class and different Theta; the form is not checked here."""
-    seen: dict[tuple, tuple[str, int]] = {}
-    for r in catalog.records:
-        value = theta(r)
-        if r.rel_class in seen:
-            other_id, other_value = seen[r.rel_class]
-            if other_value != value:
-                return ThetaConflict(r.rel_class, other_id, r.id)
-        else:
-            seen[r.rel_class] = (r.id, value)
-    return None
-
-
-def _theta_witness(catalog: BandCatalog) -> Optional[str]:
-    """First record with Theta = 1; raises on a Theta conflict.  Needs a vanishing form."""
-    conflict = _theta_conflict(catalog)
-    if conflict is not None:
-        raise conflict
-    return next((r.id for r in catalog.records if theta(r)), None)
-
-
 def lambda_boundary_check(catalog: BandCatalog) -> bool:
     """True when the intersection form vanishes on all declared boundaries."""
     return _boundary_form_witness(catalog) is None
 
 
-def validate_theta_well_defined(catalog: BandCatalog) -> Optional[ThetaConflict]:
-    """Records with equal class must agree on Theta; returns the conflict if not."""
-    if _boundary_form_witness(catalog) is not None:
-        raise NotLinearizable("Theta is undefined while the boundary form is nonzero")
-    return _theta_conflict(catalog)
+def _bits(vec) -> int:
+    return sum(bit << i for i, bit in enumerate(vec))
 
 
 class ThetaFunctional:
-    """GF(2)-linear extension of the record values to the span of the classes."""
+    """GF(2)-linear extension of the record values to the span of the classes.
 
-    def __init__(self, rows: list[tuple[tuple[int, ...], int]]):
-        self._rows: list[tuple[list[int], int]] = []  # reduced echelon rows
-        self._pivots: list[int] = []
-        for vec, rhs in rows:
-            v, r = list(vec), rhs
-            v, r = self._reduce(v, r)
-            if any(v):
-                piv = next(i for i, x in enumerate(v) if x)
-                self._rows.append((v, r))
-                self._pivots.append(piv)
-            elif r:
-                raise ThetaConflict(tuple(vec), "<span>", "<span>")
+    Classes are int bitmasks; each echelon row, keyed by its highest bit, is
+    (class, Theta value, mask of the records it sums), so a record reducing
+    to class 0 with value 1 names the records of a ``ThetaConflict``.
+    ``witness`` is the first record with Theta = 1, or None.  Each record
+    costs at most one XOR per bit of its class.
+    """
 
-    def _reduce(self, v: list[int], r: int) -> tuple[list[int], int]:
-        for (row, rhs), piv in zip(self._rows, self._pivots):
-            if v[piv]:
-                v = [a ^ b for a, b in zip(v, row)]
-                r ^= rhs
-        return v, r
+    def __init__(self, records: Sequence[BandRecord]):
+        self._rows: dict[int, tuple[int, int, int]] = {}
+        self.witness: Optional[str] = None
+        for k, r in enumerate(records):
+            value = theta(r)
+            if value and self.witness is None:
+                self.witness = r.id
+            vec, value, used = self._reduce(_bits(r.rel_class), value, 1 << k)
+            if vec:
+                self._rows[vec.bit_length() - 1] = (vec, value, used)
+            elif value:
+                raise ThetaConflict(tuple(q.id for i, q in enumerate(records) if used >> i & 1))
+
+    def _reduce(self, vec: int, value: int, used: int) -> tuple[int, int, int]:
+        """Clear leading bits with rows; stops at the first leading bit without a row."""
+        while vec:
+            row = self._rows.get(vec.bit_length() - 1)
+            if row is None:
+                break
+            vec, value, used = vec ^ row[0], value ^ row[1], used ^ row[2]
+        return vec, value, used
 
     def evaluate(self, vec) -> int:
-        v, r = self._reduce(list(vec), 0)
-        if any(v):
+        rest, value, _ = self._reduce(_bits(vec), 0, 0)
+        if rest:
             raise BandError(f"class {list(vec)} is outside the declared span")
-        return r
+        return value
 
     def is_zero(self) -> bool:
-        return all(rhs == 0 for _, rhs in self._rows)
+        return self.witness is None
 
 
 def theta_on_span(catalog: BandCatalog) -> ThetaFunctional:
     """Linear functional given by the records; needs the boundary form to vanish."""
     if _boundary_form_witness(catalog) is not None:
         raise NotLinearizable("the cross-term lambda(C,C') obstructs linearity")
-    conflict = _theta_conflict(catalog)
-    if conflict is not None:
-        raise conflict
-    return ThetaFunctional([(r.rel_class, theta(r)) for r in catalog.records])
+    return ThetaFunctional(catalog.records)
+
+
+def validate_theta_well_defined(catalog: BandCatalog) -> Optional[ThetaConflict]:
+    """Theta must be linear on the span of the classes; returns the conflict if not."""
+    try:
+        theta_on_span(catalog)
+    except ThetaConflict as conflict:
+        return conflict
+    return None
 
 
 @dataclass(frozen=True)
 class BCharResult:
     yes: bool
-    witness: object = None  # violating record id or pair of ids
+    witness: object = None  # pair of ids whose boundaries pair to 1, or first id with Theta = 1
 
     def __bool__(self):
         return self.yes
 
+    @property
+    def form_nonzero(self) -> bool:
+        """The witness is a pair of records whose boundaries pair to 1."""
+        return isinstance(self.witness, tuple)
+
 
 def is_b_characteristic(catalog: BandCatalog) -> BCharResult:
-    """Boundary form zero and Theta identically zero on the declared generators."""
+    """Boundary form zero and Theta identically zero on the declared generators.
+
+    Raises ``ThetaConflict`` when the form vanishes but Theta is not linear.
+    """
     pair = _boundary_form_witness(catalog)
     if pair is not None:
         return BCharResult(False, pair)
-    witness = _theta_witness(catalog)
+    witness = ThetaFunctional(catalog.records).witness
     return BCharResult(witness is None, witness)
 
 

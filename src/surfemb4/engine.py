@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .bands import BandCatalog, BCharResult, SurfaceModel, _boundary_form_witness, _theta_witness
+from .bands import BandCatalog, BCharResult, SurfaceModel, is_b_characteristic
 from .errors import InternalConsistency
 from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list
 from .groups import AmbientGroup, Character, SignedSubgroup
@@ -219,22 +219,19 @@ def _bchar_nodes(inst: ProblemInstance, ft: Sequence[int], trace: list[TraceEntr
             {"components": flagged},
         ))
         return BCharResult(False, tuple(flagged))
-    catalog = _catalog_for(inst, ft)
-    pair = _boundary_form_witness(catalog)
+    status = is_b_characteristic(_catalog_for(inst, ft))
     trace.append(TraceEntry(
         "Is lambda_Sigma|_dB(F^t) != 0?",
         "Fig. 2; Def 5.6, Lemma 5.7",
-        "yes" if pair is not None else "no",
+        "yes" if status.form_nonzero else "no",
     ))
-    if pair is not None:
-        return BCharResult(False, pair)
-    witness = _theta_witness(catalog)
-    trace.append(TraceEntry(
-        "Is Theta: B(F^t) -> Z/2 nontrivial?",
-        "Fig. 2; Defs 5.8/5.9, Lemma 5.10",
-        "yes" if witness is not None else "no",
-    ))
-    return BCharResult(witness is None, witness)
+    if not status.form_nonzero:
+        trace.append(TraceEntry(
+            "Is Theta: B(F^t) -> Z/2 nontrivial?",
+            "Fig. 2; Defs 5.8/5.9, Lemma 5.10",
+            "yes" if status.witness is not None else "no",
+        ))
+    return status
 
 
 def _normalized_collection(inst: ProblemInstance) -> Optional[WhitneyCollection]:

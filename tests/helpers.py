@@ -398,3 +398,22 @@ def rp2_euler_parity_walk(e: int) -> int:
         cur += 8 if cur < e else -8
         t ^= 1
     return t
+
+
+def theta_violations(pairs) -> set[tuple[int, ...]]:
+    """Index sets of the (class, Theta) pairs that make Theta nonlinear, by brute force.
+
+    A catalog is inconsistent exactly when some nonempty subset of its
+    records has classes that XOR to zero and an odd Theta sum; this returns
+    every such subset, in increasing index order.  O(2^R) on R records: the
+    reference for ``bands.ThetaFunctional``.
+    """
+    out = set()
+    for k in range(1, len(pairs) + 1):
+        for subset in itertools.combinations(range(len(pairs)), k):
+            total = [0] * len(pairs[0][0])
+            for i in subset:
+                total = [a ^ b for a, b in zip(total, pairs[i][0])]
+            if not any(total) and sum(pairs[i][1] for i in subset) % 2:
+                out.add(subset)
+    return out

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from surfemb4.bands import (
     BandCatalog,
@@ -28,7 +29,11 @@ from surfemb4.bands import (
     validate_record,
     validate_theta_well_defined,
 )
+from surfemb4.engine import flowchart
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count
+
+from helpers import theta_violations
+from test_engine import simple_instance
 
 
 def torus_surface():
@@ -164,6 +169,68 @@ def test_span_inconsistency_detected():
     r3 = record(surface, rel, "r3", "surface", [1, 1], [], interior=1)
     with pytest.raises(ThetaConflict):
         theta_on_span(BandCatalog(surface, rel, (r1, r2, r3)))
+
+
+def test_span_conflict_names_the_records():
+    surface = torus_surface()
+    rel = RelH2(("x", "y"), {"x": (0, 0), "y": (0, 0)})
+    r0 = record(surface, rel, "r0", "surface", [1, 0], [], interior=0)
+    r1 = record(surface, rel, "r1", "surface", [1, 0], [], interior=1)
+    r2 = record(surface, rel, "r2", "surface", [0, 1], [], interior=1)
+    r3 = record(surface, rel, "r3", "surface", [1, 1], [], interior=1)
+    catalog = BandCatalog(surface, rel, (r1, r2, r3))
+    with pytest.raises(ThetaConflict) as exc:
+        is_b_characteristic(catalog)
+    assert exc.value.witnesses == ("r1", "r2", "r3")
+    assert validate_theta_well_defined(catalog).witnesses == ("r1", "r2", "r3")
+    # the first record that closes a cycle names it; r0 + r1 closes first here
+    conflict = validate_theta_well_defined(BandCatalog(surface, rel, (r0, r2, r1, r3)))
+    assert conflict.witnesses == ("r0", "r1")
+
+
+@st.composite
+def _closed_catalogs(draw):
+    """Catalogs of closed records (no boundary circles, so the form vanishes)."""
+    length = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * length), st.integers(0, 1)),
+                          max_size=8))
+    surface = torus_surface()
+    basis = tuple(f"c{i}" for i in range(length))
+    rel = RelH2(basis, {n: (0, 0) for n in basis})
+    records = tuple(record(surface, rel, f"r{i}", "surface", cls, [], interior=value)
+                    for i, (cls, value) in enumerate(pairs))
+    return pairs, BandCatalog(surface, rel, records)
+
+
+@given(_closed_catalogs())
+def test_theta_on_span_matches_the_subset_oracle(drawn):
+    pairs, catalog = drawn
+    violations = theta_violations(pairs)
+    conflict = validate_theta_well_defined(catalog)
+    inst = simple_instance(genus=1, rel=catalog.rel, bands=catalog.records)
+    if violations:
+        with pytest.raises(ThetaConflict) as exc:
+            theta_on_span(catalog)
+        named = tuple(int(rid[1:]) for rid in exc.value.witnesses)
+        assert named in violations
+        assert conflict is not None and conflict.witnesses == exc.value.witnesses
+        with pytest.raises(ThetaConflict):
+            is_b_characteristic(catalog)
+        with pytest.raises(ThetaConflict):
+            flowchart(inst)
+        return
+    functional = theta_on_span(catalog)
+    assert conflict is None
+    for k in range(len(pairs) + 1):
+        for subset in itertools.combinations(range(len(pairs)), k):
+            total = [0] * len(catalog.rel.basis)
+            for i in subset:
+                total = [a ^ b for a, b in zip(total, pairs[i][0])]
+            assert functional.evaluate(total) == sum(pairs[i][1] for i in subset) % 2
+    any_one = any(value for _, value in pairs)
+    assert functional.is_zero() == (not any_one)
+    assert is_b_characteristic(catalog).yes == (not any_one)
+    assert flowchart(inst).b_char == ("no" if any_one else "yes")
 
 
 def test_s_and_r_characteristic():

@@ -445,3 +445,32 @@ def test_surface_h1_dimension_is_capped(component, pointer, tmp_path, capsys):
     assert time.perf_counter() - started < 2.0
     out = json.loads(capsys.readouterr().out)
     assert [e.split(": ", 1)[0] for e in out["errors"]] == [pointer]
+
+
+def _span_variant(theta_sum: int) -> dict:
+    """torus_s3s1 with closed classes x, y, x+y at Theta 1, 1 and ``theta_sum``."""
+    doc = example_doc("torus_s3s1")
+    doc["catalogs"]["rel_h2"] = {"basis": ["x", "y"], "boundary": {"x": [0, 0], "y": [0, 0]}}
+    band = dict(doc["catalogs"]["bands"][0], boundary_classes=[], w1_sigma=[])
+    doc["catalogs"]["bands"] = [
+        dict(band, id=rid, rel_class=cls, interior=value)
+        for rid, cls, value in (("r1", [1, 0], 1), ("r2", [0, 1], 1), ("r3", [1, 1], theta_sum))
+    ]
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["regular", "homotopy"])
+def test_decide_rejects_theta_nonlinear_on_the_span(mode, tmp_path, capsys):
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(_span_variant(1)))
+    assert cli.main(["decide", str(path), "--mode", mode]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert all(repr(rid) in out["errors"][0] for rid in ("r1", "r2", "r3"))
+    # Theta depends on F^t, which validate does not compute
+    assert cli.main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(_span_variant(0)))
+    assert cli.main(["decide", str(path), "--mode", mode]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["outcome"] == "RegHomotopicToEmbedding" and out["b_char"] == "no"
