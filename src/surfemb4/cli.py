@@ -125,7 +125,7 @@ def cmd_gamma(args) -> int:
         coeff = coefficient_at(elem, g)
         queries.append({
             "element": value,
-            "orbit_rep": orbit.rep if gamma.finite else list(orbit.rep),
+            "orbit_rep": orbit.rep,
             "order": "Z/2" if orbit.order_two else "Z",
             "coefficient": coeff.value,
         })

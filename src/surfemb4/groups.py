@@ -324,17 +324,12 @@ class SignedSubgroup:
             return (elem, sign) in self.closure
         return self.lattice.contains(tuple(elem) + (_sign_bit(sign),))
 
-    def projection(self) -> frozenset:
-        """Image of the subgroup in G (finite backend only)."""
-        return frozenset(g for g, _ in self.members())
-
     def sign_is_homomorphism(self) -> bool:
         return not self.contains_minus_one
 
     def character_trivial_on_projection(self, chi: Character) -> bool:
-        if self.ambient.kind == "finite":
-            return all(chi(g) == 1 for g in self.projection())
-        return all(chi(self.ambient.canon(g)) == 1 for g, _ in self.generators)
+        """A character is trivial on a generated subgroup iff it is on the generators."""
+        return all(chi(g) == 1 for g, _ in self.generators)
 
 
 def subgroup_closure(ambient: AmbientGroup, generators: Iterable) -> SignedSubgroup:

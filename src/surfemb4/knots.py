@@ -93,15 +93,6 @@ class SeifertMatrix:
         return SeifertMatrix(out)
 
 
-@dataclass(frozen=True)
-class KnotSpec:
-    name: str
-    matrix: SeifertMatrix
-
-    def __add__(self, other: "KnotSpec") -> "KnotSpec":
-        return KnotSpec(f"{self.name}#{other.name}", self.matrix.block_sum(other.matrix))
-
-
 def alexander_at_minus_one(V: SeifertMatrix) -> int:
     """det(V + V^T), the knot determinant up to sign."""
     return bareiss_det(V.symmetrized())
@@ -295,7 +286,11 @@ def _certified_signature(V: SeifertMatrix, r: Fraction) -> Optional[int]:
     return signature
 
 
-def levine_tristram(V: SeifertMatrix, omega: Fraction, max_dps: int = 400) -> int:
+# Working precision, in decimal digits, at which the exact path gives up.
+MAX_DPS = 400
+
+
+def levine_tristram(V: SeifertMatrix, omega: Fraction) -> int:
     """Signature of (1-w)V + (1-conj(w))V^T at w = exp(i*pi*omega).
 
     The float certificate of ``_certified_signature`` decides first; it never
@@ -317,7 +312,7 @@ def levine_tristram(V: SeifertMatrix, omega: Fraction, max_dps: int = 400) -> in
         raise SingularAtOmega(f"exp(i*pi*{r}) is a root of the Alexander polynomial")
     n = V.size
     dps = 40
-    while dps <= max_dps:
+    while dps <= MAX_DPS:
         with mpmath.workdps(dps):
             w = mpmath.expjpi(mpmath.mpf(r.numerator) / r.denominator)
             one = mpmath.mpf(1)
@@ -334,7 +329,7 @@ def levine_tristram(V: SeifertMatrix, omega: Fraction, max_dps: int = 400) -> in
                 return sum(1 if e > 0 else -1 for e in eigs)
         dps *= 2
     raise SignRefinementFailed(
-        f"could not separate eigenvalue signs from zero at {max_dps} digits"
+        f"could not separate eigenvalue signs from zero at {MAX_DPS} digits"
     )
 
 
@@ -425,7 +420,12 @@ class CP2GenusVerdict:
     scan_limit: int = 0
 
 
-def cp2_genus_verdict(V: SeifertMatrix, scan_cap: int = 64) -> CP2GenusVerdict:
+# Widest class scan.  Seifert matrices are capped at n <= 40, where the window
+# is isqrt(97) + 1 = 10, so a knot file never reaches it.
+SCAN_CAP = 64
+
+
+def cp2_genus_verdict(V: SeifertMatrix) -> CP2GenusVerdict:
     """Minimal genus of a surface bounded by the knot in the punctured manifold.
 
     The upper bound 1 always holds by a stabilisation argument.  Arf = 0
@@ -441,8 +441,8 @@ def cp2_genus_verdict(V: SeifertMatrix, scan_cap: int = 64) -> CP2GenusVerdict:
     # |sigma| <= n bounds the tail: both formulas give RHS >= 2 beyond this
     need = max(2 * n + 6, (9 * (n + 3) + 3) // 4)
     window = math.isqrt(need) + 1
-    incomplete = window > scan_cap
-    window = min(window, scan_cap)
+    incomplete = window > SCAN_CAP
+    window = min(window, SCAN_CAP)
     signature = _folded_signatures(V)
     for d in range(-window, window + 1):
         if d in (-1, 1):

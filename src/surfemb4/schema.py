@@ -428,12 +428,6 @@ def instance_from_dict(doc) -> tuple[Optional[ProblemInstance], list[str]]:
     return inst, errors
 
 
-def _elem_to_json(group, elem):
-    if group.kind == "finite":
-        return elem
-    return list(elem)
-
-
 def instance_to_dict(inst: ProblemInstance) -> dict:
     """Serialize an in-memory instance back to the interchange format."""
     group = inst.group
@@ -445,7 +439,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
     for c in inst.components:
         entry = {
             "id": c.id,
-            "signed_subgroup": [[_elem_to_json(group, g), s] for g, s in c.subgroup.generators],
+            "signed_subgroup": [[g, s] for g, s in c.subgroup.generators],
             "has_alg_dual": c.has_alg_dual,
             "dual_framed": c.dual_framed,
         }
@@ -487,7 +481,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
         },
         "double_points": [
             {"id": p.id, "components": list(p.components), "sign": p.sign,
-             "eta": _elem_to_json(group, p.eta)}
+             "eta": p.eta}
             for p in inst.points
         ],
         "whitney_collection": wc,

@@ -20,11 +20,13 @@ from surfemb4.groups import (
 )
 
 from helpers import (
+    all_characters,
     all_groups_up_to_8,
     dihedral,
     direct_product,
     is_group_table,
     is_multiplicative,
+    random_signed_subgroup,
     relabel,
 )
 
@@ -234,6 +236,16 @@ def test_minus_one_iff_sign_not_functional():
                 if table.setdefault(elem, sign) != sign:
                     functional = False
             assert s.contains_minus_one == (not functional), name
+
+
+def test_character_trivial_on_projection_matches_the_closure():
+    rng = random.Random(11)
+    for name, g in all_groups_up_to_8():
+        for chi in all_characters(g):
+            for _ in range(10):
+                s = random_signed_subgroup(g, rng)
+                expected = all(chi(elem) == 1 for elem, _ in s.members())
+                assert s.character_trivial_on_projection(chi) == expected, name
 
 
 def test_character_validation():

@@ -13,7 +13,6 @@ from surfemb4.knots import (
     CP2GenusVerdict,
     DNotCovered,
     KnotError,
-    KnotSpec,
     RankZero,
     SeifertMatrix,
     SingularAtOmega,
@@ -47,11 +46,8 @@ def test_seifert_validation():
         SeifertMatrix([[0, 0], [0, 0]])  # V - V^T not unimodular
 
 
-def test_knot_spec_connected_sum():
-    k = KnotSpec("trefoil", TREFOIL)
-    k3 = k + k + k
-    assert k3.matrix.rows == SUM3.rows
-    assert k3.name == "trefoil#trefoil#trefoil"
+def test_block_sum_connected_sum():
+    assert TREFOIL.block_sum(TREFOIL).block_sum(TREFOIL).rows == SUM3.rows
 
 
 def test_alexander_values():
