@@ -151,16 +151,20 @@ class RelH2:
             raise BandError(f"bad RelH2 vector {vec!r}")
         return tuple(vec)
 
-    def boundary_of(self, vec) -> tuple[int, ...]:
-        vec = self.check_class(vec)
-        total = None
-        for bit, name in zip(vec, self.basis):
-            b = tuple(self.boundary[name])
-            if total is None:
-                total = (0,) * len(b)
+    def boundary_of(self, vec, dim: int) -> tuple[int, ...]:
+        """The boundary of a class in H1 = GF(2)^dim; class 0 has boundary 0, also over no basis.
+
+        A basis boundary of another length than ``dim`` is a BandError.
+        """
+        total = (0,) * dim
+        for bit, name in zip(self.check_class(vec), self.basis):
+            b = self.boundary[name]
+            if len(b) != dim:
+                raise BandError(f"boundary of RelH2 basis class {name!r} has length {len(b)}, "
+                                f"expected the H1 dimension {dim}")
             if bit:
                 total = tuple(x ^ y for x, y in zip(total, b))
-        return total if total is not None else ()
+        return total
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,7 @@ def validate_record(record: BandRecord, surface: SurfaceModel, rel: Optional[Rel
         raise BandError(f"surface record {record.id!r} needs w1-trivial boundary circles")
     if rel is not None:
         declared = record.total_boundary(surface.dim)
-        if rel.boundary_of(record.rel_class) != declared:
+        if rel.boundary_of(record.rel_class, surface.dim) != declared:
             raise BandError(
                 f"band {record.id!r}: boundary map of its class disagrees with the "
                 "declared boundary circles"

@@ -10,6 +10,7 @@ the citations needed to audit it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -161,24 +162,27 @@ def points_between(points: Sequence[DoublePoint], i: int, j: int) -> list[Double
 
 
 def primary_obstructions(inst: ProblemInstance) -> dict:
-    """Reduce all intersection and self-intersection lists into their targets."""
+    """Reduce all intersection and self-intersection lists into their targets.
+
+    The points are sorted into lists by unordered component pair in one pass.
+    """
+    lists = defaultdict(list)
+    for p in inst.points:
+        lists[frozenset(p.components)].append((p.sign, p.eta))
     out = {}
     ids = sorted(c.id for c in inst.components)
     for i in ids:
         ctx = PairingContext(inst.group, inst.wM, inst.component(i).subgroup,
                              inst.component(i).subgroup, self_pairing=True)
-        gamma = build_gamma(ctx)
-        pts = points_between(inst.points, i, i)
-        out[("mu", i)] = reduce_list([(p.sign, p.eta) for p in pts], gamma)
+        out[("mu", i)] = reduce_list(lists.get(frozenset((i,)), []), build_gamma(ctx))
     for a, i in enumerate(ids):
         for j in ids[a + 1:]:
-            pts = points_between(inst.points, i, j)
-            if not pts:
+            entries = lists.get(frozenset((i, j)))
+            if not entries:
                 continue
             ctx = PairingContext(inst.group, inst.wM, inst.component(i).subgroup,
                                  inst.component(j).subgroup, self_pairing=False)
-            gamma = build_gamma(ctx)
-            out[("lambda", i, j)] = reduce_list([(p.sign, p.eta) for p in pts], gamma)
+            out[("lambda", i, j)] = reduce_list(entries, build_gamma(ctx))
     return out
 
 

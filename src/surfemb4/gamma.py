@@ -26,12 +26,18 @@ the orbit enumeration.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import compress, filterfalse, repeat
+from operator import add, and_, eq, neg
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InternalConsistency
 from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit
 from .intlinalg import HermiteLattice, smith_diagonal
+
+
+_SIGNS = (1, -1)
 
 
 class GammaError(ValueError):
@@ -73,8 +79,9 @@ class PairingContext:
             object.__setattr__(self, "s_g", self.s_f)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
+    """One summand of the quotient; a tuple, so hashing it per distinct element stays cheap."""
+
     rep: object  # canonical element: int index or reduced tuple
     order_two: bool
 
@@ -82,9 +89,10 @@ class Orbit:
 class GammaGroup:
     """Orbit decomposition of the quotient; backend chosen by the ambient.
 
-    Both backends answer ``classify`` from one table of element ->
+    Both backends answer ``classify_all`` from one table of element ->
     (orbit, section sign): the finite backend fills it at build time, the
-    abelian backend on first query of each element.
+    abelian backend fills it for the elements new to each call, reducing
+    them in one batched Hermite pass (two with self-pairing).
     """
 
     def __init__(self, ctx: PairingContext):
@@ -151,16 +159,28 @@ class GammaGroup:
         self._hat = HermiteLattice(self.ctx.s_f.lattice.rows + twisted, G.rank + 1)
         self._global_two = self._hat.contains([0] * G.rank + [1])
 
-    def _classify_abelian(self, e: tuple) -> tuple[Orbit, Optional[int]]:
-        *rep, bit = self._hat.reduce(e + (0,))
+    def _classify_new(self, new: list) -> None:
+        """Table entries for canonical elements not yet classified, in batched passes."""
         two = self._global_two
-        if self.ctx.self_pairing:
-            # (e, +1) ~ (-e, wM(e)): the inverse's class, compared with this one
-            *inv, ibit = self._hat.reduce([-x for x in e] + [_sign_bit(self.ctx.wM(e))])
-            two = two or (inv == rep and ibit != bit)
-            if inv < rep:
-                rep, bit = inv, ibit
-        return Orbit(tuple(rep), two), None if two else 1 - 2 * bit
+        reps = self._hat.reduce_all(list(map(add, new, repeat((0,)))))
+        if not self.ctx.self_pairing:
+            for e, r in zip(new, reps):
+                self._table[e] = (Orbit(r[:-1], two), None if two else 1 - 2 * r[-1])
+            return
+        # (e, +1) ~ (-e, wM(e)): the inverses' classes, built column by column
+        cols = list(zip(*new))
+        bits = [0] * len(new)
+        for col, v in zip(cols, self.ctx.wM.values):
+            if v == -1:
+                bits = list(map(add, bits, col))
+        invs = self._hat.reduce_all(list(zip(*[map(neg, col) for col in cols],
+                                             map(and_, bits, repeat(1)))))
+        for e, r, inv in zip(new, reps, invs):
+            rep, bit, irep, ibit = r[:-1], r[-1], inv[:-1], inv[-1]
+            pair_two = two or (irep == rep and ibit != bit)
+            if irep < rep:
+                rep, bit = irep, ibit
+            self._table[e] = (Orbit(rep, pair_two), None if pair_two else 1 - 2 * bit)
 
     # -- shared API ------------------------------------------------------
 
@@ -179,13 +199,21 @@ class GammaGroup:
     def two_count(self) -> int:
         return sum(1 for o in self.orbits() if o.order_two)
 
+    def classify_all(self, elems: list) -> list[tuple[Orbit, Optional[int]]]:
+        """``classify`` of each element; those new to the table are classified in one batch."""
+        G = self.ctx.ambient
+        canon = G.check_elems(elems)
+        if canon is None:
+            for elem in elems:
+                G.check_elem(elem)  # raises at the first invalid element
+        new = list(filterfalse(self._table.__contains__, dict.fromkeys(canon)))
+        if new:
+            self._classify_new(new)
+        return list(map(self._table.__getitem__, canon))
+
     def classify(self, elem) -> tuple[Orbit, Optional[int]]:
         """(orbit of ``elem``, its sign relative to the representative, or None on order two)."""
-        e = self.ctx.ambient.check_elem(elem)
-        found = self._table.get(e)
-        if found is None:
-            found = self._table[e] = self._classify_abelian(e)
-        return found
+        return self.classify_all([elem])[0]
 
     def orbit_of(self, elem) -> Orbit:
         return self.classify(elem)[0]
@@ -243,16 +271,29 @@ class Coefficient:
 
 
 def reduce_list(entries: Iterable, gamma: GammaGroup) -> GammaElement:
-    """Reduce a list of (sign, group element) pairs into the quotient."""
+    """Reduce a list of (sign, group element) pairs into the quotient.
+
+    The list is tallied by distinct element, as (point count, signed sum),
+    and each distinct element is classified once: an order-two orbit gains
+    the count mod 2, an infinite orbit the signed sum times the section sign.
+    """
+    G = gamma.ctx.ambient
+    pairs = list(entries)
+    signs = [sign for sign, _ in pairs]
+    elems = [elem for _, elem in pairs]
+    canon = G.check_elems(elems)
+    if canon is None or not all(map(_SIGNS.__contains__, signs)):
+        for sign, elem in pairs:  # the first error, as a walk point by point meets it
+            if sign not in _SIGNS:
+                raise GammaError(f"sign must be +1 or -1, got {sign!r}")
+            G.check_elem(elem)
+    count = Counter(canon)
+    plus = Counter(compress(canon, map(eq, signs, repeat(1))))
     coeffs: dict = {}
-    for sign, elem in entries:
-        if sign not in (1, -1):
-            raise GammaError(f"sign must be +1 or -1, got {sign!r}")
-        orbit, section = gamma.classify(elem)
-        if section is None:
-            coeffs[orbit] = (coeffs.get(orbit, 0) + 1) % 2
-        else:
-            coeffs[orbit] = coeffs.get(orbit, 0) + sign * section
+    for e, (orbit, section) in zip(count, gamma.classify_all(list(count))):
+        n = count[e]
+        coeffs[orbit] = coeffs.get(orbit, 0) + (n if section is None else (2 * plus[e] - n) * section)
+    coeffs = {k: v % 2 if k.order_two else v for k, v in coeffs.items()}
     return GammaElement(gamma, {k: v for k, v in coeffs.items() if v})
 
 

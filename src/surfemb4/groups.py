@@ -13,8 +13,8 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import itemgetter
-from typing import Iterable, Sequence
+from operator import itemgetter, mod
+from typing import Iterable, Optional, Sequence
 
 from .errors import InternalConsistency
 from .intlinalg import HermiteLattice
@@ -70,6 +70,13 @@ class FiniteTableGroup:
             raise GroupError(f"invalid element {reprlib.repr(a)} for group of order {self.order}")
         return a
 
+    def check_elems(self, values: list) -> Optional[list[int]]:
+        """``check_elem`` over a whole list in C-level passes; None if any value is invalid."""
+        if values and not (_INTS.issuperset(map(type, values))
+                           and 0 <= min(values) and max(values) < self.order):
+            return None
+        return list(values)
+
     def canon(self, a: int) -> int:
         return a
 
@@ -100,6 +107,18 @@ class FGAbelianGroup:
                 or not _INTS.issuperset(map(type, a))):
             raise GroupError(f"invalid element {reprlib.repr(a)} for factors {self.factors}")
         return self.canon(a)
+
+    def check_elems(self, values: list) -> Optional[list[tuple[int, ...]]]:
+        """``check_elem`` over a whole list, column by column; None if any value is invalid."""
+        if not (all(map(isinstance, values, repeat((tuple, list))))
+                and {self.rank}.issuperset(map(len, values))):
+            return None
+        cols = list(zip(*values))
+        if not all(_INTS.issuperset(map(type, col)) for col in cols):
+            return None
+        cols = [list(map(mod, col, repeat(f))) if f else col for col, f in zip(cols, self.factors)]
+        # with rank 0 there are no columns, and every element is ()
+        return list(zip(*cols)) or [()] * len(values)
 
     def mul(self, a, b):
         return self.canon(tuple(x + y for x, y in zip(a, b)))

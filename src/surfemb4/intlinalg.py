@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
+from operator import floordiv, mul, sub
 from typing import Sequence
 
 from .errors import InternalConsistency
@@ -204,15 +205,24 @@ class HermiteLattice:
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of ``vec`` modulo the lattice."""
-        v = list(vec)
-        for idx, col in enumerate(self.pivot_cols):
-            p = self.rows[idx][col]
-            q = v[col] // p
-            if q:
-                row = self.rows[idx]
+        return self.reduce_all([vec])[0]
+
+    def reduce_all(self, vecs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        """Canonical representatives of ``vecs`` modulo the lattice, in one pass.
+
+        The vectors are held as columns, so each pivot costs one list pass
+        per column it touches, over all the vectors at once.
+        """
+        if not vecs:
+            return []
+        cols = [list(c) for c in zip(*vecs)]
+        for row, col in zip(self.rows, self.pivot_cols):
+            q = list(map(floordiv, cols[col], repeat(row[col])))
+            if any(q):
                 for j in range(col, self.ncols):
-                    v[j] -= q * row[j]
-        return tuple(v)
+                    if row[j]:
+                        cols[j] = list(map(sub, cols[j], map(mul, q, repeat(row[j]))))
+        return list(zip(*cols)) or [()] * len(vecs)  # with no columns, each vector is ()
 
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))

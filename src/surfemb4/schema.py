@@ -373,6 +373,8 @@ def instance_from_dict(doc) -> tuple[Optional[ProblemInstance], list[str]]:
     declared = {c["id"] for c in doc["components"]}
     points: list[DoublePoint] = []
     seen: set[int] = set()
+    # every eta at once; only when one is invalid are they checked one by one for the errors
+    etas = None if group is None else group.check_elems([dp["eta"] for dp in doc["double_points"]])
     for i, dp in enumerate(doc["double_points"]):
         pid, pair = dp["id"], dp["components"]
         if not set(pair) <= declared:
@@ -381,7 +383,8 @@ def instance_from_dict(doc) -> tuple[Optional[ProblemInstance], list[str]]:
             errors.append(f"/double_points/{i}/id: duplicate double-point id")
         elif group is not None:
             try:
-                points.append(DoublePoint(pid, tuple(pair), dp["sign"], group.check_elem(dp["eta"])))
+                eta = group.check_elem(dp["eta"]) if etas is None else etas[i]
+                points.append(DoublePoint(pid, tuple(pair), dp["sign"], eta))
             except GroupError as exc:
                 errors.append(f"/double_points/{i}/eta: {exc}")
         seen.add(pid)

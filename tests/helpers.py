@@ -2,7 +2,8 @@
 
 Small-group catalog, characters, random subgroups and contexts, and the
 slow or older computations that the package's fast paths are compared
-against: knot, gamma, Whitney-conversion and projective-plane oracles.
+against: knot, gamma, list-reduction, Whitney-conversion and projective-plane
+oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from surfemb4.gamma import Orbit, PairingContext
+from surfemb4.gamma import GammaElement, GammaError, GammaGroup, Orbit, PairingContext
 from surfemb4.groups import (
     Character,
     FiniteTableGroup,
@@ -362,6 +363,21 @@ class TwoLatticeGamma:
         if orbit.order_two:
             return raw % 2, "Z/2"
         return raw * self.section_sign(elem), "Z"
+
+
+def reduce_list_per_point(entries, gamma: GammaGroup) -> GammaElement:
+    """``gamma.reduce_list`` one point at a time, each classified by ``classify``: the reference
+    for the tally by distinct element."""
+    coeffs: dict = {}
+    for sign, elem in entries:
+        if sign not in (1, -1):
+            raise GammaError(f"sign must be +1 or -1, got {sign!r}")
+        orbit, section = gamma.classify(elem)
+        if section is None:
+            coeffs[orbit] = (coeffs.get(orbit, 0) + 1) % 2
+        else:
+            coeffs[orbit] = coeffs.get(orbit, 0) + sign * section
+    return GammaElement(gamma, {k: v for k, v in coeffs.items() if v})
 
 
 def to_convenient_quadratic(points, collection: WhitneyCollection) -> WhitneyCollection:

@@ -188,10 +188,28 @@ def test_span_conflict_names_the_records():
     assert conflict.witnesses == ("r0", "r1")
 
 
+def test_class_zero_over_an_empty_basis_has_boundary_zero():
+    surface = torus_surface()
+    rel = RelH2((), {})
+    assert rel.boundary_of((), surface.dim) == (0, 0)
+    # an annulus with two parallel boundary circles x bounds class 0
+    r = record(surface, rel, "annulus", "annulus", [], [(1, 0), (1, 0)])
+    assert BandCatalog(surface, rel, (r,)).records == (r,)
+    with pytest.raises(BandError):
+        record(surface, rel, "bad", "annulus", [], [(1, 0), (0, 1)])
+
+
+def test_basis_boundary_of_the_wrong_length_is_rejected():
+    surface = torus_surface()
+    rel = RelH2(("a", "b"), {"a": (1, 0), "b": (1, 0, 0)})
+    with pytest.raises(BandError, match="length 3"):
+        rel.boundary_of((1, 0), surface.dim)
+
+
 @st.composite
 def _closed_catalogs(draw):
     """Catalogs of closed records (no boundary circles, so the form vanishes)."""
-    length = draw(st.integers(1, 6))
+    length = draw(st.integers(0, 6))
     pairs = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * length), st.integers(0, 1)),
                           max_size=8))
     surface = torus_surface()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from surfemb4.gamma import (
     AmbientNotFinite,
@@ -30,6 +31,7 @@ from helpers import (
     random_abelian_element,
     random_character,
     random_signed_subgroup,
+    reduce_list_per_point,
     symmetric3,
 )
 
@@ -347,27 +349,86 @@ def test_abelian_orbits_and_signs_match_two_lattice_reference(self_pairing):
 
 
 def test_abelian_queries_reduce_at_most_twice_per_distinct_element(monkeypatch):
-    calls = [0]
-    reduce = HermiteLattice.reduce
+    """Counts the vectors that go through ``HermiteLattice.reduce_all``, singly or in a batch."""
+    vectors = [0]
+    reduce_all = HermiteLattice.reduce_all
 
-    def counted(self, vec):
-        calls[0] += 1
-        return reduce(self, vec)
+    def counted(self, vecs):
+        vectors[0] += len(vecs)
+        return reduce_all(self, vecs)
 
-    monkeypatch.setattr(HermiteLattice, "reduce", counted)
+    monkeypatch.setattr(HermiteLattice, "reduce_all", counted)
     rng = random.Random(3001)
     for trial in range(200):
         ctx = random_abelian_context(rng, self_pairing=trial % 2 == 1)
+        per_element = 2 if ctx.self_pairing else 1
         gamma = build_gamma(ctx)
         seen = set()
         for _ in range(12):
             e = random_abelian_element(ctx.ambient, rng)
-            before = calls[0]
+            before = vectors[0]
             orbit = gamma.orbit_of(e)
             if not orbit.order_two:
                 gamma.section_sign(e)
             coefficient_at(reduce_list([(1, e), (-1, e)], gamma), e)
-            spent = calls[0] - before
+            spent = vectors[0] - before
             canon = ctx.ambient.canon(e)
-            assert spent <= (0 if canon in seen else 2 if ctx.self_pairing else 1), (ctx, e)
+            assert spent <= (0 if canon in seen else per_element), (ctx, e)
             seen.add(canon)
+        batch = [random_abelian_element(ctx.ambient, rng) for _ in range(8)]
+        batch += batch[:4] + list(seen)[:3]
+        new = {ctx.ambient.canon(e) for e in batch} - seen
+        before = vectors[0]
+        reduce_list([(rng.choice((1, -1)), e) for e in batch], gamma)
+        assert vectors[0] - before <= per_element * len(new), (ctx, batch)
+
+
+@st.composite
+def _abelian_lists(draw):
+    """A random abelian context and a list of (sign, element) pairs over a few distinct
+    elements, written as tuples or lists and shifted off their canonical form."""
+    self_pairing = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ctx = random_abelian_context(rng, self_pairing)
+    G = ctx.ambient
+    if draw(st.integers(0, 3)) == 0:  # (1, -1) in the first subgroup: every orbit has order two
+        s_f = subgroup_closure(G, ctx.s_f.generators + ((G.identity, -1),))
+        ctx = PairingContext(G, ctx.wM, s_f, s_f if self_pairing else ctx.s_g, self_pairing)
+    pool = [random_abelian_element(G, rng) for _ in range(draw(st.integers(1, 6)))]
+    entries = []
+    for _ in range(draw(st.integers(0, 30))):
+        base = draw(st.sampled_from(pool))
+        shifts = draw(st.lists(st.integers(-3, 3), min_size=G.rank, max_size=G.rank))
+        elem = [x + k * f for x, k, f in zip(base, shifts, G.factors)]
+        entries.append((draw(st.sampled_from((1, -1))), draw(st.sampled_from((tuple, list)))(elem)))
+    return ctx, entries
+
+
+@settings(max_examples=200)
+@given(_abelian_lists())
+def test_reduce_list_matches_the_point_by_point_reference(drawn):
+    ctx, entries = drawn
+    got = reduce_list(entries, build_gamma(ctx))
+    want = reduce_list_per_point(entries, build_gamma(ctx))
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert got.coeffs == TwoLatticeGamma(ctx).reduce(entries)
+    for orbit in got.coeffs:
+        event("order-two orbit" if orbit.order_two else "infinite orbit")
+    event("repeated element" if len({ctx.ambient.canon(e) for _, e in entries}) < len(entries)
+          else "no repeat")
+
+
+@pytest.mark.parametrize("entries", [
+    [(1, (0, 1)), (2, (0, 1))],
+    [(1, (0, 1)), (1, (0, True)), (0, (0, 0))],
+    [(1, (5, 3)), (-1, [1]), (1, "x")],
+    [(True, (0, 1)), (-1, (0, 1.0))],
+    [(1, (0, 1)), ([1], (0, 1))],
+])
+def test_reduce_list_reports_the_first_bad_entry_as_a_walk_would(entries):
+    ctx = _ctx(abelian_group([0, 2]), gens_f=[((1, 0), 1)], self_pairing=True)
+    with pytest.raises(ValueError) as got:
+        reduce_list(entries, build_gamma(ctx))
+    with pytest.raises(ValueError) as want:
+        reduce_list_per_point(entries, build_gamma(ctx))
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))

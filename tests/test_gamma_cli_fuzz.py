@@ -1,4 +1,4 @@
-"""``gamma`` prints JSON and exits 0, 2 or 3 on small abelian instances.
+"""``gamma`` and ``decide`` print JSON and exit 0, 2 or 3 on small abelian instances.
 
 Hypothesis draws the invariant factors (rank 1-3, from 0, 2, 3, 4, 6), a
 character, the signed subgroup of component 0 (sometimes with (1, -1)), its
@@ -6,6 +6,12 @@ self-intersection points and the queried elements, a few of them
 malformed.  The rest of the instance is the shipped torus in S^3 x S^1.  On
 exit 0 every query's orbit representative, order and coefficient must
 match the two-lattice reference in ``helpers``.
+
+For ``decide`` (single file or ``--batch``, both modes) a second component
+with a framed dual is added, and the points, on either component pair, take
+their etas from a pool of a few elements, so they repeat.  On exit 0 the
+first trace node says "yes" exactly when the reference reduces every
+pair's points to zero.
 """
 
 import contextlib
@@ -82,3 +88,72 @@ def test_gamma_query_exits_with_json_and_matches_reference(case):
         assert q["orbit_rep"] == list(orbit.rep)
         assert (q["coefficient"], q["order"]) == (value, order)
     assert doc["reduced_is_zero"] == (not coeffs)
+
+
+@st.composite
+def decide_cases(draw):
+    factors = draw(st.lists(st.sampled_from((0, 2, 3, 4, 6)), min_size=1, max_size=3))
+    elem = st.tuples(*[st.integers(-13, 13) for _ in factors]).map(list)
+    sign = st.sampled_from((1, -1))
+    wM = [1 if f % 2 else draw(sign) for f in factors]
+    gens = [draw(st.lists(st.tuples(elem, sign).map(list), max_size=2)) for _ in range(2)]
+    if draw(st.booleans()) and draw(st.booleans()):
+        gens[0].append([[0] * len(factors), -1])
+    pool = draw(st.lists(elem, min_size=1, max_size=3))
+    pair = st.sampled_from(((0, 0), (0, 1), (1, 0), (1, 1)))
+    points = draw(st.lists(st.tuples(pair, st.sampled_from(pool), sign), max_size=8))
+    empty_collection = draw(st.booleans())
+    argv = draw(st.sampled_from((["decide"], ["decide", "--batch"])))
+    argv += ["--mode", draw(st.sampled_from(("regular", "homotopy")))]
+    return factors, wM, gens, points, empty_collection, argv
+
+
+def _two_component_document(factors, wM, gens, points, empty_collection):
+    doc = _document(factors, wM, gens[0], [])
+    doc["components"].append({"id": 1, "signed_subgroup": gens[1], "has_alg_dual": True,
+                              "dual_framed": True})
+    doc["surface"]["components"].append(
+        {"id": 1, "genus": 0, "orientable": True, "boundary_circles": 0})
+    doc["double_points"] = [{"components": list(pair), "eta": eta, "id": i, "sign": s}
+                            for i, (pair, eta, s) in enumerate(points)]
+    if empty_collection:
+        doc["whitney_collection"] = {"convenient": True, "discs": [], "boundary_intersections": []}
+    return doc
+
+
+def _reference_vanishes(factors, wM, gens, points) -> bool:
+    group = abelian_group(factors)
+    chi = Character(group, wM)
+    subgroups = [subgroup_closure(group, [(tuple(g), sg) for g, sg in gs]) for gs in gens]
+    lists: dict = {}
+    for pair, eta, s in points:
+        lists.setdefault(tuple(sorted(pair)), []).append((s, tuple(eta)))
+    for (i, j), entries in lists.items():
+        ctx = PairingContext(group, chi, subgroups[i], subgroups[j], self_pairing=i == j)
+        if TwoLatticeGamma(ctx).reduce(entries):
+            return False
+    return True
+
+
+@settings(max_examples=150)
+@given(case=decide_cases())
+def test_decide_exits_with_json_and_first_node_matches_reference(case):
+    factors, wM, gens, points, empty_collection, argv = case
+    doc = _two_component_document(factors, wM, gens, points, empty_collection)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        Path(path).write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(argv[:1] + [tmp if "--batch" in argv else path] + argv[1:])
+    doc = json.loads(out.getvalue())
+    if "--batch" in argv:
+        doc = doc["instance.json"]
+    event(f"{' '.join(argv)}: exit {code}")
+    assert code in (0, 2, 3)
+    assert (doc.get("ok") is False) is (code != 0), doc
+    if code:
+        return
+    first = doc["trace"][0]
+    assert first["node"] == "Is lambda(f_i,f_j)=mu(f_i)=0 for all i != j?"
+    event(f"primary {first['value']}")
+    assert (first["value"] == "yes") is _reference_vanishes(factors, wM, gens, points)

@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import event, given, strategies as st
 
 from surfemb4.groups import (
     Character,
@@ -303,3 +304,43 @@ def test_abelian_check_elem_takes_exact_int_entries(bad):
 def test_abelian_check_elem_accepts_lists_and_tuples():
     g = abelian_group([0, 2])
     assert g.check_elem([-3, 5]) == g.check_elem((-3, 5)) == (-3, 1)
+
+
+def _walk(group, values):
+    """``check_elem`` on each value, or None at the first it rejects."""
+    out = []
+    for v in values:
+        try:
+            out.append(group.check_elem(v))
+        except GroupError:
+            return None
+    return out
+
+
+_BIG = st.integers(-10**100, 10**100)
+_JUNK = (st.booleans() | st.floats(allow_nan=False) | st.text(max_size=3)
+         | st.lists(st.integers(-3, 3), max_size=2) | st.none())
+
+
+@given(st.data())
+def test_finite_check_elems_matches_check_elem(data):
+    group = make_finite_group([[(a + b) % 6 for b in range(6)] for a in range(6)])
+    value = st.integers(-2, 8) | st.integers(0, 5) | _BIG | _JUNK
+    values = data.draw(st.lists(value, max_size=8))
+    assert group.check_elems(values) == _walk(group, values)
+
+
+@given(st.data())
+def test_abelian_check_elems_matches_check_elem(data):
+    factors = data.draw(st.lists(st.sampled_from((0, 2, 3, 12)), max_size=3))
+    group = abelian_group(factors)
+    entry = st.integers(-30, 30) | _BIG
+    good = st.lists(entry, min_size=len(factors), max_size=len(factors))
+    bad_entry = st.lists(entry | _JUNK, min_size=len(factors), max_size=len(factors))
+    wrong_length = st.lists(entry, max_size=4).filter(lambda v: len(v) != len(factors))
+    value = (good | good.map(tuple) | good | bad_entry | bad_entry.map(tuple) | wrong_length
+             | _JUNK | _BIG)
+    values = data.draw(st.lists(value, max_size=8))
+    got = group.check_elems(values)
+    assert got == _walk(group, values)
+    event("valid" if got is not None else "rejected")

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from surfemb4.intlinalg import (
     HermiteLattice,
@@ -166,3 +167,26 @@ def test_poly_divmod():
     assert q == [1, 1] and r == []
     q, r = poly_divmod([1, 1, 1], [0, 1])  # (x^2 + x + 1) / x
     assert q == [1, 1] and r == [1]
+
+
+_ENTRY = st.integers(-2**70, 2**70) | st.integers(-5, 5)
+
+
+@given(st.data())
+def test_hermite_reduce_all_matches_reduce_per_vector(data):
+    n = data.draw(st.integers(0, 6))
+    row = st.lists(_ENTRY, min_size=n, max_size=n)
+    lat = HermiteLattice(data.draw(st.lists(row, max_size=5)), n)
+    vecs = data.draw(st.lists(row, max_size=8))
+    got = lat.reduce_all(vecs)
+    assert got == [lat.reduce(v) for v in vecs]
+    for vec, rep in zip(vecs, got):  # each output is the canonical member of its coset
+        assert lat.contains([a - b for a, b in zip(vec, rep)])
+        assert all(0 <= rep[col] < r[col] for r, col in zip(lat.rows, lat.pivot_cols))
+
+
+def test_hermite_reduce_all_on_an_empty_batch_and_a_zero_lattice():
+    assert HermiteLattice([[2, 1]], 2).reduce_all([]) == []
+    zero = HermiteLattice([[0, 0, 0]], 3)
+    assert zero.reduce_all([[1, -2, 2**70], (0, 0, 0)]) == [(1, -2, 2**70), (0, 0, 0)]
+    assert HermiteLattice([], 0).reduce_all([[], ()]) == [(), ()]

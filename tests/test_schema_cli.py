@@ -137,6 +137,21 @@ def test_cli_decide_batch(tmp_path, capsys):
     assert set(out) == {"torus_s3s1.json", "klein_bottle_e0.json"}
 
 
+def test_annulus_over_an_empty_rel_h2_basis_validates_and_decides(tmp_path, capsys):
+    doc = example_doc("torus_s3s1")
+    doc["catalogs"]["rel_h2"] = {"basis": [], "boundary": {}}
+    doc["catalogs"]["bands"] = [{
+        "id": "annulus", "kind": "annulus", "rel_class": [], "boundary_classes": [[1, 0], [1, 0]],
+        "w1_sigma": [0, 0], "w1m_core": 0, "mu_boundary": 0, "arc_count": 0, "interior": 0,
+        "euler": 0}]
+    path = tmp_path / "empty_basis.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "errors": []}
+    assert cli.main(["decide", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["b_char"] == "yes"
+
+
 def test_cli_km(capsys):
     assert cli.main(["km", "tubed_sphere"]) == 0
     assert json.loads(capsys.readouterr().out) == {"km": 0}

@@ -65,3 +65,21 @@ def test_validate_error_pointers(case, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is False
     assert [e.split(": ", 1)[0] for e in out["errors"]] == pointers
+
+
+def test_bad_etas_among_valid_points_are_each_reported(tmp_path, capsys):
+    """All etas are checked in one pass; one bad eta still gets every eta error, in order."""
+    doc = _doc("torus_s3s1")
+    doc["double_points"] = [{"components": [0, 0], "eta": [i - 25], "id": i, "sign": 1 - 2 * (i % 2)}
+                            for i in range(50)]
+    doc["whitney_collection"] = None
+    for i, bad in ((3, [True]), (17, [1, 2]), (41, "x")):
+        doc["double_points"][i]["eta"] = bad
+    path = tmp_path / "bad_etas.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["errors"] == [
+        "/double_points/3/eta: invalid element [True] for factors (0,)",
+        "/double_points/17/eta: invalid element [1, 2] for factors (0,)",
+        "/double_points/41/eta: invalid element 'x' for factors (0,)",
+    ]
