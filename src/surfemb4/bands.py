@@ -152,10 +152,7 @@ class RelH2:
         return tuple(vec)
 
     def boundary_of(self, vec, dim: int) -> tuple[int, ...]:
-        """The boundary of a class in H1 = GF(2)^dim; class 0 has boundary 0, also over no basis.
-
-        A basis boundary of another length than ``dim`` is a BandError.
-        """
+        """The boundary of a class in H1 = GF(2)^dim; class 0 has boundary 0, also over no basis."""
         total = (0,) * dim
         for bit, name in zip(self.check_class(vec), self.basis):
             b = self.boundary[name]

@@ -162,11 +162,8 @@ def points_between(points: Sequence[DoublePoint], i: int, j: int) -> list[Double
 
 
 def primary_obstructions(inst: ProblemInstance) -> dict:
-    """Reduce all intersection and self-intersection lists into their targets.
-
-    The points are sorted into lists by unordered component pair in one pass.
-    """
-    lists = defaultdict(list)
+    """Reduce all intersection and self-intersection lists into their targets."""
+    lists = defaultdict(list)  # unordered component pair -> its points' (sign, eta)
     for p in inst.points:
         lists[frozenset(p.components)].append((p.sign, p.eta))
     out = {}

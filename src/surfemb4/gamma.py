@@ -161,26 +161,23 @@ class GammaGroup:
 
     def _classify_new(self, new: list) -> None:
         """Table entries for canonical elements not yet classified, in batched passes."""
-        two = self._global_two
         reps = self._hat.reduce_all(list(map(add, new, repeat((0,)))))
-        if not self.ctx.self_pairing:
-            for e, r in zip(new, reps):
-                self._table[e] = (Orbit(r[:-1], two), None if two else 1 - 2 * r[-1])
-            return
-        # (e, +1) ~ (-e, wM(e)): the inverses' classes, built column by column
-        cols = list(zip(*new))
-        bits = [0] * len(new)
-        for col, v in zip(cols, self.ctx.wM.values):
-            if v == -1:
-                bits = list(map(add, bits, col))
-        invs = self._hat.reduce_all(list(zip(*[map(neg, col) for col in cols],
-                                             map(and_, bits, repeat(1)))))
+        invs = reps  # without self-pairing an element is its own "inverse"
+        if self.ctx.self_pairing:
+            # (e, +1) ~ (-e, wM(e)): the inverses' classes, built column by column
+            cols = list(zip(*new))
+            bits = [0] * len(new)
+            for col, v in zip(cols, self.ctx.wM.values):
+                if v == -1:
+                    bits = list(map(add, bits, col))
+            invs = self._hat.reduce_all(list(zip(*[map(neg, col) for col in cols],
+                                                 map(and_, bits, repeat(1)))))
         for e, r, inv in zip(new, reps, invs):
             rep, bit, irep, ibit = r[:-1], r[-1], inv[:-1], inv[-1]
-            pair_two = two or (irep == rep and ibit != bit)
+            two = self._global_two or (irep == rep and ibit != bit)
             if irep < rep:
                 rep, bit = irep, ibit
-            self._table[e] = (Orbit(rep, pair_two), None if pair_two else 1 - 2 * bit)
+            self._table[e] = (Orbit(rep, two), None if two else 1 - 2 * bit)
 
     # -- shared API ------------------------------------------------------
 
