@@ -162,7 +162,7 @@ class GammaGroup:
     def _classify_new(self, new: list) -> None:
         """Table entries for canonical elements not yet classified, in batched passes."""
         reps = self._hat.reduce_all(list(map(add, new, repeat((0,)))))
-        invs = reps  # without self-pairing an element is its own "inverse"
+        invs = reps  # without self-pairing, comparing each class with itself changes nothing
         if self.ctx.self_pairing:
             # (e, +1) ~ (-e, wM(e)): the inverses' classes, built column by column
             cols = list(zip(*new))
