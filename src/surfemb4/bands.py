@@ -57,10 +57,6 @@ class ThetaConflict(BandError):
         self.witnesses = witnesses
 
 
-class InconsistentCut(BandError):
-    pass
-
-
 @dataclass(frozen=True)
 class SurfaceComponent:
     id: int
@@ -110,9 +106,10 @@ class SurfaceModel:
         self._a_classes = tuple(i for i, (_, name) in enumerate(self.basis) if name.startswith("a"))
 
     def check_vec(self, vec) -> tuple[int, ...]:
-        if len(vec) != self.dim or any(x not in (0, 1) for x in vec):
+        bits = tuple(vec)  # counting is C-level; == accepts what `x in (0, 1)` does
+        if len(bits) != self.dim or bits.count(0) + bits.count(1) != self.dim:
             raise BandError(f"bad H1 vector {vec!r}; expected {self.dim} bits")
-        return tuple(vec)
+        return bits
 
     def form(self, x, y) -> int:
         x, y = self.check_vec(x), self.check_vec(y)
@@ -147,9 +144,10 @@ class RelH2:
             raise BandError("boundary map must be defined exactly on the basis")
 
     def check_class(self, vec) -> tuple[int, ...]:
-        if len(vec) != len(self.basis) or any(x not in (0, 1) for x in vec):
+        bits, n = tuple(vec), len(self.basis)
+        if len(bits) != n or bits.count(0) + bits.count(1) != n:
             raise BandError(f"bad RelH2 vector {vec!r}")
-        return tuple(vec)
+        return bits
 
     def boundary_of(self, vec, dim: int) -> tuple[int, ...]:
         """The boundary of a class in H1 = GF(2)^dim; class 0 has boundary 0, also over no basis."""
@@ -447,38 +445,3 @@ def band_fibre_finger_move(points, collection: WhitneyCollection, record: BandRe
     if delta != expected:
         raise InternalConsistency("finger move changed t by a value other than Theta")
     return new_points, out, delta
-
-
-def split_cut_components(nodes: Sequence[int], edges: Sequence[tuple[int, int, int]]):
-    """Select the subset of cut pieces on the even side of the cut curves.
-
-    Nodes are the pieces of the cut-open surface; each edge is a cut curve
-    with a crossing parity.  An odd-parity cycle means the cut is not
-    null-homologous and no selection exists.
-    """
-    labels: dict[int, int] = {}
-    adj: dict[int, list[tuple[int, int]]] = {n: [] for n in nodes}
-    for u, v, parity in edges:
-        if u not in adj or v not in adj:
-            raise BandError(f"edge ({u},{v}) references an unknown node")
-        if parity not in (0, 1):
-            raise BandError("crossing parities must be 0 or 1")
-        adj[u].append((v, parity))
-        adj[v].append((u, parity))
-    for base in sorted(adj):
-        if base in labels:
-            continue
-        labels[base] = 0
-        queue = [base]
-        while queue:
-            u = queue.pop(0)
-            for v, parity in adj[u]:
-                want = labels[u] ^ parity
-                if v not in labels:
-                    labels[v] = want
-                    queue.append(v)
-                elif labels[v] != want:
-                    raise InconsistentCut(
-                        "a cut curve has an odd crossing cycle; the cut is not null-homologous"
-                    )
-    return sorted(n for n in adj if labels[n] == 0)

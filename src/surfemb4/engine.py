@@ -11,21 +11,13 @@ the citations needed to audit it.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .bands import BandCatalog, BCharResult, SurfaceModel, is_b_characteristic
-from .errors import InternalConsistency
 from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list
 from .groups import AmbientGroup, Character, SignedSubgroup
-from .whitney import (
-    DoublePoint,
-    UnpairedPoints,
-    WhitneyCollection,
-    WhitneyDisc,
-    t_count,
-    to_convenient,
-)
+from .whitney import DoublePoint, UnpairedPoints, WhitneyCollection, t_count, to_convenient
 
 TOOL_VERSION = "0.1.0"
 
@@ -52,10 +44,6 @@ class NoDualSpheres(EngineError):
 
 
 class MissingWhitneyData(EngineError):
-    pass
-
-
-class PreconditionW1Ker(EngineError):
     pass
 
 
@@ -432,49 +420,6 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
 
 
 # -- auxiliary operations -------------------------------------------------------
-
-
-def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
-    """Four same-sign cusps plus two interlocking discs; flips the t-count.
-
-    Applicable when some F^t component carries (1,-1) in its signed
-    subgroup, so the four new identity-labeled points cancel in the
-    order-two identity class and mu is unchanged.
-    """
-    ft = restrict_Ft(inst)
-    eligible = [cid for cid in ft if inst.component(cid).subgroup.contains_minus_one]
-    if not eligible:
-        raise PreconditionW1Ker(
-            "no F^t component has orientation-reversing kernel classes"
-        )
-    cid = min(eligible)
-    identity = inst.group.identity
-    next_pid = max((p.id for p in inst.points), default=-1) + 1
-    new_points = [
-        DoublePoint(next_pid + k, (cid, cid), 1, identity) for k in range(4)
-    ]
-    collection = _normalized_collection(inst)
-    if collection is None:
-        if inst.points:
-            raise MissingWhitneyData("cannot rebuild t without a Whitney collection")
-        collection = WhitneyCollection((), {}, convenient=True)
-    next_did = max((d.id for d in collection.discs), default=-1) + 1
-    w_a = WhitneyDisc(next_did, (new_points[0].id, new_points[1].id), {})
-    w_b = WhitneyDisc(next_did + 1, (new_points[2].id, new_points[3].id), {})
-    boundary = {frozenset((w_a.id, w_b.id)): 1}
-    weak = WhitneyCollection(collection.discs + (w_a, w_b), boundary, convenient=False)
-    all_points = list(inst.points) + new_points
-    new_collection = to_convenient(all_points, weak)
-
-    ctx = PairingContext(inst.group, inst.wM, inst.component(cid).subgroup,
-                         inst.component(cid).subgroup, self_pairing=True)
-    gamma = build_gamma(ctx)
-    before = reduce_list([(p.sign, p.eta) for p in points_between(inst.points, cid, cid)], gamma)
-    after = reduce_list([(p.sign, p.eta) for p in points_between(all_points, cid, cid)], gamma)
-    if before != after:
-        raise InternalConsistency("cusp quadruple changed mu")
-
-    return replace(inst, points=tuple(all_points), collection=new_collection)
 
 
 def rp2_euler_parity(e: int) -> int:

@@ -48,14 +48,6 @@ class AmbientNotFinite(GammaError):
     pass
 
 
-class InconsistentEulerData(GammaError):
-    pass
-
-
-class ParityMismatch(GammaError):
-    pass
-
-
 @dataclass(frozen=True)
 class PairingContext:
     """Data determining the target group of an intersection number.
@@ -319,48 +311,6 @@ def mu1_home(ctx: PairingContext) -> str:
     if home_z != (not tag_two):
         raise InternalConsistency("identity orbit tag disagrees with subgroup criterion")
     return "Z" if home_z else "Z/2"
-
-
-@dataclass(frozen=True)
-class EulerData:
-    lambda1: int
-    mu1: int
-    e: int
-
-
-def euler_relation(lambda1: Optional[int] = None, mu1: Optional[int] = None,
-                   e: Optional[int] = None) -> EulerData:
-    """Check or complete lambda_1 = 2*mu_1 + e (integer-valued case)."""
-    unknowns = [x is None for x in (lambda1, mu1, e)]
-    if sum(unknowns) > 1:
-        raise GammaError("need at least two of lambda1, mu1, e")
-    if lambda1 is None:
-        lambda1 = 2 * mu1 + e
-    elif mu1 is None:
-        if (lambda1 - e) % 2:
-            raise InconsistentEulerData(f"lambda1 - e = {lambda1 - e} is odd")
-        mu1 = (lambda1 - e) // 2
-    elif e is None:
-        e = lambda1 - 2 * mu1
-    if lambda1 != 2 * mu1 + e:
-        raise InconsistentEulerData(f"{lambda1} != 2*{mu1} + {e}")
-    return EulerData(lambda1, mu1, e)
-
-
-def regular_homotopy_fiber(w1_pullback_trivial: bool, w2: Optional[int], value: int) -> int:
-    """Index of a regular homotopy class within a homotopy class.
-
-    In the w1-trivial case ``value`` is the normal Euler number and the
-    index is e/2 or (e-1)/2 according to w2; otherwise classes are indexed
-    by the mod-2 identity coefficient of the self-intersection number.
-    """
-    if not w1_pullback_trivial:
-        return value % 2
-    if w2 not in (0, 1):
-        raise GammaError("w2 must be 0 or 1 in the w1-trivial case")
-    if value % 2 != w2:
-        raise ParityMismatch(f"Euler number {value} has parity != w2 = {w2}")
-    return value // 2 if w2 == 0 else (value - 1) // 2
 
 
 def smith_oracle(ctx: PairingContext) -> tuple[int, list[int]]:

@@ -246,16 +246,6 @@ def _greedy_generators(rows, cols) -> list[int]:
     return generators
 
 
-def cyclic_group(n: int) -> AmbientGroup:
-    """C_n as a table for n >= 1; the infinite cyclic group Z for n = 0."""
-    if n < 0:
-        raise GroupError("n must be >= 0")
-    if n == 0:
-        return FGAbelianGroup((0,))
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return make_finite_group(table)
-
-
 def abelian_group(factors: Sequence[int]) -> FGAbelianGroup:
     return FGAbelianGroup(factors)
 
@@ -298,14 +288,6 @@ class Character:
                 out = -out
         return out
 
-    def is_trivial(self) -> bool:
-        return all(v == 1 for v in self.values)
-
-
-def trivial_character(group: AmbientGroup) -> Character:
-    n = group.order if group.kind == "finite" else group.rank
-    return Character(group, [1] * n)
-
 
 def _sign_bit(s: int) -> int:
     return 0 if s == 1 else 1
@@ -342,9 +324,6 @@ class SignedSubgroup:
         if self.ambient.kind == "finite":
             return (elem, sign) in self.closure
         return self.lattice.contains(tuple(elem) + (_sign_bit(sign),))
-
-    def sign_is_homomorphism(self) -> bool:
-        return not self.contains_minus_one
 
     def character_trivial_on_projection(self, chi: Character) -> bool:
         """A character is trivial on a generated subgroup iff it is on the generators."""

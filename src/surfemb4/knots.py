@@ -49,10 +49,6 @@ class DNotCovered(KnotError):
     pass
 
 
-class RankZero(KnotError):
-    pass
-
-
 class SeifertMatrix:
     """Square integer matrix of even size with unimodular antisymmetrisation."""
 
@@ -416,13 +412,8 @@ class CP2GenusVerdict:
     lower: int
     upper: int
     exact: Optional[int]
-    incomplete: bool = False
+    incomplete: bool = False  # the window always covers every class; kept in the output
     scan_limit: int = 0
-
-
-# Widest class scan.  Seifert matrices are capped at n <= 40, where the window
-# is isqrt(97) + 1 = 10, so a knot file never reaches it.
-SCAN_CAP = 64
 
 
 def cp2_genus_verdict(V: SeifertMatrix) -> CP2GenusVerdict:
@@ -441,56 +432,15 @@ def cp2_genus_verdict(V: SeifertMatrix) -> CP2GenusVerdict:
     # |sigma| <= n bounds the tail: both formulas give RHS >= 2 beyond this
     need = max(2 * n + 6, (9 * (n + 3) + 3) // 4)
     window = math.isqrt(need) + 1
-    incomplete = window > SCAN_CAP
-    window = min(window, SCAN_CAP)
     signature = _folded_signatures(V)
     for d in range(-window, window + 1):
         if d in (-1, 1):
             continue
         if _lower_bound(d, signature) < 1:
-            return CP2GenusVerdict(lower=0, upper=1, exact=None,
-                                   incomplete=incomplete, scan_limit=window)
-    if incomplete:
-        return CP2GenusVerdict(lower=0, upper=1, exact=None,
-                               incomplete=True, scan_limit=window)
+            return CP2GenusVerdict(lower=0, upper=1, exact=None, scan_limit=window)
     return CP2GenusVerdict(lower=1, upper=1, exact=1, scan_limit=window)
 
 
 def shake_genus_pm1(V: SeifertMatrix) -> int:
     """Minimal genus generating the second homology of the +-1 trace."""
     return arf(V)
-
-
-@dataclass(frozen=True)
-class MGenusResult:
-    genus: Optional[int]
-    routed: bool
-    cp2: Optional[CP2GenusVerdict] = None
-    note: str = ""
-
-
-def m_genus_simply_connected(rank: int, V: SeifertMatrix,
-                             diag_parities=None) -> MGenusResult:
-    """M-genus of a knot in a closed simply connected 4-manifold.
-
-    Rank >= 2 intersection forms always contain a primitive class of even
-    square, which forces genus 0.  Rank-1 forms are routed through the
-    degree scan (this covers both the complex projective plane and its
-    Chern-manifold twin, which is flagged rather than silently folded in).
-    """
-    if rank == 0:
-        raise RankZero("the 4-sphere is outside this corollary")
-    if rank >= 2:
-        return MGenusResult(genus=0, routed=False)
-    if diag_parities is True or (
-        isinstance(diag_parities, (list, tuple)) and any(p % 2 == 0 for p in diag_parities)
-    ):
-        return MGenusResult(genus=0, routed=False,
-                            note="declared primitive even-square class")
-    verdict = cp2_genus_verdict(V)
-    return MGenusResult(
-        genus=verdict.exact,
-        routed=True,
-        cp2=verdict,
-        note="rank-1 form: projective-plane logic applies (Chern manifold included, flagged)",
-    )

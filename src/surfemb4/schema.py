@@ -431,86 +431,6 @@ def instance_from_dict(doc) -> tuple[Optional[ProblemInstance], list[str]]:
     return inst, errors
 
 
-def instance_to_dict(inst: ProblemInstance) -> dict:
-    """Serialize an in-memory instance back to the interchange format."""
-    group = inst.group
-    if group.kind == "finite":
-        gdoc = {"kind": "finite", "table": [list(row) for row in group.table]}
-    else:
-        gdoc = {"kind": "abelian", "factors": list(group.factors)}
-    comps = []
-    for c in inst.components:
-        entry = {
-            "id": c.id,
-            "signed_subgroup": [[g, s] for g, s in c.subgroup.generators],
-            "has_alg_dual": c.has_alg_dual,
-            "dual_framed": c.dual_framed,
-        }
-        if c.w2 is not None:
-            entry["w2"] = c.w2
-        if c.euler is not None:
-            entry["e"] = c.euler
-        comps.append(entry)
-    wc = None
-    if inst.collection is not None:
-        wc = {
-            "convenient": inst.collection.convenient,
-            "discs": [
-                {
-                    "id": d.id,
-                    "pairs": list(d.pair),
-                    "interior": {str(k): v for k, v in sorted(d.interior.items())},
-                    "mu_boundary": d.mu_boundary,
-                    "euler": d.euler,
-                }
-                for d in inst.collection.discs
-            ],
-            "boundary_intersections": [
-                [min(key), max(key), count]
-                for key, count in sorted(inst.collection.boundary.items(), key=lambda kv: sorted(kv[0]))
-            ],
-        }
-    return {
-        "version": SCHEMA_VERSION,
-        "group": gdoc,
-        "characters": {"wM": list(inst.wM.values)},
-        "components": comps,
-        "surface": {
-            "components": [
-                {"id": s.id, "genus": s.genus, "orientable": s.orientable,
-                 "boundary_circles": s.boundary_circles}
-                for s in inst.surface.components
-            ]
-        },
-        "double_points": [
-            {"id": p.id, "components": list(p.components), "sign": p.sign,
-             "eta": p.eta}
-            for p in inst.points
-        ],
-        "whitney_collection": wc,
-        "catalogs": {
-            "rel_h2": {
-                "basis": list(inst.band_catalog.rel.basis),
-                "boundary": {k: list(v) for k, v in sorted(inst.band_catalog.rel.boundary.items())},
-            },
-            "bands": [
-                {
-                    "id": r.id, "kind": r.kind, "rel_class": list(r.rel_class),
-                    "boundary_classes": [list(c) for c in r.boundary_classes],
-                    "w1_sigma": list(r.w1_sigma), "w1m_core": r.w1m_core,
-                    "mu_boundary": r.mu_boundary, "arc_count": r.arc_count,
-                    "interior": r.interior, "euler": r.euler,
-                }
-                for r in inst.band_catalog.records
-            ],
-            "spheres": [list(p) for p in inst.sphere_catalog],
-            "rp2": [list(p) for p in inst.rp2_catalog],
-        },
-        "flags": {"good_group": inst.good_group,
-                  "torus_summand": sorted(inst.torus_summands)},
-    }
-
-
 def verdict_to_json(verdict: Verdict) -> str:
     """Canonical byte-stable rendering of a verdict document."""
     return json.dumps(verdict.as_dict(), sort_keys=True, indent=2) + "\n"

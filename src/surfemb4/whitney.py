@@ -13,19 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .errors import InternalConsistency
-from .gamma import GammaGroup, reduce_list
-
 
 class WhitneyError(ValueError):
-    pass
-
-
-class NoPairing(WhitneyError):
-    pass
-
-
-class MixedComponents(WhitneyError):
     pass
 
 
@@ -34,10 +23,6 @@ class NotConvenient(WhitneyError):
 
 
 class UnpairedPoints(WhitneyError):
-    pass
-
-
-class NothingToTransfer(WhitneyError):
     pass
 
 
@@ -115,43 +100,6 @@ def _check_pairs_exactly(points, components, collection) -> None:
         )
 
 
-def find_pairing(points: list[DoublePoint], gamma: GammaGroup) -> list[tuple[int, int]]:
-    """Match double points into cancelling pairs, or raise NoPairing.
-
-    A matching exists exactly when the signed sum of the points vanishes in
-    the quotient group: order-two orbits need even counts, infinite-order
-    orbits need balanced effective signs.
-    """
-    if not points:
-        return []
-    comp_pairs = {frozenset(p.components) for p in points}
-    if len(comp_pairs) > 1:
-        raise MixedComponents(f"points span component pairs {sorted(map(sorted, comp_pairs))}")
-    buckets: dict = {}
-    for p in sorted(points, key=lambda p: p.id):
-        orbit, section = gamma.classify(p.eta)
-        eff = 0 if section is None else p.sign * section
-        buckets.setdefault((orbit, eff), []).append(p.id)
-    pairs: list[tuple[int, int]] = []
-    for (orbit, eff), ids in sorted(buckets.items(), key=lambda kv: str(kv[0])):
-        if orbit.order_two:
-            if len(ids) % 2:
-                raise NoPairing(f"odd number of points on order-two orbit {orbit.rep!r}")
-            pairs.extend((ids[i], ids[i + 1]) for i in range(0, len(ids), 2))
-        elif eff == 1:
-            minus = buckets.get((orbit, -1), [])
-            if len(ids) != len(minus):
-                raise NoPairing(f"unbalanced signs on orbit {orbit.rep!r}")
-            pairs.extend(zip(ids, minus))
-    # orbits seen only with eff == -1 and no partner
-    for (orbit, eff), ids in buckets.items():
-        if not orbit.order_two and eff == -1 and (orbit, 1) not in buckets and ids:
-            raise NoPairing(f"unbalanced signs on orbit {orbit.rep!r}")
-    if not reduce_list([(p.sign, p.eta) for p in points], gamma).is_zero():
-        raise InternalConsistency("a complete pairing left a nonzero intersection number")
-    return sorted(pairs)
-
-
 def t_count(points, components, collection: WhitneyCollection) -> int:
     """Mod-2 count of interior intersections with the given components."""
     if not collection.convenient:
@@ -194,53 +142,3 @@ def to_convenient(points, collection: WhitneyCollection) -> WhitneyCollection:
             interior[comp] = interior.get(comp, 0) + 1
         new_discs.append(replace(d, interior=interior, mu_boundary=0, euler=0))
     return WhitneyCollection(tuple(new_discs), {}, convenient=True)
-
-
-def transfer_move(points, collection: WhitneyCollection, w1_id: int, w2_id: int,
-                  identity) -> tuple[list[DoublePoint], WhitneyCollection]:
-    """Move one interior intersection from each of two discs onto fresh discs.
-
-    A finger move creates six new double points paired by three embedded
-    discs V, U1, U2; V picks up the two transferred intersections and each
-    U_i meets the surface twice, so the total t-count is unchanged.
-    """
-    discs = {d.id: d for d in collection.discs}
-    if w1_id not in discs or w2_id not in discs:
-        raise WhitneyError("unknown disc id")
-    w1, w2 = discs[w1_id], discs[w2_id]
-    if w1.interior_total() < 1 or w2.interior_total() < 1:
-        raise NothingToTransfer("both discs need an interior intersection")
-    by_id = {p.id: p for p in points}
-
-    def decrement(d: WhitneyDisc) -> tuple[WhitneyDisc, int]:
-        comp = min(c for c, v in sorted(d.interior.items()) if v > 0)
-        interior = dict(d.interior)
-        interior[comp] -= 1
-        return replace(d, interior=interior), comp
-
-    new_w1, comp_e = decrement(w1)
-    new_w2, comp_f = decrement(w2)
-    comp_a = by_id[w1.pair[0]].components[0]
-    comp_c = by_id[w2.pair[0]].components[0]
-
-    next_pid = max((p.id for p in points), default=-1) + 1
-    next_did = max(discs) + 1
-
-    def fresh_pair(pair_comps):
-        nonlocal next_pid
-        p = DoublePoint(next_pid, pair_comps, 1, identity)
-        q = DoublePoint(next_pid + 1, pair_comps, -1, identity)
-        next_pid += 2
-        return p, q
-
-    v1, v2 = fresh_pair((comp_a, comp_c))
-    u11, u12 = fresh_pair((comp_e, comp_a))
-    u21, u22 = fresh_pair((comp_f, comp_c))
-    new_points = list(points) + [v1, v2, u11, u12, u21, u22]
-    v_disc = WhitneyDisc(next_did, (v1.id, v2.id), {comp_e: 1, comp_f: 1} if comp_e != comp_f else {comp_e: 2})
-    u1_disc = WhitneyDisc(next_did + 1, (u11.id, u12.id), {comp_a: 2})
-    u2_disc = WhitneyDisc(next_did + 2, (u21.id, u22.id), {comp_c: 2})
-    new_list = [new_w1 if d.id == w1_id else new_w2 if d.id == w2_id else d for d in collection.discs]
-    new_list += [v_disc, u1_disc, u2_disc]
-    return new_points, WhitneyCollection(tuple(new_list), dict(collection.boundary),
-                                         convenient=collection.convenient)

@@ -1,9 +1,10 @@
-"""Shared test fixtures and reference implementations.
+"""Shared test fixtures, input builders and reference implementations.
 
-Small-group catalog, characters, random subgroups and contexts, and the
-slow or older computations that the package's fast paths are compared
-against: knot, gamma, list-reduction, Whitney-conversion and projective-plane
-oracles.
+Small-group catalog, characters, random subgroups and contexts; builders of
+test inputs (cyclic groups, trivial characters, instance documents, and the
+t-preserving transfer move and cusp trick); and the slow or older
+computations that the package's fast paths are compared against: knot,
+gamma, list-reduction, Whitney-conversion and projective-plane oracles.
 """
 
 from __future__ import annotations
@@ -14,19 +15,54 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from surfemb4.gamma import GammaElement, GammaError, GammaGroup, Orbit, PairingContext
+from surfemb4.engine import (
+    EngineError,
+    MissingWhitneyData,
+    ProblemInstance,
+    _normalized_collection,
+    points_between,
+    restrict_Ft,
+)
+from surfemb4.errors import InternalConsistency
+from surfemb4.gamma import (
+    GammaElement,
+    GammaError,
+    GammaGroup,
+    Orbit,
+    PairingContext,
+    build_gamma,
+    reduce_list,
+)
 from surfemb4.groups import (
+    AmbientGroup,
     Character,
+    FGAbelianGroup,
     FiniteTableGroup,
+    GroupError,
     _sign_bit,
     abelian_group,
-    cyclic_group,
     make_finite_group,
     subgroup_closure,
 )
 from surfemb4.intlinalg import HermiteLattice
 from surfemb4.knots import SeifertMatrix
-from surfemb4.whitney import WhitneyCollection
+from surfemb4.schema import SCHEMA_VERSION
+from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, WhitneyError, to_convenient
+
+
+def cyclic_group(n: int) -> AmbientGroup:
+    """C_n as a table for n >= 1; the infinite cyclic group Z for n = 0."""
+    if n < 0:
+        raise GroupError("n must be >= 0")
+    if n == 0:
+        return FGAbelianGroup((0,))
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return make_finite_group(table)
+
+
+def trivial_character(group: AmbientGroup) -> Character:
+    n = group.order if group.kind == "finite" else group.rank
+    return Character(group, [1] * n)
 
 
 def direct_product(a: FiniteTableGroup, b: FiniteTableGroup) -> FiniteTableGroup:
@@ -433,3 +469,184 @@ def theta_violations(pairs) -> set[tuple[int, ...]]:
             if not any(total) and sum(pairs[i][1] for i in subset) % 2:
                 out.add(subset)
     return out
+
+
+def instance_to_dict(inst: ProblemInstance) -> dict:
+    """Serialize an in-memory instance back to the interchange format."""
+    group = inst.group
+    if group.kind == "finite":
+        gdoc = {"kind": "finite", "table": [list(row) for row in group.table]}
+    else:
+        gdoc = {"kind": "abelian", "factors": list(group.factors)}
+    comps = []
+    for c in inst.components:
+        entry = {
+            "id": c.id,
+            "signed_subgroup": [[g, s] for g, s in c.subgroup.generators],
+            "has_alg_dual": c.has_alg_dual,
+            "dual_framed": c.dual_framed,
+        }
+        if c.w2 is not None:
+            entry["w2"] = c.w2
+        if c.euler is not None:
+            entry["e"] = c.euler
+        comps.append(entry)
+    wc = None
+    if inst.collection is not None:
+        wc = {
+            "convenient": inst.collection.convenient,
+            "discs": [
+                {
+                    "id": d.id,
+                    "pairs": list(d.pair),
+                    "interior": {str(k): v for k, v in sorted(d.interior.items())},
+                    "mu_boundary": d.mu_boundary,
+                    "euler": d.euler,
+                }
+                for d in inst.collection.discs
+            ],
+            "boundary_intersections": [
+                [min(key), max(key), count]
+                for key, count in sorted(inst.collection.boundary.items(), key=lambda kv: sorted(kv[0]))
+            ],
+        }
+    return {
+        "version": SCHEMA_VERSION,
+        "group": gdoc,
+        "characters": {"wM": list(inst.wM.values)},
+        "components": comps,
+        "surface": {
+            "components": [
+                {"id": s.id, "genus": s.genus, "orientable": s.orientable,
+                 "boundary_circles": s.boundary_circles}
+                for s in inst.surface.components
+            ]
+        },
+        "double_points": [
+            {"id": p.id, "components": list(p.components), "sign": p.sign,
+             "eta": p.eta}
+            for p in inst.points
+        ],
+        "whitney_collection": wc,
+        "catalogs": {
+            "rel_h2": {
+                "basis": list(inst.band_catalog.rel.basis),
+                "boundary": {k: list(v) for k, v in sorted(inst.band_catalog.rel.boundary.items())},
+            },
+            "bands": [
+                {
+                    "id": r.id, "kind": r.kind, "rel_class": list(r.rel_class),
+                    "boundary_classes": [list(c) for c in r.boundary_classes],
+                    "w1_sigma": list(r.w1_sigma), "w1m_core": r.w1m_core,
+                    "mu_boundary": r.mu_boundary, "arc_count": r.arc_count,
+                    "interior": r.interior, "euler": r.euler,
+                }
+                for r in inst.band_catalog.records
+            ],
+            "spheres": [list(p) for p in inst.sphere_catalog],
+            "rp2": [list(p) for p in inst.rp2_catalog],
+        },
+        "flags": {"good_group": inst.good_group,
+                  "torus_summand": sorted(inst.torus_summands)},
+    }
+
+
+class PreconditionW1Ker(EngineError):
+    pass
+
+
+def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
+    """Four same-sign cusps plus two interlocking discs; flips the t-count.
+
+    Applicable when some F^t component carries (1,-1) in its signed
+    subgroup, so the four new identity-labeled points cancel in the
+    order-two identity class and mu is unchanged.
+    """
+    ft = restrict_Ft(inst)
+    eligible = [cid for cid in ft if inst.component(cid).subgroup.contains_minus_one]
+    if not eligible:
+        raise PreconditionW1Ker(
+            "no F^t component has orientation-reversing kernel classes"
+        )
+    cid = min(eligible)
+    identity = inst.group.identity
+    next_pid = max((p.id for p in inst.points), default=-1) + 1
+    new_points = [
+        DoublePoint(next_pid + k, (cid, cid), 1, identity) for k in range(4)
+    ]
+    collection = _normalized_collection(inst)
+    if collection is None:
+        if inst.points:
+            raise MissingWhitneyData("cannot rebuild t without a Whitney collection")
+        collection = WhitneyCollection((), {}, convenient=True)
+    next_did = max((d.id for d in collection.discs), default=-1) + 1
+    w_a = WhitneyDisc(next_did, (new_points[0].id, new_points[1].id), {})
+    w_b = WhitneyDisc(next_did + 1, (new_points[2].id, new_points[3].id), {})
+    boundary = {frozenset((w_a.id, w_b.id)): 1}
+    weak = WhitneyCollection(collection.discs + (w_a, w_b), boundary, convenient=False)
+    all_points = list(inst.points) + new_points
+    new_collection = to_convenient(all_points, weak)
+
+    ctx = PairingContext(inst.group, inst.wM, inst.component(cid).subgroup,
+                         inst.component(cid).subgroup, self_pairing=True)
+    gamma = build_gamma(ctx)
+    before = reduce_list([(p.sign, p.eta) for p in points_between(inst.points, cid, cid)], gamma)
+    after = reduce_list([(p.sign, p.eta) for p in points_between(all_points, cid, cid)], gamma)
+    if before != after:
+        raise InternalConsistency("cusp quadruple changed mu")
+
+    return replace(inst, points=tuple(all_points), collection=new_collection)
+
+
+class NothingToTransfer(WhitneyError):
+    pass
+
+
+def transfer_move(points, collection: WhitneyCollection, w1_id: int, w2_id: int,
+                  identity) -> tuple[list[DoublePoint], WhitneyCollection]:
+    """Move one interior intersection from each of two discs onto fresh discs.
+
+    A finger move creates six new double points paired by three embedded
+    discs V, U1, U2; V picks up the two transferred intersections and each
+    U_i meets the surface twice, so the total t-count is unchanged.
+    """
+    discs = {d.id: d for d in collection.discs}
+    if w1_id not in discs or w2_id not in discs:
+        raise WhitneyError("unknown disc id")
+    w1, w2 = discs[w1_id], discs[w2_id]
+    if w1.interior_total() < 1 or w2.interior_total() < 1:
+        raise NothingToTransfer("both discs need an interior intersection")
+    by_id = {p.id: p for p in points}
+
+    def decrement(d: WhitneyDisc) -> tuple[WhitneyDisc, int]:
+        comp = min(c for c, v in sorted(d.interior.items()) if v > 0)
+        interior = dict(d.interior)
+        interior[comp] -= 1
+        return replace(d, interior=interior), comp
+
+    new_w1, comp_e = decrement(w1)
+    new_w2, comp_f = decrement(w2)
+    comp_a = by_id[w1.pair[0]].components[0]
+    comp_c = by_id[w2.pair[0]].components[0]
+
+    next_pid = max((p.id for p in points), default=-1) + 1
+    next_did = max(discs) + 1
+
+    def fresh_pair(pair_comps):
+        nonlocal next_pid
+        p = DoublePoint(next_pid, pair_comps, 1, identity)
+        q = DoublePoint(next_pid + 1, pair_comps, -1, identity)
+        next_pid += 2
+        return p, q
+
+    v1, v2 = fresh_pair((comp_a, comp_c))
+    u11, u12 = fresh_pair((comp_e, comp_a))
+    u21, u22 = fresh_pair((comp_f, comp_c))
+    new_points = list(points) + [v1, v2, u11, u12, u21, u22]
+    v_disc = WhitneyDisc(next_did, (v1.id, v2.id), {comp_e: 1, comp_f: 1} if comp_e != comp_f else {comp_e: 2})
+    u1_disc = WhitneyDisc(next_did + 1, (u11.id, u12.id), {comp_a: 2})
+    u2_disc = WhitneyDisc(next_did + 2, (u21.id, u22.id), {comp_c: 2})
+    new_list = [new_w1 if d.id == w1_id else new_w2 if d.id == w2_id else d for d in collection.discs]
+    new_list += [v_disc, u1_disc, u2_disc]
+    return new_points, WhitneyCollection(tuple(new_list), dict(collection.boundary),
+                                         convenient=collection.convenient)

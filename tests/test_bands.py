@@ -10,7 +10,6 @@ from surfemb4.bands import (
     BandCatalog,
     BandError,
     BandRecord,
-    InconsistentCut,
     MixedW1Annulus,
     NotLinearizable,
     RelH2,
@@ -22,7 +21,6 @@ from surfemb4.bands import (
     is_r_characteristic,
     is_s_characteristic,
     lambda_boundary_check,
-    split_cut_components,
     theta,
     theta_on_span,
     union_records,
@@ -204,6 +202,28 @@ def test_basis_boundary_of_the_wrong_length_is_rejected():
     rel = RelH2(("a", "b"), {"a": (1, 0), "b": (1, 0, 0)})
     with pytest.raises(BandError, match="length 3"):
         rel.boundary_of((1, 0), surface.dim)
+
+
+_ODD_BITS = (0, 1, True, False, 0.0, 1.0, 2, -1, "0", "1", [0], None)
+
+
+@pytest.mark.parametrize("make", [tuple, list, "".join], ids=["tuple", "list", "str"])
+def test_bit_checks_accept_what_membership_in_0_1_accepts(make):
+    """``check_vec`` and ``check_class`` accept a vector exactly when every
+    entry passes ``x in (0, 1)`` and the length is right."""
+    surface = torus_surface()
+    rel = RelH2(("c", "d"), {"c": (0, 0), "d": (0, 0)})
+    values = _ODD_BITS if make in (tuple, list) else ("0", "1", "")
+    for n in range(4):
+        for entries in itertools.product(values, repeat=n):
+            vec = make(entries)
+            want = len(vec) == 2 and all(x in (0, 1) for x in vec)
+            for check in (surface.check_vec, rel.check_class):
+                if want:
+                    assert check(vec) == tuple(vec)
+                else:
+                    with pytest.raises(BandError):
+                        check(vec)
 
 
 @st.composite
@@ -415,45 +435,6 @@ def test_b_equals_r_for_simply_connected_components():
             rr = rng.randrange(2)
             rp2.append(((theta(r) + rr) % 2, rr))
         assert is_b_characteristic(catalog).yes == is_r_characteristic(rp2)
-
-
-def test_split_cut_sphere_two_discs():
-    assert split_cut_components([0, 1], [(0, 1, 1)]) == [0]
-
-
-def test_split_cut_torus_two_parallel_curves():
-    selected = split_cut_components([0, 1], [(0, 1, 1), (0, 1, 1)])
-    assert selected == [0]
-    # exhaustive check over the 2-labelings: the other valid selection is {1}
-    valid = []
-    for bits in itertools.product((0, 1), repeat=2):
-        if all(bits[0] ^ bits[1] == 1 for _ in range(2)):
-            valid.append([n for n in (0, 1) if bits[n] == 0])
-    assert selected in valid
-
-
-def test_split_cut_nonseparating_curve_inconsistent():
-    with pytest.raises(InconsistentCut):
-        split_cut_components([0], [(0, 0, 1)])
-
-
-def test_split_cut_every_edge_once():
-    rng = random.Random(47)
-    for _ in range(100):
-        n = rng.randrange(2, 7)
-        # build a random bipartite-consistent parity-1 graph
-        labels = [rng.randrange(2) for _ in range(n)]
-        edges = []
-        for _ in range(rng.randrange(1, 2 * n)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if labels[u] == labels[v]:
-                continue
-            edges.append((u, v, 1))
-        if not edges:
-            continue
-        selected = set(split_cut_components(list(range(n)), edges))
-        for u, v, _ in edges:
-            assert (u in selected) != (v in selected)
 
 
 def _dense_form(surface):

@@ -16,23 +16,28 @@ from surfemb4.engine import (
     MissingWhitneyData,
     NoDualSpheres,
     NotDivisibleBy8,
-    PreconditionW1Ker,
     PrimaryObstructionNonzero,
     ProblemInstance,
     ValidationError,
     abelian_euler_bound_check,
     compute_km,
-    cusp_trick,
     flowchart,
     homotopy_analysis,
     restrict_Ft,
     rp2_euler_parity,
     stong_t_formula,
 )
-from surfemb4.groups import cyclic_group, subgroup_closure, trivial_character
-from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, transfer_move
+from surfemb4.groups import subgroup_closure
+from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc
 
-from helpers import rp2_euler_parity_walk
+from helpers import (
+    PreconditionW1Ker,
+    cusp_trick,
+    cyclic_group,
+    rp2_euler_parity_walk,
+    transfer_move,
+    trivial_character,
+)
 
 
 def load_example(name):

@@ -6,24 +6,21 @@ from hypothesis import event, given, settings, strategies as st
 from surfemb4.gamma import (
     AmbientNotFinite,
     GammaError,
-    InconsistentEulerData,
     PairingContext,
-    ParityMismatch,
     build_gamma,
     coefficient_at,
-    euler_relation,
     mu1_home,
     reduce_list,
-    regular_homotopy_fiber,
     smith_oracle,
 )
-from surfemb4.groups import Character, abelian_group, cyclic_group, subgroup_closure, trivial_character
+from surfemb4.groups import Character, abelian_group, subgroup_closure
 from surfemb4.intlinalg import HermiteLattice
 
 from helpers import (
     TwoLatticeGamma,
     all_characters,
     all_groups_up_to_8,
+    cyclic_group,
     dihedral,
     direct_product,
     quaternion8,
@@ -33,6 +30,7 @@ from helpers import (
     random_signed_subgroup,
     reduce_list_per_point,
     symmetric3,
+    trivial_character,
 )
 
 
@@ -118,29 +116,6 @@ def test_mu1_home_cases():
     assert mu1_home(_ctx(g, Character(g, [1, -1]), gens_f=[(1, 1)], self_pairing=True)) == "Z/2"
     with pytest.raises(GammaError):
         mu1_home(_ctx(g))
-
-
-def test_euler_relation():
-    assert euler_relation(lambda1=0, mu1=0).e == 0
-    assert euler_relation(lambda1=9, e=9).mu1 == 0
-    with pytest.raises(InconsistentEulerData):
-        euler_relation(lambda1=0, mu1=1, e=0)
-    with pytest.raises(InconsistentEulerData):
-        euler_relation(lambda1=1, e=0)  # odd difference
-    with pytest.raises(GammaError):
-        euler_relation(lambda1=1)
-
-
-def test_regular_homotopy_fiber():
-    assert regular_homotopy_fiber(True, 0, 0) == 0
-    # the two standard projective-plane embeddings have e = 2 and e = -2;
-    # their indices differ, so they are not regularly homotopic
-    assert regular_homotopy_fiber(True, 0, 2) != regular_homotopy_fiber(True, 0, -2)
-    assert regular_homotopy_fiber(False, None, 1) == 1
-    with pytest.raises(ParityMismatch):
-        regular_homotopy_fiber(True, 1, 2)
-    with pytest.raises(ParityMismatch):
-        regular_homotopy_fiber(True, 0, 3)
 
 
 def test_smith_oracle_requires_finite_group():

@@ -7,11 +7,12 @@ malformed.  The rest of the instance is the shipped torus in S^3 x S^1.  On
 exit 0 every query's orbit representative, order and coefficient must
 match the two-lattice reference in ``helpers``.
 
-For ``decide`` (single file or ``--batch``, both modes) a second component
-with a framed dual is added, and the points, on either component pair, take
-their etas from a pool of a few elements, so they repeat.  On exit 0 the
-first trace node says "yes" exactly when the reference reduces every
-pair's points to zero.
+For ``decide`` (single file or ``--batch``, both modes) and ``km`` a second
+component with a framed dual is added, and the points, on either component
+pair, take their etas from a pool of a few elements, so they repeat.  On
+exit 0 the first trace node of ``decide`` says "yes" exactly when the
+reference reduces every pair's points to zero, and ``km`` prints the ``km``
+field that ``decide`` prints for the same file.
 """
 
 import contextlib
@@ -102,13 +103,17 @@ def decide_cases(draw):
     pool = draw(st.lists(elem, min_size=1, max_size=3))
     pair = st.sampled_from(((0, 0), (0, 1), (1, 0), (1, 1)))
     points = draw(st.lists(st.tuples(pair, st.sampled_from(pool), sign), max_size=8))
-    empty_collection = draw(st.booleans())
-    argv = draw(st.sampled_from((["decide"], ["decide", "--batch"])))
-    argv += ["--mode", draw(st.sampled_from(("regular", "homotopy")))]
-    return factors, wM, gens, points, empty_collection, argv
+    collection = draw(st.sampled_from((None, "empty", "disc")))
+    if collection == "disc":  # only a cancelling pair on component 0, paired by a disc with t = 1
+        zero = [0] * len(factors)
+        points = [((0, 0), zero, 1), ((0, 0), zero, -1)]
+    argv = draw(st.sampled_from((["decide"], ["decide", "--batch"], ["km"])))
+    if argv != ["km"]:
+        argv += ["--mode", draw(st.sampled_from(("regular", "homotopy")))]
+    return factors, wM, gens, points, collection, argv
 
 
-def _two_component_document(factors, wM, gens, points, empty_collection):
+def _two_component_document(factors, wM, gens, points, collection):
     doc = _document(factors, wM, gens[0], [])
     doc["components"].append({"id": 1, "signed_subgroup": gens[1], "has_alg_dual": True,
                               "dual_framed": True})
@@ -116,8 +121,11 @@ def _two_component_document(factors, wM, gens, points, empty_collection):
         {"id": 1, "genus": 0, "orientable": True, "boundary_circles": 0})
     doc["double_points"] = [{"components": list(pair), "eta": eta, "id": i, "sign": s}
                             for i, (pair, eta, s) in enumerate(points)]
-    if empty_collection:
-        doc["whitney_collection"] = {"convenient": True, "discs": [], "boundary_intersections": []}
+    if collection:
+        discs = [] if collection == "empty" else [
+            {"id": 0, "pairs": [len(points) - 2, len(points) - 1], "interior": {"0": 1},
+             "mu_boundary": 0, "euler": 0}]
+        doc["whitney_collection"] = {"convenient": True, "discs": discs, "boundary_intersections": []}
     return doc
 
 
@@ -135,23 +143,33 @@ def _reference_vanishes(factors, wM, gens, points) -> bool:
     return True
 
 
-@settings(max_examples=150)
+def _run(argv) -> tuple[int, dict]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())
+
+
+@settings(max_examples=225)
 @given(case=decide_cases())
 def test_decide_exits_with_json_and_first_node_matches_reference(case):
-    factors, wM, gens, points, empty_collection, argv = case
-    doc = _two_component_document(factors, wM, gens, points, empty_collection)
+    factors, wM, gens, points, collection, argv = case
+    doc = _two_component_document(factors, wM, gens, points, collection)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instance.json")
         Path(path).write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = cli.main(argv[:1] + [tmp if "--batch" in argv else path] + argv[1:])
-    doc = json.loads(out.getvalue())
+        code, doc = _run(argv[:1] + [tmp if "--batch" in argv else path] + argv[1:])
+        if argv == ["km"] and code == 0:
+            decide_code, decided = _run(["decide", path])
     if "--batch" in argv:
         doc = doc["instance.json"]
     event(f"{' '.join(argv)}: exit {code}")
     assert code in (0, 2, 3)
     assert (doc.get("ok") is False) is (code != 0), doc
     if code:
+        return
+    if argv == ["km"]:
+        event(f"km {doc['km']}")
+        assert decide_code == 0 and doc == {"km": decided["km"]}, (doc, decided)
         return
     first = doc["trace"][0]
     assert first["node"] == "Is lambda(f_i,f_j)=mu(f_i)=0 for all i != j?"

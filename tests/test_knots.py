@@ -13,7 +13,6 @@ from surfemb4.knots import (
     CP2GenusVerdict,
     DNotCovered,
     KnotError,
-    RankZero,
     SeifertMatrix,
     SingularAtOmega,
     alexander_at_minus_one,
@@ -21,7 +20,6 @@ from surfemb4.knots import (
     cp2_genus_lower_bound,
     cp2_genus_verdict,
     levine_tristram,
-    m_genus_simply_connected,
     shake_genus_pm1,
     sigma_d,
 )
@@ -386,10 +384,3 @@ def test_shake_genus():
     assert shake_genus_pm1(SUM3) == 1
     assert shake_genus_pm1(TREFOIL) == 1
 
-
-def test_m_genus_simply_connected():
-    assert m_genus_simply_connected(2, SUM3).genus == 0
-    routed = m_genus_simply_connected(1, SUM3)
-    assert routed.routed and routed.genus == 1 and "flagged" in routed.note
-    with pytest.raises(RankZero):
-        m_genus_simply_connected(0, SUM3)

@@ -11,6 +11,8 @@ import pytest
 from surfemb4 import cli, schema
 from surfemb4.engine import flowchart
 
+from helpers import instance_to_dict
+
 SHIPPED = (
     "torus_s3s1", "star_cp2_sphere", "tubed_sphere",
     "klein_bottle_e0", "klein_bottle_e4", "klein_bottle_em4", "rp2_r4_e2",
@@ -68,7 +70,7 @@ def test_errors_are_accumulated_not_first_failure():
 def test_round_trip_revalidates():
     for name in SHIPPED:
         inst, _ = schema.load_instance(example_path(name))
-        doc = schema.instance_to_dict(inst)
+        doc = instance_to_dict(inst)
         again, errors = schema.instance_from_dict(doc)
         assert not errors, (name, errors)
         assert flowchart(again).outcome == flowchart(inst).outcome
@@ -89,7 +91,7 @@ def test_round_trip_of_constructed_instances():
                         rp2=((1, 1),)),
     ]
     for inst in constructed:
-        doc = schema.instance_to_dict(inst)
+        doc = instance_to_dict(inst)
         again, errors = schema.instance_from_dict(doc)
         assert not errors, errors
         assert flowchart(again).outcome == flowchart(inst).outcome

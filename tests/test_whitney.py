@@ -1,67 +1,31 @@
-import itertools
 import random
 
 import pytest
 
 from surfemb4.gamma import PairingContext, build_gamma, reduce_list
-from surfemb4.groups import cyclic_group, subgroup_closure, trivial_character
 from surfemb4.whitney import (
     DoublePoint,
-    MixedComponents,
-    NoPairing,
-    NothingToTransfer,
     NotConvenient,
     UnpairedPoints,
     WhitneyCollection,
     WhitneyDisc,
-    find_pairing,
     t_alt,
     t_count,
     to_convenient,
-    transfer_move,
 )
 
-from helpers import all_characters, all_groups_up_to_8, random_signed_subgroup, to_convenient_quadratic
-
-
-def _gamma_trivial():
-    g = cyclic_group(1)
-    s = subgroup_closure(g, [])
-    return build_gamma(PairingContext(g, trivial_character(g), s, s, self_pairing=True))
-
-
-def _gamma_two_identity():
-    g = cyclic_group(1)
-    s = subgroup_closure(g, [(0, -1)])
-    return build_gamma(PairingContext(g, trivial_character(g), s, s, self_pairing=True))
+from helpers import (
+    NothingToTransfer,
+    all_characters,
+    all_groups_up_to_8,
+    random_signed_subgroup,
+    to_convenient_quadratic,
+    transfer_move,
+)
 
 
 def pts(*specs):
     return [DoublePoint(i, (c1, c2), sign, eta) for i, (c1, c2, sign, eta) in enumerate(specs)]
-
-
-def test_pairing_cancelling_pair():
-    gamma = _gamma_trivial()
-    points = pts((0, 0, 1, 0), (0, 0, -1, 0))
-    assert find_pairing(points, gamma) == [(0, 1)]
-
-
-def test_pairing_same_sign_on_two_orbit():
-    gamma = _gamma_two_identity()
-    points = pts((0, 0, 1, 0), (0, 0, 1, 0))
-    assert find_pairing(points, gamma) == [(0, 1)]
-
-
-def test_pairing_single_point_fails():
-    gamma = _gamma_trivial()
-    with pytest.raises(NoPairing):
-        find_pairing(pts((0, 0, 1, 0)), gamma)
-
-
-def test_pairing_mixed_components_rejected():
-    gamma = _gamma_trivial()
-    with pytest.raises(MixedComponents):
-        find_pairing(pts((0, 0, 1, 0), (0, 1, -1, 0)), gamma)
 
 
 def test_pairing_matches_exhaustive_search():
@@ -95,16 +59,6 @@ def test_pairing_matches_exhaustive_search():
         expected = exhaustive(points)
         reduced_zero = reduce_list([(p.sign, p.eta) for p in points], gamma).is_zero()
         assert expected == reduced_zero, name
-        try:
-            pairs = find_pairing(points, gamma)
-        except NoPairing:
-            assert not expected, name
-        else:
-            assert expected, name
-            assert sorted(itertools.chain.from_iterable(pairs)) == [p.id for p in points]
-            for a, b in pairs:
-                by_id = {p.id: p for p in points}
-                assert cancels(by_id[a], by_id[b]), name
 
 
 def _collection(*disc_specs, boundary=(), convenient=True):
