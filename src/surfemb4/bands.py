@@ -16,8 +16,8 @@ exactly those records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistency
 from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_alt, t_count, to_convenient
@@ -57,18 +57,17 @@ class ThetaConflict(BandError):
         self.witnesses = witnesses
 
 
-@dataclass(frozen=True)
-class SurfaceComponent:
-    id: int
-    genus: int  # cross-cap number when nonorientable
-    orientable: bool
-    boundary_circles: int = 0
+class SurfaceComponent(namedtuple("SurfaceComponent", "id genus orientable boundary_circles")):
+    """One compact surface; ``genus`` is the cross-cap number when nonorientable."""
 
-    def __post_init__(self):
-        if self.genus < 0 or self.boundary_circles < 0:
+    __slots__ = ()
+
+    def __new__(cls, id: int, genus: int, orientable: bool, boundary_circles: int = 0):
+        if genus < 0 or boundary_circles < 0:
             raise BandError("negative genus or boundary count")
-        if not self.orientable and self.genus == 0:
+        if not orientable and genus == 0:
             raise BandError("nonorientable components need cross-cap number >= 1")
+        return super().__new__(cls, id, genus, orientable, boundary_circles)
 
     def euler_characteristic(self) -> int:
         closed = 2 - 2 * self.genus if self.orientable else 2 - self.genus
@@ -130,18 +129,17 @@ class SurfaceModel:
         return out
 
 
-@dataclass(frozen=True)
-class RelH2:
+class RelH2(namedtuple("RelH2", "basis boundary")):
     """Named GF(2) basis of the relative second homology with its boundary map."""
 
-    basis: tuple[str, ...]
-    boundary: dict  # basis name -> H1 vector
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.basis)) != len(self.basis):
+    def __new__(cls, basis: tuple[str, ...], boundary: dict):  # boundary: basis name -> H1 vector
+        if len(set(basis)) != len(basis):
             raise BandError("duplicate RelH2 basis names")
-        if set(self.boundary) != set(self.basis):
+        if set(boundary) != set(basis):
             raise BandError("boundary map must be defined exactly on the basis")
+        return super().__new__(cls, basis, boundary)
 
     def check_class(self, vec) -> tuple[int, ...]:
         bits, n = tuple(vec), len(self.basis)
@@ -162,37 +160,34 @@ class RelH2:
         return total
 
 
-@dataclass(frozen=True)
-class BandRecord:
+class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1_sigma w1m_core "
+                                         "mu_boundary arc_count interior euler")):
     """One declared generator of the representable classes, with Theta data.
 
     ``kind`` is "annulus", "mobius", or "surface"; general surfaces stand in
-    for bands of the same class.  All count fields are parities.
+    for bands of the same class.  All count fields are parities: ``w1_sigma``
+    holds <w1(Sigma), boundary component> per circle, ``w1m_core`` is
+    <w1(M), core>, ``arc_count`` is |dB ^ A| and ``interior`` is |Int B ^ F|.
     """
 
-    id: str
-    kind: str
-    rel_class: tuple[int, ...]
-    boundary_classes: tuple[tuple[int, ...], ...]
-    w1_sigma: tuple[int, ...]  # <w1(Sigma), boundary component>, one per circle
-    w1m_core: int  # <w1(M), core>
-    mu_boundary: int
-    arc_count: int  # |dB ^ A|
-    interior: int  # |Int B ^ F|
-    euler: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("annulus", "mobius", "surface"):
-            raise BandError(f"unknown band kind {self.kind!r}")
-        for bit in (self.w1m_core, self.mu_boundary, self.arc_count, self.interior, self.euler):
+    def __new__(cls, id: str, kind: str, rel_class: tuple[int, ...],
+                boundary_classes: tuple[tuple[int, ...], ...], w1_sigma: tuple[int, ...],
+                w1m_core: int, mu_boundary: int, arc_count: int, interior: int, euler: int):
+        if kind not in ("annulus", "mobius", "surface"):
+            raise BandError(f"unknown band kind {kind!r}")
+        for bit in (w1m_core, mu_boundary, arc_count, interior, euler):
             if bit not in (0, 1):
-                raise BandError(f"parity fields must be 0 or 1 on band {self.id!r}")
-        if len(self.w1_sigma) != len(self.boundary_classes):
-            raise BandError(f"band {self.id!r}: one w1 value per boundary circle")
-        if self.kind == "annulus" and len(self.boundary_classes) != 2:
-            raise BandError(f"annulus {self.id!r} needs exactly two boundary circles")
-        if self.kind == "mobius" and len(self.boundary_classes) != 1:
-            raise BandError(f"mobius band {self.id!r} needs exactly one boundary circle")
+                raise BandError(f"parity fields must be 0 or 1 on band {id!r}")
+        if len(w1_sigma) != len(boundary_classes):
+            raise BandError(f"band {id!r}: one w1 value per boundary circle")
+        if kind == "annulus" and len(boundary_classes) != 2:
+            raise BandError(f"annulus {id!r} needs exactly two boundary circles")
+        if kind == "mobius" and len(boundary_classes) != 1:
+            raise BandError(f"mobius band {id!r} needs exactly one boundary circle")
+        return super().__new__(cls, id, kind, rel_class, boundary_classes, w1_sigma, w1m_core,
+                               mu_boundary, arc_count, interior, euler)
 
     def total_boundary(self, dim: int) -> tuple[int, ...]:
         total = (0,) * dim
@@ -225,15 +220,18 @@ def validate_record(record: BandRecord, surface: SurfaceModel, rel: Optional[Rel
             )
 
 
-@dataclass(frozen=True)
-class BandCatalog:
+class BandCatalog(namedtuple("BandCatalog", "surface rel records")):
     """User-declared generators of the representable-band subset."""
 
-    surface: SurfaceModel
-    rel: RelH2
-    records: tuple[BandRecord, ...]
+    __slots__ = ()
+
+    def __new__(cls, surface: SurfaceModel, rel: RelH2, records: tuple[BandRecord, ...]):
+        self = super().__new__(cls, surface, rel, records)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
+        """The catalog checks, kept as a method of their own so the benchmark can time them."""
         ids = [r.id for r in self.records]
         if len(set(ids)) != len(ids):
             raise BandError("duplicate band ids")
@@ -336,8 +334,7 @@ def validate_theta_well_defined(catalog: BandCatalog) -> Optional[ThetaConflict]
     return None
 
 
-@dataclass(frozen=True)
-class BCharResult:
+class BCharResult(NamedTuple):
     yes: bool
     witness: object = None  # pair of ids whose boundaries pair to 1, or first id with Theta = 1
 

@@ -10,13 +10,12 @@ the citations needed to audit it.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections import defaultdict, namedtuple
+from typing import NamedTuple, Optional, Sequence
 
 from .bands import BandCatalog, BCharResult, SurfaceModel, is_b_characteristic
 from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list
-from .groups import AmbientGroup, Character, SignedSubgroup
+from .groups import SignedSubgroup
 from .whitney import DoublePoint, UnpairedPoints, WhitneyCollection, t_count, to_convenient
 
 TOOL_VERSION = "0.1.0"
@@ -55,8 +54,7 @@ class NotDivisibleBy8(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class ComponentData:
+class ComponentData(NamedTuple):
     id: int
     subgroup: SignedSubgroup
     has_alg_dual: bool
@@ -65,21 +63,15 @@ class ComponentData:
     euler: Optional[int] = None
 
 
-@dataclass
-class ProblemInstance:
-    group: AmbientGroup
-    wM: Character
-    components: tuple[ComponentData, ...]
-    surface: SurfaceModel
-    points: tuple[DoublePoint, ...]
-    collection: Optional[WhitneyCollection]
-    sphere_catalog: tuple[tuple[int, int], ...]
-    rp2_catalog: tuple[tuple[int, int], ...]
-    band_catalog: BandCatalog
-    good_group: bool
-    torus_summands: frozenset[int] = field(default_factory=frozenset)
+class ProblemInstance(namedtuple("ProblemInstance", (
+        "group wM components surface points collection sphere_catalog rp2_catalog band_catalog "
+        "good_group torus_summands"), defaults=(frozenset(),))):
+    """One decision problem; its components, points and discs must refer to each other."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         ids = [c.id for c in self.components]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate component ids")
@@ -101,6 +93,7 @@ class ProblemInstance:
             for d in self.collection.discs:
                 if not set(d.interior) <= known:
                     raise ValidationError(f"Whitney disc {d.id} meets unknown components")
+        return self
 
     def component(self, cid: int) -> ComponentData:
         for c in self.components:
@@ -109,18 +102,13 @@ class ProblemInstance:
         raise ValidationError(f"no component {cid}")
 
 
-@dataclass
-class TraceEntry:
+class TraceEntry(NamedTuple):
     node: str
     paper_ref: str
     value: object
 
-    def as_dict(self) -> dict:
-        return {"node": self.node, "paper_ref": self.paper_ref, "value": self.value}
 
-
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     outcome: str
     km: Optional[int]
     t: Optional[int]
@@ -136,7 +124,7 @@ class Verdict:
             "km": tag(self.km),
             "t": tag(self.t),
             "b_char": self.b_char,
-            "trace": [e.as_dict() for e in self.trace],
+            "trace": [e._asdict() for e in self.trace],
             "tool_version": TOOL_VERSION,
         }
 
@@ -409,8 +397,7 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
     ))
     if not case2:
         inner = _flowchart(inst, obstructions)
-        inner.trace = trace + inner.trace
-        return inner
+        return inner._replace(trace=trace + inner.trace)
     success = TraceEntry(
         "F is homotopic, rel. boundary, to an embedding",
         "Thm 1.5 (the count t can be normalized to 0 by Construction 5.16)",
@@ -442,8 +429,7 @@ def stong_t_formula(sigma_m: int, self_int: int) -> int:
     return ((sigma_m - self_int) // 8) % 2
 
 
-@dataclass(frozen=True)
-class EulerBoundResult:
+class EulerBoundResult(NamedTuple):
     ok: bool
     chi: int
     bound: int

@@ -26,8 +26,7 @@ the orbit enumeration.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import compress, filterfalse, repeat
 from operator import add, and_, eq, neg
 from typing import Iterable, NamedTuple, Optional
@@ -48,27 +47,22 @@ class AmbientNotFinite(GammaError):
     pass
 
 
-@dataclass(frozen=True)
-class PairingContext:
+class PairingContext(namedtuple("PairingContext", "ambient wM s_f s_g self_pairing")):
     """Data determining the target group of an intersection number.
 
     With ``self_pairing`` the second subgroup is forced equal to the first
     and the inversion relation gamma ~ wM(gamma) * gamma^-1 is added.
     """
 
-    ambient: AmbientGroup
-    wM: Character
-    s_f: SignedSubgroup
-    s_g: SignedSubgroup
-    self_pairing: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.wM.group is not self.ambient:
+    def __new__(cls, ambient: AmbientGroup, wM: Character, s_f: SignedSubgroup,
+                s_g: SignedSubgroup, self_pairing: bool = False):
+        if wM.group is not ambient:
             raise GammaError("character not over the ambient group")
-        if self.s_f.ambient is not self.ambient or self.s_g.ambient is not self.ambient:
+        if s_f.ambient is not ambient or s_g.ambient is not ambient:
             raise GammaError("subgroup not over the ambient group")
-        if self.self_pairing and self.s_g is not self.s_f:
-            object.__setattr__(self, "s_g", self.s_f)
+        return super().__new__(cls, ambient, wM, s_f, s_f if self_pairing else s_g, self_pairing)
 
 
 class Orbit(NamedTuple):
@@ -195,6 +189,10 @@ class GammaGroup:
         if canon is None:
             for elem in elems:
                 G.check_elem(elem)  # raises at the first invalid element
+        return self._classify_canonical(canon)
+
+    def _classify_canonical(self, canon: list) -> list[tuple[Orbit, Optional[int]]]:
+        """``classify_all`` of elements already checked and in canonical form."""
         new = list(filterfalse(self._table.__contains__, dict.fromkeys(canon)))
         if new:
             self._classify_new(new)
@@ -220,8 +218,7 @@ def build_gamma(ctx: PairingContext) -> GammaGroup:
     return GammaGroup(ctx)
 
 
-@dataclass
-class GammaElement:
+class GammaElement(NamedTuple):
     """Coefficient vector over the orbits of a GammaGroup.
 
     Infinite-orbit coefficients are integers relative to the stored section
@@ -229,7 +226,7 @@ class GammaElement:
     """
 
     gamma: GammaGroup
-    coeffs: dict = field(default_factory=dict)
+    coeffs: dict
 
     def _normalized(self) -> dict:
         return {k: v for k, v in self.coeffs.items() if v}
@@ -242,6 +239,9 @@ class GammaElement:
             return NotImplemented
         return self.gamma is other.gamma and self._normalized() == other._normalized()
 
+    def __ne__(self, other) -> bool:  # a tuple's own != would count zero coefficients
+        return not self == other
+
     def __add__(self, other: "GammaElement") -> "GammaElement":
         if self.gamma is not other.gamma:
             raise InternalConsistency("adding elements of different target groups")
@@ -253,8 +253,7 @@ class GammaElement:
         return GammaElement(self.gamma, {k: v for k, v in out.items() if v})
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class Coefficient(NamedTuple):
     value: int
     order: str  # "Z" or "Z/2"
 
@@ -279,7 +278,7 @@ def reduce_list(entries: Iterable, gamma: GammaGroup) -> GammaElement:
     count = Counter(canon)
     plus = Counter(compress(canon, map(eq, signs, repeat(1))))
     coeffs: dict = {}
-    for e, (orbit, section) in zip(count, gamma.classify_all(list(count))):
+    for e, (orbit, section) in zip(count, gamma._classify_canonical(list(count))):
         n = count[e]
         coeffs[orbit] = coeffs.get(orbit, 0) + (n if section is None else (2 * plus[e] - n) * section)
     coeffs = {k: v % 2 if k.order_two else v for k, v in coeffs.items()}

@@ -11,7 +11,7 @@ surface's orientation character.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import compress, repeat
 from operator import itemgetter, mod
 from typing import Iterable, Optional, Sequence
@@ -293,21 +293,28 @@ def _sign_bit(s: int) -> int:
     return 0 if s == 1 else 1
 
 
-@dataclass(frozen=True)
-class SignedSubgroup:
+class SignedSubgroup(namedtuple("SignedSubgroup", "ambient generators closure lattice",
+                                defaults=(None, None))):
     """Subgroup of G x {+1,-1} generated by (element, sign) pairs.
 
     Either the sign component is a homomorphism on the projection, or the
     closure contains (1,-1); both are legal, and ``contains_minus_one``
-    distinguishes them.  Finite groups store the full closure; abelian
-    groups store a Hermite lattice with the sign encoded as an extra
-    mod-2 coordinate.
+    distinguishes them.  Finite groups store the full ``closure``; abelian
+    groups store a Hermite ``lattice`` with the sign encoded as an extra
+    mod-2 coordinate.  Both derive from the generators, so equality and
+    hashing read only ``ambient`` and ``generators``.
     """
 
-    ambient: AmbientGroup
-    generators: tuple
-    closure: frozenset = field(default=None, compare=False)
-    lattice: HermiteLattice = field(default=None, compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SignedSubgroup) and self[:2] == other[:2]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     @property
     def contains_minus_one(self) -> bool:

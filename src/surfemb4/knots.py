@@ -17,11 +17,10 @@ class scan evaluates each distinct point once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import mpmath
 
@@ -407,8 +406,7 @@ def _folded_signatures(V: SeifertMatrix) -> Callable[[Fraction], int]:
     return signature
 
 
-@dataclass(frozen=True)
-class CP2GenusVerdict:
+class CP2GenusVerdict(NamedTuple):
     lower: int
     upper: int
     exact: Optional[int]

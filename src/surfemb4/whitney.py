@@ -11,7 +11,8 @@ accounting between the two.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from typing import NamedTuple
 
 
 class WhitneyError(ValueError):
@@ -26,16 +27,14 @@ class UnpairedPoints(WhitneyError):
     pass
 
 
-@dataclass(frozen=True)
-class DoublePoint:
+class DoublePoint(NamedTuple):
     id: int
     components: tuple[int, int]  # (i, j); i == j for a self-intersection
     sign: int
     eta: object  # group element, per ambient backend
 
 
-@dataclass(frozen=True)
-class WhitneyDisc:
+class WhitneyDisc(NamedTuple):
     id: int
     pair: tuple[int, int]  # ids of the two paired double points
     interior: dict  # surface component -> |Int W ^ f_i|, nonnegative counts
@@ -49,38 +48,37 @@ class WhitneyDisc:
         return self.euler == 0 and self.mu_boundary == 0
 
 
-@dataclass(frozen=True)
-class WhitneyCollection:
+class WhitneyCollection(namedtuple("WhitneyCollection", "discs boundary convenient")):
     """Ordered disc list plus the symmetric boundary-intersection counts."""
 
-    discs: tuple[WhitneyDisc, ...]
-    boundary: dict = field(default_factory=dict)  # frozenset{id,id} -> count
-    convenient: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        ids = [d.id for d in self.discs]
+    def __new__(cls, discs: tuple[WhitneyDisc, ...], boundary: dict = None, convenient: bool = True):
+        boundary = {} if boundary is None else boundary  # frozenset{id,id} -> count
+        ids = [d.id for d in discs]
         if len(set(ids)) != len(ids):
             raise WhitneyError("duplicate disc ids")
-        paired = list(itertools.chain.from_iterable(d.pair for d in self.discs))
+        paired = list(itertools.chain.from_iterable(d.pair for d in discs))
         if len(set(paired)) != len(paired):
             raise WhitneyError("a double point is paired by more than one disc")
-        for d in self.discs:
+        for d in discs:
             if d.pair[0] == d.pair[1]:
                 raise WhitneyError(f"disc {d.id} pairs a point with itself")
             if any(c < 0 for c in d.interior.values()) or d.mu_boundary < 0:
                 raise WhitneyError(f"negative count on disc {d.id}")
         known = set(ids)
-        for key, count in self.boundary.items():
+        for key, count in boundary.items():
             if len(key) != 2 or not key <= known:
                 raise WhitneyError(f"bad boundary pair {set(key)}")
             if count < 0:
                 raise WhitneyError("negative boundary count")
-        if self.convenient:
-            for d in self.discs:
+        if convenient:
+            for d in discs:
                 if not d.is_convenient():
                     raise NotConvenient(f"disc {d.id} is twisted or has boundary self-intersections")
-            if any(self.boundary.values()):
+            if any(boundary.values()):
                 raise NotConvenient("convenient collections have disjoint boundaries")
+        return super().__new__(cls, discs, boundary, convenient)
 
     def paired_point_ids(self) -> set[int]:
         return set(itertools.chain.from_iterable(d.pair for d in self.discs))
@@ -140,5 +138,5 @@ def to_convenient(points, collection: WhitneyCollection) -> WhitneyCollection:
         if bump % 2:
             comp = min(by_id[d.pair[0]].components)
             interior[comp] = interior.get(comp, 0) + 1
-        new_discs.append(replace(d, interior=interior, mu_boundary=0, euler=0))
+        new_discs.append(d._replace(interior=interior, mu_boundary=0, euler=0))
     return WhitneyCollection(tuple(new_discs), {}, convenient=True)

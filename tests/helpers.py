@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-
-from dataclasses import replace
 from fractions import Fraction
 
 from surfemb4.engine import (
@@ -48,6 +46,14 @@ from surfemb4.intlinalg import HermiteLattice
 from surfemb4.knots import SeifertMatrix
 from surfemb4.schema import SCHEMA_VERSION
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, WhitneyError, to_convenient
+
+
+def replace(record, **changes):
+    """``record`` with ``changes``, rebuilt through its constructor, so its checks run again.
+
+    A record's own ``_replace`` skips the constructor's checks.
+    """
+    return type(record)(**dict(record._asdict(), **changes))
 
 
 def cyclic_group(n: int) -> AmbientGroup:

@@ -1,7 +1,6 @@
 import itertools
 import time
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +29,7 @@ from surfemb4.bands import (
 from surfemb4.engine import flowchart
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count
 
-from helpers import theta_violations
+from helpers import replace, theta_violations
 from test_engine import simple_instance
 
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -34,6 +33,7 @@ from helpers import (
     PreconditionW1Ker,
     cusp_trick,
     cyclic_group,
+    replace,
     rp2_euler_parity_walk,
     transfer_move,
     trivial_character,

@@ -1,0 +1,51 @@
+"""``reduce_list`` checks its elements once; ``classify_all`` stays checked for other callers."""
+
+import pytest
+
+from helpers import cyclic_group, trivial_character
+from surfemb4.gamma import PairingContext, build_gamma, reduce_list
+from surfemb4.groups import GroupError, abelian_group, subgroup_closure
+
+CASES = {
+    "finite": (lambda: cyclic_group(6), [(1, 2), (-1, 3), (1, 2), (-1, 5)], 7),
+    "abelian": (lambda: abelian_group([0, 4]), [(1, (1, 2)), (-1, (3, 1)), (1, (1, 3))], (0, 9, 9)),
+}
+
+
+def _counted_gamma(monkeypatch, make_group):
+    group = make_group()
+    gens = [(1, -1)] if group.kind == "finite" else [((1, 0), -1)]
+    s = subgroup_closure(group, gens)
+    gamma = build_gamma(PairingContext(group, trivial_character(group), s, s, self_pairing=True))
+    calls = []
+    check_elems = type(group).check_elems
+
+    def counting(self, values):
+        calls.append(len(values))
+        return check_elems(self, values)
+
+    monkeypatch.setattr(type(group), "check_elems", counting)
+    return group, gamma, calls
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_reduce_list_checks_elements_once(monkeypatch, case):
+    make_group, entries, _ = CASES[case]
+    _, gamma, calls = _counted_gamma(monkeypatch, make_group)
+    reduce_list(entries, gamma)
+    reduce_list(entries, gamma)  # the second call finds every element classified
+    assert calls == [len(entries), len(entries)]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_classify_all_checks_and_names_the_first_bad_element(monkeypatch, case):
+    make_group, entries, bad = CASES[case]
+    group, gamma, calls = _counted_gamma(monkeypatch, make_group)
+    elems = [e for _, e in entries]
+    assert gamma.classify_all(elems) == [gamma.classify(e) for e in elems]
+    with pytest.raises(GroupError) as expected:
+        group.check_elem(bad)
+    with pytest.raises(GroupError) as got:
+        gamma.classify_all(elems + [bad, "also bad"])
+    assert str(got.value) == str(expected.value)
+    assert calls[0] == len(elems)
