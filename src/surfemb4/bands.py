@@ -20,7 +20,7 @@ from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistency
-from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_alt, t_count, to_convenient
+from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count, to_convenient
 
 
 class BandError(ValueError):
@@ -148,15 +148,14 @@ class RelH2(namedtuple("RelH2", "basis boundary")):
         return bits
 
     def boundary_of(self, vec, dim: int) -> tuple[int, ...]:
-        """The boundary of a class in H1 = GF(2)^dim; class 0 has boundary 0, also over no basis."""
+        """The boundary of a class in H1 = GF(2)^dim; class 0 has boundary 0, also over no basis.
+
+        The basis boundaries must have length ``dim``; ``BandCatalog`` checks that once.
+        """
         total = (0,) * dim
         for bit, name in zip(self.check_class(vec), self.basis):
-            b = self.boundary[name]
-            if len(b) != dim:
-                raise BandError(f"boundary of RelH2 basis class {name!r} has length {len(b)}, "
-                                f"expected the H1 dimension {dim}")
             if bit:
-                total = tuple(x ^ y for x, y in zip(total, b))
+                total = tuple(x ^ y for x, y in zip(total, self.boundary[name]))
         return total
 
 
@@ -235,9 +234,13 @@ class BandCatalog(namedtuple("BandCatalog", "surface rel records")):
         ids = [r.id for r in self.records]
         if len(set(ids)) != len(ids):
             raise BandError("duplicate band ids")
+        for name in self.rel.basis:
+            b = self.rel.boundary[name]
+            if len(b) != self.surface.dim:
+                raise BandError(f"boundary of RelH2 basis class {name!r} has length {len(b)}, "
+                                f"expected the H1 dimension {self.surface.dim}")
         for r in self.records:
-            self.rel.check_class(r.rel_class)
-            validate_record(r, self.surface, self.rel)
+            validate_record(r, self.surface, self.rel)  # checks the class, in boundary_of
 
 
 def theta(record: BandRecord) -> int:
@@ -307,15 +310,6 @@ class ThetaFunctional:
                 break
             vec, value, used = vec ^ row[0], value ^ row[1], used ^ row[2]
         return vec, value, used
-
-    def evaluate(self, vec) -> int:
-        rest, value, _ = self._reduce(_bits(vec), 0, 0)
-        if rest:
-            raise BandError(f"class {list(vec)} is outside the declared span")
-        return value
-
-    def is_zero(self) -> bool:
-        return self.witness is None
 
 
 def theta_on_span(catalog: BandCatalog) -> ThetaFunctional:
@@ -418,7 +412,7 @@ def band_fibre_finger_move(points, collection: WhitneyCollection, record: BandRe
             (min(comps_touched), min(comps_touched)) if comps_touched
             else (min(components), min(components))
         )
-    before = t_alt(points, components, collection)
+    before = t_count(points, components, collection)
 
     next_pid = max((p.id for p in points), default=-1) + 1
     next_did = max((d.id for d in collection.discs), default=-1) + 1

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 from .bands import BandCatalog, BCharResult, SurfaceModel, is_b_characteristic
 from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list
 from .groups import SignedSubgroup
-from .whitney import DoublePoint, UnpairedPoints, WhitneyCollection, t_count, to_convenient
+from .whitney import DoublePoint, UnpairedPoints, t_count, to_convenient
 
 TOOL_VERSION = "0.1.0"
 
@@ -174,7 +174,11 @@ def restrict_Ft(inst: ProblemInstance) -> list[int]:
 
 
 def _catalog_for(inst: ProblemInstance, ft: Sequence[int]) -> BandCatalog:
-    """Restrict the declared band catalog to records supported on F^t."""
+    """Restrict the declared band catalog to records supported on F^t.
+
+    A subset of the reader's checked records passes every catalog check, so
+    ``_replace`` skips them.
+    """
     ft_set = set(ft)
     keep = []
     for r in inst.band_catalog.records:
@@ -183,7 +187,7 @@ def _catalog_for(inst: ProblemInstance, ft: Sequence[int]) -> BandCatalog:
             touched |= inst.surface.components_of_vec(c)
         if touched <= ft_set:
             keep.append(r)
-    return BandCatalog(inst.band_catalog.surface, inst.band_catalog.rel, tuple(keep))
+    return inst.band_catalog._replace(records=tuple(keep))
 
 
 def _bchar_nodes(inst: ProblemInstance, ft: Sequence[int], trace: list[TraceEntry]):
@@ -211,28 +215,26 @@ def _bchar_nodes(inst: ProblemInstance, ft: Sequence[int], trace: list[TraceEntr
     return status
 
 
-def _normalized_collection(inst: ProblemInstance) -> Optional[WhitneyCollection]:
-    if inst.collection is None:
-        return None
-    if inst.collection.convenient:
-        return inst.collection
-    return to_convenient(list(inst.points), inst.collection)
-
-
 def _t_for_ft(inst: ProblemInstance, ft: Sequence[int]) -> int:
+    """t(F^t, W^t) from the discs that pair the double points of F^t.
+
+    Subsets of the reader's checked collection pass every constructor check,
+    so the F^t collection is taken with ``_replace``.
+    """
     ft_set = set(ft)
     pts = [p for p in inst.points if set(p.components) <= ft_set]
-    collection = _normalized_collection(inst)
     if not pts:
-        empty = WhitneyCollection((), {}, convenient=True)
-        return t_count(pts, ft, empty)
+        return 0
+    collection = inst.collection
     if collection is None:
         raise MissingWhitneyData(
             "F^t has double points but no Whitney collection was declared"
         )
+    if not collection.convenient:
+        collection = to_convenient(inst.points, collection)
     ids = {p.id for p in pts}
-    discs = tuple(d for d in collection.discs if set(d.pair) <= ids)
-    sub = WhitneyCollection(discs, {}, convenient=True)
+    sub = collection._replace(discs=tuple(d for d in collection.discs if set(d.pair) <= ids),
+                              boundary={})
     try:
         return t_count(pts, ft, sub)
     except UnpairedPoints as exc:

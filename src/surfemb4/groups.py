@@ -120,23 +120,6 @@ class FGAbelianGroup:
         # with rank 0 there are no columns, and every element is ()
         return list(zip(*cols)) or [()] * len(values)
 
-    def mul(self, a, b):
-        return self.canon(tuple(x + y for x, y in zip(a, b)))
-
-    def inv(self, a):
-        return self.canon(tuple(-x for x in a))
-
-    def is_finite(self) -> bool:
-        return all(f != 0 for f in self.factors)
-
-    def elements(self):
-        if not self.is_finite():
-            raise GroupError("cannot enumerate an infinite abelian group")
-        out = [()]
-        for f in self.factors:
-            out = [e + (x,) for e in out for x in range(f)]
-        return [self.canon(e) for e in out]
-
     def __repr__(self):
         return f"FGAbelianGroup(factors={self.factors})"
 
@@ -326,11 +309,6 @@ class SignedSubgroup(namedtuple("SignedSubgroup", "ambient generators closure la
         if self.ambient.kind != "finite":
             raise GroupError("cannot enumerate an abelian signed subgroup")
         return self.closure
-
-    def contains(self, elem, sign: int) -> bool:
-        if self.ambient.kind == "finite":
-            return (elem, sign) in self.closure
-        return self.lattice.contains(tuple(elem) + (_sign_bit(sign),))
 
     def character_trivial_on_projection(self, chi: Character) -> bool:
         """A character is trivial on a generated subgroup iff it is on the generators."""

@@ -76,17 +76,6 @@ class SeifertMatrix:
             for i in range(self.size)
         ]
 
-    def block_sum(self, other: "SeifertMatrix") -> "SeifertMatrix":
-        n, m = self.size, other.size
-        out = [[0] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = self.rows[i][j]
-        for i in range(m):
-            for j in range(m):
-                out[n + i][n + j] = other.rows[i][j]
-        return SeifertMatrix(out)
-
 
 def alexander_at_minus_one(V: SeifertMatrix) -> int:
     """det(V + V^T), the knot determinant up to sign."""

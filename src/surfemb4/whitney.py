@@ -4,8 +4,10 @@ Intersection data is stored as counts, not positions: every invariant in
 scope is a signed or mod-2 count.  A collection is *convenient* when every
 disc is framed (zero twisting), has no boundary self-intersections, and
 all pairwise boundary intersection counts vanish; *weak* collections relax
-all three, and ``t_alt``/``to_convenient`` implement the standard
-accounting between the two.
+all three.  ``t_count`` is the one t formula, for weak and convenient
+collections alike: on a convenient collection its framing and boundary
+terms are zero.  ``to_convenient`` trades those terms for interior
+intersections and keeps the count.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ class WhitneyDisc(NamedTuple):
     mu_boundary: int = 0  # boundary self-intersections
     euler: int = 0  # twisting relative to the Whitney framing
 
-    def interior_total(self) -> int:
-        return sum(self.interior.values())
-
     def is_convenient(self) -> bool:
         return self.euler == 0 and self.mu_boundary == 0
 
@@ -58,12 +57,13 @@ class WhitneyCollection(namedtuple("WhitneyCollection", "discs boundary convenie
         ids = [d.id for d in discs]
         if len(set(ids)) != len(ids):
             raise WhitneyError("duplicate disc ids")
+        for d in discs:  # before the next check, which a self-pair also fails
+            if d.pair[0] == d.pair[1]:
+                raise WhitneyError(f"disc {d.id} pairs a point with itself")
         paired = list(itertools.chain.from_iterable(d.pair for d in discs))
         if len(set(paired)) != len(paired):
             raise WhitneyError("a double point is paired by more than one disc")
         for d in discs:
-            if d.pair[0] == d.pair[1]:
-                raise WhitneyError(f"disc {d.id} pairs a point with itself")
             if any(c < 0 for c in d.interior.values()) or d.mu_boundary < 0:
                 raise WhitneyError(f"negative count on disc {d.id}")
         known = set(ids)
@@ -99,17 +99,12 @@ def _check_pairs_exactly(points, components, collection) -> None:
 
 
 def t_count(points, components, collection: WhitneyCollection) -> int:
-    """Mod-2 count of interior intersections with the given components."""
-    if not collection.convenient:
-        raise NotConvenient("t is defined for convenient collections; use t_alt")
-    _check_pairs_exactly(points, components, collection)
-    comps = set(components)
-    total = sum(c for d in collection.discs for comp, c in d.interior.items() if comp in comps)
-    return total % 2
+    """t mod 2: interior intersections with the given components, plus framing and boundary terms.
 
-
-def t_alt(points, components, collection: WhitneyCollection) -> int:
-    """Weak-collection t: adds framing, boundary, and arc terms mod 2, in O(D + B)."""
+    The framing, boundary self-intersection and pairwise boundary counts are
+    zero on a convenient collection, so one formula serves weak and
+    convenient collections; O(D + B).
+    """
     _check_pairs_exactly(points, components, collection)
     comps = set(components)
     total = sum(collection.boundary.values())
@@ -124,8 +119,10 @@ def to_convenient(points, collection: WhitneyCollection) -> WhitneyCollection:
 
     Boundary twists fix the framing at the cost of one interior intersection
     each; arc intersections are pushed off the end of the lower-indexed
-    disc's arc.  The t-count of the result equals t_alt of the input.  One
-    pass over the discs and one over the boundary counts, O(D + B).
+    disc's arc, so ``t_count`` of the result equals that of the input.  One
+    pass over the discs and one over the boundary counts, O(D + B).  The
+    result is convenient by construction, so the constructor's checks are
+    not run again.
     """
     by_id = {p.id: p for p in points}
     position = {d.id: idx for idx, d in enumerate(collection.discs)}
@@ -139,4 +136,4 @@ def to_convenient(points, collection: WhitneyCollection) -> WhitneyCollection:
             comp = min(by_id[d.pair[0]].components)
             interior[comp] = interior.get(comp, 0) + 1
         new_discs.append(d._replace(interior=interior, mu_boundary=0, euler=0))
-    return WhitneyCollection(tuple(new_discs), {}, convenient=True)
+    return collection._replace(discs=tuple(new_discs), boundary={}, convenient=True)

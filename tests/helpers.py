@@ -1,10 +1,11 @@
 """Shared test fixtures, input builders and reference implementations.
 
 Small-group catalog, characters, random subgroups and contexts; builders of
-test inputs (cyclic groups, trivial characters, instance documents, and the
-t-preserving transfer move and cusp trick); and the slow or older
-computations that the package's fast paths are compared against: knot,
-gamma, list-reduction, Whitney-conversion and projective-plane oracles.
+test inputs (cyclic groups, trivial characters, Seifert block sums,
+instance documents, and the t-preserving transfer move and cusp trick);
+Theta read off a ``ThetaFunctional`` at any class of its span; and the slow
+or older computations that the package's fast paths are compared against:
+knot, gamma, list-reduction, Whitney-conversion and projective-plane oracles.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import itertools
 import random
 from fractions import Fraction
 
+from surfemb4.bands import BandError, ThetaFunctional, _bits
 from surfemb4.engine import (
     EngineError,
     MissingWhitneyData,
     ProblemInstance,
-    _normalized_collection,
     points_between,
     restrict_Ft,
 )
@@ -254,8 +255,14 @@ def torus_sum(qs) -> SeifertMatrix:
                              for i in range(q - 1)]) for q in qs]
     out = blocks[0]
     for b in blocks[1:]:
-        out = out.block_sum(b)
+        out = block_sum(out, b)
     return out
+
+
+def block_sum(a: SeifertMatrix, b: SeifertMatrix) -> SeifertMatrix:
+    """The block-diagonal Seifert matrix of the connected sum."""
+    return SeifertMatrix([list(row) + [0] * b.size for row in a.rows]
+                         + [[0] * a.size + list(row) for row in b.rows])
 
 
 def torus_sum_signature(qs, r: Fraction) -> int:
@@ -477,6 +484,14 @@ def theta_violations(pairs) -> set[tuple[int, ...]]:
     return out
 
 
+def theta_value(functional: ThetaFunctional, vec) -> int:
+    """Theta of a class in the span of the records, read off the functional's echelon rows."""
+    rest, value, _ = functional._reduce(_bits(vec), 0, 0)
+    if rest:
+        raise BandError(f"class {list(vec)} is outside the declared span")
+    return value
+
+
 def instance_to_dict(inst: ProblemInstance) -> dict:
     """Serialize an in-memory instance back to the interchange format."""
     group = inst.group
@@ -580,7 +595,9 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
     new_points = [
         DoublePoint(next_pid + k, (cid, cid), 1, identity) for k in range(4)
     ]
-    collection = _normalized_collection(inst)
+    collection = inst.collection
+    if collection is not None and not collection.convenient:
+        collection = to_convenient(list(inst.points), collection)
     if collection is None:
         if inst.points:
             raise MissingWhitneyData("cannot rebuild t without a Whitney collection")
@@ -620,7 +637,7 @@ def transfer_move(points, collection: WhitneyCollection, w1_id: int, w2_id: int,
     if w1_id not in discs or w2_id not in discs:
         raise WhitneyError("unknown disc id")
     w1, w2 = discs[w1_id], discs[w2_id]
-    if w1.interior_total() < 1 or w2.interior_total() < 1:
+    if sum(w1.interior.values()) < 1 or sum(w2.interior.values()) < 1:
         raise NothingToTransfer("both discs need an interior intersection")
     by_id = {p.id: p for p in points}
 

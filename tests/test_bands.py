@@ -29,7 +29,7 @@ from surfemb4.bands import (
 from surfemb4.engine import flowchart
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count
 
-from helpers import replace, theta_violations
+from helpers import replace, theta_value, theta_violations
 from test_engine import simple_instance
 
 
@@ -138,15 +138,15 @@ def test_theta_on_span_linearity():
     rx = record(surface, rel, "x", "surface", [1, 0], [(1, 0, 0, 0)], interior=1)
     ry = record(surface, rel, "y", "surface", [0, 1], [(0, 0, 1, 0)], interior=1)
     functional = theta_on_span(BandCatalog(surface, rel, (rx, ry)))
-    assert functional.evaluate((1, 0)) == 1
-    assert functional.evaluate((1, 1)) == 0  # disjoint boundaries: values add
-    assert not functional.is_zero()
+    assert theta_value(functional, (1, 0)) == 1
+    assert theta_value(functional, (1, 1)) == 0  # disjoint boundaries: values add
+    assert functional.witness is not None
 
 
 def test_theta_on_span_empty():
     surface = torus_surface()
     functional = theta_on_span(BandCatalog(surface, RelH2((), {}), ()))
-    assert functional.is_zero()
+    assert functional.witness is None
 
 
 def test_theta_on_span_not_linearizable():
@@ -197,10 +197,13 @@ def test_class_zero_over_an_empty_basis_has_boundary_zero():
 
 
 def test_basis_boundary_of_the_wrong_length_is_rejected():
+    """The catalog checks the basis boundaries' lengths once, also when it has no records."""
     surface = torus_surface()
     rel = RelH2(("a", "b"), {"a": (1, 0), "b": (1, 0, 0)})
-    with pytest.raises(BandError, match="length 3"):
-        rel.boundary_of((1, 0), surface.dim)
+    r = BandRecord("r", "surface", (1, 0), ((1, 0),), (0,), 0, 0, 0, 0, 0)
+    for records in ((), (r,)):
+        with pytest.raises(BandError, match="'b' has length 3, expected the H1 dimension 2"):
+            BandCatalog(surface, rel, records)
 
 
 _ODD_BITS = (0, 1, True, False, 0.0, 1.0, 2, -1, "0", "1", [0], None)
@@ -263,9 +266,9 @@ def test_theta_on_span_matches_the_subset_oracle(drawn):
             total = [0] * len(catalog.rel.basis)
             for i in subset:
                 total = [a ^ b for a, b in zip(total, pairs[i][0])]
-            assert functional.evaluate(total) == sum(pairs[i][1] for i in subset) % 2
+            assert theta_value(functional, total) == sum(pairs[i][1] for i in subset) % 2
     any_one = any(value for _, value in pairs)
-    assert functional.is_zero() == (not any_one)
+    assert (functional.witness is None) == (not any_one)
     assert is_b_characteristic(catalog).yes == (not any_one)
     assert flowchart(inst).b_char == ("no" if any_one else "yes")
 

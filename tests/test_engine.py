@@ -1,9 +1,12 @@
+import json
 import random
+from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from surfemb4 import engine, schema
+from surfemb4 import cli, engine, schema
 from surfemb4.bands import BandCatalog, BandRecord, RelH2, SurfaceComponent, SurfaceModel
 from surfemb4.engine import (
     HOMOTOPIC_EMBED,
@@ -397,7 +400,7 @@ def test_flowchart_totality_fuzz():
         seen.add(verdict.outcome)
 
         # regular-homotopy moves never change the verdict
-        eligible = [d for d in inst.collection.discs if d.interior_total() >= 1]
+        eligible = [d for d in inst.collection.discs if sum(d.interior.values()) >= 1]
         if balanced and len(eligible) >= 2:
             pts2, coll2 = transfer_move(list(inst.points), inst.collection,
                                         eligible[0].id, eligible[1].id, identity=0)
@@ -415,6 +418,43 @@ def test_flowchart_normalizes_weak_collections():
     assert engine._t_for_ft(inst, [0]) == 1
     verdict = flowchart(inst)
     assert verdict.t == 1 and verdict.outcome == NOT_REG_EMBED
+
+
+WEAK_INSTANCE = Path(__file__).parent / "data" / "instances" / "weak_collection.json"
+
+
+@pytest.mark.parametrize("mode", ["regular", "homotopy"])
+@pytest.mark.parametrize("ft_points", [True, False], ids=["ft-points", "no-ft-points"])
+def test_decide_checks_each_record_once(mode, ft_points, monkeypatch, tmp_path, capsys):
+    """The reader's checks run once per instance: F^t is cut from the checked records.
+
+    The weak collection is converted only when F^t has double points.
+    """
+    doc = json.loads(WEAK_INSTANCE.read_text())
+    if not ft_points:  # F^t = [1], and no double point lies within it
+        doc["components"][0]["dual_framed"] = True
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps(doc))
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, staticmethod(counted) if name == "__new__" else counted)
+
+    count(WhitneyCollection, "__new__")
+    count(BandCatalog, "__post_init__")
+    count(RelH2, "check_class")
+    count(engine, "to_convenient")
+    assert cli.main(["decide", str(path), "--mode", mode]) == 0
+    assert json.loads(capsys.readouterr().out)["t"] == (1 if ft_points else 0)
+    assert calls == Counter({"__new__": 1, "__post_init__": 1,
+                             "check_class": len(doc["catalogs"]["bands"]),
+                             "to_convenient": 1 if ft_points else 0})
 
 
 def test_surface_with_boundary_circles():

@@ -2,9 +2,12 @@
 
 ``tests/data/golden/cases.json`` maps each case name to its argv and exit
 code; ``<name>.out`` holds the exact stdout.  ``{instances}`` in an argv
-stands for the shipped instance directory.  The instance files were
-recorded before the engine and band checks were consolidated, and the
-``<knot>.knot-*`` files before the knot invariants were made polynomial, so
+stands for the shipped instance directory, and ``{test_instances}`` for
+``tests/data/instances``, which holds instances that are not shipped.  The
+instance files were recorded before the engine and band checks were
+consolidated, the ``<knot>.knot-*`` files before the knot invariants were
+made polynomial, and ``weak_collection.*`` (a weak Whitney collection on a
+proper F^t) before weak and convenient collections shared one t-count, so
 any drift in verdict, ``km``, ``gamma``, batch or knot JSON fails here.
 """
 
@@ -17,6 +20,7 @@ import pytest
 from surfemb4 import cli
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+TEST_INSTANCES = str(Path(__file__).parent / "data" / "instances")
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 INSTANCES = str(resources.files("surfemb4").joinpath("data", "instances"))
 
@@ -24,7 +28,8 @@ INSTANCES = str(resources.files("surfemb4").joinpath("data", "instances"))
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys):
     case = CASES[name]
-    argv = [INSTANCES if a == "{instances}" else a for a in case["argv"]]
+    argv = [a.replace("{instances}", INSTANCES).replace("{test_instances}", TEST_INSTANCES)
+            for a in case["argv"]]
     code = cli.main(argv)
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
     assert code == case["exit"]

@@ -4,8 +4,11 @@ A public module-level function or class of ``src/surfemb4`` passes when
 another definition in the package refers to it as an identifier, when it is
 the first part of a ``perfbench/layers.py`` target's qualname, or when
 ``tests/test_acceptance.py`` imports it or reads it as an attribute of an
-imported module (``schema.verdict_to_json``).  A name that only its own unit
-tests reach belongs in ``tests/helpers.py``, or nowhere.
+imported module (``schema.verdict_to_json``).  A public method of a
+module-level class passes when a definition other than itself uses its name
+as an identifier (matching by name alone), or when it is a target's qualname.
+A name that only its own unit tests reach belongs in ``tests/helpers.py``, or
+nowhere.
 """
 
 import ast
@@ -20,6 +23,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import layers  # noqa: E402
 
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _identifiers(node) -> set[str]:
     out = set()
     for n in ast.walk(node):
@@ -32,6 +39,23 @@ def _identifiers(node) -> set[str]:
 
 def _modules() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _owned_identifiers(module: str, tree: ast.Module):
+    """(owner, identifiers) per definition; each method of a class is a definition of its own.
+
+    The owner is the definition's "module.qualname", or None for other
+    module-level statements.
+    """
+    for stmt in tree.body:
+        if not isinstance(stmt, DEFS):
+            yield None, _identifiers(stmt)
+        elif not isinstance(stmt, ast.ClassDef):
+            yield f"{module}.{stmt.name}", _identifiers(stmt)
+        else:
+            for node in stmt.decorator_list + stmt.bases + stmt.keywords + stmt.body:
+                method = f".{node.name}" if isinstance(node, FUNCS) else ""
+                yield f"{module}.{stmt.name}{method}", _identifiers(node)
 
 
 def _acceptance_uses() -> set[tuple[str, str]]:
@@ -54,26 +78,30 @@ def _acceptance_uses() -> set[tuple[str, str]]:
 
 
 def unreached_public_names() -> list[str]:
-    modules = _modules()
-    refs: dict[str, set[str]] = {}  # identifier -> "module.name" of the definitions using it
-    public = []
-    for module, tree in modules.items():
+    refs: dict[str, set] = {}  # identifier -> owners of the definitions using it
+    public = []  # (module, qualname, identifier)
+    for module, tree in _modules().items():
+        for owner, idents in _owned_identifiers(module, tree):
+            for ident in idents:
+                refs.setdefault(ident, set()).add(owner)
         for stmt in tree.body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = f"{module}.{stmt.name}"
-                if not stmt.name.startswith("_"):
-                    public.append((module, stmt.name))
-            for ident in _identifiers(stmt):
-                refs.setdefault(ident, set()).add(own)
-    traced = {(t.module.split(".", 1)[1], t.qualname.split(".")[0])
-              for t in layers.TARGETS if t.module.startswith("surfemb4.")}
+            if isinstance(stmt, DEFS) and not stmt.name.startswith("_"):
+                public.append((module, stmt.name, stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                public += [(module, f"{stmt.name}.{node.name}", node.name) for node in stmt.body
+                           if isinstance(node, FUNCS) and not node.name.startswith("_")]
+    traced = {(t.module.split(".", 1)[1], t.qualname) for t in layers.TARGETS
+              if t.module.startswith("surfemb4.")}
+    traced |= {(module, qualname.split(".")[0]) for module, qualname in traced}
     accepted = _acceptance_uses()
-    return sorted(
-        f"{module}.{name}" for module, name in public
-        if not refs.get(name, set()) - {f"{module}.{name}"}
-        and (module, name) not in traced and (module, name) not in accepted
-    )
+
+    def reached(module, qualname, ident):
+        own = f"{module}.{qualname}"  # uses inside the definition itself do not count
+        users = [o for o in refs.get(ident, ()) if o is None or not (o + ".").startswith(own + ".")]
+        return bool(users) or (module, qualname) in traced or (module, qualname) in accepted
+
+    return sorted(f"{module}.{qualname}" for module, qualname, ident in public
+                  if not reached(module, qualname, ident))
 
 
 def test_every_public_name_is_reached():

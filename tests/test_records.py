@@ -73,6 +73,8 @@ BAD_INPUT = {
                       BandError, "bad RelH2 vector (1, 1)"),
     "collection-ids": (lambda: WhitneyCollection((_disc(0, (0, 1)), _disc(0, (2, 3))), {}),
                        WhitneyError, "duplicate disc ids"),
+    "collection-self": (lambda: WhitneyCollection((_disc(0, (4, 4)),), {}),
+                        WhitneyError, "disc 0 pairs a point with itself"),
     "collection-paired": (lambda: WhitneyCollection((_disc(0, (0, 1)), _disc(1, (1, 2))), {}),
                           WhitneyError, "a double point is paired by more than one disc"),
     "collection-negative": (lambda: WhitneyCollection((_disc(0, (0, 1), {0: -1}),), {}),

@@ -464,6 +464,18 @@ def test_surface_h1_dimension_is_capped(component, pointer, tmp_path, capsys):
     assert [e.split(": ", 1)[0] for e in out["errors"]] == [pointer]
 
 
+def test_basis_boundary_of_the_wrong_length_exits_2_without_records(tmp_path, capsys):
+    doc = example_doc("torus_s3s1")
+    doc["catalogs"]["rel_h2"]["boundary"]["seifert"] = [1, 0, 0, 0, 0, 0, 0]
+    doc["catalogs"]["bands"] = []
+    path = tmp_path / "long_boundary.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["decide", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["errors"] == [
+        "/catalogs/bands: boundary of RelH2 basis class 'seifert' has length 7, "
+        "expected the H1 dimension 2"]
+
+
 def _span_variant(theta_sum: int) -> dict:
     """torus_s3s1 with closed classes x, y, x+y at Theta 1, 1 and ``theta_sum``."""
     doc = example_doc("torus_s3s1")

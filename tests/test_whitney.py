@@ -5,11 +5,9 @@ import pytest
 from surfemb4.gamma import PairingContext, build_gamma, reduce_list
 from surfemb4.whitney import (
     DoublePoint,
-    NotConvenient,
     UnpairedPoints,
     WhitneyCollection,
     WhitneyDisc,
-    t_alt,
     t_count,
     to_convenient,
 )
@@ -76,13 +74,8 @@ def test_t_count_basic():
     assert t_count(points, [0], coll) == 0
     coll1 = _collection(((0, 1), {0: 1}, 0, 0))
     assert t_count(points, [0], coll1) == 1
-
-
-def test_t_count_requires_convenient():
-    points = pts((0, 0, 1, 0), (0, 0, -1, 0))
-    weak = _collection(((0, 1), {}, 0, 1), convenient=False)
-    with pytest.raises(NotConvenient):
-        t_count(points, [0], weak)
+    coll3 = _collection(((0, 1), {0: 3}, 0, 0))
+    assert t_count(points, [0], coll3) == 1
 
 
 def test_t_count_requires_exact_pairing():
@@ -92,20 +85,14 @@ def test_t_count_requires_exact_pairing():
         t_count(points, [0], coll)
 
 
-def test_t_alt_equals_t_on_convenient():
-    points = pts((0, 0, 1, 0), (0, 0, -1, 0))
-    coll = _collection(((0, 1), {0: 3}, 0, 0))
-    assert t_alt(points, [0], coll) == t_count(points, [0], coll) == 1
-
-
-def test_t_alt_twisting_and_boundary_terms():
+def test_t_count_twisting_and_boundary_terms():
     points = pts((0, 0, 1, 0), (0, 0, -1, 0))
     twisted = _collection(((0, 1), {}, 0, 1), convenient=False)
-    assert t_alt(points, [0], twisted) == 1
+    assert t_count(points, [0], twisted) == 1
     points4 = pts((0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 1, 0), (0, 0, -1, 0))
     crossing = _collection(((0, 1), {}, 0, 0), ((2, 3), {}, 0, 0),
                            boundary=[(0, 1, 1)], convenient=False)
-    assert t_alt(points4, [0], crossing) == 1
+    assert t_count(points4, [0], crossing) == 1
 
 
 def test_to_convenient_identity_on_convenient():
@@ -152,7 +139,7 @@ def test_to_convenient_preserves_t_randomized():
                 if rng.random() < 0.4:
                     boundary.append((a, b, rng.randrange(1, 3)))
         weak = _collection(*specs, boundary=boundary, convenient=False)
-        expected = t_alt(points, [0], weak)
+        expected = t_count(points, [0], weak)
         out = to_convenient(points, weak)
         assert t_count(points, [0], out) == expected
 
@@ -213,5 +200,5 @@ def test_to_convenient_matches_quadratic_reference():
         points, weak = _random_weak_collection(rng, 60)
         out = to_convenient(points, weak)
         assert out == to_convenient_quadratic(points, weak)
-        # t_alt stays its own formula; it must agree with t of the conversion
-        assert t_alt(points, [0, 1, 2], weak) == t_count(points, [0, 1, 2], out)
+        # the weak terms and the conversion's interior bumps must give the same t
+        assert t_count(points, [0, 1, 2], weak) == t_count(points, [0, 1, 2], out)
