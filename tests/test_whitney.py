@@ -74,8 +74,6 @@ def test_t_count_basic():
     assert t_count(points, [0], coll) == 0
     coll1 = _collection(((0, 1), {0: 1}, 0, 0))
     assert t_count(points, [0], coll1) == 1
-    coll3 = _collection(((0, 1), {0: 3}, 0, 0))
-    assert t_count(points, [0], coll3) == 1
 
 
 def test_t_count_requires_exact_pairing():
@@ -83,6 +81,16 @@ def test_t_count_requires_exact_pairing():
     coll = _collection(((0, 1), {}, 0, 0))
     with pytest.raises(UnpairedPoints):
         t_count(points, [0], coll)
+
+
+def test_t_alt_equals_t_on_convenient():
+    # on a convenient collection t is the interior count alone, and the same
+    # discs read as a weak collection give the same t
+    points = pts((0, 0, 1, 0), (0, 0, -1, 0))
+    coll = _collection(((0, 1), {0: 3}, 0, 0))
+    weak = _collection(((0, 1), {0: 3}, 0, 0), convenient=False)
+    interior = sum(d.interior.get(0, 0) for d in coll.discs) % 2
+    assert t_count(points, [0], weak) == t_count(points, [0], coll) == interior == 1
 
 
 def test_t_count_twisting_and_boundary_terms():
