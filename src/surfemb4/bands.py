@@ -129,6 +129,21 @@ class SurfaceModel:
         return out
 
 
+_BASIS_BOUNDARY = "boundary of RelH2 basis class"
+
+
+def _xor_fold(named, dim: int, what: str) -> tuple[int, ...]:
+    """GF(2) sum of the H1 vectors of (name, vector) pairs; each must have length ``dim``."""
+    total = (0,) * dim
+    for name, vec in named:
+        try:
+            total = tuple(x ^ y for x, y in zip(total, vec, strict=True))
+        except ValueError:
+            raise BandError(f"{what} {name!r} has length {len(vec)}, "
+                            f"expected the H1 dimension {dim}") from None
+    return total
+
+
 class RelH2(namedtuple("RelH2", "basis boundary")):
     """Named GF(2) basis of the relative second homology with its boundary map."""
 
@@ -148,15 +163,10 @@ class RelH2(namedtuple("RelH2", "basis boundary")):
         return bits
 
     def boundary_of(self, vec, dim: int) -> tuple[int, ...]:
-        """The boundary of a class in H1 = GF(2)^dim; class 0 has boundary 0, also over no basis.
-
-        The basis boundaries must have length ``dim``; ``BandCatalog`` checks that once.
-        """
-        total = (0,) * dim
-        for bit, name in zip(self.check_class(vec), self.basis):
-            if bit:
-                total = tuple(x ^ y for x, y in zip(total, self.boundary[name]))
-        return total
+        """The boundary of a class in H1 = GF(2)^dim; class 0 has boundary 0, also over no basis."""
+        named = ((name, self.boundary[name]) for bit, name in zip(self.check_class(vec), self.basis)
+                 if bit)
+        return _xor_fold(named, dim, _BASIS_BOUNDARY)
 
 
 class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1_sigma w1m_core "
@@ -189,10 +199,7 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
                                mu_boundary, arc_count, interior, euler)
 
     def total_boundary(self, dim: int) -> tuple[int, ...]:
-        total = (0,) * dim
-        for c in self.boundary_classes:
-            total = tuple(x ^ y for x, y in zip(total, c))
-        return total
+        return _xor_fold(enumerate(self.boundary_classes), dim, f"band {self.id!r}: boundary circle")
 
 
 def validate_record(record: BandRecord, surface: SurfaceModel, rel: Optional[RelH2] = None) -> None:
@@ -234,11 +241,9 @@ class BandCatalog(namedtuple("BandCatalog", "surface rel records")):
         ids = [r.id for r in self.records]
         if len(set(ids)) != len(ids):
             raise BandError("duplicate band ids")
-        for name in self.rel.basis:
-            b = self.rel.boundary[name]
-            if len(b) != self.surface.dim:
-                raise BandError(f"boundary of RelH2 basis class {name!r} has length {len(b)}, "
-                                f"expected the H1 dimension {self.surface.dim}")
+        # the fold over the whole basis checks every basis boundary's length
+        _xor_fold(((name, self.rel.boundary[name]) for name in self.rel.basis), self.surface.dim,
+                  _BASIS_BOUNDARY)
         for r in self.records:
             validate_record(r, self.surface, self.rel)  # checks the class, in boundary_of
 

@@ -266,21 +266,26 @@ def flowchart(inst: ProblemInstance) -> Verdict:
     return _flowchart(inst, primary_obstructions(inst))
 
 
-def _flowchart(inst: ProblemInstance, obstructions: dict) -> Verdict:
-    trace: list[TraceEntry] = []
+def _primary_node(obstructions: dict, trace: list[TraceEntry], refs: str, failure: str,
+                  failure_refs: str) -> Optional[Verdict]:
+    """The primary question "lambda = mu = 0?"; the early verdict when some obstruction is not."""
     primary_ok = all(v.is_zero() for v in obstructions.values())
     trace.append(TraceEntry(
-        "Is lambda(f_i,f_j)=mu(f_i)=0 for all i != j?",
-        "Fig. 2; Defs 2.9, 2.13, 2.17",
-        "yes" if primary_ok else "no",
+        "Is lambda(f_i,f_j)=mu(f_i)=0 for all i != j?", refs, "yes" if primary_ok else "no",
     ))
-    if not primary_ok:
-        trace.append(TraceEntry(
-            "F is not regularly homotopic, rel. boundary, to an embedding",
-            "Fig. 2; Prop 2.18/2.23 (regular homotopy invariance)",
-            NOT_REG_EMBED,
-        ))
-        return Verdict(NOT_REG_EMBED, None, None, "undefined", trace)
+    if primary_ok:
+        return None
+    trace.append(TraceEntry(failure, failure_refs, NOT_REG_EMBED))
+    return Verdict(NOT_REG_EMBED, None, None, "undefined", trace)
+
+
+def _flowchart(inst: ProblemInstance, obstructions: dict) -> Verdict:
+    trace: list[TraceEntry] = []
+    early = _primary_node(obstructions, trace, "Fig. 2; Defs 2.9, 2.13, 2.17",
+                          "F is not regularly homotopic, rel. boundary, to an embedding",
+                          "Fig. 2; Prop 2.18/2.23 (regular homotopy invariance)")
+    if early is not None:
+        return early
 
     ft = restrict_Ft(inst)
     trace.append(TraceEntry(
@@ -375,19 +380,10 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
             "representative before running the analysis"
         )
     trace: list[TraceEntry] = []
-    primary_ok = all(v.is_zero() for v in obstructions.values())
-    trace.append(TraceEntry(
-        "Is lambda(f_i,f_j)=mu(f_i)=0 for all i != j?",
-        "§1.4 (after normalizing mu_1 = 0)",
-        "yes" if primary_ok else "no",
-    ))
-    if not primary_ok:
-        trace.append(TraceEntry(
-            "F is not homotopic to an embedding",
-            "§1.4",
-            NOT_REG_EMBED,
-        ))
-        return Verdict(NOT_REG_EMBED, None, None, "undefined", trace)
+    early = _primary_node(obstructions, trace, "§1.4 (after normalizing mu_1 = 0)",
+                          "F is not homotopic to an embedding", "§1.4")
+    if early is not None:
+        return early
     ft = restrict_Ft(inst)
     case2 = sorted(
         cid for cid in ft if inst.component(cid).subgroup.contains_minus_one

@@ -7,10 +7,15 @@ relation in the self-intersection case.  The group splits as a direct sum
 of Z summands (one per "infinite" orbit, with a chosen section sign) and
 Z/2 summands (one per orbit containing both signs of an element).
 
-Each element is classified once, as (orbit, section sign), and cached.
-For a finitely generated abelian ambient G = Z^k / (factors), one signed
-lattice L in Z^(k+1) does it: the subgroup generators with their sign bit,
-the s_g generators with the sign twisted by wM, the factors, and (0, 2).
+Each element is classified once, as (orbit, section sign), and cached;
+only the elements queried are classified.  For a finite ambient, one
+signed search from (e, +1) over the moves of the subgroup generators (and
+the inversion) classifies e's whole orbit, its least element being the
+representative: O(size of the queried orbits x number of generators) per
+context.  For a finitely generated abelian ambient G = Z^k / (factors),
+one signed lattice L in Z^(k+1) does it: the subgroup generators with
+their sign bit, the s_g generators with the sign twisted by wM, the
+factors, and (0, 2).
 A Hermite reduction returns the one vector of its coset with
 0 <= v[c] < pivot at every pivot column, so reducing (e, 0) gives
 (r, bit), where r is e reduced modulo the projection of L (the canonical
@@ -21,7 +26,7 @@ inverse; the orbit takes the lesser of the two, and has order two when
 
 ``smith_oracle`` recomputes the same invariants by brute force from the
 relation presentation via Smith normal form and is kept independent of
-the orbit enumeration.
+the orbit search.
 """
 
 from __future__ import annotations
@@ -76,77 +81,57 @@ class GammaGroup:
     """Orbit decomposition of the quotient; backend chosen by the ambient.
 
     Both backends answer ``classify_all`` from one table of element ->
-    (orbit, section sign): the finite backend fills it at build time, the
-    abelian backend fills it for the elements new to each call, reducing
-    them in one batched Hermite pass (two with self-pairing).
+    (orbit, section sign), filled by ``_classify_new`` for the elements new
+    to each call: the finite backend searches each new element's orbit, the
+    abelian backend reduces them in one batched Hermite pass (two with
+    self-pairing).
     """
 
     def __init__(self, ctx: PairingContext):
         self.ctx = ctx
         self._table: dict = {}  # element -> (Orbit, sign or None)
-        if ctx.ambient.kind == "finite":
-            self._build_finite()
-        else:
-            self._build_abelian()
-
-    # -- finite backend -------------------------------------------------
-
-    def _build_finite(self):
-        G = self.ctx.ambient
-        wM = self.ctx.wM
-        left = sorted(self.ctx.s_f.members())
-        right = sorted(self.ctx.s_g.members())
-        orbit_id: dict[tuple, int] = {}
-        next_id = 0
-        for e in G.elements():
-            for s in (1, -1):
-                if (e, s) in orbit_id:
-                    continue
-                oid = next_id
-                next_id += 1
-                stack = [(e, s)]
-                orbit_id[(e, s)] = oid
-                while stack:
-                    g, t = stack.pop()
-                    nbrs = []
-                    for a, ea in left:
-                        nbrs.append((G.mul(a, g), t * ea))
-                    for b, eb in right:
-                        nbrs.append((G.mul(g, b), t * eb * wM(b)))
-                    if self.ctx.self_pairing:
-                        nbrs.append((G.inv(g), t * wM(g)))
-                    for node in nbrs:
-                        if node not in orbit_id:
-                            orbit_id[node] = oid
-                            stack.append(node)
-        # project signed orbits to element orbits, represented by their least element
-        least = [G.order] * next_id
-        for (g, _), oid in orbit_id.items():
-            least[oid] = min(least[oid], g)
-        orbits: dict[int, Orbit] = {}
-        for e in G.elements():
-            rep = least[orbit_id[(e, 1)]]
-            two = orbit_id[(e, 1)] == orbit_id[(e, -1)]
-            orbit = orbits.setdefault(rep, Orbit(rep, two))
-            if two:
-                self._table[e] = (orbit, None)
-            else:
-                self._table[e] = (orbit, 1 if orbit_id[(e, 1)] == orbit_id[(rep, 1)] else -1)
-        self._orbits = [orbits[r] for r in sorted(orbits)]
-
-    # -- abelian backend ------------------------------------------------
-
-    def _build_abelian(self):
-        G = self.ctx.ambient
-        wM = self.ctx.wM
+        G = ctx.ambient
+        wM = ctx.wM
+        if self.finite:
+            # g -> a*g and g -> g*b, each with the sign factor it applies
+            self._left = [(G.table[a], ea) for a, ea in ctx.s_f.generators]
+            self._right = [(b, eb * wM(b)) for b, eb in ctx.s_g.generators]
+            return
         # with self-pairing, a generator g with wM(g) = -1 enters with both sign
         # bits, so (0, 1) lies in the lattice and every orbit has order two
-        twisted = [list(g) + [_sign_bit(s * wM(g))] for g, s in self.ctx.s_g.generators]
-        self._hat = HermiteLattice(self.ctx.s_f.lattice.rows + twisted, G.rank + 1)
+        twisted = [list(g) + [_sign_bit(s * wM(g))] for g, s in ctx.s_g.generators]
+        self._hat = HermiteLattice(ctx.s_f.lattice.rows + twisted, G.rank + 1)
         self._global_two = self._hat.contains([0] * G.rank + [1])
 
     def _classify_new(self, new: list) -> None:
-        """Table entries for canonical elements not yet classified, in batched passes."""
+        """Table entries for canonical elements not yet classified."""
+        if self.finite:
+            G, wM = self.ctx.ambient, self.ctx.wM.values
+            for e in new:
+                if e in self._table:  # an earlier element's orbit holds it
+                    continue
+                # Each element keeps the sign it is first reached with.  Forward
+                # moves reach the whole orbit of a finite group, so unless some
+                # element is reached with both signs, the signed set reached is
+                # closed under every move: the orbit of (e, +1), not of order two.
+                sign, stack, two = {e: 1}, [e], False
+                while stack:
+                    g = stack.pop()
+                    t = sign[g]
+                    moves = [(row[g], t * ea) for row, ea in self._left]
+                    moves += [(G.table[g][b], t * f) for b, f in self._right]
+                    if self.ctx.self_pairing:
+                        moves.append((G.inverse[g], t * wM[g]))
+                    for h, s in moves:
+                        if h not in sign:
+                            sign[h] = s
+                            stack.append(h)
+                        elif sign[h] != s:
+                            two = True
+                orbit = Orbit(min(sign), two)
+                for g, s in sign.items():
+                    self._table[g] = (orbit, None if two else s * sign[orbit.rep])
+            return
         reps = self._hat.reduce_all(list(map(add, new, repeat((0,)))))
         invs = reps  # without self-pairing, comparing each class with itself changes nothing
         if self.ctx.self_pairing:
@@ -172,9 +157,11 @@ class GammaGroup:
         return self.ctx.ambient.kind == "finite"
 
     def orbits(self) -> list[Orbit]:
+        """Every orbit, by representative; classifies every element not yet classified."""
         if not self.finite:
             raise GammaError("orbits of an infinite group are computed per query")
-        return list(self._orbits)
+        entries = self._classify_canonical(list(self.ctx.ambient.elements()))
+        return sorted({orbit for orbit, _ in entries})
 
     def free_rank(self) -> int:
         return sum(1 for o in self.orbits() if not o.order_two)

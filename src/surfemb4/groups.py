@@ -305,11 +305,6 @@ class SignedSubgroup(namedtuple("SignedSubgroup", "ambient generators closure la
             return (self.ambient.identity, -1) in self.closure
         return self.lattice.contains((0,) * self.ambient.rank + (1,))
 
-    def members(self) -> frozenset:
-        if self.ambient.kind != "finite":
-            raise GroupError("cannot enumerate an abelian signed subgroup")
-        return self.closure
-
     def character_trivial_on_projection(self, chi: Character) -> bool:
         """A character is trivial on a generated subgroup iff it is on the generators."""
         return all(chi(g) == 1 for g, _ in self.generators)
@@ -328,11 +323,11 @@ def subgroup_closure(ambient: AmbientGroup, generators: Iterable) -> SignedSubgr
         frontier = list(closure)
         while frontier:
             g, s = frontier.pop()
-            for h, t in gens:
-                for cand in ((ambient.mul(g, h), s * t), (ambient.mul(g, ambient.inv(h)), s * t)):
-                    if cand not in closure:
-                        closure.add(cand)
-                        frontier.append(cand)
+            for h, t in gens:  # forward moves reach every product in a finite group
+                cand = (ambient.mul(g, h), s * t)
+                if cand not in closure:
+                    closure.add(cand)
+                    frontier.append(cand)
         return SignedSubgroup(ambient, gens, closure=frozenset(closure))
     k = ambient.rank
     rows = [list(g) + [_sign_bit(s)] for g, s in gens]

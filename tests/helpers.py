@@ -5,7 +5,8 @@ test inputs (cyclic groups, trivial characters, Seifert block sums,
 instance documents, and the t-preserving transfer move and cusp trick);
 Theta read off a ``ThetaFunctional`` at any class of its span; and the slow
 or older computations that the package's fast paths are compared against:
-knot, gamma, list-reduction, Whitney-conversion and projective-plane oracles.
+knot, finite and abelian gamma, list-reduction, Whitney-conversion and
+projective-plane oracles.
 """
 
 from __future__ import annotations
@@ -412,6 +413,66 @@ class TwoLatticeGamma:
         if orbit.order_two:
             return raw % 2, "Z/2"
         return raw * self.section_sign(elem), "Z"
+
+
+class EnumeratedFiniteGamma:
+    """Orbits and section signs of a finite context, from every signed element at once.
+
+    Enumerates the signed orbits of all of G x {+1,-1}, stepping through
+    every member of both subgroup closures, then projects them to element
+    orbits represented by their least element.  ``_table`` maps each element
+    to (orbit, section sign or None) and ``_orbits`` lists the orbits by
+    representative.  The reference for ``GammaGroup`` on finite ambients,
+    which searches only the orbits queried, over the subgroup generators.
+    """
+
+    def __init__(self, ctx: PairingContext):
+        self.ctx = ctx
+        self._table: dict = {}
+        self._build_finite()
+
+    def _build_finite(self):
+        G = self.ctx.ambient
+        wM = self.ctx.wM
+        left = sorted(self.ctx.s_f.closure)
+        right = sorted(self.ctx.s_g.closure)
+        orbit_id: dict[tuple, int] = {}
+        next_id = 0
+        for e in G.elements():
+            for s in (1, -1):
+                if (e, s) in orbit_id:
+                    continue
+                oid = next_id
+                next_id += 1
+                stack = [(e, s)]
+                orbit_id[(e, s)] = oid
+                while stack:
+                    g, t = stack.pop()
+                    nbrs = []
+                    for a, ea in left:
+                        nbrs.append((G.mul(a, g), t * ea))
+                    for b, eb in right:
+                        nbrs.append((G.mul(g, b), t * eb * wM(b)))
+                    if self.ctx.self_pairing:
+                        nbrs.append((G.inv(g), t * wM(g)))
+                    for node in nbrs:
+                        if node not in orbit_id:
+                            orbit_id[node] = oid
+                            stack.append(node)
+        # project signed orbits to element orbits, represented by their least element
+        least = [G.order] * next_id
+        for (g, _), oid in orbit_id.items():
+            least[oid] = min(least[oid], g)
+        orbits: dict[int, Orbit] = {}
+        for e in G.elements():
+            rep = least[orbit_id[(e, 1)]]
+            two = orbit_id[(e, 1)] == orbit_id[(e, -1)]
+            orbit = orbits.setdefault(rep, Orbit(rep, two))
+            if two:
+                self._table[e] = (orbit, None)
+            else:
+                self._table[e] = (orbit, 1 if orbit_id[(e, 1)] == orbit_id[(rep, 1)] else -1)
+        self._orbits = [orbits[r] for r in sorted(orbits)]
 
 
 def reduce_list_per_point(entries, gamma: GammaGroup) -> GammaElement:

@@ -206,6 +206,18 @@ def test_basis_boundary_of_the_wrong_length_is_rejected():
             BandCatalog(surface, rel, records)
 
 
+def test_validate_record_rejects_a_basis_boundary_of_the_wrong_length():
+    """Called directly, without the catalog's check first, a short fold is an error too."""
+    surface = torus_surface()
+    rel = RelH2(("a",), {"a": (1, 0, 1)})
+    r = BandRecord("r", "surface", (1,), ((1, 0),), (0,), 0, 0, 0, 0, 0)
+    with pytest.raises(BandError, match="'a' has length 3, expected the H1 dimension 2"):
+        validate_record(r, surface, rel)
+    two = BandRecord("s", "annulus", (1,), ((1, 0), (1, 0, 1)), (0, 0), 0, 0, 0, 0, 0)
+    with pytest.raises(BandError, match="band 's': boundary circle 1 has length 3"):
+        two.total_boundary(surface.dim)
+
+
 _ODD_BITS = (0, 1, True, False, 0.0, 1.0, 2, -1, "0", "1", [0], None)
 
 

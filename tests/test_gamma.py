@@ -17,6 +17,7 @@ from surfemb4.groups import Character, abelian_group, subgroup_closure
 from surfemb4.intlinalg import HermiteLattice
 
 from helpers import (
+    EnumeratedFiniteGamma,
     TwoLatticeGamma,
     all_characters,
     all_groups_up_to_8,
@@ -153,9 +154,9 @@ def test_oracle_equivalence_self_pairing_sample():
             assert (gamma.free_rank(), gamma.two_count()) == (rank, len(torsion)), name
 
 
-def test_oracle_equivalence_on_products_and_dihedral_groups_up_to_64():
+def _products_and_dihedral_groups_up_to_64():
     c = {n: cyclic_group(n) for n in (2, 3, 4, 8)}
-    groups = [(f"D{m}", dihedral(m)) for m in (5, 6, 9, 16, 32)] + [
+    return [(f"D{m}", dihedral(m)) for m in (5, 6, 9, 16, 32)] + [
         ("C4xC8", direct_product(c[4], c[8])),
         ("C8xC8", direct_product(c[8], c[8])),
         ("C2xC2xC2xC2xC4", direct_product(direct_product(direct_product(c[2], c[2]),
@@ -165,8 +166,11 @@ def test_oracle_equivalence_on_products_and_dihedral_groups_up_to_64():
         ("C2xD16", direct_product(c[2], dihedral(16))),
         ("D6xC3", direct_product(dihedral(6), c[3])),
     ]
+
+
+def test_oracle_equivalence_on_products_and_dihedral_groups_up_to_64():
     rng = random.Random(64)
-    for name, g in groups:
+    for name, g in _products_and_dihedral_groups_up_to_64():
         assert g.order <= 64, name
         for _ in range(6):
             wM = random_character(g, rng)
@@ -183,6 +187,55 @@ def test_oracle_equivalence_on_products_and_dihedral_groups_up_to_64():
             for e in g.elements():
                 least.setdefault(gamma.orbit_of(e), e)
             assert all(orbit.rep == e for orbit, e in least.items()), name
+
+
+def _assert_tables_match_the_enumeration(ctx, rng):
+    """The whole table (rep, order two, section sign) and the orbit list agree with the
+    enumeration of every signed element, whichever elements are queried first."""
+    gamma, ref = build_gamma(ctx), EnumeratedFiniteGamma(ctx)
+    elems = list(ctx.ambient.elements())
+    first = rng.sample(elems, rng.randrange(len(elems) + 1))
+    assert dict(zip(first, gamma.classify_all(first))) == {e: ref._table[e] for e in first}
+    assert dict(zip(elems, gamma.classify_all(elems))) == ref._table
+    assert gamma.orbits() == ref._orbits
+
+
+@pytest.mark.parametrize("self_pairing", [False, True])
+def test_finite_tables_match_the_enumeration_on_groups_up_to_8(self_pairing):
+    rng = random.Random(808 + self_pairing)
+    for name, g in all_groups_up_to_8():
+        for wM in all_characters(g):
+            for _ in range(4):
+                s_f = random_signed_subgroup(g, rng)
+                s_g = s_f if self_pairing else random_signed_subgroup(g, rng)
+                _assert_tables_match_the_enumeration(
+                    PairingContext(g, wM, s_f, s_g, self_pairing=self_pairing), rng)
+
+
+def test_finite_tables_match_the_enumeration_on_products_and_dihedral_groups():
+    rng = random.Random(6464)
+    for name, g in _products_and_dihedral_groups_up_to_64():
+        for self_pairing in (False, True):
+            for _ in range(3):
+                s_f = random_signed_subgroup(g, rng)
+                s_g = s_f if self_pairing else random_signed_subgroup(g, rng)
+                _assert_tables_match_the_enumeration(
+                    PairingContext(g, random_character(g, rng), s_f, s_g, self_pairing), rng)
+
+
+def test_finite_targets_classify_only_the_orbits_queried():
+    rng = random.Random(99)
+    for name, g in _products_and_dihedral_groups_up_to_64():
+        for self_pairing in (False, True):
+            s_f = random_signed_subgroup(g, rng)
+            s_g = s_f if self_pairing else random_signed_subgroup(g, rng)
+            ctx = PairingContext(g, random_character(g, rng), s_f, s_g, self_pairing)
+            gamma, ref = build_gamma(ctx), EnumeratedFiniteGamma(ctx)
+            assert gamma._table == {}, name
+            entries = [(rng.choice((1, -1)), rng.randrange(g.order)) for _ in range(3)]
+            reduce_list(entries, gamma)
+            queried = {ref._table[e][0] for _, e in entries}
+            assert set(gamma._table) == {e for e in g.elements() if ref._table[e][0] in queried}
 
 
 def test_finger_move_invariance():

@@ -195,28 +195,44 @@ def test_generator_character_check_matches_all_pairs():
 def test_closure_empty_generators():
     g = cyclic_group(2)
     s = subgroup_closure(g, [])
-    assert s.members() == frozenset({(0, 1)})
+    assert s.closure == frozenset({(0, 1)})
 
 
 def test_closure_signed_generator():
     g = cyclic_group(2)
     s = subgroup_closure(g, [(1, -1)])
-    assert s.members() == frozenset({(0, 1), (1, -1)})
+    assert s.closure == frozenset({(0, 1), (1, -1)})
     assert not s.contains_minus_one
 
 
 def test_closure_minus_one_in_trivial_group():
     g = cyclic_group(1)
     s = subgroup_closure(g, [(0, -1)])
-    assert s.members() == frozenset({(0, 1), (0, -1)})
+    assert s.closure == frozenset({(0, 1), (0, -1)})
     assert s.contains_minus_one
 
 
 def test_closure_idempotent():
     g = cyclic_group(6)
     s = subgroup_closure(g, [(2, -1), (3, 1)])
-    again = subgroup_closure(g, sorted(s.members()))
-    assert again.members() == s.members()
+    again = subgroup_closure(g, sorted(s.closure))
+    assert again.closure == s.closure
+
+
+def test_finite_closure_is_the_closure_under_products_and_inverses():
+    # forward moves by the generators suffice in a finite group
+    rng = random.Random(12)
+    for name, g in all_groups_up_to_8():
+        for _ in range(10):
+            s = random_signed_subgroup(g, rng)
+            brute = set(s.generators) | {(g.identity, 1)}
+            while True:
+                more = {(g.inv(a), sa) for a, sa in brute}
+                more |= {(g.mul(a, b), sa * sb) for a, sa in brute for b, sb in brute}
+                if more <= brute:
+                    break
+                brute |= more
+            assert s.closure == brute, name
 
 
 def test_minus_one_iff_sign_not_functional():
@@ -232,7 +248,7 @@ def test_minus_one_iff_sign_not_functional():
             s = random_signed_subgroup(g, rng)
             table = {}
             functional = True
-            for elem, sign in s.members():
+            for elem, sign in s.closure:
                 if table.setdefault(elem, sign) != sign:
                     functional = False
             assert s.contains_minus_one == (not functional), name
@@ -244,7 +260,7 @@ def test_character_trivial_on_projection_matches_the_closure():
         for chi in all_characters(g):
             for _ in range(10):
                 s = random_signed_subgroup(g, rng)
-                expected = all(chi(elem) == 1 for elem, _ in s.members())
+                expected = all(chi(elem) == 1 for elem, _ in s.closure)
                 assert s.character_trivial_on_projection(chi) == expected, name
 
 

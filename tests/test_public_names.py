@@ -6,7 +6,8 @@ the first part of a ``perfbench/layers.py`` target's qualname, or when
 ``tests/test_acceptance.py`` imports it or reads it as an attribute of an
 imported module (``schema.verdict_to_json``).  A public method of a
 module-level class passes when a definition other than itself uses its name
-as an identifier (matching by name alone), or when it is a target's qualname.
+as an attribute (``obj.name``, matching by name alone; a bare name such as a
+local variable does not count), or when it is a target's qualname.
 A name that only its own unit tests reach belongs in ``tests/helpers.py``, or
 nowhere.
 """
@@ -27,13 +28,14 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _identifiers(node) -> set[str]:
+def _identifiers(node) -> set[tuple[bool, str]]:
+    """(is an attribute, identifier) for each name and attribute used under ``node``."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            out.add((False, n.id))
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out.add((True, n.attr))
     return out
 
 
@@ -78,7 +80,7 @@ def _acceptance_uses() -> set[tuple[str, str]]:
 
 
 def unreached_public_names() -> list[str]:
-    refs: dict[str, set] = {}  # identifier -> owners of the definitions using it
+    refs: dict[tuple, set] = {}  # (is an attribute, identifier) -> owners of the definitions using it
     public = []  # (module, qualname, identifier)
     for module, tree in _modules().items():
         for owner, idents in _owned_identifiers(module, tree):
@@ -97,7 +99,10 @@ def unreached_public_names() -> list[str]:
 
     def reached(module, qualname, ident):
         own = f"{module}.{qualname}"  # uses inside the definition itself do not count
-        users = [o for o in refs.get(ident, ()) if o is None or not (o + ".").startswith(own + ".")]
+        uses = refs.get((True, ident), set())
+        if "." not in qualname:  # a method is reached only as an attribute
+            uses = uses | refs.get((False, ident), set())
+        users = [o for o in uses if o is None or not (o + ".").startswith(own + ".")]
         return bool(users) or (module, qualname) in traced or (module, qualname) in accepted
 
     return sorted(f"{module}.{qualname}" for module, qualname, ident in public

@@ -1,7 +1,17 @@
 import random
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
+from surfemb4.bands import (
+    BandError,
+    BandRecord,
+    SurfaceComponent,
+    SurfaceModel,
+    band_fibre_finger_move,
+    theta,
+    validate_record,
+)
 from surfemb4.gamma import PairingContext, build_gamma, reduce_list
 from surfemb4.whitney import (
     DoublePoint,
@@ -210,3 +220,91 @@ def test_to_convenient_matches_quadratic_reference():
         assert out == to_convenient_quadratic(points, weak)
         # the weak terms and the conversion's interior bumps must give the same t
         assert t_count(points, [0, 1, 2], weak) == t_count(points, [0, 1, 2], out)
+
+
+@st.composite
+def _weak_collections(draw):
+    """(points, weak collection, components): one to six discs over components 0..n-1, each
+    pairing a +1 and a -1 point on one component pair, with interiors on 0..n (n carries no
+    points), random twisting and boundary counts, and every component the points and interiors
+    name."""
+    n = draw(st.integers(1, 4))
+    disc_ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True))
+    points, discs = [], []
+    for k, did in enumerate(disc_ids):
+        comps = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+        points += [DoublePoint(2 * k, comps, 1, 0), DoublePoint(2 * k + 1, comps, -1, 0)]
+        interior = draw(st.dictionaries(st.integers(0, n), st.integers(0, 3), max_size=3))
+        discs.append(WhitneyDisc(did, (2 * k, 2 * k + 1), interior,
+                                 mu_boundary=draw(st.integers(0, 3)), euler=draw(st.integers(-3, 3))))
+    boundary = {}
+    if len(disc_ids) > 1:
+        pairs = st.lists(st.sampled_from(disc_ids), min_size=2, max_size=2, unique=True)
+        boundary = draw(st.dictionaries(pairs.map(frozenset), st.integers(0, 3), max_size=8))
+    components = sorted({c for p in points for c in p.components}
+                        | {c for d in discs for c in d.interior})
+    event(f"{len(components)} components")
+    return points, WhitneyCollection(tuple(discs), boundary, convenient=False), components
+
+
+@settings(max_examples=200)
+@given(_weak_collections())
+def test_to_convenient_keeps_t_on_multi_component_weak_collections(drawn):
+    """Hypotheses: each disc pairs two points of opposite sign on one component pair, and t is
+    counted over every component of the collection, so each conversion bump lands on a counted
+    component."""
+    points, weak, comps = drawn
+    assert t_count(points, comps, to_convenient(points, weak)) == t_count(points, comps, weak)
+
+
+@settings(max_examples=200)
+@given(_weak_collections(), st.data())
+def test_transfer_move_keeps_t_on_multi_component_weak_collections(drawn, data):
+    """Hypotheses: the two discs are distinct and each has an interior intersection, and t is
+    counted over every component of the collection, which holds the new points' components."""
+    points, weak, comps = drawn
+    with_interior = [d.id for d in weak.discs if sum(d.interior.values())]
+    assume(len(with_interior) >= 2)
+    w1, w2 = data.draw(st.lists(st.sampled_from(with_interior), min_size=2, max_size=2,
+                                unique=True))
+    new_points, out = transfer_move(points, weak, w1, w2, identity=0)
+    assert t_count(new_points, comps, out) == t_count(points, comps, weak)
+
+
+@st.composite
+def _admissible_records(draw, surface):
+    """A record over ``surface`` that passes ``validate_record`` and whose Theta is defined."""
+    kind = draw(st.sampled_from(("annulus", "mobius", "surface")))
+    circles = {"annulus": 2, "mobius": 1}.get(kind) or draw(st.integers(0, 2))
+    vec = st.tuples(*[st.integers(0, 1)] * surface.dim)
+    classes = tuple(draw(vec) for _ in range(circles))
+    w1s = tuple(surface.w1_of(c) for c in classes)
+    bits = [draw(st.integers(0, 1)) for _ in range(4)]
+    record = BandRecord("b", kind, (), classes, w1s, sum(w1s) % 2, *bits)
+    try:
+        validate_record(record, surface)
+        theta(record)
+    except BandError:  # an excluded boundary character, or a mixed annulus
+        assume(False)
+    return record
+
+
+@settings(max_examples=200)
+@given(_weak_collections(), st.data())
+def test_band_fibre_finger_move_changes_t_by_theta(drawn, data):
+    """Hypotheses: the surface has components 0..m-1, t is counted over them and every
+    component of the collection, and the record is admissible with Theta defined."""
+    points, weak, comps = drawn
+    surface = SurfaceModel([
+        SurfaceComponent(i, *data.draw(st.sampled_from(((0, True), (1, True), (1, False),
+                                                        (2, False)))),
+                         boundary_circles=data.draw(st.integers(0, 2)))
+        for i in range(data.draw(st.integers(1, 3)))])
+    record = data.draw(_admissible_records(surface))
+    comps = sorted(set(comps) | {c.id for c in surface.components})
+    before = t_count(points, comps, weak)
+    new_points, out, delta = band_fibre_finger_move(points, weak, record, surface, comps,
+                                                    identity=0)
+    assert delta == theta(record)
+    assert t_count(new_points, comps, out) == (before + theta(record)) % 2
+    event(f"{record.kind}, Theta {theta(record)}")
