@@ -8,9 +8,9 @@ of Z summands (one per "infinite" orbit, with a chosen section sign) and
 Z/2 summands (one per orbit containing both signs of an element).
 
 Each element is classified once, as (orbit, section sign), and cached;
-only the elements queried are classified.  For a finite ambient, one
-signed search from (e, +1) over the moves of the subgroup generators (and
-the inversion) classifies e's whole orbit, its least element being the
+nothing is classified before a query.  For a finite ambient, one signed
+search from (e, +1) over the moves of the subgroup generators (and the
+inversion) classifies e's whole orbit, its least element being the
 representative: O(size of the queried orbits x number of generators) per
 context.  For a finitely generated abelian ambient G = Z^k / (factors),
 one signed lattice L in Z^(k+1) does it: the subgroup generators with
