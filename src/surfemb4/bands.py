@@ -317,20 +317,15 @@ class ThetaFunctional:
         return vec, value, used
 
 
-def theta_on_span(catalog: BandCatalog) -> ThetaFunctional:
-    """Linear functional given by the records; needs the boundary form to vanish."""
+def validate_theta_well_defined(catalog: BandCatalog) -> ThetaFunctional:
+    """Theta as a linear functional on the span of the classes.
+
+    Raises ``NotLinearizable`` when the boundary form does not vanish on the
+    records, and ``ThetaConflict`` when Theta is not linear on their span.
+    """
     if _boundary_form_witness(catalog) is not None:
         raise NotLinearizable("the cross-term lambda(C,C') obstructs linearity")
     return ThetaFunctional(catalog.records)
-
-
-def validate_theta_well_defined(catalog: BandCatalog) -> Optional[ThetaConflict]:
-    """Theta must be linear on the span of the classes; returns the conflict if not."""
-    try:
-        theta_on_span(catalog)
-    except ThetaConflict as conflict:
-        return conflict
-    return None
 
 
 class BCharResult(NamedTuple):

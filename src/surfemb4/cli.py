@@ -38,7 +38,7 @@ def _resolve(path: str, kind: str) -> Path:
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(schema.to_json(doc))
 
 
 def _error_doc(exc: ValueError) -> dict:
@@ -46,10 +46,7 @@ def _error_doc(exc: ValueError) -> dict:
 
 
 def _load_instance(name: str) -> engine.ProblemInstance:
-    inst, errors = schema.load_instance(str(_resolve(name, "instances")))
-    if errors:
-        raise schema.SchemaError(errors)
-    return inst
+    return schema.load_instance(str(_resolve(name, "instances")))
 
 
 def cmd_validate(args) -> int:

@@ -81,13 +81,15 @@ class ProblemInstance(namedtuple("ProblemInstance", (
             raise ValidationError(
                 f"immersion components {sorted(known)} != surface components {sorted(surface_ids)}"
             )
+        point_ids = {p.id for p in self.points}
+        if len(point_ids) != len(self.points):
+            raise ValidationError("duplicate double-point ids")
         for p in self.points:
             if not set(p.components) <= known:
                 raise ValidationError(f"double point {p.id} references unknown components")
         if not self.torus_summands <= known:
             raise ValidationError("torus_summand flag references unknown components")
         if self.collection is not None:
-            point_ids = {p.id for p in self.points}
             if not self.collection.paired_point_ids() <= point_ids:
                 raise ValidationError("Whitney collection references unknown double points")
             for d in self.collection.discs:

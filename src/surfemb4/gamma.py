@@ -171,12 +171,7 @@ class GammaGroup:
 
     def classify_all(self, elems: list) -> list[tuple[Orbit, Optional[int]]]:
         """``classify`` of each element; those new to the table are classified in one batch."""
-        G = self.ctx.ambient
-        canon = G.check_elems(elems)
-        if canon is None:
-            for elem in elems:
-                G.check_elem(elem)  # raises at the first invalid element
-        return self._classify_canonical(canon)
+        return self._classify_canonical(self.ctx.ambient.check_elems(elems))
 
     def _classify_canonical(self, canon: list) -> list[tuple[Orbit, Optional[int]]]:
         """``classify_all`` of elements already checked and in canonical form."""
@@ -256,12 +251,11 @@ def reduce_list(entries: Iterable, gamma: GammaGroup) -> GammaElement:
     pairs = list(entries)
     signs = [sign for sign, _ in pairs]
     elems = [elem for _, elem in pairs]
+    if not all(map(_SIGNS.__contains__, signs)):
+        k = next(i for i, sign in enumerate(signs) if sign not in _SIGNS)
+        G.check_elems(elems[:k])  # a bad element before the bad sign is met first
+        raise GammaError(f"sign must be +1 or -1, got {signs[k]!r}")
     canon = G.check_elems(elems)
-    if canon is None or not all(map(_SIGNS.__contains__, signs)):
-        for sign, elem in pairs:  # the first error, as a walk point by point meets it
-            if sign not in _SIGNS:
-                raise GammaError(f"sign must be +1 or -1, got {sign!r}")
-            G.check_elem(elem)
     count = Counter(canon)
     plus = Counter(compress(canon, map(eq, signs, repeat(1))))
     coeffs: dict = {}

@@ -14,7 +14,7 @@ import reprlib
 from collections import namedtuple
 from itertools import compress, repeat
 from operator import itemgetter, mod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalConsistency
 from .intlinalg import HermiteLattice
@@ -66,19 +66,15 @@ class FiniteTableGroup:
         return range(self.order)
 
     def check_elem(self, a) -> int:
-        if type(a) is not int or not (0 <= a < self.order):
-            raise GroupError(f"invalid element {reprlib.repr(a)} for group of order {self.order}")
-        return a
+        return self.check_elems([a])[0]
 
-    def check_elems(self, values: list) -> Optional[list[int]]:
-        """``check_elem`` over a whole list in C-level passes; None if any value is invalid."""
+    def check_elems(self, values: list) -> list[int]:
+        """The values, checked in C-level passes; raises at the first invalid one."""
         if values and not (_INTS.issuperset(map(type, values))
                            and 0 <= min(values) and max(values) < self.order):
-            return None
+            bad = next(a for a in values if type(a) is not int or not 0 <= a < self.order)
+            raise GroupError(f"invalid element {reprlib.repr(bad)} for group of order {self.order}")
         return list(values)
-
-    def canon(self, a: int) -> int:
-        return a
 
     def __repr__(self):
         return f"FiniteTableGroup(order={self.order})"
@@ -97,28 +93,22 @@ class FGAbelianGroup:
         self.rank = len(self.factors)
         self.identity = tuple(0 for _ in self.factors)
 
-    def canon(self, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            x % f if f else x for x, f in zip(a, self.factors)
-        )
-
     def check_elem(self, a) -> tuple[int, ...]:
-        if (not isinstance(a, (tuple, list)) or len(a) != self.rank
-                or not _INTS.issuperset(map(type, a))):
-            raise GroupError(f"invalid element {reprlib.repr(a)} for factors {self.factors}")
-        return self.canon(a)
+        return self.check_elems([a])[0]
 
-    def check_elems(self, values: list) -> Optional[list[tuple[int, ...]]]:
-        """``check_elem`` over a whole list, column by column; None if any value is invalid."""
-        if not (all(map(isinstance, values, repeat((tuple, list))))
+    def check_elems(self, values: list) -> list[tuple[int, ...]]:
+        """The values reduced by the factors, column by column; raises at the first invalid one."""
+        if (all(map(isinstance, values, repeat((tuple, list))))
                 and {self.rank}.issuperset(map(len, values))):
-            return None
-        cols = list(zip(*values))
-        if not all(_INTS.issuperset(map(type, col)) for col in cols):
-            return None
-        cols = [list(map(mod, col, repeat(f))) if f else col for col, f in zip(cols, self.factors)]
-        # with rank 0 there are no columns, and every element is ()
-        return list(zip(*cols)) or [()] * len(values)
+            cols = list(zip(*values))
+            if all(_INTS.issuperset(map(type, col)) for col in cols):
+                cols = [list(map(mod, col, repeat(f))) if f else col
+                        for col, f in zip(cols, self.factors)]
+                # with rank 0 there are no columns, and every element is ()
+                return list(zip(*cols)) or [()] * len(values)
+        bad = next(a for a in values if not isinstance(a, (tuple, list)) or len(a) != self.rank
+                   or not _INTS.issuperset(map(type, a)))
+        raise GroupError(f"invalid element {reprlib.repr(bad)} for factors {self.factors}")
 
     def __repr__(self):
         return f"FGAbelianGroup(factors={self.factors})"

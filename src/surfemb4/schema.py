@@ -14,10 +14,10 @@ import json
 from itertools import chain, repeat
 from operator import itemgetter, le
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .bands import BandCatalog, BandError, BandRecord, RelH2, SurfaceComponent, SurfaceModel
-from .engine import ComponentData, EngineError, ProblemInstance, Verdict
+from .engine import ComponentData, EngineError, ProblemInstance
 from .groups import Character, GroupError, abelian_group, make_finite_group, subgroup_closure
 from .knots import FLOAT_EXACT_BOUND, KnotError, SeifertMatrix
 from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc, WhitneyError
@@ -305,12 +305,9 @@ def load_knot(path) -> SeifertMatrix:
         raise SchemaError([f"/seifert: {exc}"]) from None
 
 
-def load_instance(path) -> tuple[Optional[ProblemInstance], list[str]]:
-    try:
-        doc = _read_json(path, "instance file")
-    except SchemaError as exc:
-        return None, exc.errors
-    return instance_from_dict(doc)
+def load_instance(path) -> ProblemInstance:
+    """The instance of an instance file, or a SchemaError."""
+    return instance_from_dict(_read_json(path, "instance file"))
 
 
 # -- building the domain objects -------------------------------------------------
@@ -341,10 +338,11 @@ def _h1_dim_error(components) -> list[str]:
     return []
 
 
-def instance_from_dict(doc) -> tuple[Optional[ProblemInstance], list[str]]:
+def instance_from_dict(doc) -> ProblemInstance:
+    """The instance a parsed document declares, or a SchemaError with every error found."""
     errors = _shape_errors(INSTANCE_SHAPE, doc)
     if errors:
-        return None, errors
+        raise SchemaError(errors)
 
     gdoc = doc["group"]
     if gdoc["kind"] == "finite":
@@ -373,8 +371,12 @@ def instance_from_dict(doc) -> tuple[Optional[ProblemInstance], list[str]]:
     declared = {c["id"] for c in doc["components"]}
     points: list[DoublePoint] = []
     seen: set[int] = set()
-    # every eta at once; only when one is invalid are they checked one by one for the errors
-    etas = None if group is None else group.check_elems([dp["eta"] for dp in doc["double_points"]])
+    etas = None
+    if group is not None:
+        try:
+            etas = group.check_elems([dp["eta"] for dp in doc["double_points"]])
+        except GroupError:
+            pass  # checked point by point below, for an error at every bad one
     for i, dp in enumerate(doc["double_points"]):
         pid, pair = dp["id"], dp["components"]
         if not set(pair) <= declared:
@@ -418,19 +420,20 @@ def instance_from_dict(doc) -> tuple[Optional[ProblemInstance], list[str]]:
         band_catalog = _build(errors, "/catalogs/bands", BandCatalog, surface, rel, tuple(records))
 
     if errors:
-        return None, errors
-    inst = _build(
-        errors, "/", ProblemInstance,
-        group=group, wM=wM, components=tuple(components), surface=surface,
-        points=tuple(points), collection=collection,
-        sphere_catalog=tuple(tuple(p) for p in catalogs["spheres"]),
-        rp2_catalog=tuple(tuple(p) for p in catalogs["rp2"]),
-        band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
-        torus_summands=frozenset(doc["flags"]["torus_summand"]),
-    )
-    return inst, errors
+        raise SchemaError(errors)
+    try:
+        return ProblemInstance(
+            group=group, wM=wM, components=tuple(components), surface=surface,
+            points=tuple(points), collection=collection,
+            sphere_catalog=tuple(tuple(p) for p in catalogs["spheres"]),
+            rp2_catalog=tuple(tuple(p) for p in catalogs["rp2"]),
+            band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
+            torus_summands=frozenset(doc["flags"]["torus_summand"]),
+        )
+    except _DOMAIN_ERRORS as exc:
+        raise SchemaError([f"/: {exc}"]) from None
 
 
-def verdict_to_json(verdict: Verdict) -> str:
-    """Canonical byte-stable rendering of a verdict document."""
-    return json.dumps(verdict.as_dict(), sort_keys=True, indent=2) + "\n"
+def to_json(doc) -> str:
+    """The canonical byte-stable text of a JSON document: sorted keys, two-space indent."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -342,10 +342,10 @@ class TwoLatticeGamma:
         self.ctx = ctx
         hat_rows, proj_rows = [], []
         gen_pairs = list(ctx.s_f.generators)
-        gen_pairs += [(g, s * wM(G.canon(g))) for g, s in ctx.s_g.generators]
+        gen_pairs += [(g, s * wM(G.check_elem(g))) for g, s in ctx.s_g.generators]
         wm_nontrivial_on_span = False
         for g, s in gen_pairs:
-            v = list(G.canon(g))
+            v = list(G.check_elem(g))
             hat_rows.append(v + [_sign_bit(s)])
             proj_rows.append(v)
             wm_nontrivial_on_span |= wM(tuple(v)) == -1
@@ -389,7 +389,7 @@ class TwoLatticeGamma:
             return -1
         summ = [x + y for x, y in zip(e, rep)]
         assert self.ctx.self_pairing and self.proj.contains(summ), e
-        wr = self.ctx.wM(self.ctx.ambient.canon(rep))
+        wr = self.ctx.wM(self.ctx.ambient.check_elem(rep))
         if self.hat.contains(summ + [0]):
             return wr
         assert self.hat.contains(summ + [1]), e

@@ -21,7 +21,6 @@ from surfemb4.bands import (
     is_s_characteristic,
     lambda_boundary_check,
     theta,
-    theta_on_span,
     union_records,
     validate_record,
     validate_theta_well_defined,
@@ -126,10 +125,11 @@ def test_validate_theta_well_defined():
     rel = RelH2(("x",), {"x": (0, 0)})
     r1 = record(surface, rel, "r1", "surface", [1], [], interior=0)
     r2 = record(surface, rel, "r2", "surface", [1], [], interior=1, euler=1)
-    assert validate_theta_well_defined(BandCatalog(surface, rel, (r1, r2))) is None
+    assert validate_theta_well_defined(BandCatalog(surface, rel, (r1, r2))).witness is None
     r3 = record(surface, rel, "r3", "surface", [1], [], interior=1)
-    conflict = validate_theta_well_defined(BandCatalog(surface, rel, (r1, r3)))
-    assert conflict is not None and conflict.witnesses == ("r1", "r3")
+    with pytest.raises(ThetaConflict) as exc:
+        validate_theta_well_defined(BandCatalog(surface, rel, (r1, r3)))
+    assert exc.value.witnesses == ("r1", "r3")
 
 
 def test_theta_on_span_linearity():
@@ -137,7 +137,7 @@ def test_theta_on_span_linearity():
     rel = RelH2(("x", "y"), {"x": (1, 0, 0, 0), "y": (0, 0, 1, 0)})
     rx = record(surface, rel, "x", "surface", [1, 0], [(1, 0, 0, 0)], interior=1)
     ry = record(surface, rel, "y", "surface", [0, 1], [(0, 0, 1, 0)], interior=1)
-    functional = theta_on_span(BandCatalog(surface, rel, (rx, ry)))
+    functional = validate_theta_well_defined(BandCatalog(surface, rel, (rx, ry)))
     assert theta_value(functional, (1, 0)) == 1
     assert theta_value(functional, (1, 1)) == 0  # disjoint boundaries: values add
     assert functional.witness is not None
@@ -145,7 +145,7 @@ def test_theta_on_span_linearity():
 
 def test_theta_on_span_empty():
     surface = torus_surface()
-    functional = theta_on_span(BandCatalog(surface, RelH2((), {}), ()))
+    functional = validate_theta_well_defined(BandCatalog(surface, RelH2((), {}), ()))
     assert functional.witness is None
 
 
@@ -155,7 +155,7 @@ def test_theta_on_span_not_linearizable():
     ra = record(surface, rel, "da", "surface", [1, 0], [(1, 0)])
     rb = record(surface, rel, "db", "surface", [0, 1], [(0, 1)])
     with pytest.raises(NotLinearizable):
-        theta_on_span(BandCatalog(surface, rel, (ra, rb)))
+        validate_theta_well_defined(BandCatalog(surface, rel, (ra, rb)))
 
 
 def test_span_inconsistency_detected():
@@ -165,7 +165,7 @@ def test_span_inconsistency_detected():
     r2 = record(surface, rel, "r2", "surface", [0, 1], [], interior=1)
     r3 = record(surface, rel, "r3", "surface", [1, 1], [], interior=1)
     with pytest.raises(ThetaConflict):
-        theta_on_span(BandCatalog(surface, rel, (r1, r2, r3)))
+        validate_theta_well_defined(BandCatalog(surface, rel, (r1, r2, r3)))
 
 
 def test_span_conflict_names_the_records():
@@ -179,10 +179,13 @@ def test_span_conflict_names_the_records():
     with pytest.raises(ThetaConflict) as exc:
         is_b_characteristic(catalog)
     assert exc.value.witnesses == ("r1", "r2", "r3")
-    assert validate_theta_well_defined(catalog).witnesses == ("r1", "r2", "r3")
+    with pytest.raises(ThetaConflict) as exc:
+        validate_theta_well_defined(catalog)
+    assert exc.value.witnesses == ("r1", "r2", "r3")
     # the first record that closes a cycle names it; r0 + r1 closes first here
-    conflict = validate_theta_well_defined(BandCatalog(surface, rel, (r0, r2, r1, r3)))
-    assert conflict.witnesses == ("r0", "r1")
+    with pytest.raises(ThetaConflict) as exc:
+        validate_theta_well_defined(BandCatalog(surface, rel, (r0, r2, r1, r3)))
+    assert exc.value.witnesses == ("r0", "r1")
 
 
 def test_class_zero_over_an_empty_basis_has_boundary_zero():
@@ -258,21 +261,19 @@ def _closed_catalogs(draw):
 def test_theta_on_span_matches_the_subset_oracle(drawn):
     pairs, catalog = drawn
     violations = theta_violations(pairs)
-    conflict = validate_theta_well_defined(catalog)
     inst = simple_instance(genus=1, rel=catalog.rel, bands=catalog.records)
     if violations:
         with pytest.raises(ThetaConflict) as exc:
-            theta_on_span(catalog)
+            validate_theta_well_defined(catalog)
         named = tuple(int(rid[1:]) for rid in exc.value.witnesses)
         assert named in violations
-        assert conflict is not None and conflict.witnesses == exc.value.witnesses
-        with pytest.raises(ThetaConflict):
+        with pytest.raises(ThetaConflict) as b_exc:
             is_b_characteristic(catalog)
+        assert b_exc.value.witnesses == exc.value.witnesses
         with pytest.raises(ThetaConflict):
             flowchart(inst)
         return
-    functional = theta_on_span(catalog)
-    assert conflict is None
+    functional = validate_theta_well_defined(catalog)
     for k in range(len(pairs) + 1):
         for subset in itertools.combinations(range(len(pairs)), k):
             total = [0] * len(catalog.rel.basis)

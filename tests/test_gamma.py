@@ -400,12 +400,12 @@ def test_abelian_queries_reduce_at_most_twice_per_distinct_element(monkeypatch):
                 gamma.section_sign(e)
             coefficient_at(reduce_list([(1, e), (-1, e)], gamma), e)
             spent = vectors[0] - before
-            canon = ctx.ambient.canon(e)
+            canon = ctx.ambient.check_elem(e)
             assert spent <= (0 if canon in seen else per_element), (ctx, e)
             seen.add(canon)
         batch = [random_abelian_element(ctx.ambient, rng) for _ in range(8)]
         batch += batch[:4] + list(seen)[:3]
-        new = {ctx.ambient.canon(e) for e in batch} - seen
+        new = {ctx.ambient.check_elem(e) for e in batch} - seen
         before = vectors[0]
         reduce_list([(rng.choice((1, -1)), e) for e in batch], gamma)
         assert vectors[0] - before <= per_element * len(new), (ctx, batch)
@@ -442,7 +442,7 @@ def test_reduce_list_matches_the_point_by_point_reference(drawn):
     assert got.coeffs == TwoLatticeGamma(ctx).reduce(entries)
     for orbit in got.coeffs:
         event("order-two orbit" if orbit.order_two else "infinite orbit")
-    event("repeated element" if len({ctx.ambient.canon(e) for _, e in entries}) < len(entries)
+    event("repeated element" if len({ctx.ambient.check_elem(e) for _, e in entries}) < len(entries)
           else "no repeat")
 
 

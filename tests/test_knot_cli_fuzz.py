@@ -4,8 +4,9 @@ Hypothesis draws knot files of four kinds: Seifert matrices of T(2,q)
 connected sums, random valid Seifert matrices, random square integer
 matrices (mostly not unimodular, sometimes of odd size) and matrices past
 ``schema.MAX_SEIFERT_SIZE``.  The ``--omega`` values include roots of the
-Alexander polynomial of the torus sums, ``--d`` runs over small classes
-including +-1 and 0.
+Alexander polynomial of the torus sums and points within 10^-15 of them,
+where the float certificate declines; ``--d`` runs over small classes
+including +-1 and 0, and over classes up to 2^64 in magnitude.
 """
 
 import contextlib
@@ -14,9 +15,10 @@ import json
 import os
 import random
 import tempfile
+from operator import neg
 from pathlib import Path
 
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from surfemb4 import cli, schema
 
@@ -30,11 +32,14 @@ OMEGA = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(lambda pq: "%d
 
 @st.composite
 def torus_sums(draw):
-    """T(2,q) sums, with omega often a root exp(i*pi*m/q) (odd m, m != +-q) of one summand."""
+    """T(2,q) sums, with omega often a root exp(i*pi*m/q) (odd m, m != +-q) of one summand,
+    or (m 10^k +- 1)/(q 10^k) with k >= 15, within 10^-15 of that root."""
     qs = draw(st.lists(st.sampled_from((3, 5, 7, 9)), min_size=1, max_size=2))
     q = draw(st.sampled_from(qs))
-    roots = [f"{m}/{q}" for m in range(1 - 2 * q, 2 * q, 2) if m % q]
-    return torus_sum(qs).rows, draw(st.sampled_from(roots) | OMEGA)
+    m = draw(st.sampled_from([m for m in range(1 - 2 * q, 2 * q, 2) if m % q]))
+    scale = 10 ** draw(st.integers(15, 30))
+    near = f"{m * scale + draw(st.sampled_from((1, -1)))}/{q * scale}"
+    return torus_sum(qs).rows, draw(st.sampled_from((f"{m}/{q}", near)) | OMEGA)
 
 
 SEIFERT = st.integers(0, 2**32).map(lambda seed: random_seifert_rows(random.Random(seed)))
@@ -45,8 +50,15 @@ OVERSIZED = st.integers(1, 3).map(lambda k: [[0] * (schema.MAX_SEIFERT_SIZE + k)
 KNOTS = torus_sums() | st.tuples(SEIFERT | SQUARE | OVERSIZED, OMEGA)
 
 
+# small classes, and classes of each bit length up to 64 equally often
+LARGE = st.sampled_from(range(3, 65)).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2 ** bits))
+D = st.integers(-7, 7) | LARGE | LARGE.map(neg)
+
+
 @settings(max_examples=100)
-@given(knot=KNOTS, d=st.integers(-7, 7))
+@given(knot=KNOTS, d=D)
+@example(knot=(torus_sum([3]).rows, "33333333333333/100000000000000"), d=2)
+@example(knot=(torus_sum([5, 7]).rows, "1/2"), d=1 - 2 ** 61)
 def test_knot_commands_exit_with_json(knot, d):
     rows, omega = knot
     with tempfile.TemporaryDirectory() as tmp:

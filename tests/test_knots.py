@@ -1,7 +1,12 @@
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from surfemb4 import knots
 from surfemb4.errors import InternalConsistency
+from surfemb4.intlinalg import cyclotomic, poly_divmod
 from surfemb4.knots import (
     CP2GenusVerdict,
     DNotCovered,
@@ -361,6 +367,44 @@ def test_cp2_lower_bound_uses_the_odd_prime_of_an_even_class():
     assert levine_tristram(mirror, Fraction(1)) == 20
     assert sigma_d(mirror, 6) == 20
     assert cp2_genus_lower_bound(mirror, 6) == cp2_genus_lower_bound(mirror, -6) == 2
+
+
+def _knot_command(*argv) -> tuple[int, dict]:
+    """Exit code and JSON output of ``surfemb4 knot ...`` in a child limited to 1 GiB of memory."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "surfemb4.cli", "knot", *argv], capture_output=True, text=True,
+        timeout=20, env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def test_signature_next_to_a_root_needs_no_cyclotomic_polynomial_of_its_order():
+    # 1/3 is a root; the certificate declines 1e-14 away from it, where the order is about 3e14
+    assert _knot_command("sig", "trefoil", "--omega", "33333333333333/100000000000000") == (
+        0, {"signature": 0})
+
+
+@pytest.mark.parametrize("V", [torus_sum(qs) for qs in ((3,), (5,), (3, 7), (9, 9))]
+                         + [SeifertMatrix(random_seifert_rows(random.Random(seed), 3, bound=3))
+                            for seed in range(4)])
+def test_no_cyclotomic_factor_of_order_above_twice_the_size_squared(V):
+    limit = 2 * V.size ** 2
+    orders = [m for m in range(1, limit + 60) if not poly_divmod(V.alexander, cyclotomic(m))[1]]
+    assert max(orders, default=0) <= limit
+    assert all(knots._is_alexander_root(V, Fraction(1, m)) == (2 * m in orders)
+               for m in range(1, limit + 30))
+
+
+def test_cp2_lower_bound_caps_the_class():
+    cap = knots.CP2_CLASS_BOUND
+    assert cp2_genus_lower_bound(TREFOIL, 1 - cap) >= 0
+    for d in (cap, -cap, 2 ** 61 - 1):
+        with pytest.raises(KnotError, match="2\\^40"):
+            cp2_genus_lower_bound(TREFOIL, d)
+    code, doc = _knot_command("cp2-bound", "trefoil", "--d", str(2 ** 61 - 1))
+    assert code == 2 and doc["ok"] is False
 
 
 def test_cp2_lower_bound_monotone_in_rhs():

@@ -4,7 +4,7 @@ A public module-level function or class of ``src/surfemb4`` passes when
 another definition in the package refers to it as an identifier, when it is
 the first part of a ``perfbench/layers.py`` target's qualname, or when
 ``tests/test_acceptance.py`` imports it or reads it as an attribute of an
-imported module (``schema.verdict_to_json``).  A public method of a
+imported module (``schema.to_json``).  A public method of a
 module-level class passes when a definition other than itself uses its name
 as an attribute (``obj.name``, matching by name alone; a bare name such as a
 local variable does not count), or when it is a target's qualname.

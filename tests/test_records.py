@@ -95,6 +95,8 @@ BAD_INPUT = {
                          "immersion components [] != surface components [0]"),
     "instance-point": (lambda: _instance(points=(DoublePoint(0, (0, 5), 1, 1),)), ValidationError,
                        "double point 0 references unknown components"),
+    "instance-point-ids": (lambda: _instance(points=POINTS + (DoublePoint(0, (0, 0), 1, 1),)),
+                           ValidationError, "duplicate double-point ids"),
     "instance-torus": (lambda: _instance(torus_summands=frozenset({3})), ValidationError,
                        "torus_summand flag references unknown components"),
     "instance-disc-points": (lambda: _instance(collection=WhitneyCollection((_disc(0, (0, 1)),), {})),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from surfemb4 import cli, schema
-from surfemb4.engine import flowchart
+from surfemb4.engine import ProblemInstance, flowchart
 
 from helpers import instance_to_dict
 
@@ -27,34 +27,36 @@ def example_doc(name) -> dict:
     return json.loads(Path(example_path(name)).read_text())
 
 
+def rejected(doc) -> list[str]:
+    """The errors of the SchemaError the reader raises on ``doc``."""
+    with pytest.raises(schema.SchemaError) as exc:
+        schema.instance_from_dict(doc)
+    return exc.value.errors
+
+
 def test_shipped_instances_validate():
     for name in SHIPPED:
-        inst, errors = schema.load_instance(example_path(name))
-        assert not errors, (name, errors)
-        assert inst is not None
+        assert isinstance(schema.load_instance(example_path(name)), ProblemInstance), name
 
 
 def test_missing_band_field_pointed_error():
     doc = example_doc("torus_s3s1")
     del doc["catalogs"]["bands"][0]["euler"]
-    inst, errors = schema.instance_from_dict(doc)
-    assert inst is None
+    errors = rejected(doc)
     assert any(e.startswith("/catalogs/bands/0/euler") for e in errors)
 
 
 def test_unknown_component_in_double_point():
     doc = example_doc("torus_s3s1")
     doc["double_points"][0]["components"] = [0, 5]
-    inst, errors = schema.instance_from_dict(doc)
-    assert inst is None
+    errors = rejected(doc)
     assert any(e.startswith("/double_points/0/components") for e in errors)
 
 
 def test_unknown_field_rejected():
     doc = example_doc("torus_s3s1")
     doc["flags"]["plotting"] = True
-    inst, errors = schema.instance_from_dict(doc)
-    assert inst is None
+    errors = rejected(doc)
     assert any(e.startswith("/flags/plotting") for e in errors)
 
 
@@ -62,17 +64,14 @@ def test_errors_are_accumulated_not_first_failure():
     doc = example_doc("torus_s3s1")
     del doc["catalogs"]["bands"][0]["euler"]
     doc["double_points"][0]["sign"] = 3
-    inst, errors = schema.instance_from_dict(doc)
-    assert inst is None
+    errors = rejected(doc)
     assert len(errors) >= 2
 
 
 def test_round_trip_revalidates():
     for name in SHIPPED:
-        inst, _ = schema.load_instance(example_path(name))
-        doc = instance_to_dict(inst)
-        again, errors = schema.instance_from_dict(doc)
-        assert not errors, (name, errors)
+        inst = schema.load_instance(example_path(name))
+        again = schema.instance_from_dict(instance_to_dict(inst))
         assert flowchart(again).outcome == flowchart(inst).outcome
 
 
@@ -91,17 +90,15 @@ def test_round_trip_of_constructed_instances():
                         rp2=((1, 1),)),
     ]
     for inst in constructed:
-        doc = instance_to_dict(inst)
-        again, errors = schema.instance_from_dict(doc)
-        assert not errors, errors
+        again = schema.instance_from_dict(instance_to_dict(inst))
         assert flowchart(again).outcome == flowchart(inst).outcome
 
 
 def test_verdict_json_is_stable():
-    inst, _ = schema.load_instance(example_path("torus_s3s1"))
-    first = schema.verdict_to_json(flowchart(inst))
+    inst = schema.load_instance(example_path("torus_s3s1"))
+    first = schema.to_json(flowchart(inst).as_dict())
     for _ in range(3):
-        assert schema.verdict_to_json(flowchart(inst)) == first
+        assert schema.to_json(flowchart(inst).as_dict()) == first
 
 
 def test_cli_validate(capsys):
@@ -282,8 +279,7 @@ def test_bools_and_floats_are_not_integers(field, value, pointer):
     for key in field[:-1]:
         node = node[key]
     node[field[-1]] = value
-    inst, errors = schema.instance_from_dict(doc)
-    assert inst is None
+    errors = rejected(doc)
     assert [e.split(": ", 1)[0] for e in errors] == [pointer]
 
 
@@ -293,13 +289,13 @@ def test_shape_errors_are_all_gathered():
     doc["group"]["factors"] = [0.5]
     del doc["flags"]["good_group"]
     doc["double_points"][1]["components"] = [0]
-    _, errors = schema.instance_from_dict(doc)
+    errors = rejected(doc)
     assert sorted(e.split(": ", 1)[0] for e in errors) == [
         "/double_points/1/components", "/flags/good_group", "/group/factors/0", "/version"]
 
 
 def test_instance_must_be_an_object():
-    assert schema.instance_from_dict([]) == (None, ["/: expected an object, got an array"])
+    assert rejected([]) == ["/: expected an object, got an array"]
 
 
 @pytest.mark.parametrize("query", ['"1"', "[1.5]", "[true]", "{}", "[" * 100000],
@@ -412,8 +408,7 @@ def test_deeply_nested_values_are_not_walked(where, pointer):
     for key in where[:-1]:
         node = node[key]
     node[where[-1]] = deep
-    inst, errors = schema.instance_from_dict(doc)
-    assert inst is None
+    errors = rejected(doc)
     assert [e.split(": ", 1)[0] for e in errors] == [pointer]
 
 
@@ -425,8 +420,7 @@ def test_deeply_nested_values_are_not_walked(where, pointer):
 def test_disc_interior_keys_are_declared_component_ids(interior, pointer):
     doc = example_doc("torus_s3s1")
     doc["whitney_collection"]["discs"][0]["interior"] = interior
-    inst, errors = schema.instance_from_dict(doc)
-    assert inst is None
+    errors = rejected(doc)
     assert [e.split(": ", 1)[0] for e in errors] == [pointer]
 
 
@@ -438,10 +432,9 @@ def test_boundary_intersection_pairs_are_listed_once():
     wc["convenient"] = False
     wc["discs"].append({"id": 1, "pairs": [2, 3], "interior": {}, "mu_boundary": 0, "euler": 0})
     wc["boundary_intersections"] = [[0, 1, 1]]
-    assert schema.instance_from_dict(doc)[1] == []
+    assert isinstance(schema.instance_from_dict(doc), ProblemInstance)
     wc["boundary_intersections"] = [[0, 1, 1], [1, 0, 2]]
-    inst, errors = schema.instance_from_dict(doc)
-    assert inst is None
+    errors = rejected(doc)
     assert [e.split(": ", 1)[0] for e in errors] == ["/whitney_collection/boundary_intersections/1"]
 
 
