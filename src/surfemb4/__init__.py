@@ -12,9 +12,39 @@ Library layout:
 - ``schema`` / ``cli``: reading instance and knot files, verdict JSON, the command line
 - ``errors``: the internal-consistency exception (exit code 3)
 
+Importing the package runs no submodule.  Every CLI command is one
+interpreter start, so ``cli`` and ``schema`` register the modules they use,
+and ``knots`` registers ``mpmath``, with ``_lazy``: a module's body runs only
+when one of its attributes is first used, and a command runs only the
+modules it reaches.  Those three name a lazily registered module's functions
+by attribute at the call (``engine.flowchart``), never bind them at import.
+
 Every public name here is reached by the command line, the flowchart, the
 benchmark tracer or the acceptance tests (``tests/test_public_names.py``);
 builders of test inputs live in ``tests/helpers.py``.
 """
 
-from .engine import TOOL_VERSION as __version__  # noqa: F401
+import importlib.util
+import sys
+
+__version__ = "0.1.0"
+
+# Seifert entries of magnitude below 2^53 are exact as floats.  The signature
+# certificate (``knots``) accepts only those, and knot files (``schema``) may
+# hold only those.
+FLOAT_EXACT_BOUND = 1 << 53
+
+
+def _lazy(name: str):
+    """The module ``name``, in ``sys.modules`` at once; its body runs at its first attribute use."""
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        if parent:
+            setattr(sys.modules[parent], child, module)  # as an eager import binds it
+    return sys.modules[name]

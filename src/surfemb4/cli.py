@@ -14,9 +14,12 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from . import engine, knots, schema
+from . import _lazy, schema
 from .errors import InternalConsistency
-from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list, smith_oracle
+
+engine = _lazy("surfemb4.engine")
+gamma = _lazy("surfemb4.gamma")
+knots = _lazy("surfemb4.knots")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -100,26 +103,26 @@ def cmd_gamma(args) -> int:
             parsed_queries.append((value, inst.group.check_elem(value)))
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"bad query element {raw!r}: {exc}") from None
-    ctx = PairingContext(inst.group, inst.wM, s_f, s_g, self_pairing=(i == j))
-    gamma = build_gamma(ctx)
+    ctx = gamma.PairingContext(inst.group, inst.wM, s_f, s_g, self_pairing=(i == j))
+    target = gamma.build_gamma(ctx)
     report: dict = {"self_pairing": i == j}
-    if gamma.finite:
-        orbits = gamma.orbits()
+    if target.finite:
+        orbits = target.orbits()
         report["orbits"] = [
             {"rep": o.rep, "order": "Z/2" if o.order_two else "Z"} for o in orbits
         ]
-        report["free_rank"] = gamma.free_rank()
-        report["z2_count"] = gamma.two_count()
-        oracle_rank, oracle_torsion = smith_oracle(ctx)
+        report["free_rank"] = target.free_rank()
+        report["z2_count"] = target.two_count()
+        oracle_rank, oracle_torsion = gamma.smith_oracle(ctx)
         report["smith_oracle"] = {"free_rank": oracle_rank, "torsion": oracle_torsion}
     else:
         report["note"] = "infinite ambient group; orbits reported per queried element"
     pts = engine.points_between(inst.points, i, j)
-    elem = reduce_list([(p.sign, p.eta) for p in pts], gamma)
+    elem = gamma.reduce_list([(p.sign, p.eta) for p in pts], target)
     queries = []
     for value, g in parsed_queries:
-        orbit = gamma.orbit_of(g)
-        coeff = coefficient_at(elem, g)
+        orbit = target.orbit_of(g)
+        coeff = gamma.coefficient_at(elem, g)
         queries.append({
             "element": value,
             "orbit_rep": orbit.rep,

@@ -13,12 +13,11 @@ from __future__ import annotations
 from collections import defaultdict, namedtuple
 from typing import NamedTuple, Optional, Sequence
 
+from . import __version__ as TOOL_VERSION
 from .bands import BandCatalog, BCharResult, SurfaceModel, is_b_characteristic
 from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list
 from .groups import SignedSubgroup
 from .whitney import DoublePoint, UnpairedPoints, t_count, to_convenient
-
-TOOL_VERSION = "0.1.0"
 
 REG_EMBED = "RegHomotopicToEmbedding"
 NOT_REG_EMBED = "NotRegHomotopicToEmbedding"

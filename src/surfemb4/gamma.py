@@ -37,7 +37,7 @@ from operator import add, and_, eq, neg
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InternalConsistency
-from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit
+from .groups import _INTS, AmbientGroup, Character, SignedSubgroup, _sign_bit
 from .intlinalg import HermiteLattice, smith_diagonal
 
 
@@ -251,8 +251,8 @@ def reduce_list(entries: Iterable, gamma: GammaGroup) -> GammaElement:
     pairs = list(entries)
     signs = [sign for sign, _ in pairs]
     elems = [elem for _, elem in pairs]
-    if not all(map(_SIGNS.__contains__, signs)):
-        k = next(i for i, sign in enumerate(signs) if sign not in _SIGNS)
+    if not (_INTS.issuperset(map(type, signs)) and all(map(_SIGNS.__contains__, signs))):
+        k = next(i for i, sign in enumerate(signs) if type(sign) is not int or sign not in _SIGNS)
         G.check_elems(elems[:k])  # a bad element before the bad sign is met first
         raise GammaError(f"sign must be +1 or -1, got {signs[k]!r}")
     canon = G.check_elems(elems)

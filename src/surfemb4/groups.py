@@ -304,7 +304,7 @@ def subgroup_closure(ambient: AmbientGroup, generators: Iterable) -> SignedSubgr
     """Close a list of (element, sign) pairs inside G x {+1,-1}."""
     gens = []
     for g, s in generators:
-        if s not in (1, -1):
+        if type(s) is not int or s not in (1, -1):  # exact: neither True nor 1.0
             raise GroupError(f"sign must be +1 or -1, got {s!r}")
         gens.append((ambient.check_elem(g), s))
     gens = tuple(gens)

@@ -22,10 +22,11 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
-import mpmath
-
+from . import FLOAT_EXACT_BOUND, _lazy
 from .errors import InternalConsistency
 from .intlinalg import bareiss_det, cyclotomic, linear_pencil_det, poly_divmod
+
+mpmath = _lazy("mpmath")  # run by the signature paths only
 
 
 class KnotError(ValueError):
@@ -168,11 +169,6 @@ def _is_alexander_root(V: SeifertMatrix, r: Fraction) -> bool:
         return False
     _, rem = poly_divmod(V.alexander, cyclotomic(m))
     return not rem
-
-
-# Seifert entries of magnitude below 2^53 are exact as floats.  The signature
-# certificate accepts only those, and knot files may hold only those.
-FLOAT_EXACT_BOUND = 1 << 53
 
 
 def _certified_signature(V: SeifertMatrix, r: Fraction) -> Optional[int]:

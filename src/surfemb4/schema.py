@@ -16,11 +16,13 @@ from operator import itemgetter, le
 from pathlib import Path
 from typing import Sequence
 
-from .bands import BandCatalog, BandError, BandRecord, RelH2, SurfaceComponent, SurfaceModel
-from .engine import ComponentData, EngineError, ProblemInstance
-from .groups import Character, GroupError, abelian_group, make_finite_group, subgroup_closure
-from .knots import FLOAT_EXACT_BOUND, KnotError, SeifertMatrix
-from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc, WhitneyError
+from . import FLOAT_EXACT_BOUND, _lazy
+
+bands = _lazy("surfemb4.bands")
+engine = _lazy("surfemb4.engine")
+groups = _lazy("surfemb4.groups")
+knots = _lazy("surfemb4.knots")
+whitney = _lazy("surfemb4.whitney")
 
 SCHEMA_VERSION = 1
 
@@ -33,9 +35,6 @@ MAX_H1_DIM = 10_000
 # is built, since its unimodularity check and every invariant cost O(n^3) to
 # O(n^4) and the cp2 scan's signatures grow with n.
 MAX_SEIFERT_SIZE = 40
-
-# Errors a domain constructor raises on data that fits the shape.
-_DOMAIN_ERRORS = (GroupError, BandError, WhitneyError, EngineError)
 
 
 class SchemaError(ValueError):
@@ -290,7 +289,7 @@ def _read_json(path, what: str):
         raise SchemaError([f"/: unreadable {what}: {exc}"]) from None
 
 
-def load_knot(path) -> SeifertMatrix:
+def load_knot(path) -> knots.SeifertMatrix:
     """The Seifert matrix of a knot file, or a SchemaError."""
     doc = _read_json(path, "knot file")
     errors = _shape_errors(KNOT_SHAPE, doc)
@@ -300,12 +299,12 @@ def load_knot(path) -> SeifertMatrix:
         raise SchemaError([f"/seifert: the Seifert size {len(doc['seifert'])} "
                            f"exceeds the cap of {MAX_SEIFERT_SIZE}"])
     try:
-        return SeifertMatrix(doc["seifert"])
-    except KnotError as exc:
+        return knots.SeifertMatrix(doc["seifert"])
+    except knots.KnotError as exc:
         raise SchemaError([f"/seifert: {exc}"]) from None
 
 
-def load_instance(path) -> ProblemInstance:
+def load_instance(path) -> engine.ProblemInstance:
     """The instance of an instance file, or a SchemaError."""
     return instance_from_dict(_read_json(path, "instance file"))
 
@@ -313,11 +312,16 @@ def load_instance(path) -> ProblemInstance:
 # -- building the domain objects -------------------------------------------------
 
 
+def _domain_errors() -> tuple:
+    """The errors a domain constructor raises on data that fits the shape."""
+    return groups.GroupError, bands.BandError, whitney.WhitneyError, engine.EngineError
+
+
 def _build(errors: list[str], pointer: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, or None with its domain error recorded at ``pointer``."""
     try:
         return make(*args, **kwargs)
-    except _DOMAIN_ERRORS as exc:
+    except _domain_errors() as exc:
         errors.append(f"{pointer}: {exc}")
         return None
 
@@ -338,7 +342,7 @@ def _h1_dim_error(components) -> list[str]:
     return []
 
 
-def instance_from_dict(doc) -> ProblemInstance:
+def instance_from_dict(doc) -> engine.ProblemInstance:
     """The instance a parsed document declares, or a SchemaError with every error found."""
     errors = _shape_errors(INSTANCE_SHAPE, doc)
     if errors:
@@ -346,36 +350,37 @@ def instance_from_dict(doc) -> ProblemInstance:
 
     gdoc = doc["group"]
     if gdoc["kind"] == "finite":
-        group = _build(errors, "/group/table", make_finite_group, gdoc["table"])
+        group = _build(errors, "/group/table", groups.make_finite_group, gdoc["table"])
     else:
-        group = _build(errors, "/group/factors", abelian_group, gdoc["factors"])
+        group = _build(errors, "/group/factors", groups.abelian_group, gdoc["factors"])
 
     wM = None
-    components: list[ComponentData] = []
+    components: list[engine.ComponentData] = []
     if group is not None:
-        wM = _build(errors, "/characters/wM", Character, group, doc["characters"]["wM"])
+        wM = _build(errors, "/characters/wM", groups.Character, group, doc["characters"]["wM"])
         for i, comp in enumerate(doc["components"]):
-            subgroup = _build(errors, f"/components/{i}/signed_subgroup", subgroup_closure,
+            subgroup = _build(errors, f"/components/{i}/signed_subgroup", groups.subgroup_closure,
                               group, comp["signed_subgroup"])
             if subgroup is not None:
-                components.append(ComponentData(
+                components.append(engine.ComponentData(
                     comp["id"], subgroup, comp["has_alg_dual"], comp["dual_framed"],
                     comp.get("w2"), comp.get("e")))
 
-    parts = [_build(errors, f"/surface/components/{i}", SurfaceComponent, **sc)
+    parts = [_build(errors, f"/surface/components/{i}", bands.SurfaceComponent, **sc)
              for i, sc in enumerate(doc["surface"]["components"])]
     too_large = _h1_dim_error(doc["surface"]["components"])
     errors += too_large
-    surface = None if too_large or None in parts else _build(errors, "/surface", SurfaceModel, parts)
+    surface = (None if too_large or None in parts
+               else _build(errors, "/surface", bands.SurfaceModel, parts))
 
     declared = {c["id"] for c in doc["components"]}
-    points: list[DoublePoint] = []
+    points: list[whitney.DoublePoint] = []
     seen: set[int] = set()
     etas = None
     if group is not None:
         try:
             etas = group.check_elems([dp["eta"] for dp in doc["double_points"]])
-        except GroupError:
+        except groups.GroupError:
             pass  # checked point by point below, for an error at every bad one
     for i, dp in enumerate(doc["double_points"]):
         pid, pair = dp["id"], dp["components"]
@@ -386,8 +391,8 @@ def instance_from_dict(doc) -> ProblemInstance:
         elif group is not None:
             try:
                 eta = group.check_elem(dp["eta"]) if etas is None else etas[i]
-                points.append(DoublePoint(pid, tuple(pair), dp["sign"], eta))
-            except GroupError as exc:
+                points.append(whitney.DoublePoint(pid, tuple(pair), dp["sign"], eta))
+            except groups.GroupError as exc:
                 errors.append(f"/double_points/{i}/eta: {exc}")
         seen.add(pid)
 
@@ -395,34 +400,36 @@ def instance_from_dict(doc) -> ProblemInstance:
     wc = doc["whitney_collection"]
     if wc is not None:
         discs = tuple(
-            WhitneyDisc(d["id"], tuple(d["pairs"]), {int(k): v for k, v in d["interior"].items()},
-                        d["mu_boundary"], d["euler"])
+            whitney.WhitneyDisc(d["id"], tuple(d["pairs"]),
+                                {int(k): v for k, v in d["interior"].items()},
+                                d["mu_boundary"], d["euler"])
             for d in wc["discs"])
         boundary = {}
         for i, (d1, d2, count) in enumerate(wc["boundary_intersections"]):
             if frozenset((d1, d2)) in boundary:
                 errors.append(f"/whitney_collection/boundary_intersections/{i}: disc pair listed twice")
             boundary[frozenset((d1, d2))] = count
-        collection = _build(errors, "/whitney_collection", WhitneyCollection,
+        collection = _build(errors, "/whitney_collection", whitney.WhitneyCollection,
                             discs, boundary, wc["convenient"])
 
     catalogs = doc["catalogs"]
-    rel = _build(errors, "/catalogs/rel_h2", RelH2, tuple(catalogs["rel_h2"]["basis"]),
+    rel = _build(errors, "/catalogs/rel_h2", bands.RelH2, tuple(catalogs["rel_h2"]["basis"]),
                  {k: tuple(v) for k, v in catalogs["rel_h2"]["boundary"].items()})
     records = [
-        _build(errors, f"/catalogs/bands/{i}", BandRecord, **dict(
+        _build(errors, f"/catalogs/bands/{i}", bands.BandRecord, **dict(
             b, rel_class=tuple(b["rel_class"]), w1_sigma=tuple(b["w1_sigma"]),
             boundary_classes=tuple(tuple(c) for c in b["boundary_classes"])))
         for i, b in enumerate(catalogs["bands"])
     ]
     band_catalog = None
     if rel is not None and surface is not None and None not in records:
-        band_catalog = _build(errors, "/catalogs/bands", BandCatalog, surface, rel, tuple(records))
+        band_catalog = _build(errors, "/catalogs/bands", bands.BandCatalog,
+                              surface, rel, tuple(records))
 
     if errors:
         raise SchemaError(errors)
     try:
-        return ProblemInstance(
+        return engine.ProblemInstance(
             group=group, wM=wM, components=tuple(components), surface=surface,
             points=tuple(points), collection=collection,
             sphere_catalog=tuple(tuple(p) for p in catalogs["spheres"]),
@@ -430,7 +437,7 @@ def instance_from_dict(doc) -> ProblemInstance:
             band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
             torus_summands=frozenset(doc["flags"]["torus_summand"]),
         )
-    except _DOMAIN_ERRORS as exc:
+    except _domain_errors() as exc:
         raise SchemaError([f"/: {exc}"]) from None
 
 

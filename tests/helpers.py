@@ -480,7 +480,7 @@ def reduce_list_per_point(entries, gamma: GammaGroup) -> GammaElement:
     for the tally by distinct element."""
     coeffs: dict = {}
     for sign, elem in entries:
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise GammaError(f"sign must be +1 or -1, got {sign!r}")
         orbit, section = gamma.classify(elem)
         if section is None:

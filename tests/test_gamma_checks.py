@@ -1,9 +1,9 @@
-"""``reduce_list`` checks its elements once; ``classify_all`` stays checked for other callers."""
+"""``reduce_list`` checks its signs and elements once; ``classify_all`` stays checked for other callers."""
 
 import pytest
 
 from helpers import cyclic_group, trivial_character
-from surfemb4.gamma import PairingContext, build_gamma, reduce_list
+from surfemb4.gamma import GammaError, PairingContext, build_gamma, reduce_list
 from surfemb4.groups import GroupError, abelian_group, subgroup_closure
 
 CASES = {
@@ -49,3 +49,18 @@ def test_classify_all_checks_and_names_the_first_bad_element(monkeypatch, case):
         gamma.classify_all(elems + [bad, "also bad"])
     assert str(got.value) == str(expected.value)
     assert calls[0] == len(elems)
+
+
+# Exact ints only: True and 1.0 equal 1, and each once counted as a +1 point.
+BAD_SIGNS = [True, False, 1.0, -1.0, 0, 2, "1", None]
+
+
+@pytest.mark.parametrize("bad", BAD_SIGNS, ids=repr)
+@pytest.mark.parametrize("case", CASES)
+def test_reduce_list_takes_exact_int_signs(monkeypatch, case, bad):
+    make_group, entries, bad_elem = CASES[case]
+    _, gamma, _ = _counted_gamma(monkeypatch, make_group)
+    with pytest.raises(GammaError, match="sign must be"):
+        reduce_list(entries + [(bad, entries[0][1])], gamma)
+    with pytest.raises(GroupError):  # a bad element before the bad sign is met first
+        reduce_list(entries + [(1, bad_elem), (bad, entries[0][1])], gamma)

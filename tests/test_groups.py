@@ -302,6 +302,16 @@ def test_abelian_subgroup_with_minus_one():
     assert s.contains_minus_one
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, -1.0, 0, 2, "1", None], ids=repr)
+@pytest.mark.parametrize("group, elem, bad_elem", [
+    (cyclic_group(4), 1, 4), (abelian_group([0, 2]), (1, 1), (1,))])
+def test_subgroup_closure_takes_exact_int_signs(group, elem, bad_elem, bad):
+    with pytest.raises(GroupError, match="sign must be"):
+        subgroup_closure(group, [(elem, 1), (elem, bad)])
+    with pytest.raises(GroupError, match="invalid element"):  # met before the bad sign
+        subgroup_closure(group, [(bad_elem, 1), (elem, bad)])
+
+
 def test_trivial_character_helper():
     for name, g in all_groups_up_to_8():
         chi = trivial_character(g)

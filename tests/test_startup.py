@@ -1,11 +1,18 @@
-"""A CLI child imports neither ``dataclasses`` nor ``inspect``.
+"""A CLI child runs only the modules its command uses.
 
-Every verdict is one interpreter start, and ``dataclasses`` brings
-``inspect``, ``ast``, ``dis`` and ``tokenize`` with it.  The package's
-records are tuples or slotted classes, so none of them is needed; this runs
-the commands under ``python -X importtime`` and reads the import list.
+Every verdict is one interpreter start.  ``dataclasses`` brings ``inspect``,
+``ast``, ``dis`` and ``tokenize`` with it, and the package's records are
+tuples or slotted classes, so no command imports either; this runs the
+commands under ``python -X importtime`` and reads the import list.
+
+Package modules and ``mpmath`` are registered lazily (``surfemb4._lazy``),
+so ``-X importtime`` does not show which of them ran.  A module has run when
+it is in ``sys.modules`` as a plain module; an unrun lazy placeholder is of a
+``types.ModuleType`` subclass.  The second test reads that list at the end of
+the command.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -22,15 +29,57 @@ COMMANDS = [
     ["knot", "cp2-verdict", "t2_7"],
 ]
 HEAVY = re.compile(r"\b(dataclasses|inspect)\b")
+ENV = dict(os.environ,
+           PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_cli_child_skips_dataclasses_and_inspect(argv):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "surfemb4.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, timeout=120, env=ENV)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "import time:" in proc.stderr
     named = [line for line in proc.stderr.splitlines() if HEAVY.search(line)]
     assert not named, named
+
+
+# Runs surfemb4.cli as ``python -m surfemb4.cli`` does, then prints on the last
+# line of stderr the package modules and mpmath that ran, the CLI among them.
+_RAN = """
+import json, runpy, sys, types
+try:
+    runpy.run_module("surfemb4.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+ran = [name for name, m in sys.modules.items() if type(m) is types.ModuleType
+       and (name == "mpmath" or name.split(".")[0] == "surfemb4")]
+print(json.dumps(sorted(ran + ["surfemb4.cli"])), file=sys.stderr)
+sys.exit(code)
+"""
+
+DOMAIN = {f"surfemb4.{m}" for m in ("engine", "bands", "gamma", "groups", "whitney")}
+RUNS = [  # (argv, modules that must run, modules that must not)
+    (["decide", "torus_s3s1"], {"surfemb4.engine"}, {"mpmath", "surfemb4.knots"}),
+    (["knot", "arf", "trefoil"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
+    (["knot", "cp2-verdict", "t2_7"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
+    (["knot", "sig", "trefoil"], {"surfemb4.knots", "mpmath"}, DOMAIN),  # certified: cospi, sinpi
+]
+
+
+def _ran(argv) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", _RAN, *argv],
+                          capture_output=True, text=True, timeout=120, env=ENV)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv, runs, skips", RUNS, ids=[" ".join(r[0]) for r in RUNS])
+def test_cli_child_runs_only_the_modules_its_command_uses(argv, runs, skips):
+    ran = _ran(argv)
+    assert runs <= ran, runs - ran
+    assert not ran & skips, ran & skips
+
+
+def test_examples_list_runs_no_domain_module():
+    assert _ran(["examples", "list"]) == {
+        "surfemb4", "surfemb4.cli", "surfemb4.schema", "surfemb4.errors"}
