@@ -34,6 +34,10 @@ __version__ = "0.1.0"
 # hold only those.
 FLOAT_EXACT_BOUND = 1 << 53
 
+# The exact type of an integer field: ``_INTS.issuperset(map(type, values))``
+# rejects the bools and floats that ``isinstance`` and ``int()`` let through.
+_INTS = frozenset((int,))
+
 
 def _lazy(name: str):
     """The module ``name``, in ``sys.modules`` at once; its body runs at its first attribute use."""

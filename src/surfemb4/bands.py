@@ -1,8 +1,8 @@
 """Surface homology models, the band invariant, and characteristic checks.
 
-The surface carries a GF(2) intersection form on a fixed basis (symplectic
-pairs for orientable components, self-dual classes for cross-caps, inert
-boundary-parallel classes).  Band records declare the four parity
+The surface's GF(2) H1 has a fixed basis (``SurfaceModel``).  Declared H1
+vectors are 0/1 tuples, their sums int bitmasks, and the intersection form
+is a popcount on bitmasks.  Band records declare the four parity
 ingredients of the invariant Theta for a generating set of classes in the
 relative second homology; the checks here validate the declarations and
 decide the b-/r-/s-characteristic conditions.
@@ -17,6 +17,9 @@ exactly those records.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
+from itertools import compress
+from operator import xor
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistency
@@ -57,12 +60,19 @@ class ThetaConflict(BandError):
         self.witnesses = witnesses
 
 
+def h1_ranks(genus: int, orientable: bool, boundary_circles: int) -> tuple[int, int]:
+    """The GF(2) ranks of a compact surface's H1: its closed classes, then its boundary classes."""
+    return 2 * genus if orientable else genus, max(boundary_circles - 1, 0)
+
+
 class SurfaceComponent(namedtuple("SurfaceComponent", "id genus orientable boundary_circles")):
     """One compact surface; ``genus`` is the cross-cap number when nonorientable."""
 
     __slots__ = ()
 
     def __new__(cls, id: int, genus: int, orientable: bool, boundary_circles: int = 0):
+        if type(genus) is not int or type(boundary_circles) is not int:  # neither True nor 1.0
+            raise BandError("non-integer genus or boundary count")
         if genus < 0 or boundary_circles < 0:
             raise BandError("negative genus or boundary count")
         if not orientable and genus == 0:
@@ -73,52 +83,58 @@ class SurfaceComponent(namedtuple("SurfaceComponent", "id genus orientable bound
         closed = 2 - 2 * self.genus if self.orientable else 2 - self.genus
         return closed - self.boundary_circles
 
-    def basis_names(self) -> list[str]:
-        names = []
-        if self.orientable:
-            for i in range(1, self.genus + 1):
-                names += [f"a{i}", f"b{i}"]
-        else:
-            names += [f"e{i}" for i in range(1, self.genus + 1)]
-        names += [f"d{i}" for i in range(1, self.boundary_circles)]
-        return names
+
+def _check_bits(vec, n: int, error: str, *names) -> tuple[int, ...]:
+    """``vec`` as a tuple of n entries equal to 0 or 1, else a BandError worded by ``error``."""
+    bits = tuple(vec)  # counting is C-level; == accepts what `x in (0, 1)` does
+    if len(bits) != n or bits.count(0) + bits.count(1) != n:
+        raise BandError(error.format(vec, n, *names))
+    return bits
+
+
+def _bits(vec) -> int:
+    """The bitmask of a checked 0/1 vector: bit i is entry i."""
+    return sum(map((1).__lshift__, compress(range(len(vec)), vec)))
 
 
 class SurfaceModel:
-    """GF(2) first homology of a disjoint union of compact surfaces."""
+    """GF(2) first homology of a disjoint union of compact surfaces.
+
+    In id order, each component takes the next ``h1_ranks`` positions: a_1,
+    b_1, ..., a_g, b_g or cross-caps e_1, ..., e_g, then one inert class per
+    boundary circle but the last.  Bitmask ``w1`` marks the e_i, ``_a`` the
+    a_i.  Masks rule: ``check_vec``, ``w1_of`` and ``components_of_vec`` take
+    declared 0/1 tuples; ``form`` takes bitmasks, bit i for position i, as
+    ``BandRecord.total_boundary`` and ``RelH2.boundary_of`` return them.
+    """
 
     def __init__(self, components: Sequence[SurfaceComponent]):
         ids = [c.id for c in components]
         if len(set(ids)) != len(ids):
             raise BandError("duplicate surface component ids")
         self.components = tuple(sorted(components, key=lambda c: c.id))
-        self.basis: list[tuple[int, str]] = []
         self._slices: dict[int, tuple[int, int]] = {}
+        self.w1 = self._a = lo = 0
         for comp in self.components:
-            start = len(self.basis)
-            self.basis += [(comp.id, name) for name in comp.basis_names()]
-            self._slices[comp.id] = (start, len(self.basis))
-        self.dim = len(self.basis)
-        # The form pairs each a-class with the b-class right after it, and is
-        # 1 on the diagonal exactly at the cross-cap classes, where w1 is 1.
-        self.w1 = tuple(1 if name.startswith("e") else 0 for _, name in self.basis)
-        self._a_classes = tuple(i for i, (_, name) in enumerate(self.basis) if name.startswith("a"))
+            closed, boundary = h1_ranks(comp.genus, comp.orientable, comp.boundary_circles)
+            if comp.orientable:  # bits 0, 2, ..., 2g - 2 of the component
+                self._a |= (4 ** comp.genus - 1) // 3 << lo
+            else:
+                self.w1 |= ((1 << closed) - 1) << lo
+            self._slices[comp.id] = (lo, lo + closed + boundary)
+            lo += closed + boundary
+        self.dim = lo
 
     def check_vec(self, vec) -> tuple[int, ...]:
-        bits = tuple(vec)  # counting is C-level; == accepts what `x in (0, 1)` does
-        if len(bits) != self.dim or bits.count(0) + bits.count(1) != self.dim:
-            raise BandError(f"bad H1 vector {vec!r}; expected {self.dim} bits")
-        return bits
+        return _check_bits(vec, self.dim, "bad H1 vector {0!r}; expected {1} bits")
 
-    def form(self, x, y) -> int:
-        x, y = self.check_vec(x), self.check_vec(y)
-        diagonal = sum(a * b * w for a, b, w in zip(x, y, self.w1))
-        pairs = sum(x[i] * y[i + 1] + x[i + 1] * y[i] for i in self._a_classes)
-        return (diagonal + pairs) % 2
+    def form(self, x: int, y: int) -> int:
+        """lambda(x, y) on bitmasks: the cross-cap diagonal and the a_i.b_i pairs, by popcount."""
+        pairs = ((x & (y >> 1)) ^ ((x >> 1) & y)) & self._a
+        return ((x & y & self.w1) ^ pairs).bit_count() & 1
 
     def w1_of(self, vec) -> int:
-        vec = self.check_vec(vec)
-        return sum(a * b for a, b in zip(vec, self.w1)) % 2
+        return (_bits(self.check_vec(vec)) & self.w1).bit_count() & 1
 
     def components_of_vec(self, vec) -> set[int]:
         vec = self.check_vec(vec)
@@ -132,15 +148,15 @@ class SurfaceModel:
 _BASIS_BOUNDARY = "boundary of RelH2 basis class"
 
 
-def _xor_fold(named, dim: int, what: str) -> tuple[int, ...]:
-    """GF(2) sum of the H1 vectors of (name, vector) pairs; each must have length ``dim``."""
-    total = (0,) * dim
+def _xor_fold(named, dim: int, what: str) -> int:
+    """GF(2) sum, as a bitmask, of the H1 vectors of (name, vector) pairs, each checked."""
+    total = 0
     for name, vec in named:
-        try:
-            total = tuple(x ^ y for x, y in zip(total, vec, strict=True))
-        except ValueError:
+        if len(vec) != dim:
             raise BandError(f"{what} {name!r} has length {len(vec)}, "
-                            f"expected the H1 dimension {dim}") from None
+                            f"expected the H1 dimension {dim}")
+        total ^= _bits(_check_bits(vec, dim, "{2} {3!r} has an entry other than 0 or 1: {0!r}",
+                                   what, name))
     return total
 
 
@@ -157,16 +173,12 @@ class RelH2(namedtuple("RelH2", "basis boundary")):
         return super().__new__(cls, basis, boundary)
 
     def check_class(self, vec) -> tuple[int, ...]:
-        bits, n = tuple(vec), len(self.basis)
-        if len(bits) != n or bits.count(0) + bits.count(1) != n:
-            raise BandError(f"bad RelH2 vector {vec!r}")
-        return bits
+        return _check_bits(vec, len(self.basis), "bad RelH2 vector {0!r}")
 
-    def boundary_of(self, vec, dim: int) -> tuple[int, ...]:
-        """The boundary of a class in H1 = GF(2)^dim; class 0 has boundary 0, also over no basis."""
-        named = ((name, self.boundary[name]) for bit, name in zip(self.check_class(vec), self.basis)
-                 if bit)
-        return _xor_fold(named, dim, _BASIS_BOUNDARY)
+    def boundary_of(self, vec, dim: int) -> int:
+        """The boundary of a class as an H1 bitmask; class 0 has boundary 0, also over no basis."""
+        named = compress(self.basis, self.check_class(vec))
+        return _xor_fold(((name, self.boundary[name]) for name in named), dim, _BASIS_BOUNDARY)
 
 
 class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1_sigma w1m_core "
@@ -187,7 +199,7 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
         if kind not in ("annulus", "mobius", "surface"):
             raise BandError(f"unknown band kind {kind!r}")
         for bit in (w1m_core, mu_boundary, arc_count, interior, euler):
-            if bit not in (0, 1):
+            if type(bit) is not int or bit not in (0, 1):  # neither True nor 1.0
                 raise BandError(f"parity fields must be 0 or 1 on band {id!r}")
         if len(w1_sigma) != len(boundary_classes):
             raise BandError(f"band {id!r}: one w1 value per boundary circle")
@@ -198,7 +210,7 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
         return super().__new__(cls, id, kind, rel_class, boundary_classes, w1_sigma, w1m_core,
                                mu_boundary, arc_count, interior, euler)
 
-    def total_boundary(self, dim: int) -> tuple[int, ...]:
+    def total_boundary(self, dim: int) -> int:
         return _xor_fold(enumerate(self.boundary_classes), dim, f"band {self.id!r}: boundary circle")
 
 
@@ -241,7 +253,7 @@ class BandCatalog(namedtuple("BandCatalog", "surface rel records")):
         ids = [r.id for r in self.records]
         if len(set(ids)) != len(ids):
             raise BandError("duplicate band ids")
-        # the fold over the whole basis checks every basis boundary's length
+        # the fold over the whole basis checks every basis boundary
         _xor_fold(((name, self.rel.boundary[name]) for name in self.rel.basis), self.surface.dim,
                   _BASIS_BOUNDARY)
         for r in self.records:
@@ -267,7 +279,8 @@ def _boundary_form_witness(catalog: BandCatalog) -> Optional[tuple[str, str]]:
     on the declared records; None when the form vanishes on all of them.
     """
     surface = catalog.surface
-    totals = [(r.id, r.total_boundary(surface.dim)) for r in catalog.records]
+    # the catalog has checked every circle, so each record folds to one mask unchecked
+    totals = [(r.id, reduce(xor, map(_bits, r.boundary_classes), 0)) for r in catalog.records]
     for i, (id1, x) in enumerate(totals):
         for id2, y in totals[i:]:
             if surface.form(x, y):
@@ -278,10 +291,6 @@ def _boundary_form_witness(catalog: BandCatalog) -> Optional[tuple[str, str]]:
 def lambda_boundary_check(catalog: BandCatalog) -> bool:
     """True when the intersection form vanishes on all declared boundaries."""
     return _boundary_form_witness(catalog) is None
-
-
-def _bits(vec) -> int:
-    return sum(bit << i for i, bit in enumerate(vec))
 
 
 class ThetaFunctional:
@@ -396,22 +405,12 @@ def band_fibre_finger_move(points, collection: WhitneyCollection, record: BandRe
     which is checked.  Returns (points, collection, delta_t).
     """
     expected = theta(record)
-    comps_touched = sorted(
-        set().union(*(surface.components_of_vec(c) for c in record.boundary_classes))
-        if record.boundary_classes
-        else set()
-    )
+    touched = [surface.components_of_vec(c) for c in record.boundary_classes]
     if record.kind == "annulus":
-        cands = [surface.components_of_vec(c) for c in record.boundary_classes]
-        pair_comps = (
-            min(cands[0]) if cands[0] else min(components),
-            min(cands[1]) if cands[1] else min(components),
-        )
+        pair_comps = tuple(min(comps, default=min(components)) for comps in touched)
     else:
-        pair_comps = (
-            (min(comps_touched), min(comps_touched)) if comps_touched
-            else (min(components), min(components))
-        )
+        first = min(set().union(*touched), default=min(components))
+        pair_comps = (first, first)
     before = t_count(points, components, collection)
 
     next_pid = max((p.id for p in points), default=-1) + 1

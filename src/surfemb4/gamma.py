@@ -37,7 +37,8 @@ from operator import add, and_, eq, neg
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InternalConsistency
-from .groups import _INTS, AmbientGroup, Character, SignedSubgroup, _sign_bit
+from . import _INTS
+from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit
 from .intlinalg import HermiteLattice, smith_diagonal
 
 

@@ -16,6 +16,7 @@ from itertools import compress, repeat
 from operator import itemgetter, mod
 from typing import Iterable, Sequence
 
+from . import _INTS
 from .errors import InternalConsistency
 from .intlinalg import HermiteLattice
 
@@ -34,9 +35,6 @@ class NoIdentity(GroupError):
 
 class NoInverse(GroupError):
     pass
-
-
-_INTS = frozenset((int,))  # exact type: a bool is not a group-element entry
 
 
 class FiniteTableGroup:
@@ -86,10 +84,12 @@ class FGAbelianGroup:
     kind = "abelian"
 
     def __init__(self, factors: Sequence[int]):
-        for f in factors:
-            if f < 0:
-                raise GroupError("invariant factors must be >= 0 (0 denotes Z)")
-        self.factors = tuple(int(f) for f in factors)
+        factors = tuple(factors)
+        if not _INTS.issuperset(map(type, factors)):  # neither True nor 2.5
+            raise GroupError(f"invariant factors must be integers, got {reprlib.repr(factors)}")
+        if any(f < 0 for f in factors):
+            raise GroupError("invariant factors must be >= 0 (0 denotes Z)")
+        self.factors = factors
         self.rank = len(self.factors)
         self.identity = tuple(0 for _ in self.factors)
 
@@ -142,8 +142,8 @@ def make_finite_group(table: Sequence[Sequence[int]]) -> FiniteTableGroup:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise GroupError(f"row {i} has length {len(row)}, expected {n}")
-        if not (all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n):
-            v = next(v for v in row if not isinstance(v, int) or not (0 <= v < n))
+        if not (_INTS.issuperset(map(type, row)) and 0 <= min(row) and max(row) < n):
+            v = next(v for v in row if type(v) is not int or not (0 <= v < n))
             raise GroupError(f"entry {v!r} out of range in row {i}")
     cols = tuple(zip(*rows))
     ident = tuple(range(n))
@@ -234,8 +234,8 @@ class Character:
 
     def __init__(self, group: AmbientGroup, values: Sequence[int]):
         self.group = group
-        self.values = tuple(int(v) for v in values)
-        if any(v not in (1, -1) for v in self.values):
+        self.values = tuple(values)
+        if not (_INTS.issuperset(map(type, self.values)) and {1, -1}.issuperset(self.values)):
             raise GroupError("character values must be +1 or -1")
         if group.kind == "finite":
             if len(self.values) != group.order:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import FLOAT_EXACT_BOUND, _lazy
+from . import _INTS, FLOAT_EXACT_BOUND, _lazy
 from .errors import InternalConsistency
 from .intlinalg import bareiss_det, cyclotomic, linear_pencil_det, poly_divmod
 
@@ -53,7 +53,9 @@ class SeifertMatrix:
     """Square integer matrix of even size with unimodular antisymmetrisation."""
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
+        self.rows = tuple(map(tuple, rows))
+        if not all(_INTS.issuperset(map(type, row)) for row in self.rows):  # neither True nor 1.5
+            raise KnotError("Seifert matrix entries must be integers")
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise KnotError("matrix must be square")

@@ -27,8 +27,9 @@ whitney = _lazy("surfemb4.whitney")
 SCHEMA_VERSION = 1
 
 # Largest total GF(2) H1 dimension of the surface an instance may declare.  The
-# basis is enumerated, so one large genus would otherwise cost time and memory
-# far beyond the size of the file.  The shipped instances have dimension <= 2.
+# model's masks hold a bit per basis class, so one large genus would otherwise
+# cost time and memory far beyond the size of the file.  The shipped instances
+# have dimension <= 2.
 MAX_H1_DIM = 10_000
 
 # Largest Seifert matrix a knot file may declare.  Checked before the matrix
@@ -329,12 +330,12 @@ def _build(errors: list[str], pointer: str, make, *args, **kwargs):
 def _h1_dim_error(components) -> list[str]:
     """An error at the field that takes the H1 dimension past ``MAX_H1_DIM``, if any.
 
-    Counts as ``SurfaceComponent.basis_names`` does, without building the names.
+    Counts with the model's ranks, ``bands.h1_ranks``, before a model is built.
     """
     dim = 0
     for i, sc in enumerate(components):
-        for key, size in (("genus", sc["genus"] * (2 if sc["orientable"] else 1)),
-                          ("boundary_circles", max(sc["boundary_circles"] - 1, 0))):
+        ranks = bands.h1_ranks(sc["genus"], sc["orientable"], sc["boundary_circles"])
+        for key, size in zip(("genus", "boundary_circles"), ranks):
             dim += size
             if dim > MAX_H1_DIM:
                 return [f"/surface/components/{i}/{key}: the surface's H1 dimension "

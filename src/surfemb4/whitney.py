@@ -16,6 +16,8 @@ import itertools
 from collections import namedtuple
 from typing import NamedTuple
 
+from . import _INTS
+
 
 class WhitneyError(ValueError):
     pass
@@ -64,12 +66,17 @@ class WhitneyCollection(namedtuple("WhitneyCollection", "discs boundary convenie
         if len(set(paired)) != len(paired):
             raise WhitneyError("a double point is paired by more than one disc")
         for d in discs:
-            if any(c < 0 for c in d.interior.values()) or d.mu_boundary < 0:
+            counts = (d.mu_boundary, *d.interior.values())
+            if not (_INTS.issuperset(map(type, counts)) and type(d.euler) is int):
+                raise WhitneyError(f"non-integer count on disc {d.id}")  # neither True nor 0.5
+            if min(counts) < 0:
                 raise WhitneyError(f"negative count on disc {d.id}")
         known = set(ids)
         for key, count in boundary.items():
             if len(key) != 2 or not key <= known:
                 raise WhitneyError(f"bad boundary pair {set(key)}")
+            if type(count) is not int:
+                raise WhitneyError(f"non-integer boundary count {count!r}")
             if count < 0:
                 raise WhitneyError("negative boundary count")
         if convenient:

@@ -3,7 +3,8 @@
 Small-group catalog, characters, random subgroups and contexts; builders of
 test inputs (cyclic groups, trivial characters, Seifert block sums,
 instance documents, and the t-preserving transfer move and cusp trick);
-Theta read off a ``ThetaFunctional`` at any class of its span; and the slow
+Theta read off a ``ThetaFunctional`` at any class of its span; the paper's
+H1 basis and intersection form, written out densely; and the slow
 or older computations that the package's fast paths are compared against:
 knot, finite and abelian gamma, list-reduction, Whitney-conversion and
 projective-plane oracles.
@@ -524,6 +525,35 @@ def rp2_euler_parity_walk(e: int) -> int:
         cur += 8 if cur < e else -8
         t ^= 1
     return t
+
+
+def paper_basis(components) -> list[tuple[int, str, int]]:
+    """(component id, letter, index) for each H1 basis position, in the paper's order.
+
+    Written out from the component list alone, as the reference for
+    ``bands.SurfaceModel``: components in id order, each with a_1, b_1, ...,
+    a_g, b_g (orientable) or e_1, ..., e_g (cross-caps), then d_1, ...,
+    d_{b-1}, one class for each boundary circle but the last.
+    """
+    basis = []
+    for c in sorted(components, key=lambda c: c.id):
+        if c.orientable:
+            basis += [(c.id, letter, i) for i in range(c.genus) for letter in "ab"]
+        else:
+            basis += [(c.id, "e", i) for i in range(c.genus)]
+        basis += [(c.id, "d", i) for i in range(c.boundary_circles - 1)]
+    return basis
+
+
+def paper_form(basis) -> list[list[int]]:
+    """The dense intersection matrix on ``paper_basis``: a_i.b_i = 1 and e_i.e_i = 1, else 0."""
+    return [[int(ci == cj and ki == kj and ({li, lj} == {"a", "b"} or li == lj == "e"))
+             for cj, lj, kj in basis] for ci, li, ki in basis]
+
+
+def mask(vec) -> int:
+    """The int bitmask of a 0/1 vector, bit i for entry i."""
+    return int("".join(map(str, reversed(vec))) or "0", 2)
 
 
 def theta_violations(pairs) -> set[tuple[int, ...]]:

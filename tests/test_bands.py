@@ -28,7 +28,7 @@ from surfemb4.bands import (
 from surfemb4.engine import flowchart
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count
 
-from helpers import replace, theta_value, theta_violations
+from helpers import mask, paper_basis, paper_form, replace, theta_value, theta_violations
 from test_engine import simple_instance
 
 
@@ -191,7 +191,7 @@ def test_span_conflict_names_the_records():
 def test_class_zero_over_an_empty_basis_has_boundary_zero():
     surface = torus_surface()
     rel = RelH2((), {})
-    assert rel.boundary_of((), surface.dim) == (0, 0)
+    assert rel.boundary_of((), surface.dim) == 0  # the empty bitmask
     # an annulus with two parallel boundary circles x bounds class 0
     r = record(surface, rel, "annulus", "annulus", [], [(1, 0), (1, 0)])
     assert BandCatalog(surface, rel, (r,)).records == (r,)
@@ -207,6 +207,22 @@ def test_basis_boundary_of_the_wrong_length_is_rejected():
     for records in ((), (r,)):
         with pytest.raises(BandError, match="'b' has length 3, expected the H1 dimension 2"):
             BandCatalog(surface, rel, records)
+
+
+@pytest.mark.parametrize("bad", [(2, 0), (-1, 0), ("1", 0)], ids=["2", "-1", "str"])
+def test_basis_boundary_entries_must_be_bits(bad):
+    """A basis boundary with an entry other than 0 or 1 is named, with or without records."""
+    surface = torus_surface()
+    rel = RelH2(("a",), {"a": bad})
+    r = BandRecord("r", "surface", (1,), ((1, 0),), (0,), 0, 0, 0, 0, 0)
+    message = f"boundary of RelH2 basis class 'a' has an entry other than 0 or 1: {bad!r}"
+    for records in ((), (r,)):
+        with pytest.raises(BandError) as exc:
+            BandCatalog(surface, rel, records)
+        assert str(exc.value) == message
+    with pytest.raises(BandError) as exc:
+        validate_record(r, surface, rel)
+    assert str(exc.value) == message
 
 
 def test_validate_record_rejects_a_basis_boundary_of_the_wrong_length():
@@ -452,38 +468,65 @@ def test_b_equals_r_for_simply_connected_components():
         assert is_b_characteristic(catalog).yes == is_r_characteristic(rp2)
 
 
-def _dense_form(surface):
-    """The intersection matrix written out entry by entry from the basis names."""
-    dim = surface.dim
-    dense = [[0] * dim for _ in range(dim)]
-    for i, (ci, ni) in enumerate(surface.basis):
-        for j, (cj, nj) in enumerate(surface.basis):
-            if ci != cj:
-                continue
-            if {ni[0], nj[0]} == {"a", "b"} and ni[1:] == nj[1:]:
-                dense[i][j] = 1
-            if i == j and ni[0] == "e":
-                dense[i][j] = 1
-    return dense
+@st.composite
+def _components(draw, max_genus=3):
+    """1-4 components in a shuffled id order: spheres, tori, cross-caps, 0-3 boundary circles."""
+    count = draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(count)))
+    comps = []
+    for cid in ids:
+        orientable = draw(st.booleans())
+        genus = draw(st.integers(0 if orientable else 1, max_genus))
+        comps.append(SurfaceComponent(cid, genus, orientable, draw(st.integers(0, 3))))
+    return comps
 
 
-def test_structured_form_matches_dense_reference():
-    rng = random.Random(11)
-    for _ in range(40):
-        comps = []
-        for cid in range(rng.randint(1, 4)):
-            orientable = rng.random() < 0.5
-            genus = rng.randint(0 if orientable else 1, 3)
-            comps.append(SurfaceComponent(cid, genus, orientable, rng.randint(0, 3)))
-        surface = SurfaceModel(comps)
-        dense = _dense_form(surface)
-        for _ in range(20):
-            x = tuple(rng.randint(0, 1) for _ in range(surface.dim))
-            y = tuple(rng.randint(0, 1) for _ in range(surface.dim))
-            expected = sum(x[i] * dense[i][j] * y[j]
-                           for i in range(surface.dim) for j in range(surface.dim)) % 2
-            assert surface.form(x, y) == expected
-        assert all(dense[i][i] == surface.w1[i] for i in range(surface.dim))
+_EDGE_SURFACES = [
+    [SurfaceComponent(0, 0, True)],  # a sphere: H1 = 0
+    [SurfaceComponent(0, 0, True, 1)],  # a disc: one boundary circle adds no class
+    [SurfaceComponent(0, 0, True, 3)],  # a pair of pants: boundary classes only
+    [SurfaceComponent(0, 1, False, 1)],  # a Mobius band
+    [SurfaceComponent(2, 3, False), SurfaceComponent(0, 1, True, 2), SurfaceComponent(1, 0, True)],
+]
+
+
+@pytest.mark.parametrize("comps", _EDGE_SURFACES, ids=range(len(_EDGE_SURFACES)))
+@given(data=st.data())
+def test_surface_model_matches_the_paper_basis_on_edge_cases(comps, data):
+    _check_against_paper_basis(comps, data)
+
+
+@given(comps=_components(), data=st.data())
+def test_structured_form_matches_dense_reference(comps, data):
+    _check_against_paper_basis(comps, data)
+
+
+def _check_against_paper_basis(comps, data):
+    """``form``, ``w1_of`` and ``components_of_vec`` against the dense paper-basis reference."""
+    surface = SurfaceModel(comps)
+    basis = paper_basis(comps)
+    dense = paper_form(basis)
+    assert surface.dim == len(basis)
+    vectors = st.lists(st.integers(0, 1), min_size=surface.dim, max_size=surface.dim)
+    x, y = tuple(data.draw(vectors)), tuple(data.draw(vectors))
+    expected = sum(x[i] * dense[i][j] * y[j]
+                   for i in range(surface.dim) for j in range(surface.dim)) % 2
+    assert surface.form(mask(x), mask(y)) == expected
+    assert surface.w1_of(x) == sum(bit for bit, (_, letter, _) in zip(x, basis) if letter == "e") % 2
+    assert surface.components_of_vec(x) == {cid for bit, (cid, _, _) in zip(x, basis) if bit}
+
+
+@given(comps=_components(max_genus=6), data=st.data())
+def test_form_is_symmetric_bilinear_and_satisfies_wu(comps, data):
+    """lambda(x, y) = lambda(y, x), lambda(x + z, y) = lambda(x, y) + lambda(z, y),
+    and Wu's formula lambda(x, x) = <w1, x>."""
+    surface = SurfaceModel(comps)
+    vectors = st.lists(st.integers(0, 1), min_size=surface.dim, max_size=surface.dim)
+    x, y, z = (tuple(data.draw(vectors)) for _ in range(3))
+    form = surface.form
+    assert form(mask(x), mask(y)) == form(mask(y), mask(x))
+    assert form(mask(x) ^ mask(z), mask(y)) == form(mask(x), mask(y)) ^ form(mask(z), mask(y))
+    assert form(mask(x), mask(x)) == surface.w1_of(x)
 
 
 def test_form_on_large_model_is_linear_time():
@@ -492,6 +535,7 @@ def test_form_on_large_model_is_linear_time():
     surface = SurfaceModel([SurfaceComponent(0, 15000, True, 2),
                             SurfaceComponent(1, 10000, False)])
     assert surface.dim >= 40000
-    ones = (1,) * surface.dim
+    ones = (1 << surface.dim) - 1
     assert surface.form(ones, ones) == 10000 % 2
+    assert surface.w1_of((1,) * surface.dim) == 10000 % 2
     assert time.perf_counter() - start < 1.0

@@ -36,6 +36,7 @@ from helpers import (
     PreconditionW1Ker,
     cusp_trick,
     cyclic_group,
+    paper_basis,
     replace,
     rp2_euler_parity_walk,
     transfer_move,
@@ -459,9 +460,10 @@ def test_surface_with_boundary_circles():
     comp = SurfaceComponent(0, 1, True, boundary_circles=2)
     assert comp.euler_characteristic() == -2
     surface = SurfaceModel([comp])
-    assert [name for _, name in surface.basis] == ["a1", "b1", "d1"]
+    assert surface.dim == 3  # a1, b1 and one boundary class
     assert surface.w1_of((0, 0, 1)) == 0
-    assert surface.form((0, 0, 1), (0, 0, 1)) == 0  # boundary-parallel: inert
+    assert surface.form(0b100, 0b100) == 0  # boundary-parallel: inert
+    assert surface.form(0b100, 0b011) == 0 and surface.form(0b001, 0b010) == 1
 
 
 def test_theta_zero_band_move_keeps_flowchart_outcome():
@@ -479,7 +481,7 @@ def test_theta_zero_band_move_keeps_flowchart_outcome():
 def _records_on_a_classes(surface, count):
     """Records with a-class boundaries only, so the boundary form vanishes on them."""
     a_vectors = [tuple(int(k == i) for k in range(surface.dim))
-                 for i, (_, name) in enumerate(surface.basis) if name.startswith("a")]
+                 for i, (_, letter, _) in enumerate(paper_basis(surface.components)) if letter == "a"]
     names = [f"r{k}" for k in range(count)]
     rel = RelH2(tuple(names), {n: a_vectors[k % len(a_vectors)] for k, n in enumerate(names)})
     records = tuple(

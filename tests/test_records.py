@@ -21,8 +21,8 @@ from surfemb4.bands import (
 )
 from surfemb4.engine import ComponentData, EulerBoundResult, ProblemInstance, ValidationError
 from surfemb4.gamma import Coefficient, GammaElement, GammaError, PairingContext, build_gamma
-from surfemb4.groups import subgroup_closure
-from surfemb4.knots import CP2GenusVerdict
+from surfemb4.groups import Character, GroupError, abelian_group, make_finite_group, subgroup_closure
+from surfemb4.knots import CP2GenusVerdict, KnotError, SeifertMatrix
 from surfemb4.whitney import DoublePoint, NotConvenient, WhitneyCollection, WhitneyDisc, WhitneyError
 
 C2, C3 = cyclic_group(2), cyclic_group(3)
@@ -117,6 +117,36 @@ def test_validated_records_reject_bad_input(case):
     with pytest.raises(error) as exc:
         build()
     assert type(exc.value) is error and str(exc.value) == message
+
+
+# Each builds a valid record when ``one`` is the integer 1; ``one`` stands in
+# for it in one integer field.
+NEEDS_INT = {
+    "surface-genus": (lambda one: SurfaceComponent(0, one, True), BandError),
+    "surface-boundary": (lambda one: SurfaceComponent(0, 1, True, one), BandError),
+    "seifert": (lambda one: SeifertMatrix([[-1, one], [0, -1]]), KnotError),
+    "abelian-factors": (lambda one: abelian_group([2, one]), GroupError),
+    "character-finite": (lambda one: Character(C2, [1, one]), GroupError),
+    "character-abelian": (lambda one: Character(abelian_group([2]), [one]), GroupError),
+    "finite-table": (lambda one: make_finite_group([[0, one], [one, 0]]), GroupError),
+    "disc-interior": (lambda one: WhitneyCollection((_disc(0, (0, 1), {0: one}),), {}), WhitneyError),
+    "disc-mu": (lambda one: WhitneyCollection((_disc(0, (0, 1), mu_boundary=one),), {}, False),
+                WhitneyError),
+    "disc-euler": (lambda one: WhitneyCollection((_disc(0, (0, 1), euler=one),), {}, False),
+                   WhitneyError),
+    "boundary-count": (lambda one: WhitneyCollection((_disc(0, (0, 1)), _disc(1, (2, 3))),
+                                                     {frozenset((0, 1)): one}, False), WhitneyError),
+    "band-parity": (lambda one: BandRecord(**dict(ANNULUS, interior=one)), BandError),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 1.5, "1", None])
+@pytest.mark.parametrize("case", NEEDS_INT)
+def test_constructors_require_exact_integers(case, value):
+    build, error = NEEDS_INT[case]
+    build(1)
+    with pytest.raises(error):
+        build(value)
 
 
 def test_valid_instance_builds():

@@ -444,6 +444,9 @@ def test_boundary_intersection_pairs_are_listed_once():
     ({"genus": 0, "boundary_circles": schema.MAX_H1_DIM + 2}, "/surface/components/0/boundary_circles"),
     # at the cap the surface is built, and the band's H1 vector is too short for it
     ({"genus": schema.MAX_H1_DIM // 2}, "/catalogs/bands"),
+    ({"genus": schema.MAX_H1_DIM, "orientable": False}, "/catalogs/bands"),
+    ({"genus": 0, "boundary_circles": schema.MAX_H1_DIM + 1}, "/catalogs/bands"),
+    ({"genus": schema.MAX_H1_DIM + 1, "orientable": False}, "/surface/components/0/genus"),
 ])
 def test_surface_h1_dimension_is_capped(component, pointer, tmp_path, capsys):
     doc = example_doc("torus_s3s1")
