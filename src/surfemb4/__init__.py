@@ -29,9 +29,9 @@ import sys
 
 __version__ = "0.1.0"
 
-# Seifert entries of magnitude below 2^53 are exact as floats.  The signature
-# certificate (``knots``) accepts only those, and knot files (``schema``) may
-# hold only those.
+# Seifert entries of magnitude below 2^53 are exact as floats.  Knot files
+# (``schema``) may hold only those, so the signature certificate (``knots``)
+# can start in floats on every knot file.
 FLOAT_EXACT_BOUND = 1 << 53
 
 # The exact type of an integer field: ``_INTS.issuperset(map(type, values))``

@@ -22,6 +22,7 @@ from itertools import compress
 from operator import xor
 from typing import NamedTuple, Optional, Sequence
 
+from . import _INTS
 from .errors import InternalConsistency
 from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count, to_convenient
 
@@ -201,6 +202,10 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
         for bit in (w1m_core, mu_boundary, arc_count, interior, euler):
             if type(bit) is not int or bit not in (0, 1):  # neither True nor 1.0
                 raise BandError(f"parity fields must be 0 or 1 on band {id!r}")
+        for field, vec in (("rel_class", rel_class), ("w1_sigma", w1_sigma)):
+            error = "band {2!r}: {3} has an entry other than 0 or 1: {0!r}"
+            if not _INTS.issuperset(map(type, _check_bits(vec, len(vec), error, id, field))):
+                raise BandError(error.format(vec, len(vec), id, field))
         if len(w1_sigma) != len(boundary_classes):
             raise BandError(f"band {id!r}: one w1 value per boundary circle")
         if kind == "annulus" and len(boundary_classes) != 2:

@@ -4,13 +4,14 @@ Every invariant is polynomial in the Seifert size n.  The Arf invariant is
 computed two independent ways, the mod-8 determinant rule (O(n^3)) and a
 symplectic basis of the quadratic form over GF(2) (O(n^3) bit operations),
 and the two must agree.  The Alexander polynomial det(tV - V^T) costs
-O(n^4); a signature needs it only where the float certificate declines.  A
-signature is first proven in floats in O(n^3): a congruence from a pivoted
-LDL^H, checked by Gershgorin intervals with rigorous rounding bounds (see
-``_certified_signature``).  The certificate never answers at a singular point.
-Where it declines, an exact singularity pre-check against the cyclotomic
-minimal polynomial, then adaptive-precision Hermitian eigenvalues, decide;
-that path computes the Alexander polynomial at most once per matrix.  The cp2
+O(n^4); a signature needs it only where the 53-bit certificate declines.  A
+signature has one algorithm, O(n^3) operations at p bits: a congruence from
+a pivoted LDL^H, checked by Gershgorin intervals with rigorous rounding bounds
+(see ``_certified_signature``), run in floats at p = 53 and, where that
+declines, in mpmath at p = 106, 212, ... up to ``MAX_PREC``.  The certificate
+never answers at a singular point: after its first decline an exact
+singularity pre-check against the cyclotomic minimal polynomial raises there,
+computing the Alexander polynomial at most once per matrix.  The cp2
 class scan evaluates each distinct point once.
 """
 
@@ -22,11 +23,11 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import _INTS, FLOAT_EXACT_BOUND, _lazy
+from . import _INTS, _lazy
 from .errors import InternalConsistency
 from .intlinalg import bareiss_det, cyclotomic, linear_pencil_det, poly_divmod
 
-mpmath = _lazy("mpmath")  # run by the signature paths only
+mpmath = _lazy("mpmath")  # run by signatures only: cospi, sinpi and p-bit arithmetic
 
 
 class KnotError(ValueError):
@@ -173,18 +174,33 @@ def _is_alexander_root(V: SeifertMatrix, r: Fraction) -> bool:
     return not rem
 
 
-def _certified_signature(V: SeifertMatrix, r: Fraction) -> Optional[int]:
-    """Signature of H = (1-w)V + (1-conj(w))V^T, w = exp(i*pi*r), proven in floats, or None.
+def _certified_signature(V: SeifertMatrix, r: Fraction, prec: int = 53) -> Optional[int]:
+    """Signature of H = (1-w)V + (1-conj(w))V^T, w = exp(i*pi*r), proven at p = prec bits, or None.
+
+    Arithmetic.  At p = 53 the code runs on Python floats, above it on mpmath's
+    mpf and mpc under workprec(p).  Both round to nearest, and no mpmath
+    operation rounds more often than its float counterpart: mpc_mul rounds each
+    exact partial-product sum once, and fdot, which forms the inner products of
+    C^, rounds its sum of exact products once (dropping only terms below 2^-2p
+    of its running sum).  So the standard model with u = 2^-p bounds both, and
+    the one proof below holds at every p.  Skipping zero multipliers and zero
+    entries of X changes no computed value.
 
     Error in H.  With S = V + V^T and A = V - V^T, H = (1-c)S - i s A for
     c = cos(pi r), s = sin(pi r).  c^ and s^ are mpmath's cospi and sinpi at
-    113 bits rounded to the nearest float, so each is within 2u of c and s
-    (u = 2^-53).  H^ has the entries fl(fl(1 - c^) S) - i fl(s^ A) and is
-    exactly Hermitian, and following each rounding gives |H - H^| <= E with
-    E_jk = 20u max(|V_jk|, |V_kj|).
+    p + 60 bits rounded to p bits, so each is within 2u of c and s.  H^ has the
+    entries fl(fl(1 - c^) S) - i fl(s^ A) and is exactly Hermitian, and
+    following each rounding gives |H - H^| <= E with E_jk = 20u max(|V_jk|, |V_kj|).
 
     The congruence.  Gaussian elimination of H^ by congruence, each pivot the
-    largest remaining |diagonal|, accumulates X ~ L^-1 of H^ = L D L^H.  In
+    largest remaining |diagonal|, accumulates X ~ L^-1 of H^ = L D L^H.  Where
+    the remaining diagonal is all 0, the largest remaining h_ij (i != j) is
+    moved onto it: e_i becomes e_i + z e_j, z in {1, -1, i, -i} maximising
+    Re(z h_ji), so the new pivot 2 Re(z h_ji) is at least sqrt(2) |h_ij|.  This
+    is T = I + z e_i e_j^T, unimodular over Z[i], applied to the block, to the
+    stored rows (X_i += z X_j) and to H^; it keeps the inertia of H.  Products
+    by z are exact, so H^ stays exactly Hermitian and is T H^ T^H up to
+    3u |T| |H^| |T|^T, which is added to E before E becomes |T| E |T|^T.  In
     pivot order X is unit lower triangular as stored, so it is exactly
     nonsingular, and by Sylvester's law of inertia C = X H X^H has the inertia
     of H.  C^ = fl(fl(X H^) X^H) is formed from complex inner products of
@@ -194,8 +210,8 @@ def _certified_signature(V: SeifertMatrix, r: Fraction) -> Optional[int]:
 
         |C - C^| <= B = |X| (g |H^| + E) |X|^T,  g = gamma_(n+2) (2 + gamma_(n+2)),
 
-    whose row sums cost two matrix-vector products.  Underflow adds less than
-    2^-1000 (sum |X| + n) to a row sum.
+    whose row sums cost two matrix-vector products.  Underflow, in floats only,
+    adds less than 2^-1000 (sum |X| + n) to a row sum.
 
     The count.  Every eigenvalue of the Hermitian C lies in one of the
     Gershgorin intervals [C_ii +- sum_(j != i) |C_ij|], and these lie inside
@@ -205,119 +221,119 @@ def _certified_signature(V: SeifertMatrix, r: Fraction) -> Optional[int]:
     between diag C and C, and the signature of H is the number of positive
     centres minus the number of negative ones (Rump, Verification methods,
     Acta Numerica 2010).  H is then nonsingular, so w is not a root of the
-    Alexander polynomial.  The radii are summed in floats and then scaled by
-    1 + 2^-20, which exceeds their own rounding, (1 - u)^-(4n + 16) - 1, for
-    n < 2^30.
+    Alexander polynomial.  The radii are summed at p bits and then scaled by
+    1 + 2^-20, which exceeds their own rounding and that of E (at most n
+    changes of basis, five roundings each), (1 - u)^-(10n + 16) - 1, for n < 2^26.
 
-    Returns None when an interval meets 0 or is not finite, when a pivot is 0,
-    or when an entry has |v| >= 2^53.  Cost: O(n^3) float operations.
+    Returns None when an interval meets 0 or is not finite, when the remaining
+    block is 0, or when an entry has |v| >= 2^p.  Cost: O(n^3) operations at p bits.
     """
     n, rows = V.size, V.rows
-    if any(abs(v) >= FLOAT_EXACT_BOUND for row in rows for v in row):
+    if any(abs(v) >> prec for row in rows for v in row):
         return None
-    with mpmath.workprec(113):
+    with mpmath.workprec(prec + 60):
         x = mpmath.mpf(r.numerator) / r.denominator
-        c, s = float(mpmath.cospi(x)), float(mpmath.sinpi(x))
-    a = 1.0 - c
-    H = [[complex(a * (v + w), s * (w - v)) for v, w in zip(row, col)]
-         for row, col in zip(rows, zip(*rows))]
+        c, s = mpmath.cospi(x), mpmath.sinpi(x)
+    with mpmath.workprec(prec):
+        real, cplx, dot = ((float, complex, lambda xs, ys: sum(map(mul, xs, ys))) if prec == 53
+                           else (mpmath.mpf, mpmath.mpc, mpmath.fdot))
+        a, s, u = 1 - real(c), real(s), real(2) ** -prec
+        H = [[cplx(a * (v + w), s * (w - v)) for v, w in zip(row, col)]
+             for row, col in zip(rows, zip(*rows))]
+        E = [[20 * u * max(abs(v), abs(w)) for v, w in zip(row, col)]
+             for row, col in zip(rows, zip(*rows))]
 
-    # elimination; X[i] holds row i of X on the pivots chosen before i
-    X: list[list[complex]] = [[] for _ in range(n)]
-    order = []
-    active, block = list(range(n)), [row[:] for row in H]
-    while active:
-        q = max(range(len(active)), key=lambda t: abs(block[t][t].real))
-        d = block[q][q].real
-        if not abs(d) > 0:
-            return None
-        p = active.pop(q)
-        order.append(p)
-        pivot_row, xp = block.pop(q), X[p]
-        del pivot_row[q]
-        for t, i in enumerate(active):
-            row = block[t]
-            m = row.pop(q) / d
-            block[t] = [h - m * g for h, g in zip(row, pivot_row)]
-            X[i] = [xi - m * xj for xi, xj in zip(X[i], xp)] + [-m]
-    X = [X[p] + [1.0] for p in order]
+        # elimination; X[i] holds row i of X on the pivots chosen before i
+        X: list[list] = [[] for _ in range(n)]
+        order, active, block = [], list(range(n)), [row[:] for row in H]
+        while active:
+            q = max(range(len(active)), key=lambda t: abs(block[t][t].real))
+            if not block[q][q].real:  # change of basis e_i -> e_i + z e_j
+                size, q, k = max(((abs(block[k][t]), t, k) for t in range(len(active))
+                                  for k in range(len(active)) if k != t), default=(0, 0, 0))
+                if not size:
+                    return None
+                z = max((1, -1, 1j, -1j), key=lambda z: (z * block[k][q]).real)
+                i, j = active[q], active[k]
+                X[i] = [xi + z * xj for xi, xj in zip(X[i], X[j])]
+                E = [[e + 3 * u * abs(h) for e, h in zip(er, hr)] for er, hr in zip(E, H)]
+                for M, ti, tj, w in ((block, q, k, z), (H, i, j, z), (E, i, j, 1)):
+                    M[ti] = [mi + w * mj for mi, mj in zip(M[ti], M[tj])]
+                    for row in M:
+                        row[ti] += w.conjugate() * row[tj]
+            d = block[q][q].real
+            if not abs(d) > 0:
+                return None
+            p = active.pop(q)
+            order.append(p)
+            pivot_row, xp = block.pop(q), X[p]
+            del pivot_row[q]
+            for t, i in enumerate(active):
+                row = block[t]
+                m = row.pop(q) / d
+                if m:  # a zero multiplier changes nothing: sparse H costs less
+                    block[t] = [h - m * g for h, g in zip(row, pivot_row)]
+                    X[i] = [xi - m * xj for xi, xj in zip(X[i], xp)]
+                X[i].append(-m)
+        X = [X[p] + [1.0] for p in order]
 
-    # C^ = X H^ X^H in pivot order: its diagonal, and |C^_ij| above it
-    H_cols = [[H[j][k] for j in order] for k in order]
-    Xc = [[x.conjugate() for x in row] for row in X]
-    Y = [[sum(map(mul, xa, col)) for col in H_cols] for xa in X]
-    centres, upper = [], []
-    for i, y in enumerate(Y):
-        centres.append(sum(map(mul, y, Xc[i])).real)
-        upper.append([abs(sum(map(mul, y, Xc[j]))) for j in range(i + 1, n)])
+        # C^ = X H^ X^H in pivot order, row i from its diagonal on; each row of X is held
+        # as its nonzero positions and entries, so a sparse H costs less
+        H_cols = [[H[j][k] for j in order] for k in order]
+        nz = [([k for k, x in enumerate(row) if x], [x for x in row if x]) for row in X]
+        Xc = [(ks, [x.conjugate() for x in xs]) for ks, xs in nz]
+        Y = [[dot(xs, map(col.__getitem__, ks)) for col in H_cols] for ks, xs in nz]
+        C = [[dot(map(y.__getitem__, ks), xc) for ks, xc in Xc[i:]] for i, y in enumerate(Y)]
 
-    # row sums of B: |X| (G (|X|^T 1)), G = g |H^| + E
-    u = 2.0 ** -53
-    gamma = (n + 2) * u / (1 - (n + 2) * u)
-    g = gamma * (2 + gamma)
-    col_sums = [0.0] * n
-    for row in X:
-        for k, xk in enumerate(row):
-            col_sums[k] += abs(xk)
-    gw = [sum((g * abs(H[j][k]) + 20 * u * max(abs(rows[j][k]), abs(rows[k][j]))) * col_sums[t]
-              for t, k in enumerate(order)) for j in order]
-    underflow = 2.0 ** -1000 * (sum(col_sums) + n)
+        # row sums of B: |X| (G (|X|^T 1)), G = g |H^| + E
+        gamma = (n + 2) * u / (1 - (n + 2) * u)
+        g = gamma * (2 + gamma)
+        col_sums = [0.0] * n
+        for ks, xs in nz:
+            for k, xk in zip(ks, xs):
+                col_sums[k] += abs(xk)
+        gw = [sum((g * abs(H[j][k]) + E[j][k]) * col_sums[t] for t, k in enumerate(order))
+              for j in order]
+        underflow = 2.0 ** -1000 * (sum(col_sums) + n)
 
-    signature = 0
-    for i, row in enumerate(X):
-        radius = (sum(upper[i]) + sum(upper[j][i - j - 1] for j in range(i))
-                  + sum(abs(xk) * gk for xk, gk in zip(row, gw)) + underflow)
-        if not abs(centres[i]) > radius * (1 + 2.0 ** -20):
-            return None
-        signature += 1 if centres[i] > 0 else -1
+        signature = 0
+        for i, (ks, xs) in enumerate(nz):
+            centre = C[i][0].real
+            radius = (sum(map(abs, C[i][1:])) + sum(abs(C[j][i - j]) for j in range(i))
+                      + sum(abs(xk) * gw[k] for k, xk in zip(ks, xs)) + underflow)
+            if not abs(centre) > radius * (1 + 2.0 ** -20):
+                return None
+            signature += 1 if centre > 0 else -1
     return signature
 
 
-# Working precision, in decimal digits, at which the exact path gives up.
-MAX_DPS = 400
+# Working precision, in bits, at which the certificate gives up: 53 doubled five times.
+MAX_PREC = 53 << 5
 
 
 def levine_tristram(V: SeifertMatrix, omega: Fraction) -> int:
     """Signature of (1-w)V + (1-conj(w))V^T at w = exp(i*pi*omega).
 
-    The float certificate of ``_certified_signature`` decides first; it never
-    answers at a singular point.  When it declines, the exact path runs: values
-    of w where the matrix is singular (roots of the Alexander polynomial, where
-    the signature jumps) raise instead of guessing, and eigenvalue signs are
-    resolved by raising the working precision until no eigenvalue interval
-    straddles zero.
+    One algorithm decides: ``_certified_signature`` in floats, then at 106,
+    212, ... bits up to ``MAX_PREC``.  It never answers at a singular point.
+    After its first decline, values of w where the matrix is singular (roots of
+    the Alexander polynomial, where the signature jumps) raise instead of
+    refining; a point that no precision up to the cap separates from the
+    singular ones raises SignRefinementFailed.
     """
     if V.size == 0:
         return 0
     r = Fraction(omega) % 2
     if r == 0:
         raise SingularAtOmega("omega = 1 annihilates the pairing")
-    certified = _certified_signature(V, r)
-    if certified is not None:
-        return certified
-    if _is_alexander_root(V, r):
-        raise SingularAtOmega(f"exp(i*pi*{r}) is a root of the Alexander polynomial")
-    n = V.size
-    dps = 40
-    while dps <= MAX_DPS:
-        with mpmath.workdps(dps):
-            w = mpmath.expjpi(mpmath.mpf(r.numerator) / r.denominator)
-            one = mpmath.mpf(1)
-            a = one - w
-            ac = one - mpmath.conj(w)
-            mat = mpmath.matrix(n, n)
-            for i in range(n):
-                for j in range(n):
-                    mat[i, j] = a * V.rows[i][j] + ac * V.rows[j][i]
-            eigs = mpmath.eighe(mat, eigvals_only=True)
-            norm = max(abs(mat[i, j]) for i in range(n) for j in range(n)) * n
-            tol = norm * mpmath.mpf(10) ** (12 - dps)
-            if all(abs(e) > tol for e in eigs):
-                return sum(1 if e > 0 else -1 for e in eigs)
-        dps *= 2
-    raise SignRefinementFailed(
-        f"could not separate eigenvalue signs from zero at {MAX_DPS} digits"
-    )
+    prec = 53
+    while (signature := _certified_signature(V, r, prec)) is None:
+        if prec == 53 and _is_alexander_root(V, r):
+            raise SingularAtOmega(f"exp(i*pi*{r}) is a root of the Alexander polynomial")
+        if prec == MAX_PREC:
+            raise SignRefinementFailed(f"could not separate the signature from zero at {prec} bits")
+        prec *= 2
+    return signature
 
 
 def sigma_d(V: SeifertMatrix, d: int) -> int:

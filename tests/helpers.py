@@ -6,8 +6,8 @@ instance documents, and the t-preserving transfer move and cusp trick);
 Theta read off a ``ThetaFunctional`` at any class of its span; the paper's
 H1 basis and intersection form, written out densely; and the slow
 or older computations that the package's fast paths are compared against:
-knot, finite and abelian gamma, list-reduction, Whitney-conversion and
-projective-plane oracles.
+knot (the Arf count and the eigenvalue signature), finite and abelian
+gamma, list-reduction, Whitney-conversion and projective-plane oracles.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Optional
+
+import mpmath
 
 from surfemb4.bands import BandError, ThetaFunctional, _bits
 from surfemb4.engine import (
@@ -46,7 +49,7 @@ from surfemb4.groups import (
     subgroup_closure,
 )
 from surfemb4.intlinalg import HermiteLattice
-from surfemb4.knots import SeifertMatrix
+from surfemb4.knots import SeifertMatrix, _is_alexander_root
 from surfemb4.schema import SCHEMA_VERSION
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, WhitneyError, to_convenient
 
@@ -277,6 +280,37 @@ def torus_sum_signature(qs, r: Fraction) -> int:
     r = Fraction(r) % 2
     r = min(r, 2 - r)
     return -2 * sum(1 for q in qs for k in range(1, q, 2) if Fraction(k, q) < r)
+
+
+def eighe_signature(V: SeifertMatrix, r, dps: int = 200) -> Optional[int]:
+    """The Levine-Tristram signature at exp(i*pi*r) from mpmath's Hermitian eigenvalues; None at a root.
+
+    The reference for ``knots.levine_tristram``: the eigenvalue loop that once
+    decided where the float certificate declined.  A root of the Alexander
+    polynomial (or r = 0 mod 2) gives None.  Elsewhere the eigenvalues are
+    computed at ``dps`` digits, then twice and four times that, until every one
+    exceeds norm * 10^(12 - dps) in magnitude.  No proved bound backs that
+    tolerance, so this is an oracle only.  About 0.1 s at n = 16 and 1.2 s at
+    n = 40, at 200 digits.
+    """
+    r = Fraction(r) % 2
+    if r == 0 or _is_alexander_root(V, r):
+        return None
+    n = V.size
+    for digits in (dps, 2 * dps, 4 * dps):
+        with mpmath.workdps(digits):
+            w = mpmath.expjpi(mpmath.mpf(r.numerator) / r.denominator)
+            a, ac = 1 - w, 1 - mpmath.conj(w)
+            mat = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    mat[i, j] = a * V.rows[i][j] + ac * V.rows[j][i]
+            eigs = mpmath.eighe(mat, eigvals_only=True)
+            norm = max(abs(mat[i, j]) for i in range(n) for j in range(n)) * n
+            tol = norm * mpmath.mpf(10) ** (12 - digits)
+            if all(abs(e) > tol for e in eigs):
+                return sum(1 if e > 0 else -1 for e in eigs)
+    raise AssertionError(f"eigenvalues not separated from zero at {4 * dps} digits")
 
 
 def arf_bruteforce(V: SeifertMatrix) -> int:

@@ -259,6 +259,17 @@ def test_bit_checks_accept_what_membership_in_0_1_accepts(make):
                         check(vec)
 
 
+@pytest.mark.parametrize("field", ["rel_class", "w1_sigma"])
+@pytest.mark.parametrize("entries", [(2,), (True,), "1", (0, 2)], ids=["2", "True", "str", "0-2"])
+def test_band_record_entries_must_be_exactly_0_or_1(field, entries):
+    # outside a catalog, Theta once read a class entry 2 as bit 1 (a ThetaConflict between
+    # records of classes (2,) and (1,)), and w1_sigma (0, 2) on an annulus passed ``theta``
+    annulus = dict(id="b", kind="annulus", rel_class=(1, 0), boundary_classes=((0, 0), (0, 0)),
+                   w1_sigma=(0, 0), w1m_core=0, mu_boundary=0, arc_count=0, interior=0, euler=0)
+    with pytest.raises(BandError, match=f"band 'b': {field} has an entry other than 0 or 1"):
+        BandRecord(**dict(annulus, **{field: entries}))
+
+
 @st.composite
 def _closed_catalogs(draw):
     """Catalogs of closed records (no boundary circles, so the form vanishes)."""

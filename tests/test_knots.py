@@ -7,7 +7,6 @@ import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -30,7 +29,14 @@ from surfemb4.knots import (
     sigma_d,
 )
 
-from helpers import arf_bruteforce, block_sum, random_seifert_rows, torus_sum, torus_sum_signature
+from helpers import (
+    arf_bruteforce,
+    block_sum,
+    eighe_signature,
+    random_seifert_rows,
+    torus_sum,
+    torus_sum_signature,
+)
 
 
 def load(name) -> SeifertMatrix:
@@ -202,18 +208,10 @@ def test_levine_tristram_singular_point():
         levine_tristram(TREFOIL, Fraction(0))
 
 
-def _exact_signature(V, r):
-    """The signature by the exact path alone, the oracle; None at a singular point."""
-    with mock.patch.object(knots, "_certified_signature", lambda V, r: None):
-        try:
-            return levine_tristram(V, r)
-        except SingularAtOmega:
-            return None
-
-
-def _check_against_exact_path(V, r):
-    """Where the certificate answers it equals the exact path; every singular point raises."""
-    exact = _exact_signature(V, r)
+def _check_against_oracle(V, r):
+    """Where the 53-bit certificate answers it equals the eigenvalue oracle, and so does
+    ``levine_tristram``; every singular point raises."""
+    exact = eighe_signature(V, r)
     certified = knots._certified_signature(V, Fraction(r) % 2)
     if exact is None:
         assert certified is None
@@ -233,13 +231,35 @@ def _check_against_exact_path(V, r):
        zero_diagonal=st.booleans(), seed=st.integers(0, 2 ** 32), p=st.integers(1, 59),
        q=st.integers(1, 30))
 @example(genus=20, bound=1 << 20, zero_diagonal=False, seed=0, p=1, q=1)
-def test_certificate_agrees_with_exact_path_on_random_matrices(genus, bound, zero_diagonal,
-                                                               seed, p, q):
+def test_signature_agrees_with_eigenvalue_oracle_on_random_matrices(genus, bound, zero_diagonal,
+                                                                   seed, p, q):
     rows = random_seifert_rows(random.Random(seed), max_genus=genus, min_genus=genus, bound=bound)
     if zero_diagonal:  # V - V^T stays unimodular
         for i, row in enumerate(rows):
             row[i] = 0
-    _check_against_exact_path(SeifertMatrix(rows), Fraction(p, q))
+    _check_against_oracle(SeifertMatrix(rows), Fraction(p, q))
+
+
+def test_53_bit_certificate_decides_zero_diagonal_matrices_off_the_roots():
+    # every diagonal entry of H is 0, so each first pivot is a change of basis e_i + z e_j
+    rng = random.Random(67)
+    sizes = set()
+    for _ in range(40):
+        rows = random_seifert_rows(rng, max_genus=20, bound=rng.choice([2, 100, 1 << 20]))
+        for i, row in enumerate(rows):
+            row[i] = 0
+        V = SeifertMatrix(rows)
+        # w = exp(i*pi*r) has order 2q or q > 2 n^2, so Phi of its order has degree above n
+        # and w is no root of the Alexander polynomial: H is nonsingular there
+        q = rng.choice([3203, 3209, 4001, 10007])
+        r = Fraction(rng.randrange(1, q) + q * rng.randrange(2), q)
+        assert r.denominator == q and not knots._is_alexander_root(V, r)
+        certified = knots._certified_signature(V, r)
+        assert certified is not None, (rows, r)
+        if V.size <= 12:  # the oracle costs about 1 s at n = 40
+            assert certified == eighe_signature(V, r)
+        sizes.add(V.size)
+    assert len(sizes) >= 15 and max(sizes) >= 36
 
 
 def _within_cap(qs):
@@ -257,45 +277,85 @@ TORUS_SUMS = st.lists(st.integers(1, 10).map(lambda k: 2 * k + 1), min_size=1, m
 @given(qs=TORUS_SUMS, pick=st.integers(0, 10 ** 6), side=st.sampled_from([-1, 0, 1]))
 @example(qs=[41], pick=0, side=1)
 @example(qs=[11, 31], pick=1, side=-1)
-def test_certificate_agrees_with_exact_path_next_to_alexander_roots(qs, pick, side):
+def test_signature_agrees_with_eigenvalue_oracle_next_to_alexander_roots(qs, pick, side):
     # the roots of T(2,q) are k/q with k odd, k != q; k/q +- 1/(100q) has an even
     # denominator, so it is a root of no T(2,q') and the closed form holds there
     q = qs[pick % len(qs)]
     ks = [k for k in range(1, 2 * q, 2) if k != q]
     r = Fraction(ks[pick // len(qs) % len(ks)], q) + side * Fraction(1, 100 * q)
-    exact, certified = _check_against_exact_path(torus_sum(qs), r)
+    exact, certified = _check_against_oracle(torus_sum(qs), r)
     if side:
         assert exact == torus_sum_signature(qs, r)
     else:
         assert exact is None and certified is None
 
 
+def _recording_precisions(monkeypatch, decline_below: int = 0) -> list[int]:
+    """Record the precision of every certificate step; steps below ``decline_below`` bits decline."""
+    precisions = []
+    certify = knots._certified_signature
+
+    def step(V, r, prec=53):
+        precisions.append(prec)
+        return None if prec < decline_below else certify(V, r, prec)
+
+    monkeypatch.setattr(knots, "_certified_signature", step)
+    return precisions
+
+
 @pytest.mark.parametrize("qs", [(3, 3, 3), (5,), (11,), (3, 5, 7, 9, 11), (41,), (11, 31)])
 def test_certificate_decides_torus_sums_without_exact_path(qs, monkeypatch):
+    # the 53-bit step alone decides: no higher precision and no Alexander polynomial
     V = torus_sum(qs)
     with monkeypatch.context() as m:  # the cp2 scan on the closed form
         m.setattr(knots, "levine_tristram", lambda V, r: torus_sum_signature(qs, r))
         expected = cp2_genus_verdict(V)
 
     def exact_path(*args, **kwargs):
-        raise AssertionError("the exact path ran at a certified point")
+        raise AssertionError("the Alexander polynomial was computed at a certified point")
 
-    monkeypatch.setattr(knots.mpmath, "eighe", exact_path)
     monkeypatch.setattr(knots, "linear_pencil_det", exact_path)
+    precisions = _recording_precisions(monkeypatch)
     for r in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(9, 10),
               Fraction(7, 8)):
         assert levine_tristram(V, r) == torus_sum_signature(qs, r)
     assert cp2_genus_verdict(V) == expected
+    assert len(precisions) >= 6 and set(precisions) == {53}
 
 
-def test_exact_path_decides_when_the_certificate_declines(monkeypatch):
-    monkeypatch.setattr(knots, "_certified_signature", lambda V, r: None)
+def test_higher_precision_decides_where_the_53_bit_certificate_declines(monkeypatch):
+    precisions = _recording_precisions(monkeypatch, decline_below=106)
     assert levine_tristram(TREFOIL, Fraction(1)) == -2
     assert levine_tristram(SUM3, Fraction(1, 2)) == torus_sum_signature((3, 3, 3), Fraction(1, 2))
-    for r in (Fraction(1, 3), Fraction(0)):
+    assert precisions == [53, 106, 53, 106]
+    for r in (Fraction(1, 3), Fraction(0)):  # the pre-check raises after the first decline
         with pytest.raises(SingularAtOmega):
             levine_tristram(TREFOIL, r)
+    assert precisions[4:] == [53]
     assert cp2_genus_verdict(SUM3).exact == 1
+    assert set(precisions) == {53, 106}
+
+
+NEAR_ROOT_SUMS = st.lists(st.integers(1, 8).map(lambda k: 2 * k + 1), min_size=1, max_size=4).map(
+    lambda qs: [q for i, q in enumerate(qs) if sum(p - 1 for p in qs[:i + 1]) <= 16])
+
+
+@settings(max_examples=25, deadline=None)
+@given(qs=NEAR_ROOT_SUMS, pick=st.integers(0, 10 ** 6), side=st.sampled_from([-1, 1]),
+       digits=st.integers(15, 40))
+@example(qs=[3], pick=0, side=1, digits=40)
+@example(qs=[7, 9], pick=5, side=-1, digits=15)
+def test_signature_agrees_with_eigenvalue_oracle_within_1e_15_of_roots(qs, pick, side, digits):
+    # k/q +- 10^-digits is a root of no T(2,q') with q' <= 17: its denominator is too large
+    q = qs[pick % len(qs)]
+    ks = [k for k in range(1, 2 * q, 2) if k != q]
+    r = Fraction(ks[pick // len(qs) % len(ks)], q) + side * Fraction(1, 10 ** digits)
+    V = torus_sum(qs)
+    with pytest.MonkeyPatch.context() as m:
+        precisions = _recording_precisions(m)
+        signature = levine_tristram(V, r)
+    assert signature == eighe_signature(V, r) == torus_sum_signature(qs, r)
+    event(f"decided at {precisions[-1]} bits")
 
 
 def test_certificate_declines_entries_beyond_float_precision():
@@ -303,6 +363,7 @@ def test_certificate_declines_entries_beyond_float_precision():
     for a, certified in ((2 ** 53 - 1, 2), (2 ** 53, None)):
         V = SeifertMatrix([[a, 1], [0, a]])
         assert knots._certified_signature(V, Fraction(1)) == certified
+        assert knots._certified_signature(V, Fraction(1), 106) == 2  # entries below 2^106
         assert levine_tristram(V, Fraction(1)) == 2
 
 
@@ -377,6 +438,7 @@ def _knot_command(*argv) -> tuple[int, dict]:
         [sys.executable, "-m", "surfemb4.cli", "knot", *argv], capture_output=True, text=True,
         timeout=20, env=dict(os.environ, PYTHONPATH=path),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert not proc.stderr, proc.stderr  # no traceback, whatever the exit code
     return proc.returncode, json.loads(proc.stdout)
 
 
@@ -384,6 +446,17 @@ def test_signature_next_to_a_root_needs_no_cyclotomic_polynomial_of_its_order():
     # 1/3 is a root; the certificate declines 1e-14 away from it, where the order is about 3e14
     assert _knot_command("sig", "trefoil", "--omega", "33333333333333/100000000000000") == (
         0, {"signature": 0})
+
+
+def test_signature_within_1e_3000_of_a_root_fails_at_the_precision_cap():
+    # 1/3 + 10^-3000: a point of huge order, so no pre-check applies, and no precision up to
+    # the cap separates the trefoil's matrix there from the singular one at 1/3
+    omega = Fraction(1, 3) + Fraction(1, 10 ** 3000)
+    with pytest.raises(knots.SignRefinementFailed, match=f"at {knots.MAX_PREC} bits"):
+        levine_tristram(TREFOIL, omega)
+    message = f"could not separate the signature from zero at {knots.MAX_PREC} bits"
+    assert _knot_command("sig", "trefoil", "--omega", f"{omega.numerator}/{omega.denominator}") == (
+        2, {"ok": False, "errors": [message]})
 
 
 @pytest.mark.parametrize("V", [torus_sum(qs) for qs in ((3,), (5,), (3, 7), (9, 9))]
