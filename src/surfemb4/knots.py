@@ -8,16 +8,19 @@ O(n^4); a signature needs it only where the 53-bit certificate declines.  A
 signature has one algorithm, O(n^3) operations at p bits: a congruence from
 a pivoted LDL^H, checked by Gershgorin intervals with rigorous rounding bounds
 (see ``_certified_signature``), run in floats at p = 53 and, where that
-declines, in mpmath at p = 106, 212, ... up to ``MAX_PREC``.  The certificate
-never answers at a singular point: after its first decline an exact
-singularity pre-check against the cyclotomic minimal polynomial raises there,
-computing the Alexander polynomial at most once per matrix.  The cp2
-class scan evaluates each distinct point once.
+declines, in mpmath's p-bit arithmetic at p = 106, 212, ... up to
+``MAX_PREC``.  cos(pi r) and sin(pi r) come from integer fixed point
+(``_cos_sin_pi``), so a signature that the 53-bit step decides runs no
+mpmath.  The certificate never answers at a singular point: after its first
+decline an exact singularity pre-check against the cyclotomic minimal
+polynomial raises there, computing the Alexander polynomial at most once per
+matrix.  The cp2 class scan evaluates each distinct point once.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
@@ -27,7 +30,7 @@ from . import _INTS, _lazy
 from .errors import InternalConsistency
 from .intlinalg import bareiss_det, cyclotomic, linear_pencil_det, poly_divmod
 
-mpmath = _lazy("mpmath")  # run by signatures only: cospi, sinpi and p-bit arithmetic
+mpmath = _lazy("mpmath")  # run by p-bit arithmetic above 53 bits only
 
 
 class KnotError(ValueError):
@@ -174,23 +177,87 @@ def _is_alexander_root(V: SeifertMatrix, r: Fraction) -> bool:
     return not rem
 
 
+def _atan_inv(k: int, w: int) -> int:
+    """2^w atan(1/k) in fixed point, each term of its series rounded down."""
+    total, power, j, sign = 0, (1 << w) // k, 1, 1
+    while power:
+        total += sign * (power // j)
+        power //= k * k
+        j, sign = j + 2, -sign
+    return total
+
+
+def _cos_sin_pi(r: Fraction, b: int) -> tuple[int, int]:
+    """Integers c, s with |c - 2^b cos(pi r)| <= 1 and |s - 2^b sin(pi r)| <= 1, for b >= 16.
+
+    r is reduced exactly to r' in [0, 1/4] by the sign and swap symmetries
+    (r -> r - 1 negates both values, r -> 1 - r negates cos, r -> 1/2 - r swaps
+    them).  At w = b + g bits, pi = 16 atan(1/5) - 4 atan(1/239) (Machin), and
+    the Taylor series of cos and sin at x = pi r' run until a term is 0, each
+    term computed from the last by one rounding down (Brent and Zimmermann,
+    Modern Computer Arithmetic, 2010, sections 4.3-4.4).
+
+    Error, in units of 2^-w.  The arctangent series have at most w/4.6 + 1/2 and
+    w/15.8 + 1/2 terms, each rounded down by less than 1, and tails below 1, so pi
+    is within 4w + 30, x within w + 9 and x^2 within 1.6w + 15.  A term is the
+    last times x^2 / ((j+1)(j+2)) <= 0.31, so either series has at most 0.6w + 1
+    terms and inherits each error damped by that factor; with its tail, each sum
+    is within 2.1w + 13 <= 3w.  The g = bit_length(b) + 6 guard bits make
+    2^g > 6w, so rounding them off to nearest leaves an error of at most
+    1/2 + 1/2 units of 2^-b.  At a multiple of 1/2, x = 0 and the values are
+    exact; at r' = 1/4, s is set to c.
+    """
+    r = Fraction(r) % 2
+    sign_c = sign_s = 1
+    if r >= 1:
+        r, sign_c, sign_s = r - 1, -1, -1
+    if r > Fraction(1, 2):
+        r, sign_c = 1 - r, -sign_c
+    swap = r > Fraction(1, 4)
+    if swap:
+        r = Fraction(1, 2) - r
+    g = b.bit_length() + 6
+    w = b + g
+    x = (16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)) * r.numerator // r.denominator
+    x2 = x * x >> w
+
+    def series(t: int, j: int) -> int:  # t - t x^2/((j+1)(j+2)) + ..., every term rounded down
+        total, sign = 0, 1
+        while t:
+            total += sign * t
+            t = (t * x2 >> w) // ((j + 1) * (j + 2))
+            j, sign = j + 2, -sign
+        return total
+
+    c = series(1 << w, 0)
+    s = c if r == Fraction(1, 4) else series(x, 1)
+    half = 1 << (g - 1)
+    c, s = (c + half) >> g, (s + half) >> g
+    if swap:
+        c, s = s, c
+    return sign_c * c, sign_s * s
+
+
 def _certified_signature(V: SeifertMatrix, r: Fraction, prec: int = 53) -> Optional[int]:
     """Signature of H = (1-w)V + (1-conj(w))V^T, w = exp(i*pi*r), proven at p = prec bits, or None.
 
-    Arithmetic.  At p = 53 the code runs on Python floats, above it on mpmath's
-    mpf and mpc under workprec(p).  Both round to nearest, and no mpmath
-    operation rounds more often than its float counterpart: mpc_mul rounds each
-    exact partial-product sum once, and fdot, which forms the inner products of
-    C^, rounds its sum of exact products once (dropping only terms below 2^-2p
-    of its running sum).  So the standard model with u = 2^-p bounds both, and
-    the one proof below holds at every p.  Skipping zero multipliers and zero
-    entries of X changes no computed value.
+    Arithmetic.  At p = 53 the code runs on Python floats and runs no mpmath,
+    and above it on mpmath's mpf and mpc under workprec(p).  Both round to
+    nearest, and no mpmath operation rounds more often than its float
+    counterpart: mpc_mul rounds each exact partial-product sum once, and fdot,
+    which forms the inner products of C^, rounds its sum of exact products once
+    (dropping only terms below 2^-2p of its running sum).  So the standard model
+    with u = 2^-p bounds both, and the one proof below holds at every p.
+    Skipping zero multipliers and zero entries of X changes no computed value.
 
     Error in H.  With S = V + V^T and A = V - V^T, H = (1-c)S - i s A for
-    c = cos(pi r), s = sin(pi r).  c^ and s^ are mpmath's cospi and sinpi at
-    p + 60 bits rounded to p bits, so each is within 2u of c and s.  H^ has the
-    entries fl(fl(1 - c^) S) - i fl(s^ A) and is exactly Hermitian, and
-    following each rounding gives |H - H^| <= E with E_jk = 20u max(|V_jk|, |V_kj|).
+    c = cos(pi r), s = sin(pi r).  ``_cos_sin_pi`` gives integers within 1 of
+    2^b c and 2^b s, b = p + 60, and c^ and s^ are those over 2^b rounded once
+    to nearest at p bits (float() or mpf(), then an exact scaling).  Rounding a
+    value at most 1 + 2^-b in magnitude adds at most u (1 + 2^-b), so
+    |c^ - c|, |s^ - s| <= u + 2^-(p+59) < 2u.  H^ has the entries
+    fl(fl(1 - c^) S) - i fl(s^ A) and is exactly Hermitian, and following each
+    rounding gives |H - H^| <= E with E_jk = 20u max(|V_jk|, |V_kj|).
 
     The congruence.  Gaussian elimination of H^ by congruence, each pivot the
     largest remaining |diagonal|, accumulates X ~ L^-1 of H^ = L D L^H.  Where
@@ -231,13 +298,15 @@ def _certified_signature(V: SeifertMatrix, r: Fraction, prec: int = 53) -> Optio
     n, rows = V.size, V.rows
     if any(abs(v) >> prec for row in rows for v in row):
         return None
-    with mpmath.workprec(prec + 60):
-        x = mpmath.mpf(r.numerator) / r.denominator
-        c, s = mpmath.cospi(x), mpmath.sinpi(x)
-    with mpmath.workprec(prec):
-        real, cplx, dot = ((float, complex, lambda xs, ys: sum(map(mul, xs, ys))) if prec == 53
-                           else (mpmath.mpf, mpmath.mpc, mpmath.fdot))
-        a, s, u = 1 - real(c), real(s), real(2) ** -prec
+    c, s = _cos_sin_pi(r, prec + 60)
+    if prec == 53:
+        scope, real, cplx, dot = nullcontext(), float, complex, lambda xs, ys: sum(map(mul, xs, ys))
+    else:  # the only use of mpmath: p-bit arithmetic once the 53-bit step has declined
+        scope, real, cplx, dot = mpmath.workprec(prec), mpmath.mpf, mpmath.mpc, mpmath.fdot
+    with scope:
+        u = real(2) ** -prec
+        # c^, s^: the integers rounded once to p bits, then scaled exactly by 2^-(p+60)
+        a, s = 1 - real(c) * (u * 2.0 ** -60), real(s) * (u * 2.0 ** -60)
         H = [[cplx(a * (v + w), s * (w - v)) for v, w in zip(row, col)]
              for row, col in zip(rows, zip(*rows))]
         E = [[20 * u * max(abs(v), abs(w)) for v, w in zip(row, col)]
@@ -325,7 +394,7 @@ def levine_tristram(V: SeifertMatrix, omega: Fraction) -> int:
         return 0
     r = Fraction(omega) % 2
     if r == 0:
-        raise SingularAtOmega("omega = 1 annihilates the pairing")
+        raise SingularAtOmega(f"exp(i*pi*{Fraction(omega)}) = 1 annihilates the pairing")
     prec = 53
     while (signature := _certified_signature(V, r, prec)) is None:
         if prec == 53 and _is_alexander_root(V, r):

@@ -8,6 +8,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
@@ -206,6 +207,48 @@ def test_levine_tristram_singular_point():
         levine_tristram(TREFOIL, Fraction(1, 3))
     with pytest.raises(SingularAtOmega):
         levine_tristram(TREFOIL, Fraction(0))
+
+
+# the certificate's precision ladder 53, 106, ... MAX_PREC, each taking cos and sin at p + 60 bits
+PRECISIONS = [53 << k for k in range((knots.MAX_PREC // 53).bit_length())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(num=st.integers(-4 * 10 ** 15, 4 * 10 ** 15), den=st.integers(1, 10 ** 15))
+@example(num=1, den=3)
+@example(num=-33333333333333, den=100000000000000)
+@example(num=2 * 10 ** 15 + 1, den=10 ** 15)
+def test_integer_cos_sin_pi_within_one_unit_of_mpmath(num, den):
+    r = Fraction(num, den)
+    for p in PRECISIONS:
+        b = p + 60
+        c, s = knots._cos_sin_pi(r, b)
+        with mpmath.workprec(b + 64):
+            x = mpmath.mpf(r.numerator) / r.denominator
+            reference = mpmath.cospi(x), mpmath.sinpi(x)
+            # the documented bound, 1 unit of 2^-b, plus the reference's own error
+            assert all(abs(v - mpmath.ldexp(e, b)) <= 1 + mpmath.ldexp(1, -32)
+                       for v, e in zip((c, s), reference))
+        with mpmath.workprec(p):  # rounded to p bits, as the certificate rounds them
+            rounded = [mpmath.ldexp(mpmath.mpf(v), -b) for v in (c, s)]
+        if p == 53:  # float() rounds to nearest as mpf() does at 53 bits
+            assert [float(v) * 2.0 ** -b for v in (c, s)] == rounded
+        with mpmath.workprec(b + 64):
+            assert all(abs(v - e) <= mpmath.ldexp(2, -p) for v, e in zip(rounded, reference))
+
+
+def test_integer_cos_sin_pi_exact_at_multiples_of_one_half_and_equal_at_one_quarter():
+    assert PRECISIONS[-1] == knots.MAX_PREC
+    for p in PRECISIONS:
+        b = p + 60
+        one = 1 << b
+        for k in range(-9, 10):
+            assert knots._cos_sin_pi(Fraction(k, 2), b) == [(one, 0), (0, one), (-one, 0),
+                                                            (0, -one)][k % 4]
+        c, s = knots._cos_sin_pi(Fraction(1, 4), b)
+        assert c == s
+        for k in range(-7, 8, 2):  # the other odd multiples of 1/4, by the symmetries
+            assert tuple(map(abs, knots._cos_sin_pi(Fraction(k, 4), b))) == (c, c)
 
 
 def _check_against_oracle(V, r):
@@ -446,6 +489,13 @@ def test_signature_next_to_a_root_needs_no_cyclotomic_polynomial_of_its_order():
     # 1/3 is a root; the certificate declines 1e-14 away from it, where the order is about 3e14
     assert _knot_command("sig", "trefoil", "--omega", "33333333333333/100000000000000") == (
         0, {"signature": 0})
+
+
+@pytest.mark.parametrize("omega, point", [("2/1", "2"), ("0", "0"), ("-4/2", "-2")])
+def test_signature_at_a_multiple_of_two_names_the_point(omega, point):
+    # w = 1 there; --omega 1/1 is w = -1, a valid point
+    assert _knot_command("sig", "trefoil", f"--omega={omega}") == (
+        2, {"ok": False, "errors": [f"exp(i*pi*{point}) = 1 annihilates the pairing"]})
 
 
 def test_signature_within_1e_3000_of_a_root_fails_at_the_precision_cap():

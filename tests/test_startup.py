@@ -62,7 +62,13 @@ RUNS = [  # (argv, modules that must run, modules that must not)
     (["decide", "torus_s3s1"], {"surfemb4.engine"}, {"mpmath", "surfemb4.knots"}),
     (["knot", "arf", "trefoil"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
     (["knot", "cp2-verdict", "t2_7"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
-    (["knot", "sig", "trefoil"], {"surfemb4.knots", "mpmath"}, DOMAIN),  # certified: cospi, sinpi
+    # a signature that the 53-bit certificate decides runs no mpmath; the Arf = 1
+    # trefoil's cp2 scan computes signatures
+    (["knot", "sig", "trefoil"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
+    (["knot", "cp2-verdict", "trefoil"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
+    # 10^-14 from the root 1/3 the 53-bit step declines, and the 106-bit one runs mpmath
+    (["knot", "sig", "trefoil", "--omega", "33333333333333/100000000000000"],
+     {"surfemb4.knots", "mpmath"}, DOMAIN),
 ]
 
 
