@@ -5,7 +5,7 @@ Library layout:
 - ``groups``: finite/abelian group backends, characters, signed subgroups
 - ``gamma``: intersection-number target groups and reduction into them
 - ``intlinalg``: exact integer linear algebra (Smith and Hermite forms, determinants)
-- ``whitney``: double points, Whitney collections, t-counts, weak-to-convenient conversion
+- ``whitney``: double-point columns, Whitney collections, t-counts, weak-to-convenient conversion
 - ``bands``: surface homology model, the band invariant, characteristic checks
 - ``engine``: the decision flowchart and homotopy-class analysis
 - ``knots``: Seifert-matrix invariants and genus bounds

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -118,7 +117,7 @@ def cmd_gamma(args) -> int:
     else:
         report["note"] = "infinite ambient group; orbits reported per queried element"
     pts = engine.points_between(inst.points, i, j)
-    elem = gamma.reduce_list([(p.sign, p.eta) for p in pts], target)
+    elem = gamma.reduce_list(zip(pts.signs, pts.etas), target)
     queries = []
     for value, g in parsed_queries:
         orbit = target.orbit_of(g)
@@ -136,6 +135,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_knot(args) -> int:
+    from fractions import Fraction  # here, so that no other command imports it
     V = schema.load_knot(str(_resolve(args.knot, "knots")))
     if args.invariant == "arf":
         _emit({"arf": knots.arf(V)})

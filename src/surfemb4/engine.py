@@ -10,14 +10,16 @@ the citations needed to audit it.
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from .bands import BandCatalog, BCharResult, SurfaceModel, is_b_characteristic
-from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list
+from .gamma import (PairingContext, _check_entries, _coefficient_canonical, _reduce_canonical,
+                    build_gamma)
 from .groups import SignedSubgroup
-from .whitney import DoublePoint, UnpairedPoints, t_count, to_convenient
+from .whitney import DoublePoints, UnpairedPoints, t_count, to_convenient
 
 REG_EMBED = "RegHomotopicToEmbedding"
 NOT_REG_EMBED = "NotRegHomotopicToEmbedding"
@@ -65,7 +67,12 @@ class ComponentData(NamedTuple):
 class ProblemInstance(namedtuple("ProblemInstance", (
         "group wM components surface points collection sphere_catalog rp2_catalog band_catalog "
         "good_group torus_summands"), defaults=(frozenset(),))):
-    """One decision problem; its components, points and discs must refer to each other."""
+    """One decision problem; its components, points and discs must refer to each other.
+
+    ``points`` are ``DoublePoints`` columns with canonical etas, as the reader
+    builds them; ``DoublePoint`` records are taken too, and their signs and
+    etas are checked here.
+    """
 
     __slots__ = ()
 
@@ -80,12 +87,13 @@ class ProblemInstance(namedtuple("ProblemInstance", (
             raise ValidationError(
                 f"immersion components {sorted(known)} != surface components {sorted(surface_ids)}"
             )
-        point_ids = {p.id for p in self.points}
-        if len(point_ids) != len(self.points):
+        points = DoublePoints.of(self.points)
+        point_ids = set(points.ids)
+        if len(point_ids) != len(points):
             raise ValidationError("duplicate double-point ids")
-        for p in self.points:
-            if not set(p.components) <= known:
-                raise ValidationError(f"double point {p.id} references unknown components")
+        if not known.issuperset(chain.from_iterable(points.pairs)):
+            pid = next(p for p, pair in zip(points.ids, points.pairs) if not known.issuperset(pair))
+            raise ValidationError(f"double point {pid} references unknown components")
         if not self.torus_summands <= known:
             raise ValidationError("torus_summand flag references unknown components")
         if self.collection is not None:
@@ -94,7 +102,10 @@ class ProblemInstance(namedtuple("ProblemInstance", (
             for d in self.collection.discs:
                 if not set(d.interior) <= known:
                     raise ValidationError(f"Whitney disc {d.id} meets unknown components")
-        return self
+        if points is self.points:
+            return self
+        etas = _check_entries(self.group, list(points.signs), list(points.etas))
+        return self._replace(points=DoublePoints(points.ids, points.pairs, points.signs, etas))
 
     def component(self, cid: int) -> ComponentData:
         for c in self.components:
@@ -117,46 +128,35 @@ class Verdict(NamedTuple):
     trace: list[TraceEntry]
 
     def as_dict(self) -> dict:
-        def tag(v):
-            return "undefined" if v is None else v
-
-        return {
-            "outcome": self.outcome,
-            "km": tag(self.km),
-            "t": tag(self.t),
-            "b_char": self.b_char,
-            "trace": [e._asdict() for e in self.trace],
-            "tool_version": TOOL_VERSION,
-        }
+        km, t = ("undefined" if v is None else v for v in (self.km, self.t))
+        return {"outcome": self.outcome, "km": km, "t": t, "b_char": self.b_char,
+                "trace": [e._asdict() for e in self.trace], "tool_version": TOOL_VERSION}
 
 
 # -- primary obstructions ----------------------------------------------------
 
 
-def points_between(points: Sequence[DoublePoint], i: int, j: int) -> list[DoublePoint]:
+def points_between(points, i: int, j: int) -> DoublePoints:
     """Double points between components i and j; self-intersections when i == j."""
-    return [p for p in points if set(p.components) == {i, j}]
+    points = DoublePoints.of(points)
+    return points.take(points.by_pair().get(frozenset((i, j)), ()))
 
 
 def primary_obstructions(inst: ProblemInstance) -> dict:
-    """Reduce all intersection and self-intersection lists into their targets."""
-    lists = defaultdict(list)  # unordered component pair -> its points' (sign, eta)
-    for p in inst.points:
-        lists[frozenset(p.components)].append((p.sign, p.eta))
+    """Reduce all intersection and self-intersection lists into their targets.
+
+    The reader checked every eta, so the lists are reduced without a second check.
+    """
     out = {}
     ids = sorted(c.id for c in inst.components)
-    for i in ids:
-        ctx = PairingContext(inst.group, inst.wM, inst.component(i).subgroup,
-                             inst.component(i).subgroup, self_pairing=True)
-        out[("mu", i)] = reduce_list(lists.get(frozenset((i,)), []), build_gamma(ctx))
     for a, i in enumerate(ids):
-        for j in ids[a + 1:]:
-            entries = lists.get(frozenset((i, j)))
-            if not entries:
-                continue
-            ctx = PairingContext(inst.group, inst.wM, inst.component(i).subgroup,
-                                 inst.component(j).subgroup, self_pairing=False)
-            out[("lambda", i, j)] = reduce_list(entries, build_gamma(ctx))
+        for j in ids[a:]:  # mu when j == i, lambda of the pairs that meet
+            pts = points_between(inst.points, i, j)
+            if pts or i == j:
+                ctx = PairingContext(inst.group, inst.wM, inst.component(i).subgroup,
+                                     inst.component(j).subgroup, self_pairing=i == j)
+                key = ("mu", i) if i == j else ("lambda", i, j)
+                out[key] = _reduce_canonical(pts.signs, pts.etas, build_gamma(ctx))
     return out
 
 
@@ -166,9 +166,7 @@ def primary_vanishes(inst: ProblemInstance) -> bool:
 
 def restrict_Ft(inst: ProblemInstance) -> list[int]:
     """Components whose images have no framed algebraically dual sphere."""
-    return sorted(
-        c.id for c in inst.components if not (c.has_alg_dual and c.dual_framed)
-    )
+    return sorted(c.id for c in inst.components if not (c.has_alg_dual and c.dual_framed))
 
 
 # -- characteristic status and t ----------------------------------------------
@@ -180,39 +178,26 @@ def _catalog_for(inst: ProblemInstance, ft: Sequence[int]) -> BandCatalog:
     A subset of the reader's checked records passes every catalog check, so
     ``_replace`` skips them.
     """
-    ft_set = set(ft)
-    keep = []
-    for r in inst.band_catalog.records:
-        touched = set()
-        for c in r.boundary_classes:
-            touched |= inst.surface.components_of_vec(c)
-        if touched <= ft_set:
-            keep.append(r)
-    return inst.band_catalog._replace(records=tuple(keep))
+    ft_set, vec_comps = set(ft), inst.surface.components_of_vec
+    return inst.band_catalog._replace(records=tuple(
+        r for r in inst.band_catalog.records
+        if ft_set.issuperset(chain.from_iterable(map(vec_comps, r.boundary_classes)))))
 
 
 def _bchar_nodes(inst: ProblemInstance, ft: Sequence[int], trace: list[TraceEntry]):
     """Run the two Fig.-2 characteristic nodes; returns a BCharResult."""
     flagged = sorted(set(ft) & inst.torus_summands)
     if flagged:
-        trace.append(TraceEntry(
-            "pi_1-trivial torus summand declared on F^t",
-            "Prop 7.1",
-            {"components": flagged},
-        ))
+        trace.append(TraceEntry("pi_1-trivial torus summand declared on F^t", "Prop 7.1",
+                                {"components": flagged}))
         return BCharResult(False, tuple(flagged))
     status = is_b_characteristic(_catalog_for(inst, ft))
-    trace.append(TraceEntry(
-        "Is lambda_Sigma|_dB(F^t) != 0?",
-        "Fig. 2; Def 5.6, Lemma 5.7",
-        "yes" if status.form_nonzero else "no",
-    ))
+    trace.append(TraceEntry("Is lambda_Sigma|_dB(F^t) != 0?", "Fig. 2; Def 5.6, Lemma 5.7",
+                            "yes" if status.form_nonzero else "no"))
     if not status.form_nonzero:
-        trace.append(TraceEntry(
-            "Is Theta: B(F^t) -> Z/2 nontrivial?",
-            "Fig. 2; Defs 5.8/5.9, Lemma 5.10",
-            "yes" if status.witness is not None else "no",
-        ))
+        trace.append(TraceEntry("Is Theta: B(F^t) -> Z/2 nontrivial?",
+                                "Fig. 2; Defs 5.8/5.9, Lemma 5.10",
+                                "yes" if status.witness is not None else "no"))
     return status
 
 
@@ -222,9 +207,8 @@ def _t_for_ft(inst: ProblemInstance, ft: Sequence[int]) -> int:
     Subsets of the reader's checked collection pass every constructor check,
     so the F^t collection is taken with ``_replace``.
     """
-    ft_set = set(ft)
-    pts = [p for p in inst.points if set(p.components) <= ft_set]
-    if not pts:
+    ids = inst.points.ids_within(ft)
+    if not ids:
         return 0
     collection = inst.collection
     if collection is None:
@@ -233,11 +217,10 @@ def _t_for_ft(inst: ProblemInstance, ft: Sequence[int]) -> int:
         )
     if not collection.convenient:
         collection = to_convenient(inst.points, collection)
-    ids = {p.id for p in pts}
-    sub = collection._replace(discs=tuple(d for d in collection.discs if set(d.pair) <= ids),
+    sub = collection._replace(discs=tuple(d for d in collection.discs if ids.issuperset(d.pair)),
                               boundary={})
     try:
-        return t_count(pts, ft, sub)
+        return t_count(inst.points, ft, sub)
     except UnpairedPoints as exc:
         raise MissingWhitneyData(
             f"the declared collection does not pair the double points of F^t: {exc}"
@@ -271,9 +254,8 @@ def _primary_node(obstructions: dict, trace: list[TraceEntry], refs: str, failur
                   failure_refs: str) -> Optional[Verdict]:
     """The primary question "lambda = mu = 0?"; the early verdict when some obstruction is not."""
     primary_ok = all(v.is_zero() for v in obstructions.values())
-    trace.append(TraceEntry(
-        "Is lambda(f_i,f_j)=mu(f_i)=0 for all i != j?", refs, "yes" if primary_ok else "no",
-    ))
+    trace.append(TraceEntry("Is lambda(f_i,f_j)=mu(f_i)=0 for all i != j?", refs,
+                            "yes" if primary_ok else "no"))
     if primary_ok:
         return None
     trace.append(TraceEntry(failure, failure_refs, NOT_REG_EMBED))
@@ -289,42 +271,27 @@ def _flowchart(inst: ProblemInstance, obstructions: dict) -> Verdict:
         return early
 
     ft = restrict_Ft(inst)
-    trace.append(TraceEntry(
-        "F^t: components without framed algebraically dual spheres",
-        "Def 5.1",
-        {"components": ft},
-    ))
+    trace.append(TraceEntry("F^t: components without framed algebraically dual spheres", "Def 5.1",
+                            {"components": ft}))
 
     status = _bchar_nodes(inst, ft, trace)
     if status.yes:
         trace.append(TraceEntry("F^t is b-characteristic", "Def 5.11", "yes"))
         t = _t_for_ft(inst, ft)
-        trace.append(TraceEntry(
-            "Is t(F^t, W^t) = 0 in Z/2?",
-            "Fig. 2; Def 5.3",
-            "yes" if t == 0 else "no",
-        ))
+        trace.append(TraceEntry("Is t(F^t, W^t) = 0 in Z/2?", "Fig. 2; Def 5.3",
+                                "yes" if t == 0 else "no"))
         if t == 1:
             trace.append(TraceEntry("km(F) = 1", "Thm 1.2", 1))
-            trace.append(TraceEntry(
-                "F is not regularly homotopic, rel. boundary, to an embedding",
-                "Thm 1.3",
-                NOT_REG_EMBED,
-            ))
+            trace.append(TraceEntry("F is not regularly homotopic, rel. boundary, to an embedding",
+                                    "Thm 1.3", NOT_REG_EMBED))
             return Verdict(NOT_REG_EMBED, 1, 1, "yes", trace)
         b_char = "yes"
     else:
-        trace.append(TraceEntry(
-            "F^t is not b-characteristic",
-            "Def 5.11",
-            {"witness": status.witness},
-        ))
+        trace.append(TraceEntry("F^t is not b-characteristic", "Def 5.11",
+                                {"witness": status.witness}))
         t, b_char = None, "no"
-    success = TraceEntry(
-        "F is regularly homotopic, rel. boundary, to an embedding",
-        "Thm 1.1",
-        REG_EMBED,
-    )
+    success = TraceEntry("F is regularly homotopic, rel. boundary, to an embedding", "Thm 1.1",
+                         REG_EMBED)
     return _dual_spheres_tail(inst, trace, success, km=0, t=t, b_char=b_char)
 
 
@@ -337,21 +304,16 @@ def _dual_spheres_tail(inst: ProblemInstance, trace: list[TraceEntry], success: 
     node follows the dual-sphere node; None leaves km undefined.
     """
     duals = all(c.has_alg_dual for c in inst.components)
-    trace.append(TraceEntry(
-        "Are there algebraically dual spheres?",
-        "Fig. 2; Def 4.1",
-        "yes" if duals else "no",
-    ))
+    trace.append(TraceEntry("Are there algebraically dual spheres?", "Fig. 2; Def 4.1",
+                            "yes" if duals else "no"))
     if not duals:
         trace.append(TraceEntry("no conclusion", "Fig. 2", NO_CONCLUSION))
         return Verdict(NO_CONCLUSION, None, t, b_char, trace)
     if km is not None:
         trace.append(TraceEntry(f"km(F) = {km}", "Thm 1.2", km))
-    trace.append(TraceEntry(
-        "Is pi_1(M) good?",
-        "Fig. 2; virtually solvable and subexponential-growth groups are good",
-        "yes" if inst.good_group else "no",
-    ))
+    trace.append(TraceEntry("Is pi_1(M) good?",
+                            "Fig. 2; virtually solvable and subexponential-growth groups are good",
+                            "yes" if inst.good_group else "no"))
     if not inst.good_group:
         trace.append(TraceEntry("no conclusion", "Fig. 2", NO_CONCLUSION))
         return Verdict(NO_CONCLUSION, km, t, b_char, trace)
@@ -373,7 +335,7 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
     obstructions = primary_obstructions(inst)
     bad = sorted(
         c.id for c in inst.components
-        if coefficient_at(obstructions[("mu", c.id)], inst.group.identity).value != 0
+        if _coefficient_canonical(obstructions[("mu", c.id)], inst.group.identity).value != 0
     )
     if bad:
         raise ValidationError(
@@ -386,22 +348,16 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
     if early is not None:
         return early
     ft = restrict_Ft(inst)
-    case2 = sorted(
-        cid for cid in ft if inst.component(cid).subgroup.contains_minus_one
-    )
-    trace.append(TraceEntry(
-        "Is w_1(Sigma)|_ker nontrivial on some component of F^t?",
-        "§1.4 Case 1 / Case 2; Lemma 2.16",
-        {"case": 2, "components": case2} if case2 else {"case": 1},
-    ))
+    case2 = sorted(cid for cid in ft if inst.component(cid).subgroup.contains_minus_one)
+    trace.append(TraceEntry("Is w_1(Sigma)|_ker nontrivial on some component of F^t?",
+                            "§1.4 Case 1 / Case 2; Lemma 2.16",
+                            {"case": 2, "components": case2} if case2 else {"case": 1}))
     if not case2:
         inner = _flowchart(inst, obstructions)
         return inner._replace(trace=trace + inner.trace)
-    success = TraceEntry(
-        "F is homotopic, rel. boundary, to an embedding",
-        "Thm 1.5 (the count t can be normalized to 0 by Construction 5.16)",
-        HOMOTOPIC_EMBED,
-    )
+    success = TraceEntry("F is homotopic, rel. boundary, to an embedding",
+                         "Thm 1.5 (the count t can be normalized to 0 by Construction 5.16)",
+                         HOMOTOPIC_EMBED)
     return _dual_spheres_tail(inst, trace, success, km=None, t=None, b_char="undefined")
 
 

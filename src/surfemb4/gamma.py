@@ -248,15 +248,23 @@ def reduce_list(entries: Iterable, gamma: GammaGroup) -> GammaElement:
     and each distinct element is classified once: an order-two orbit gains
     the count mod 2, an infinite orbit the signed sum times the section sign.
     """
-    G = gamma.ctx.ambient
     pairs = list(entries)
     signs = [sign for sign, _ in pairs]
-    elems = [elem for _, elem in pairs]
+    return _reduce_canonical(signs, _check_entries(gamma.ctx.ambient, signs,
+                                                   [elem for _, elem in pairs]), gamma)
+
+
+def _check_entries(G: AmbientGroup, signs: list, elems: list) -> list:
+    """The elements, checked and canonical; raises at the first bad sign (+1 or -1) or element."""
     if not (_INTS.issuperset(map(type, signs)) and all(map(_SIGNS.__contains__, signs))):
         k = next(i for i, sign in enumerate(signs) if type(sign) is not int or sign not in _SIGNS)
         G.check_elems(elems[:k])  # a bad element before the bad sign is met first
         raise GammaError(f"sign must be +1 or -1, got {signs[k]!r}")
-    canon = G.check_elems(elems)
+    return G.check_elems(elems)
+
+
+def _reduce_canonical(signs, canon, gamma: GammaGroup) -> GammaElement:
+    """``reduce_list`` of checked signs and canonical elements, which are not checked again."""
     count = Counter(canon)
     plus = Counter(compress(canon, map(eq, signs, repeat(1))))
     coeffs: dict = {}
@@ -269,7 +277,12 @@ def reduce_list(entries: Iterable, gamma: GammaGroup) -> GammaElement:
 
 def coefficient_at(elem: GammaElement, g) -> Coefficient:
     """Coefficient at g, with the convention that the section sends [g] to g."""
-    orbit, section = elem.gamma.classify(g)
+    return _coefficient_canonical(elem, elem.gamma.ctx.ambient.check_elem(g))
+
+
+def _coefficient_canonical(elem: GammaElement, g) -> Coefficient:
+    """``coefficient_at`` a canonical element, which is not checked again."""
+    orbit, section = elem.gamma._classify_canonical([g])[0]
     raw = elem.coeffs.get(orbit, 0)
     if section is None:
         return Coefficient(raw % 2, "Z/2")
@@ -306,25 +319,18 @@ def smith_oracle(ctx: PairingContext) -> tuple[int, list[int]]:
         raise AmbientNotFinite("the Smith oracle needs a finite ambient group")
     n = G.order
     wM = ctx.wM
-    rows = []
-    for a, ea in ctx.s_f.generators:
-        for g in G.elements():
-            row = [0] * n
-            row[g] += 1
-            row[G.mul(a, g)] -= ea
-            rows.append(row)
-    for b, eb in ctx.s_g.generators:
-        for g in G.elements():
-            row = [0] * n
-            row[g] += 1
-            row[G.mul(g, b)] -= eb * wM(b)
-            rows.append(row)
+    # each relation g ~ s h is the row e_g - s e_h
+    relations = [(g, G.mul(a, g), ea) for a, ea in ctx.s_f.generators for g in G.elements()]
+    relations += [(g, G.mul(g, b), eb * wM(b))
+                  for b, eb in ctx.s_g.generators for g in G.elements()]
     if ctx.self_pairing:
-        for g in G.elements():
-            row = [0] * n
-            row[g] += 1
-            row[G.inv(g)] -= wM(g)
-            rows.append(row)
+        relations += [(g, G.inv(g), wM(g)) for g in G.elements()]
+    rows = []
+    for g, h, s in relations:
+        row = [0] * n
+        row[g] += 1
+        row[h] -= s
+        rows.append(row)
     diag = smith_diagonal(rows, n)
     free_rank = n - len(diag)
     torsion = [d for d in diag if d > 1]

@@ -307,7 +307,11 @@ def subgroup_closure(ambient: AmbientGroup, generators: Iterable) -> SignedSubgr
         if type(s) is not int or s not in (1, -1):  # exact: neither True nor 1.0
             raise GroupError(f"sign must be +1 or -1, got {s!r}")
         gens.append((ambient.check_elem(g), s))
-    gens = tuple(gens)
+    return _closure(ambient, tuple(gens))
+
+
+def _closure(ambient: AmbientGroup, gens: tuple) -> SignedSubgroup:
+    """``subgroup_closure`` of (canonical element, sign) pairs, which are not checked again."""
     if ambient.kind == "finite":
         closure = {(ambient.identity, 1)}
         frontier = list(closure)

@@ -11,7 +11,6 @@ dense loop only on what is left.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import floordiv, mul, sub
@@ -255,37 +254,24 @@ def bareiss_det(mat: Sequence[Sequence[int]]) -> int:
 def linear_pencil_det(pairs: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     """Coefficients of det(t*V - W), low degree first, for entries (v, w).
 
-    Evaluates exact integer determinants at n+1 points and interpolates.
+    Evaluates exact integer determinants f(0), ..., f(n) and interpolates in
+    Newton's forward form, f(x) = sum_k a_k x(x-1)...(x-k+1) with a_k the k-th
+    forward difference at 0 divided by k!: integers, exactly when f has
+    integer coefficients.  O(n^2) integer operations after the determinants.
     """
     n = len(pairs)
-    if n == 0:
-        return [1]
-    xs = list(range(n + 1))
-    ys = [
-        bareiss_det([[v * x - w for (v, w) in row] for row in pairs]) for x in xs
-    ]
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, xi in enumerate(xs):
-        poly = [Fraction(1)]
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(poly) + 1)
-            for k, c in enumerate(poly):
-                new[k + 1] += c
-                new[k] -= c * xj
-            poly = new
-        scale = Fraction(ys[i], denom)
-        for k, c in enumerate(poly):
-            coeffs[k] += scale * c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
+    diffs = [bareiss_det([[v * x - w for (v, w) in row] for row in pairs]) for x in range(n + 1)]
+    newton = []
+    for k in range(n + 1):
+        a, rest = divmod(diffs[0], math.factorial(k))
+        if rest:
             raise InternalConsistency("interpolated integer polynomial has a fractional coefficient")
-        out.append(int(c))
-    return out
+        newton.append(a)
+        diffs = list(map(sub, diffs[1:], diffs[:-1]))
+    poly = [newton[n]]
+    for k in range(n - 1, -1, -1):  # poly * (x - k) + a_k, Horner's rule on the Newton form
+        poly = [newton[k] - k * poly[0]] + [c - k * d for c, d in zip(poly, poly[1:])] + [poly[-1]]
+    return poly
 
 
 def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:

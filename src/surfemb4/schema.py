@@ -11,7 +11,7 @@ data they were given.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter, le
 from pathlib import Path
 from typing import Sequence
@@ -166,7 +166,8 @@ class _Object(_Shape):
                 and all(map(le, repeat(self.required), map(dict.keys, values)))
                 and all(map(le, map(dict.keys, values), repeat(self.allowed)))):
             return False
-        return all(shape.fits_all([v[key] for v in values if key in v])
+        return all(shape.fits_all(list(map(itemgetter(key), values)) if key in self.required
+                                  else [v[key] for v in values if key in v])
                    for key, shape in self.fields)
 
 
@@ -357,11 +358,23 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
 
     wM = None
     components: list[engine.ComponentData] = []
+    dps = doc["double_points"]
+    canon = None  # every declared element, generators then etas, checked in one pass
     if group is not None:
+        gens = [g for comp in doc["components"] for g, _ in comp["signed_subgroup"]]
+        try:
+            canon = iter(group.check_elems(gens + list(map(itemgetter("eta"), dps))))
+        except groups.GroupError:
+            pass  # checked one by one below, for an error at every bad one
         wM = _build(errors, "/characters/wM", groups.Character, group, doc["characters"]["wM"])
         for i, comp in enumerate(doc["components"]):
-            subgroup = _build(errors, f"/components/{i}/signed_subgroup", groups.subgroup_closure,
-                              group, comp["signed_subgroup"])
+            signed = comp["signed_subgroup"]
+            if canon is None:
+                subgroup = _build(errors, f"/components/{i}/signed_subgroup",
+                                  groups.subgroup_closure, group, signed)
+            else:
+                subgroup = groups._closure(group, tuple(zip(islice(canon, len(signed)),
+                                                            map(itemgetter(1), signed))))
             if subgroup is not None:
                 components.append(engine.ComponentData(
                     comp["id"], subgroup, comp["has_alg_dual"], comp["dual_framed"],
@@ -375,27 +388,26 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
                else _build(errors, "/surface", bands.SurfaceModel, parts))
 
     declared = {c["id"] for c in doc["components"]}
-    points: list[whitney.DoublePoint] = []
-    seen: set[int] = set()
-    etas = None
-    if group is not None:
-        try:
-            etas = group.check_elems([dp["eta"] for dp in doc["double_points"]])
-        except groups.GroupError:
-            pass  # checked point by point below, for an error at every bad one
-    for i, dp in enumerate(doc["double_points"]):
-        pid, pair = dp["id"], dp["components"]
-        if not set(pair) <= declared:
-            errors.append(f"/double_points/{i}/components: unknown component in {pair}")
-        elif pid in seen:
-            errors.append(f"/double_points/{i}/id: duplicate double-point id")
-        elif group is not None:
-            try:
-                eta = group.check_elem(dp["eta"]) if etas is None else etas[i]
-                points.append(whitney.DoublePoint(pid, tuple(pair), dp["sign"], eta))
-            except groups.GroupError as exc:
-                errors.append(f"/double_points/{i}/eta: {exc}")
-        seen.add(pid)
+    ids = list(map(itemgetter("id"), dps))
+    pairs = list(map(tuple, map(itemgetter("components"), dps)))
+    points = None
+    if (canon is not None and len(set(ids)) == len(ids)
+            and declared.issuperset(chain.from_iterable(pairs))):
+        points = whitney.DoublePoints(ids, pairs, map(itemgetter("sign"), dps), canon)
+    else:  # walked point by point, for an error at every bad one
+        seen: set[int] = set()
+        for i, dp in enumerate(dps):
+            pid, pair = dp["id"], dp["components"]
+            if not set(pair) <= declared:
+                errors.append(f"/double_points/{i}/components: unknown component in {pair}")
+            elif pid in seen:
+                errors.append(f"/double_points/{i}/id: duplicate double-point id")
+            elif group is not None and canon is None:
+                try:
+                    group.check_elem(dp["eta"])
+                except groups.GroupError as exc:
+                    errors.append(f"/double_points/{i}/eta: {exc}")
+            seen.add(pid)
 
     collection = None
     wc = doc["whitney_collection"]
@@ -432,7 +444,7 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
     try:
         return engine.ProblemInstance(
             group=group, wM=wM, components=tuple(components), surface=surface,
-            points=tuple(points), collection=collection,
+            points=points, collection=collection,
             sphere_catalog=tuple(tuple(p) for p in catalogs["spheres"]),
             rp2_catalog=tuple(tuple(p) for p in catalogs["rp2"]),
             band_catalog=band_catalog, good_group=doc["flags"]["good_group"],

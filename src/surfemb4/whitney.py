@@ -13,7 +13,7 @@ intersections and keeps the count.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from typing import NamedTuple
 
 from . import _INTS
@@ -36,6 +36,50 @@ class DoublePoint(NamedTuple):
     components: tuple[int, int]  # (i, j); i == j for a self-intersection
     sign: int
     eta: object  # group element, per ambient backend
+
+
+class DoublePoints:
+    """Double points as parallel columns: ids, component pairs, signs and etas.
+
+    The reader builds one from its checked columns; ``of`` also takes
+    ``DoublePoint`` records.  The passes over the points read the columns, and
+    ``by_pair`` buckets them once; iterating gives one ``DoublePoint`` per point.
+    """
+
+    __slots__ = ("ids", "pairs", "signs", "etas", "_by_pair")
+
+    def __init__(self, ids, pairs, signs, etas):
+        self.ids, self.pairs, self.signs, self.etas = map(tuple, (ids, pairs, signs, etas))
+        self._by_pair = None
+
+    @classmethod
+    def of(cls, points) -> "DoublePoints":
+        """``points`` as columns; columns are returned as they are."""
+        return points if isinstance(points, cls) else cls(*(tuple(zip(*points)) or ((),) * 4))
+
+    def by_pair(self) -> dict:
+        """Point indices by unordered component pair, in point order; bucketed on first use."""
+        if self._by_pair is None:
+            self._by_pair = buckets = defaultdict(list)
+            for k, key in enumerate(map(frozenset, self.pairs)):
+                buckets[key].append(k)
+        return self._by_pair
+
+    def take(self, idx) -> "DoublePoints":
+        """The points at positions ``idx``, in that order."""
+        return DoublePoints(*(map(col.__getitem__, idx)
+                              for col in (self.ids, self.pairs, self.signs, self.etas)))
+
+    def ids_within(self, components) -> set:
+        """Ids of the points whose components are all among ``components``."""
+        comps = set(components)
+        return {self.ids[k] for key, idx in self.by_pair().items() if key <= comps for k in idx}
+
+    def __iter__(self):
+        return map(DoublePoint, self.ids, self.pairs, self.signs, self.etas)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 class WhitneyDisc(NamedTuple):
@@ -91,20 +135,6 @@ class WhitneyCollection(namedtuple("WhitneyCollection", "discs boundary convenie
         return set(itertools.chain.from_iterable(d.pair for d in self.discs))
 
 
-def _points_within(points, components) -> list[DoublePoint]:
-    comps = set(components)
-    return [p for p in points if set(p.components) <= comps]
-
-
-def _check_pairs_exactly(points, components, collection) -> None:
-    want = {p.id for p in _points_within(points, components)}
-    got = collection.paired_point_ids()
-    if want != got:
-        raise UnpairedPoints(
-            f"collection pairs {sorted(got)} but the components' double points are {sorted(want)}"
-        )
-
-
 def t_count(points, components, collection: WhitneyCollection) -> int:
     """t mod 2: interior intersections with the given components, plus framing and boundary terms.
 
@@ -112,7 +142,10 @@ def t_count(points, components, collection: WhitneyCollection) -> int:
     zero on a convenient collection, so one formula serves weak and
     convenient collections; O(D + B).
     """
-    _check_pairs_exactly(points, components, collection)
+    want, got = DoublePoints.of(points).ids_within(components), collection.paired_point_ids()
+    if want != got:
+        raise UnpairedPoints(
+            f"collection pairs {sorted(got)} but the components' double points are {sorted(want)}")
     comps = set(components)
     total = sum(collection.boundary.values())
     for d in collection.discs:
@@ -131,16 +164,17 @@ def to_convenient(points, collection: WhitneyCollection) -> WhitneyCollection:
     result is convenient by construction, so the constructor's checks are
     not run again.
     """
-    by_id = {p.id: p for p in points}
+    points = DoublePoints.of(points)
+    pair_of = dict(zip(points.ids, points.pairs))
     position = {d.id: idx for idx, d in enumerate(collection.discs)}
     bumps = [d.euler + d.mu_boundary for d in collection.discs]
     for key, count in collection.boundary.items():
         bumps[min(position[i] for i in key)] += count
     new_discs = []
     for d, bump in zip(collection.discs, bumps):
-        interior = dict(d.interior)
+        interior = d.interior
         if bump % 2:
-            comp = min(by_id[d.pair[0]].components)
-            interior[comp] = interior.get(comp, 0) + 1
-        new_discs.append(d._replace(interior=interior, mu_boundary=0, euler=0))
+            comp = min(pair_of[d.pair[0]])
+            interior = {**interior, comp: interior.get(comp, 0) + 1}
+        new_discs.append(WhitneyDisc(d.id, d.pair, interior))
     return collection._replace(discs=tuple(new_discs), boundary={}, convenient=True)

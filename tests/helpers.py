@@ -7,7 +7,9 @@ Theta read off a ``ThetaFunctional`` at any class of its span; the paper's
 H1 basis and intersection form, written out densely; and the slow
 or older computations that the package's fast paths are compared against:
 knot (the Arf count and the eigenvalue signature), finite and abelian
-gamma, list-reduction, Whitney-conversion and projective-plane oracles.
+gamma, list-reduction, Whitney-conversion and projective-plane oracles, the
+Lagrange interpolation of the Alexander polynomial, and the per-point reader,
+bucketing and F^t filter that the double-point columns replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Optional
 
 import mpmath
 
+from surfemb4 import bands, engine, groups, whitney
 from surfemb4.bands import BandError, ThetaFunctional, _bits
 from surfemb4.engine import (
     EngineError,
@@ -48,10 +51,26 @@ from surfemb4.groups import (
     make_finite_group,
     subgroup_closure,
 )
-from surfemb4.intlinalg import HermiteLattice
+from surfemb4.intlinalg import HermiteLattice, bareiss_det
 from surfemb4.knots import SeifertMatrix, _is_alexander_root
-from surfemb4.schema import SCHEMA_VERSION
-from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, WhitneyError, to_convenient
+from surfemb4.schema import (
+    INSTANCE_SHAPE,
+    SCHEMA_VERSION,
+    SchemaError,
+    _build,
+    _domain_errors,
+    _h1_dim_error,
+    _shape_errors,
+)
+from surfemb4.whitney import (
+    DoublePoint,
+    UnpairedPoints,
+    WhitneyCollection,
+    WhitneyDisc,
+    WhitneyError,
+    t_count,
+    to_convenient,
+)
 
 
 def replace(record, **changes):
@@ -523,6 +542,207 @@ def reduce_list_per_point(entries, gamma: GammaGroup) -> GammaElement:
         else:
             coeffs[orbit] = coeffs.get(orbit, 0) + sign * section
     return GammaElement(gamma, {k: v for k, v in coeffs.items() if v})
+
+
+def instance_from_dict_per_point(doc) -> ProblemInstance:
+    """``schema.instance_from_dict`` one element and one point at a time: the reference for the
+    reader's column pass and its single element check.
+
+    Each subgroup is closed by ``subgroup_closure``, which checks its own generators, and each
+    point is checked on its own and becomes a ``DoublePoint``; the errors are the reader's, in
+    the reader's order.
+    """
+    errors = _shape_errors(INSTANCE_SHAPE, doc)
+    if errors:
+        raise SchemaError(errors)
+    gdoc = doc["group"]
+    if gdoc["kind"] == "finite":
+        group = _build(errors, "/group/table", groups.make_finite_group, gdoc["table"])
+    else:
+        group = _build(errors, "/group/factors", groups.abelian_group, gdoc["factors"])
+    wM, components = None, []
+    if group is not None:
+        wM = _build(errors, "/characters/wM", groups.Character, group, doc["characters"]["wM"])
+        for i, comp in enumerate(doc["components"]):
+            subgroup = _build(errors, f"/components/{i}/signed_subgroup", groups.subgroup_closure,
+                              group, comp["signed_subgroup"])
+            if subgroup is not None:
+                components.append(engine.ComponentData(
+                    comp["id"], subgroup, comp["has_alg_dual"], comp["dual_framed"],
+                    comp.get("w2"), comp.get("e")))
+    parts = [_build(errors, f"/surface/components/{i}", bands.SurfaceComponent, **sc)
+             for i, sc in enumerate(doc["surface"]["components"])]
+    too_large = _h1_dim_error(doc["surface"]["components"])
+    errors += too_large
+    surface = (None if too_large or None in parts
+               else _build(errors, "/surface", bands.SurfaceModel, parts))
+    declared = {c["id"] for c in doc["components"]}
+    points, seen = [], set()
+    for i, dp in enumerate(doc["double_points"]):
+        pid, pair = dp["id"], dp["components"]
+        if not set(pair) <= declared:
+            errors.append(f"/double_points/{i}/components: unknown component in {pair}")
+        elif pid in seen:
+            errors.append(f"/double_points/{i}/id: duplicate double-point id")
+        elif group is not None:
+            try:
+                points.append(DoublePoint(pid, tuple(pair), dp["sign"], group.check_elem(dp["eta"])))
+            except GroupError as exc:
+                errors.append(f"/double_points/{i}/eta: {exc}")
+        seen.add(pid)
+    collection, wc = None, doc["whitney_collection"]
+    if wc is not None:
+        discs = tuple(WhitneyDisc(d["id"], tuple(d["pairs"]), {int(k): v for k, v in d["interior"].items()},
+                                  d["mu_boundary"], d["euler"]) for d in wc["discs"])
+        boundary = {}
+        for i, (d1, d2, count) in enumerate(wc["boundary_intersections"]):
+            if frozenset((d1, d2)) in boundary:
+                errors.append(f"/whitney_collection/boundary_intersections/{i}: disc pair listed twice")
+            boundary[frozenset((d1, d2))] = count
+        collection = _build(errors, "/whitney_collection", WhitneyCollection, discs, boundary,
+                            wc["convenient"])
+    catalogs = doc["catalogs"]
+    rel = _build(errors, "/catalogs/rel_h2", bands.RelH2, tuple(catalogs["rel_h2"]["basis"]),
+                 {k: tuple(v) for k, v in catalogs["rel_h2"]["boundary"].items()})
+    records = [_build(errors, f"/catalogs/bands/{i}", bands.BandRecord, **dict(
+        b, rel_class=tuple(b["rel_class"]), w1_sigma=tuple(b["w1_sigma"]),
+        boundary_classes=tuple(tuple(c) for c in b["boundary_classes"])))
+        for i, b in enumerate(catalogs["bands"])]
+    band_catalog = None
+    if rel is not None and surface is not None and None not in records:
+        band_catalog = _build(errors, "/catalogs/bands", bands.BandCatalog, surface, rel, tuple(records))
+    if errors:
+        raise SchemaError(errors)
+    try:
+        return ProblemInstance(
+            group=group, wM=wM, components=tuple(components), surface=surface,
+            points=tuple(points), collection=collection,
+            sphere_catalog=tuple(tuple(p) for p in catalogs["spheres"]),
+            rp2_catalog=tuple(tuple(p) for p in catalogs["rp2"]),
+            band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
+            torus_summands=frozenset(doc["flags"]["torus_summand"]))
+    except _domain_errors() as exc:
+        raise SchemaError([f"/: {exc}"]) from None
+
+
+def points_between_per_point(points, i: int, j: int) -> list[DoublePoint]:
+    """``engine.points_between`` by a test of every point."""
+    return [p for p in points if set(p.components) == {i, j}]
+
+
+def primary_obstructions_per_point(inst: ProblemInstance) -> dict:
+    """The coefficients of ``engine.primary_obstructions``, each point bucketed on its own and each
+    list reduced by the checked ``gamma.reduce_list``."""
+    lists: dict = {}
+    for p in inst.points:
+        lists.setdefault(frozenset(p.components), []).append((p.sign, p.eta))
+    out = {}
+    ids = sorted(c.id for c in inst.components)
+    for a, i in enumerate(ids):
+        for j in ids[a:]:
+            entries = lists.get(frozenset((i, j)), [])
+            if i != j and not entries:
+                continue
+            ctx = PairingContext(inst.group, inst.wM, inst.component(i).subgroup,
+                                 inst.component(j).subgroup, self_pairing=i == j)
+            out[("mu", i) if i == j else ("lambda", i, j)] = reduce_list(entries, build_gamma(ctx)).coeffs
+    return out
+
+
+def t_for_ft_per_point(inst: ProblemInstance, ft) -> int:
+    """``engine._t_for_ft`` with the F^t points found by a test of every point."""
+    pts = [p for p in inst.points if set(p.components) <= set(ft)]
+    if not pts:
+        return 0
+    collection = inst.collection
+    if collection is None:
+        raise MissingWhitneyData("F^t has double points but no Whitney collection was declared")
+    if not collection.convenient:
+        collection = to_convenient(list(inst.points), collection)
+    ids = {p.id for p in pts}
+    sub = collection._replace(discs=tuple(d for d in collection.discs if set(d.pair) <= ids),
+                              boundary={})
+    try:
+        return t_count(pts, ft, sub)
+    except UnpairedPoints as exc:
+        raise MissingWhitneyData(
+            f"the declared collection does not pair the double points of F^t: {exc}") from exc
+
+
+def random_points_doc(rng: random.Random, finite: bool, pairs: int, components: int = 3) -> dict:
+    """An instance document of ``components`` spheres and ``pairs`` cancelling pairs of double points.
+
+    Each pair lies on a random component pair, self or mixed, its two points have one eta and
+    opposite signs, so lambda = mu = 0, and one disc pairs them; about half the collections are
+    weak.  The group is a cyclic table of order 4, 6 or 8, or an abelian group with free and
+    torsion factors whose etas are written unreduced.  The band catalog is empty.
+    """
+    if finite:
+        n = rng.choice((4, 6, 8))
+        group = {"kind": "finite", "table": [[(a + b) % n for b in range(n)] for a in range(n)]}
+        wm = rng.choice(([1] * n, [(-1) ** a for a in range(n)]))
+
+        def elem():
+            return rng.randrange(n)
+    else:
+        factors = rng.choice(([0], [0, 2], [0, 3, 0], [2, 0, 4]))
+        group = {"kind": "abelian", "factors": factors}
+        wm = [rng.choice((1, -1)) if f % 2 == 0 else 1 for f in factors]
+
+        def elem():
+            return [rng.randrange(-2 * f - 3, 2 * f + 4) for f in factors]
+    weak = rng.random() < 0.5
+    points, discs = [], []
+    for k in range(pairs):
+        comps, eta, sign = [rng.randrange(components) for _ in range(2)], elem(), rng.choice((1, -1))
+        points += [{"id": 2 * k, "components": comps, "sign": sign, "eta": eta},
+                   {"id": 2 * k + 1, "components": comps, "sign": -sign, "eta": eta}]
+        discs.append({"id": k, "pairs": [2 * k, 2 * k + 1],
+                      "interior": {str(rng.randrange(components)): rng.randrange(3)},
+                      "mu_boundary": rng.randrange(2) if weak else 0,
+                      "euler": rng.randrange(-1, 2) if weak else 0})
+    rng.shuffle(points)
+    boundary = [[d, d + 1, rng.randrange(1, 3)] for d in range(0, pairs - 1, 7)] if weak else []
+    return {
+        "version": SCHEMA_VERSION, "group": group, "characters": {"wM": wm},
+        "components": [{"id": c, "signed_subgroup": [[elem(), rng.choice((1, -1))]],
+                        "has_alg_dual": rng.random() < 0.8, "dual_framed": rng.random() < 0.5}
+                       for c in range(components)],
+        "surface": {"components": [{"id": c, "genus": 0, "orientable": True, "boundary_circles": 0}
+                                   for c in range(components)]},
+        "double_points": points,
+        "whitney_collection": {"convenient": not weak, "discs": discs,
+                               "boundary_intersections": boundary},
+        "catalogs": {"rel_h2": {"basis": [], "boundary": {}}, "bands": [], "spheres": [], "rp2": []},
+        "flags": {"good_group": rng.random() < 0.8, "torus_summand": []},
+    }
+
+
+def linear_pencil_det_lagrange(pairs) -> list[int]:
+    """``intlinalg.linear_pencil_det`` by Lagrange interpolation over ``Fraction``s, O(n^3)
+    rational operations: the reference for the forward-difference interpolation."""
+    n = len(pairs)
+    if n == 0:
+        return [1]
+    xs = list(range(n + 1))
+    ys = [bareiss_det([[v * x - w for (v, w) in row] for row in pairs]) for x in xs]
+    coeffs = [Fraction(0)] * (n + 1)
+    for i, xi in enumerate(xs):
+        poly, denom = [Fraction(1)], 1
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            denom *= xi - xj
+            new = [Fraction(0)] * (len(poly) + 1)
+            for k, c in enumerate(poly):
+                new[k + 1] += c
+                new[k] -= c * xj
+            poly = new
+        for k, c in enumerate(poly):
+            coeffs[k] += Fraction(ys[i], denom) * c
+    if any(c.denominator != 1 for c in coeffs):
+        raise InternalConsistency("interpolated integer polynomial has a fractional coefficient")
+    return [int(c) for c in coeffs]
 
 
 def to_convenient_quadratic(points, collection: WhitneyCollection) -> WhitneyCollection:

@@ -107,7 +107,7 @@ def test_compute_km_errors():
     inst = load_example("torus_s3s1")
     with pytest.raises(NoDualSpheres):
         compute_km(replace(inst, components=(replace(inst.components[0], has_alg_dual=False),)))
-    bad_points = inst.points + (DoublePoint(7, (0, 0), 1, (0,)),)
+    bad_points = tuple(inst.points) + (DoublePoint(7, (0, 0), 1, (0,)),)
     with pytest.raises(PrimaryObstructionNonzero):
         compute_km(replace(inst, points=bad_points))
     with pytest.raises(MissingWhitneyData):

@@ -4,6 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import linear_pencil_det_lagrange
+from surfemb4 import intlinalg
+from surfemb4.errors import InternalConsistency
 from surfemb4.intlinalg import (
     HermiteLattice,
     _eliminate_unit_pivots,
@@ -144,6 +147,23 @@ def test_linear_pencil_det_matches_alexander_endpoints():
         assert at_minus_one == alexander_at_minus_one(V)
         at_one = sum(poly)
         assert abs(at_one) == 1  # det(V - V^T) is unimodular
+
+
+ENTRY = st.integers(-10 ** 6, 10 ** 6)
+
+
+@given(st.integers(0, 10).flatmap(lambda n: st.lists(
+    st.lists(st.tuples(ENTRY, ENTRY), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_linear_pencil_det_equals_lagrange_interpolation(pairs):
+    assert linear_pencil_det(pairs) == linear_pencil_det_lagrange(pairs)
+
+
+def test_linear_pencil_det_rejects_a_non_polynomial_sample(monkeypatch):
+    """x(x-1)/2 takes integer values at 0, 1, 2 but has a fractional coefficient."""
+    samples = iter([0, 0, 1])
+    monkeypatch.setattr(intlinalg, "bareiss_det", lambda mat: next(samples))
+    with pytest.raises(InternalConsistency, match="fractional coefficient"):
+        linear_pencil_det([[(1, 0), (0, 0)], [(0, 0), (1, 0)]])
 
 
 def test_cyclotomic_product_identity():

@@ -3,7 +3,8 @@
 Every verdict is one interpreter start.  ``dataclasses`` brings ``inspect``,
 ``ast``, ``dis`` and ``tokenize`` with it, and the package's records are
 tuples or slotted classes, so no command imports either; this runs the
-commands under ``python -X importtime`` and reads the import list.
+commands under ``python -X importtime`` and reads the import list.  The same
+list shows that ``decide`` and ``examples list`` import no ``fractions``.
 
 Package modules and ``mpmath`` are registered lazily (``surfemb4._lazy``),
 so ``-X importtime`` does not show which of them ran.  A module has run when
@@ -41,6 +42,20 @@ def test_cli_child_skips_dataclasses_and_inspect(argv):
     assert "import time:" in proc.stderr
     named = [line for line in proc.stderr.splitlines() if HEAVY.search(line)]
     assert not named, named
+
+
+# Only ``knot`` uses rationals (``knot sig --omega``, and the signatures in ``knots``).
+NUMERIC = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("argv", [["decide", "torus_s3s1"], ["examples", "list"]], ids=" ".join)
+def test_decide_and_examples_import_no_rationals(argv):
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "surfemb4.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=ENV)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "surfemb4.schema" in imported and not imported & NUMERIC, imported & NUMERIC
 
 
 # Runs surfemb4.cli as ``python -m surfemb4.cli`` does, then prints on the last
