@@ -280,17 +280,32 @@ def theta(record: BandRecord) -> int:
 def _boundary_form_witness(catalog: BandCatalog) -> Optional[tuple[str, str]]:
     """First pair of record ids, in i <= j order, whose total boundaries pair to 1.
 
-    This O(R^2) scan is the only evaluation of the boundary form lambda_Sigma
-    on the declared records; None when the form vanishes on all of them.
+    The only evaluation of the boundary form lambda_Sigma on the declared
+    records; None when the form vanishes on all of them.  Walking the records
+    from last to first keeps an echelon basis, keyed by top bit, of the span of
+    the boundaries x_i, ..., x_(R-1); record i fails when lambda(x_i, b) = 1 for
+    some basis vector b.  The least failing i is the first id, its first
+    partner j >= i the second: O(R * k) form evaluations for R records whose
+    boundaries span a space of rank k.
     """
     surface = catalog.surface
     # the catalog has checked every circle, so each record folds to one mask unchecked
-    totals = [(r.id, reduce(xor, map(_bits, r.boundary_classes), 0)) for r in catalog.records]
-    for i, (id1, x) in enumerate(totals):
-        for id2, y in totals[i:]:
-            if surface.form(x, y):
-                return id1, id2
-    return None
+    totals = [reduce(xor, map(_bits, r.boundary_classes), 0) for r in catalog.records]
+    basis: dict[int, int] = {}
+    first = None
+    for i in range(len(totals) - 1, -1, -1):
+        v = x = totals[i]
+        while v and v.bit_length() - 1 in basis:
+            v ^= basis[v.bit_length() - 1]
+        if v:
+            basis[v.bit_length() - 1] = v
+        if any(surface.form(x, b) for b in basis.values()):
+            first = i
+    if first is None:
+        return None
+    x = totals[first]
+    second = next(j for j in range(first, len(totals)) if surface.form(x, totals[j]))
+    return catalog.records[first].id, catalog.records[second].id
 
 
 def lambda_boundary_check(catalog: BandCatalog) -> bool:

@@ -8,14 +8,17 @@ of Z summands (one per "infinite" orbit, with a chosen section sign) and
 Z/2 summands (one per orbit containing both signs of an element).
 
 Each element is classified once, as (orbit, section sign), and cached;
-nothing is classified before a query.  For a finite ambient, one signed
-search from (e, +1) over the moves of the subgroup generators (and the
-inversion) classifies e's whole orbit, its least element being the
-representative: O(size of the queried orbits x number of generators) per
-context.  For a finitely generated abelian ambient G = Z^k / (factors),
-one signed lattice L in Z^(k+1) does it: the subgroup generators with
-their sign bit, the s_g generators with the sign twisted by wM, the
-factors, and (0, 2).
+nothing is classified before a query.  A list reduction tallies its points
+by element first and queries only the live elements, those whose points do
+not cancel (as many + as - signs add 0 to a Z orbit and to a Z/2 orbit), so
+it costs O(P) C-level tallying for P points plus the classification of the
+live elements alone.  For a finite ambient, one signed search from (e, +1)
+over the moves of the subgroup generators (and the inversion) classifies
+e's whole orbit, its least element being the representative: O(size of the
+queried orbits x number of generators) per context.  For a finitely
+generated abelian ambient G = Z^k / (factors), one signed lattice L in
+Z^(k+1) does it: the subgroup generators with their sign bit, the s_g
+generators with the sign twisted by wM, the factors, and (0, 2).
 A Hermite reduction returns the one vector of its coset with
 0 <= v[c] < pivot at every pivot column, so reducing (e, 0) gives
 (r, bit), where r is e reduced modulo the projection of L (the canonical
@@ -245,8 +248,10 @@ def reduce_list(entries: Iterable, gamma: GammaGroup) -> GammaElement:
     """Reduce a list of (sign, group element) pairs into the quotient.
 
     The list is tallied by distinct element, as (point count, signed sum),
-    and each distinct element is classified once: an order-two orbit gains
-    the count mod 2, an infinite orbit the signed sum times the section sign.
+    and each live element, one whose signed sum is not 0, is classified
+    once: an order-two orbit gains the count mod 2, an infinite orbit the
+    signed sum times the section sign.  An element whose points cancel adds
+    0 to either kind of orbit, so it is not classified.
     """
     pairs = list(entries)
     signs = [sign for sign, _ in pairs]
@@ -264,11 +269,15 @@ def _check_entries(G: AmbientGroup, signs: list, elems: list) -> list:
 
 
 def _reduce_canonical(signs, canon, gamma: GammaGroup) -> GammaElement:
-    """``reduce_list`` of checked signs and canonical elements, which are not checked again."""
+    """``reduce_list`` of checked signs and canonical elements, which are not checked again.
+
+    Only the live elements, with 2 * plus != count, are classified, in order of first occurrence.
+    """
     count = Counter(canon)
     plus = Counter(compress(canon, map(eq, signs, repeat(1))))
+    live = [e for e, n in count.items() if 2 * plus[e] != n]
     coeffs: dict = {}
-    for e, (orbit, section) in zip(count, gamma._classify_canonical(list(count))):
+    for e, (orbit, section) in zip(live, gamma._classify_canonical(live)):
         n = count[e]
         coeffs[orbit] = coeffs.get(orbit, 0) + (n if section is None else (2 * plus[e] - n) * section)
     coeffs = {k: v % 2 if k.order_two else v for k, v in coeffs.items()}

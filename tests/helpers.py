@@ -8,8 +8,9 @@ H1 basis and intersection form, written out densely; and the slow
 or older computations that the package's fast paths are compared against:
 knot (the Arf count and the eigenvalue signature), finite and abelian
 gamma, list-reduction, Whitney-conversion and projective-plane oracles, the
-Lagrange interpolation of the Alexander polynomial, and the per-point reader,
-bucketing and F^t filter that the double-point columns replaced.
+Lagrange interpolation of the Alexander polynomial, the per-point reader,
+bucketing and F^t filter that the double-point columns replaced, and the
+pair-by-pair boundary-form scan that the span-basis walk replaced.
 """
 
 from __future__ import annotations
@@ -827,6 +828,21 @@ def theta_violations(pairs) -> set[tuple[int, ...]]:
             if not any(total) and sum(pairs[i][1] for i in subset) % 2:
                 out.add(subset)
     return out
+
+
+def boundary_form_witness_pairs(catalog) -> Optional[tuple[str, str]]:
+    """First pair of record ids, in i <= j order, whose total boundaries pair to 1, or None.
+
+    Every pair is tried in that order, O(R^2) form evaluations on R records:
+    the reference for ``bands._boundary_form_witness``, which walks a span basis.
+    """
+    surface = catalog.surface
+    totals = [(r.id, r.total_boundary(surface.dim)) for r in catalog.records]
+    for i, (id1, x) in enumerate(totals):
+        for id2, y in totals[i:]:
+            if surface.form(x, y):
+                return id1, id2
+    return None
 
 
 def theta_value(functional: ThetaFunctional, vec) -> int:

@@ -3,7 +3,7 @@ import time
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from surfemb4.bands import (
     BandCatalog,
@@ -24,11 +24,13 @@ from surfemb4.bands import (
     union_records,
     validate_record,
     validate_theta_well_defined,
+    _boundary_form_witness,
 )
 from surfemb4.engine import flowchart
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count
 
-from helpers import mask, paper_basis, paper_form, replace, theta_value, theta_violations
+from helpers import (boundary_form_witness_pairs, mask, paper_basis, paper_form, replace,
+                     theta_value, theta_violations)
 from test_engine import simple_instance
 
 
@@ -550,3 +552,51 @@ def test_form_on_large_model_is_linear_time():
     assert surface.form(ones, ones) == 10000 % 2
     assert surface.w1_of((1,) * surface.dim) == 10000 % 2
     assert time.perf_counter() - start < 1.0
+
+
+def _circle(surface, rng, allowed, w1):
+    """A sparse random H1 class within the ``allowed`` bitmask whose w1 value is ``w1``, or None."""
+    for _ in range(20):
+        vec = tuple(allowed >> m & (rng.random() < 0.3) for m in range(surface.dim))
+        if surface.w1_of(vec) == w1:
+            return vec
+    return None
+
+
+@settings(max_examples=300)
+@given(comps=_components(), seed=st.integers(0, 2**32 - 1), count=st.integers(0, 12))
+def test_boundary_form_witness_equals_the_pair_scan(comps, seed, count):
+    """The span-basis walk names the pair the O(R^2) scan names, on unions of orientable and
+    nonorientable components with boundary.  Two catalogs in three draw their circles from the
+    a-classes and the inert boundary classes, where the form vanishes, and most of them plant
+    one record drawn from all of H1, so both None and late witnesses occur; mixed annuli,
+    whose boundaries pair with themselves, are drawn too."""
+    rng = random.Random(seed)
+    surface = SurfaceModel(comps)
+    everything = (1 << surface.dim) - 1
+    isotropic = everything & ~(surface.w1 | surface._a << 1)
+    allowed = rng.choice((everything, isotropic, isotropic))
+    planted = rng.randrange(count) if allowed == isotropic and count and rng.random() < 0.8 else -1
+    # before the planted record, sometimes only the boundary classes, which pair with nothing
+    early = rng.choice((allowed, isotropic & ~surface._a))
+    drawn = []  # (kind, circles) per record
+    for k in range(count):
+        if rng.random() < 0.2 and drawn:  # an earlier record's boundary again
+            drawn.append(rng.choice(drawn))
+            continue
+        kind = rng.choice(("annulus", "mobius", "surface"))
+        n = {"annulus": 2, "mobius": 1}.get(kind, rng.randrange(3))
+        w1s = [rng.randrange(2) for _ in range(n)] if kind == "annulus" else [0] * n  # mixed too
+        mask_k = everything if k == planted else early if k < planted else allowed
+        circles = tuple(_circle(surface, rng, mask_k, w1) for w1 in w1s)
+        if None not in circles:
+            drawn.append((kind, circles))
+    names = tuple(f"c{k}" for k in range(len(drawn)))
+    rel = RelH2(names, {n: tuple(sum(col) % 2 for col in zip(*circles)) if circles
+                        else (0,) * surface.dim for n, (_, circles) in zip(names, drawn)})
+    records = tuple(record(surface, rel, f"r{k}", kind, [int(m == k) for m in range(len(drawn))],
+                           circles) for k, (kind, circles) in enumerate(drawn))
+    pair = _boundary_form_witness(BandCatalog(surface, rel, records))
+    assert pair == boundary_form_witness_pairs(BandCatalog(surface, rel, records))
+    event("form vanishes" if pair is None else "witness after the first record"
+          if pair[0] != "r0" else "witness at the first record")

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from surfemb4 import cli, engine, schema
-from surfemb4.bands import BandCatalog, BandRecord, RelH2, SurfaceComponent, SurfaceModel
+from surfemb4.bands import (BandCatalog, BandRecord, RelH2, SurfaceComponent, SurfaceModel,
+                            _boundary_form_witness)
 from surfemb4.engine import (
     HOMOTOPIC_EMBED,
     NO_CONCLUSION,
@@ -34,6 +36,7 @@ from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc
 
 from helpers import (
     PreconditionW1Ker,
+    boundary_form_witness_pairs,
     cusp_trick,
     cyclic_group,
     paper_basis,
@@ -492,22 +495,79 @@ def _records_on_a_classes(surface, count):
     return rel, records
 
 
-def test_flowchart_evaluates_boundary_form_once_per_record_pair(monkeypatch):
+def _count_form_calls(monkeypatch) -> list:
+    calls = []
+    original = SurfaceModel.form
+    monkeypatch.setattr(SurfaceModel, "form",
+                        lambda self, x, y: calls.append((x, y)) or original(self, x, y))
+    return calls
+
+
+def test_flowchart_evaluates_boundary_form_once_per_record_and_basis_vector(monkeypatch):
+    """Record i pairs with each vector of a basis of the span of records i, ..., R - 1 only."""
     count = 6
     base = simple_instance(genus=3)
     rel, records = _records_on_a_classes(base.surface, count)
     inst = replace(base, band_catalog=BandCatalog(base.surface, rel, records))
-    calls = []
-    original = SurfaceModel.form
-
-    def counting(self, x, y):
-        calls.append((x, y))
-        return original(self, x, y)
-
-    monkeypatch.setattr(SurfaceModel, "form", counting)
+    calls = _count_form_calls(monkeypatch)
     verdict = flowchart(inst)
     assert verdict.b_char == "yes"
-    assert len(calls) == count * (count + 1) // 2
+    assert len(calls) == sum(min(count - i, 3) for i in range(count))  # 15, not the 21 pairs
+
+
+def _span_catalog(genus, count, rng, breaker=None):
+    """``count`` surface records on a closed genus-``genus`` surface, boundaries sums of a_i.
+
+    The first ``genus`` records bound a_1, ..., a_genus, the rest random sums of them, so the
+    form vanishes on the records and their boundaries span rank ``genus``.  The record at index
+    ``breaker`` also bounds b_1, which pairs with a_1 and raises the rank by one.
+    """
+    surface = SurfaceModel([SurfaceComponent(0, genus, True)])
+    positions = [2 * i for i in range(genus)] + [1]  # of a_1, ..., a_genus, then b_1
+    names = tuple(f"c{i}" for i in range(genus + 1))
+    rel = RelH2(names, {n: tuple(int(m == p) for m in range(surface.dim))
+                        for n, p in zip(names, positions)})
+    records = []
+    for k in range(count):
+        cls = [int(m == k) if k < genus else rng.randrange(2) for m in range(genus)]
+        cls.append(int(k == breaker))
+        hit = {p for p, c in zip(positions, cls) if c}
+        total = tuple(int(m in hit) for m in range(surface.dim))
+        records.append(BandRecord(f"r{k}", "surface", tuple(cls), (total,), (0,), 0, 0, 0, 0, 0))
+    return BandCatalog(surface, rel, tuple(records))
+
+
+@pytest.mark.parametrize("count", [250, 500, 1000])
+@pytest.mark.parametrize("broken", [False, True])
+def test_boundary_form_calls_are_at_most_records_times_rank_plus_one(monkeypatch, count, broken):
+    genus = 8
+    breaker = count // 2 if broken else None
+    catalog = _span_catalog(genus, count, random.Random(count), breaker)
+    rank = genus + (breaker is not None)
+    calls = _count_form_calls(monkeypatch)
+    pair = _boundary_form_witness(catalog)
+    assert len(calls) <= count * (rank + 1)
+    assert (pair is None) == (not broken)
+    if count == 250:
+        monkeypatch.undo()
+        assert pair == boundary_form_witness_pairs(catalog)
+
+
+def test_flowchart_on_four_thousand_copies_of_one_record_is_fast():
+    """The boundaries span rank 1, so the boundary-form check is linear in the records; the
+    scan over all 8 002 000 record pairs took seconds."""
+    base = simple_instance(genus=1)
+    rel = RelH2(("x",), {"x": (1, 0)})
+    records = tuple(BandRecord(f"r{k}", "surface", (1,), ((1, 0),), (0,), 0, 0, 0, 0, 0)
+                    for k in range(4000))
+    inst = replace(base, band_catalog=BandCatalog(base.surface, rel, records))
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        verdict = flowchart(inst)
+        best = min(best, time.perf_counter() - start)
+    assert verdict.b_char == "yes"
+    assert best < 0.1
 
 
 def _two_component_instance(*, case2):

@@ -1,12 +1,18 @@
 import random
+from collections import Counter
+from operator import add, neg, sub
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from surfemb4 import schema
+from surfemb4.engine import flowchart, homotopy_analysis
 from surfemb4.gamma import (
     AmbientNotFinite,
+    GammaGroup,
     GammaError,
     PairingContext,
+    _reduce_canonical,
     build_gamma,
     coefficient_at,
     mu1_home,
@@ -28,6 +34,7 @@ from helpers import (
     random_abelian_context,
     random_abelian_element,
     random_character,
+    random_points_doc,
     random_signed_subgroup,
     reduce_list_per_point,
     symmetric3,
@@ -438,7 +445,7 @@ def test_reduce_list_matches_the_point_by_point_reference(drawn):
     ctx, entries = drawn
     got = reduce_list(entries, build_gamma(ctx))
     want = reduce_list_per_point(entries, build_gamma(ctx))
-    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert got.coeffs == want.coeffs  # as GammaElement.__eq__ compares: not in insertion order
     assert got.coeffs == TwoLatticeGamma(ctx).reduce(entries)
     for orbit in got.coeffs:
         event("order-two orbit" if orbit.order_two else "infinite orbit")
@@ -460,3 +467,125 @@ def test_reduce_list_reports_the_first_bad_entry_as_a_walk_would(entries):
     with pytest.raises(ValueError) as want:
         reduce_list_per_point(entries, build_gamma(ctx))
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+# -- only live elements are classified ------------------------------------------
+
+
+def _orbit_mates(ctx, e):
+    """Elements one subgroup move (or, with self-pairing, one inversion) from canonical ``e``."""
+    G = ctx.ambient
+    if G.kind == "finite":
+        mates = [G.mul(a, e) for a, _ in ctx.s_f.closure] + [G.mul(e, b) for b, _ in ctx.s_g.closure]
+        return mates + [G.inv(e)] * ctx.self_pairing
+    vecs = [g for g, _ in ctx.s_f.generators + ctx.s_g.generators]
+    mates = [tuple(map(add, e, g)) for g in vecs] + [tuple(map(sub, e, g)) for g in vecs]
+    return mates + [tuple(map(neg, e))] * ctx.self_pairing or [e]
+
+
+@st.composite
+def _planted_lists(draw):
+    """A context on either backend, sometimes with (1, -1) in its first subgroup, and a shuffled
+    list of (sign, element) pairs: a few elements whose points cancel (+- or ++--), live points
+    in the orbits of those elements, and a few other live points."""
+    self_pairing = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        G = rng.choice(all_groups_up_to_8())[1]
+        s_f = random_signed_subgroup(G, rng)
+        s_g = s_f if self_pairing else random_signed_subgroup(G, rng)
+        ctx = PairingContext(G, random_character(G, rng), s_f, s_g, self_pairing)
+    else:
+        ctx = random_abelian_context(rng, self_pairing)
+        G = ctx.ambient
+    if draw(st.integers(0, 3)) == 0:  # (1, -1) in the first subgroup: every orbit has order two
+        s_f = subgroup_closure(G, ctx.s_f.generators + ((G.identity, -1),))
+        ctx = PairingContext(G, ctx.wM, s_f, s_f if self_pairing else ctx.s_g, self_pairing)
+
+    def elem():
+        return rng.randrange(G.order) if G.kind == "finite" else random_abelian_element(G, rng)
+
+    entries = []
+    for _ in range(draw(st.integers(1, 5))):
+        e = G.check_elem(elem())
+        k = draw(st.sampled_from((1, 2)))
+        entries += [(1, e)] * k + [(-1, e)] * k
+        entries += [(rng.choice((1, -1)), rng.choice(_orbit_mates(ctx, e)))
+                    for _ in range(draw(st.integers(0, 2)))]
+    entries += [(rng.choice((1, -1)), elem()) for _ in range(draw(st.integers(0, 4)))]
+    rng.shuffle(entries)
+    return ctx, entries
+
+
+@settings(max_examples=300)
+@given(_planted_lists())
+def test_reduce_classifies_only_the_live_elements(drawn):
+    """Equal to the point-by-point reduction, and only elements whose points do not cancel are
+    classified: exactly those on an abelian ambient, their whole orbits on a finite one."""
+    ctx, entries = drawn
+    G = ctx.ambient
+    signs = [sign for sign, _ in entries]
+    canon = G.check_elems([e for _, e in entries])
+    gamma = build_gamma(ctx)
+    got = _reduce_canonical(signs, canon, gamma)
+    want = reduce_list_per_point(entries, build_gamma(ctx))
+    assert got.coeffs == want.coeffs
+    net = Counter()
+    for sign, e in zip(signs, canon):
+        net[e] += sign
+    live = {e for e, v in net.items() if v}
+    if G.kind == "finite":
+        table = EnumeratedFiniteGamma(ctx)._table
+        orbits = {table[e][0] for e in live}
+        live = {g for g in G.elements() if table[g][0] in orbits}
+    assert set(gamma._table) == live
+    event(f"{G.kind}, {sum(1 for v in net.values() if not v)} cancelling")
+
+
+def test_a_cancelling_element_is_not_classified_and_the_coefficients_keep_their_values():
+    ctx = _ctx(abelian_group([0, 0]), gens_f=[((1, 0), 1)])
+    entries = [(1, (0, 0)), (-1, (0, 0)), (1, (0, 1)), (1, (5, 0))]
+    gamma = build_gamma(ctx)
+    got = reduce_list(entries, gamma)
+    want = reduce_list_per_point(entries, build_gamma(ctx))
+    assert got.coeffs == want.coeffs
+    assert set(gamma._table) == {(0, 1), (5, 0)}
+    assert coefficient_at(got, (0, 0)) == (1, "Z") and coefficient_at(got, (0, 1)) == (1, "Z")
+
+
+@pytest.mark.parametrize("finite", [True, False])
+def test_a_list_whose_points_all_cancel_classifies_nothing(monkeypatch, finite):
+    if finite:
+        ctx = _ctx(cyclic_group(6), gens_f=[(2, -1)], self_pairing=True)
+        pairs = [(1, 3), (-1, 3), (1, 5), (1, 5), (-1, 5), (-1, 5)]
+    else:
+        ctx = _ctx(abelian_group([0, 4]), gens_f=[((1, 2), -1)], self_pairing=True)
+        pairs = [(1, (3, 1)), (-1, (3, 5)), (-1, (0, 2)), (1, (0, 2)), (1, (0, 2)), (-1, (0, -2))]
+    gamma = build_gamma(ctx)
+    vectors = []
+    monkeypatch.setattr(HermiteLattice, "reduce_all", lambda self, vecs, f=HermiteLattice.reduce_all:
+                        vectors.append(len(vecs)) or f(self, vecs))
+    assert reduce_list(pairs, gamma).is_zero()
+    assert gamma._table == {} and vectors == []
+
+
+def _count_classified(monkeypatch) -> list:
+    """Record each batch of elements that reaches ``GammaGroup._classify_new``."""
+    batches = []
+    original = GammaGroup._classify_new
+    monkeypatch.setattr(GammaGroup, "_classify_new",
+                        lambda self, new: batches.append(list(new)) or original(self, new))
+    return batches
+
+
+@pytest.mark.parametrize("pairs", [300, 600, 1200])
+def test_flowchart_classifies_no_element_of_a_cancelling_instance(monkeypatch, pairs):
+    """Every pair of points cancels: the flowchart classifies nothing at 1x, 2x and 4x the points,
+    and the homotopy analysis only the identity, whose mu coefficient it reads."""
+    doc = random_points_doc(random.Random(pairs), finite=False, pairs=pairs)
+    inst = schema.instance_from_dict(doc)
+    batches = _count_classified(monkeypatch)
+    flowchart(inst)
+    assert batches == []
+    homotopy_analysis(inst)
+    assert batches == [[inst.group.identity]] * len(inst.components)
