@@ -14,10 +14,11 @@ Library layout:
 
 Importing the package runs no submodule.  Every CLI command is one
 interpreter start, so ``cli`` and ``schema`` register the modules they use,
-and ``knots`` registers ``mpmath``, with ``_lazy``: a module's body runs only
-when one of its attributes is first used, and a command runs only the
-modules it reaches.  Those three name a lazily registered module's functions
-by attribute at the call (``engine.flowchart``), never bind them at import.
+``groups`` and ``gamma`` register ``intlinalg``, and ``knots`` registers
+``mpmath``, with ``_lazy``: a module's body runs only when one of its
+attributes is first used, and a command runs only the modules it reaches.
+These modules name a lazily registered module's functions by attribute at
+the call (``engine.flowchart``), never bind them at import.
 
 Every public name here is reached by the command line, the flowchart, the
 benchmark tracer or the acceptance tests (``tests/test_public_names.py``);

@@ -99,9 +99,10 @@ class ProblemInstance(namedtuple("ProblemInstance", (
         if self.collection is not None:
             if not self.collection.paired_point_ids() <= point_ids:
                 raise ValidationError("Whitney collection references unknown double points")
-            for d in self.collection.discs:
-                if not set(d.interior) <= known:
-                    raise ValidationError(f"Whitney disc {d.id} meets unknown components")
+            discs = self.collection.discs
+            if not known.issuperset(chain.from_iterable(discs.interiors)):
+                did = next(d.id for d in discs if not known.issuperset(d.interior))
+                raise ValidationError(f"Whitney disc {did} meets unknown components")
         if points is self.points:
             return self
         etas = _check_entries(self.group, list(points.signs), list(points.etas))
@@ -205,7 +206,8 @@ def _t_for_ft(inst: ProblemInstance, ft: Sequence[int]) -> int:
     """t(F^t, W^t) from the discs that pair the double points of F^t.
 
     Subsets of the reader's checked collection pass every constructor check,
-    so the F^t collection is taken with ``_replace``.
+    so the F^t collection is taken with ``_replace``, its discs by one mask
+    over the pair column.
     """
     ids = inst.points.ids_within(ft)
     if not ids:
@@ -217,8 +219,8 @@ def _t_for_ft(inst: ProblemInstance, ft: Sequence[int]) -> int:
         )
     if not collection.convenient:
         collection = to_convenient(inst.points, collection)
-    sub = collection._replace(discs=tuple(d for d in collection.discs if ids.issuperset(d.pair)),
-                              boundary={})
+    discs = collection.discs
+    sub = collection._replace(discs=discs.where(map(ids.issuperset, discs.pairs)), boundary={})
     try:
         return t_count(inst.points, ft, sub)
     except UnpairedPoints as exc:

@@ -36,13 +36,14 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import compress, filterfalse, repeat
-from operator import add, and_, eq, neg
+from operator import add, and_, eq, mul, ne, neg
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InternalConsistency
-from . import _INTS
+from . import _INTS, _lazy
 from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit
-from .intlinalg import HermiteLattice, smith_diagonal
+
+intlinalg = _lazy("surfemb4.intlinalg")  # run by abelian groups and the Smith oracle only
 
 
 _SIGNS = (1, -1)
@@ -104,7 +105,7 @@ class GammaGroup:
         # with self-pairing, a generator g with wM(g) = -1 enters with both sign
         # bits, so (0, 1) lies in the lattice and every orbit has order two
         twisted = [list(g) + [_sign_bit(s * wM(g))] for g, s in ctx.s_g.generators]
-        self._hat = HermiteLattice(ctx.s_f.lattice.rows + twisted, G.rank + 1)
+        self._hat = intlinalg.HermiteLattice(ctx.s_f.lattice.rows + twisted, G.rank + 1)
         self._global_two = self._hat.contains([0] * G.rank + [1])
 
     def _classify_new(self, new: list) -> None:
@@ -275,7 +276,8 @@ def _reduce_canonical(signs, canon, gamma: GammaGroup) -> GammaElement:
     """
     count = Counter(canon)
     plus = Counter(compress(canon, map(eq, signs, repeat(1))))
-    live = [e for e, n in count.items() if 2 * plus[e] != n]
+    live = list(compress(count, map(ne, map(mul, map(plus.get, count, repeat(0)), repeat(2)),
+                                    count.values())))  # one C-level pass
     coeffs: dict = {}
     for e, (orbit, section) in zip(live, gamma._classify_canonical(live)):
         n = count[e]
@@ -340,7 +342,7 @@ def smith_oracle(ctx: PairingContext) -> tuple[int, list[int]]:
         row[g] += 1
         row[h] -= s
         rows.append(row)
-    diag = smith_diagonal(rows, n)
+    diag = intlinalg.smith_diagonal(rows, n)
     free_rank = n - len(diag)
     torsion = [d for d in diag if d > 1]
     return free_rank, torsion

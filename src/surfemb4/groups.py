@@ -16,9 +16,10 @@ from itertools import compress, repeat
 from operator import itemgetter, mod
 from typing import Iterable, Sequence
 
-from . import _INTS
+from . import _INTS, _lazy
 from .errors import InternalConsistency
-from .intlinalg import HermiteLattice
+
+intlinalg = _lazy("surfemb4.intlinalg")  # run by abelian groups only
 
 
 class GroupError(ValueError):
@@ -329,4 +330,4 @@ def _closure(ambient: AmbientGroup, gens: tuple) -> SignedSubgroup:
         if f:
             rows.append([f if j == i else 0 for j in range(k)] + [0])
     rows.append([0] * k + [2])
-    return SignedSubgroup(ambient, gens, lattice=HermiteLattice(rows, k + 1))
+    return SignedSubgroup(ambient, gens, lattice=intlinalg.HermiteLattice(rows, k + 1))

@@ -11,7 +11,7 @@ data they were given.
 from __future__ import annotations
 
 import json
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter, le
 from pathlib import Path
 from typing import Sequence
@@ -90,7 +90,7 @@ class _Shape:
         return _FITS
 
     def fits_all(self, values: list) -> bool:
-        return not any(map(self.check, values))
+        return True
 
 
 class _Leaf(_Shape):
@@ -162,13 +162,20 @@ class _Object(_Shape):
         return out + _each((key, shape, value[key]) for key, shape in self.fields if key in value)
 
     def fits_all(self, values: list) -> bool:
-        if not ({dict}.issuperset(map(type, values))
-                and all(map(le, repeat(self.required), map(dict.keys, values)))
-                and all(map(le, map(dict.keys, values), repeat(self.allowed)))):
+        if not {dict}.issuperset(map(type, values)):
             return False
-        return all(shape.fits_all(list(map(itemgetter(key), values)) if key in self.required
-                                  else [v[key] for v in values if key in v])
-                   for key, shape in self.fields)
+        if self.required != self.allowed:  # optional fields: a key-set test per object
+            return (all(map(le, repeat(self.required), map(dict.keys, values)))
+                    and all(map(le, map(dict.keys, values), repeat(self.allowed)))
+                    and all(shape.fits_all(list(map(itemgetter(key), values)) if key in self.required
+                                           else [v[key] for v in values if key in v])
+                            for key, shape in self.fields))
+        try:  # as many keys as fields, and every field found: exactly the fields
+            return ({len(self.fields)}.issuperset(map(len, values))
+                    and all(shape.fits_all(list(map(itemgetter(key), values)))
+                            for key, shape in self.fields))
+        except KeyError:
+            return False
 
 
 class _Map(_Shape):
@@ -181,19 +188,20 @@ class _Map(_Shape):
         if type(value) is not dict:
             return _expected("an object", value)
         out = [(f"/{_token(key)}", "keys are integers written in decimal, like \"0\"")
-               for key in value if self.int_keys and not _is_int_key(key)]
+               for key in value if self.int_keys and not _int_keys([key])]
         return out + _each((_token(key), self.value, entry) for key, entry in value.items())
 
     def fits_all(self, values: list) -> bool:
         return ({dict}.issuperset(map(type, values))
-                and (not self.int_keys or all(map(_is_int_key, chain.from_iterable(values))))
+                and (not self.int_keys or _int_keys(list(chain.from_iterable(values))))
                 and self.value.fits_all(list(chain.from_iterable(map(dict.values, values)))))
 
 
-def _is_int_key(key) -> bool:
+def _int_keys(keys: list) -> bool:
+    """Whether every key is an integer written in canonical decimal; one C-level pass."""
     try:
-        return str(int(key)) == key  # canonical, so "01" cannot alias "1"
-    except (TypeError, ValueError):
+        return list(map(str, map(int, keys))) == keys  # canonical, so "01" cannot alias "1"
+    except (TypeError, ValueError):  # not a number, or past int's 4 300-digit limit
         return False
 
 
@@ -214,6 +222,14 @@ class _Tagged(_Shape):
         names = " or ".join(map(json.dumps, self.variants))
         return [(f"/{self.tag}", f"expected {names}, got {_describe(tag)}")]
 
+    def fits_all(self, values: list) -> bool:
+        if not {dict}.issuperset(map(type, values)):
+            return False
+        tags = list(map(dict.get, values, repeat(self.tag)))
+        return ({str}.issuperset(map(type, tags)) and self.variants.keys() >= set(tags)
+                and all(shape.fits_all(list(compress(values, map(name.__eq__, tags))))
+                        for name, shape in self.variants.items()))
+
 
 class _Nullable(_Shape):
     def __init__(self, shape: _Shape):
@@ -222,6 +238,9 @@ class _Nullable(_Shape):
     def check(self, value) -> Sequence:
         return _FITS if value is None else self.shape.check(value)
 
+    def fits_all(self, values: list) -> bool:
+        return self.shape.fits_all([v for v in values if v is not None])
+
 
 INT = _Leaf("an integer", int)
 COUNT = _Leaf("a nonnegative integer", int, minimum=0)
@@ -229,7 +248,7 @@ BIT = _Leaf("0 or 1", int, values=(0, 1))
 SIGN = _Leaf("+1 or -1", int, values=(1, -1))
 BOOL = _Leaf("true or false", bool)
 STR = _Leaf("a string", str)
-ELEMENT = _Shape()  # its form depends on the group, so check_elem checks it
+ELEMENT = _Shape()  # its form depends on the group, so check_elems checks it
 
 INSTANCE_SHAPE = _Object({
     "version": _Leaf(str(SCHEMA_VERSION), int, values=(SCHEMA_VERSION,)),
@@ -277,6 +296,8 @@ KNOT_SHAPE = _Object({"seifert": _Array(_Array(SEIFERT_ENTRY)), "name": STR}, op
 
 def _shape_errors(shape, doc) -> list[str]:
     """Every mismatch between ``doc`` and ``shape``, as pointer messages."""
+    if shape.fits_all([doc]):
+        return []
     return [f"{pointer or '/'}: {message}" for pointer, message in shape.check(doc)]
 
 
@@ -307,8 +328,21 @@ def load_knot(path) -> knots.SeifertMatrix:
 
 
 def load_instance(path) -> engine.ProblemInstance:
-    """The instance of an instance file, or a SchemaError."""
-    return instance_from_dict(_read_json(path, "instance file"))
+    """The instance of an instance file, or a SchemaError.
+
+    Parsing and building make many containers and no reference cycles, so the
+    cyclic collector, which would scan them again each time they grow, is
+    paused while they run.
+    """
+    import gc  # here, so that only the commands that read instances import it
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return instance_from_dict(_read_json(path, "instance file"))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- building the domain objects -------------------------------------------------
@@ -412,18 +446,22 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
     collection = None
     wc = doc["whitney_collection"]
     if wc is not None:
-        discs = tuple(
-            whitney.WhitneyDisc(d["id"], tuple(d["pairs"]),
-                                {int(k): v for k, v in d["interior"].items()},
-                                d["mu_boundary"], d["euler"])
-            for d in wc["discs"])
-        boundary = {}
-        for i, (d1, d2, count) in enumerate(wc["boundary_intersections"]):
-            if frozenset((d1, d2)) in boundary:
-                errors.append(f"/whitney_collection/boundary_intersections/{i}: disc pair listed twice")
-            boundary[frozenset((d1, d2))] = count
+        discs, interiors = wc["discs"], list(map(itemgetter("interior"), wc["discs"]))
+        columns = whitney.WhitneyDiscs(
+            map(itemgetter("id"), discs), map(tuple, map(itemgetter("pairs"), discs)),
+            map(dict, map(zip, map(map, repeat(int), interiors), map(dict.values, interiors))),
+            map(itemgetter("mu_boundary"), discs), map(itemgetter("euler"), discs))
+        crossings = wc["boundary_intersections"]
+        keys = list(map(frozenset, map(itemgetter(slice(2)), crossings)))
+        boundary = dict(zip(keys, map(itemgetter(2), crossings)))
+        if len(boundary) != len(keys):  # walked, for an error at every repeat
+            seen: set[frozenset] = set()
+            for i, key in enumerate(keys):
+                if key in seen:
+                    errors.append(f"/whitney_collection/boundary_intersections/{i}: disc pair listed twice")
+                seen.add(key)
         collection = _build(errors, "/whitney_collection", whitney.WhitneyCollection,
-                            discs, boundary, wc["convenient"])
+                            columns, boundary, wc["convenient"])
 
     catalogs = doc["catalogs"]
     rel = _build(errors, "/catalogs/rel_h2", bands.RelH2, tuple(catalogs["rel_h2"]["basis"]),

@@ -8,9 +8,11 @@ H1 basis and intersection form, written out densely; and the slow
 or older computations that the package's fast paths are compared against:
 knot (the Arf count and the eigenvalue signature), finite and abelian
 gamma, list-reduction, Whitney-conversion and projective-plane oracles, the
-Lagrange interpolation of the Alexander polynomial, the per-point reader,
-bucketing and F^t filter that the double-point columns replaced, and the
-pair-by-pair boundary-form scan that the span-basis walk replaced.
+Lagrange interpolation of the Alexander polynomial, the per-point and
+per-disc reader, bucketing and F^t filter that the double-point columns
+replaced, the per-disc collection checks, t-count and conversion that the
+disc columns replaced, and the pair-by-pair boundary-form scan that the
+span-basis walk replaced.
 """
 
 from __future__ import annotations
@@ -65,11 +67,11 @@ from surfemb4.schema import (
 )
 from surfemb4.whitney import (
     DoublePoint,
+    NotConvenient,
     UnpairedPoints,
     WhitneyCollection,
     WhitneyDisc,
     WhitneyError,
-    t_count,
     to_convenient,
 )
 
@@ -600,8 +602,8 @@ def instance_from_dict_per_point(doc) -> ProblemInstance:
             if frozenset((d1, d2)) in boundary:
                 errors.append(f"/whitney_collection/boundary_intersections/{i}: disc pair listed twice")
             boundary[frozenset((d1, d2))] = count
-        collection = _build(errors, "/whitney_collection", WhitneyCollection, discs, boundary,
-                            wc["convenient"])
+        collection = _build(errors, "/whitney_collection", whitney_collection_per_disc, discs,
+                            boundary, wc["convenient"])
     catalogs = doc["catalogs"]
     rel = _build(errors, "/catalogs/rel_h2", bands.RelH2, tuple(catalogs["rel_h2"]["basis"]),
                  {k: tuple(v) for k, v in catalogs["rel_h2"]["boundary"].items()})
@@ -614,16 +616,91 @@ def instance_from_dict_per_point(doc) -> ProblemInstance:
         band_catalog = _build(errors, "/catalogs/bands", bands.BandCatalog, surface, rel, tuple(records))
     if errors:
         raise SchemaError(errors)
-    try:
-        return ProblemInstance(
+    try:  # the disc references last, one disc at a time, as ProblemInstance checks them
+        inst = ProblemInstance(
             group=group, wM=wM, components=tuple(components), surface=surface,
-            points=tuple(points), collection=collection,
+            points=tuple(points), collection=None,
             sphere_catalog=tuple(tuple(p) for p in catalogs["spheres"]),
             rp2_catalog=tuple(tuple(p) for p in catalogs["rp2"]),
             band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
             torus_summands=frozenset(doc["flags"]["torus_summand"]))
+        if collection is not None:
+            if not {pid for d in collection.discs for pid in d.pair} <= {p.id for p in points}:
+                raise engine.ValidationError("Whitney collection references unknown double points")
+            known = {c.id for c in components}
+            for d in collection.discs:
+                if not set(d.interior) <= known:
+                    raise engine.ValidationError(f"Whitney disc {d.id} meets unknown components")
+        return inst._replace(collection=collection)
     except _domain_errors() as exc:
         raise SchemaError([f"/: {exc}"]) from None
+
+
+def whitney_collection_per_disc(discs, boundary: dict, convenient: bool) -> WhitneyCollection:
+    """``WhitneyCollection`` with each check made one disc at a time, in the constructor's order:
+    the reference for its column passes."""
+    ids = [d.id for d in discs]
+    if len(set(ids)) != len(ids):
+        raise WhitneyError("duplicate disc ids")
+    for d in discs:
+        if d.pair[0] == d.pair[1]:
+            raise WhitneyError(f"disc {d.id} pairs a point with itself")
+    paired = [pid for d in discs for pid in d.pair]
+    if len(set(paired)) != len(paired):
+        raise WhitneyError("a double point is paired by more than one disc")
+    for d in discs:
+        counts = (d.mu_boundary, *d.interior.values())
+        if not all(type(c) is int for c in (*counts, d.euler)):
+            raise WhitneyError(f"non-integer count on disc {d.id}")
+        if min(counts) < 0:
+            raise WhitneyError(f"negative count on disc {d.id}")
+    for key, count in boundary.items():
+        if len(key) != 2 or not key <= set(ids):
+            raise WhitneyError(f"bad boundary pair {set(key)}")
+        if type(count) is not int:
+            raise WhitneyError(f"non-integer boundary count {count!r}")
+        if count < 0:
+            raise WhitneyError("negative boundary count")
+    if convenient:
+        for d in discs:
+            if not d.is_convenient():
+                raise NotConvenient(f"disc {d.id} is twisted or has boundary self-intersections")
+        if any(boundary.values()):
+            raise NotConvenient("convenient collections have disjoint boundaries")
+    return WhitneyCollection(discs, boundary, convenient)
+
+
+def t_count_per_disc(points, components, collection: WhitneyCollection) -> int:
+    """``whitney.t_count`` summed one disc at a time: the reference for its column sums."""
+    comps = set(components)
+    want = {p.id for p in points if set(p.components) <= comps}
+    got = {pid for d in collection.discs for pid in d.pair}
+    if want != got:
+        raise UnpairedPoints(
+            f"collection pairs {sorted(got)} but the components' double points are {sorted(want)}")
+    total = sum(collection.boundary.values())
+    for d in collection.discs:
+        total += d.mu_boundary + d.euler
+        total += sum(c for comp, c in d.interior.items() if comp in comps)
+    return total % 2
+
+
+def to_convenient_per_disc(points, collection: WhitneyCollection) -> WhitneyCollection:
+    """``whitney.to_convenient`` with each bump summed and each disc rebuilt on its own: the
+    reference for its column passes."""
+    pair_of = {p.id: p.components for p in points}
+    position = {d.id: idx for idx, d in enumerate(collection.discs)}
+    bumps = [d.euler + d.mu_boundary for d in collection.discs]
+    for key, count in collection.boundary.items():
+        bumps[min(position[i] for i in key)] += count
+    new_discs = []
+    for d, bump in zip(collection.discs, bumps):
+        interior = d.interior
+        if bump % 2:
+            comp = min(pair_of[d.pair[0]])
+            interior = {**interior, comp: interior.get(comp, 0) + 1}
+        new_discs.append(WhitneyDisc(d.id, d.pair, interior))
+    return WhitneyCollection(tuple(new_discs), {}, convenient=True)
 
 
 def points_between_per_point(points, i: int, j: int) -> list[DoublePoint]:
@@ -659,12 +736,12 @@ def t_for_ft_per_point(inst: ProblemInstance, ft) -> int:
     if collection is None:
         raise MissingWhitneyData("F^t has double points but no Whitney collection was declared")
     if not collection.convenient:
-        collection = to_convenient(list(inst.points), collection)
+        collection = to_convenient_per_disc(list(inst.points), collection)
     ids = {p.id for p in pts}
     sub = collection._replace(discs=tuple(d for d in collection.discs if set(d.pair) <= ids),
                               boundary={})
     try:
-        return t_count(pts, ft, sub)
+        return t_count_per_disc(pts, ft, sub)
     except UnpairedPoints as exc:
         raise MissingWhitneyData(
             f"the declared collection does not pair the double points of F^t: {exc}") from exc
@@ -967,7 +1044,7 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
     w_a = WhitneyDisc(next_did, (new_points[0].id, new_points[1].id), {})
     w_b = WhitneyDisc(next_did + 1, (new_points[2].id, new_points[3].id), {})
     boundary = {frozenset((w_a.id, w_b.id)): 1}
-    weak = WhitneyCollection(collection.discs + (w_a, w_b), boundary, convenient=False)
+    weak = WhitneyCollection(tuple(collection.discs) + (w_a, w_b), boundary, convenient=False)
     all_points = list(inst.points) + new_points
     new_collection = to_convenient(all_points, weak)
 

@@ -1,0 +1,103 @@
+"""Count guards for the abelian reader-to-t path: work that must not grow with the input.
+
+On valid input ``decide`` reads the double points and the Whitney discs as
+columns and checks, buckets and counts them in C-level passes.  These
+guards count what a per-point or per-disc loop would show, on one generated
+abelian instance at 1x, 2x and 4x its discs, in both modes:
+
+- no ``WhitneyDisc`` record is built;
+- the shape walk never calls ``_Object.check``, and its key-set tests
+  (``le``, made only on objects with optional fields) do not grow;
+- the package's Python lines run do not grow by as much as one per disc.
+
+``DoublePoints.by_pair`` is checked on an instance with 200 components: it
+runs a fixed number of Python lines, however many component pairs there are.
+"""
+
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from helpers import random_points_doc
+from surfemb4 import cli, schema, whitney
+
+PACKAGE = str(Path(schema.__file__).parent)
+
+
+class _Lines:
+    """Python lines run in the package's modules while tracing, counted per file."""
+
+    def __init__(self):
+        self.count = 0
+
+    def _trace(self, frame, event, arg):
+        if not frame.f_code.co_filename.startswith(PACKAGE):
+            return None
+        if event == "line":
+            self.count += 1
+        return self._trace
+
+    def __enter__(self):
+        sys.settrace(self._trace)
+        return self
+
+    def __exit__(self, *exc):
+        sys.settrace(None)
+
+
+def _instance(tmp_path, pairs: int) -> Path:
+    """A valid abelian instance with ``pairs`` cancelling pairs of points, one disc each."""
+    doc = random_points_doc(random.Random(11), finite=False, pairs=pairs)
+    doc["whitney_collection"]["convenient"] = False  # weak, so to_convenient runs
+    for comp in doc["components"]:  # every component in F^t, so t is counted
+        comp.update(has_alg_dual=True, dual_framed=False, signed_subgroup=[])  # lattices alike
+    doc["flags"]["good_group"] = True
+    path = tmp_path / f"scaled{pairs}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("mode", ["regular", "homotopy"])
+def test_decide_work_does_not_grow_per_point_or_disc(mode, tmp_path, monkeypatch, capsys):
+    counts = {"records": 0, "object checks": 0, "key-set tests": 0}
+
+    def counted(key, original):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(whitney.WhitneyDisc, "__new__",
+                        counted("records", whitney.WhitneyDisc.__new__))
+    monkeypatch.setattr(schema._Object, "check", counted("object checks", schema._Object.check))
+    monkeypatch.setattr(schema, "le", counted("key-set tests", schema.le))
+    seen = []
+    for pairs in (100, 200, 400):
+        path = _instance(tmp_path, pairs)
+        cli.main(["decide", str(path), "--mode", mode])  # once first, so lazy modules have run
+        capsys.readouterr()
+        counts.update(dict.fromkeys(counts, 0))
+        with _Lines() as lines:
+            assert cli.main(["decide", str(path), "--mode", mode]) == 0
+        assert "outcome" in json.loads(capsys.readouterr().out)
+        seen.append((pairs, lines.count, dict(counts)))
+    (_, lines1, counts1), *rest = seen
+    assert counts1["records"] == 0 and counts1["object checks"] == 0, seen
+    for pairs, lines, counts_k in rest:
+        assert counts_k == counts1, seen
+        assert lines - lines1 < 100, seen  # 100 more discs (and 200 points) at least
+
+
+def test_by_pair_runs_no_line_per_pair(tmp_path):
+    doc = random_points_doc(random.Random(5), finite=False, pairs=3000, components=200)
+    points = schema.instance_from_dict(doc).points
+    with _Lines() as lines:
+        buckets = points.by_pair()
+    assert len(buckets) > 1000 and lines.count < 20, (len(buckets), lines.count)
+    expected = {}
+    for k, pair in enumerate(points.pairs):
+        expected.setdefault(frozenset(pair), []).append(k)
+    assert buckets == expected

@@ -75,6 +75,14 @@ sys.exit(code)
 DOMAIN = {f"surfemb4.{m}" for m in ("engine", "bands", "gamma", "groups", "whitney")}
 RUNS = [  # (argv, modules that must run, modules that must not)
     (["decide", "torus_s3s1"], {"surfemb4.engine"}, {"mpmath", "surfemb4.knots"}),
+    # a table group needs no lattice, so a finite decide compiles no intlinalg;
+    # gamma runs it for the Smith oracle
+    (["decide", "star_cp2_sphere"], {"surfemb4.engine"},
+     {"surfemb4.intlinalg", "surfemb4.knots", "mpmath"}),
+    (["validate", "star_cp2_sphere"], {"surfemb4.groups"},
+     {"surfemb4.intlinalg", "surfemb4.knots", "mpmath"}),
+    (["gamma", "star_cp2_sphere", "--component", "0"], {"surfemb4.intlinalg"},
+     {"surfemb4.knots", "mpmath"}),
     (["knot", "arf", "trefoil"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
     (["knot", "cp2-verdict", "t2_7"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
     # a signature that the 53-bit certificate decides runs no mpmath; the Arf = 1
