@@ -95,15 +95,15 @@ def cmd_gamma(args) -> int:
     j = args.other if args.other is not None else i
     s_f = inst.component(i).subgroup
     s_g = inst.component(j).subgroup
-    parsed_queries = []
+    ctx = gamma.PairingContext(inst.group, inst.wM, s_f, s_g, self_pairing=(i == j))
+    target = gamma.build_gamma(ctx)
+    classified = []  # each query checked once, by the classification
     for raw in args.query or []:
         try:
             value = json.loads(raw)
-            parsed_queries.append((value, inst.group.check_elem(value)))
+            classified.append((value, target.classify(value)))
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"bad query element {raw!r}: {exc}") from None
-    ctx = gamma.PairingContext(inst.group, inst.wM, s_f, s_g, self_pairing=(i == j))
-    target = gamma.build_gamma(ctx)
     report: dict = {"self_pairing": i == j}
     if target.finite:
         orbits = target.orbits()
@@ -116,17 +116,15 @@ def cmd_gamma(args) -> int:
         report["smith_oracle"] = {"free_rank": oracle_rank, "torsion": oracle_torsion}
     else:
         report["note"] = "infinite ambient group; orbits reported per queried element"
-    pts = engine.points_between(inst.points, i, j)
-    elem = gamma.reduce_list(zip(pts.signs, pts.etas), target)
+    # the reader checked the points against the group, so they are reduced as they are
+    elem = gamma.reduce_list(engine.points_between(inst.points, i, j), target)
     queries = []
-    for value, g in parsed_queries:
-        orbit = target.orbit_of(g)
-        coeff = gamma.coefficient_at(elem, g)
+    for value, (orbit, section) in classified:
         queries.append({
             "element": value,
             "orbit_rep": orbit.rep,
             "order": "Z/2" if orbit.order_two else "Z",
-            "coefficient": coeff.value,
+            "coefficient": elem.coefficient(orbit, section).value,
         })
     report["reduced_is_zero"] = elem.is_zero()
     report["queries"] = queries

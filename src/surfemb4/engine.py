@@ -16,8 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from .bands import BandCatalog, BCharResult, SurfaceModel, is_b_characteristic
-from .gamma import (PairingContext, _check_entries, _coefficient_canonical, _reduce_canonical,
-                    build_gamma)
+from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list
 from .groups import SignedSubgroup
 from .whitney import DoublePoints, UnpairedPoints, t_count, to_convenient
 
@@ -69,9 +68,9 @@ class ProblemInstance(namedtuple("ProblemInstance", (
         "good_group torus_summands"), defaults=(frozenset(),))):
     """One decision problem; its components, points and discs must refer to each other.
 
-    ``points`` are ``DoublePoints`` columns with canonical etas, as the reader
-    builds them; ``DoublePoint`` records are taken too, and their signs and
-    etas are checked here.
+    ``points`` are ``DoublePoint`` records or ``DoublePoints`` columns.  Columns
+    checked against ``group``, as the reader builds them, are kept; any other
+    points are stored as columns checked against it, so every sign and eta is.
     """
 
     __slots__ = ()
@@ -103,10 +102,8 @@ class ProblemInstance(namedtuple("ProblemInstance", (
             if not known.issuperset(chain.from_iterable(discs.interiors)):
                 did = next(d.id for d in discs if not known.issuperset(d.interior))
                 raise ValidationError(f"Whitney disc {did} meets unknown components")
-        if points is self.points:
-            return self
-        etas = _check_entries(self.group, list(points.signs), list(points.etas))
-        return self._replace(points=DoublePoints(points.ids, points.pairs, points.signs, etas))
+        points = DoublePoints.of(points, self.group)
+        return self if points is self.points else self._replace(points=points)
 
     def component(self, cid: int) -> ComponentData:
         for c in self.components:
@@ -146,18 +143,17 @@ def points_between(points, i: int, j: int) -> DoublePoints:
 def primary_obstructions(inst: ProblemInstance) -> dict:
     """Reduce all intersection and self-intersection lists into their targets.
 
-    The reader checked every eta, so the lists are reduced without a second check.
+    mu for each of C components and lambda for each of the K pairs that meet, read off the
+    buckets: O(C log C + K log K).  ``reduce_list`` does not check the checked points again.
     """
     out = {}
-    ids = sorted(c.id for c in inst.components)
-    for a, i in enumerate(ids):
-        for j in ids[a:]:  # mu when j == i, lambda of the pairs that meet
-            pts = points_between(inst.points, i, j)
-            if pts or i == j:
-                ctx = PairingContext(inst.group, inst.wM, inst.component(i).subgroup,
-                                     inst.component(j).subgroup, self_pairing=i == j)
-                key = ("mu", i) if i == j else ("lambda", i, j)
-                out[key] = _reduce_canonical(pts.signs, pts.etas, build_gamma(ctx))
+    subgroup = {c.id: c.subgroup for c in inst.components}
+    pairs = {(i, i) for i in subgroup}
+    pairs.update(tuple(sorted(key)) for key in inst.points.by_pair() if len(key) == 2)
+    for i, j in sorted(pairs):
+        ctx = PairingContext(inst.group, inst.wM, subgroup[i], subgroup[j], self_pairing=i == j)
+        key = ("mu", i) if i == j else ("lambda", i, j)
+        out[key] = reduce_list(points_between(inst.points, i, j), build_gamma(ctx))
     return out
 
 
@@ -337,7 +333,7 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
     obstructions = primary_obstructions(inst)
     bad = sorted(
         c.id for c in inst.components
-        if _coefficient_canonical(obstructions[("mu", c.id)], inst.group.identity).value != 0
+        if coefficient_at(obstructions[("mu", c.id)], inst.group.identity).value != 0
     )
     if bad:
         raise ValidationError(
@@ -350,7 +346,8 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
     if early is not None:
         return early
     ft = restrict_Ft(inst)
-    case2 = sorted(cid for cid in ft if inst.component(cid).subgroup.contains_minus_one)
+    ft_set = set(ft)
+    case2 = sorted(c.id for c in inst.components if c.id in ft_set and c.subgroup.contains_minus_one)
     trace.append(TraceEntry("Is w_1(Sigma)|_ker nontrivial on some component of F^t?",
                             "§1.4 Case 1 / Case 2; Lemma 2.16",
                             {"case": 2, "components": case2} if case2 else {"case": 1}))

@@ -37,16 +37,14 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from itertools import compress, filterfalse, repeat
 from operator import add, and_, eq, mul, ne, neg
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import InternalConsistency
-from . import _INTS, _lazy
-from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit
+from . import _lazy
+from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit, check_signed
 
 intlinalg = _lazy("surfemb4.intlinalg")  # run by abelian groups and the Smith oracle only
-
-
-_SIGNS = (1, -1)
+whitney = _lazy("surfemb4.whitney")  # reduce_list takes its checked DoublePoints as they are
 
 
 class GammaError(ValueError):
@@ -229,6 +227,11 @@ class GammaElement(NamedTuple):
     def __ne__(self, other) -> bool:  # a tuple's own != would count zero coefficients
         return not self == other
 
+    def coefficient(self, orbit: Orbit, section: Optional[int]) -> "Coefficient":
+        """Coefficient at an element that ``GammaGroup.classify`` sends to (orbit, section sign)."""
+        raw = self.coeffs.get(orbit, 0)
+        return Coefficient(raw % 2, "Z/2") if section is None else Coefficient(raw * section, "Z")
+
     def __add__(self, other: "GammaElement") -> "GammaElement":
         if self.gamma is not other.gamma:
             raise InternalConsistency("adding elements of different target groups")
@@ -245,35 +248,27 @@ class Coefficient(NamedTuple):
     order: str  # "Z" or "Z/2"
 
 
-def reduce_list(entries: Iterable, gamma: GammaGroup) -> GammaElement:
+def reduce_list(entries, gamma: GammaGroup) -> GammaElement:
     """Reduce a list of (sign, group element) pairs into the quotient.
 
+    ``entries`` may be ``DoublePoints`` too; columns checked against the
+    ambient group are not checked again, and anything else is checked once.
     The list is tallied by distinct element, as (point count, signed sum),
     and each live element, one whose signed sum is not 0, is classified
-    once: an order-two orbit gains the count mod 2, an infinite orbit the
-    signed sum times the section sign.  An element whose points cancel adds
-    0 to either kind of orbit, so it is not classified.
+    once, in order of first occurrence: an order-two orbit gains the count
+    mod 2, an infinite orbit the signed sum times the section sign.  An
+    element whose points cancel adds 0 to either kind of orbit, so it is
+    not classified.
     """
-    pairs = list(entries)
-    signs = [sign for sign, _ in pairs]
-    return _reduce_canonical(signs, _check_entries(gamma.ctx.ambient, signs,
-                                                   [elem for _, elem in pairs]), gamma)
-
-
-def _check_entries(G: AmbientGroup, signs: list, elems: list) -> list:
-    """The elements, checked and canonical; raises at the first bad sign (+1 or -1) or element."""
-    if not (_INTS.issuperset(map(type, signs)) and all(map(_SIGNS.__contains__, signs))):
-        k = next(i for i, sign in enumerate(signs) if type(sign) is not int or sign not in _SIGNS)
-        G.check_elems(elems[:k])  # a bad element before the bad sign is met first
-        raise GammaError(f"sign must be +1 or -1, got {signs[k]!r}")
-    return G.check_elems(elems)
-
-
-def _reduce_canonical(signs, canon, gamma: GammaGroup) -> GammaElement:
-    """``reduce_list`` of checked signs and canonical elements, which are not checked again.
-
-    Only the live elements, with 2 * plus != count, are classified, in order of first occurrence.
-    """
+    G = gamma.ctx.ambient
+    if isinstance(entries, whitney.DoublePoints):
+        signs, canon = entries.signs, entries.etas
+        if entries.group is not G:
+            canon = check_signed(G, signs, canon, GammaError)
+    else:
+        pairs = list(entries)
+        signs = [sign for sign, _ in pairs]
+        canon = check_signed(G, signs, [elem for _, elem in pairs], GammaError)
     count = Counter(canon)
     plus = Counter(compress(canon, map(eq, signs, repeat(1))))
     live = list(compress(count, map(ne, map(mul, map(plus.get, count, repeat(0)), repeat(2)),
@@ -288,16 +283,7 @@ def _reduce_canonical(signs, canon, gamma: GammaGroup) -> GammaElement:
 
 def coefficient_at(elem: GammaElement, g) -> Coefficient:
     """Coefficient at g, with the convention that the section sends [g] to g."""
-    return _coefficient_canonical(elem, elem.gamma.ctx.ambient.check_elem(g))
-
-
-def _coefficient_canonical(elem: GammaElement, g) -> Coefficient:
-    """``coefficient_at`` a canonical element, which is not checked again."""
-    orbit, section = elem.gamma._classify_canonical([g])[0]
-    raw = elem.coeffs.get(orbit, 0)
-    if section is None:
-        return Coefficient(raw % 2, "Z/2")
-    return Coefficient(raw * section, "Z")
+    return elem.coefficient(*elem.gamma.classify(g))
 
 
 def mu1_home(ctx: PairingContext) -> str:

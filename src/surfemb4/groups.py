@@ -118,6 +118,18 @@ class FGAbelianGroup:
 AmbientGroup = FiniteTableGroup | FGAbelianGroup
 
 
+def check_signed(group: AmbientGroup, signs: Sequence, elems: Sequence, error=GroupError) -> list:
+    """The elements, checked and canonical, with signs +1 or -1: the one check of (sign, element) pairs.
+
+    Raises at the first bad pair, its sign first: ``error`` for a sign (neither True nor 1.0).
+    """
+    if not (_INTS.issuperset(map(type, signs)) and {1, -1}.issuperset(signs)):
+        k = next(k for k, s in enumerate(signs) if type(s) is not int or s not in (1, -1))
+        group.check_elems(elems[:k])
+        raise error(f"sign must be +1 or -1, got {signs[k]!r}")
+    return group.check_elems(elems)
+
+
 def make_finite_group(table: Sequence[Sequence[int]]) -> FiniteTableGroup:
     """Validate a multiplication table and build the group.
 
@@ -302,17 +314,10 @@ class SignedSubgroup(namedtuple("SignedSubgroup", "ambient generators closure la
 
 
 def subgroup_closure(ambient: AmbientGroup, generators: Iterable) -> SignedSubgroup:
-    """Close a list of (element, sign) pairs inside G x {+1,-1}."""
-    gens = []
-    for g, s in generators:
-        if type(s) is not int or s not in (1, -1):  # exact: neither True nor 1.0
-            raise GroupError(f"sign must be +1 or -1, got {s!r}")
-        gens.append((ambient.check_elem(g), s))
-    return _closure(ambient, tuple(gens))
-
-
-def _closure(ambient: AmbientGroup, gens: tuple) -> SignedSubgroup:
-    """``subgroup_closure`` of (canonical element, sign) pairs, which are not checked again."""
+    """Close a list of (element, sign) pairs inside G x {+1,-1}; the pairs are checked once."""
+    pairs = list(generators)
+    signs = [s for _, s in pairs]
+    gens = tuple(zip(check_signed(ambient, signs, [g for g, _ in pairs]), signs))
     if ambient.kind == "finite":
         closure = {(ambient.identity, 1)}
         frontier = list(closure)

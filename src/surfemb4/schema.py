@@ -11,7 +11,7 @@ data they were given.
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, le
 from pathlib import Path
 from typing import Sequence
@@ -248,7 +248,7 @@ BIT = _Leaf("0 or 1", int, values=(0, 1))
 SIGN = _Leaf("+1 or -1", int, values=(1, -1))
 BOOL = _Leaf("true or false", bool)
 STR = _Leaf("a string", str)
-ELEMENT = _Shape()  # its form depends on the group, so check_elems checks it
+ELEMENT = _Shape()  # its form depends on the group, so groups.check_signed checks it
 
 INSTANCE_SHAPE = _Object({
     "version": _Leaf(str(SCHEMA_VERSION), int, values=(SCHEMA_VERSION,)),
@@ -392,23 +392,11 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
 
     wM = None
     components: list[engine.ComponentData] = []
-    dps = doc["double_points"]
-    canon = None  # every declared element, generators then etas, checked in one pass
     if group is not None:
-        gens = [g for comp in doc["components"] for g, _ in comp["signed_subgroup"]]
-        try:
-            canon = iter(group.check_elems(gens + list(map(itemgetter("eta"), dps))))
-        except groups.GroupError:
-            pass  # checked one by one below, for an error at every bad one
         wM = _build(errors, "/characters/wM", groups.Character, group, doc["characters"]["wM"])
         for i, comp in enumerate(doc["components"]):
-            signed = comp["signed_subgroup"]
-            if canon is None:
-                subgroup = _build(errors, f"/components/{i}/signed_subgroup",
-                                  groups.subgroup_closure, group, signed)
-            else:
-                subgroup = groups._closure(group, tuple(zip(islice(canon, len(signed)),
-                                                            map(itemgetter(1), signed))))
+            subgroup = _build(errors, f"/components/{i}/signed_subgroup",
+                              groups.subgroup_closure, group, comp["signed_subgroup"])
             if subgroup is not None:
                 components.append(engine.ComponentData(
                     comp["id"], subgroup, comp["has_alg_dual"], comp["dual_framed"],
@@ -421,14 +409,15 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
     surface = (None if too_large or None in parts
                else _build(errors, "/surface", bands.SurfaceModel, parts))
 
-    declared = {c["id"] for c in doc["components"]}
+    declared, dps = {c["id"] for c in doc["components"]}, doc["double_points"]
     ids = list(map(itemgetter("id"), dps))
     pairs = list(map(tuple, map(itemgetter("components"), dps)))
     points = None
-    if (canon is not None and len(set(ids)) == len(ids)
+    if (group is not None and len(set(ids)) == len(ids)
             and declared.issuperset(chain.from_iterable(pairs))):
-        points = whitney.DoublePoints(ids, pairs, map(itemgetter("sign"), dps), canon)
-    else:  # walked point by point, for an error at every bad one
+        points = _build([], "", whitney.DoublePoints, ids, pairs, map(itemgetter("sign"), dps),
+                        map(itemgetter("eta"), dps), group)  # None on a bad eta, which the walk reports
+    if points is None:  # walked point by point, for an error at every bad one
         seen: set[int] = set()
         for i, dp in enumerate(dps):
             pid, pair = dp["id"], dp["components"]
@@ -436,7 +425,7 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
                 errors.append(f"/double_points/{i}/components: unknown component in {pair}")
             elif pid in seen:
                 errors.append(f"/double_points/{i}/id: duplicate double-point id")
-            elif group is not None and canon is None:
+            elif group is not None:
                 try:
                     group.check_elem(dp["eta"])
                 except groups.GroupError as exc:

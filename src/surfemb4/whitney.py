@@ -18,7 +18,10 @@ from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter
 from typing import NamedTuple
 
-from . import _INTS
+from . import _INTS, _lazy
+from .groups import check_signed
+
+gamma = _lazy("surfemb4.gamma")  # its GammaError is the error of a bad sign
 
 _odd = (1).__and__  # parity of an int, as a C-level callable
 
@@ -50,21 +53,29 @@ class DoublePoint(NamedTuple):
 class DoublePoints:
     """Double points as parallel columns: ids, component pairs, signs and etas.
 
-    The reader builds one from its checked columns; ``of`` also takes
-    ``DoublePoint`` records.  The passes over the points read the columns, and
-    ``by_pair`` buckets them once; iterating gives one ``DoublePoint`` per point.
+    Built with a ``group``, the signs and etas are checked against it once and
+    the etas stored canonical; ``group`` records it, and ``take`` keeps it.
+    Without one, they are the view that ``t_count`` and ``to_convenient`` read.
+    ``by_pair`` buckets the points once; iterating gives ``DoublePoint`` records.
     """
 
-    __slots__ = ("ids", "pairs", "signs", "etas", "_by_pair")
+    __slots__ = ("ids", "pairs", "signs", "etas", "group", "_by_pair")
 
-    def __init__(self, ids, pairs, signs, etas):
+    def __init__(self, ids, pairs, signs, etas, group=None):
         self.ids, self.pairs, self.signs, self.etas = map(tuple, (ids, pairs, signs, etas))
+        if group is not None:
+            self.etas = tuple(check_signed(group, self.signs, self.etas, gamma.GammaError))
+        self.group = group
         self._by_pair = None
 
     @classmethod
-    def of(cls, points) -> "DoublePoints":
-        """``points`` as columns; columns are returned as they are."""
-        return points if isinstance(points, cls) else cls(*(tuple(zip(*points)) or ((),) * 4))
+    def of(cls, points, group=None) -> "DoublePoints":
+        """``points``, records or columns, as columns checked against ``group`` unless it is None."""
+        if not isinstance(points, cls):
+            return cls(*(tuple(zip(*points)) or ((),) * 4), group)
+        if group in (None, points.group):  # no check asked for, or done already
+            return points
+        return cls(points.ids, points.pairs, points.signs, points.etas, group)
 
     def by_pair(self) -> dict:
         """Point indices by unordered component pair, in point order; bucketed on first use.
@@ -83,8 +94,10 @@ class DoublePoints:
         return self._by_pair
 
     def take(self, idx: list) -> "DoublePoints":
-        """The points at positions ``idx``, in that order."""
-        return DoublePoints(*(_pick(col, idx) for col in (self.ids, self.pairs, self.signs, self.etas)))
+        """The points at positions ``idx``, in that order, checked against the same group."""
+        out = DoublePoints(*(_pick(col, idx) for col in (self.ids, self.pairs, self.signs, self.etas)))
+        out.group = self.group
+        return out
 
     def ids_within(self, components) -> set:
         """Ids of the points whose components are all among ``components``, read off the buckets."""

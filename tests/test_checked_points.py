@@ -1,0 +1,144 @@
+"""Every sign and eta of a ``ProblemInstance`` is checked, whatever form its points arrive in.
+
+``groups.check_signed`` is the one check of (sign, element) columns.
+``subgroup_closure``, ``reduce_list`` and ``whitney.DoublePoints`` built with
+a group run it, each raising its own error for a bad sign and ``GroupError``
+for a bad element.  ``ProblemInstance`` keeps columns checked against its
+own group and builds every other form, records or bare columns, through
+that same check, so bare columns are no way round it.
+"""
+
+import json
+import random
+from importlib import resources
+
+import pytest
+
+from helpers import cyclic_group, random_points_doc, trivial_character
+from surfemb4 import schema
+from surfemb4.engine import EngineError, ProblemInstance, flowchart, homotopy_analysis
+from surfemb4.gamma import GammaError, PairingContext, build_gamma, reduce_list
+from surfemb4.groups import GroupError, check_signed, subgroup_closure
+from surfemb4.whitney import DoublePoint, DoublePoints
+
+INSTANCES = resources.files("surfemb4").joinpath("data", "instances")
+SHIPPED = sorted(p.name[:-5] for p in INSTANCES.iterdir() if p.name.endswith(".json"))
+
+
+def _doc(name: str) -> dict:
+    return json.loads(INSTANCES.joinpath(name + ".json").read_text())
+
+
+def _rebuilt(inst: ProblemInstance, points) -> ProblemInstance:
+    """``inst`` built again, with its constructor's checks, from ``points``."""
+    return ProblemInstance(**dict(inst._asdict(), points=points))
+
+
+def _forms(inst: ProblemInstance, points: list):
+    """``points`` as ``DoublePoint`` records and as bare columns, built with no group."""
+    records = tuple(DoublePoint(*p) for p in points)
+    return {"records": records, "columns": DoublePoints.of(records)}
+
+
+# (instance, point, sign or None to keep it, eta or None to keep it, error class, message)
+BAD = [
+    ("torus_s3s1", 0, 7, (12345,), GammaError, "sign must be +1 or -1, got 7"),
+    ("torus_s3s1", 1, True, None, GammaError, "sign must be +1 or -1, got True"),
+    ("star_cp2_sphere", 0, None, 999, GroupError, "invalid element 999 for group of order 1"),
+    ("star_cp2_sphere", 1, True, None, GammaError, "sign must be +1 or -1, got True"),
+]
+
+
+@pytest.mark.parametrize("form", ["records", "columns"])
+@pytest.mark.parametrize("name, k, sign, eta, error, message", BAD)
+def test_instance_rejects_a_bad_sign_or_eta_in_every_form(form, name, k, sign, eta, error, message):
+    inst = schema.instance_from_dict(_doc(name))
+    points = [list(p) for p in inst.points]
+    points[k][2] = points[k][2] if sign is None else sign
+    points[k][3] = points[k][3] if eta is None else eta
+    with pytest.raises(error) as exc:
+        _rebuilt(inst, _forms(inst, points)[form])
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_a_non_canonical_abelian_eta_is_stored_canonical():
+    doc = random_points_doc(random.Random(3), finite=False, pairs=20)
+    doc["group"]["factors"] = factors = [0, 3, 4]
+    for dp in doc["double_points"]:
+        dp["eta"] = [dp["id"] - 7, 3 + dp["id"], -5 * dp["id"]]
+    doc["components"] = [dict(c, signed_subgroup=[]) for c in doc["components"]]
+    doc["characters"]["wM"] = [1, 1, 1]
+    inst = schema.instance_from_dict(doc)
+    raw = {dp["id"]: dp["eta"] for dp in doc["double_points"]}
+    canonical = {pid: tuple(x % f if f else x for x, f in zip(raw[pid], factors)) for pid in raw}
+    assert canonical != {pid: tuple(eta) for pid, eta in raw.items()}
+    bare = DoublePoints(inst.points.ids, inst.points.pairs, inst.points.signs,
+                        [tuple(raw[pid]) for pid in inst.points.ids])
+    for points in (inst.points, bare, tuple(bare)):
+        stored = _rebuilt(inst, points).points
+        assert stored.group is inst.group
+        assert dict(zip(stored.ids, stored.etas)) == canonical
+
+
+def test_checked_columns_are_kept_and_others_checked_against_the_instance_group():
+    inst = schema.instance_from_dict(_doc("torus_s3s1"))
+    assert inst.points.group is inst.group
+    assert _rebuilt(inst, inst.points).points is inst.points
+    other = DoublePoints.of(inst.points, type(inst.group)(inst.group.factors))  # equal, not the same
+    assert _rebuilt(inst, other).points.group is inst.group
+
+
+def _outcome(decide, inst):
+    try:
+        return schema.to_json(decide(inst).as_dict())
+    except EngineError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("source", SHIPPED + ["generated finite", "generated abelian"])
+def test_records_and_columns_give_byte_identical_verdicts(source):
+    if source.startswith("generated"):
+        doc = random_points_doc(random.Random(source), source == "generated finite", pairs=40)
+    else:
+        doc = _doc(source)
+    inst = schema.instance_from_dict(doc)
+    raw = [(dp["id"], tuple(dp["components"]), dp["sign"],
+            tuple(dp["eta"]) if type(dp["eta"]) is list else dp["eta"])
+           for dp in doc["double_points"]]  # as declared, unreduced
+    forms = _forms(inst, raw)
+    for decide in (flowchart, homotopy_analysis):
+        expected = _outcome(decide, inst)
+        for points in forms.values():
+            assert _outcome(decide, _rebuilt(inst, points)) == expected
+
+
+def _entries(group):
+    """Each entry that checks (sign, element) pairs, as a call on signs and elements."""
+    trivial = subgroup_closure(group, [])
+    gamma = build_gamma(PairingContext(group, trivial_character(group), trivial, trivial))
+    return {
+        "check_signed": lambda signs, elems: check_signed(group, signs, elems),
+        "subgroup_closure": lambda signs, elems: subgroup_closure(group, list(zip(elems, signs))),
+        "reduce_list": lambda signs, elems: reduce_list(list(zip(signs, elems)), gamma),
+        "DoublePoints": lambda signs, elems: DoublePoints(
+            range(len(signs)), [(0, 0)] * len(signs), signs, elems, group),
+    }
+
+
+SIGN_ERROR = {"check_signed": GroupError, "subgroup_closure": GroupError,
+              "reduce_list": GammaError, "DoublePoints": GammaError}
+
+
+@pytest.mark.parametrize("entry", SIGN_ERROR)
+@pytest.mark.parametrize("bad_sign", [7, True, 1.0, 0, None], ids=repr)
+def test_every_entry_keeps_its_error_class_and_message(entry, bad_sign):
+    call = _entries(cyclic_group(4))[entry]
+    with pytest.raises(SIGN_ERROR[entry]) as exc:
+        call([1, -1, bad_sign, 1], [0, 1, 2, 9])
+    assert type(exc.value) is SIGN_ERROR[entry]
+    assert str(exc.value) == f"sign must be +1 or -1, got {bad_sign!r}"
+    with pytest.raises(GroupError) as exc:  # an element before the bad sign is met first
+        call([1, -1, bad_sign], [0, 9, 2])
+    assert type(exc.value) is GroupError and str(exc.value) == "invalid element 9 for group of order 4"
+    with pytest.raises(SIGN_ERROR[entry]):  # at one pair, its sign before its element
+        call([1, bad_sign], [0, 9])

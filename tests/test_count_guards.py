@@ -12,6 +12,11 @@ abelian instance at 1x, 2x and 4x its discs, in both modes:
 
 ``DoublePoints.by_pair`` is checked on an instance with 200 components: it
 runs a fixed number of Python lines, however many component pairs there are.
+
+On an instance of C point-free components at 1x, 2x and 4x C, the primary
+obstructions build one target group and take one column slice per
+component, never one per component pair, and the package's Python lines
+grow linearly in C.
 """
 
 import json
@@ -22,9 +27,10 @@ from pathlib import Path
 import pytest
 
 from helpers import random_points_doc
-from surfemb4 import cli, schema, whitney
+from surfemb4 import cli, engine, schema, whitney
 
 PACKAGE = str(Path(schema.__file__).parent)
+PACKAGE_DATA = Path(PACKAGE) / "data" / "instances"
 
 
 class _Lines:
@@ -48,6 +54,16 @@ class _Lines:
         sys.settrace(None)
 
 
+def _counter(counts: dict):
+    """``counted(key, original)``: ``original``, counting its calls in ``counts[key]``."""
+    def counted(key, original):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return call
+    return counted
+
+
 def _instance(tmp_path, pairs: int) -> Path:
     """A valid abelian instance with ``pairs`` cancelling pairs of points, one disc each."""
     doc = random_points_doc(random.Random(11), finite=False, pairs=pairs)
@@ -63,13 +79,7 @@ def _instance(tmp_path, pairs: int) -> Path:
 @pytest.mark.parametrize("mode", ["regular", "homotopy"])
 def test_decide_work_does_not_grow_per_point_or_disc(mode, tmp_path, monkeypatch, capsys):
     counts = {"records": 0, "object checks": 0, "key-set tests": 0}
-
-    def counted(key, original):
-        def call(*args, **kwargs):
-            counts[key] += 1
-            return original(*args, **kwargs)
-        return call
-
+    counted = _counter(counts)
     monkeypatch.setattr(whitney.WhitneyDisc, "__new__",
                         counted("records", whitney.WhitneyDisc.__new__))
     monkeypatch.setattr(schema._Object, "check", counted("object checks", schema._Object.check))
@@ -101,3 +111,36 @@ def test_by_pair_runs_no_line_per_pair(tmp_path):
     for k, pair in enumerate(points.pairs):
         expected.setdefault(frozenset(pair), []).append(k)
     assert buckets == expected
+
+
+def _components_doc(n: int) -> dict:
+    """``torus_s3s1`` with ``n`` genus-0 components, no double points, no discs and no bands."""
+    doc = json.loads((PACKAGE_DATA / "torus_s3s1.json").read_text())
+    doc["components"] = [dict(doc["components"][0], id=c) for c in range(n)]
+    doc["surface"]["components"] = [{"id": c, "genus": 0, "orientable": True, "boundary_circles": 0}
+                                    for c in range(n)]
+    doc.update(double_points=[], whitney_collection=None)
+    doc["catalogs"].update(bands=[], rel_h2={"basis": [], "boundary": {}})
+    return doc
+
+
+@pytest.mark.parametrize("decide", [engine.flowchart, engine.homotopy_analysis],
+                         ids=["regular", "homotopy"])
+def test_primary_obstructions_grow_linearly_in_components(decide, monkeypatch):
+    counts = {"gamma builds": 0, "column slices": 0}
+    counted = _counter(counts)
+    monkeypatch.setattr(engine, "build_gamma", counted("gamma builds", engine.build_gamma))
+    monkeypatch.setattr(whitney.DoublePoints, "take",
+                        counted("column slices", whitney.DoublePoints.take))
+    seen = []
+    for n in (40, 80, 160):
+        inst = schema.instance_from_dict(_components_doc(n))
+        decide(inst)  # once first, so lazy modules have run
+        counts.update(dict.fromkeys(counts, 0))
+        with _Lines() as lines:
+            assert decide(inst).outcome == "RegHomotopicToEmbedding"
+        seen.append((n, lines.count, dict(counts)))
+        assert counts == {"gamma builds": n, "column slices": n}, seen
+    (n1, lines1, _), *rest = seen
+    for n, lines, _ in rest:
+        assert lines < lines1 * n / n1 * 1.1, seen  # linear; a scan per component is quadratic

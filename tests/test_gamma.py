@@ -12,7 +12,6 @@ from surfemb4.gamma import (
     GammaGroup,
     GammaError,
     PairingContext,
-    _reduce_canonical,
     build_gamma,
     coefficient_at,
     mu1_home,
@@ -527,7 +526,7 @@ def test_reduce_classifies_only_the_live_elements(drawn):
     signs = [sign for sign, _ in entries]
     canon = G.check_elems([e for _, e in entries])
     gamma = build_gamma(ctx)
-    got = _reduce_canonical(signs, canon, gamma)
+    got = reduce_list(entries, gamma)
     want = reduce_list_per_point(entries, build_gamma(ctx))
     assert got.coeffs == want.coeffs
     net = Counter()

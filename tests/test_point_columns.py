@@ -1,9 +1,10 @@
 """Double points as columns: the reader's column pass against the per-point reader.
 
-The reader checks every element an instance declares, subgroup generators
-and etas, in one ``check_elems`` call, and holds the double points as
-``whitney.DoublePoints`` columns; the flowchart reduces the canonical etas
-without checking them again.  On generated instances, valid or with bad
+The reader checks every element an instance declares once: each
+component's subgroup generators in ``subgroup_closure``, and the etas when
+it builds the double points as ``whitney.DoublePoints`` columns checked
+against the group; the flowchart reduces the canonical etas without
+checking them again.  On generated instances, valid or with bad
 entries planted, the columns, the error lists, the reduced obstructions, t
 and the verdicts must equal those of the per-point code they replaced
 (``helpers.instance_from_dict_per_point`` and its neighbours).
@@ -117,10 +118,21 @@ def _shipped(name) -> str:
     return str(resources.files("surfemb4").joinpath("data", "instances", name + ".json"))
 
 
+def _count_checks(monkeypatch) -> list:
+    """The length of each ``check_elems`` call from here on, on both backends."""
+    calls = []
+    for cls in (FiniteTableGroup, FGAbelianGroup):
+        monkeypatch.setattr(cls, "check_elems",
+                            lambda self, values, check=cls.check_elems:
+                            calls.append(len(values)) or check(self, values))
+    return calls
+
+
 @pytest.mark.parametrize("mode", ["regular", "homotopy"])
 @pytest.mark.parametrize("source", ["star_cp2_sphere", "torus_s3s1", "generated abelian"])
 def test_decide_checks_every_element_once(source, mode, tmp_path, monkeypatch, capsys):
-    """One ``check_elems`` call per instance, covering its generators and etas, on both backends."""
+    """Each generator and eta checked once: one ``check_elems`` call per component's generators,
+    one for the etas, and in homotopy mode one for the identity per component, whose mu_1 is read."""
     if source == "generated abelian":
         doc = random_points_doc(random.Random(7), finite=False, pairs=600)
         path = tmp_path / "generated.json"
@@ -128,13 +140,23 @@ def test_decide_checks_every_element_once(source, mode, tmp_path, monkeypatch, c
     else:
         path = Path(_shipped(source))
         doc = json.loads(path.read_text())
-    calls = []
-    for cls in (FiniteTableGroup, FGAbelianGroup):
-        monkeypatch.setattr(cls, "check_elems",
-                            lambda self, values, check=cls.check_elems:
-                            calls.append(len(values)) or check(self, values))
+    calls = _count_checks(monkeypatch)
     assert cli.main(["decide", str(path), "--mode", mode]) == 0
     assert "outcome" in json.loads(capsys.readouterr().out)
-    elements = sum(len(c["signed_subgroup"]) for c in doc["components"]) + len(doc["double_points"])
+    gens = [len(c["signed_subgroup"]) for c in doc["components"]]
+    identity = [1] * len(gens) if mode == "homotopy" else []
     assert len(doc["double_points"]) >= (1000 if source == "generated abelian" else 2)
-    assert calls == [elements]
+    assert calls == gens + [len(doc["double_points"])] + identity
+
+
+@pytest.mark.parametrize("source, queries", [("star_cp2_sphere", ["0"]),
+                                             ("torus_s3s1", ["[0]", "[-3]", "[5]"])])
+def test_gamma_checks_each_query_once(source, queries, monkeypatch, capsys):
+    """``cli gamma`` checks each query when it classifies it, and reduces the checked points as they are."""
+    doc = json.loads(Path(_shipped(source)).read_text())
+    calls = _count_checks(monkeypatch)
+    argv = ["gamma", _shipped(source), "--component", "0"]
+    assert cli.main(argv + [arg for q in queries for arg in ("--query", q)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["queries"]) == len(queries)
+    gens = [len(c["signed_subgroup"]) for c in doc["components"]]
+    assert calls == gens + [len(doc["double_points"])] + [1] * len(queries)
