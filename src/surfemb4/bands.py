@@ -1,8 +1,9 @@
 """Surface homology models, the band invariant, and characteristic checks.
 
 The surface's GF(2) H1 has a fixed basis (``SurfaceModel``).  Declared H1
-vectors are 0/1 tuples, their sums int bitmasks, and the intersection form
-is a popcount on bitmasks.  Band records declare the four parity
+vectors are 0/1 tuples; ``BandCatalog`` checks each one once, into an int
+bitmask, and everything after it reads the bitmasks: the intersection form
+is a popcount on them.  Band records declare the four parity
 ingredients of the invariant Theta for a generating set of classes in the
 relative second homology; the checks here validate the declarations and
 decide the b-/r-/s-characteristic conditions.
@@ -85,17 +86,15 @@ class SurfaceComponent(namedtuple("SurfaceComponent", "id genus orientable bound
         return closed - self.boundary_circles
 
 
-def _check_bits(vec, n: int, error: str, *names) -> tuple[int, ...]:
-    """``vec`` as a tuple of n entries equal to 0 or 1, else a BandError worded by ``error``."""
-    bits = tuple(vec)  # counting is C-level; == accepts what `x in (0, 1)` does
-    if len(bits) != n or bits.count(0) + bits.count(1) != n:
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(vec, n: int, error: str, *names) -> int:
+    """The bitmask (bit i for entry i) of n exact ints 0 or 1, else a BandError worded by ``error``."""
+    bits = tuple(vec)  # C-level passes: the types, the counts, then one base-2 parse
+    if len(bits) != n or not _INTS.issuperset(map(type, bits)) or bits.count(0) + bits.count(1) != n:
         raise BandError(error.format(vec, n, *names))
-    return bits
-
-
-def _bits(vec) -> int:
-    """The bitmask of a checked 0/1 vector: bit i is entry i."""
-    return sum(map((1).__lshift__, compress(range(len(vec)), vec)))
+    return int(bytes(bits[::-1]).translate(_DIGITS) or b"0", 2)
 
 
 class SurfaceModel:
@@ -103,10 +102,10 @@ class SurfaceModel:
 
     In id order, each component takes the next ``h1_ranks`` positions: a_1,
     b_1, ..., a_g, b_g or cross-caps e_1, ..., e_g, then one inert class per
-    boundary circle but the last.  Bitmask ``w1`` marks the e_i, ``_a`` the
-    a_i.  Masks rule: ``check_vec``, ``w1_of`` and ``components_of_vec`` take
-    declared 0/1 tuples; ``form`` takes bitmasks, bit i for position i, as
-    ``BandRecord.total_boundary`` and ``RelH2.boundary_of`` return them.
+    boundary circle but the last.  H1 vectors are int bitmasks, bit i for
+    position i; ``mask`` turns a declared 0/1 vector into one.  Bitmask
+    ``w1`` marks the e_i, ``_a`` the a_i, and ``_spans`` each component's
+    positions.
     """
 
     def __init__(self, components: Sequence[SurfaceComponent]):
@@ -114,7 +113,7 @@ class SurfaceModel:
         if len(set(ids)) != len(ids):
             raise BandError("duplicate surface component ids")
         self.components = tuple(sorted(components, key=lambda c: c.id))
-        self._slices: dict[int, tuple[int, int]] = {}
+        self._spans: dict[int, int] = {}
         self.w1 = self._a = lo = 0
         for comp in self.components:
             closed, boundary = h1_ranks(comp.genus, comp.orientable, comp.boundary_circles)
@@ -122,43 +121,27 @@ class SurfaceModel:
                 self._a |= (4 ** comp.genus - 1) // 3 << lo
             else:
                 self.w1 |= ((1 << closed) - 1) << lo
-            self._slices[comp.id] = (lo, lo + closed + boundary)
+            self._spans[comp.id] = ((1 << closed + boundary) - 1) << lo
             lo += closed + boundary
         self.dim = lo
 
-    def check_vec(self, vec) -> tuple[int, ...]:
-        return _check_bits(vec, self.dim, "bad H1 vector {0!r}; expected {1} bits")
+    def mask(self, vec) -> int:
+        """The bitmask of a declared H1 vector: ``dim`` entries, each 0 or 1."""
+        return _mask(vec, self.dim, "bad H1 vector {0!r}; expected {1} bits")
 
     def form(self, x: int, y: int) -> int:
         """lambda(x, y) on bitmasks: the cross-cap diagonal and the a_i.b_i pairs, by popcount."""
         pairs = ((x & (y >> 1)) ^ ((x >> 1) & y)) & self._a
         return ((x & y & self.w1) ^ pairs).bit_count() & 1
 
-    def w1_of(self, vec) -> int:
-        return (_bits(self.check_vec(vec)) & self.w1).bit_count() & 1
+    def w1_of(self, x: int) -> int:
+        return (x & self.w1).bit_count() & 1
 
-    def components_of_vec(self, vec) -> set[int]:
-        vec = self.check_vec(vec)
-        out = set()
-        for cid, (lo, hi) in self._slices.items():
-            if any(vec[lo:hi]):
-                out.add(cid)
-        return out
+    def components_of(self, x: int) -> set[int]:
+        return {cid for cid, span in self._spans.items() if x & span}
 
 
 _BASIS_BOUNDARY = "boundary of RelH2 basis class"
-
-
-def _xor_fold(named, dim: int, what: str) -> int:
-    """GF(2) sum, as a bitmask, of the H1 vectors of (name, vector) pairs, each checked."""
-    total = 0
-    for name, vec in named:
-        if len(vec) != dim:
-            raise BandError(f"{what} {name!r} has length {len(vec)}, "
-                            f"expected the H1 dimension {dim}")
-        total ^= _bits(_check_bits(vec, dim, "{2} {3!r} has an entry other than 0 or 1: {0!r}",
-                                   what, name))
-    return total
 
 
 class RelH2(namedtuple("RelH2", "basis boundary")):
@@ -172,14 +155,6 @@ class RelH2(namedtuple("RelH2", "basis boundary")):
         if set(boundary) != set(basis):
             raise BandError("boundary map must be defined exactly on the basis")
         return super().__new__(cls, basis, boundary)
-
-    def check_class(self, vec) -> tuple[int, ...]:
-        return _check_bits(vec, len(self.basis), "bad RelH2 vector {0!r}")
-
-    def boundary_of(self, vec, dim: int) -> int:
-        """The boundary of a class as an H1 bitmask; class 0 has boundary 0, also over no basis."""
-        named = compress(self.basis, self.check_class(vec))
-        return _xor_fold(((name, self.boundary[name]) for name in named), dim, _BASIS_BOUNDARY)
 
 
 class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1_sigma w1m_core "
@@ -203,9 +178,7 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
             if type(bit) is not int or bit not in (0, 1):  # neither True nor 1.0
                 raise BandError(f"parity fields must be 0 or 1 on band {id!r}")
         for field, vec in (("rel_class", rel_class), ("w1_sigma", w1_sigma)):
-            error = "band {2!r}: {3} has an entry other than 0 or 1: {0!r}"
-            if not _INTS.issuperset(map(type, _check_bits(vec, len(vec), error, id, field))):
-                raise BandError(error.format(vec, len(vec), id, field))
+            _mask(vec, len(vec), "band {2!r}: {3} has an entry other than 0 or 1: {0!r}", id, field)
         if len(w1_sigma) != len(boundary_classes):
             raise BandError(f"band {id!r}: one w1 value per boundary circle")
         if kind == "annulus" and len(boundary_classes) != 2:
@@ -215,17 +188,35 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
         return super().__new__(cls, id, kind, rel_class, boundary_classes, w1_sigma, w1m_core,
                                mu_boundary, arc_count, interior, euler)
 
-    def total_boundary(self, dim: int) -> int:
-        return _xor_fold(enumerate(self.boundary_classes), dim, f"band {self.id!r}: boundary circle")
+    def total_boundary(self, surface: SurfaceModel) -> int:
+        """The GF(2) sum of the boundary circles, each checked by ``surface.mask``."""
+        return reduce(xor, map(surface.mask, self.boundary_classes), 0)
 
 
-def validate_record(record: BandRecord, surface: SurfaceModel, rel: Optional[RelH2] = None) -> None:
-    """Admissibility and declaration consistency for one record."""
+class RecordMasks(NamedTuple):
+    """A checked record's vectors as bitmasks: its class, total boundary and circles' support."""
+
+    rel_class: int
+    boundary: int
+    support: int
+
+
+def validate_record(record: BandRecord, surface: SurfaceModel,
+                    boundaries: Optional[Sequence[int]] = None) -> RecordMasks:
+    """Admissibility and declaration consistency for one record, each circle checked once.
+
+    Given a catalog's basis-boundary masks, the class is checked against the
+    basis, and the XOR of the masks it names against the circles' sum.
+    """
+    total = support = 0
     for c, w in zip(record.boundary_classes, record.w1_sigma):
-        if surface.w1_of(c) != w:
+        x = surface.mask(c)
+        if surface.w1_of(x) != w:
             raise BandError(
                 f"band {record.id!r}: declared w1(Sigma) value {w} disagrees with the class"
             )
+        total ^= x
+        support |= x
     if (record.w1m_core + sum(record.w1_sigma)) % 2 != 0:
         raise BandError(f"band {record.id!r} violates the w1 admissibility condition")
     if record.kind == "mobius" and record.w1_sigma[0] != 0:
@@ -234,35 +225,57 @@ def validate_record(record: BandRecord, surface: SurfaceModel, rel: Optional[Rel
         )
     if record.kind == "surface" and any(record.w1_sigma):
         raise BandError(f"surface record {record.id!r} needs w1-trivial boundary circles")
-    if rel is not None:
-        declared = record.total_boundary(surface.dim)
-        if rel.boundary_of(record.rel_class, surface.dim) != declared:
-            raise BandError(
-                f"band {record.id!r}: boundary map of its class disagrees with the "
-                "declared boundary circles"
-            )
+    rel_class = _mask(record.rel_class, len(record.rel_class if boundaries is None else boundaries),
+                      "bad RelH2 vector {0!r}")
+    if boundaries is not None and reduce(xor, compress(boundaries, record.rel_class), 0) != total:
+        raise BandError(
+            f"band {record.id!r}: boundary map of its class disagrees with the "
+            "declared boundary circles"
+        )
+    return RecordMasks(rel_class, total, support)
 
 
-class BandCatalog(namedtuple("BandCatalog", "surface rel records")):
-    """User-declared generators of the representable-band subset."""
+class BandCatalog(namedtuple("BandCatalog", "surface rel records masks")):
+    """User-declared generators of the representable-band subset.
+
+    Each basis boundary, class and circle is checked here once; ``masks``
+    maps each record id to the ``RecordMasks`` that all later work reads.
+    """
 
     __slots__ = ()
 
     def __new__(cls, surface: SurfaceModel, rel: RelH2, records: tuple[BandRecord, ...]):
-        self = super().__new__(cls, surface, rel, records)
+        self = super().__new__(cls, surface, rel, records, {})
         self.__post_init__()
         return self
 
     def __post_init__(self):
-        """The catalog checks, kept as a method of their own so the benchmark can time them."""
+        """The catalog checks, kept as a method of their own so the benchmark can time them.
+
+        O(B·dim + R·(B + c·dim)) bit operations: B basis classes, R records of c circles."""
         ids = [r.id for r in self.records]
         if len(set(ids)) != len(ids):
             raise BandError("duplicate band ids")
-        # the fold over the whole basis checks every basis boundary
-        _xor_fold(((name, self.rel.boundary[name]) for name in self.rel.basis), self.surface.dim,
-                  _BASIS_BOUNDARY)
+        dim, boundaries = self.surface.dim, []
+        for name in self.rel.basis:
+            vec = self.rel.boundary[name]
+            if len(vec) != dim:
+                raise BandError(f"{_BASIS_BOUNDARY} {name!r} has length {len(vec)}, "
+                                f"expected the H1 dimension {dim}")
+            boundaries.append(_mask(vec, dim, "{2} {3!r} has an entry other than 0 or 1: {0!r}",
+                                    _BASIS_BOUNDARY, name))
         for r in self.records:
-            validate_record(r, self.surface, self.rel)  # checks the class, in boundary_of
+            self.masks[r.id] = validate_record(r, self.surface, boundaries)
+
+    def supported_on(self, components) -> BandCatalog:
+        """The records whose circles lie on the given components, by one AND a record.
+
+        Checked records pass every check, so ``_replace`` skips them and keeps
+        ``masks``, which is keyed by id.
+        """
+        outside = ~sum(self.surface._spans.get(cid, 0) for cid in components)
+        return self._replace(records=tuple(
+            r for r in self.records if not self.masks[r.id].support & outside))
 
 
 def theta(record: BandRecord) -> int:
@@ -289,8 +302,7 @@ def _boundary_form_witness(catalog: BandCatalog) -> Optional[tuple[str, str]]:
     boundaries span a space of rank k.
     """
     surface = catalog.surface
-    # the catalog has checked every circle, so each record folds to one mask unchecked
-    totals = [reduce(xor, map(_bits, r.boundary_classes), 0) for r in catalog.records]
+    totals = [catalog.masks[r.id].boundary for r in catalog.records]
     basis: dict[int, int] = {}
     first = None
     for i in range(len(totals) - 1, -1, -1):
@@ -323,14 +335,15 @@ class ThetaFunctional:
     costs at most one XOR per bit of its class.
     """
 
-    def __init__(self, records: Sequence[BandRecord]):
+    def __init__(self, catalog: BandCatalog):
         self._rows: dict[int, tuple[int, int, int]] = {}
         self.witness: Optional[str] = None
+        records = catalog.records
         for k, r in enumerate(records):
             value = theta(r)
             if value and self.witness is None:
                 self.witness = r.id
-            vec, value, used = self._reduce(_bits(r.rel_class), value, 1 << k)
+            vec, value, used = self._reduce(catalog.masks[r.id].rel_class, value, 1 << k)
             if vec:
                 self._rows[vec.bit_length() - 1] = (vec, value, used)
             elif value:
@@ -354,7 +367,7 @@ def validate_theta_well_defined(catalog: BandCatalog) -> ThetaFunctional:
     """
     if _boundary_form_witness(catalog) is not None:
         raise NotLinearizable("the cross-term lambda(C,C') obstructs linearity")
-    return ThetaFunctional(catalog.records)
+    return ThetaFunctional(catalog)
 
 
 class BCharResult(NamedTuple):
@@ -378,7 +391,7 @@ def is_b_characteristic(catalog: BandCatalog) -> BCharResult:
     pair = _boundary_form_witness(catalog)
     if pair is not None:
         return BCharResult(False, pair)
-    witness = ThetaFunctional(catalog.records).witness
+    witness = ThetaFunctional(catalog).witness
     return BCharResult(witness is None, witness)
 
 
@@ -401,7 +414,7 @@ def union_records(r1: BandRecord, r2: BandRecord, surface: SurfaceModel,
     """
     if len(r1.rel_class) != len(r2.rel_class):
         raise BandError("records live over different RelH2 bases")
-    lam = surface.form(r1.total_boundary(surface.dim), r2.total_boundary(surface.dim))
+    lam = surface.form(r1.total_boundary(surface), r2.total_boundary(surface))
     return BandRecord(
         id=new_id or f"{r1.id}+{r2.id}",
         kind="surface",
@@ -425,7 +438,7 @@ def band_fibre_finger_move(points, collection: WhitneyCollection, record: BandRe
     which is checked.  Returns (points, collection, delta_t).
     """
     expected = theta(record)
-    touched = [surface.components_of_vec(c) for c in record.boundary_classes]
+    touched = [surface.components_of(surface.mask(c)) for c in record.boundary_classes]
     if record.kind == "annulus":
         pair_comps = tuple(min(comps, default=min(components)) for comps in touched)
     else:

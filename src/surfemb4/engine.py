@@ -15,7 +15,7 @@ from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
-from .bands import BandCatalog, BCharResult, SurfaceModel, is_b_characteristic
+from .bands import BCharResult, SurfaceModel, is_b_characteristic
 from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list
 from .groups import SignedSubgroup
 from .whitney import DoublePoints, UnpairedPoints, t_count, to_convenient
@@ -169,18 +169,6 @@ def restrict_Ft(inst: ProblemInstance) -> list[int]:
 # -- characteristic status and t ----------------------------------------------
 
 
-def _catalog_for(inst: ProblemInstance, ft: Sequence[int]) -> BandCatalog:
-    """Restrict the declared band catalog to records supported on F^t.
-
-    A subset of the reader's checked records passes every catalog check, so
-    ``_replace`` skips them.
-    """
-    ft_set, vec_comps = set(ft), inst.surface.components_of_vec
-    return inst.band_catalog._replace(records=tuple(
-        r for r in inst.band_catalog.records
-        if ft_set.issuperset(chain.from_iterable(map(vec_comps, r.boundary_classes)))))
-
-
 def _bchar_nodes(inst: ProblemInstance, ft: Sequence[int], trace: list[TraceEntry]):
     """Run the two Fig.-2 characteristic nodes; returns a BCharResult."""
     flagged = sorted(set(ft) & inst.torus_summands)
@@ -188,7 +176,7 @@ def _bchar_nodes(inst: ProblemInstance, ft: Sequence[int], trace: list[TraceEntr
         trace.append(TraceEntry("pi_1-trivial torus summand declared on F^t", "Prop 7.1",
                                 {"components": flagged}))
         return BCharResult(False, tuple(flagged))
-    status = is_b_characteristic(_catalog_for(inst, ft))
+    status = is_b_characteristic(inst.band_catalog.supported_on(ft))
     trace.append(TraceEntry("Is lambda_Sigma|_dB(F^t) != 0?", "Fig. 2; Def 5.6, Lemma 5.7",
                             "yes" if status.form_nonzero else "no"))
     if not status.form_nonzero:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, compress, repeat
-from operator import itemgetter, le
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -164,18 +164,14 @@ class _Object(_Shape):
     def fits_all(self, values: list) -> bool:
         if not {dict}.issuperset(map(type, values)):
             return False
-        if self.required != self.allowed:  # optional fields: a key-set test per object
-            return (all(map(le, repeat(self.required), map(dict.keys, values)))
-                    and all(map(le, map(dict.keys, values), repeat(self.allowed)))
-                    and all(shape.fits_all(list(map(itemgetter(key), values)) if key in self.required
-                                           else [v[key] for v in values if key in v])
-                            for key, shape in self.fields))
-        try:  # as many keys as fields, and every field found: exactly the fields
-            return ({len(self.fields)}.issuperset(map(len, values))
-                    and all(shape.fits_all(list(map(itemgetter(key), values)))
-                            for key, shape in self.fields))
+        try:  # every required field in every object
+            columns = [(shape, list(map(itemgetter(key), values)) if key in self.required
+                        else [v[key] for v in values if key in v]) for key, shape in self.fields]
         except KeyError:
             return False
+        # each entry taken is a declared key, so as many keys as entries leaves no unknown key
+        return (sum(map(len, values)) == sum(len(column) for _, column in columns)
+                and all(shape.fits_all(column) for shape, column in columns))
 
 
 class _Map(_Shape):

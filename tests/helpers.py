@@ -11,8 +11,9 @@ gamma, list-reduction, Whitney-conversion and projective-plane oracles, the
 Lagrange interpolation of the Alexander polynomial, the per-point and
 per-disc reader, bucketing and F^t filter that the double-point columns
 replaced, the per-disc collection checks, t-count and conversion that the
-disc columns replaced, and the pair-by-pair boundary-form scan that the
-span-basis walk replaced.
+disc columns replaced, the pair-by-pair boundary-form scan that the
+span-basis walk replaced, and the per-record band checks that the catalog's
+one mask per vector replaced.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 import mpmath
 
 from surfemb4 import bands, engine, groups, whitney
-from surfemb4.bands import BandError, ThetaFunctional, _bits
+from surfemb4.bands import BandError, ThetaFunctional
 from surfemb4.engine import (
     EngineError,
     MissingWhitneyData,
@@ -81,7 +82,10 @@ def replace(record, **changes):
 
     A record's own ``_replace`` skips the constructor's checks.
     """
-    return type(record)(**dict(record._asdict(), **changes))
+    fields = dict(record._asdict(), **changes)
+    if isinstance(record, bands.BandCatalog):  # the constructor computes the masks again
+        del fields["masks"]
+    return type(record)(**fields)
 
 
 def cyclic_group(n: int) -> AmbientGroup:
@@ -914,7 +918,7 @@ def boundary_form_witness_pairs(catalog) -> Optional[tuple[str, str]]:
     the reference for ``bands._boundary_form_witness``, which walks a span basis.
     """
     surface = catalog.surface
-    totals = [(r.id, r.total_boundary(surface.dim)) for r in catalog.records]
+    totals = [(r.id, r.total_boundary(surface)) for r in catalog.records]
     for i, (id1, x) in enumerate(totals):
         for id2, y in totals[i:]:
             if surface.form(x, y):
@@ -922,9 +926,59 @@ def boundary_form_witness_pairs(catalog) -> Optional[tuple[str, str]]:
     return None
 
 
+def _per_record_bits(vec, n: int, error: str, *names) -> tuple:
+    """``vec`` as n entries, each an exact int 0 or 1, else a BandError worded by ``error``."""
+    bits = tuple(vec)
+    if len(bits) != n or not all(type(x) is int and x in (0, 1) for x in bits):
+        raise BandError(error.format(vec, n, *names))
+    return bits
+
+
+def _per_record_fold(named, dim: int, what: str) -> int:
+    """GF(2) sum, as a bitmask, of the (name, vector) pairs' H1 vectors, each checked."""
+    total = 0
+    for name, vec in named:
+        if len(vec) != dim:
+            raise BandError(f"{what} {name!r} has length {len(vec)}, expected the H1 dimension {dim}")
+        total ^= mask(_per_record_bits(vec, dim, "{2} {3!r} has an entry other than 0 or 1: {0!r}",
+                                       what, name))
+    return total
+
+
+def band_catalog_per_record(surface, rel, records) -> None:
+    """The band catalog's checks as they were made before the catalog masked each vector once.
+
+    Each circle is checked for its w1 value, then again in the fold of the
+    record's total boundary, and each record's class is checked and its
+    named basis boundaries folded again; ``bands.BandCatalog`` must raise the
+    same first ``BandError``.  The bit rule is the exact-int one throughout.
+    """
+    dim, basis_boundary = surface.dim, "boundary of RelH2 basis class"
+    if len({r.id for r in records}) != len(records):
+        raise BandError("duplicate band ids")
+    _per_record_fold(((name, rel.boundary[name]) for name in rel.basis), dim, basis_boundary)
+    for r in records:
+        for c, w in zip(r.boundary_classes, r.w1_sigma):
+            vec = _per_record_bits(c, dim, "bad H1 vector {0!r}; expected {1} bits")
+            if bin(mask(vec) & surface.w1).count("1") % 2 != w:
+                raise BandError(f"band {r.id!r}: declared w1(Sigma) value {w} disagrees with the class")
+        if (r.w1m_core + sum(r.w1_sigma)) % 2 != 0:
+            raise BandError(f"band {r.id!r} violates the w1 admissibility condition")
+        if r.kind == "mobius" and r.w1_sigma[0] != 0:
+            raise BandError(f"mobius band {r.id!r} with orientation-reversing boundary is excluded")
+        if r.kind == "surface" and any(r.w1_sigma):
+            raise BandError(f"surface record {r.id!r} needs w1-trivial boundary circles")
+        declared = _per_record_fold(enumerate(r.boundary_classes), dim, f"band {r.id!r}: boundary circle")
+        cls = _per_record_bits(r.rel_class, len(rel.basis), "bad RelH2 vector {0!r}")
+        named = itertools.compress(rel.basis, cls)
+        if _per_record_fold(((name, rel.boundary[name]) for name in named), dim, basis_boundary) != declared:
+            raise BandError(f"band {r.id!r}: boundary map of its class disagrees with the "
+                            "declared boundary circles")
+
+
 def theta_value(functional: ThetaFunctional, vec) -> int:
     """Theta of a class in the span of the records, read off the functional's echelon rows."""
-    rest, value, _ = functional._reduce(_bits(vec), 0, 0)
+    rest, value, _ = functional._reduce(mask(vec), 0, 0)
     if rest:
         raise BandError(f"class {list(vec)} is outside the declared span")
     return value

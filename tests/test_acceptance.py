@@ -20,7 +20,6 @@ from surfemb4.bands import (
     is_s_characteristic,
     theta,
     union_records,
-    validate_record,
 )
 from surfemb4.engine import abelian_euler_bound_check, flowchart, rp2_euler_parity, stong_t_formula
 from surfemb4.gamma import PairingContext, build_gamma, mu1_home, smith_oracle
@@ -145,23 +144,23 @@ def _random_admissible_record(surface, rng, rid, basis_size, basis_slot):
         kind = rng.choice(("annulus", "mobius", "surface"))
         if kind == "annulus":
             classes = [tuple(rng.randrange(2) for _ in range(dim)) for _ in range(2)]
-            if sorted(surface.w1_of(c) for c in classes) == [0, 1]:
+            if sorted(surface.w1_of(surface.mask(c)) for c in classes) == [0, 1]:
                 continue
         elif kind == "mobius":
             classes = [tuple(rng.randrange(2) for _ in range(dim))]
-            if surface.w1_of(classes[0]):
+            if surface.w1_of(surface.mask(classes[0])):
                 continue
         else:
             classes = [tuple(rng.randrange(2) for _ in range(dim))
                        for _ in range(rng.randrange(3))]
-            if any(surface.w1_of(c) for c in classes):
+            if any(surface.w1_of(surface.mask(c)) for c in classes):
                 continue
         rel_class = [0] * basis_size
         rel_class[basis_slot] = 1
         return BandRecord(
             rid, kind, tuple(rel_class), tuple(classes),
-            tuple(surface.w1_of(c) for c in classes),
-            sum(surface.w1_of(c) for c in classes) % 2,
+            tuple(surface.w1_of(surface.mask(c)) for c in classes),
+            sum(surface.w1_of(surface.mask(c)) for c in classes) % 2,
             rng.randrange(2), rng.randrange(2), rng.randrange(2), rng.randrange(2),
         )
 
@@ -174,7 +173,7 @@ def test_criterion_08_theta_machinery():
         surface = _random_surface(rng)
         r1 = _random_admissible_record(surface, rng, "r1", 2, 0)
         r2 = _random_admissible_record(surface, rng, "r2", 2, 1)
-        lam = surface.form(r1.total_boundary(surface.dim), r2.total_boundary(surface.dim))
+        lam = surface.form(r1.total_boundary(surface), r2.total_boundary(surface))
         try:
             expected = (theta(r1) + theta(r2) + lam) % 2
         except MixedW1Annulus:
@@ -295,7 +294,7 @@ def test_criterion_10_consistency_guards():
             records.append(BandRecord(f"b{i}", "surface", tuple(rel_class), (), (), 0,
                                       rng.randrange(2), 0, rng.randrange(2), rng.randrange(2)))
         for r in records:
-            validate_record(r, surface, rel)
+            BandCatalog(surface, rel, (r,))
         catalog = BandCatalog(surface, rel, tuple(records))
         rp2 = []
         for r in records:

@@ -22,7 +22,6 @@ from surfemb4.bands import (
     lambda_boundary_check,
     theta,
     union_records,
-    validate_record,
     validate_theta_well_defined,
     _boundary_form_witness,
 )
@@ -45,11 +44,11 @@ def klein_surface():
 def record(surface, rel, rid, kind, rel_class, boundary_classes, *, mu=0, arc=0,
            interior=0, euler=0, core=None):
     bcs = tuple(tuple(c) for c in boundary_classes)
-    w1s = tuple(surface.w1_of(c) for c in bcs)
+    w1s = tuple(surface.w1_of(surface.mask(c)) for c in bcs)
     if core is None:
         core = sum(w1s) % 2
     r = BandRecord(rid, kind, tuple(rel_class), bcs, w1s, core, mu, arc, interior, euler)
-    validate_record(r, surface, rel)
+    BandCatalog(surface, rel, (r,))
     return r
 
 
@@ -193,10 +192,11 @@ def test_span_conflict_names_the_records():
 def test_class_zero_over_an_empty_basis_has_boundary_zero():
     surface = torus_surface()
     rel = RelH2((), {})
-    assert rel.boundary_of((), surface.dim) == 0  # the empty bitmask
     # an annulus with two parallel boundary circles x bounds class 0
     r = record(surface, rel, "annulus", "annulus", [], [(1, 0), (1, 0)])
-    assert BandCatalog(surface, rel, (r,)).records == (r,)
+    catalog = BandCatalog(surface, rel, (r,))
+    assert catalog.records == (r,)
+    assert catalog.masks["annulus"] == (0, 0, 0b01)  # class, total boundary, support
     with pytest.raises(BandError):
         record(surface, rel, "bad", "annulus", [], [(1, 0), (0, 1)])
 
@@ -222,21 +222,15 @@ def test_basis_boundary_entries_must_be_bits(bad):
         with pytest.raises(BandError) as exc:
             BandCatalog(surface, rel, records)
         assert str(exc.value) == message
-    with pytest.raises(BandError) as exc:
-        validate_record(r, surface, rel)
-    assert str(exc.value) == message
 
 
-def test_validate_record_rejects_a_basis_boundary_of_the_wrong_length():
-    """Called directly, without the catalog's check first, a short fold is an error too."""
+def test_total_boundary_rejects_a_circle_of_the_wrong_length():
+    """Outside a catalog, ``total_boundary`` checks each circle with ``SurfaceModel.mask``."""
     surface = torus_surface()
-    rel = RelH2(("a",), {"a": (1, 0, 1)})
-    r = BandRecord("r", "surface", (1,), ((1, 0),), (0,), 0, 0, 0, 0, 0)
-    with pytest.raises(BandError, match="'a' has length 3, expected the H1 dimension 2"):
-        validate_record(r, surface, rel)
     two = BandRecord("s", "annulus", (1,), ((1, 0), (1, 0, 1)), (0, 0), 0, 0, 0, 0, 0)
-    with pytest.raises(BandError, match="band 's': boundary circle 1 has length 3"):
-        two.total_boundary(surface.dim)
+    with pytest.raises(BandError, match=r"bad H1 vector \(1, 0, 1\); expected 2 bits"):
+        two.total_boundary(surface)
+    assert two._replace(boundary_classes=((1, 0), (1, 1))).total_boundary(surface) == 0b10
 
 
 _ODD_BITS = (0, 1, True, False, 0.0, 1.0, 2, -1, "0", "1", [0], None)
@@ -244,21 +238,27 @@ _ODD_BITS = (0, 1, True, False, 0.0, 1.0, 2, -1, "0", "1", [0], None)
 
 @pytest.mark.parametrize("make", [tuple, list, "".join], ids=["tuple", "list", "str"])
 def test_bit_checks_accept_what_membership_in_0_1_accepts(make):
-    """``check_vec`` and ``check_class`` accept a vector exactly when every
-    entry passes ``x in (0, 1)`` and the length is right."""
+    """``SurfaceModel.mask`` and the catalog's class check accept a vector exactly when the
+    length is right and every entry is a member of (0, 1) that is an exact int: bools and
+    floats are refused, as every other integer field of the library refuses them."""
     surface = torus_surface()
     rel = RelH2(("c", "d"), {"c": (0, 0), "d": (0, 0)})
+    closed = BandRecord("r", "surface", (0, 0), (), (), 0, 0, 0, 0, 0)
     values = _ODD_BITS if make in (tuple, list) else ("0", "1", "")
     for n in range(4):
         for entries in itertools.product(values, repeat=n):
             vec = make(entries)
-            want = len(vec) == 2 and all(x in (0, 1) for x in vec)
-            for check in (surface.check_vec, rel.check_class):
-                if want:
-                    assert check(vec) == tuple(vec)
-                else:
-                    with pytest.raises(BandError):
-                        check(vec)
+            want = len(vec) == 2 and all(type(x) is int and x in (0, 1) for x in vec)
+            # a record's own check is skipped, so only the catalog's class check sees ``vec``
+            forged = closed._replace(rel_class=vec)
+            if want:
+                assert surface.mask(vec) == mask(vec)
+                assert BandCatalog(surface, rel, (forged,)).masks["r"].rel_class == mask(vec)
+            else:
+                with pytest.raises(BandError, match="bad H1 vector"):
+                    surface.mask(vec)
+                with pytest.raises(BandError, match="bad RelH2 vector"):
+                    BandCatalog(surface, rel, (forged,))
 
 
 @pytest.mark.parametrize("field", ["rel_class", "w1_sigma"])
@@ -373,17 +373,17 @@ def _random_record(surface, rel, rng, rid):
     while True:
         if kind == "annulus":
             classes = [tuple(rng.randrange(2) for _ in range(dim)) for _ in range(2)]
-            w1s = [surface.w1_of(c) for c in classes]
+            w1s = [surface.w1_of(surface.mask(c)) for c in classes]
             if sorted(w1s) == [0, 1]:
                 continue  # mixed annuli have no invariant
         elif kind == "mobius":
             classes = [tuple(rng.randrange(2) for _ in range(dim))]
-            if surface.w1_of(classes[0]) == 1:
+            if surface.w1_of(surface.mask(classes[0])) == 1:
                 continue
         else:
             classes = [tuple(rng.randrange(2) for _ in range(dim))
                        for _ in range(rng.randrange(3))]
-            if any(surface.w1_of(c) for c in classes):
+            if any(surface.w1_of(surface.mask(c)) for c in classes):
                 continue
         break
     total = tuple(0 for _ in range(dim))
@@ -397,13 +397,12 @@ def _random_record(surface, rel, rng, rid):
     boundary = dict(rel.boundary)
     boundary[name] = total
     rel = RelH2(rel.basis, boundary)
+    w1s = tuple(surface.w1_of(surface.mask(c)) for c in classes)
     r = BandRecord(
-        rid, kind, tuple(rel_class), tuple(classes),
-        tuple(surface.w1_of(c) for c in classes),
-        sum(surface.w1_of(c) for c in classes) % 2,
+        rid, kind, tuple(rel_class), tuple(classes), w1s, sum(w1s) % 2,
         rng.randrange(2), rng.randrange(2), rng.randrange(2), rng.randrange(2),
     )
-    validate_record(r, surface, rel)
+    BandCatalog(surface, rel, (r,))
     return r
 
 
@@ -422,7 +421,7 @@ def test_theta_quadraticity_randomized():
         r1 = _random_record(surface, rel, rng, "r1")
         r2 = _random_record(surface, rel, rng, "r2")
         u = union_records(r1, r2, surface)
-        lam = surface.form(r1.total_boundary(surface.dim), r2.total_boundary(surface.dim))
+        lam = surface.form(r1.total_boundary(surface), r2.total_boundary(surface))
         try:
             expected = (theta(r1) + theta(r2) + lam) % 2
         except MixedW1Annulus:
@@ -515,7 +514,7 @@ def test_structured_form_matches_dense_reference(comps, data):
 
 
 def _check_against_paper_basis(comps, data):
-    """``form``, ``w1_of`` and ``components_of_vec`` against the dense paper-basis reference."""
+    """``mask``, ``form``, ``w1_of`` and ``components_of`` against the dense paper-basis reference."""
     surface = SurfaceModel(comps)
     basis = paper_basis(comps)
     dense = paper_form(basis)
@@ -524,9 +523,10 @@ def _check_against_paper_basis(comps, data):
     x, y = tuple(data.draw(vectors)), tuple(data.draw(vectors))
     expected = sum(x[i] * dense[i][j] * y[j]
                    for i in range(surface.dim) for j in range(surface.dim)) % 2
+    assert surface.mask(x) == mask(x)
     assert surface.form(mask(x), mask(y)) == expected
-    assert surface.w1_of(x) == sum(bit for bit, (_, letter, _) in zip(x, basis) if letter == "e") % 2
-    assert surface.components_of_vec(x) == {cid for bit, (cid, _, _) in zip(x, basis) if bit}
+    assert surface.w1_of(mask(x)) == sum(bit for bit, (_, letter, _) in zip(x, basis) if letter == "e") % 2
+    assert surface.components_of(mask(x)) == {cid for bit, (cid, _, _) in zip(x, basis) if bit}
 
 
 @given(comps=_components(max_genus=6), data=st.data())
@@ -539,7 +539,7 @@ def test_form_is_symmetric_bilinear_and_satisfies_wu(comps, data):
     form = surface.form
     assert form(mask(x), mask(y)) == form(mask(y), mask(x))
     assert form(mask(x) ^ mask(z), mask(y)) == form(mask(x), mask(y)) ^ form(mask(z), mask(y))
-    assert form(mask(x), mask(x)) == surface.w1_of(x)
+    assert form(mask(x), mask(x)) == surface.w1_of(mask(x))
 
 
 def test_form_on_large_model_is_linear_time():
@@ -550,7 +550,7 @@ def test_form_on_large_model_is_linear_time():
     assert surface.dim >= 40000
     ones = (1 << surface.dim) - 1
     assert surface.form(ones, ones) == 10000 % 2
-    assert surface.w1_of((1,) * surface.dim) == 10000 % 2
+    assert surface.w1_of(surface.mask((1,) * surface.dim)) == 10000 % 2
     assert time.perf_counter() - start < 1.0
 
 
@@ -558,7 +558,7 @@ def _circle(surface, rng, allowed, w1):
     """A sparse random H1 class within the ``allowed`` bitmask whose w1 value is ``w1``, or None."""
     for _ in range(20):
         vec = tuple(allowed >> m & (rng.random() < 0.3) for m in range(surface.dim))
-        if surface.w1_of(vec) == w1:
+        if surface.w1_of(mask(vec)) == w1:
             return vec
     return None
 

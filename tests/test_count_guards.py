@@ -6,8 +6,8 @@ guards count what a per-point or per-disc loop would show, on one generated
 abelian instance at 1x, 2x and 4x its discs, in both modes:
 
 - no ``WhitneyDisc`` record is built;
-- the shape walk never calls ``_Object.check``, and its key-set tests
-  (``le``, made only on objects with optional fields) do not grow;
+- the shape walk never calls ``_Object.check``, and its ``_Object.fits_all``
+  calls, one per object shape whatever the number of objects, do not grow;
 - the package's Python lines run do not grow by as much as one per disc.
 
 ``DoublePoints.by_pair`` is checked on an instance with 200 components: it
@@ -78,12 +78,12 @@ def _instance(tmp_path, pairs: int) -> Path:
 
 @pytest.mark.parametrize("mode", ["regular", "homotopy"])
 def test_decide_work_does_not_grow_per_point_or_disc(mode, tmp_path, monkeypatch, capsys):
-    counts = {"records": 0, "object checks": 0, "key-set tests": 0}
+    counts = {"records": 0, "object checks": 0, "object fits": 0}
     counted = _counter(counts)
     monkeypatch.setattr(whitney.WhitneyDisc, "__new__",
                         counted("records", whitney.WhitneyDisc.__new__))
     monkeypatch.setattr(schema._Object, "check", counted("object checks", schema._Object.check))
-    monkeypatch.setattr(schema, "le", counted("key-set tests", schema.le))
+    monkeypatch.setattr(schema._Object, "fits_all", counted("object fits", schema._Object.fits_all))
     seen = []
     for pairs in (100, 200, 400):
         path = _instance(tmp_path, pairs)

@@ -278,7 +278,7 @@ def _admissible_records(draw, surface):
     circles = {"annulus": 2, "mobius": 1}.get(kind) or draw(st.integers(0, 2))
     vec = st.tuples(*[st.integers(0, 1)] * surface.dim)
     classes = tuple(draw(vec) for _ in range(circles))
-    w1s = tuple(surface.w1_of(c) for c in classes)
+    w1s = tuple(surface.w1_of(surface.mask(c)) for c in classes)
     bits = [draw(st.integers(0, 1)) for _ in range(4)]
     record = BandRecord("b", kind, (), classes, w1s, sum(w1s) % 2, *bits)
     try:
