@@ -211,7 +211,8 @@ def test_basis_boundary_of_the_wrong_length_is_rejected():
             BandCatalog(surface, rel, records)
 
 
-@pytest.mark.parametrize("bad", [(2, 0), (-1, 0), ("1", 0)], ids=["2", "-1", "str"])
+@pytest.mark.parametrize("bad", [(2, 0), (-1, 0), ("1", 0), (True, 0), (1.0, 0)],
+                         ids=["2", "-1", "str", "bool", "float"])
 def test_basis_boundary_entries_must_be_bits(bad):
     """A basis boundary with an entry other than 0 or 1 is named, with or without records."""
     surface = torus_surface()
