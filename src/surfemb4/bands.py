@@ -174,9 +174,8 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
                 w1m_core: int, mu_boundary: int, arc_count: int, interior: int, euler: int):
         if kind not in ("annulus", "mobius", "surface"):
             raise BandError(f"unknown band kind {kind!r}")
-        for bit in (w1m_core, mu_boundary, arc_count, interior, euler):
-            if type(bit) is not int or bit not in (0, 1):  # neither True nor 1.0
-                raise BandError(f"parity fields must be 0 or 1 on band {id!r}")
+        _mask((w1m_core, mu_boundary, arc_count, interior, euler), 5,
+              "parity fields must be 0 or 1 on band {2!r}", id)
         for field, vec in (("rel_class", rel_class), ("w1_sigma", w1_sigma)):
             _mask(vec, len(vec), "band {2!r}: {3} has an entry other than 0 or 1: {0!r}", id, field)
         if len(w1_sigma) != len(boundary_classes):

@@ -68,15 +68,22 @@ class ProblemInstance(namedtuple("ProblemInstance", (
         "good_group torus_summands"), defaults=(frozenset(),))):
     """One decision problem; its components, points and discs must refer to each other.
 
-    ``points`` are ``DoublePoint`` records or ``DoublePoints`` columns.  Columns
-    checked against ``group``, as the reader builds them, are kept; any other
-    points are stored as columns checked against it, so every sign and eta is.
+    ``points`` are ``DoublePoint`` records or ``DoublePoints`` columns, stored
+    as ``DoublePoints.of(points, group)``.  The character, the subgroups and
+    the band catalog must be built over this instance's group and surface.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if self.wM.group is not self.group:
+            raise ValidationError("character not over the instance's group")
+        for c in self.components:
+            if c.subgroup.ambient is not self.group:
+                raise ValidationError(f"subgroup of component {c.id} not over the instance's group")
+        if getattr(self.band_catalog, "surface", None) is not self.surface:  # a missing catalog too
+            raise ValidationError("band catalog not over the instance's surface")
         ids = [c.id for c in self.components]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate component ids")
@@ -86,7 +93,7 @@ class ProblemInstance(namedtuple("ProblemInstance", (
             raise ValidationError(
                 f"immersion components {sorted(known)} != surface components {sorted(surface_ids)}"
             )
-        points = DoublePoints.of(self.points)
+        points = DoublePoints.of(self.points, self.group)
         point_ids = set(points.ids)
         if len(point_ids) != len(points):
             raise ValidationError("duplicate double-point ids")
@@ -102,7 +109,6 @@ class ProblemInstance(namedtuple("ProblemInstance", (
             if not known.issuperset(chain.from_iterable(discs.interiors)):
                 did = next(d.id for d in discs if not known.issuperset(d.interior))
                 raise ValidationError(f"Whitney disc {did} meets unknown components")
-        points = DoublePoints.of(points, self.group)
         return self if points is self.points else self._replace(points=points)
 
     def component(self, cid: int) -> ComponentData:

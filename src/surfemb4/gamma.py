@@ -44,7 +44,7 @@ from . import _lazy
 from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit, check_signed
 
 intlinalg = _lazy("surfemb4.intlinalg")  # run by abelian groups and the Smith oracle only
-whitney = _lazy("surfemb4.whitney")  # reduce_list takes its checked DoublePoints as they are
+whitney = _lazy("surfemb4.whitney")  # DoublePoints.of decides whether reduce_list checks columns
 
 
 class GammaError(ValueError):
@@ -251,8 +251,8 @@ class Coefficient(NamedTuple):
 def reduce_list(entries, gamma: GammaGroup) -> GammaElement:
     """Reduce a list of (sign, group element) pairs into the quotient.
 
-    ``entries`` may be ``DoublePoints`` too; columns checked against the
-    ambient group are not checked again, and anything else is checked once.
+    ``entries`` may be ``DoublePoints`` too, checked against the ambient group
+    through ``DoublePoints.of``; anything else is checked once.
     The list is tallied by distinct element, as (point count, signed sum),
     and each live element, one whose signed sum is not 0, is classified
     once, in order of first occurrence: an order-two orbit gains the count
@@ -262,9 +262,8 @@ def reduce_list(entries, gamma: GammaGroup) -> GammaElement:
     """
     G = gamma.ctx.ambient
     if isinstance(entries, whitney.DoublePoints):
+        entries = whitney.DoublePoints.of(entries, G)
         signs, canon = entries.signs, entries.etas
-        if entries.group is not G:
-            canon = check_signed(G, signs, canon, GammaError)
     else:
         pairs = list(entries)
         signs = [sign for sign, _ in pairs]

@@ -2,7 +2,8 @@
 
 Everything here works on plain Python ints (arbitrary precision) held in
 lists of lists.  The Hermite form and the determinants use the classical
-cubic algorithms, since their matrices stay small.  The Smith diagonal
+cubic algorithms, since their matrices stay small; the Hermite form keeps
+one row per pivot column, keyed by the column.  The Smith diagonal
 first eliminates unit pivots on sparse rows, which keeps the large and very
 sparse relation matrices of the Smith oracle cheap, and runs the cubic
 dense loop only on what is left.
@@ -163,44 +164,39 @@ def _dense_smith_diagonal(a: list[list[int]], n: int) -> list[int]:
 class HermiteLattice:
     """An integer lattice in Z^n held in row-echelon Hermite form.
 
-    Supports canonical coset representatives and membership tests, which
-    is all the orbit machinery for finitely generated abelian groups needs.
+    One row per pivot column, keyed by that column, each with a positive
+    pivot; ``rows`` and ``pivot_cols`` read them in pivot order.  Supports
+    canonical coset representatives and membership tests, which is all the
+    orbit machinery for finitely generated abelian groups needs.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
         self.ncols = ncols
-        self.rows: list[list[int]] = []  # echelon, positive pivots, sorted by pivot col
-        self.pivot_cols: list[int] = []
+        self._by_pivot: dict[int, list[int]] = {}
         for row in rows:
             self._insert(list(row))
+
+    @property
+    def pivot_cols(self) -> list[int]:
+        return sorted(self._by_pivot)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        return [self._by_pivot[col] for col in self.pivot_cols]
 
     def _insert(self, row: list[int]) -> None:
         while any(row):
             col = next(j for j in range(self.ncols) if row[j] != 0)
-            idx = None
-            for k, pc in enumerate(self.pivot_cols):
-                if pc == col:
-                    idx = k
-                if pc >= col:
-                    break
-            if idx is None:
-                if row[col] < 0:
-                    row = [-v for v in row]
-                pos = 0
-                while pos < len(self.pivot_cols) and self.pivot_cols[pos] < col:
-                    pos += 1
-                self.rows.insert(pos, row)
-                self.pivot_cols.insert(pos, col)
+            p = self._by_pivot.get(col)
+            if p is None:
+                self._by_pivot[col] = row if row[col] > 0 else [-v for v in row]
                 return
-            p = self.rows[idx]
             g, x, y = _egcd(p[col], row[col])
             pa, ra = p[col] // g, row[col] // g
             # unimodular combination: pivot row keeps column col with entry g,
             # the remainder row becomes zero at col and strictly shorter
-            new_p = [x * p[j] + y * row[j] for j in range(self.ncols)]
-            new_r = [-ra * p[j] + pa * row[j] for j in range(self.ncols)]
-            self.rows[idx] = new_p
-            row = new_r
+            self._by_pivot[col] = [x * p[j] + y * row[j] for j in range(self.ncols)]
+            row = [-ra * p[j] + pa * row[j] for j in range(self.ncols)]
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of ``vec`` modulo the lattice."""
@@ -215,7 +211,7 @@ class HermiteLattice:
         if not vecs:
             return []
         cols = [list(c) for c in zip(*vecs)]
-        for row, col in zip(self.rows, self.pivot_cols):
+        for col, row in sorted(self._by_pivot.items()):
             q = list(map(floordiv, cols[col], repeat(row[col])))
             if any(q):
                 for j in range(col, self.ncols):

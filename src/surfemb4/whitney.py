@@ -56,6 +56,7 @@ class DoublePoints:
     Built with a ``group``, the signs and etas are checked against it once and
     the etas stored canonical; ``group`` records it, and ``take`` keeps it.
     Without one, they are the view that ``t_count`` and ``to_convenient`` read.
+    ``of`` is the one gate that decides whether columns are checked again.
     ``by_pair`` buckets the points once; iterating gives ``DoublePoint`` records.
     """
 

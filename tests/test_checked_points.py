@@ -3,9 +3,11 @@
 ``groups.check_signed`` is the one check of (sign, element) columns.
 ``subgroup_closure``, ``reduce_list`` and ``whitney.DoublePoints`` built with
 a group run it, each raising its own error for a bad sign and ``GroupError``
-for a bad element.  ``ProblemInstance`` keeps columns checked against its
-own group and builds every other form, records or bare columns, through
-that same check, so bare columns are no way round it.
+for a bad element.  ``DoublePoints.of`` is the one gate for trusted columns:
+``ProblemInstance`` and ``reduce_list`` both take points through it, so
+columns checked against their own group are kept and every other form,
+records, bare columns or columns checked against another group object, goes
+through that same check, and none of them is a way round it.
 """
 
 import json
@@ -15,10 +17,10 @@ from importlib import resources
 import pytest
 
 from helpers import cyclic_group, random_points_doc, trivial_character
-from surfemb4 import schema
+from surfemb4 import schema, whitney
 from surfemb4.engine import EngineError, ProblemInstance, flowchart, homotopy_analysis
 from surfemb4.gamma import GammaError, PairingContext, build_gamma, reduce_list
-from surfemb4.groups import GroupError, check_signed, subgroup_closure
+from surfemb4.groups import Character, GroupError, abelian_group, check_signed, subgroup_closure
 from surfemb4.whitney import DoublePoint, DoublePoints
 
 INSTANCES = resources.files("surfemb4").joinpath("data", "instances")
@@ -112,6 +114,10 @@ def test_records_and_columns_give_byte_identical_verdicts(source):
             assert _outcome(decide, _rebuilt(inst, points)) == expected
 
 
+def _columns(signs, etas, group=None) -> DoublePoints:
+    return DoublePoints(range(len(signs)), [(0, 0)] * len(signs), signs, etas, group)
+
+
 def _entries(group):
     """Each entry that checks (sign, element) pairs, as a call on signs and elements."""
     trivial = subgroup_closure(group, [])
@@ -120,13 +126,14 @@ def _entries(group):
         "check_signed": lambda signs, elems: check_signed(group, signs, elems),
         "subgroup_closure": lambda signs, elems: subgroup_closure(group, list(zip(elems, signs))),
         "reduce_list": lambda signs, elems: reduce_list(list(zip(signs, elems)), gamma),
-        "DoublePoints": lambda signs, elems: DoublePoints(
-            range(len(signs)), [(0, 0)] * len(signs), signs, elems, group),
+        "DoublePoints": lambda signs, elems: _columns(signs, elems, group),
+        "reduce_list of bare columns": lambda signs, elems: reduce_list(_columns(signs, elems), gamma),
     }
 
 
 SIGN_ERROR = {"check_signed": GroupError, "subgroup_closure": GroupError,
-              "reduce_list": GammaError, "DoublePoints": GammaError}
+              "reduce_list": GammaError, "DoublePoints": GammaError,
+              "reduce_list of bare columns": GammaError}
 
 
 @pytest.mark.parametrize("entry", SIGN_ERROR)
@@ -142,3 +149,43 @@ def test_every_entry_keeps_its_error_class_and_message(entry, bad_sign):
     assert type(exc.value) is GroupError and str(exc.value) == "invalid element 9 for group of order 4"
     with pytest.raises(SIGN_ERROR[entry]):  # at one pair, its sign before its element
         call([1, bad_sign], [0, 9])
+
+
+def test_reduce_list_checks_columns_unless_checked_against_its_own_group(monkeypatch):
+    """``DoublePoints.of`` decides: columns checked against the ambient group object are
+    reduced as they are, bare ones and ones checked against another group are checked."""
+    group, signs, elems = cyclic_group(4), [1, 1, -1, 1], [1, 3, 1, 2]
+    trivial = subgroup_closure(group, [])
+    gamma = build_gamma(PairingContext(group, trivial_character(group), trivial, trivial))
+    expected = reduce_list(list(zip(signs, elems)), gamma)
+    checks = []
+    monkeypatch.setattr(whitney, "check_signed",
+                        lambda *args: checks.append(args[0]) or check_signed(*args))
+    cases = [(_columns(signs, elems, group), []), (_columns(signs, elems), [group]),
+             (_columns(signs, elems, cyclic_group(4)), [group])]  # an equal group, not the same
+    for columns, checked in cases:
+        checks.clear()
+        assert reduce_list(columns, gamma) == expected
+        assert checks == checked
+    with pytest.raises(GroupError) as exc:  # checked against C_8, where 6 is an element
+        reduce_list(_columns([1, -1], [1, 6], cyclic_group(8)), gamma)
+    assert type(exc.value) is GroupError and str(exc.value) == "invalid element 6 for group of order 4"
+
+
+def test_reduce_list_of_non_canonical_abelian_columns_equals_the_canonical_reduction():
+    group = abelian_group([0, 3, 4])
+    wM = Character(group, [-1, 1, 1])
+    s_f = subgroup_closure(group, [((1, 1, 0), -1)])
+    s_g = subgroup_closure(group, [((0, 0, 2), 1)])
+    rng = random.Random(11)
+    raw = [(rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(30)]
+    canonical = [(a, b % 3, c % 4) for a, b, c in raw]
+    assert canonical != raw
+    signs = [rng.choice((1, -1)) for _ in raw]
+    for self_pairing in (False, True):
+        gamma = build_gamma(PairingContext(group, wM, s_f, s_g, self_pairing=self_pairing))
+        expected = reduce_list(_columns(signs, canonical, group), gamma)
+        assert not expected.is_zero()
+        assert reduce_list(_columns(signs, raw), gamma) == expected
+        assert reduce_list(_columns(signs, raw, abelian_group([0, 3, 4])), gamma) == expected
+        assert reduce_list(list(zip(signs, raw)), gamma) == expected

@@ -31,7 +31,7 @@ from surfemb4.engine import (
     rp2_euler_parity,
     stong_t_formula,
 )
-from surfemb4.groups import subgroup_closure
+from surfemb4.groups import Character, subgroup_closure
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc
 
 from helpers import (
@@ -218,6 +218,34 @@ def test_homotopy_analysis_case1_delegates():
 def test_homotopy_analysis_case2_without_duals():
     inst = _klein_instance(has_dual=False)
     assert homotopy_analysis(inst).outcome == NO_CONCLUSION
+
+
+def _over_other_objects(inst) -> dict:
+    """Changes that swap one part of ``inst`` for one built over another surface or group,
+    with the message each must raise."""
+    group = type(inst.group)(inst.group.factors)  # equal to the instance's group, not the same
+    surface = SurfaceModel([SurfaceComponent(5, 1, True, 0)])
+    comp, catalog = inst.components[0], inst.band_catalog
+    on_surface = "band catalog not over the instance's surface"
+    return {
+        "catalog": (dict(band_catalog=BandCatalog(surface, catalog.rel, catalog.records)), on_surface),
+        "no catalog": (dict(band_catalog=None), on_surface),
+        "character": (dict(wM=Character(group, inst.wM.values)),
+                      "character not over the instance's group"),
+        "subgroup": (dict(components=(comp._replace(subgroup=subgroup_closure(
+            group, comp.subgroup.generators)),)), "subgroup of component 0 not over the instance's group"),
+    }
+
+
+@pytest.mark.parametrize("case", ["catalog", "no catalog", "character", "subgroup"])
+def test_instance_rejects_parts_built_over_another_surface_or_group(case):
+    inst = load_example("torus_s3s1")
+    catalog = BandCatalog(inst.surface, inst.band_catalog.rel, inst.band_catalog.records)
+    assert flowchart(replace(inst, band_catalog=catalog)) == flowchart(inst)  # same objects pass
+    changes, message = _over_other_objects(inst)[case]
+    with pytest.raises(ValidationError) as exc:
+        replace(inst, **changes)
+    assert str(exc.value) == message
 
 
 def test_homotopy_analysis_requires_normalized_mu1():

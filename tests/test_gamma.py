@@ -132,6 +132,13 @@ def test_smith_oracle_requires_finite_group():
         smith_oracle(PairingContext(g, trivial_character(g), s, s))
 
 
+def test_orbits_of_an_abelian_ambient_are_refused():
+    gamma = build_gamma(_ctx(abelian_group([0, 2]), gens_f=[((1, 0), 1)], self_pairing=True))
+    for orbits in (gamma.orbits, gamma.free_rank, gamma.two_count):
+        with pytest.raises(GammaError, match="orbits of an infinite group are computed per query"):
+            orbits()
+
+
 def test_oracle_equivalence_sample():
     rng = random.Random(11)
     for name, g in all_groups_up_to_8()[:8]:

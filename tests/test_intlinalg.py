@@ -205,6 +205,20 @@ def test_hermite_reduce_all_matches_reduce_per_vector(data):
         assert all(0 <= rep[col] < r[col] for r, col in zip(lat.rows, lat.pivot_cols))
 
 
+@given(st.data())
+def test_hermite_rows_have_one_positive_pivot_per_column_in_increasing_order(data):
+    n = data.draw(st.integers(0, 6))
+    row = st.lists(_ENTRY, min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, max_size=6))
+    lat = HermiteLattice(rows, n)
+    cols = lat.pivot_cols
+    assert all(a < b for a, b in zip(cols, cols[1:]))
+    assert len(lat.rows) == len(cols)
+    for r, col in zip(lat.rows, cols):
+        assert len(r) == n and not any(r[:col]) and r[col] > 0
+    assert all(lat.contains(r) for r in rows)
+
+
 def test_hermite_reduce_all_on_an_empty_batch_and_a_zero_lattice():
     assert HermiteLattice([[2, 1]], 2).reduce_all([]) == []
     zero = HermiteLattice([[0, 0, 0]], 3)

@@ -473,6 +473,17 @@ def test_cp2_lower_bound_uses_the_odd_prime_of_an_even_class():
     assert cp2_genus_lower_bound(mirror, 6) == cp2_genus_lower_bound(mirror, -6) == 2
 
 
+def test_cp2_lower_bound_skips_the_odd_primes_when_sigma_d_is_at_an_alexander_root():
+    # Delta = t^4 - t^2 + 1 = Phi_12 vanishes at exp(i*pi*5/6), so sigma_6 is a jump point:
+    # the bound at d = 6 is the even-class one, |36/2 - 1 - sigma(-1)| = 17, alone
+    V = SeifertMatrix([[0, 1, 0, -1], [0, -1, 2, -2], [0, 2, -1, 0], [-1, -2, -1, 0]])
+    assert list(V.alexander) == cyclotomic(12) == [1, 0, -1, 0, 1]
+    with pytest.raises(SingularAtOmega, match="root of the Alexander polynomial"):
+        levine_tristram(V, Fraction(5, 6))
+    assert levine_tristram(V, Fraction(1)) == 0
+    assert cp2_genus_lower_bound(V, 6) == cp2_genus_lower_bound(V, -6) == 17 // 2 == 8
+
+
 def _knot_command(*argv) -> tuple[int, dict]:
     """Exit code and JSON output of ``surfemb4 knot ...`` in a child limited to 1 GiB of memory."""
     src = str(Path(__file__).resolve().parents[1] / "src")

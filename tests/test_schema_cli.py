@@ -136,6 +136,17 @@ def test_cli_decide_batch(tmp_path, capsys):
     assert set(out) == {"torus_s3s1.json", "klein_bottle_e0.json"}
 
 
+def test_cli_decide_batch_on_a_directory_without_instance_files(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no instances here")
+    assert _cli(capsys, "decide", "--batch", str(tmp_path)) == (
+        2, {"ok": False, "errors": [f"no instance files in {tmp_path}"]})
+
+
+def test_cli_gamma_on_a_missing_component(capsys):
+    assert _cli(capsys, "gamma", "torus_s3s1", "--component", "9") == (
+        2, {"ok": False, "errors": ["no component 9"]})
+
+
 def test_annulus_over_an_empty_rel_h2_basis_validates_and_decides(tmp_path, capsys):
     doc = example_doc("torus_s3s1")
     doc["catalogs"]["rel_h2"] = {"basis": [], "boundary": {}}
