@@ -4,10 +4,17 @@ Two searches over mutated shipped instances.  The sweep sets every node of
 every shipped instance, in turn, to each of a fixed list of bad values; the
 property test puts arbitrary JSON values at random nodes and also runs
 ``validate`` on the result.
+
+The sweep's error lists are pinned: ``tests/data/sweep_errors.json`` holds one
+SHA-256 per (instance, bad value) over the error list at every node, so a
+change to the reader that moves, rewords or reorders any error shows where.
+``python tests/test_schema_fuzz.py`` rewrites the file from the current reader.
 """
 
 import contextlib
 import copy
+import functools
+import hashlib
 import io
 import json
 import os
@@ -22,6 +29,7 @@ from surfemb4 import cli, schema
 INSTANCES = resources.files("surfemb4").joinpath("data", "instances")
 DOCS = {p.name: json.loads(p.read_text()) for p in INSTANCES.iterdir() if p.name.endswith(".json")}
 BAD_VALUES = (None, [], {}, "x", -1, 2, 1.5, True, [[0]], [None], {"k": 1})
+PINNED = Path(__file__).parent / "data" / "sweep_errors.json"
 
 
 def _pointers(node, path=()):
@@ -49,22 +57,41 @@ def _replaced(doc, path, value):
 
 
 def _assert_total(doc):
+    """The reader's error list for ``doc``, or None when it reads an instance."""
     try:
         schema.instance_from_dict(doc)
+        errors = None
     except schema.SchemaError as exc:
-        assert exc.errors and all(e.startswith("/") and ": " in e for e in exc.errors), exc.errors
+        errors = exc.errors
+        assert errors and all(e.startswith("/") and ": " in e for e in errors), errors
     # The column-wise fast test and the entry-by-entry walk agree.
     assert schema.INSTANCE_SHAPE.fits_all([doc]) is not bool(schema.INSTANCE_SHAPE.check(doc))
+    return errors
+
+
+@functools.cache
+def _sweep() -> dict:
+    """(instance, bad value) -> [(pointer path, error list or None)] over every node but the root."""
+    return {(name, json.dumps(bad)): [(path, _assert_total(_replaced(doc, path, copy.deepcopy(bad))))
+                                      for path in POINTERS[name][1:]]
+            for name, doc in sorted(DOCS.items()) for bad in BAD_VALUES}
+
+
+def _digests() -> dict:
+    return {f"{name} {bad}": hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+            for (name, bad), outcomes in _sweep().items()}
 
 
 def test_one_node_sweep_never_raises():
-    count = 0
-    for name, doc in DOCS.items():
-        for path in POINTERS[name][1:]:
-            for bad in BAD_VALUES:
-                _assert_total(_replaced(doc, path, copy.deepcopy(bad)))
-                count += 1
+    count = sum(map(len, _sweep().values()))
     assert count == 11 * sum(len(p) - 1 for p in POINTERS.values())
+
+
+def test_one_node_sweep_errors_match_the_pinned_file():
+    pinned = json.loads(PINNED.read_text())
+    got = _digests()
+    assert got.keys() == pinned.keys()
+    assert [key for key in pinned if got[key] != pinned[key]] == []
 
 
 # Integers stay below 10**4 in size: larger counts (a genus of 10**9, say) are
@@ -91,3 +118,7 @@ def test_arbitrary_json_at_any_node(name, where, value):
     report = json.loads(out.getvalue())
     assert code in (0, 2)
     assert report["ok"] is (code == 0)
+
+
+if __name__ == "__main__":
+    PINNED.write_text(json.dumps(_digests(), indent=2) + "\n")
