@@ -165,12 +165,12 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
     for bands of the same class.  All count fields are parities: ``w1_sigma``
     holds <w1(Sigma), boundary component> per circle, ``w1m_core`` is
     <w1(M), core>, ``arc_count`` is |dB ^ A| and ``interior`` is |Int B ^ F|.
+    Vectors are stored as tuples.
     """
 
     __slots__ = ()
 
-    def __new__(cls, id: str, kind: str, rel_class: tuple[int, ...],
-                boundary_classes: tuple[tuple[int, ...], ...], w1_sigma: tuple[int, ...],
+    def __new__(cls, id: str, kind: str, rel_class, boundary_classes, w1_sigma,
                 w1m_core: int, mu_boundary: int, arc_count: int, interior: int, euler: int):
         if kind not in ("annulus", "mobius", "surface"):
             raise BandError(f"unknown band kind {kind!r}")
@@ -184,8 +184,8 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
             raise BandError(f"annulus {id!r} needs exactly two boundary circles")
         if kind == "mobius" and len(boundary_classes) != 1:
             raise BandError(f"mobius band {id!r} needs exactly one boundary circle")
-        return super().__new__(cls, id, kind, rel_class, boundary_classes, w1_sigma, w1m_core,
-                               mu_boundary, arc_count, interior, euler)
+        return super().__new__(cls, id, kind, tuple(rel_class), tuple(map(tuple, boundary_classes)),
+                               tuple(w1_sigma), w1m_core, mu_boundary, arc_count, interior, euler)
 
     def total_boundary(self, surface: SurfaceModel) -> int:
         """The GF(2) sum of the boundary circles, each checked by ``surface.mask``."""

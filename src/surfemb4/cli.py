@@ -106,12 +106,10 @@ def cmd_gamma(args) -> int:
             raise ValueError(f"bad query element {raw!r}: {exc}") from None
     report: dict = {"self_pairing": i == j}
     if target.finite:
-        orbits = target.orbits()
-        report["orbits"] = [
-            {"rep": o.rep, "order": "Z/2" if o.order_two else "Z"} for o in orbits
-        ]
-        report["free_rank"] = target.free_rank()
-        report["z2_count"] = target.two_count()
+        orbits = target.orbits()  # built once; the counts are read off it
+        report["orbits"] = [{"rep": o.rep, "order": "Z/2" if o.order_two else "Z"} for o in orbits]
+        report["z2_count"] = sum(o.order_two for o in orbits)
+        report["free_rank"] = len(orbits) - report["z2_count"]
         oracle_rank, oracle_torsion = gamma.smith_oracle(ctx)
         report["smith_oracle"] = {"free_rank": oracle_rank, "torsion": oracle_torsion}
     else:

@@ -20,6 +20,7 @@ from . import _INTS, _lazy
 from .errors import InternalConsistency
 
 intlinalg = _lazy("surfemb4.intlinalg")  # run by abelian groups only
+_SEQUENCES = frozenset((tuple, list))  # exact types, tested before the slower isinstance
 
 
 class GroupError(ValueError):
@@ -67,13 +68,13 @@ class FiniteTableGroup:
     def check_elem(self, a) -> int:
         return self.check_elems([a])[0]
 
-    def check_elems(self, values: list) -> list[int]:
+    def check_elems(self, values: Sequence) -> tuple[int, ...]:
         """The values, checked in C-level passes; raises at the first invalid one."""
         if values and not (_INTS.issuperset(map(type, values))
                            and 0 <= min(values) and max(values) < self.order):
             bad = next(a for a in values if type(a) is not int or not 0 <= a < self.order)
             raise GroupError(f"invalid element {reprlib.repr(bad)} for group of order {self.order}")
-        return list(values)
+        return tuple(values)
 
     def __repr__(self):
         return f"FiniteTableGroup(order={self.order})"
@@ -97,16 +98,16 @@ class FGAbelianGroup:
     def check_elem(self, a) -> tuple[int, ...]:
         return self.check_elems([a])[0]
 
-    def check_elems(self, values: list) -> list[tuple[int, ...]]:
+    def check_elems(self, values: Sequence) -> tuple[tuple[int, ...], ...]:
         """The values reduced by the factors, column by column; raises at the first invalid one."""
-        if (all(map(isinstance, values, repeat((tuple, list))))
+        if ((_SEQUENCES.issuperset(map(type, values)) or all(map(isinstance, values, repeat((tuple, list)))))
                 and {self.rank}.issuperset(map(len, values))):
             cols = list(zip(*values))
             if all(_INTS.issuperset(map(type, col)) for col in cols):
                 cols = [list(map(mod, col, repeat(f))) if f else col
                         for col, f in zip(cols, self.factors)]
                 # with rank 0 there are no columns, and every element is ()
-                return list(zip(*cols)) or [()] * len(values)
+                return tuple(zip(*cols)) or ((),) * len(values)
         bad = next(a for a in values if not isinstance(a, (tuple, list)) or len(a) != self.rank
                    or not _INTS.issuperset(map(type, a)))
         raise GroupError(f"invalid element {reprlib.repr(bad)} for factors {self.factors}")
@@ -118,7 +119,7 @@ class FGAbelianGroup:
 AmbientGroup = FiniteTableGroup | FGAbelianGroup
 
 
-def check_signed(group: AmbientGroup, signs: Sequence, elems: Sequence, error=GroupError) -> list:
+def check_signed(group: AmbientGroup, signs: Sequence, elems: Sequence, error=GroupError) -> tuple:
     """The elements, checked and canonical, with signs +1 or -1: the one check of (sign, element) pairs.
 
     Raises at the first bad pair, its sign first: ``error`` for a sign (neither True nor 1.0).

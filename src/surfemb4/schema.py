@@ -2,24 +2,24 @@
 
 Each JSON document is declared once as a shape (``INSTANCE_SHAPE``,
 ``KNOT_SHAPE``) giving each field's exact type and whether it may be absent;
-unknown fields, bools for integers and floats are errors.  The walk gathers
-every mismatch as a JSON-pointer error; only then are the domain objects
-built, and their constructors' errors are reported at the pointer of the
-data they were given.
+unknown fields, bools for integers and floats are errors.  One walk takes
+and checks the columns, and the domain objects are built from them; their
+constructors' errors are reported at the pointer of the data they were
+given, and the shape's JSON-pointer errors, when there are any, instead.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
 
 from . import FLOAT_EXACT_BOUND, _lazy
 
 bands = _lazy("surfemb4.bands")
 engine = _lazy("surfemb4.engine")
+gamma = _lazy("surfemb4.gamma")  # its GammaError refuses a double point's sign
 groups = _lazy("surfemb4.groups")
 knots = _lazy("surfemb4.knots")
 whitney = _lazy("surfemb4.whitney")
@@ -50,9 +50,11 @@ class SchemaError(ValueError):
 #
 # ``check(value)`` returns (relative JSON pointer, message) pairs, empty when
 # the value fits.  ``fits_all`` tests a whole array column by column in C-level
-# passes; only when it fails are the entries walked one by one for the errors.
-
-_FITS = ()  # no errors
+# passes; only when it fails (None) are the entries walked for the errors.  Else
+# it returns the columns it took for the builders: a leaf's values, a tuple's
+# per position, an object's per field, an array's items', a map's objects (keys
+# int with ``int_keys``).  With ``trust`` it leaves each owned leaf to the
+# domain constructor that checks it with the same rule.
 
 
 def _describe(value) -> str:
@@ -70,12 +72,8 @@ def _expected(what: str, value) -> list:
 
 def _each(entries) -> list:
     """Errors of ``(key, shape, value)`` entries, each under its own key."""
-    out = []
-    for key, shape, value in entries:
-        errors = shape.check(value)
-        if errors:
-            out += [(f"/{key}{pointer}", message) for pointer, message in errors]
-    return out
+    return [(f"/{key}{pointer}", message) for key, shape, value in entries
+            for pointer, message in shape.check(value)]
 
 
 def _token(key) -> str:
@@ -86,44 +84,49 @@ def _token(key) -> str:
 class _Shape:
     """Any JSON value; the subclasses narrow it."""
 
-    def check(self, value) -> Sequence:
-        return _FITS
+    owned = False
 
-    def fits_all(self, values: list) -> bool:
-        return True
+    def check(self, value) -> list:
+        return []
+
+    def fits_all(self, values: list, trust=False):
+        return values
 
 
 class _Leaf(_Shape):
     """A JSON scalar of one exact type, optionally limited to a value set or a range."""
 
-    def __init__(self, expected: str, typ: type, values=None, minimum=None, maximum=None):
+    def __init__(self, expected: str, typ: type, values=None, minimum=None, maximum=None, owned=False):
         self.expected, self.typ, self.minimum, self.maximum = expected, typ, minimum, maximum
-        self.values = None if values is None else frozenset(values)
+        self.values, self.owned = None if values is None else frozenset(values), owned
 
-    def check(self, value) -> Sequence:
-        return _FITS if self.fits_all([value]) else _expected(self.expected, value)
+    def check(self, value) -> list:
+        return [] if self.fits_all([value]) is not None else _expected(self.expected, value)
 
-    def fits_all(self, values: list) -> bool:
-        return ({self.typ}.issuperset(map(type, values))
-                and (self.values is None or self.values.issuperset(values))
-                and (self.minimum is None or not values or min(values) >= self.minimum)
-                and (self.maximum is None or not values or max(values) <= self.maximum))
+    def fits_all(self, values: list, trust=False):
+        return values if (trust and self.owned) or ({self.typ}.issuperset(map(type, values)) and (
+            self.values is None or self.values.issuperset(values))
+            and (self.minimum is None or not values or min(values) >= self.minimum)
+            and (self.maximum is None or not values or max(values) <= self.maximum)) else None
 
 
 class _Array(_Shape):
     def __init__(self, item: _Shape):
         self.item = item
 
-    def check(self, value) -> Sequence:
+    def check(self, value) -> list:
         if type(value) is not list:
             return _expected("an array", value)
-        if self.item.fits_all(value):
-            return _FITS
+        if self.item.fits_all(value) is not None:
+            return []
         return _each((i, self.item, entry) for i, entry in enumerate(value))
 
-    def fits_all(self, values: list) -> bool:
-        return ({list}.issuperset(map(type, values))
-                and self.item.fits_all(list(chain.from_iterable(values))))
+    def fits_all(self, values: list, trust=False):
+        if not {list}.issuperset(map(type, values)):
+            return None
+        if trust and self.item.owned:  # nothing to check, so nothing to chain
+            return values
+        return self.item.fits_all(list(chain.from_iterable(values)), trust)
 
 
 class _Tuple(_Shape):
@@ -132,17 +135,18 @@ class _Tuple(_Shape):
     def __init__(self, *items: _Shape):
         self.items = items
 
-    def check(self, value) -> Sequence:
+    def check(self, value) -> list:
         if type(value) is not list or len(value) != len(self.items):
             got = f"{len(value)}" if type(value) is list else _describe(value)
             return [("", f"expected an array of {len(self.items)} entries, got {got}")]
         return _each(zip(range(len(value)), self.items, value))
 
-    def fits_all(self, values: list) -> bool:
-        return ({list}.issuperset(map(type, values))
-                and {len(self.items)}.issuperset(map(len, values))
-                and all(item.fits_all(list(map(itemgetter(i), values)))
-                        for i, item in enumerate(self.items)))
+    def fits_all(self, values: list, trust=False):
+        if not ({list}.issuperset(map(type, values)) and {len(self.items)}.issuperset(map(len, values))):
+            return None
+        columns = tuple(item.fits_all(column, trust)
+                        for item, column in zip(self.items, list(zip(*values)) or [()] * len(self.items)))
+        return None if None in columns else columns
 
 
 class _Object(_Shape):
@@ -153,7 +157,7 @@ class _Object(_Shape):
         self.allowed = frozenset(fields)
         self.required = self.allowed - frozenset(optional)
 
-    def check(self, value) -> Sequence:
+    def check(self, value) -> list:
         if type(value) is not dict:
             return _expected("an object", value)
         out = [(f"/{key}", "missing required field")
@@ -161,17 +165,19 @@ class _Object(_Shape):
         out += [(f"/{_token(key)}", "unknown field") for key in value if key not in self.allowed]
         return out + _each((key, shape, value[key]) for key, shape in self.fields if key in value)
 
-    def fits_all(self, values: list) -> bool:
+    def fits_all(self, values: list, trust=False):
         if not {dict}.issuperset(map(type, values)):
-            return False
-        try:  # every required field in every object
-            columns = [(shape, list(map(itemgetter(key), values)) if key in self.required
-                        else [v[key] for v in values if key in v]) for key, shape in self.fields]
+            return None
+        try:  # every required field in every object; an optional one's column has the objects that have it
+            columns = {key: list(map(itemgetter(key), values)) if key in self.required
+                       else [v[key] for v in values if key in v] for key, _ in self.fields}
         except KeyError:
-            return False
+            return None
         # each entry taken is a declared key, so as many keys as entries leaves no unknown key
-        return (sum(map(len, values)) == sum(len(column) for _, column in columns)
-                and all(shape.fits_all(column) for shape, column in columns))
+        if sum(map(len, values)) != sum(map(len, columns.values())):
+            return None
+        columns = {key: shape.fits_all(columns[key], trust) for key, shape in self.fields}
+        return None if None in columns.values() else columns
 
 
 class _Map(_Shape):
@@ -180,34 +186,43 @@ class _Map(_Shape):
     def __init__(self, value: _Shape, int_keys=False):
         self.value, self.int_keys = value, int_keys
 
-    def check(self, value) -> Sequence:
+    def check(self, value) -> list:
         if type(value) is not dict:
             return _expected("an object", value)
         out = [(f"/{_token(key)}", "keys are integers written in decimal, like \"0\"")
-               for key in value if self.int_keys and not _int_keys([key])]
+               for key in value if self.int_keys and _int_keys([key]) is None]
         return out + _each((_token(key), self.value, entry) for key, entry in value.items())
 
-    def fits_all(self, values: list) -> bool:
-        return ({dict}.issuperset(map(type, values))
-                and (not self.int_keys or _int_keys(list(chain.from_iterable(values))))
-                and self.value.fits_all(list(chain.from_iterable(map(dict.values, values)))))
+    def fits_all(self, values: list, trust=False):
+        if not {dict}.issuperset(map(type, values)):
+            return None
+        entries = list(chain.from_iterable(map(dict.values, values)))
+        keys = _int_keys(list(chain.from_iterable(values))) if self.int_keys else ()
+        if keys is None or self.value.fits_all(entries, trust) is None:
+            return None
+        pairs = zip(keys, entries)  # dealt back out, each object taking as many as it had
+        return list(map(dict, map(islice, repeat(pairs), map(len, values)))) if self.int_keys else values
 
 
-def _int_keys(keys: list) -> bool:
-    """Whether every key is an integer written in canonical decimal; one C-level pass."""
+def _int_keys(keys: list):
+    """The keys as ints when each is an integer written in canonical decimal, else None."""
+    distinct = list(set(keys))  # component ids repeat from disc to disc, so each is parsed once
     try:
-        return list(map(str, map(int, keys))) == keys  # canonical, so "01" cannot alias "1"
+        ints = list(map(int, distinct))
     except (TypeError, ValueError):  # not a number, or past int's 4 300-digit limit
-        return False
+        return None
+    if list(map(str, ints)) != distinct:  # canonical, so "01" cannot alias "1"
+        return None
+    return list(map(dict(zip(distinct, ints)).__getitem__, keys))
 
 
 class _Tagged(_Shape):
-    """An object whose ``tag`` field picks one of several object shapes."""
+    """An object whose ``tag`` field picks one of several object shapes; its columns are per tag."""
 
     def __init__(self, tag: str, variants: dict):
         self.tag, self.variants = tag, variants
 
-    def check(self, value) -> Sequence:
+    def check(self, value) -> list:
         if type(value) is not dict:
             return _expected("an object", value)
         tag = value.get(self.tag)
@@ -218,45 +233,48 @@ class _Tagged(_Shape):
         names = " or ".join(map(json.dumps, self.variants))
         return [(f"/{self.tag}", f"expected {names}, got {_describe(tag)}")]
 
-    def fits_all(self, values: list) -> bool:
-        if not {dict}.issuperset(map(type, values)):
-            return False
-        tags = list(map(dict.get, values, repeat(self.tag)))
-        return ({str}.issuperset(map(type, tags)) and self.variants.keys() >= set(tags)
-                and all(shape.fits_all(list(compress(values, map(name.__eq__, tags))))
-                        for name, shape in self.variants.items()))
+    def fits_all(self, values: list, trust=False):
+        tags = list(map(dict.get, values, repeat(self.tag))) if {dict}.issuperset(map(type, values)) else [None]
+        if not ({str}.issuperset(map(type, tags)) and self.variants.keys() >= set(tags)):
+            return None
+        columns = {name: shape.fits_all(list(compress(values, map(name.__eq__, tags))), trust)
+                   for name, shape in self.variants.items()}
+        return None if None in columns.values() else columns
 
 
 class _Nullable(_Shape):
     def __init__(self, shape: _Shape):
         self.shape = shape
 
-    def check(self, value) -> Sequence:
-        return _FITS if value is None else self.shape.check(value)
+    def check(self, value) -> list:
+        return [] if value is None else self.shape.check(value)
 
-    def fits_all(self, values: list) -> bool:
-        return self.shape.fits_all([v for v in values if v is not None])
+    def fits_all(self, values: list, trust=False):
+        return self.shape.fits_all([v for v in values if v is not None], trust)
 
 
 INT = _Leaf("an integer", int)
 COUNT = _Leaf("a nonnegative integer", int, minimum=0)
 BIT = _Leaf("0 or 1", int, values=(0, 1))
-SIGN = _Leaf("+1 or -1", int, values=(1, -1))
 BOOL = _Leaf("true or false", bool)
 STR = _Leaf("a string", str)
 ELEMENT = _Shape()  # its form depends on the group, so groups.check_signed checks it
+# Owned leaves: check_signed and Character check signs, bands._mask bits, WhitneyCollection
+# counts, make_finite_group and FGAbelianGroup table entries and factors.
+SIGN = _Leaf("+1 or -1", int, values=(1, -1), owned=True)
+OWNED_INT, OWNED_COUNT, OWNED_BIT = (_Leaf(leaf.expected, int, leaf.values, leaf.minimum, owned=True)
+                                     for leaf in (INT, COUNT, BIT))
 
 INSTANCE_SHAPE = _Object({
     "version": _Leaf(str(SCHEMA_VERSION), int, values=(SCHEMA_VERSION,)),
     "group": _Tagged("kind", {
-        "finite": _Object({"kind": STR, "table": _Array(_Array(INT))}),
-        "abelian": _Object({"kind": STR, "factors": _Array(INT)}),
+        "finite": _Object({"kind": STR, "table": _Array(_Array(OWNED_INT))}),
+        "abelian": _Object({"kind": STR, "factors": _Array(OWNED_INT)}),
     }),
     "characters": _Object({"wM": _Array(SIGN)}),
     "components": _Array(_Object(
         {"id": INT, "signed_subgroup": _Array(_Tuple(ELEMENT, SIGN)), "has_alg_dual": BOOL,
-         "dual_framed": BOOL, "w2": BIT, "e": INT},
-        optional=("w2", "e"))),
+         "dual_framed": BOOL, "w2": BIT, "e": INT}, optional=("w2", "e"))),
     "surface": _Object({"components": _Array(_Object(
         {"id": INT, "genus": COUNT, "orientable": BOOL, "boundary_circles": COUNT}))}),
     "double_points": _Array(_Object(
@@ -264,17 +282,17 @@ INSTANCE_SHAPE = _Object({
     "whitney_collection": _Nullable(_Object({
         "convenient": BOOL,
         "discs": _Array(_Object(
-            {"id": INT, "pairs": _Tuple(INT, INT), "interior": _Map(COUNT, int_keys=True),
-             "mu_boundary": COUNT, "euler": INT})),
-        "boundary_intersections": _Array(_Tuple(INT, INT, COUNT)),
+            {"id": INT, "pairs": _Tuple(INT, INT), "interior": _Map(OWNED_COUNT, int_keys=True),
+             "mu_boundary": OWNED_COUNT, "euler": OWNED_INT})),
+        "boundary_intersections": _Array(_Tuple(INT, INT, OWNED_COUNT)),
     })),
     "catalogs": _Object({
-        "rel_h2": _Object({"basis": _Array(STR), "boundary": _Map(_Array(BIT))}),
+        "rel_h2": _Object({"basis": _Array(STR), "boundary": _Map(_Array(OWNED_BIT))}),
         "bands": _Array(_Object(
-            {"id": STR, "kind": STR, "rel_class": _Array(BIT),
-             "boundary_classes": _Array(_Array(BIT)), "w1_sigma": _Array(BIT),
-             "w1m_core": BIT, "mu_boundary": BIT, "arc_count": BIT, "interior": BIT,
-             "euler": BIT})),
+            {"id": STR, "kind": STR, "rel_class": _Array(OWNED_BIT),
+             "boundary_classes": _Array(_Array(OWNED_BIT)), "w1_sigma": _Array(OWNED_BIT),
+             "w1m_core": OWNED_BIT, "mu_boundary": OWNED_BIT, "arc_count": OWNED_BIT,
+             "interior": OWNED_BIT, "euler": OWNED_BIT})),
         "spheres": _Array(_Tuple(BIT, BIT)),
         "rp2": _Array(_Tuple(BIT, BIT)),
     }),
@@ -292,7 +310,7 @@ KNOT_SHAPE = _Object({"seifert": _Array(_Array(SEIFERT_ENTRY)), "name": STR}, op
 
 def _shape_errors(shape, doc) -> list[str]:
     """Every mismatch between ``doc`` and ``shape``, as pointer messages."""
-    if shape.fits_all([doc]):
+    if shape.fits_all([doc]) is not None:
         return []
     return [f"{pointer or '/'}: {message}" for pointer, message in shape.check(doc)]
 
@@ -311,9 +329,8 @@ def _read_json(path, what: str):
 def load_knot(path) -> knots.SeifertMatrix:
     """The Seifert matrix of a knot file, or a SchemaError."""
     doc = _read_json(path, "knot file")
-    errors = _shape_errors(KNOT_SHAPE, doc)
-    if errors:
-        raise SchemaError(errors)
+    if KNOT_SHAPE.fits_all([doc]) is None:
+        raise SchemaError(_shape_errors(KNOT_SHAPE, doc))
     if len(doc["seifert"]) > MAX_SEIFERT_SIZE:
         raise SchemaError([f"/seifert: the Seifert size {len(doc['seifert'])} "
                            f"exceeds the cap of {MAX_SEIFERT_SIZE}"])
@@ -326,9 +343,8 @@ def load_knot(path) -> knots.SeifertMatrix:
 def load_instance(path) -> engine.ProblemInstance:
     """The instance of an instance file, or a SchemaError.
 
-    Parsing and building make many containers and no reference cycles, so the
-    cyclic collector, which would scan them again each time they grow, is
-    paused while they run.
+    Reading makes many containers and no cycles, so the collector, which
+    would scan them each time they grow, is paused while it runs.
     """
     import gc  # here, so that only the commands that read instances import it
 
@@ -346,7 +362,7 @@ def load_instance(path) -> engine.ProblemInstance:
 
 def _domain_errors() -> tuple:
     """The errors a domain constructor raises on data that fits the shape."""
-    return groups.GroupError, bands.BandError, whitney.WhitneyError, engine.EngineError
+    return groups.GroupError, bands.BandError, whitney.WhitneyError, engine.EngineError, gamma.GammaError
 
 
 def _build(errors: list[str], pointer: str, make, *args, **kwargs):
@@ -359,10 +375,7 @@ def _build(errors: list[str], pointer: str, make, *args, **kwargs):
 
 
 def _h1_dim_error(components) -> list[str]:
-    """An error at the field that takes the H1 dimension past ``MAX_H1_DIM``, if any.
-
-    Counts with the model's ranks, ``bands.h1_ranks``, before a model is built.
-    """
+    """An error at the field that takes the H1 dimension past ``MAX_H1_DIM``, if any, by ``bands.h1_ranks``."""
     dim = 0
     for i, sc in enumerate(components):
         ranks = bands.h1_ranks(sc["genus"], sc["orientable"], sc["boundary_circles"])
@@ -374,29 +387,48 @@ def _h1_dim_error(components) -> list[str]:
     return []
 
 
-def instance_from_dict(doc) -> engine.ProblemInstance:
-    """The instance a parsed document declares, or a SchemaError with every error found."""
-    errors = _shape_errors(INSTANCE_SHAPE, doc)
-    if errors:
-        raise SchemaError(errors)
+def _point_errors(doc, group) -> list[str]:
+    """The double points walked one by one, for an error at every bad one."""
+    errors, seen, declared = [], set(), {c["id"] for c in doc["components"]}
+    for i, dp in enumerate(doc["double_points"]):
+        if not set(dp["components"]) <= declared:
+            errors.append(f"/double_points/{i}/components: unknown component in {dp['components']}")
+        elif dp["id"] in seen:
+            errors.append(f"/double_points/{i}/id: duplicate double-point id")
+        elif group is not None:
+            try:
+                group.check_elem(dp["eta"])
+            except groups.GroupError as exc:
+                errors.append(f"/double_points/{i}/eta: {exc}")
+        seen.add(dp["id"])
+    return errors
 
-    gdoc = doc["group"]
+
+def instance_from_dict(doc) -> engine.ProblemInstance:
+    """The instance a parsed document declares, or a SchemaError with every error found.
+
+    The builders read the trusting walk's columns.  Only when one of them or
+    the instance refuses do the shape's and the double points' walks run.
+    """
+    view = INSTANCE_SHAPE.fits_all([doc], trust=True)
+    if view is None:
+        raise SchemaError(_shape_errors(INSTANCE_SHAPE, doc))
+
+    errors, gdoc = [], doc["group"]
     if gdoc["kind"] == "finite":
         group = _build(errors, "/group/table", groups.make_finite_group, gdoc["table"])
     else:
         group = _build(errors, "/group/factors", groups.abelian_group, gdoc["factors"])
 
-    wM = None
-    components: list[engine.ComponentData] = []
+    wM, components = None, []
     if group is not None:
         wM = _build(errors, "/characters/wM", groups.Character, group, doc["characters"]["wM"])
         for i, comp in enumerate(doc["components"]):
             subgroup = _build(errors, f"/components/{i}/signed_subgroup",
                               groups.subgroup_closure, group, comp["signed_subgroup"])
             if subgroup is not None:
-                components.append(engine.ComponentData(
-                    comp["id"], subgroup, comp["has_alg_dual"], comp["dual_framed"],
-                    comp.get("w2"), comp.get("e")))
+                components.append(engine.ComponentData(comp["id"], subgroup, comp["has_alg_dual"],
+                                                       comp["dual_framed"], comp.get("w2"), comp.get("e")))
 
     parts = [_build(errors, f"/surface/components/{i}", bands.SurfaceComponent, **sc)
              for i, sc in enumerate(doc["surface"]["components"])]
@@ -405,76 +437,47 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
     surface = (None if too_large or None in parts
                else _build(errors, "/surface", bands.SurfaceModel, parts))
 
-    declared, dps = {c["id"] for c in doc["components"]}, doc["double_points"]
-    ids = list(map(itemgetter("id"), dps))
-    pairs = list(map(tuple, map(itemgetter("components"), dps)))
-    points = None
-    if (group is not None and len(set(ids)) == len(ids)
-            and declared.issuperset(chain.from_iterable(pairs))):
-        points = _build([], "", whitney.DoublePoints, ids, pairs, map(itemgetter("sign"), dps),
-                        map(itemgetter("eta"), dps), group)  # None on a bad eta, which the walk reports
-    if points is None:  # walked point by point, for an error at every bad one
-        seen: set[int] = set()
-        for i, dp in enumerate(dps):
-            pid, pair = dp["id"], dp["components"]
-            if not set(pair) <= declared:
-                errors.append(f"/double_points/{i}/components: unknown component in {pair}")
-            elif pid in seen:
-                errors.append(f"/double_points/{i}/id: duplicate double-point id")
-            elif group is not None:
-                try:
-                    group.check_elem(dp["eta"])
-                except groups.GroupError as exc:
-                    errors.append(f"/double_points/{i}/eta: {exc}")
-            seen.add(pid)
+    at, refused, dps = len(errors), [], view["double_points"]  # the points' errors go at ``at``
+    points = None if group is None else _build(
+        refused, "", whitney.DoublePoints, dps["id"], zip(*dps["components"]), dps["sign"], dps["eta"], group)
 
     collection = None
-    wc = doc["whitney_collection"]
-    if wc is not None:
-        discs, interiors = wc["discs"], list(map(itemgetter("interior"), wc["discs"]))
-        columns = whitney.WhitneyDiscs(
-            map(itemgetter("id"), discs), map(tuple, map(itemgetter("pairs"), discs)),
-            map(dict, map(zip, map(map, repeat(int), interiors), map(dict.values, interiors))),
-            map(itemgetter("mu_boundary"), discs), map(itemgetter("euler"), discs))
-        crossings = wc["boundary_intersections"]
-        keys = list(map(frozenset, map(itemgetter(slice(2)), crossings)))
-        boundary = dict(zip(keys, map(itemgetter(2), crossings)))
-        if len(boundary) != len(keys):  # walked, for an error at every repeat
-            seen: set[frozenset] = set()
-            for i, key in enumerate(keys):
-                if key in seen:
-                    errors.append(f"/whitney_collection/boundary_intersections/{i}: disc pair listed twice")
-                seen.add(key)
+    if doc["whitney_collection"] is not None:
+        wc = view["whitney_collection"]
+        discs, (first, second, counts) = wc["discs"], wc["boundary_intersections"]
+        columns = whitney.WhitneyDiscs(discs["id"], zip(*discs["pairs"]), discs["interior"],
+                                       discs["mu_boundary"], discs["euler"])
+        keys = list(map(frozenset, zip(first, second)))
+        boundary = dict(zip(keys, counts))
+        if len(boundary) != len(keys):  # an error at every repeat
+            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+            errors += [f"/whitney_collection/boundary_intersections/{i}: disc pair listed twice"
+                       for i, key in enumerate(keys) if first[key] != i]
         collection = _build(errors, "/whitney_collection", whitney.WhitneyCollection,
-                            columns, boundary, wc["convenient"])
+                            columns, boundary, doc["whitney_collection"]["convenient"])
 
     catalogs = doc["catalogs"]
     rel = _build(errors, "/catalogs/rel_h2", bands.RelH2, tuple(catalogs["rel_h2"]["basis"]),
                  {k: tuple(v) for k, v in catalogs["rel_h2"]["boundary"].items()})
-    records = [
-        _build(errors, f"/catalogs/bands/{i}", bands.BandRecord, **dict(
-            b, rel_class=tuple(b["rel_class"]), w1_sigma=tuple(b["w1_sigma"]),
-            boundary_classes=tuple(tuple(c) for c in b["boundary_classes"])))
-        for i, b in enumerate(catalogs["bands"])
-    ]
-    band_catalog = None
-    if rel is not None and surface is not None and None not in records:
-        band_catalog = _build(errors, "/catalogs/bands", bands.BandCatalog,
-                              surface, rel, tuple(records))
+    records = [_build(errors, f"/catalogs/bands/{i}", bands.BandRecord, **b)
+               for i, b in enumerate(catalogs["bands"])]
+    band_catalog = (None if rel is None or surface is None or None in records
+                    else _build(errors, "/catalogs/bands", bands.BandCatalog, surface, rel, tuple(records)))
 
-    if errors:
-        raise SchemaError(errors)
-    try:
-        return engine.ProblemInstance(
-            group=group, wM=wM, components=tuple(components), surface=surface,
-            points=points, collection=collection,
-            sphere_catalog=tuple(tuple(p) for p in catalogs["spheres"]),
-            rp2_catalog=tuple(tuple(p) for p in catalogs["rp2"]),
-            band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
-            torus_summands=frozenset(doc["flags"]["torus_summand"]),
-        )
-    except _domain_errors() as exc:
-        raise SchemaError([f"/: {exc}"]) from None
+    if not (errors or refused):
+        try:
+            return engine.ProblemInstance(
+                group=group, wM=wM, components=tuple(components), surface=surface,
+                points=points, collection=collection,
+                sphere_catalog=tuple(map(tuple, catalogs["spheres"])),
+                rp2_catalog=tuple(map(tuple, catalogs["rp2"])),
+                band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
+                torus_summands=frozenset(doc["flags"]["torus_summand"]),
+            )
+        except _domain_errors() as exc:  # every owned leaf is checked by now
+            raise SchemaError(_point_errors(doc, group) or [f"/: {exc}"]) from None
+    errors[at:at] = _point_errors(doc, group)
+    raise SchemaError(_shape_errors(INSTANCE_SHAPE, doc) or errors)
 
 
 def to_json(doc) -> str:

@@ -65,7 +65,7 @@ class DoublePoints:
     def __init__(self, ids, pairs, signs, etas, group=None):
         self.ids, self.pairs, self.signs, self.etas = map(tuple, (ids, pairs, signs, etas))
         if group is not None:
-            self.etas = tuple(check_signed(group, self.signs, self.etas, gamma.GammaError))
+            self.etas = check_signed(group, self.signs, self.etas, gamma.GammaError)
         self.group = group
         self._by_pair = None
 

@@ -800,6 +800,50 @@ def random_points_doc(rng: random.Random, finite: bool, pairs: int, components: 
     }
 
 
+def band_catalog_doc(n: int, seed: int) -> dict:
+    """n records over an n-class basis on a genus-n/2 component, and a framed torus beside it.
+
+    Each record's circles sum to the boundary of its random class.  Every
+    third record is an annulus whose two circles both cross the torus, so it
+    falls outside F^t; the others lie on the first component.
+    """
+    rng = random.Random(seed)
+
+    def vec():
+        return [int(rng.random() < 0.3) for _ in range(n)] + [0, 0]
+
+    boundary = {f"c{i}": vec() for i in range(n)}
+    bands_doc = []
+    for k in range(n):
+        cls = [rng.randrange(2) for _ in range(n)]
+        kind = "annulus" if k % 3 == 0 else rng.choice(("annulus", "mobius", "surface"))
+        circles = [vec() for _ in range({"annulus": 2, "mobius": 1}.get(kind, rng.randrange(1, 4)) - 1)]
+        last = [0] * (n + 2)
+        for name, bit in zip(boundary, cls):
+            last = [a ^ b * bit for a, b in zip(last, boundary[name])]
+        for c in circles:
+            last = [a ^ b for a, b in zip(last, c)]
+        circles.append(last)
+        if k % 3 == 0:  # both circles cross the torus; their sum does not
+            circles[0][n] = circles[1][n] = 1
+        bands_doc.append({"id": f"r{k}", "kind": kind, "rel_class": cls, "boundary_classes": circles,
+                          "w1_sigma": [0] * len(circles), "w1m_core": 0,
+                          "mu_boundary": rng.randrange(2), "arc_count": 0,
+                          "interior": rng.randrange(2), "euler": rng.randrange(2)})
+    component = {"signed_subgroup": [], "has_alg_dual": True}
+    return {
+        "version": 1, "group": {"kind": "finite", "table": [[0]]}, "characters": {"wM": [1]},
+        "components": [dict(component, id=0, dual_framed=False), dict(component, id=1, dual_framed=True)],
+        "surface": {"components": [
+            {"id": 0, "genus": n // 2, "orientable": True, "boundary_circles": 0},
+            {"id": 1, "genus": 1, "orientable": True, "boundary_circles": 0}]},
+        "double_points": [], "whitney_collection": None,
+        "catalogs": {"rel_h2": {"basis": list(boundary), "boundary": boundary}, "bands": bands_doc,
+                     "spheres": [], "rp2": []},
+        "flags": {"good_group": True, "torus_summand": []},
+    }
+
+
 def linear_pencil_det_lagrange(pairs) -> list[int]:
     """``intlinalg.linear_pencil_det`` by Lagrange interpolation over ``Fraction``s, O(n^3)
     rational operations: the reference for the forward-difference interpolation."""

@@ -1,9 +1,17 @@
-"""``reduce_list`` checks its signs and elements once; ``classify_all`` stays checked for other callers."""
+"""``reduce_list`` checks its signs and elements once; ``classify_all`` stays checked for other callers.
+
+``gamma`` on a table group classifies the group once, in one batch, and
+reads its orbit counts off that one orbit list.
+"""
+
+import json
+import random
 
 import pytest
 
-from helpers import cyclic_group, trivial_character
-from surfemb4.gamma import GammaError, PairingContext, build_gamma, reduce_list
+from helpers import cyclic_group, random_points_doc, trivial_character
+from surfemb4 import cli
+from surfemb4.gamma import GammaError, GammaGroup, PairingContext, build_gamma, reduce_list
 from surfemb4.groups import GroupError, abelian_group, subgroup_closure
 
 CASES = {
@@ -64,3 +72,20 @@ def test_reduce_list_takes_exact_int_signs(monkeypatch, case, bad):
         reduce_list(entries + [(bad, entries[0][1])], gamma)
     with pytest.raises(GroupError):  # a bad element before the bad sign is met first
         reduce_list(entries + [(1, bad_elem), (bad, entries[0][1])], gamma)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gamma_command_classifies_the_group_once(seed, tmp_path, monkeypatch, capsys):
+    doc = random_points_doc(random.Random(seed), finite=True, pairs=10)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    batches = []
+    classify = GammaGroup._classify_canonical
+    monkeypatch.setattr(GammaGroup, "_classify_canonical",
+                        lambda self, canon: batches.append(len(canon)) or classify(self, canon))
+    assert cli.main(["gamma", str(path), "--component", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # the group once, then the reduction's live elements: none, since every pair cancels
+    assert batches == [len(doc["group"]["table"]), 0]
+    assert report["free_rank"] + report["z2_count"] == len(report["orbits"])
+    assert report["z2_count"] == sum(o["order"] == "Z/2" for o in report["orbits"])

@@ -336,7 +336,7 @@ def test_abelian_check_elem_accepts_lists_and_tuples():
 
 
 def _outcome(check, *args):
-    """The list ``check(*args)`` returns, or the message of the GroupError it raises."""
+    """The tuple ``check(*args)`` returns, or the message of the GroupError it raises."""
     try:
         return check(*args)
     except GroupError as exc:
@@ -345,7 +345,7 @@ def _outcome(check, *args):
 
 def _walk(group, values):
     """``check_elem`` on each value in turn, so the first invalid value raises."""
-    return [group.check_elem(v) for v in values]
+    return tuple(group.check_elem(v) for v in values)
 
 
 _BIG = st.integers(-10**100, 10**100)

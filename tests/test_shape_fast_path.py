@@ -3,11 +3,14 @@
 ``fits_all`` tests a whole array of objects in C-level passes: an object
 with no optional fields by its key count and one ``itemgetter`` column per
 field, a map with integer keys by one canonical-decimal pass over its keys.
-Only when it says "no fit" does the reader walk the entries with ``check``
-for the errors, so it must be True exactly when no entry has an error.  The
-entries drawn here miss fields, carry extra ones or wrong types, and use
-keys that ``int`` accepts but are not canonical: "01", " 1", "1_0", "٣",
-and an integer of more than 4 300 digits, which ``int`` refuses.
+Only when it says "no fit" (None) does the reader walk the entries with
+``check`` for the errors, so it must fit exactly when no entry has an error.
+With ``trust`` it leaves the owned leaves to their constructors, so it fits
+at least whenever the strict test does.  The columns it returns must equal
+those taken one entry at a time.  The entries drawn here miss fields, carry
+extra ones or wrong types, and use keys that ``int`` accepts but are not
+canonical: "01", " 1", "1_0", "٣", and an integer of more than 4 300 digits,
+which ``int`` refuses.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -29,10 +32,12 @@ from surfemb4.schema import (
 )
 
 FIELDS = dict(INSTANCE_SHAPE.fields)
-DISC = dict(FIELDS["whitney_collection"].shape.fields)["discs"].item
+COLLECTION = dict(FIELDS["whitney_collection"].shape.fields)
 SHAPES = {
     "point": FIELDS["double_points"].item,  # no optional fields
-    "disc": DISC,  # an _Map(COUNT, int_keys=True) inside
+    "disc": COLLECTION["discs"].item,  # an _Map(COUNT, int_keys=True) inside
+    "collection": FIELDS["whitney_collection"].shape,  # owned counts, in tuples too
+    "band": dict(FIELDS["catalogs"].fields)["bands"].item,  # owned bits, arrays of arrays
     "component": FIELDS["components"].item,  # optional w2 and e
     "knot": KNOT_SHAPE,  # optional name
     "flat": _Object({"a": INT, "b": BIT}),
@@ -42,7 +47,8 @@ SHAPES = {
 }
 KEYS = ["0", "1", "12", "-3", "01", " 1", "1_0", "٣", "+1", "1" * 4301, "x", ""]
 JUNK = [True, False, 1.5, "x", None, [], {}, 2 ** 70, -1, 0, [0, 1]]
-LEAF_VALUES = {INT: [-3, 0, 7], COUNT: [0, 2, -1], BIT: [0, 1, 2], SIGN: [1, -1, 0], BOOL: [True, False]}
+LEAF_VALUES = {leaf.expected: values for leaf, values in (  # owned twins share their pools
+    (INT, [-3, 0, 7]), (COUNT, [0, 2, -1]), (BIT, [0, 1, 2]), (SIGN, [1, -1, 0]), (BOOL, [True, False]))}
 
 
 def _value(draw, shape, valid: bool):
@@ -52,7 +58,7 @@ def _value(draw, shape, valid: bool):
     if shape is ELEMENT:
         return draw(st.sampled_from(JUNK))
     if isinstance(shape, _Leaf):
-        pool = LEAF_VALUES.get(shape) or (["a", ""] if shape.typ is str else [0, 5, -2])
+        pool = LEAF_VALUES.get(shape.expected) or (["a", ""] if shape.typ is str else [0, 5, -2])
         if valid:
             pool = [v for v in pool if not shape.check(v)]
         return draw(st.sampled_from(pool))
@@ -104,13 +110,34 @@ def test_fits_all_is_true_exactly_when_no_entry_has_an_error(name, mode, data):
     values = data.draw(st.lists(_entries(shape, mode != "noisy"), max_size=6))
     if mode == "one fault" and values:
         _one_fault(data.draw, shape, values[data.draw(st.integers(0, len(values) - 1))])
-    assert shape.fits_all(values) == (not any(map(shape.check, values)))
+    fits = shape.fits_all(values) is not None
+    assert fits == (not any(map(shape.check, values)))
+    assert fits <= (shape.fits_all(values, trust=True) is not None)
     if mode == "valid":
-        assert shape.fits_all(values)
+        assert fits
+        for trust in (False, True):
+            assert shape.fits_all(values, trust) == _columns(shape, values, trust)
+
+
+def _columns(shape, values: list, trust: bool):
+    """The columns of entries that fit, taken one entry at a time."""
+    if isinstance(shape, _Array):
+        if trust and shape.item.owned:  # passed on as they are
+            return values
+        return _columns(shape.item, [item for value in values for item in value], trust)
+    if isinstance(shape, _Tuple):
+        return tuple(_columns(item, tuple(value[i] for value in values), trust)
+                     for i, item in enumerate(shape.items))
+    if isinstance(shape, _Object):
+        return {key: _columns(field, [value[key] for value in values if key in value], trust)
+                for key, field in shape.fields}
+    if isinstance(shape, _Map) and shape.int_keys:
+        return [{int(key): entry for key, entry in value.items()} for value in values]
+    return values
 
 
 def test_non_canonical_keys_do_not_fit():
     interior = SHAPES["interior"]
     for key in KEYS[4:]:
-        assert interior.check({key: 1}) and not interior.fits_all([{"0": 1}, {key: 1}])
-    assert interior.fits_all([{"0": 1, "12": 0}, {"-3": 2}, {}])
+        assert interior.check({key: 1}) and interior.fits_all([{"0": 1}, {key: 1}]) is None
+    assert interior.fits_all([{"0": 1, "12": 0}, {"-3": 2}, {}]) == [{0: 1, 12: 0}, {-3: 2}, {}]

@@ -23,18 +23,28 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SHIPPED = str(SRC / "surfemb4" / "data" / "instances")
+BATCH = ["decide", "--batch", SHIPPED, "--mode", "homotopy"]  # every decide-abelian child runs this path
 COMMANDS = [
     ["examples", "list"],
     ["decide", "torus_s3s1"],
+    BATCH,
     ["knot", "arf", "trefoil"],
     ["knot", "cp2-verdict", "t2_7"],
 ]
+
+
+def _id(argv) -> str:
+    """The command as a test id, the shipped directory by its name."""
+    return " ".join("instances" if arg == SHIPPED else arg for arg in argv)
+
+
 HEAVY = re.compile(r"\b(dataclasses|inspect)\b")
 ENV = dict(os.environ,
            PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", COMMANDS, ids=_id)
 def test_cli_child_skips_dataclasses_and_inspect(argv):
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "surfemb4.cli", *argv],
                           capture_output=True, text=True, timeout=120, env=ENV)
@@ -48,7 +58,7 @@ def test_cli_child_skips_dataclasses_and_inspect(argv):
 NUMERIC = {"fractions", "decimal", "numbers"}
 
 
-@pytest.mark.parametrize("argv", [["decide", "torus_s3s1"], ["examples", "list"]], ids=" ".join)
+@pytest.mark.parametrize("argv", [["decide", "torus_s3s1"], BATCH, ["examples", "list"]], ids=_id)
 def test_decide_and_examples_import_no_rationals(argv):
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "surfemb4.cli", *argv],
                           capture_output=True, text=True, timeout=120, env=ENV)
