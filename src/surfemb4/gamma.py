@@ -166,12 +166,6 @@ class GammaGroup:
         entries = self._classify_canonical(list(self.ctx.ambient.elements()))
         return sorted({orbit for orbit, _ in entries})
 
-    def free_rank(self) -> int:
-        return sum(1 for o in self.orbits() if not o.order_two)
-
-    def two_count(self) -> int:
-        return sum(1 for o in self.orbits() if o.order_two)
-
     def classify_all(self, elems: list) -> list[tuple[Orbit, Optional[int]]]:
         """``classify`` of each element; those new to the table are classified in one batch."""
         return self._classify_canonical(self.ctx.ambient.check_elems(elems))

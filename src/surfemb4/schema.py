@@ -104,10 +104,11 @@ class _Leaf(_Shape):
         return [] if self.fits_all([value]) is not None else _expected(self.expected, value)
 
     def fits_all(self, values: list, trust=False):
-        return values if (trust and self.owned) or ({self.typ}.issuperset(map(type, values)) and (
-            self.values is None or self.values.issuperset(values))
-            and (self.minimum is None or not values or min(values) >= self.minimum)
-            and (self.maximum is None or not values or max(values) <= self.maximum)) else None
+        fits = ((trust and self.owned) or {self.typ}.issuperset(map(type, values))
+                and (self.values is None or self.values.issuperset(values))
+                and (self.minimum is None or not values or min(values) >= self.minimum)
+                and (self.maximum is None or not values or max(values) <= self.maximum))
+        return values if fits else None
 
 
 class _Array(_Shape):
@@ -234,7 +235,9 @@ class _Tagged(_Shape):
         return [(f"/{self.tag}", f"expected {names}, got {_describe(tag)}")]
 
     def fits_all(self, values: list, trust=False):
-        tags = list(map(dict.get, values, repeat(self.tag))) if {dict}.issuperset(map(type, values)) else [None]
+        if not {dict}.issuperset(map(type, values)):
+            return None
+        tags = list(map(dict.get, values, repeat(self.tag)))
         if not ({str}.issuperset(map(type, tags)) and self.variants.keys() >= set(tags)):
             return None
         columns = {name: shape.fits_all(list(compress(values, map(name.__eq__, tags))), trust)
@@ -347,7 +350,6 @@ def load_instance(path) -> engine.ProblemInstance:
     would scan them each time they grow, is paused while it runs.
     """
     import gc  # here, so that only the commands that read instances import it
-
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -375,7 +377,7 @@ def _build(errors: list[str], pointer: str, make, *args, **kwargs):
 
 
 def _h1_dim_error(components) -> list[str]:
-    """An error at the field that takes the H1 dimension past ``MAX_H1_DIM``, if any, by ``bands.h1_ranks``."""
+    """An error at the field that takes the H1 dimension past ``MAX_H1_DIM`` (``bands.h1_ranks``), if any."""
     dim = 0
     for i, sc in enumerate(components):
         ranks = bands.h1_ranks(sc["genus"], sc["orientable"], sc["boundary_circles"])
@@ -407,8 +409,7 @@ def _point_errors(doc, group) -> list[str]:
 def instance_from_dict(doc) -> engine.ProblemInstance:
     """The instance a parsed document declares, or a SchemaError with every error found.
 
-    The builders read the trusting walk's columns.  Only when one of them or
-    the instance refuses do the shape's and the double points' walks run.
+    The builders read the trusting walk's columns; the shape's and the points' walks run on a refusal.
     """
     view = INSTANCE_SHAPE.fits_all([doc], trust=True)
     if view is None:
@@ -441,18 +442,17 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
     points = None if group is None else _build(
         refused, "", whitney.DoublePoints, dps["id"], zip(*dps["components"]), dps["sign"], dps["eta"], group)
 
-    collection = None
+    collection, wc = None, view["whitney_collection"]
     if doc["whitney_collection"] is not None:
-        wc = view["whitney_collection"]
         discs, (first, second, counts) = wc["discs"], wc["boundary_intersections"]
         columns = whitney.WhitneyDiscs(discs["id"], zip(*discs["pairs"]), discs["interior"],
                                        discs["mu_boundary"], discs["euler"])
         keys = list(map(frozenset, zip(first, second)))
         boundary = dict(zip(keys, counts))
         if len(boundary) != len(keys):  # an error at every repeat
-            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+            first_at = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
             errors += [f"/whitney_collection/boundary_intersections/{i}: disc pair listed twice"
-                       for i, key in enumerate(keys) if first[key] != i]
+                       for i, key in enumerate(keys) if first_at[key] != i]
         collection = _build(errors, "/whitney_collection", whitney.WhitneyCollection,
                             columns, boundary, doc["whitney_collection"]["convenient"])
 
@@ -467,13 +467,10 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
     if not (errors or refused):
         try:
             return engine.ProblemInstance(
-                group=group, wM=wM, components=tuple(components), surface=surface,
-                points=points, collection=collection,
-                sphere_catalog=tuple(map(tuple, catalogs["spheres"])),
-                rp2_catalog=tuple(map(tuple, catalogs["rp2"])),
-                band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
-                torus_summands=frozenset(doc["flags"]["torus_summand"]),
-            )
+                group=group, wM=wM, components=tuple(components), surface=surface, points=points,
+                collection=collection, sphere_catalog=tuple(map(tuple, catalogs["spheres"])),
+                rp2_catalog=tuple(map(tuple, catalogs["rp2"])), band_catalog=band_catalog,
+                good_group=doc["flags"]["good_group"], torus_summands=frozenset(doc["flags"]["torus_summand"]))
         except _domain_errors() as exc:  # every owned leaf is checked by now
             raise SchemaError(_point_errors(doc, group) or [f"/: {exc}"]) from None
     errors[at:at] = _point_errors(doc, group)

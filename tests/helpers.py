@@ -361,6 +361,13 @@ def arf_bruteforce(V: SeifertMatrix) -> int:
 ABELIAN_FACTORS = (0, 2, 3, 4, 6, 8, 12)
 
 
+def orbit_counts(gamma) -> tuple[int, int]:
+    """(free rank, number of Z/2 orbits) of a finite ambient's target group, from one orbit list."""
+    orbits = gamma.orbits()
+    two = sum(o.order_two for o in orbits)
+    return len(orbits) - two, two
+
+
 def random_abelian_element(group, rng: random.Random) -> tuple[int, ...]:
     """A small element, often not in canonical form; one in four has order <= 2."""
     if rng.random() < 0.25:
