@@ -91,8 +91,8 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 def _mask(vec, n: int, error: str, *names) -> int:
     """The bitmask (bit i for entry i) of n exact ints 0 or 1, else a BandError worded by ``error``."""
-    bits = tuple(vec)  # C-level passes: the types, the counts, then one base-2 parse
-    if len(bits) != n or not _INTS.issuperset(map(type, bits)) or bits.count(0) + bits.count(1) != n:
+    bits = tuple(vec)  # C-level passes: the types, the values, then one base-2 parse
+    if len(bits) != n or not _INTS.issuperset(map(type, bits)) or not {0, 1}.issuperset(bits):
         raise BandError(error.format(vec, n, *names))
     return int(bytes(bits[::-1]).translate(_DIGITS) or b"0", 2)
 

@@ -8,6 +8,7 @@ the two Arf methods).  ``main`` alone turns errors into exit codes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from importlib import resources
@@ -48,7 +49,9 @@ def _error_doc(exc: ValueError) -> dict:
 
 
 def _load_instance(name: str) -> engine.ProblemInstance:
-    return schema.load_instance(str(_resolve(name, "instances")))
+    inst = schema.load_instance(str(_resolve(name, "instances")))
+    gc.freeze()  # the collector need never scan it: it holds no cycles, and reference counts free it
+    return inst
 
 
 def cmd_validate(args) -> int:

@@ -97,7 +97,7 @@ class ProblemInstance(namedtuple("ProblemInstance", (
         point_ids = set(points.ids)
         if len(point_ids) != len(points):
             raise ValidationError("duplicate double-point ids")
-        if not known.issuperset(chain.from_iterable(points.pairs)):
+        if not known.issuperset(chain.from_iterable(set(points.pairs))):  # the distinct pairs
             pid = next(p for p, pair in zip(points.ids, points.pairs) if not known.issuperset(pair))
             raise ValidationError(f"double point {pid} references unknown components")
         if not self.torus_summands <= known:

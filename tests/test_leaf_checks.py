@@ -3,9 +3,8 @@
 The reader's walk leaves each owned leaf to the domain constructor that
 checks it with the same rule: signs to ``groups.check_signed`` and
 ``Character``, band bits to ``bands._mask``, disc and boundary counts and
-disc twists to ``WhitneyCollection``, factors to ``FGAbelianGroup``.  Etas are
-checked by ``FGAbelianGroup.check_elems`` and interior keys by
-``schema._int_keys``.  On a generated valid abelian instance the values each
+disc twists to ``WhitneyCollection``, factors to ``FGAbelianGroup``.  Etas are checked by ``FGAbelianGroup.check_elems``
+and interior keys by ``schema._int_keys``.  On a generated valid abelian instance the values each
 check sees add up, kind by kind, to exactly the leaves of that kind in the
 document.  The one exception is a band record's class: ``BandRecord`` checks
 its entries, and the catalog checks them again with its length, since a
