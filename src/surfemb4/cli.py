@@ -134,19 +134,20 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_knot(args) -> int:
-    from fractions import Fraction  # here, so that no other command imports it
     V = schema.load_knot(str(_resolve(args.knot, "knots")))
     if args.invariant == "arf":
         _emit({"arf": knots.arf(V)})
     elif args.invariant == "alex":
         _emit({"alexander_at_minus_one": knots.alexander_at_minus_one(V)})
     elif args.invariant == "sig":
-        try:
+        try:  # the point exp(i*pi*p/q) as two ints, reduced by levine_tristram
             p, q = args.omega.split("/") if "/" in args.omega else (args.omega, "1")
-            omega = Fraction(int(p), int(q))
-        except (ValueError, ZeroDivisionError) as exc:
+            p, q = int(p), int(q)
+            if not q:
+                raise ValueError("zero denominator")
+        except ValueError as exc:
             raise ValueError(f"bad --omega {args.omega!r}: {exc}") from None
-        _emit({"signature": knots.levine_tristram(V, omega)})
+        _emit({"signature": knots.levine_tristram(V, p, q)})
     elif args.invariant == "sigma-d":
         _emit({"sigma_d": knots.sigma_d(V, args.d)})
     elif args.invariant == "cp2-bound":

@@ -146,8 +146,10 @@ def make_finite_group(table: Sequence[Sequence[int]]) -> FiniteTableGroup:
     associative.  In a Latin square with identity every product-closed
     subset H is a subloop, and g*H is disjoint from H for g outside H, so
     each greedy generator at least doubles the closure and at most
-    floor(log2 n) + 1 are needed.  Every step is O(n^2) except Light's
-    test, which is O(n^2 log n).
+    floor(log2 n) + 1 are needed.  Each generator is tested as it is found
+    (``_greedy_generators``), so the first failing one, and its first failing
+    (x, y), are those of testing the whole set afterwards.  Every step is
+    O(n^2) except Light's test, O(n^2) per generator and O(n^2 log n) in all.
     """
     rows = tuple(map(tuple, table))
     n = len(rows)
@@ -178,17 +180,7 @@ def make_finite_group(table: Sequence[Sequence[int]]) -> FiniteTableGroup:
         if len(set(col)) < n:
             b, c = _repeat(col)
             raise _failing_triple(rows, (b, a, inverse[a]), (c, a, inverse[a]))
-    generators = _greedy_generators(rows, cols)
-    for g in generators:
-        if g == identity:  # passes trivially; the others exist only when n >= 2,
-            continue       # where itemgetter below returns tuples
-        x_g_y = list(map(rows.__getitem__, cols[g]))  # row x: (x*g)*y for all y
-        x_gy = list(map(itemgetter(*rows[g]), rows))  # row x: x*(g*y) for all y
-        if x_g_y != x_gy:
-            x = next(x for x in range(n) if x_g_y[x] != x_gy[x])
-            y = next(y for y in range(n) if x_g_y[x][y] != x_gy[x][y])
-            raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
-    return FiniteTableGroup(rows, identity, inverse, generators)
+    return FiniteTableGroup(rows, identity, inverse, _greedy_generators(rows, cols, identity))
 
 
 def _repeat(seq: Sequence[int]) -> tuple[int, int]:
@@ -205,29 +197,41 @@ def _failing_triple(rows, *triples) -> NotAssociative:
     raise InternalConsistency(f"a repeated table entry without a failing triple among {triples}")
 
 
-def _greedy_generators(rows, cols) -> list[int]:
-    """Smallest elements not yet generated, until they generate all of ``rows``.
+def _greedy_generators(rows, cols, identity: int) -> list[int]:
+    """Smallest elements not yet generated, each passing Light's test, until they generate ``rows``.
 
-    The closure grows by multiplying each new member with every earlier one
-    on both sides, so each ordered pair is multiplied once: O(n^2) in all.
+    Each generator g is tested as it is found: (x*g)*y = x*(g*y) for all x, y,
+    or NotAssociative names the first failing (x, y).  The g that pass are
+    closed under products (with g and h, (x*(gh))*y = ((x*g)*h)*y =
+    (x*g)*(h*y) = x*(g*(h*y)) = x*((gh)*y)), so the products of generators
+    associate, every one is a product g1*g2*...*gk of generators, and the
+    closure under products is the closure under right multiplication by the
+    generators.  That closure grows by multiplying the old members by the new
+    generator and the new members by every generator, so each member is
+    multiplied by each generator once: O(n log n) in all.
     """
+    n = len(rows)
     generators: list[int] = []
     closure: set[int] = set()
     members: list[int] = []
-    for g in range(len(rows)):
+    for g in range(n):
         if g in closure:
             continue
+        if g != identity:  # the identity passes trivially; n >= 2 here, so itemgetter gives tuples
+            x_g_y = list(map(rows.__getitem__, cols[g]))  # row x: (x*g)*y for all y
+            x_gy = list(map(itemgetter(*rows[g]), rows))  # row x: x*(g*y) for all y
+            if x_g_y != x_gy:
+                x = next(x for x in range(n) if x_g_y[x] != x_gy[x])
+                y = next(y for y in range(n) if x_g_y[x][y] != x_gy[x][y])
+                raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
         generators.append(g)
-        closure.add(g)
-        members.append(g)
-        done = len(members) - 1
-        while done < len(members):
-            x = members[done]
+        fresh = {g, *map(cols[g].__getitem__, members)} - closure  # old members times g
+        done = len(members)
+        closure |= fresh
+        members += fresh
+        while done < len(members):  # new members times every generator
+            fresh = set(map(rows[members[done]].__getitem__, generators)) - closure
             done += 1
-            prefix = members[:done]
-            fresh = set(map(rows[x].__getitem__, prefix))
-            fresh.update(map(cols[x].__getitem__, prefix))
-            fresh -= closure
             closure |= fresh
             members += fresh
     return generators

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from functools import cached_property
-from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -157,20 +156,25 @@ def arf(V: SeifertMatrix) -> int:
     return by_det
 
 
-def _omega_order(r: Fraction) -> int:
-    """Order of exp(i*pi*r) as a root of unity."""
-    half = (Fraction(r) % 2) / 2  # exp(2*pi*i * (r/2))
-    return half.denominator
+def _point(p: int, q: int) -> tuple[int, int]:
+    """p/q in lowest terms with a positive denominator; q = 0 raises ZeroDivisionError."""
+    g = math.gcd(p, q) * ((q > 0) - (q < 0))
+    return p // g, q // g
 
 
-def _is_alexander_root(V: SeifertMatrix, r: Fraction) -> bool:
-    """Whether the order-m root of unity exp(i*pi*r) is a root of the Alexander polynomial.
+def _omega_order(p: int, q: int) -> int:
+    """Order of exp(i*pi*p/q) as a root of unity, q != 0: 2q over gcd(p, 2q), in any terms."""
+    return abs(2 * q) // math.gcd(p, 2 * q)
+
+
+def _is_alexander_root(V: SeifertMatrix, p: int, q: int) -> bool:
+    """Whether the order-m root of unity exp(i*pi*p/q) is a root of the Alexander polynomial.
 
     Delta(1) = det(V - V^T) = +-1, so Delta is nonzero of degree at most n,
     and Phi_m divides it only if phi(m) <= n.  As phi(m) >= sqrt(m/2), no
     m > 2n^2 qualifies, and no polynomial is built for it.
     """
-    m = _omega_order(r)
+    m = _omega_order(p, q)
     if m > 2 * V.size ** 2:
         return False
     _, rem = poly_divmod(V.alexander, cyclotomic(m))
@@ -187,15 +191,15 @@ def _atan_inv(k: int, w: int) -> int:
     return total
 
 
-def _cos_sin_pi(r: Fraction, b: int) -> tuple[int, int]:
+def _cos_sin_pi(p: int, q: int, b: int) -> tuple[int, int]:
     """Integers c, s with |c - 2^b cos(pi r)| <= 1 and |s - 2^b sin(pi r)| <= 1, for b >= 16.
 
-    r is reduced exactly to r' in [0, 1/4] by the sign and swap symmetries
-    (r -> r - 1 negates both values, r -> 1 - r negates cos, r -> 1/2 - r swaps
-    them).  At w = b + g bits, pi = 16 atan(1/5) - 4 atan(1/239) (Machin), and
-    the Taylor series of cos and sin at x = pi r' run until a term is 0, each
-    term computed from the last by one rounding down (Brent and Zimmermann,
-    Modern Computer Arithmetic, 2010, sections 4.3-4.4).
+    r = p/q, q > 0, in any terms, is reduced exactly on p and q to r' in [0, 1/4]
+    by the sign and swap symmetries (r -> r - 1 negates both values, r -> 1 - r
+    negates cos, r -> 1/2 - r swaps them).  At w = b + g bits, pi = 16 atan(1/5)
+    - 4 atan(1/239) (Machin), and the Taylor series of cos and sin at x = pi r'
+    run until a term is 0, each term computed from the last by one rounding down
+    (Brent and Zimmermann, Modern Computer Arithmetic, 2010, sections 4.3-4.4).
 
     Error, in units of 2^-w.  The arctangent series have at most w/4.6 + 1/2 and
     w/15.8 + 1/2 terms, each rounded down by less than 1, and tails below 1, so pi
@@ -207,18 +211,18 @@ def _cos_sin_pi(r: Fraction, b: int) -> tuple[int, int]:
     1/2 + 1/2 units of 2^-b.  At a multiple of 1/2, x = 0 and the values are
     exact; at r' = 1/4, s is set to c.
     """
-    r = Fraction(r) % 2
+    p %= 2 * q
     sign_c = sign_s = 1
-    if r >= 1:
-        r, sign_c, sign_s = r - 1, -1, -1
-    if r > Fraction(1, 2):
-        r, sign_c = 1 - r, -sign_c
-    swap = r > Fraction(1, 4)
+    if p >= q:
+        p, sign_c, sign_s = p - q, -1, -1
+    if 2 * p > q:
+        p, sign_c = q - p, -sign_c
+    swap = 4 * p > q
     if swap:
-        r = Fraction(1, 2) - r
+        p, q = q - 2 * p, 2 * q
     g = b.bit_length() + 6
     w = b + g
-    x = (16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)) * r.numerator // r.denominator
+    x = (16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)) * p // q
     x2 = x * x >> w
 
     def series(t: int, j: int) -> int:  # t - t x^2/((j+1)(j+2)) + ..., every term rounded down
@@ -230,7 +234,7 @@ def _cos_sin_pi(r: Fraction, b: int) -> tuple[int, int]:
         return total
 
     c = series(1 << w, 0)
-    s = c if r == Fraction(1, 4) else series(x, 1)
+    s = c if 4 * p == q else series(x, 1)
     half = 1 << (g - 1)
     c, s = (c + half) >> g, (s + half) >> g
     if swap:
@@ -238,8 +242,8 @@ def _cos_sin_pi(r: Fraction, b: int) -> tuple[int, int]:
     return sign_c * c, sign_s * s
 
 
-def _certified_signature(V: SeifertMatrix, r: Fraction, prec: int = 53) -> Optional[int]:
-    """Signature of H = (1-w)V + (1-conj(w))V^T, w = exp(i*pi*r), proven at p = prec bits, or None.
+def _certified_signature(V: SeifertMatrix, num: int, den: int, prec: int = 53) -> Optional[int]:
+    """Signature of H = (1-w)V + (1-conj(w))V^T at w = exp(i*pi*num/den), proven at p = prec bits.
 
     Arithmetic.  At p = 53 the code runs on Python floats and runs no mpmath,
     and above it on mpmath's mpf and mpc under workprec(p).  Both round to
@@ -251,13 +255,13 @@ def _certified_signature(V: SeifertMatrix, r: Fraction, prec: int = 53) -> Optio
     Skipping zero multipliers and zero entries of X changes no computed value.
 
     Error in H.  With S = V + V^T and A = V - V^T, H = (1-c)S - i s A for
-    c = cos(pi r), s = sin(pi r).  ``_cos_sin_pi`` gives integers within 1 of
-    2^b c and 2^b s, b = p + 60, and c^ and s^ are those over 2^b rounded once
-    to nearest at p bits (float() or mpf(), then an exact scaling).  Rounding a
-    value at most 1 + 2^-b in magnitude adds at most u (1 + 2^-b), so
-    |c^ - c|, |s^ - s| <= u + 2^-(p+59) < 2u.  H^ has the entries
-    fl(fl(1 - c^) S) - i fl(s^ A) and is exactly Hermitian, and following each
-    rounding gives |H - H^| <= E with E_jk = 20u max(|V_jk|, |V_kj|).
+    c = cos(pi r), s = sin(pi r), r = num/den, den > 0.  ``_cos_sin_pi`` gives
+    integers within 1 of 2^b c and 2^b s, b = p + 60, and c^ and s^ are those
+    over 2^b rounded once to nearest at p bits (float() or mpf(), then an exact
+    scaling).  Rounding a value at most 1 + 2^-b in magnitude adds at most
+    u (1 + 2^-b), so |c^ - c|, |s^ - s| <= u + 2^-(p+59) < 2u.  H^ has the
+    entries fl(fl(1 - c^) S) - i fl(s^ A) and is exactly Hermitian, and following
+    each rounding gives |H - H^| <= E with E_jk = 20u max(|V_jk|, |V_kj|).
 
     The congruence.  Gaussian elimination of H^ by congruence, each pivot the
     largest remaining |diagonal|, accumulates X ~ L^-1 of H^ = L D L^H.  Where
@@ -298,7 +302,7 @@ def _certified_signature(V: SeifertMatrix, r: Fraction, prec: int = 53) -> Optio
     n, rows = V.size, V.rows
     if any(abs(v) >> prec for row in rows for v in row):
         return None
-    c, s = _cos_sin_pi(r, prec + 60)
+    c, s = _cos_sin_pi(num, den, prec + 60)
     if prec == 53:
         scope, real, cplx, dot = nullcontext(), float, complex, lambda xs, ys: sum(map(mul, xs, ys))
     else:  # the only use of mpmath: p-bit arithmetic once the 53-bit step has declined
@@ -380,11 +384,14 @@ def _certified_signature(V: SeifertMatrix, r: Fraction, prec: int = 53) -> Optio
 MAX_PREC = 53 << 5
 
 
-def levine_tristram(V: SeifertMatrix, omega: Fraction) -> int:
-    """Signature of (1-w)V + (1-conj(w))V^T at w = exp(i*pi*omega).
+def levine_tristram(V: SeifertMatrix, omega, q: int = 1) -> int:
+    """Signature of (1-w)V + (1-conj(w))V^T at w = exp(i*pi*omega/q).
 
-    One algorithm decides: ``_certified_signature`` in floats, then at 106,
-    212, ... bits up to ``MAX_PREC``.  It never answers at a singular point.
+    ``omega`` is an int or a Fraction and ``q`` a nonzero int.  Their numerators
+    and denominators are read once, into p/q in lowest terms (``_point``), and
+    every later step works on those two ints.  One algorithm decides:
+    ``_certified_signature`` in floats, then at 106, 212, ... bits up to
+    ``MAX_PREC``.  It never answers at a singular point.
     After its first decline, values of w where the matrix is singular (roots of
     the Alexander polynomial, where the signature jumps) raise instead of
     refining; a point that no precision up to the cap separates from the
@@ -392,13 +399,15 @@ def levine_tristram(V: SeifertMatrix, omega: Fraction) -> int:
     """
     if V.size == 0:
         return 0
-    r = Fraction(omega) % 2
-    if r == 0:
-        raise SingularAtOmega(f"exp(i*pi*{Fraction(omega)}) = 1 annihilates the pairing")
+    p, q = _point(omega.numerator, omega.denominator * q)
+    if not p % (2 * q):
+        raise SingularAtOmega(f"exp(i*pi*{p}) = 1 annihilates the pairing")  # q = 1 here
+    p %= 2 * q  # still in lowest terms
     prec = 53
-    while (signature := _certified_signature(V, r, prec)) is None:
-        if prec == 53 and _is_alexander_root(V, r):
-            raise SingularAtOmega(f"exp(i*pi*{r}) is a root of the Alexander polynomial")
+    while (signature := _certified_signature(V, p, q, prec)) is None:
+        if prec == 53 and _is_alexander_root(V, p, q):
+            point = f"{p}/{q}" if q > 1 else p  # as str(Fraction(p, q))
+            raise SingularAtOmega(f"exp(i*pi*{point}) is a root of the Alexander polynomial")
         if prec == MAX_PREC:
             raise SignRefinementFailed(f"could not separate the signature from zero at {prec} bits")
         prec *= 2
@@ -409,7 +418,7 @@ def sigma_d(V: SeifertMatrix, d: int) -> int:
     """Levine-Tristram signature at exp(i*pi*(d-1)/d)."""
     if abs(d) < 2:
         raise KnotError("sigma_d needs |d| >= 2")
-    return levine_tristram(V, Fraction(d - 1, d))
+    return levine_tristram(V, d - 1, d)
 
 
 def _odd_prime_divisors(n: int) -> list[int]:
@@ -428,29 +437,29 @@ def _odd_prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _lower_bound(d: int, signature: Callable[[Fraction], int]) -> int:
+def _lower_bound(d: int, signature: Callable[[int, int], int]) -> int:
     """Genus lower bound in class d from the bounds 2g+1 >= |...| that apply to it.
 
-    ``signature(r)`` is the Levine-Tristram signature at exp(i*pi*r).
+    ``signature(p, q)`` is the Levine-Tristram signature at exp(i*pi*p/q).  Each
+    bound, a multiple of 1/2, is held exactly as the integer twice its value.
     """
     if d in (1, -1):
         raise DNotCovered("classes +-1 are governed by the Arf invariant")
-    bounds = []
+    doubled = []
     if d % 2 == 0:
-        sigma = signature(Fraction(1))
-        bounds.append(abs(Fraction(d * d, 2) - 1 - sigma))
+        doubled.append(abs(d * d - 2 - 2 * signature(1, 1)))
     if d != 0:
         primes = _odd_prime_divisors(abs(d))
         if primes:
             try:
-                s = signature(Fraction(d - 1, d))  # sigma_d
+                s = signature(d - 1, d)  # sigma_d
             except SingularAtOmega:
                 primes = []  # signature jump point: no usable bound at this d
             for p in primes:
-                bounds.append(abs(Fraction((p * p - 1) * d * d, 2 * p * p) - 1 - s))
-    if any(b.denominator != 1 for b in bounds):
+                doubled.append(abs((p * p - 1) * (d // p) ** 2 - 2 - 2 * s))
+    if any(t % 2 for t in doubled):
         raise InternalConsistency("a cp2 genus bound is not an integer")
-    return max((int(b) // 2 for b in bounds), default=0)
+    return max((t // 4 for t in doubled), default=0)
 
 
 # Classes d with |d| below this bound are accepted by ``cp2_genus_lower_bound``.
@@ -463,24 +472,25 @@ def cp2_genus_lower_bound(V: SeifertMatrix, d: int) -> int:
     """Genus lower bound for a surface in class d, from the signature bounds."""
     if abs(d) >= CP2_CLASS_BOUND:
         raise KnotError(f"the class d = {d} is not below the cap of 2^40 in magnitude")
-    return _lower_bound(d, lambda r: levine_tristram(V, r))
+    return _lower_bound(d, lambda p, q: levine_tristram(V, p, q))
 
 
-def _folded_signatures(V: SeifertMatrix) -> Callable[[Fraction], int]:
-    """``levine_tristram(V, .)`` evaluated once per point min(r, 2 - r).
+def _folded_signatures(V: SeifertMatrix) -> Callable[[int, int], int]:
+    """``levine_tristram(V, p, q)`` evaluated once per point min(r, 2 - r), r = p/q mod 2.
 
     Folding is exact: the matrix at conj(w) is the complex conjugate of the
-    one at w, so its Hermitian eigenvalues are the same.  A SingularAtOmega
-    outcome is remembered and raised again.
+    one at w, so its Hermitian eigenvalues are the same.  The memo's keys are
+    pairs in lowest terms; a SingularAtOmega outcome is kept and raised again.
     """
-    memo: dict[Fraction, object] = {}
+    memo: dict[tuple[int, int], object] = {}
 
-    def signature(r: Fraction) -> int:
-        r = Fraction(r) % 2
-        key = min(r, 2 - r)
+    def signature(p: int, q: int) -> int:
+        p, q = _point(p, q)
+        p %= 2 * q
+        key = (min(p, 2 * q - p), q)
         if key not in memo:
             try:
-                memo[key] = levine_tristram(V, key)
+                memo[key] = levine_tristram(V, *key)
             except SingularAtOmega as exc:
                 memo[key] = exc
         out = memo[key]

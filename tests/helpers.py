@@ -25,7 +25,7 @@ from typing import Optional
 
 import mpmath
 
-from surfemb4 import bands, engine, groups, whitney
+from surfemb4 import bands, engine, groups, knots, whitney
 from surfemb4.bands import BandError, ThetaFunctional
 from surfemb4.engine import (
     EngineError,
@@ -50,6 +50,7 @@ from surfemb4.groups import (
     FGAbelianGroup,
     FiniteTableGroup,
     GroupError,
+    NotAssociative,
     _sign_bit,
     abelian_group,
     make_finite_group,
@@ -153,6 +154,44 @@ def is_group_table(table) -> bool:
     return identity is not None and all(
         any(table[a][b] == identity and table[b][a] == identity for b in range(n))
         for a in range(n))
+
+
+def greedy_generators_by_products(rows, cols, identity: int) -> list[int]:
+    """``groups._greedy_generators`` as it was: every greedy generator first, then Light's test.
+
+    The reference for the search that tests each generator as it is found.
+    The closure grows by multiplying each new member with every earlier one
+    on both sides, O(n^2); then each generator but the identity is tested in
+    turn, and the first failing (x, g, y) raises NotAssociative.
+    """
+    n = len(rows)
+    generators: list[int] = []
+    closure: set[int] = set()
+    members: list[int] = []
+    for g in range(n):
+        if g in closure:
+            continue
+        generators.append(g)
+        closure.add(g)
+        members.append(g)
+        done = len(members) - 1
+        while done < len(members):
+            x = members[done]
+            done += 1
+            prefix = members[:done]
+            fresh = set(map(rows[x].__getitem__, prefix))
+            fresh.update(map(cols[x].__getitem__, prefix))
+            fresh -= closure
+            closure |= fresh
+            members += fresh
+    for g in generators:
+        if g == identity:
+            continue
+        for x in range(n):
+            y = next((y for y in range(n) if rows[rows[x][g]][y] != rows[x][rows[g][y]]), None)
+            if y is not None:
+                raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
+    return generators
 
 
 def is_multiplicative(group: FiniteTableGroup, values) -> bool:
@@ -320,7 +359,7 @@ def eighe_signature(V: SeifertMatrix, r, dps: int = 200) -> Optional[int]:
     n = 40, at 200 digits.
     """
     r = Fraction(r) % 2
-    if r == 0 or _is_alexander_root(V, r):
+    if r == 0 or _is_alexander_root(V, r.numerator, r.denominator):
         return None
     n = V.size
     for digits in (dps, 2 * dps, 4 * dps):
@@ -356,6 +395,64 @@ def arf_bruteforce(V: SeifertMatrix) -> int:
         counts[q % 2] += 1
     assert counts[0] != counts[1]
     return 0 if counts[0] > counts[1] else 1
+
+
+# The signature-point arithmetic on Fractions, as ``knots`` did it before points became
+# integer pairs: the references for ``knots._omega_order``, ``_cos_sin_pi``'s reduction,
+# the fold of ``_folded_signatures`` and ``_lower_bound``.
+
+def omega_order_by_fractions(r) -> int:
+    """Order of exp(i*pi*r) as a root of unity: the denominator of (r mod 2) / 2."""
+    return ((Fraction(r) % 2) / 2).denominator
+
+
+def cos_sin_pi_by_fractions(r, b: int) -> tuple[int, int]:
+    """``knots._cos_sin_pi`` at exp(i*pi*r), r reduced to [0, 1/4] on Fractions.
+
+    The sign and swap symmetries are applied here, so ``knots._cos_sin_pi`` runs
+    only its series, on the reduced point, where it reduces nothing.
+    """
+    r = Fraction(r) % 2
+    sign_c = sign_s = 1
+    if r >= 1:
+        r, sign_c, sign_s = r - 1, -1, -1
+    if r > Fraction(1, 2):
+        r, sign_c = 1 - r, -sign_c
+    swap = r > Fraction(1, 4)
+    if swap:
+        r = Fraction(1, 2) - r
+    c, s = knots._cos_sin_pi(r.numerator, r.denominator, b)
+    if swap:
+        c, s = s, c
+    return sign_c * c, sign_s * s
+
+
+def fold_by_fractions(r) -> Fraction:
+    """The point min(r, 2 - r), r taken mod 2, at which ``_folded_signatures`` evaluates r."""
+    r = Fraction(r) % 2
+    return min(r, 2 - r)
+
+
+def lower_bound_by_fractions(d: int, signature) -> int:
+    """``knots._lower_bound`` with its bounds as Fractions; ``signature(r)`` takes a Fraction."""
+    if d in (1, -1):
+        raise knots.DNotCovered("classes +-1 are governed by the Arf invariant")
+    bounds = []
+    if d % 2 == 0:
+        sigma = signature(Fraction(1))
+        bounds.append(abs(Fraction(d * d, 2) - 1 - sigma))
+    if d != 0:
+        primes = knots._odd_prime_divisors(abs(d))
+        if primes:
+            try:
+                s = signature(Fraction(d - 1, d))  # sigma_d
+            except knots.SingularAtOmega:
+                primes = []  # signature jump point: no usable bound at this d
+            for p in primes:
+                bounds.append(abs(Fraction((p * p - 1) * d * d, 2 * p * p) - 1 - s))
+    if any(b.denominator != 1 for b in bounds):
+        raise InternalConsistency("a cp2 genus bound is not an integer")
+    return max((int(b) // 2 for b in bounds), default=0)
 
 
 ABELIAN_FACTORS = (0, 2, 3, 4, 6, 8, 12)

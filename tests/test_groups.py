@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import event, given, strategies as st
 
+from surfemb4 import groups
 from surfemb4.groups import (
     Character,
     FGAbelianGroup,
@@ -25,6 +26,7 @@ from helpers import (
     cyclic_group,
     dihedral,
     direct_product,
+    greedy_generators_by_products,
     is_group_table,
     is_multiplicative,
     random_signed_subgroup,
@@ -179,6 +181,74 @@ def test_greedy_generating_set_is_logarithmic(make):
     for group in (g, make_finite_group(relabel(g.table, perm))):
         assert len(group.generators) <= math.floor(math.log2(group.order)) + 1
         assert _closure(group, group.generators) == set(group.elements())
+
+
+def _intercalate_switch(table, identity, rng):
+    """The table with one 2x2 Latin subsquare off the identity's row and column switched, or None."""
+    others = [x for x in range(len(table)) if x != identity]
+    cells = [(a, b, c, d) for a, c in itertools.combinations(others, 2)
+             for b, d in itertools.combinations(others, 2)
+             if table[a][b] == table[c][d] and table[a][d] == table[c][b]]
+    if not cells:
+        return None
+    a, b, c, d = rng.choice(cells)
+    out = [list(row) for row in table]
+    out[a][b], out[a][d] = out[a][d], out[a][b]
+    out[c][b], out[c][d] = out[c][d], out[c][b]
+    return out
+
+
+def _perturbed_tables(rng, count):
+    """Group tables of order 1-32, relabelled, four in five of them perturbed first: an
+    intercalate switched (a Latin square with identity that may lose inverses or
+    associativity), one entry changed, or two rows swapped."""
+    bases = [g.table for _, g in all_groups_up_to_8()]
+    bases += [cyclic_group(n).table for n in (9, 12, 16, 30)]
+    bases += [dihedral(m).table for m in (5, 6, 8, 16)]
+    bases += [direct_product(dihedral(4), cyclic_group(2)).table,
+              direct_product(cyclic_group(2), cyclic_group(2)).table]
+    for _ in range(count):
+        table = [list(row) for row in rng.choice(bases)]
+        n = len(table)
+        kind = rng.choice(("group", "intercalate", "intercalate", "entry", "rows"))
+        if kind == "intercalate":
+            identity = table.index(list(range(n)))
+            table = _intercalate_switch(table, identity, rng) or table
+        elif kind == "entry":
+            table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        elif kind == "rows" and n > 1:
+            a, b = rng.sample(range(n), 2)
+            table[a], table[b] = table[b], table[a]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield relabel(table, perm)
+
+
+def _make_outcome(table) -> tuple:
+    """("group", the generators), or the error's class name and message."""
+    try:
+        return "group", make_finite_group(table).generators
+    except GroupError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_generator_search_matches_the_product_closure_search():
+    # the same generators, or the same error class and message, as the search that found every
+    # generator by the closure under products and then ran Light's test on each
+    rng = random.Random(41)
+    kinds = {}
+    for table in _perturbed_tables(rng, 1200):
+        got = _make_outcome(table)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(groups, "_greedy_generators", greedy_generators_by_products)
+            assert _make_outcome(table) == got, table
+        kind = got[0]
+        if kind == "NotAssociative" and all(len(set(r)) == len(r) for r in [*table, *zip(*table)]):
+            kind = "NotAssociative by Light's test"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"group", "NoIdentity", "NoInverse", "NotAssociative",
+                          "NotAssociative by Light's test"}, kinds
+    assert min(kinds.values()) >= 40, kinds
 
 
 def test_generator_character_check_matches_all_pairs():

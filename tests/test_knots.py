@@ -158,10 +158,10 @@ def test_cp2_scan_evaluates_each_folded_point_once(monkeypatch):
     points = []
     signature = knots.levine_tristram
 
-    def counted(V, omega, *args):
-        r = Fraction(omega) % 2
+    def counted(V, omega, q=1):
+        r = Fraction(omega) / q % 2
         points.append(min(r, 2 - r))
-        return signature(V, omega, *args)
+        return signature(V, omega, q)
 
     monkeypatch.setattr(knots, "levine_tristram", counted)
     for qs in [(3, 3, 3), (5,), (11,), (3, 5, 5)]:
@@ -178,12 +178,12 @@ def test_folded_signatures_remember_singular_points(monkeypatch):
     calls = []
     signature = knots.levine_tristram
     monkeypatch.setattr(knots, "levine_tristram",
-                        lambda V, r: calls.append(r) or signature(V, r))
+                        lambda V, p, q=1: calls.append(Fraction(p) / q) or signature(V, p, q))
     memo = knots._folded_signatures(TREFOIL)
-    for r in (Fraction(1, 3), Fraction(5, 3), Fraction(-1, 3), Fraction(1, 3)):
+    for p, q in ((1, 3), (5, 3), (-1, 3), (1, -3), (2, 6), (1, 3)):
         with pytest.raises(SingularAtOmega):
-            memo(r)
-    assert memo(Fraction(3, 2)) == memo(Fraction(1, 2)) == levine_tristram(TREFOIL, Fraction(1, 2))
+            memo(p, q)
+    assert memo(3, 2) == memo(1, 2) == memo(-3, -2) == levine_tristram(TREFOIL, Fraction(1, 2))
     assert calls == [Fraction(1, 3), Fraction(1, 2)]
 
 
@@ -222,7 +222,7 @@ def test_integer_cos_sin_pi_within_one_unit_of_mpmath(num, den):
     r = Fraction(num, den)
     for p in PRECISIONS:
         b = p + 60
-        c, s = knots._cos_sin_pi(r, b)
+        c, s = knots._cos_sin_pi(num, den, b)
         with mpmath.workprec(b + 64):
             x = mpmath.mpf(r.numerator) / r.denominator
             reference = mpmath.cospi(x), mpmath.sinpi(x)
@@ -243,19 +243,19 @@ def test_integer_cos_sin_pi_exact_at_multiples_of_one_half_and_equal_at_one_quar
         b = p + 60
         one = 1 << b
         for k in range(-9, 10):
-            assert knots._cos_sin_pi(Fraction(k, 2), b) == [(one, 0), (0, one), (-one, 0),
-                                                            (0, -one)][k % 4]
-        c, s = knots._cos_sin_pi(Fraction(1, 4), b)
+            assert knots._cos_sin_pi(k, 2, b) == [(one, 0), (0, one), (-one, 0), (0, -one)][k % 4]
+        c, s = knots._cos_sin_pi(1, 4, b)
         assert c == s
         for k in range(-7, 8, 2):  # the other odd multiples of 1/4, by the symmetries
-            assert tuple(map(abs, knots._cos_sin_pi(Fraction(k, 4), b))) == (c, c)
+            assert tuple(map(abs, knots._cos_sin_pi(k, 4, b))) == (c, c)
 
 
 def _check_against_oracle(V, r):
     """Where the 53-bit certificate answers it equals the eigenvalue oracle, and so does
     ``levine_tristram``; every singular point raises."""
     exact = eighe_signature(V, r)
-    certified = knots._certified_signature(V, Fraction(r) % 2)
+    point = Fraction(r) % 2
+    certified = knots._certified_signature(V, point.numerator, point.denominator)
     if exact is None:
         assert certified is None
         with pytest.raises(SingularAtOmega):
@@ -296,8 +296,8 @@ def test_53_bit_certificate_decides_zero_diagonal_matrices_off_the_roots():
         # and w is no root of the Alexander polynomial: H is nonsingular there
         q = rng.choice([3203, 3209, 4001, 10007])
         r = Fraction(rng.randrange(1, q) + q * rng.randrange(2), q)
-        assert r.denominator == q and not knots._is_alexander_root(V, r)
-        certified = knots._certified_signature(V, r)
+        assert r.denominator == q and not knots._is_alexander_root(V, r.numerator, q)
+        certified = knots._certified_signature(V, r.numerator, q)
         assert certified is not None, (rows, r)
         if V.size <= 12:  # the oracle costs about 1 s at n = 40
             assert certified == eighe_signature(V, r)
@@ -338,9 +338,9 @@ def _recording_precisions(monkeypatch, decline_below: int = 0) -> list[int]:
     precisions = []
     certify = knots._certified_signature
 
-    def step(V, r, prec=53):
+    def step(V, num, den, prec=53):
         precisions.append(prec)
-        return None if prec < decline_below else certify(V, r, prec)
+        return None if prec < decline_below else certify(V, num, den, prec)
 
     monkeypatch.setattr(knots, "_certified_signature", step)
     return precisions
@@ -351,7 +351,8 @@ def test_certificate_decides_torus_sums_without_exact_path(qs, monkeypatch):
     # the 53-bit step alone decides: no higher precision and no Alexander polynomial
     V = torus_sum(qs)
     with monkeypatch.context() as m:  # the cp2 scan on the closed form
-        m.setattr(knots, "levine_tristram", lambda V, r: torus_sum_signature(qs, r))
+        m.setattr(knots, "levine_tristram",
+                  lambda V, p, q=1: torus_sum_signature(qs, Fraction(p, q)))
         expected = cp2_genus_verdict(V)
 
     def exact_path(*args, **kwargs):
@@ -405,8 +406,8 @@ def test_certificate_declines_entries_beyond_float_precision():
     # V + V^T = [[2a, 1], [1, 2a]] is positive definite: signature 2 at w = -1
     for a, certified in ((2 ** 53 - 1, 2), (2 ** 53, None)):
         V = SeifertMatrix([[a, 1], [0, a]])
-        assert knots._certified_signature(V, Fraction(1)) == certified
-        assert knots._certified_signature(V, Fraction(1), 106) == 2  # entries below 2^106
+        assert knots._certified_signature(V, 1, 1) == certified
+        assert knots._certified_signature(V, 1, 1, 106) == 2  # entries below 2^106
         assert levine_tristram(V, Fraction(1)) == 2
 
 
@@ -527,7 +528,7 @@ def test_no_cyclotomic_factor_of_order_above_twice_the_size_squared(V):
     limit = 2 * V.size ** 2
     orders = [m for m in range(1, limit + 60) if not poly_divmod(V.alexander, cyclotomic(m))[1]]
     assert max(orders, default=0) <= limit
-    assert all(knots._is_alexander_root(V, Fraction(1, m)) == (2 * m in orders)
+    assert all(knots._is_alexander_root(V, 1, m) == (2 * m in orders)
                for m in range(1, limit + 30))
 
 

@@ -4,7 +4,8 @@ Every verdict is one interpreter start.  ``dataclasses`` brings ``inspect``,
 ``ast``, ``dis`` and ``tokenize`` with it, and the package's records are
 tuples or slotted classes, so no command imports either; this runs the
 commands under ``python -X importtime`` and reads the import list.  The same
-list shows that ``decide`` and ``examples list`` import no ``fractions``.
+list shows that ``decide``, ``examples list`` and the ``knot`` commands import
+no ``fractions``, ``decimal`` or ``numbers``.
 
 Package modules and ``mpmath`` are registered lazily (``surfemb4._lazy``),
 so ``-X importtime`` does not show which of them ran.  A module has run when
@@ -54,18 +55,33 @@ def test_cli_child_skips_dataclasses_and_inspect(argv):
     assert not named, named
 
 
-# Only ``knot`` uses rationals (``knot sig --omega``, and the signatures in ``knots``).
+# No command builds a rational number: ``knots`` carries each signature point as two ints.
 NUMERIC = {"fractions", "decimal", "numbers"}
 
 
-@pytest.mark.parametrize("argv", [["decide", "torus_s3s1"], BATCH, ["examples", "list"]], ids=_id)
-def test_decide_and_examples_import_no_rationals(argv):
+def _assert_no_rationals(argv):
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "surfemb4.cli", *argv],
                           capture_output=True, text=True, timeout=120, env=ENV)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert "surfemb4.schema" in imported and not imported & NUMERIC, imported & NUMERIC
+
+
+@pytest.mark.parametrize("argv", [["decide", "torus_s3s1"], BATCH, ["examples", "list"]], ids=_id)
+def test_decide_and_examples_import_no_rationals(argv):
+    _assert_no_rationals(argv)
+
+
+# Signatures decided at 53 bits; the trefoil has Arf 1, so its cp2 scan computes signatures.
+# A signature that needs more bits runs mpmath, which imports ``numbers`` itself: not listed.
+KNOT_COMMANDS = [["knot", "arf", "trefoil"], ["knot", "sig", "trefoil", "--omega", "2/7"],
+                 ["knot", "cp2-verdict", "trefoil"], ["knot", "sigma-d", "--d", "3", "sum3_trefoil"]]
+
+
+@pytest.mark.parametrize("argv", KNOT_COMMANDS, ids=_id)
+def test_knot_commands_import_no_rationals(argv):
+    _assert_no_rationals(argv)
 
 
 # Runs surfemb4.cli as ``python -m surfemb4.cli`` does, then prints on the last
