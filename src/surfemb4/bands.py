@@ -24,8 +24,6 @@ from operator import xor
 from typing import NamedTuple, Optional, Sequence
 
 from . import _INTS
-from .errors import InternalConsistency
-from .whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count, to_convenient
 
 
 class BandError(ValueError):
@@ -137,9 +135,6 @@ class SurfaceModel:
     def w1_of(self, x: int) -> int:
         return (x & self.w1).bit_count() & 1
 
-    def components_of(self, x: int) -> set[int]:
-        return {cid for cid, span in self._spans.items() if x & span}
-
 
 _BASIS_BOUNDARY = "boundary of RelH2 basis class"
 
@@ -186,10 +181,6 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
             raise BandError(f"mobius band {id!r} needs exactly one boundary circle")
         return super().__new__(cls, id, kind, tuple(rel_class), tuple(map(tuple, boundary_classes)),
                                tuple(w1_sigma), w1m_core, mu_boundary, arc_count, interior, euler)
-
-    def total_boundary(self, surface: SurfaceModel) -> int:
-        """The GF(2) sum of the boundary circles, each checked by ``surface.mask``."""
-        return reduce(xor, map(surface.mask, self.boundary_classes), 0)
 
 
 class RecordMasks(NamedTuple):
@@ -402,68 +393,3 @@ def is_s_characteristic(sphere_catalog: Sequence[tuple[int, int]]) -> bool:
 def is_r_characteristic(rp2_catalog: Sequence[tuple[int, int]]) -> bool:
     """Each pair is (F.R mod 2, R.R mod 2) over projective planes with trivial w1 pullback."""
     return all(fr % 2 == rr % 2 for fr, rr in rp2_catalog)
-
-
-def union_records(r1: BandRecord, r2: BandRecord, surface: SurfaceModel,
-                  new_id: Optional[str] = None) -> BandRecord:
-    """Formal union: counts add, and the boundary pairing corrects mu.
-
-    Implements the quadratic law Theta(S u S') = Theta(S) + Theta(S') +
-    lambda(C, C').
-    """
-    if len(r1.rel_class) != len(r2.rel_class):
-        raise BandError("records live over different RelH2 bases")
-    lam = surface.form(r1.total_boundary(surface), r2.total_boundary(surface))
-    return BandRecord(
-        id=new_id or f"{r1.id}+{r2.id}",
-        kind="surface",
-        rel_class=tuple(a ^ b for a, b in zip(r1.rel_class, r2.rel_class)),
-        boundary_classes=r1.boundary_classes + r2.boundary_classes,
-        w1_sigma=r1.w1_sigma + r2.w1_sigma,
-        w1m_core=(r1.w1m_core + r2.w1m_core) % 2,
-        mu_boundary=(r1.mu_boundary + r2.mu_boundary + lam) % 2,
-        arc_count=(r1.arc_count + r2.arc_count) % 2,
-        interior=(r1.interior + r2.interior) % 2,
-        euler=(r1.euler + r2.euler) % 2,
-    )
-
-
-def band_fibre_finger_move(points, collection: WhitneyCollection, record: BandRecord,
-                           surface: SurfaceModel, components, identity):
-    """Finger move along a band fibre: two new double points, one new disc.
-
-    The new disc inherits the band's four parities; after normalising to a
-    convenient collection the t-count changes by exactly Theta of the band,
-    which is checked.  Returns (points, collection, delta_t).
-    """
-    expected = theta(record)
-    touched = [surface.components_of(surface.mask(c)) for c in record.boundary_classes]
-    if record.kind == "annulus":
-        pair_comps = tuple(min(comps, default=min(components)) for comps in touched)
-    else:
-        first = min(set().union(*touched), default=min(components))
-        pair_comps = (first, first)
-    before = t_count(points, components, collection)
-
-    next_pid = max((p.id for p in points), default=-1) + 1
-    next_did = max((d.id for d in collection.discs), default=-1) + 1
-    p = DoublePoint(next_pid, pair_comps, 1, identity)
-    q = DoublePoint(next_pid + 1, pair_comps, -1, identity)
-    new_points = list(points) + [p, q]
-    interior = {pair_comps[0]: record.interior} if record.interior else {}
-    new_disc = WhitneyDisc(next_did, (p.id, q.id), interior,
-                           mu_boundary=record.mu_boundary, euler=record.euler)
-    boundary = dict(collection.boundary)
-    if record.arc_count:
-        if not collection.discs:
-            raise BandError(
-                f"band {record.id!r} declares an arc intersection but there are no Whitney arcs"
-            )
-        boundary[frozenset((new_disc.id, collection.discs[0].id))] = record.arc_count
-    weak = WhitneyCollection(tuple(collection.discs) + (new_disc,), boundary, convenient=False)
-    out = to_convenient(new_points, weak)
-    after = t_count(new_points, components, out)
-    delta = (after - before) % 2
-    if delta != expected:
-        raise InternalConsistency("finger move changed t by a value other than Theta")
-    return new_points, out, delta

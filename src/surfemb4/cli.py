@@ -2,17 +2,22 @@
 
 Exit codes: 0 success, 2 validation failure, 3 internal consistency
 failure (two independent computations of one quantity disagreeing, e.g.
-the two Arf methods).  ``main`` alone turns errors into exit codes.
+the two Arf methods).  ``main`` alone turns errors into exit codes; a
+command line that ``parse`` refuses is a validation failure, printed as
+JSON like any other.  ``parse`` reads the command table ``COMMANDS`` by
+argparse's rules; it does not import argparse, whose import and parser
+building cost about 5 ms of a child's start.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
+import re
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import _lazy, schema
 from .errors import InternalConsistency
@@ -171,54 +176,180 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="surfemb4",
-        description="Embedding obstructions for surfaces in 4-manifolds",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+surfemb4 examples list                    # shipped instance and knot files
+surfemb4 validate path/to/instance.json   # schema + semantic validation
+surfemb4 decide torus_s3s1                # flowchart verdict with trace
+surfemb4 decide --mode homotopy my.json   # homotopy-class analysis
+surfemb4 decide --batch some/dir          # one verdict per instance file
+surfemb4 km tubed_sphere                  # the secondary invariant only
+surfemb4 gamma torus_s3s1 --component 0 --query "[0]"
+surfemb4 gamma my.json --component 0 --other 1   # a pair of components
+surfemb4 knot arf sum3_trefoil
+surfemb4 knot alex trefoil                # the Alexander polynomial at -1
+surfemb4 knot sig --omega 1/1 trefoil     # signature at exp(i*pi*1/1) = -1
+surfemb4 knot sig --omega=-1/3 trefoil    # a value starting with - takes the = form
+surfemb4 knot sigma-d --d 3 sum3_trefoil
+surfemb4 knot cp2-bound --d 2 sum3_trefoil
+surfemb4 knot cp2-verdict sum3_trefoil
+surfemb4 knot shake-genus trefoil
+surfemb4 -h                               # this text; also after a command
+"""
 
-    p = sub.add_parser("validate", help="validate an instance file")
-    p.add_argument("instance")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("decide", help="run the embedding decision flowchart")
-    p.add_argument("instance", help="instance file, shipped example name, or directory with --batch")
-    p.add_argument("--mode", choices=("regular", "homotopy"), default="regular")
-    p.add_argument("--batch", action="store_true", help="process a directory of instance files")
-    p.set_defaults(func=cmd_decide)
+def cmd_help(args) -> int:
+    sys.stdout.write(USAGE)
+    return EXIT_OK
 
-    p = sub.add_parser("km", help="compute the secondary invariant only")
-    p.add_argument("instance")
-    p.set_defaults(func=cmd_km)
 
-    p = sub.add_parser("gamma", help="report the intersection-number target group")
-    p.add_argument("instance")
-    p.add_argument("--component", type=int, required=True)
-    p.add_argument("--other", type=int, default=None,
-                   help="second component (defaults to a self-pairing)")
-    p.add_argument("--query", action="append",
-                   help="group element (JSON) whose orbit and coefficient to report")
-    p.set_defaults(func=cmd_gamma)
+# The command table.  Each command has its handler, its positionals as (name,
+# choices or None) and its options as name -> (kind, default).  A kind is FLAG,
+# INT, STR, APPEND (a string, kept at each use) or a tuple of choices; an option
+# whose default is REQUIRED must be given.
+FLAG, INT, STR, APPEND = "flag", "int", "str", "append"
+REQUIRED = ...
+INSTANCE = (("instance", None),)
+COMMANDS = {
+    "validate": (cmd_validate, INSTANCE, {}),
+    "decide": (cmd_decide, INSTANCE,
+               {"mode": (("regular", "homotopy"), "regular"), "batch": (FLAG, False)}),
+    "km": (cmd_km, INSTANCE, {}),
+    "gamma": (cmd_gamma, INSTANCE,
+              {"component": (INT, REQUIRED), "other": (INT, None), "query": (APPEND, None)}),
+    "knot": (cmd_knot, (("invariant", ("arf", "alex", "sig", "sigma-d", "cp2-bound",
+                                       "cp2-verdict", "shake-genus")), ("knot", None)),
+             {"omega": (STR, "1/1"), "d": (INT, 2)}),
+    "examples": (cmd_examples, (("what", ("list",)),), {}),
+}
 
-    p = sub.add_parser("knot", help="Seifert-matrix knot invariants")
-    p.add_argument("invariant", choices=("arf", "alex", "sig", "sigma-d",
-                                         "cp2-bound", "cp2-verdict", "shake-genus"))
-    p.add_argument("knot", help="knot file or shipped knot name")
-    p.add_argument("--omega", default="1/1", help="signature point p/q, meaning exp(i*pi*p/q)")
-    p.add_argument("--d", type=int, default=2, help="homology class for sigma-d / cp2-bound")
-    p.set_defaults(func=cmd_knot)
+# A word that looks like a negative number is a value, as in argparse.
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("examples", help="shipped example files")
-    p.add_argument("what", choices=("list",))
-    p.set_defaults(func=cmd_examples)
 
-    return parser
+def _option(word: str, names) -> tuple | None:
+    """How a word before ``--`` reads: None for a value, else (option, its value or None).
+
+    The option is one of ``names``, named in full or by a unique prefix, or
+    None for an unknown option.  ``-h`` is "help", and so is ``-hh``
+    or ``-h=h``; given any other tail, it is help given a value.
+    """
+    if word[:1] != "-" or word == "-":
+        return None
+    if word[1] == "-":
+        key, eq, value = word[2:].partition("=")
+        found = [key] if key in names else [n for n in names if n.startswith(key)]
+        if len(found) > 1:
+            raise ValueError(f"ambiguous option {word!r}: " + ", ".join("--" + n for n in found))
+        if found:
+            return found[0], value if eq else None
+    elif word[1] == "h":
+        tail = word[2:]
+        return "help", None if not tail or set(tail.removeprefix("=")) == {"h"} else tail
+    return None if _NEGATIVE.match(word) or " " in word else (None, None)
+
+
+def _value(option: str, kind, text: str, before):
+    if kind is STR:
+        return text
+    if kind is APPEND:
+        return (before or []) + [text]
+    if kind is INT:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"--{option} takes an integer, not {text!r}") from None
+    if text not in kind:
+        raise ValueError(f"--{option} takes one of {', '.join(kind)}, not {text!r}")
+    return text
+
+
+def _parse_command(command: str, words: list) -> SimpleNamespace:
+    handler, positionals, options = COMMANDS[command]
+    names = (*options, "help")
+    marker = words.index("--") if "--" in words else len(words)
+    # every word before -- is read first, so an ambiguous one is refused before any help
+    opts = [_option(word, names) for word in words[:marker]]
+    # the handler bound on the module now, so that a wrapper set over it (perfbench's tracer) runs
+    values = {"command": command, "func": globals()[handler.__name__],
+              **{k: d for k, (_, d) in options.items()}}
+    taken, unknown = [], []
+
+    def take(word):  # the next positional, checked as it comes
+        if len(taken) == len(positionals):
+            unknown.append(word)
+            return
+        name, choices = positionals[len(taken)]
+        if choices and word not in choices:
+            raise ValueError(f"{command}: {name} is one of {', '.join(choices)}, not {word!r}")
+        taken.append(name)
+        values[name] = word
+
+    pairs = zip(words, opts)
+    for word, opt in pairs:
+        if opt is None:
+            take(word)
+            continue
+        key, value = opt
+        if key is None:
+            unknown.append(word)
+        elif key != "help" and options[key][0] is not FLAG:
+            if value is None:  # the next word, if it reads as a value
+                value, after = next(pairs, ("", ()))
+                if after is not None:
+                    raise ValueError(f"--{key} needs a value; one that starts with - "
+                                     f"takes the form --{key}=VALUE")
+            values[key] = _value(key, options[key][0], value, values[key])
+        elif value is not None:
+            raise ValueError(f"{word!r}: --{key} takes no value")
+        elif key == "help":
+            return SimpleNamespace(command=command, func=cmd_help)
+        else:
+            values[key] = True
+    for word in words[marker + 1:]:
+        take(word)
+    missing = [name for name, _ in positionals[len(taken):]]
+    missing += [f"--{k}" for k, v in values.items() if v is REQUIRED]
+    if missing:
+        raise ValueError(f"{command}: missing {', '.join(missing)}")
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**values)
+
+
+def parse(argv) -> SimpleNamespace:
+    """The handler and values of a command line; they read ``args.func(args)``.
+
+    The same lines as ``argparse`` accepts, with the same values: options
+    anywhere after their command, ``--opt value`` and ``--opt=value``, unique
+    prefixes, ``--query`` kept at each use and any other option's last value,
+    ``--`` ending the options, and a value that starts with ``-`` only when it
+    looks like a negative number or has the ``=`` form.  ``-h`` or ``--help``
+    gives ``cmd_help``, and a line that ``argparse`` refuses raises ValueError.
+    """
+    unknown = []
+    for k, word in enumerate(argv):
+        if word == "--":
+            raise ValueError("the command must come before --")
+        opt = _option(word, ("help",))
+        if opt is None:
+            if word not in COMMANDS:
+                raise ValueError(f"unknown command {word!r}; the commands are {', '.join(COMMANDS)}")
+            args = _parse_command(word, list(argv[k + 1:]))
+            if unknown and args.func is not cmd_help:
+                raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+            return args
+        if opt[0] is None:
+            unknown.append(word)
+        elif opt[1] is None:
+            return SimpleNamespace(command=None, func=cmd_help)
+        else:
+            raise ValueError(f"{word!r}: --help takes no value")
+    raise ValueError(f"no command given; the commands are {', '.join(COMMANDS)}")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except ValueError as exc:  # bad input and every domain error derived from it
         _emit(_error_doc(exc))

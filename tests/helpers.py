@@ -2,7 +2,9 @@
 
 Small-group catalog, characters, random subgroups and contexts; builders of
 test inputs (cyclic groups, trivial characters, Seifert block sums,
-instance documents, and the t-preserving transfer move and cusp trick);
+instance documents, the t-preserving transfer move and cusp trick, and the
+band-fibre finger move and formal union of band records, with the record
+and surface sums they read);
 Theta read off a ``ThetaFunctional`` at any class of its span; the paper's
 H1 basis and intersection form, written out densely; and the slow
 or older computations that the package's fast paths are compared against:
@@ -12,21 +14,25 @@ Lagrange interpolation of the Alexander polynomial, the per-point and
 per-disc reader, bucketing and F^t filter that the double-point columns
 replaced, the per-disc collection checks, t-count and conversion that the
 disc columns replaced, the pair-by-pair boundary-form scan that the
-span-basis walk replaced, and the per-record band checks that the catalog's
-one mask per vector replaced.
+span-basis walk replaced, the per-record band checks that the catalog's
+one mask per vector replaced, and the argparse parser that the command
+table replaced.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from typing import Optional
 
 import mpmath
 
-from surfemb4 import bands, engine, groups, knots, whitney
-from surfemb4.bands import BandError, ThetaFunctional
+from surfemb4 import bands, cli, engine, groups, knots, whitney
+from surfemb4.bands import BandError, BandRecord, SurfaceModel, ThetaFunctional, theta
 from surfemb4.engine import (
     EngineError,
     MissingWhitneyData,
@@ -74,6 +80,7 @@ from surfemb4.whitney import (
     WhitneyCollection,
     WhitneyDisc,
     WhitneyError,
+    t_count,
     to_convenient,
 )
 
@@ -1066,7 +1073,7 @@ def boundary_form_witness_pairs(catalog) -> Optional[tuple[str, str]]:
     the reference for ``bands._boundary_form_witness``, which walks a span basis.
     """
     surface = catalog.surface
-    totals = [(r.id, r.total_boundary(surface)) for r in catalog.records]
+    totals = [(r.id, total_boundary(r, surface)) for r in catalog.records]
     for i, (id1, x) in enumerate(totals):
         for id2, y in totals[i:]:
             if surface.form(x, y):
@@ -1313,3 +1320,124 @@ def transfer_move(points, collection: WhitneyCollection, w1_id: int, w2_id: int,
     new_list += [v_disc, u1_disc, u2_disc]
     return new_points, WhitneyCollection(tuple(new_list), dict(collection.boundary),
                                          convenient=collection.convenient)
+
+
+def total_boundary(record: BandRecord, surface: SurfaceModel) -> int:
+    """The GF(2) sum of a record's boundary circles, each checked by ``surface.mask``."""
+    return functools.reduce(operator.xor, map(surface.mask, record.boundary_classes), 0)
+
+
+def components_of(surface: SurfaceModel, x: int) -> set[int]:
+    """The ids of the components whose H1 positions meet the bitmask ``x``."""
+    return {cid for cid, span in surface._spans.items() if x & span}
+
+
+def union_records(r1: BandRecord, r2: BandRecord, surface: SurfaceModel,
+                  new_id: Optional[str] = None) -> BandRecord:
+    """Formal union: counts add, and the boundary pairing corrects mu.
+
+    Implements the quadratic law Theta(S u S') = Theta(S) + Theta(S') +
+    lambda(C, C').
+    """
+    if len(r1.rel_class) != len(r2.rel_class):
+        raise BandError("records live over different RelH2 bases")
+    lam = surface.form(total_boundary(r1, surface), total_boundary(r2, surface))
+    return BandRecord(
+        id=new_id or f"{r1.id}+{r2.id}",
+        kind="surface",
+        rel_class=tuple(a ^ b for a, b in zip(r1.rel_class, r2.rel_class)),
+        boundary_classes=r1.boundary_classes + r2.boundary_classes,
+        w1_sigma=r1.w1_sigma + r2.w1_sigma,
+        w1m_core=(r1.w1m_core + r2.w1m_core) % 2,
+        mu_boundary=(r1.mu_boundary + r2.mu_boundary + lam) % 2,
+        arc_count=(r1.arc_count + r2.arc_count) % 2,
+        interior=(r1.interior + r2.interior) % 2,
+        euler=(r1.euler + r2.euler) % 2,
+    )
+
+
+def band_fibre_finger_move(points, collection: WhitneyCollection, record: BandRecord,
+                           surface: SurfaceModel, components, identity):
+    """Finger move along a band fibre: two new double points, one new disc.
+
+    The new disc inherits the band's four parities; after normalising to a
+    convenient collection the t-count changes by exactly Theta of the band,
+    which is checked.  Returns (points, collection, delta_t).
+    """
+    expected = theta(record)
+    touched = [components_of(surface, surface.mask(c)) for c in record.boundary_classes]
+    if record.kind == "annulus":
+        pair_comps = tuple(min(comps, default=min(components)) for comps in touched)
+    else:
+        first = min(set().union(*touched), default=min(components))
+        pair_comps = (first, first)
+    before = t_count(points, components, collection)
+
+    next_pid = max((p.id for p in points), default=-1) + 1
+    next_did = max((d.id for d in collection.discs), default=-1) + 1
+    p = DoublePoint(next_pid, pair_comps, 1, identity)
+    q = DoublePoint(next_pid + 1, pair_comps, -1, identity)
+    new_points = list(points) + [p, q]
+    interior = {pair_comps[0]: record.interior} if record.interior else {}
+    new_disc = WhitneyDisc(next_did, (p.id, q.id), interior,
+                           mu_boundary=record.mu_boundary, euler=record.euler)
+    boundary = dict(collection.boundary)
+    if record.arc_count:
+        if not collection.discs:
+            raise BandError(
+                f"band {record.id!r} declares an arc intersection but there are no Whitney arcs"
+            )
+        boundary[frozenset((new_disc.id, collection.discs[0].id))] = record.arc_count
+    weak = WhitneyCollection(tuple(collection.discs) + (new_disc,), boundary, convenient=False)
+    out = to_convenient(new_points, weak)
+    after = t_count(new_points, components, out)
+    delta = (after - before) % 2
+    if delta != expected:
+        raise InternalConsistency("finger move changed t by a value other than Theta")
+    return new_points, out, delta
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the command line before ``cli.COMMANDS``: the oracle of ``cli.parse``."""
+    parser = argparse.ArgumentParser(
+        prog="surfemb4",
+        description="Embedding obstructions for surfaces in 4-manifolds",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="validate an instance file")
+    p.add_argument("instance")
+    p.set_defaults(func=cli.cmd_validate)
+
+    p = sub.add_parser("decide", help="run the embedding decision flowchart")
+    p.add_argument("instance", help="instance file, shipped example name, or directory with --batch")
+    p.add_argument("--mode", choices=("regular", "homotopy"), default="regular")
+    p.add_argument("--batch", action="store_true", help="process a directory of instance files")
+    p.set_defaults(func=cli.cmd_decide)
+
+    p = sub.add_parser("km", help="compute the secondary invariant only")
+    p.add_argument("instance")
+    p.set_defaults(func=cli.cmd_km)
+
+    p = sub.add_parser("gamma", help="report the intersection-number target group")
+    p.add_argument("instance")
+    p.add_argument("--component", type=int, required=True)
+    p.add_argument("--other", type=int, default=None,
+                   help="second component (defaults to a self-pairing)")
+    p.add_argument("--query", action="append",
+                   help="group element (JSON) whose orbit and coefficient to report")
+    p.set_defaults(func=cli.cmd_gamma)
+
+    p = sub.add_parser("knot", help="Seifert-matrix knot invariants")
+    p.add_argument("invariant", choices=("arf", "alex", "sig", "sigma-d",
+                                         "cp2-bound", "cp2-verdict", "shake-genus"))
+    p.add_argument("knot", help="knot file or shipped knot name")
+    p.add_argument("--omega", default="1/1", help="signature point p/q, meaning exp(i*pi*p/q)")
+    p.add_argument("--d", type=int, default=2, help="homology class for sigma-d / cp2-bound")
+    p.set_defaults(func=cli.cmd_knot)
+
+    p = sub.add_parser("examples", help="shipped example files")
+    p.add_argument("what", choices=("list",))
+    p.set_defaults(func=cli.cmd_examples)
+
+    return parser

@@ -14,12 +14,10 @@ from surfemb4.bands import (
     RelH2,
     SurfaceComponent,
     SurfaceModel,
-    band_fibre_finger_move,
     is_b_characteristic,
     is_r_characteristic,
     is_s_characteristic,
     theta,
-    union_records,
 )
 from surfemb4.engine import abelian_euler_bound_check, flowchart, rp2_euler_parity, stong_t_formula
 from surfemb4.gamma import PairingContext, build_gamma, mu1_home, smith_oracle
@@ -30,9 +28,12 @@ from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_coun
 from helpers import (
     all_characters,
     all_groups_up_to_8,
+    band_fibre_finger_move,
     orbit_counts,
     random_seifert_rows,
     random_signed_subgroup,
+    total_boundary,
+    union_records,
 )
 
 
@@ -179,7 +180,7 @@ def test_criterion_08_theta_machinery():
         surface = _random_surface(rng)
         r1 = _random_admissible_record(surface, rng, "r1", 2, 0)
         r2 = _random_admissible_record(surface, rng, "r2", 2, 1)
-        lam = surface.form(r1.total_boundary(surface), r2.total_boundary(surface))
+        lam = surface.form(total_boundary(r1, surface), total_boundary(r2, surface))
         try:
             expected = (theta(r1) + theta(r2) + lam) % 2
         except MixedW1Annulus:

@@ -49,7 +49,7 @@ def test_each_vector_is_checked_once_per_catalog_and_never_after(scale, monkeypa
     for vectors in checked.values():
         vectors.clear()
     calls = Counter()
-    for name in ("__init__", "mask", "w1_of", "components_of"):
+    for name in ("__init__", "mask", "w1_of"):
         method = getattr(SurfaceModel, name)
         monkeypatch.setattr(SurfaceModel, name,
                             lambda *args, _name=name, _method=method: calls.update([_name]) or _method(*args))

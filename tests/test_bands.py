@@ -15,21 +15,20 @@ from surfemb4.bands import (
     SurfaceComponent,
     SurfaceModel,
     ThetaConflict,
-    band_fibre_finger_move,
     is_b_characteristic,
     is_r_characteristic,
     is_s_characteristic,
     lambda_boundary_check,
     theta,
-    union_records,
     validate_theta_well_defined,
     _boundary_form_witness,
 )
 from surfemb4.engine import flowchart
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count
 
-from helpers import (boundary_form_witness_pairs, mask, paper_basis, paper_form, replace,
-                     theta_value, theta_violations)
+from helpers import (band_fibre_finger_move, boundary_form_witness_pairs, components_of, mask,
+                     paper_basis, paper_form, replace, theta_value, theta_violations,
+                     total_boundary, union_records)
 from test_engine import simple_instance
 
 
@@ -230,8 +229,8 @@ def test_total_boundary_rejects_a_circle_of_the_wrong_length():
     surface = torus_surface()
     two = BandRecord("s", "annulus", (1,), ((1, 0), (1, 0, 1)), (0, 0), 0, 0, 0, 0, 0)
     with pytest.raises(BandError, match=r"bad H1 vector \(1, 0, 1\); expected 2 bits"):
-        two.total_boundary(surface)
-    assert two._replace(boundary_classes=((1, 0), (1, 1))).total_boundary(surface) == 0b10
+        total_boundary(two, surface)
+    assert total_boundary(two._replace(boundary_classes=((1, 0), (1, 1))), surface) == 0b10
 
 
 _ODD_BITS = (0, 1, True, False, 0.0, 1.0, 2, -1, "0", "1", [0], None)
@@ -422,7 +421,7 @@ def test_theta_quadraticity_randomized():
         r1 = _random_record(surface, rel, rng, "r1")
         r2 = _random_record(surface, rel, rng, "r2")
         u = union_records(r1, r2, surface)
-        lam = surface.form(r1.total_boundary(surface), r2.total_boundary(surface))
+        lam = surface.form(total_boundary(r1, surface), total_boundary(r2, surface))
         try:
             expected = (theta(r1) + theta(r2) + lam) % 2
         except MixedW1Annulus:
@@ -527,7 +526,7 @@ def _check_against_paper_basis(comps, data):
     assert surface.mask(x) == mask(x)
     assert surface.form(mask(x), mask(y)) == expected
     assert surface.w1_of(mask(x)) == sum(bit for bit, (_, letter, _) in zip(x, basis) if letter == "e") % 2
-    assert surface.components_of(mask(x)) == {cid for bit, (cid, _, _) in zip(x, basis) if bit}
+    assert components_of(surface, mask(x)) == {cid for bit, (cid, _, _) in zip(x, basis) if bit}
 
 
 @given(comps=_components(max_genus=6), data=st.data())

@@ -36,6 +36,7 @@ from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc
 
 from helpers import (
     PreconditionW1Ker,
+    band_fibre_finger_move,
     boundary_form_witness_pairs,
     cusp_trick,
     cyclic_group,
@@ -496,8 +497,6 @@ def test_surface_with_boundary_circles():
 
 
 def test_theta_zero_band_move_keeps_flowchart_outcome():
-    from surfemb4.bands import band_fibre_finger_move
-
     inst = load_example("torus_s3s1")
     band = inst.band_catalog.records[0]
     new_points, new_coll, delta = band_fibre_finger_move(

@@ -5,7 +5,8 @@ Every verdict is one interpreter start.  ``dataclasses`` brings ``inspect``,
 tuples or slotted classes, so no command imports either; this runs the
 commands under ``python -X importtime`` and reads the import list.  The same
 list shows that ``decide``, ``examples list`` and the ``knot`` commands import
-no ``fractions``, ``decimal`` or ``numbers``.
+no ``fractions``, ``decimal`` or ``numbers``, and that no command imports
+``argparse``, ``gettext`` or ``locale``.
 
 Package modules and ``mpmath`` are registered lazily (``surfemb4._lazy``),
 so ``-X importtime`` does not show which of them ran.  A module has run when
@@ -59,13 +60,20 @@ def test_cli_child_skips_dataclasses_and_inspect(argv):
 NUMERIC = {"fractions", "decimal", "numbers"}
 
 
-def _assert_no_rationals(argv):
+def _imported(argv) -> set[str]:
+    """The modules that the command's child imports, read off its ``-X importtime`` list."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "surfemb4.cli", *argv],
                           capture_output=True, text=True, timeout=120, env=ENV)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert "surfemb4.schema" in imported and not imported & NUMERIC, imported & NUMERIC
+    assert "surfemb4.schema" in imported, imported
+    return imported
+
+
+def _assert_no_rationals(argv):
+    imported = _imported(argv)
+    assert not imported & NUMERIC, imported & NUMERIC
 
 
 @pytest.mark.parametrize("argv", [["decide", "torus_s3s1"], BATCH, ["examples", "list"]], ids=_id)
@@ -82,6 +90,16 @@ KNOT_COMMANDS = [["knot", "arf", "trefoil"], ["knot", "sig", "trefoil", "--omega
 @pytest.mark.parametrize("argv", KNOT_COMMANDS, ids=_id)
 def test_knot_commands_import_no_rationals(argv):
     _assert_no_rationals(argv)
+
+
+# ``cli`` reads its command table itself; argparse would bring gettext and locale.
+PARSING = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", COMMANDS + [a for a in KNOT_COMMANDS if a not in COMMANDS], ids=_id)
+def test_cli_child_imports_no_argparse(argv):
+    imported = _imported(argv)
+    assert not imported & PARSING, imported & PARSING
 
 
 # Runs surfemb4.cli as ``python -m surfemb4.cli`` does, then prints on the last

@@ -8,7 +8,6 @@ from surfemb4.bands import (
     BandRecord,
     SurfaceComponent,
     SurfaceModel,
-    band_fibre_finger_move,
     theta,
     validate_record,
 )
@@ -26,6 +25,7 @@ from helpers import (
     NothingToTransfer,
     all_characters,
     all_groups_up_to_8,
+    band_fibre_finger_move,
     random_signed_subgroup,
     to_convenient_quadratic,
     transfer_move,
