@@ -1,18 +1,33 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation failure, 3 internal consistency
-failure (two independent computations of one quantity disagreeing, e.g.
-the two Arf methods).  ``main`` alone turns errors into exit codes; a
-command line that ``parse`` refuses is a validation failure, printed as
-JSON like any other.  ``parse`` reads the command table ``COMMANDS`` by
-argparse's rules; it does not import argparse, whose import and parser
-building cost about 5 ms of a child's start.
+Exit codes: 0 success, 1 the result could not be written (a full disk, a
+closed pipe; one line on stderr), 2 validation failure, 3 internal
+consistency failure (two independent computations of one quantity
+disagreeing, e.g. the two Arf methods).  ``main`` alone turns errors into
+exit codes; a command line that ``parse`` refuses is a validation failure,
+printed as JSON like any other.  ``parse`` reads the command table
+``COMMANDS`` by argparse's rules; it does not import argparse, whose import
+and parser building cost about 5 ms of a child's start.
+
+Each verdict is one interpreter start.  A child's CPU time goes to starting
+the interpreter and ``site``, to compiling the package source it runs when
+no bytecode is written (11 ms of ``examples list``, 26 ms of ``decide``), to
+the command's work (well under 1 ms for ``knot arf`` or ``examples list``)
+and to exit, where ``Py_FinalizeEx`` runs two full collections that walk
+every container start-up made.  So ``main`` freezes the collector's
+generations (``gc.freeze``) when it runs the process's own command line
+(``argv`` None), which saves a ``knot`` or ``examples list`` child 5-8 ms,
+and ``_load_instance`` freezes again after each load, for the containers
+made since; an in-process caller's collector is left as it is.
+``os._exit`` would save about 2 ms more, but it skips ``atexit`` and the
+report of a failed flush, so it is not taken.  README has the measurements.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
 import re
 import sys
 from importlib import resources
@@ -27,6 +42,7 @@ gamma = _lazy("surfemb4.gamma")
 knots = _lazy("surfemb4.knots")
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
@@ -45,8 +61,21 @@ def _resolve(path: str, kind: str) -> Path:
     raise ValueError(f"no such file or shipped {kind[:-1]} '{path}'")
 
 
+class _OutputError(Exception):
+    """Writing the result to stdout failed: a full disk, a closed pipe."""
+
+
+def _write(text: str) -> None:
+    """Write and flush the result, so that a failed write raises here and not at exit."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputError(exc) from None
+
+
 def _emit(doc) -> None:
-    sys.stdout.write(schema.to_json(doc))
+    _write(schema.to_json(doc))
 
 
 def _error_doc(exc: ValueError) -> dict:
@@ -198,7 +227,7 @@ surfemb4 -h                               # this text; also after a command
 
 
 def cmd_help(args) -> int:
-    sys.stdout.write(USAGE)
+    _write(USAGE)
     return EXIT_OK
 
 
@@ -348,15 +377,24 @@ def parse(argv) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
+    own = argv is None  # the process's own command line: the process exits when main returns
+    if own:
+        gc.freeze()  # no collection walks what start-up made, the two at shutdown included
     try:
-        args = parse(sys.argv[1:] if argv is None else argv)
-        return args.func(args)
-    except ValueError as exc:  # bad input and every domain error derived from it
-        _emit(_error_doc(exc))
-        return EXIT_VALIDATION
-    except InternalConsistency as exc:
-        _emit({"ok": False, "errors": [str(exc)]})
-        return EXIT_INTERNAL
+        try:
+            args = parse(sys.argv[1:] if own else argv)
+            return args.func(args)
+        except ValueError as exc:  # bad input and every domain error derived from it
+            _emit(_error_doc(exc))
+            return EXIT_VALIDATION
+        except InternalConsistency as exc:
+            _emit({"ok": False, "errors": [str(exc)]})
+            return EXIT_INTERNAL
+    except _OutputError as exc:
+        print(f"surfemb4: cannot write the result: {exc}", file=sys.stderr)
+        if own:  # Python flushes stdout again at exit; what is left goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ given, and the shape's JSON-pointer errors, when there are any, instead.
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
@@ -349,7 +350,6 @@ def load_instance(path) -> engine.ProblemInstance:
     Reading makes many containers and no cycles, so the collector, which
     would scan them each time they grow, is paused while it runs.
     """
-    import gc  # here, so that only the commands that read instances import it
     enabled = gc.isenabled()
     gc.disable()
     try:

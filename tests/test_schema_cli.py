@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -270,6 +272,57 @@ def test_internal_checks_survive_python_O():
     assert result["code"] == 3
     assert result["out"]["ok"] is False
     assert "determinant rule gives 0" in result["out"]["errors"][0]
+
+
+def _child(argv, stdout, unbuffered: bool) -> subprocess.CompletedProcess:
+    """``python -m surfemb4.cli`` writing to ``stdout``, its stdout buffered or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "surfemb4.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+
+
+def _write_failed(proc, errno_code: int) -> bool:
+    """One line on stderr, no traceback and no "Exception ignored", and exit 1."""
+    lines = proc.stderr.splitlines()
+    return (proc.returncode == 1 and len(lines) == 1
+            and lines[0].startswith(f"surfemb4: cannot write the result: [Errno {errno_code}]"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["examples", "list"], ["decide", "no_such_instance"], ["-h"]],
+                         ids=" ".join)
+def test_a_full_device_is_one_line_and_exit_1(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _child(argv, full, unbuffered)
+    assert _write_failed(proc, errno.ENOSPC), (proc.returncode, proc.stderr)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_is_one_line_and_exit_1(unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # closed before the child writes, so every write fails
+    try:
+        proc = _child(["examples", "list"], write, unbuffered)
+    finally:
+        os.close(write)
+    assert _write_failed(proc, errno.EPIPE), (proc.returncode, proc.stderr)
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_in_process_a_failed_write_returns_1(monkeypatch, capsys):
+    # a stream with no file descriptor: main leaves an in-process caller's stdout alone
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(["examples", "list"]) == 1
+    assert capsys.readouterr().err == "surfemb4: cannot write the result: [Errno 32] Broken pipe\n"
 
 
 def _cli(capsys, *argv):

@@ -13,8 +13,14 @@ so ``-X importtime`` does not show which of them ran.  A module has run when
 it is in ``sys.modules`` as a plain module; an unrun lazy placeholder is of a
 ``types.ModuleType`` subclass.  The second test reads that list at the end of
 the command.
+
+A child that runs the CLI as its program freezes the collector's generations
+as ``cli.main`` starts, so no collection walks what start-up made, the two at
+shutdown included; an in-process call of ``cli.main(argv)`` leaves the
+collector as it is.  The last two tests pin that.
 """
 
+import gc
 import json
 import os
 import re
@@ -156,3 +162,29 @@ def test_cli_child_runs_only_the_modules_its_command_uses(argv, runs, skips):
 def test_examples_list_runs_no_domain_module():
     assert _ran(["examples", "list"]) == {
         "surfemb4", "surfemb4.cli", "surfemb4.schema", "surfemb4.errors"}
+
+
+# Runs surfemb4.cli as _RAN does; an exit hook registered first prints, on the
+# last line of stderr, how many objects the collector holds frozen at exit.
+_FROZEN_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("surfemb4.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=_id)
+def test_cli_child_exits_with_its_heap_frozen(argv):
+    proc = subprocess.run([sys.executable, "-c", _FROZEN_AT_EXIT, *argv],
+                          capture_output=True, text=True, timeout=120, env=ENV)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert int(proc.stderr.splitlines()[-1]) > 0
+
+
+@pytest.mark.parametrize("argv", [["examples", "list"], ["knot", "arf", "trefoil"]], ids=_id)
+def test_in_process_main_leaves_the_collector_as_it_is(argv, capsys):
+    from surfemb4 import cli
+    assert cli.main(argv) == 0  # runs the lazily registered modules the command uses
+    before = gc.get_freeze_count()
+    assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == before
