@@ -13,12 +13,13 @@ Library layout:
 - ``errors``: the internal-consistency exception (exit code 3)
 
 Importing the package runs no submodule.  Every CLI command is one
-interpreter start, so ``cli`` and ``schema`` register the modules they use,
-``groups`` and ``gamma`` register ``intlinalg``, and ``knots`` registers
-``mpmath``, with ``_lazy``: a module's body runs only when one of its
-attributes is first used, and a command runs only the modules it reaches.
-These modules name a lazily registered module's functions by attribute at
-the call (``engine.flowchart``), never bind them at import.
+interpreter start, so the package registers its seven domain modules, and
+``knots`` registers ``mpmath``, with ``_lazy``: a module's body runs only
+when one of its attributes is first used, and a command runs only the
+modules it reaches.  A module names another with a plain ``from . import
+gamma``, which returns the registered placeholder without running it, and
+a function of it by attribute at the call (``engine.flowchart``).  ``cli``
+and ``schema`` are imported as usual.
 
 Every public name here is reached by the command line, the flowchart, the
 benchmark tracer or the acceptance tests (``tests/test_public_names.py``);
@@ -53,3 +54,8 @@ def _lazy(name: str):
         if parent:
             setattr(sys.modules[parent], child, module)  # as an eager import binds it
     return sys.modules[name]
+
+
+for _module in ("bands", "engine", "gamma", "groups", "intlinalg", "knots", "whitney"):
+    _lazy(f"{__name__}.{_module}")
+del _module

@@ -160,7 +160,8 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
     for bands of the same class.  All count fields are parities: ``w1_sigma``
     holds <w1(Sigma), boundary component> per circle, ``w1m_core`` is
     <w1(M), core>, ``arc_count`` is |dB ^ A| and ``interior`` is |Int B ^ F|.
-    Vectors are stored as tuples.
+    Vectors are stored as tuples.  The class is checked by the catalog, against
+    its basis (``validate_record``), and only there.
     """
 
     __slots__ = ()
@@ -171,8 +172,8 @@ class BandRecord(namedtuple("BandRecord", "id kind rel_class boundary_classes w1
             raise BandError(f"unknown band kind {kind!r}")
         _mask((w1m_core, mu_boundary, arc_count, interior, euler), 5,
               "parity fields must be 0 or 1 on band {2!r}", id)
-        for field, vec in (("rel_class", rel_class), ("w1_sigma", w1_sigma)):
-            _mask(vec, len(vec), "band {2!r}: {3} has an entry other than 0 or 1: {0!r}", id, field)
+        _mask(w1_sigma, len(w1_sigma),
+              "band {2!r}: w1_sigma has an entry other than 0 or 1: {0!r}", id)
         if len(w1_sigma) != len(boundary_classes):
             raise BandError(f"band {id!r}: one w1 value per boundary circle")
         if kind == "annulus" and len(boundary_classes) != 2:

@@ -14,32 +14,31 @@ the interpreter and ``site``, to compiling the package source it runs when
 no bytecode is written (11 ms of ``examples list``, 26 ms of ``decide``), to
 the command's work (well under 1 ms for ``knot arf`` or ``examples list``)
 and to exit, where ``Py_FinalizeEx`` runs two full collections that walk
-every container start-up made.  So ``main`` freezes the collector's
-generations (``gc.freeze``) when it runs the process's own command line
-(``argv`` None), which saves a ``knot`` or ``examples list`` child 5-8 ms,
-and ``_load_instance`` freezes again after each load, for the containers
-made since; an in-process caller's collector is left as it is.
-``os._exit`` would save about 2 ms more, but it skips ``atexit`` and the
-report of a failed flush, so it is not taken.  README has the measurements.
+every container left.  So ``main``, and only ``main``, sets the collector
+when it runs the process's own command line (``argv`` None): it turns the
+collector off and registers ``gc.freeze`` with ``atexit``, which runs
+before those collections, so that no collection walks what the process
+made; this saves a ``knot`` or ``examples list`` child 5-8 ms.  An
+in-process caller's collector is left as it is.  ``os._exit`` would save
+about 2 ms more, but it skips ``atexit`` and the report of a failed flush,
+so it is not taken.  README has the measurements.
 """
 
 from __future__ import annotations
 
+import atexit
 import gc
 import json
 import os
 import re
 import sys
-from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import _lazy, schema
+from . import engine, gamma, knots, schema
 from .errors import InternalConsistency
 
-engine = _lazy("surfemb4.engine")
-gamma = _lazy("surfemb4.gamma")
-knots = _lazy("surfemb4.knots")
+_DATA = Path(__file__).with_name("data")  # the shipped files; a zipped package is not supported
 
 EXIT_OK = 0
 EXIT_OUTPUT = 1
@@ -47,17 +46,13 @@ EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
 
-def _data_dir(kind: str):
-    return resources.files("surfemb4").joinpath("data", kind)
-
-
 def _resolve(path: str, kind: str) -> Path:
     p = Path(path)
     if p.exists():
         return p
-    candidate = _data_dir(kind).joinpath(path if path.endswith(".json") else path + ".json")
+    candidate = _DATA / kind / (path if path.endswith(".json") else path + ".json")
     if candidate.is_file():
-        return Path(str(candidate))
+        return candidate
     raise ValueError(f"no such file or shipped {kind[:-1]} '{path}'")
 
 
@@ -67,6 +62,8 @@ class _OutputError(Exception):
 
 def _write(text: str) -> None:
     """Write and flush the result, so that a failed write raises here and not at exit."""
+    if sys.stdout is None:  # the process started with fd 1 closed
+        raise _OutputError("stdout is closed")
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -83,9 +80,7 @@ def _error_doc(exc: ValueError) -> dict:
 
 
 def _load_instance(name: str) -> engine.ProblemInstance:
-    inst = schema.load_instance(str(_resolve(name, "instances")))
-    gc.freeze()  # the collector need never scan it: it holds no cycles, and reference counts free it
-    return inst
+    return schema.load_instance(str(_resolve(name, "instances")))
 
 
 def cmd_validate(args) -> int:
@@ -197,10 +192,12 @@ def cmd_knot(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    out = {"instances": [], "knots": []}
+    out = {}
     for kind in ("instances", "knots"):
-        base = _data_dir(kind)
-        out[kind] = sorted(p.name for p in base.iterdir() if p.name.endswith(".json"))
+        try:
+            out[kind] = sorted(name for name in os.listdir(_DATA / kind) if name.endswith(".json"))
+        except OSError as exc:  # not a directory: a zipped package
+            raise ValueError(f"cannot list the shipped {kind}: {exc}") from None
     _emit(out)
     return EXIT_OK
 
@@ -378,8 +375,9 @@ def parse(argv) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     own = argv is None  # the process's own command line: the process exits when main returns
-    if own:
-        gc.freeze()  # no collection walks what start-up made, the two at shutdown included
+    if own:  # no collection walks what the process made, the two at shutdown included
+        gc.disable()
+        atexit.register(gc.freeze)
     try:
         try:
             args = parse(sys.argv[1:] if own else argv)
@@ -392,7 +390,7 @@ def main(argv=None) -> int:
             return EXIT_INTERNAL
     except _OutputError as exc:
         print(f"surfemb4: cannot write the result: {exc}", file=sys.stderr)
-        if own:  # Python flushes stdout again at exit; what is left goes to devnull
+        if own and sys.stdout is not None:  # what the flush at exit writes goes to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OUTPUT
 

@@ -39,12 +39,9 @@ from itertools import compress, filterfalse, repeat
 from operator import add, and_, eq, mul, ne, neg
 from typing import NamedTuple, Optional
 
+from . import intlinalg, whitney  # intlinalg is run by abelian groups and the Smith oracle only
 from .errors import InternalConsistency
-from . import _lazy
 from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit, check_signed
-
-intlinalg = _lazy("surfemb4.intlinalg")  # run by abelian groups and the Smith oracle only
-whitney = _lazy("surfemb4.whitney")  # DoublePoints.of decides whether reduce_list checks columns
 
 
 class GammaError(ValueError):

@@ -16,10 +16,9 @@ from itertools import compress, repeat
 from operator import itemgetter, mod
 from typing import Iterable, Sequence
 
-from . import _INTS, _lazy
+from . import _INTS, intlinalg  # intlinalg is run by abelian groups only
 from .errors import InternalConsistency
 
-intlinalg = _lazy("surfemb4.intlinalg")  # run by abelian groups only
 _SEQUENCES = frozenset((tuple, list))  # exact types, tested before the slower isinstance
 
 

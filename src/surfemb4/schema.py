@@ -16,14 +16,7 @@ from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
-from . import FLOAT_EXACT_BOUND, _lazy
-
-bands = _lazy("surfemb4.bands")
-engine = _lazy("surfemb4.engine")
-gamma = _lazy("surfemb4.gamma")  # its GammaError refuses a double point's sign
-groups = _lazy("surfemb4.groups")
-knots = _lazy("surfemb4.knots")
-whitney = _lazy("surfemb4.whitney")
+from . import FLOAT_EXACT_BOUND, bands, engine, gamma, groups, knots, whitney
 
 SCHEMA_VERSION = 1
 

@@ -18,10 +18,8 @@ from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter
 from typing import NamedTuple
 
-from . import _INTS, _lazy
+from . import _INTS, gamma  # its GammaError is the error of a bad sign
 from .groups import check_signed
-
-gamma = _lazy("surfemb4.gamma")  # its GammaError is the error of a bad sign
 
 _odd = (1).__and__  # parity of an int, as a C-level callable
 

@@ -264,12 +264,19 @@ def test_bit_checks_accept_what_membership_in_0_1_accepts(make):
 @pytest.mark.parametrize("field", ["rel_class", "w1_sigma"])
 @pytest.mark.parametrize("entries", [(2,), (True,), "1", (0, 2)], ids=["2", "True", "str", "0-2"])
 def test_band_record_entries_must_be_exactly_0_or_1(field, entries):
-    # outside a catalog, Theta once read a class entry 2 as bit 1 (a ThetaConflict between
-    # records of classes (2,) and (1,)), and w1_sigma (0, 2) on an annulus passed ``theta``
+    # Theta once read a class entry 2 as bit 1 (a ThetaConflict between records of classes
+    # (2,) and (1,)), and w1_sigma (0, 2) on an annulus passed ``theta``.  The record checks
+    # its w1_sigma; its class is checked once, by the catalog, against the basis.
     annulus = dict(id="b", kind="annulus", rel_class=(1, 0), boundary_classes=((0, 0), (0, 0)),
                    w1_sigma=(0, 0), w1m_core=0, mu_boundary=0, arc_count=0, interior=0, euler=0)
-    with pytest.raises(BandError, match=f"band 'b': {field} has an entry other than 0 or 1"):
-        BandRecord(**dict(annulus, **{field: entries}))
+    if field == "w1_sigma":
+        with pytest.raises(BandError, match="band 'b': w1_sigma has an entry other than 0 or 1"):
+            BandRecord(**dict(annulus, w1_sigma=entries))
+        return
+    basis = tuple(f"c{i}" for i in range(len(entries)))  # of the class's length
+    rel = RelH2(basis, {name: (0, 0) for name in basis})
+    with pytest.raises(BandError, match="bad RelH2 vector"):
+        BandCatalog(torus_surface(), rel, (BandRecord(**dict(annulus, rel_class=entries)),))
 
 
 @st.composite

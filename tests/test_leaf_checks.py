@@ -6,9 +6,7 @@ checks it with the same rule: signs to ``groups.check_signed`` and
 disc twists to ``WhitneyCollection``, factors to ``FGAbelianGroup``.  Etas are checked by ``FGAbelianGroup.check_elems``
 and interior keys by ``schema._int_keys``.  On a generated valid abelian instance the values each
 check sees add up, kind by kind, to exactly the leaves of that kind in the
-document.  The one exception is a band record's class: ``BandRecord`` checks
-its entries, and the catalog checks them again with its length, since a
-record made by ``_replace`` skips its own check.
+document.
 """
 
 import random
@@ -60,7 +58,6 @@ def test_each_leaf_is_checked_once(monkeypatch):
     doc = _document()
     leaves = Counter()
     _leaves(schema.INSTANCE_SHAPE, doc, leaves)
-    class_bits = sum(len(b["rel_class"]) for b in doc["catalogs"]["bands"])
     assert min(leaves[kind] for kind in ("sign", "bit", "count", "int", "element", "key")) > 0
     seen = Counter()
 
@@ -94,4 +91,4 @@ def test_each_leaf_is_checked_once(monkeypatch):
     assert seen["entry walk"] == 0
     for kind in ("sign", "count", "int", "element", "key"):
         assert seen[kind] == leaves[kind], kind
-    assert seen["bit"] == leaves["bit"] + class_bits
+    assert seen["bit"] == leaves["bit"]

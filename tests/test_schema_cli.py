@@ -274,7 +274,7 @@ def test_internal_checks_survive_python_O():
     assert "determinant rule gives 0" in result["out"]["errors"][0]
 
 
-def _child(argv, stdout, unbuffered: bool) -> subprocess.CompletedProcess:
+def _child(argv, stdout, unbuffered: bool, **kwargs) -> subprocess.CompletedProcess:
     """``python -m surfemb4.cli`` writing to ``stdout``, its stdout buffered or not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -282,7 +282,7 @@ def _child(argv, stdout, unbuffered: bool) -> subprocess.CompletedProcess:
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "surfemb4.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60, **kwargs)
 
 
 def _write_failed(proc, errno_code: int) -> bool:
@@ -311,6 +311,12 @@ def test_a_closed_pipe_is_one_line_and_exit_1(unbuffered):
     finally:
         os.close(write)
     assert _write_failed(proc, errno.EPIPE), (proc.returncode, proc.stderr)
+
+
+def test_a_closed_stdout_is_one_line_and_exit_1():
+    # started with fd 1 closed (``>&-`` in a shell), the child's sys.stdout is None
+    proc = _child(["examples", "list"], subprocess.DEVNULL, False, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (1, "surfemb4: cannot write the result: stdout is closed\n")
 
 
 class _ClosedPipe(io.StringIO):

@@ -8,24 +8,31 @@ list shows that ``decide``, ``examples list`` and the ``knot`` commands import
 no ``fractions``, ``decimal`` or ``numbers``, and that no command imports
 ``argparse``, ``gettext`` or ``locale``.
 
-Package modules and ``mpmath`` are registered lazily (``surfemb4._lazy``),
-so ``-X importtime`` does not show which of them ran.  A module has run when
+The package registers its domain modules, and ``knots`` registers ``mpmath``,
+lazily (``surfemb4._lazy``), and nothing else does; so ``-X importtime``
+does not show which of them ran.  A module has run when
 it is in ``sys.modules`` as a plain module; an unrun lazy placeholder is of a
 ``types.ModuleType`` subclass.  The second test reads that list at the end of
 the command.
 
-A child that runs the CLI as its program freezes the collector's generations
-as ``cli.main`` starts, so no collection walks what start-up made, the two at
-shutdown included; an in-process call of ``cli.main(argv)`` leaves the
-collector as it is.  The last two tests pin that.
+A child that runs the CLI as its program turns the collector off as
+``cli.main`` starts and freezes its heap at exit, so no collection walks what
+the process made, the two at shutdown included; an in-process call of
+``cli.main(argv)`` leaves the collector as it is.  The last tests pin that,
+and that the CLI finds its shipped files beside its source, so that no child
+imports ``importlib.resources`` (with ``zipfile``, ``tempfile`` and
+``shutil``), which ``site`` may import already and ``python -S`` does not.
 """
 
+import ast
 import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import sysconfig
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -66,10 +73,10 @@ def test_cli_child_skips_dataclasses_and_inspect(argv):
 NUMERIC = {"fractions", "decimal", "numbers"}
 
 
-def _imported(argv) -> set[str]:
+def _imported(argv, *flags, env=ENV) -> set[str]:
     """The modules that the command's child imports, read off its ``-X importtime`` list."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "surfemb4.cli", *argv],
-                          capture_output=True, text=True, timeout=120, env=ENV)
+    proc = subprocess.run([sys.executable, *flags, "-X", "importtime", "-m", "surfemb4.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
@@ -106,6 +113,19 @@ PARSING = {"argparse", "gettext", "locale"}
 def test_cli_child_imports_no_argparse(argv):
     imported = _imported(argv)
     assert not imported & PARSING, imported & PARSING
+
+
+# ``cli`` reads its shipped files from ``Path(__file__).with_name("data")``.  Under
+# ``python -S`` no ``.pth`` file of site-packages runs, so nothing imports these first;
+# site-packages stays on the path, since ``knots`` registers ``mpmath``.
+RESOURCES = {"importlib.resources", "zipfile", "tempfile", "shutil"}
+NO_SITE = dict(ENV, PYTHONPATH=os.pathsep.join([str(SRC), sysconfig.get_paths()["purelib"]]))
+
+
+@pytest.mark.parametrize("argv", COMMANDS + [a for a in KNOT_COMMANDS if a not in COMMANDS], ids=_id)
+def test_cli_child_imports_no_importlib_resources(argv):
+    imported = _imported(argv, "-S", env=NO_SITE)
+    assert not imported & RESOURCES, imported & RESOURCES
 
 
 # Runs surfemb4.cli as ``python -m surfemb4.cli`` does, then prints on the last
@@ -164,11 +184,12 @@ def test_examples_list_runs_no_domain_module():
         "surfemb4", "surfemb4.cli", "surfemb4.schema", "surfemb4.errors"}
 
 
-# Runs surfemb4.cli as _RAN does; an exit hook registered first prints, on the
-# last line of stderr, how many objects the collector holds frozen at exit.
+# Runs surfemb4.cli as _RAN does; an exit hook registered first, so run last,
+# prints on the last line of stderr how many objects the collector holds
+# frozen at exit and whether it is on.
 _FROZEN_AT_EXIT = """
-import atexit, gc, runpy, sys
-atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+import atexit, gc, json, runpy, sys
+atexit.register(lambda: print(json.dumps([gc.get_freeze_count(), gc.isenabled()]), file=sys.stderr))
 runpy.run_module("surfemb4.cli", run_name="__main__", alter_sys=True)
 """
 
@@ -178,13 +199,40 @@ def test_cli_child_exits_with_its_heap_frozen(argv):
     proc = subprocess.run([sys.executable, "-c", _FROZEN_AT_EXIT, *argv],
                           capture_output=True, text=True, timeout=120, env=ENV)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert int(proc.stderr.splitlines()[-1]) > 0
+    frozen, enabled = json.loads(proc.stderr.splitlines()[-1])
+    assert frozen > 0 and not enabled
 
 
-@pytest.mark.parametrize("argv", [["examples", "list"], ["knot", "arf", "trefoil"]], ids=_id)
+@pytest.mark.parametrize("argv", [
+    ["examples", "list"], ["knot", "arf", "trefoil"], ["validate", "torus_s3s1"],
+    ["decide", "torus_s3s1"], ["km", "tubed_sphere"], ["gamma", "star_cp2_sphere", "--component", "0"],
+], ids=_id)
 def test_in_process_main_leaves_the_collector_as_it_is(argv, capsys):
     from surfemb4 import cli
-    assert cli.main(argv) == 0  # runs the lazily registered modules the command uses
-    before = gc.get_freeze_count()
+    before = gc.isenabled(), gc.get_freeze_count()
     assert cli.main(argv) == 0
-    assert gc.get_freeze_count() == before
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_a_zipped_package_cannot_list_its_files(tmp_path):
+    archive = tmp_path / "surfemb4.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in (SRC / "surfemb4").rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(SRC).as_posix())
+    proc = subprocess.run([sys.executable, "-m", "surfemb4.cli", "examples", "list"],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(archive)))
+    assert proc.returncode == 2 and proc.stderr == "", proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["ok"] is False and len(doc["errors"]) == 1, doc
+    assert doc["errors"][0].startswith("cannot list the shipped instances"), doc
+
+
+def test_only_the_package_and_knots_register_lazy_modules():
+    calls = []
+    for path in sorted((SRC / "surfemb4").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lazy":
+                calls.append((path.name, ast.unparse(node.args[0])))
+    assert calls == [("__init__.py", "f'{__name__}.{_module}'"), ("knots.py", "'mpmath'")], calls
