@@ -11,14 +11,14 @@ the citations needed to audit it.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, compress
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from .bands import BCharResult, SurfaceModel, is_b_characteristic
 from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list
 from .groups import SignedSubgroup
-from .whitney import DoublePoints, UnpairedPoints, t_count, to_convenient
+from .whitney import DoublePoints, UnpairedPoints, t_count
 
 REG_EMBED = "RegHomotopicToEmbedding"
 NOT_REG_EMBED = "NotRegHomotopicToEmbedding"
@@ -193,30 +193,31 @@ def _bchar_nodes(inst: ProblemInstance, ft: Sequence[int], trace: list[TraceEntr
 
 
 def _t_for_ft(inst: ProblemInstance, ft: Sequence[int]) -> int:
-    """t(F^t, W^t) from the discs that pair the double points of F^t.
+    """t(F^t, W^t) by ``t_count`` on W^t as declared, in any disc order.
 
-    Subsets of the reader's checked collection pass every constructor check,
-    so the F^t collection is taken with ``_replace``, its discs by one mask
-    over the pair column.
+    W^t is the discs whose two points are double points of F^t, and the
+    boundary counts between two of them.  A crossing of a W^t arc with an
+    arc outside W^t adds nothing: pushing the outside arc off the end changes
+    only its own disc, and pushing the W^t arc off the end, at a point of
+    f_i ^ f_j with f_j outside F^t, makes the W^t disc meet f_j, which
+    t(F^t, W^t) does not count.  W^t is a subset of checked records, so it
+    is taken with ``_replace``.
     """
     ids = inst.points.ids_within(ft)
     if not ids:
         return 0
     collection = inst.collection
     if collection is None:
-        raise MissingWhitneyData(
-            "F^t has double points but no Whitney collection was declared"
-        )
-    if not collection.convenient:
-        collection = to_convenient(inst.points, collection)
-    discs = collection.discs
-    sub = collection._replace(discs=discs.where(map(ids.issuperset, discs.pairs)), boundary={})
+        raise MissingWhitneyData("F^t has double points but no Whitney collection was declared")
+    discs, keep = collection.discs, list(map(ids.issuperset, collection.discs.pairs))
+    wt = set(compress(discs.ids, keep))
+    sub = collection._replace(discs=discs.where(keep),
+                              boundary={key: n for key, n in collection.boundary.items() if key <= wt})
     try:
         return t_count(inst.points, ft, sub)
     except UnpairedPoints as exc:
         raise MissingWhitneyData(
-            f"the declared collection does not pair the double points of F^t: {exc}"
-        ) from exc
+            f"the declared collection does not pair the double points of F^t: {exc}") from exc
 
 
 def compute_km(inst: ProblemInstance) -> int:

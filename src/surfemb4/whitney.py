@@ -8,11 +8,12 @@ all pairwise boundary intersection counts vanish; *weak* collections relax
 all three.  ``t_count`` is the one t formula, for weak and convenient
 collections alike: on a convenient collection its framing and boundary
 terms are zero.  ``to_convenient`` trades those terms for interior
-intersections and keeps the count.
+intersections and keeps the count of the whole collection.
 """
 
 from __future__ import annotations
 
+import reprlib
 from collections import Counter, namedtuple
 from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter
@@ -229,8 +230,9 @@ def t_count(points, components, collection: WhitneyCollection) -> int:
     """
     want, got = DoublePoints.of(points).ids_within(components), collection.paired_point_ids()
     if want != got:
-        raise UnpairedPoints(
-            f"collection pairs {sorted(got)} but the components' double points are {sorted(want)}")
+        unpaired, outside = (reprlib.repr(sorted(ids)) for ids in (want - got, got - want))
+        raise UnpairedPoints(f"no disc pairs the components' double points {unpaired}; "
+                             f"discs pair {outside} off the components")
     discs = collection.discs
     keys = chain.from_iterable(discs.interiors)  # in the order of _interior_values
     interior = sum(compress(_interior_values(discs), map(set(components).__contains__, keys)))
@@ -243,7 +245,10 @@ def to_convenient(points, collection: WhitneyCollection) -> WhitneyCollection:
 
     Boundary twists fix the framing at the cost of one interior intersection
     each; arc intersections are pushed off the end of the lower-indexed
-    disc's arc, so ``t_count`` of the result equals that of the input.  Only
+    disc's arc, so ``t_count`` of the result equals that of the input over
+    the whole collection only.  A crossing is credited to the lower-indexed
+    disc, on the lesser component of that disc's first point, so a converted
+    collection must not be cut down to some of its components.  Only
     a bump's parity matters, so the discs with odd own terms and the
     lower-indexed discs of odd boundary counts are tallied, and a disc
     tallied an odd number of times is bumped.  C-level passes over the discs

@@ -2,9 +2,9 @@
 
 Small-group catalog, characters, random subgroups and contexts; builders of
 test inputs (cyclic groups, trivial characters, Seifert block sums,
-instance documents, the t-preserving transfer move and cusp trick, and the
-band-fibre finger move and formal union of band records, with the record
-and surface sums they read);
+instance documents and their reorderings, the t-preserving transfer move
+and cusp trick, and the band-fibre finger move and formal union of band
+records, with the record and surface sums they read);
 Theta read off a ``ThetaFunctional`` at any class of its span; the paper's
 H1 basis and intersection form, written out densely; and the slow
 or older computations that the package's fast paths are compared against:
@@ -22,10 +22,12 @@ table replaced.
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import itertools
 import operator
 import random
+import reprlib
 from fractions import Fraction
 from typing import Optional
 
@@ -791,8 +793,9 @@ def t_count_per_disc(points, components, collection: WhitneyCollection) -> int:
     want = {p.id for p in points if set(p.components) <= comps}
     got = {pid for d in collection.discs for pid in d.pair}
     if want != got:
-        raise UnpairedPoints(
-            f"collection pairs {sorted(got)} but the components' double points are {sorted(want)}")
+        unpaired, outside = (reprlib.repr(sorted(ids)) for ids in (want - got, got - want))
+        raise UnpairedPoints(f"no disc pairs the components' double points {unpaired}; "
+                             f"discs pair {outside} off the components")
     total = sum(collection.boundary.values())
     for d in collection.discs:
         total += d.mu_boundary + d.euler
@@ -843,18 +846,20 @@ def primary_obstructions_per_point(inst: ProblemInstance) -> dict:
 
 
 def t_for_ft_per_point(inst: ProblemInstance, ft) -> int:
-    """``engine._t_for_ft`` with the F^t points found by a test of every point."""
+    """``engine._t_for_ft`` with the F^t points found by a test of every point, and W^t (the
+    discs whose points are all F^t points, and the boundary counts among them) by a test of
+    every disc and every boundary count."""
     pts = [p for p in inst.points if set(p.components) <= set(ft)]
     if not pts:
         return 0
     collection = inst.collection
     if collection is None:
         raise MissingWhitneyData("F^t has double points but no Whitney collection was declared")
-    if not collection.convenient:
-        collection = to_convenient_per_disc(list(inst.points), collection)
     ids = {p.id for p in pts}
-    sub = collection._replace(discs=tuple(d for d in collection.discs if set(d.pair) <= ids),
-                              boundary={})
+    discs = tuple(d for d in collection.discs if set(d.pair) <= ids)
+    wt = {d.id for d in discs}
+    sub = collection._replace(discs=discs, boundary={key: n for key, n in collection.boundary.items()
+                                                     if set(key) <= wt})
     try:
         return t_count_per_disc(pts, ft, sub)
     except UnpairedPoints as exc:
@@ -909,6 +914,37 @@ def random_points_doc(rng: random.Random, finite: bool, pairs: int, components: 
         "catalogs": {"rel_h2": {"basis": [], "boundary": {}}, "bands": [], "spheres": [], "rp2": []},
         "flags": {"good_group": rng.random() < 0.8, "torus_summand": []},
     }
+
+
+def reordered_doc(rng: random.Random, doc: dict) -> dict:
+    """``doc`` written in another order: the same instance, with new point and disc ids.
+
+    The double points, discs, boundary entries, components, surface components and band records
+    are shuffled, each disc's two points and each boundary entry's two discs are listed in a
+    random order, and the point and disc ids are renumbered by random injections.  Components
+    keep their ids, since the band vectors are laid out by component id.
+    """
+    doc = copy.deepcopy(doc)
+    points, wc = doc["double_points"], doc["whitney_collection"]
+
+    def renumber(ids):
+        return dict(zip(ids, rng.sample(range(3 * len(ids) + 1), len(ids))))
+
+    point_id = renumber([p["id"] for p in points])
+    for p in points:
+        p["id"] = point_id[p["id"]]
+    if wc is not None:
+        disc_id = renumber([d["id"] for d in wc["discs"]])
+        for d in wc["discs"]:
+            d["id"], d["pairs"] = disc_id[d["id"]], rng.sample([point_id[i] for i in d["pairs"]], 2)
+        wc["boundary_intersections"] = [rng.sample([disc_id[a], disc_id[b]], 2) + [n]
+                                        for a, b, n in wc["boundary_intersections"]]
+        for key in ("discs", "boundary_intersections"):
+            rng.shuffle(wc[key])
+    for records in (points, doc["components"], doc["surface"]["components"],
+                    doc["catalogs"]["bands"]):
+        rng.shuffle(records)
+    return doc
 
 
 def band_catalog_doc(n: int, seed: int) -> dict:
@@ -1243,8 +1279,6 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
         DoublePoint(next_pid + k, (cid, cid), 1, identity) for k in range(4)
     ]
     collection = inst.collection
-    if collection is not None and not collection.convenient:
-        collection = to_convenient(list(inst.points), collection)
     if collection is None:
         if inst.points:
             raise MissingWhitneyData("cannot rebuild t without a Whitney collection")
@@ -1252,10 +1286,10 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
     next_did = max((d.id for d in collection.discs), default=-1) + 1
     w_a = WhitneyDisc(next_did, (new_points[0].id, new_points[1].id), {})
     w_b = WhitneyDisc(next_did + 1, (new_points[2].id, new_points[3].id), {})
-    boundary = {frozenset((w_a.id, w_b.id)): 1}
-    weak = WhitneyCollection(tuple(collection.discs) + (w_a, w_b), boundary, convenient=False)
+    boundary = {**collection.boundary, frozenset((w_a.id, w_b.id)): 1}
+    new_collection = WhitneyCollection(tuple(collection.discs) + (w_a, w_b), boundary,
+                                       convenient=False)
     all_points = list(inst.points) + new_points
-    new_collection = to_convenient(all_points, weak)
 
     ctx = PairingContext(inst.group, inst.wM, inst.component(cid).subgroup,
                          inst.component(cid).subgroup, self_pairing=True)

@@ -67,7 +67,7 @@ def _counter(counts: dict):
 def _instance(tmp_path, pairs: int) -> Path:
     """A valid abelian instance with ``pairs`` cancelling pairs of points, one disc each."""
     doc = random_points_doc(random.Random(11), finite=False, pairs=pairs)
-    doc["whitney_collection"]["convenient"] = False  # weak, so to_convenient runs
+    doc["whitney_collection"]["convenient"] = False
     for comp in doc["components"]:  # every component in F^t, so t is counted
         comp.update(has_alg_dual=True, dual_framed=False, signed_subgroup=[])  # lattices alike
     doc["flags"]["good_group"] = True

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from surfemb4 import cli, engine, schema
+from surfemb4 import cli, engine, schema, whitney
 from surfemb4.bands import (BandCatalog, BandRecord, RelH2, SurfaceComponent, SurfaceModel,
                             _boundary_form_witness)
 from surfemb4.engine import (
@@ -41,6 +41,7 @@ from helpers import (
     cusp_trick,
     cyclic_group,
     paper_basis,
+    random_points_doc,
     replace,
     rp2_euler_parity_walk,
     transfer_move,
@@ -142,6 +143,21 @@ def test_disc_pairing_across_ft_boundary_is_missing_data():
     assert restrict_Ft(inst) == [0]
     with pytest.raises(MissingWhitneyData):
         engine._t_for_ft(inst, [0])
+
+
+def test_unpaired_points_error_names_only_the_unpaired_points(tmp_path, capsys):
+    # 4 000 points, all on F^t; only the last disc's two points are left unpaired
+    doc = random_points_doc(random.Random(1), finite=False, pairs=2000)
+    for comp in doc["components"]:
+        comp.update(has_alg_dual=True, dual_framed=False, signed_subgroup=[])
+    doc["whitney_collection"]["discs"].pop()
+    path = tmp_path / "unpaired.json"
+    path.write_text(json.dumps(doc))
+    for mode in ("regular", "homotopy"):
+        assert cli.main(["decide", str(path), "--mode", mode]) == 2
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 1024
+        assert "double points [3998, 3999]; discs pair [] off" in out
 
 
 def test_flowchart_primary_obstruction():
@@ -441,7 +457,7 @@ def test_flowchart_totality_fuzz():
 
 
 def test_flowchart_normalizes_weak_collections():
-    # a declared weak collection is converted before t is read off
+    # the framing term of a declared weak collection counts in t
     inst = simple_instance(genus=1, points=(1, -1), spheres=((1, 1),))
     weak = WhitneyCollection(
         (WhitneyDisc(0, (0, 1), {}, mu_boundary=0, euler=1),), {}, convenient=False)
@@ -459,7 +475,7 @@ WEAK_INSTANCE = Path(__file__).parent / "data" / "instances" / "weak_collection.
 def test_decide_checks_each_record_once(mode, ft_points, monkeypatch, tmp_path, capsys):
     """The reader's checks run once per instance: F^t is cut from the checked records.
 
-    The weak collection is converted only when F^t has double points.
+    t is counted on the weak collection as declared, so nothing converts it.
     """
     doc = json.loads(WEAK_INSTANCE.read_text())
     if not ft_points:  # F^t = [1], and no double point lies within it
@@ -479,11 +495,11 @@ def test_decide_checks_each_record_once(mode, ft_points, monkeypatch, tmp_path, 
 
     count(WhitneyCollection, "__new__")
     count(BandCatalog, "__post_init__")
-    count(engine, "to_convenient")
+    count(whitney, "to_convenient")
     assert cli.main(["decide", str(path), "--mode", mode]) == 0
-    assert json.loads(capsys.readouterr().out)["t"] == (1 if ft_points else 0)
-    assert calls == Counter({"__new__": 1, "__post_init__": 1,
-                             "to_convenient": 1 if ft_points else 0})
+    assert json.loads(capsys.readouterr().out)["t"] == 0
+    assert calls == Counter({"__new__": 1, "__post_init__": 1})
+    assert not hasattr(engine, "to_convenient")
 
 
 def test_surface_with_boundary_circles():

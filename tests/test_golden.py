@@ -7,8 +7,8 @@ stands for the shipped instance directory, and ``{test_instances}`` for
 instance files were recorded before the engine and band checks were
 consolidated, the ``<knot>.knot-*`` files before the knot invariants were
 made polynomial, and ``weak_collection.*`` (a weak Whitney collection on a
-proper F^t) before weak and convenient collections shared one t-count, so
-any drift in verdict, ``km``, ``gamma``, batch or knot JSON fails here.
+proper F^t) when t(F^t, W^t) came to be counted on W^t as declared, so any
+drift in verdict, ``km``, ``gamma``, batch or knot JSON fails here.
 """
 
 import json
