@@ -192,12 +192,12 @@ class RecordMasks(NamedTuple):
     support: int
 
 
-def validate_record(record: BandRecord, surface: SurfaceModel,
-                    boundaries: Optional[Sequence[int]] = None) -> RecordMasks:
+def validate_record(record: BandRecord, surface: SurfaceModel, boundaries: Sequence[int]) -> RecordMasks:
     """Admissibility and declaration consistency for one record, each circle checked once.
 
-    Given a catalog's basis-boundary masks, the class is checked against the
-    basis, and the XOR of the masks it names against the circles' sum.
+    ``boundaries`` are the catalog's basis-boundary masks: the class is
+    checked against the basis, and the XOR of the masks it names against the
+    circles' sum.
     """
     total = support = 0
     for c, w in zip(record.boundary_classes, record.w1_sigma):
@@ -216,9 +216,8 @@ def validate_record(record: BandRecord, surface: SurfaceModel,
         )
     if record.kind == "surface" and any(record.w1_sigma):
         raise BandError(f"surface record {record.id!r} needs w1-trivial boundary circles")
-    rel_class = _mask(record.rel_class, len(record.rel_class if boundaries is None else boundaries),
-                      "bad RelH2 vector {0!r}")
-    if boundaries is not None and reduce(xor, compress(boundaries, record.rel_class), 0) != total:
+    rel_class = _mask(record.rel_class, len(boundaries), "bad RelH2 vector {0!r}")
+    if reduce(xor, compress(boundaries, record.rel_class), 0) != total:
         raise BandError(
             f"band {record.id!r}: boundary map of its class disagrees with the "
             "declared boundary circles"
@@ -364,9 +363,6 @@ def validate_theta_well_defined(catalog: BandCatalog) -> ThetaFunctional:
 class BCharResult(NamedTuple):
     yes: bool
     witness: object = None  # pair of ids whose boundaries pair to 1, or first id with Theta = 1
-
-    def __bool__(self):
-        return self.yes
 
     @property
     def form_nonzero(self) -> bool:

@@ -125,10 +125,8 @@ def cmd_gamma(args) -> int:
     inst = _load_instance(args.instance)
     i = args.component
     j = args.other if args.other is not None else i
-    s_f = inst.component(i).subgroup
-    s_g = inst.component(j).subgroup
-    ctx = gamma.PairingContext(inst.group, inst.wM, s_f, s_g, self_pairing=(i == j))
-    target = gamma.build_gamma(ctx)
+    elem = engine.obstruction(inst, {c.id: c.subgroup for c in inst.components}, i, j)
+    target = elem.gamma
     classified = []  # each query checked once, by the classification
     for raw in args.query or []:
         try:
@@ -142,12 +140,14 @@ def cmd_gamma(args) -> int:
         report["orbits"] = [{"rep": o.rep, "order": "Z/2" if o.order_two else "Z"} for o in orbits]
         report["z2_count"] = sum(o.order_two for o in orbits)
         report["free_rank"] = len(orbits) - report["z2_count"]
-        oracle_rank, oracle_torsion = gamma.smith_oracle(ctx)
+        oracle_rank, oracle_torsion = gamma.smith_oracle(target.ctx)
+        if (oracle_rank, oracle_torsion) != (report["free_rank"], [2] * report["z2_count"]):
+            raise InternalConsistency(
+                f"orbit counts (free rank {report['free_rank']}, {report['z2_count']} Z/2) disagree "
+                f"with the Smith oracle (free rank {oracle_rank}, torsion {oracle_torsion})")
         report["smith_oracle"] = {"free_rank": oracle_rank, "torsion": oracle_torsion}
     else:
         report["note"] = "infinite ambient group; orbits reported per queried element"
-    # the reader checked the points against the group, so they are reduced as they are
-    elem = gamma.reduce_list(engine.points_between(inst.points, i, j), target)
     queries = []
     for value, (orbit, section) in classified:
         queries.append({

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from .bands import BCharResult, SurfaceModel, is_b_characteristic
-from .gamma import PairingContext, build_gamma, coefficient_at, reduce_list
+from .gamma import GammaElement, PairingContext, build_gamma, coefficient_at, reduce_list
 from .groups import SignedSubgroup
 from .whitney import DoublePoints, UnpairedPoints, t_count
 
@@ -59,18 +59,19 @@ class ComponentData(NamedTuple):
     subgroup: SignedSubgroup
     has_alg_dual: bool
     dual_framed: bool
-    w2: Optional[int] = None
-    euler: Optional[int] = None
 
 
 class ProblemInstance(namedtuple("ProblemInstance", (
-        "group wM components surface points collection sphere_catalog rp2_catalog band_catalog "
-        "good_group torus_summands"), defaults=(frozenset(),))):
+        "group wM components surface points collection band_catalog good_group torus_summands"),
+        defaults=(frozenset(),))):
     """One decision problem; its components, points and discs must refer to each other.
 
     ``points`` are ``DoublePoint`` records or ``DoublePoints`` columns, stored
     as ``DoublePoints.of(points, group)``.  The character, the subgroups and
     the band catalog must be built over this instance's group and surface.
+    Only what a decision reads is stored: an instance file's sphere and RP2
+    catalogs and a component's ``w2`` and ``e`` are checked by the reader and
+    dropped.
     """
 
     __slots__ = ()
@@ -111,12 +112,6 @@ class ProblemInstance(namedtuple("ProblemInstance", (
                 raise ValidationError(f"Whitney disc {did} meets unknown components")
         return self if points is self.points else self._replace(points=points)
 
-    def component(self, cid: int) -> ComponentData:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise ValidationError(f"no component {cid}")
-
 
 class TraceEntry(NamedTuple):
     node: str
@@ -146,21 +141,30 @@ def points_between(points, i: int, j: int) -> DoublePoints:
     return points.take(points.by_pair().get(frozenset((i, j)), ()))
 
 
+def obstruction(inst: ProblemInstance, subgroups: dict, i: int, j: int) -> GammaElement:
+    """mu(f_i) when i == j, else lambda(f_i, f_j), in the target of (i, j) in that order.
+
+    ``subgroups`` maps each component id to its signed subgroup.
+    ``reduce_list`` does not check the checked points again.
+    """
+    for cid in (i, j):
+        if cid not in subgroups:
+            raise ValidationError(f"no component {cid}")
+    ctx = PairingContext(inst.group, inst.wM, subgroups[i], subgroups[j], self_pairing=i == j)
+    return reduce_list(points_between(inst.points, i, j), build_gamma(ctx))
+
+
 def primary_obstructions(inst: ProblemInstance) -> dict:
     """Reduce all intersection and self-intersection lists into their targets.
 
     mu for each of C components and lambda for each of the K pairs that meet, read off the
-    buckets: O(C log C + K log K).  ``reduce_list`` does not check the checked points again.
+    buckets: O(C log C + K log K).
     """
-    out = {}
-    subgroup = {c.id: c.subgroup for c in inst.components}
-    pairs = {(i, i) for i in subgroup}
+    subgroups = {c.id: c.subgroup for c in inst.components}
+    pairs = {(i, i) for i in subgroups}
     pairs.update(tuple(sorted(key)) for key in inst.points.by_pair() if len(key) == 2)
-    for i, j in sorted(pairs):
-        ctx = PairingContext(inst.group, inst.wM, subgroup[i], subgroup[j], self_pairing=i == j)
-        key = ("mu", i) if i == j else ("lambda", i, j)
-        out[key] = reduce_list(points_between(inst.points, i, j), build_gamma(ctx))
-    return out
+    return {("mu", i) if i == j else ("lambda", i, j): obstruction(inst, subgroups, i, j)
+            for i, j in sorted(pairs)}
 
 
 def primary_vanishes(inst: ProblemInstance) -> bool:

@@ -199,24 +199,15 @@ class GammaElement(NamedTuple):
 
     Infinite-orbit coefficients are integers relative to the stored section
     (representative has sign +1); order-two orbits carry GF(2) coefficients.
+    ``coeffs`` holds no zero coefficient (``reduce_list`` and ``+`` drop
+    them), so the tuple's own equality compares elements.
     """
 
     gamma: GammaGroup
     coeffs: dict
 
-    def _normalized(self) -> dict:
-        return {k: v for k, v in self.coeffs.items() if v}
-
     def is_zero(self) -> bool:
-        return not self._normalized()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GammaElement):
-            return NotImplemented
-        return self.gamma is other.gamma and self._normalized() == other._normalized()
-
-    def __ne__(self, other) -> bool:  # a tuple's own != would count zero coefficients
-        return not self == other
+        return not self.coeffs
 
     def coefficient(self, orbit: Orbit, section: Optional[int]) -> "Coefficient":
         """Coefficient at an element that ``GammaGroup.classify`` sends to (orbit, section sign)."""

@@ -11,10 +11,9 @@ surface's orientation character.
 from __future__ import annotations
 
 import reprlib
-from collections import namedtuple
 from itertools import compress, repeat
 from operator import itemgetter, mod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import _INTS, intlinalg  # intlinalg is run by abelian groups only
 from .errors import InternalConsistency
@@ -283,34 +282,20 @@ def _sign_bit(s: int) -> int:
     return 0 if s == 1 else 1
 
 
-class SignedSubgroup(namedtuple("SignedSubgroup", "ambient generators closure lattice",
-                                defaults=(None, None))):
+class SignedSubgroup(NamedTuple):
     """Subgroup of G x {+1,-1} generated by (element, sign) pairs.
 
     Either the sign component is a homomorphism on the projection, or the
-    closure contains (1,-1); both are legal, and ``contains_minus_one``
-    distinguishes them.  Finite groups store the full ``closure``; abelian
-    groups store a Hermite ``lattice`` with the sign encoded as an extra
-    mod-2 coordinate.  Both derive from the generators, so equality and
-    hashing read only ``ambient`` and ``generators``.
+    subgroup contains (1,-1); both are legal, and ``contains_minus_one``,
+    found once by ``subgroup_closure``, tells them apart.  Abelian groups also
+    store a Hermite ``lattice`` with the sign encoded as an extra mod-2
+    coordinate, which ``gamma`` extends.
     """
 
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignedSubgroup) and self[:2] == other[:2]
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:2])
-
-    @property
-    def contains_minus_one(self) -> bool:
-        if self.ambient.kind == "finite":
-            return (self.ambient.identity, -1) in self.closure
-        return self.lattice.contains((0,) * self.ambient.rank + (1,))
+    ambient: AmbientGroup
+    generators: tuple
+    contains_minus_one: bool
+    lattice: Optional[intlinalg.HermiteLattice] = None
 
     def character_trivial_on_projection(self, chi: Character) -> bool:
         """A character is trivial on a generated subgroup iff it is on the generators."""
@@ -318,25 +303,35 @@ class SignedSubgroup(namedtuple("SignedSubgroup", "ambient generators closure la
 
 
 def subgroup_closure(ambient: AmbientGroup, generators: Iterable) -> SignedSubgroup:
-    """Close a list of (element, sign) pairs inside G x {+1,-1}; the pairs are checked once."""
+    """Close a list of (element, sign) pairs inside G x {+1,-1}; the pairs are checked once.
+
+    For a finite group each element keeps the sign it is first reached with
+    from (1, +1) by the generators.  Forward moves reach every product in a
+    finite group, so unless some element is reached with both signs, the
+    signed set reached is closed under the moves, is the subgroup, and holds
+    one sign per element; the search stops at the first element reached with
+    both.  An abelian group's lattice is asked once.
+    """
     pairs = list(generators)
     signs = [s for _, s in pairs]
     gens = tuple(zip(check_signed(ambient, signs, [g for g, _ in pairs]), signs))
     if ambient.kind == "finite":
-        closure = {(ambient.identity, 1)}
-        frontier = list(closure)
-        while frontier:
-            g, s = frontier.pop()
-            for h, t in gens:  # forward moves reach every product in a finite group
-                cand = (ambient.mul(g, h), s * t)
-                if cand not in closure:
-                    closure.add(cand)
-                    frontier.append(cand)
-        return SignedSubgroup(ambient, gens, closure=frozenset(closure))
+        sign, stack = {ambient.identity: 1}, [ambient.identity]
+        while stack:
+            g = stack.pop()
+            for h, t in gens:
+                cand, s = ambient.mul(g, h), sign[g] * t
+                if cand not in sign:
+                    sign[cand] = s
+                    stack.append(cand)
+                elif sign[cand] != s:
+                    return SignedSubgroup(ambient, gens, True)
+        return SignedSubgroup(ambient, gens, False)
     k = ambient.rank
     rows = [list(g) + [_sign_bit(s)] for g, s in gens]
     for i, f in enumerate(ambient.factors):
         if f:
             rows.append([f if j == i else 0 for j in range(k)] + [0])
     rows.append([0] * k + [2])
-    return SignedSubgroup(ambient, gens, lattice=intlinalg.HermiteLattice(rows, k + 1))
+    lattice = intlinalg.HermiteLattice(rows, k + 1)
+    return SignedSubgroup(ambient, gens, lattice.contains((0,) * k + (1,)), lattice)

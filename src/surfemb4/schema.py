@@ -403,6 +403,7 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
     """The instance a parsed document declares, or a SchemaError with every error found.
 
     The builders read the trusting walk's columns; the shape's and the points' walks run on a refusal.
+    The sphere and RP2 catalogs and each component's ``w2`` and ``e`` are checked, not stored.
     """
     view = INSTANCE_SHAPE.fits_all([doc], trust=True)
     if view is None:
@@ -422,7 +423,7 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
                               groups.subgroup_closure, group, comp["signed_subgroup"])
             if subgroup is not None:
                 components.append(engine.ComponentData(comp["id"], subgroup, comp["has_alg_dual"],
-                                                       comp["dual_framed"], comp.get("w2"), comp.get("e")))
+                                                       comp["dual_framed"]))
 
     parts = [_build(errors, f"/surface/components/{i}", bands.SurfaceComponent, **sc)
              for i, sc in enumerate(doc["surface"]["components"])]
@@ -461,9 +462,8 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
         try:
             return engine.ProblemInstance(
                 group=group, wM=wM, components=tuple(components), surface=surface, points=points,
-                collection=collection, sphere_catalog=tuple(map(tuple, catalogs["spheres"])),
-                rp2_catalog=tuple(map(tuple, catalogs["rp2"])), band_catalog=band_catalog,
-                good_group=doc["flags"]["good_group"], torus_summands=frozenset(doc["flags"]["torus_summand"]))
+                collection=collection, band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
+                torus_summands=frozenset(doc["flags"]["torus_summand"]))
         except _domain_errors() as exc:  # every owned leaf is checked by now
             raise SchemaError(_point_errors(doc, group) or [f"/: {exc}"]) from None
     errors[at:at] = _point_errors(doc, group)

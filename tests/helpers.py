@@ -8,10 +8,11 @@ records, with the record and surface sums they read);
 Theta read off a ``ThetaFunctional`` at any class of its span; the paper's
 H1 basis and intersection form, written out densely; and the slow
 or older computations that the package's fast paths are compared against:
-knot (the Arf count and the eigenvalue signature), finite and abelian
-gamma, list-reduction, Whitney-conversion and projective-plane oracles, the
-Lagrange interpolation of the Alexander polynomial, the per-point and
-per-disc reader, bucketing and F^t filter that the double-point columns
+knot (the Arf count and the eigenvalue signature), the signed closure of
+a subgroup's generators, finite and abelian gamma, list-reduction,
+Whitney-conversion and projective-plane oracles, the Lagrange
+interpolation of the Alexander polynomial, the per-point and per-disc
+reader, bucketing and F^t filter that the double-point columns
 replaced, the per-disc collection checks, t-count and conversion that the
 disc columns replaced, the pair-by-pair boundary-form scan that the
 span-basis walk replaced, the per-record band checks that the catalog's
@@ -311,6 +312,18 @@ def random_signed_subgroup(group: FiniteTableGroup, rng: random.Random):
     return subgroup_closure(group, gens)
 
 
+def signed_closure(group: FiniteTableGroup, generators) -> frozenset:
+    """The subgroup of G x {+1,-1} that the (element, sign) pairs generate, closed under products
+    and inverses until nothing is new: the reference for ``subgroup_closure``."""
+    closure = {(group.identity, 1), *generators}
+    while True:
+        more = {(group.inv(a), s) for a, s in closure}
+        more |= {(group.mul(a, b), s * t) for a, s in closure for b, t in closure}
+        if more <= closure:
+            return frozenset(closure)
+        closure |= more
+
+
 def random_seifert_rows(rng: random.Random, max_genus: int = 3, min_genus: int = 1,
                         bound: int = 2) -> list[list[int]]:
     """Random Seifert matrix with entries in [-bound, bound] and V - V^T symplectic."""
@@ -593,8 +606,8 @@ class EnumeratedFiniteGamma:
     """Orbits and section signs of a finite context, from every signed element at once.
 
     Enumerates the signed orbits of all of G x {+1,-1}, stepping through
-    every member of both subgroup closures, then projects them to element
-    orbits represented by their least element.  ``_table`` maps each element
+    every member of both subgroups (``signed_closure`` of their generators),
+    then projects them to element orbits represented by their least element.  ``_table`` maps each element
     to (orbit, section sign or None) and ``_orbits`` lists the orbits by
     representative.  The reference for ``GammaGroup`` on finite ambients,
     which searches only the orbits queried, over the subgroup generators.
@@ -608,8 +621,8 @@ class EnumeratedFiniteGamma:
     def _build_finite(self):
         G = self.ctx.ambient
         wM = self.ctx.wM
-        left = sorted(self.ctx.s_f.closure)
-        right = sorted(self.ctx.s_g.closure)
+        left = sorted(signed_closure(G, self.ctx.s_f.generators))
+        right = sorted(signed_closure(G, self.ctx.s_g.generators))
         orbit_id: dict[tuple, int] = {}
         next_id = 0
         for e in G.elements():
@@ -688,8 +701,7 @@ def instance_from_dict_per_point(doc) -> ProblemInstance:
                               group, comp["signed_subgroup"])
             if subgroup is not None:
                 components.append(engine.ComponentData(
-                    comp["id"], subgroup, comp["has_alg_dual"], comp["dual_framed"],
-                    comp.get("w2"), comp.get("e")))
+                    comp["id"], subgroup, comp["has_alg_dual"], comp["dual_framed"]))
     parts = [_build(errors, f"/surface/components/{i}", bands.SurfaceComponent, **sc)
              for i, sc in enumerate(doc["surface"]["components"])]
     too_large = _h1_dim_error(doc["surface"]["components"])
@@ -736,11 +748,8 @@ def instance_from_dict_per_point(doc) -> ProblemInstance:
     try:  # the disc references last, one disc at a time, as ProblemInstance checks them
         inst = ProblemInstance(
             group=group, wM=wM, components=tuple(components), surface=surface,
-            points=tuple(points), collection=None,
-            sphere_catalog=tuple(tuple(p) for p in catalogs["spheres"]),
-            rp2_catalog=tuple(tuple(p) for p in catalogs["rp2"]),
-            band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
-            torus_summands=frozenset(doc["flags"]["torus_summand"]))
+            points=tuple(points), collection=None, band_catalog=band_catalog,
+            good_group=doc["flags"]["good_group"], torus_summands=frozenset(doc["flags"]["torus_summand"]))
         if collection is not None:
             if not {pid for d in collection.discs for pid in d.pair} <= {p.id for p in points}:
                 raise engine.ValidationError("Whitney collection references unknown double points")
@@ -833,14 +842,14 @@ def primary_obstructions_per_point(inst: ProblemInstance) -> dict:
     for p in inst.points:
         lists.setdefault(frozenset(p.components), []).append((p.sign, p.eta))
     out = {}
-    ids = sorted(c.id for c in inst.components)
+    subgroup = {c.id: c.subgroup for c in inst.components}
+    ids = sorted(subgroup)
     for a, i in enumerate(ids):
         for j in ids[a:]:
             entries = lists.get(frozenset((i, j)), [])
             if i != j and not entries:
                 continue
-            ctx = PairingContext(inst.group, inst.wM, inst.component(i).subgroup,
-                                 inst.component(j).subgroup, self_pairing=i == j)
+            ctx = PairingContext(inst.group, inst.wM, subgroup[i], subgroup[j], self_pairing=i == j)
             out[("mu", i) if i == j else ("lambda", i, j)] = reduce_list(entries, build_gamma(ctx)).coeffs
     return out
 
@@ -1176,25 +1185,17 @@ def theta_value(functional: ThetaFunctional, vec) -> int:
 
 
 def instance_to_dict(inst: ProblemInstance) -> dict:
-    """Serialize an in-memory instance back to the interchange format."""
+    """Serialize an in-memory instance back to the interchange format.
+
+    The instance stores no sphere or RP2 catalog and no ``w2`` or ``e``, so the
+    catalogs are written empty and the two optional fields left out."""
     group = inst.group
     if group.kind == "finite":
         gdoc = {"kind": "finite", "table": [list(row) for row in group.table]}
     else:
         gdoc = {"kind": "abelian", "factors": list(group.factors)}
-    comps = []
-    for c in inst.components:
-        entry = {
-            "id": c.id,
-            "signed_subgroup": [[g, s] for g, s in c.subgroup.generators],
-            "has_alg_dual": c.has_alg_dual,
-            "dual_framed": c.dual_framed,
-        }
-        if c.w2 is not None:
-            entry["w2"] = c.w2
-        if c.euler is not None:
-            entry["e"] = c.euler
-        comps.append(entry)
+    comps = [{"id": c.id, "signed_subgroup": [[g, s] for g, s in c.subgroup.generators],
+              "has_alg_dual": c.has_alg_dual, "dual_framed": c.dual_framed} for c in inst.components]
     wc = None
     if inst.collection is not None:
         wc = {
@@ -1247,8 +1248,8 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
                 }
                 for r in inst.band_catalog.records
             ],
-            "spheres": [list(p) for p in inst.sphere_catalog],
-            "rp2": [list(p) for p in inst.rp2_catalog],
+            "spheres": [],
+            "rp2": [],
         },
         "flags": {"good_group": inst.good_group,
                   "torus_summand": sorted(inst.torus_summands)},
@@ -1267,7 +1268,8 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
     order-two identity class and mu is unchanged.
     """
     ft = restrict_Ft(inst)
-    eligible = [cid for cid in ft if inst.component(cid).subgroup.contains_minus_one]
+    subgroup = {c.id: c.subgroup for c in inst.components}
+    eligible = [cid for cid in ft if subgroup[cid].contains_minus_one]
     if not eligible:
         raise PreconditionW1Ker(
             "no F^t component has orientation-reversing kernel classes"
@@ -1291,8 +1293,7 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
                                        convenient=False)
     all_points = list(inst.points) + new_points
 
-    ctx = PairingContext(inst.group, inst.wM, inst.component(cid).subgroup,
-                         inst.component(cid).subgroup, self_pairing=True)
+    ctx = PairingContext(inst.group, inst.wM, subgroup[cid], subgroup[cid], self_pairing=True)
     gamma = build_gamma(ctx)
     before = reduce_list([(p.sign, p.eta) for p in points_between(inst.points, cid, cid)], gamma)
     after = reduce_list([(p.sign, p.eta) for p in points_between(all_points, cid, cid)], gamma)

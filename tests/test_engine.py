@@ -56,7 +56,7 @@ def load_example(name):
 
 def simple_instance(*, genus=0, orientable=True, subgroup_gens=(), has_dual=True,
                     framed=False, points=(), discs=(), boundary=(), bands=(),
-                    rel=None, good=True, torus=(), spheres=(), rp2=()):
+                    rel=None, good=True, torus=()):
     group = cyclic_group(1)
     surface = SurfaceModel([SurfaceComponent(0, genus, orientable)])
     rel = rel if rel is not None else RelH2((), {})
@@ -73,8 +73,6 @@ def simple_instance(*, genus=0, orientable=True, subgroup_gens=(), has_dual=True
         surface=surface,
         points=tuple(DoublePoint(i, (0, 0), s, 0) for i, s in enumerate(points)),
         collection=collection,
-        sphere_catalog=tuple(spheres),
-        rp2_catalog=tuple(rp2),
         band_catalog=BandCatalog(surface, rel, tuple(bands)),
         good_group=good,
         torus_summands=frozenset(torus),
@@ -102,8 +100,7 @@ def test_compute_km_degree_three_sphere_model():
     # the cuspidal-cubic model: one disc with a single interior intersection
     inst = simple_instance(points=(1, -1), discs=(((0, 1), {0: 1}),),
                            rel=RelH2(("g",), {"g": ()}),
-                           bands=(BandRecord("g", "surface", (1,), (), (), 0, 0, 0, 1, 1),),
-                           spheres=((1, 1),))
+                           bands=(BandRecord("g", "surface", (1,), (), (), 0, 0, 0, 1, 1),))
     assert compute_km(inst) == 1
     assert stong_t_formula(1, 9) == 1  # same value by the signature formula
 
@@ -136,7 +133,6 @@ def test_disc_pairing_across_ft_boundary_is_missing_data():
         components=(ComponentData(0, trivial, True, False),
                     ComponentData(1, trivial, True, True)),
         surface=surface, points=points, collection=collection,
-        sphere_catalog=(), rp2_catalog=(),
         band_catalog=BandCatalog(surface, RelH2((), {}), ()),
         good_group=True, torus_summands=frozenset(),
     )
@@ -178,7 +174,7 @@ def test_flowchart_positive_genus_simply_connected():
     # positive genus + pi_1-trivial: the torus summand rules out the
     # characteristic case, and dual sphere + good group give the embedding
     inst = simple_instance(genus=1, points=(1, -1), discs=(((0, 1), {0: 1}),),
-                           torus=(0,), spheres=((1, 1),))
+                           torus=(0,))
     verdict = flowchart(inst)
     assert verdict.outcome == REG_EMBED
     assert verdict.km == 0 and verdict.b_char == "no"
@@ -213,7 +209,6 @@ def _klein_instance(*, has_dual, euler_bit=0, good=True, points=(), discs=()):
         surface=surface,
         points=tuple(DoublePoint(i, (0, 0), s, 0) for i, s in enumerate(points)),
         collection=collection,
-        sphere_catalog=(), rp2_catalog=(),
         band_catalog=BandCatalog(surface, rel, (band,)),
         good_group=good, torus_summands=frozenset(),
     )
@@ -342,7 +337,7 @@ def test_outcome_consistency():
 def test_transfer_move_keeps_flowchart_outcome():
     inst = simple_instance(genus=1, points=(1, -1, 1, -1),
                            discs=(((0, 1), {0: 1}), ((2, 3), {0: 1})),
-                           torus=(0,), spheres=((1, 1),))
+                           torus=(0,))
     base = flowchart(inst).outcome
     new_points, new_coll = transfer_move(list(inst.points), inst.collection, 0, 1, identity=0)
     moved = replace(inst, points=tuple(new_points), collection=new_coll)
@@ -361,7 +356,6 @@ def test_flowchart_two_torsion_primary_check():
         surface=surface,
         points=(DoublePoint(0, (0, 0), 1, 1), DoublePoint(1, (0, 0), 1, 1)),
         collection=WhitneyCollection((WhitneyDisc(0, (0, 1), {0: 0}),), {}, True),
-        sphere_catalog=(), rp2_catalog=(),
         band_catalog=BandCatalog(surface, RelH2((), {}), ()),
         good_group=True, torus_summands=frozenset(),
     )
@@ -431,7 +425,6 @@ def test_flowchart_totality_fuzz():
             surface=surface,
             points=tuple(points),
             collection=WhitneyCollection(tuple(discs), {}, True),
-            sphere_catalog=(), rp2_catalog=(),
             band_catalog=BandCatalog(surface, rel, records),
             good_group=rng.random() < 0.8,
             torus_summands=frozenset([0] if rng.random() < 0.2 else []),
@@ -458,7 +451,7 @@ def test_flowchart_totality_fuzz():
 
 def test_flowchart_normalizes_weak_collections():
     # the framing term of a declared weak collection counts in t
-    inst = simple_instance(genus=1, points=(1, -1), spheres=((1, 1),))
+    inst = simple_instance(genus=1, points=(1, -1))
     weak = WhitneyCollection(
         (WhitneyDisc(0, (0, 1), {}, mu_boundary=0, euler=1),), {}, convenient=False)
     inst = replace(inst, collection=weak)
@@ -624,7 +617,7 @@ def _two_component_instance(*, case2):
     collection = WhitneyCollection((WhitneyDisc(0, (0, 1), {}), WhitneyDisc(1, (2, 3), {})), {})
     return ProblemInstance(
         group=group, wM=trivial_character(group), components=components, surface=surface,
-        points=points, collection=collection, sphere_catalog=(), rp2_catalog=(),
+        points=points, collection=collection,
         band_catalog=BandCatalog(surface, RelH2((), {}), ()), good_group=True,
     )
 

@@ -9,6 +9,7 @@ from surfemb4 import schema
 from surfemb4.engine import flowchart, homotopy_analysis
 from surfemb4.gamma import (
     AmbientNotFinite,
+    GammaElement,
     GammaGroup,
     GammaError,
     PairingContext,
@@ -37,6 +38,7 @@ from helpers import (
     random_points_doc,
     random_signed_subgroup,
     reduce_list_per_point,
+    signed_closure,
     symmetric3,
     trivial_character,
 )
@@ -482,7 +484,8 @@ def _orbit_mates(ctx, e):
     """Elements one subgroup move (or, with self-pairing, one inversion) from canonical ``e``."""
     G = ctx.ambient
     if G.kind == "finite":
-        mates = [G.mul(a, e) for a, _ in ctx.s_f.closure] + [G.mul(e, b) for b, _ in ctx.s_g.closure]
+        mates = [G.mul(a, e) for a, _ in signed_closure(G, ctx.s_f.generators)]
+        mates += [G.mul(e, b) for b, _ in signed_closure(G, ctx.s_g.generators)]
         return mates + [G.inv(e)] * ctx.self_pairing
     vecs = [g for g, _ in ctx.s_f.generators + ctx.s_g.generators]
     mates = [tuple(map(add, e, g)) for g in vecs] + [tuple(map(sub, e, g)) for g in vecs]
@@ -546,6 +549,26 @@ def test_reduce_classifies_only_the_live_elements(drawn):
         live = {g for g in G.elements() if table[g][0] in orbits}
     assert set(gamma._table) == live
     event(f"{G.kind}, {sum(1 for v in net.values() if not v)} cancelling")
+
+
+@settings(max_examples=200)
+@given(_planted_lists(), st.data())
+def test_gamma_elements_hold_no_zero_coefficient(drawn, data):
+    """``reduce_list`` and ``+`` keep no zero coefficient, on both backends, so the tuple's own
+    equality compares elements: a list's reduction is the sum of its two parts', and a list plus
+    its negation is the zero element, ``{}``."""
+    ctx, entries = drawn
+    gamma = build_gamma(ctx)
+    k = data.draw(st.integers(0, len(entries)))
+    head, tail = reduce_list(entries[:k], gamma), reduce_list(entries[k:], gamma)
+    whole = reduce_list(entries, gamma)
+    negated = reduce_list([(-sign, e) for sign, e in entries], gamma)
+    zero = whole + negated
+    for elem in (head, tail, whole, negated, head + tail, zero):
+        assert 0 not in elem.coeffs.values()
+    assert head + tail == whole and tail + head == whole
+    assert zero == GammaElement(gamma, {}) and zero.is_zero()
+    event(f"{ctx.ambient.kind}, {'zero' if whole.is_zero() else 'nonzero'}")
 
 
 def test_a_cancelling_element_is_not_classified_and_the_coefficients_keep_their_values():

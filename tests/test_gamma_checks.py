@@ -85,7 +85,7 @@ def test_gamma_command_classifies_the_group_once(seed, tmp_path, monkeypatch, ca
                         lambda self, canon: batches.append(len(canon)) or classify(self, canon))
     assert cli.main(["gamma", str(path), "--component", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
-    # the group once, then the reduction's live elements: none, since every pair cancels
-    assert batches == [len(doc["group"]["table"]), 0]
+    # the reduction's live elements first (none, since every pair cancels), then the group once
+    assert batches == [0, len(doc["group"]["table"])]
     assert report["free_rank"] + report["z2_count"] == len(report["orbits"])
     assert report["z2_count"] == sum(o["order"] == "Z/2" for o in report["orbits"])

@@ -85,11 +85,10 @@ def test_round_trip_of_constructed_instances():
     constructed = [
         simple_instance(),
         simple_instance(genus=1, points=(1, -1), discs=(((0, 1), {0: 1}),),
-                        torus=(0,), spheres=((1, 1),)),
+                        torus=(0,)),
         simple_instance(points=(1, -1), discs=(((0, 1), {0: 1}),),
                         rel=RelH2(("g",), {"g": ()}),
-                        bands=(BandRecord("g", "surface", (1,), (), (), 0, 0, 0, 1, 1),),
-                        rp2=((1, 1),)),
+                        bands=(BandRecord("g", "surface", (1,), (), (), 0, 0, 0, 1, 1),)),
     ]
     for inst in constructed:
         again = schema.instance_from_dict(instance_to_dict(inst))
@@ -190,6 +189,17 @@ def test_cli_gamma_finite_reports_oracle(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["free_rank"] == 0 and out["z2_count"] == 1
     assert out["smith_oracle"] == {"free_rank": 0, "torsion": [2]}
+
+
+@pytest.mark.parametrize("oracle", [(1, [2]), (0, []), (0, [4]), (0, [2, 2])], ids=str)
+def test_cli_gamma_fails_when_the_smith_oracle_disagrees(monkeypatch, capsys, oracle):
+    # the orbits give free rank 0 and one Z/2; the oracle is made to say otherwise
+    monkeypatch.setattr(cli.gamma, "smith_oracle", lambda ctx: oracle)
+    assert cli.main(["gamma", example_path("klein_bottle_e0"), "--component", "0"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False and out["errors"] == [
+        f"orbit counts (free rank 0, 1 Z/2) disagree with the Smith oracle "
+        f"(free rank {oracle[0]}, torsion {oracle[1]})"]
 
 
 def test_cli_knot_subcommands(capsys):

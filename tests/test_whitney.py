@@ -28,6 +28,7 @@ from helpers import (
     band_fibre_finger_move,
     random_signed_subgroup,
     to_convenient_quadratic,
+    total_boundary,
     transfer_move,
 )
 
@@ -280,9 +281,9 @@ def _admissible_records(draw, surface):
     classes = tuple(draw(vec) for _ in range(circles))
     w1s = tuple(surface.w1_of(surface.mask(c)) for c in classes)
     bits = [draw(st.integers(0, 1)) for _ in range(4)]
-    record = BandRecord("b", kind, (), classes, w1s, sum(w1s) % 2, *bits)
-    try:
-        validate_record(record, surface)
+    record = BandRecord("b", kind, (1,), classes, w1s, sum(w1s) % 2, *bits)
+    try:  # a basis of one class, whose boundary is the record's circles
+        validate_record(record, surface, [total_boundary(record, surface)])
         theta(record)
     except BandError:  # an excluded boundary character, or a mixed annulus
         assume(False)
