@@ -6,7 +6,7 @@ bitmask, and everything after it reads the bitmasks: the intersection form
 is a popcount on them.  Band records declare the four parity
 ingredients of the invariant Theta for a generating set of classes in the
 relative second homology; the checks here validate the declarations and
-decide the b-/r-/s-characteristic conditions.
+decide the b-characteristic condition.
 
 Once the boundary form vanishes on the declared boundaries, Theta is a
 GF(2)-linear functional on the span of the record classes (Lemma 5.10).
@@ -78,10 +78,6 @@ class SurfaceComponent(namedtuple("SurfaceComponent", "id genus orientable bound
         if not orientable and genus == 0:
             raise BandError("nonorientable components need cross-cap number >= 1")
         return super().__new__(cls, id, genus, orientable, boundary_circles)
-
-    def euler_characteristic(self) -> int:
-        closed = 2 - 2 * self.genus if self.orientable else 2 - self.genus
-        return closed - self.boundary_circles
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -381,12 +377,3 @@ def is_b_characteristic(catalog: BandCatalog) -> BCharResult:
     witness = ThetaFunctional(catalog).witness
     return BCharResult(witness is None, witness)
 
-
-def is_s_characteristic(sphere_catalog: Sequence[tuple[int, int]]) -> bool:
-    """Each pair is (F.a mod 2, a.a mod 2) over declared sphere generators."""
-    return all(fa % 2 == aa % 2 for fa, aa in sphere_catalog)
-
-
-def is_r_characteristic(rp2_catalog: Sequence[tuple[int, int]]) -> bool:
-    """Each pair is (F.R mod 2, R.R mod 2) over projective planes with trivial w1 pullback."""
-    return all(fr % 2 == rr % 2 for fr, rr in rp2_catalog)

@@ -15,7 +15,7 @@ from itertools import chain, compress
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
-from .bands import BCharResult, SurfaceModel, is_b_characteristic
+from .bands import BandCatalog, BCharResult, is_b_characteristic
 from .gamma import GammaElement, PairingContext, build_gamma, coefficient_at, reduce_list
 from .groups import SignedSubgroup
 from .whitney import DoublePoints, UnpairedPoints, t_count
@@ -46,14 +46,6 @@ class MissingWhitneyData(EngineError):
     pass
 
 
-class InvalidEulerParity(EngineError):
-    pass
-
-
-class NotDivisibleBy8(EngineError):
-    pass
-
-
 class ComponentData(NamedTuple):
     id: int
     subgroup: SignedSubgroup
@@ -62,16 +54,15 @@ class ComponentData(NamedTuple):
 
 
 class ProblemInstance(namedtuple("ProblemInstance", (
-        "group wM components surface points collection band_catalog good_group torus_summands"),
-        defaults=(frozenset(),))):
+        "group wM components points collection band_catalog good_group torus_summands"))):
     """One decision problem; its components, points and discs must refer to each other.
 
     ``points`` are ``DoublePoint`` records or ``DoublePoints`` columns, stored
-    as ``DoublePoints.of(points, group)``.  The character, the subgroups and
-    the band catalog must be built over this instance's group and surface.
-    Only what a decision reads is stored: an instance file's sphere and RP2
-    catalogs and a component's ``w2`` and ``e`` are checked by the reader and
-    dropped.
+    as ``DoublePoints.of(points, group)``.  The character and the subgroups
+    must be built over this instance's group.  The surface is the band
+    catalog's, and its component ids must be the immersion's.  Only what a
+    decision reads is stored: an instance file's sphere and RP2 catalogs and
+    a component's ``w2`` and ``e`` are checked by the reader and dropped.
     """
 
     __slots__ = ()
@@ -83,13 +74,13 @@ class ProblemInstance(namedtuple("ProblemInstance", (
         for c in self.components:
             if c.subgroup.ambient is not self.group:
                 raise ValidationError(f"subgroup of component {c.id} not over the instance's group")
-        if getattr(self.band_catalog, "surface", None) is not self.surface:  # a missing catalog too
-            raise ValidationError("band catalog not over the instance's surface")
+        if not isinstance(self.band_catalog, BandCatalog):
+            raise ValidationError("no band catalog")
         ids = [c.id for c in self.components]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate component ids")
         known = set(ids)
-        surface_ids = {c.id for c in self.surface.components}
+        surface_ids = {c.id for c in self.band_catalog.surface.components}
         if known != surface_ids:
             raise ValidationError(
                 f"immersion components {sorted(known)} != surface components {sorted(surface_ids)}"
@@ -357,49 +348,3 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
                          "Thm 1.5 (the count t can be normalized to 0 by Construction 5.16)",
                          HOMOTOPIC_EMBED)
     return _dual_spheres_tail(inst, trace, success, km=None, t=None, b_char="undefined")
-
-
-# -- auxiliary operations -------------------------------------------------------
-
-
-def rp2_euler_parity(e: int) -> int:
-    """t of a projective plane in 4-space from its normal Euler number.
-
-    t = 0 at the base Euler numbers +-2 and flips at each step of 8 from
-    there, so t = 0 iff e = +-2 mod 16.
-    """
-    if e % 4 != 2:
-        raise InvalidEulerParity(f"normal Euler number must be 2 mod 4, got {e}")
-    return 0 if e % 16 in (2, 14) else 1
-
-
-def stong_t_formula(sigma_m: int, self_int: int) -> int:
-    """t of a characteristic sphere from (signature - self-intersection)/8."""
-    if (sigma_m - self_int) % 8:
-        raise NotDivisibleBy8(
-            f"signature {sigma_m} minus self-intersection {self_int} is not divisible by 8"
-        )
-    return ((sigma_m - self_int) // 8) % 2
-
-
-class EulerBoundResult(NamedTuple):
-    ok: bool
-    chi: int
-    bound: int
-
-
-def abelian_euler_bound_check(surface: SurfaceModel, n_generators: int) -> EulerBoundResult:
-    """Euler-characteristic bound for closed characteristic surfaces.
-
-    A closed connected surface declared b-characteristic over an abelian
-    fundamental group with n generators must satisfy chi >= -2n; a failure
-    flags the instance as inconsistent.
-    """
-    if len(surface.components) != 1:
-        raise ValidationError("the bound applies to a connected surface")
-    comp = surface.components[0]
-    if comp.boundary_circles:
-        raise ValidationError("the bound applies to closed surfaces")
-    chi = comp.euler_characteristic()
-    bound = -2 * n_generators
-    return EulerBoundResult(chi >= bound, chi, bound)

@@ -1,11 +1,12 @@
 """Targets of equivariant intersection numbers and reduction into them.
 
-An intersection list (signed fundamental-group elements) reduces to an
-element of an abelian group built from the ambient group by dividing out
-the signed double-coset action of two signed subgroups, plus an inversion
-relation in the self-intersection case.  The group splits as a direct sum
-of Z summands (one per "infinite" orbit, with a chosen section sign) and
-Z/2 summands (one per orbit containing both signs of an element).
+An intersection list (``DoublePoints`` columns of signs and
+fundamental-group elements) reduces to an element of an abelian group
+built from the ambient group by dividing out the signed double-coset
+action of two signed subgroups, plus an inversion relation in the
+self-intersection case.  The group splits as a direct sum of Z summands
+(one per "infinite" orbit, with a chosen section sign) and Z/2 summands
+(one per orbit containing both signs of an element).
 
 Each element is classified once, as (orbit, section sign), and cached;
 nothing is classified before a query.  A list reduction tallies its points
@@ -40,8 +41,7 @@ from operator import add, and_, eq, mul, ne, neg
 from typing import NamedTuple, Optional
 
 from . import intlinalg, whitney  # intlinalg is run by abelian groups and the Smith oracle only
-from .errors import InternalConsistency
-from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit, check_signed
+from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit
 
 
 class GammaError(ValueError):
@@ -199,8 +199,8 @@ class GammaElement(NamedTuple):
 
     Infinite-orbit coefficients are integers relative to the stored section
     (representative has sign +1); order-two orbits carry GF(2) coefficients.
-    ``coeffs`` holds no zero coefficient (``reduce_list`` and ``+`` drop
-    them), so the tuple's own equality compares elements.
+    ``coeffs`` holds no zero coefficient (``reduce_list`` drops them), so the
+    tuple's own equality compares elements.
     """
 
     gamma: GammaGroup
@@ -214,42 +214,25 @@ class GammaElement(NamedTuple):
         raw = self.coeffs.get(orbit, 0)
         return Coefficient(raw % 2, "Z/2") if section is None else Coefficient(raw * section, "Z")
 
-    def __add__(self, other: "GammaElement") -> "GammaElement":
-        if self.gamma is not other.gamma:
-            raise InternalConsistency("adding elements of different target groups")
-        out = dict(self.coeffs)
-        for orbit, v in other.coeffs.items():
-            out[orbit] = out.get(orbit, 0) + v
-            if orbit.order_two:
-                out[orbit] %= 2
-        return GammaElement(self.gamma, {k: v for k, v in out.items() if v})
-
 
 class Coefficient(NamedTuple):
     value: int
     order: str  # "Z" or "Z/2"
 
 
-def reduce_list(entries, gamma: GammaGroup) -> GammaElement:
-    """Reduce a list of (sign, group element) pairs into the quotient.
+def reduce_list(points, gamma: GammaGroup) -> GammaElement:
+    """Reduce ``DoublePoints`` columns into the quotient, by their signs and etas.
 
-    ``entries`` may be ``DoublePoints`` too, checked against the ambient group
-    through ``DoublePoints.of``; anything else is checked once.
-    The list is tallied by distinct element, as (point count, signed sum),
-    and each live element, one whose signed sum is not 0, is classified
-    once, in order of first occurrence: an order-two orbit gains the count
-    mod 2, an infinite orbit the signed sum times the section sign.  An
-    element whose points cancel adds 0 to either kind of orbit, so it is
-    not classified.
+    ``DoublePoints.of`` checks the columns against the ambient group unless
+    that check is done already.  The list is tallied by distinct element, as
+    (point count, signed sum), and each live element, one whose signed sum is
+    not 0, is classified once, in order of first occurrence: an order-two
+    orbit gains the count mod 2, an infinite orbit the signed sum times the
+    section sign.  An element whose points cancel adds 0 to either kind of
+    orbit, so it is not classified.
     """
-    G = gamma.ctx.ambient
-    if isinstance(entries, whitney.DoublePoints):
-        entries = whitney.DoublePoints.of(entries, G)
-        signs, canon = entries.signs, entries.etas
-    else:
-        pairs = list(entries)
-        signs = [sign for sign, _ in pairs]
-        canon = check_signed(G, signs, [elem for _, elem in pairs], GammaError)
+    points = whitney.DoublePoints.of(points, gamma.ctx.ambient)
+    signs, canon = points.signs, points.etas
     count = Counter(canon)
     plus = Counter(compress(canon, map(eq, signs, repeat(1))))
     live = list(compress(count, map(ne, map(mul, map(plus.get, count, repeat(0)), repeat(2)),
@@ -265,24 +248,6 @@ def reduce_list(entries, gamma: GammaGroup) -> GammaElement:
 def coefficient_at(elem: GammaElement, g) -> Coefficient:
     """Coefficient at g, with the convention that the section sends [g] to g."""
     return elem.coefficient(*elem.gamma.classify(g))
-
-
-def mu1_home(ctx: PairingContext) -> str:
-    """Home of the identity coefficient of a self-intersection number.
-
-    Returns "Z" when the surface character is trivial on the kernel (no
-    (1,-1) in the signed subgroup) and the ambient character is trivial on
-    the image; otherwise "Z/2".  Cross-checked against the order tag of the
-    identity orbit.
-    """
-    if not ctx.self_pairing:
-        raise GammaError("mu1_home needs a self-pairing context")
-    s = ctx.s_f
-    home_z = (not s.contains_minus_one) and s.character_trivial_on_projection(ctx.wM)
-    tag_two = build_gamma(ctx).orbit_of(ctx.ambient.identity).order_two
-    if home_z != (not tag_two):
-        raise InternalConsistency("identity orbit tag disagrees with subgroup criterion")
-    return "Z" if home_z else "Z/2"
 
 
 def smith_oracle(ctx: PairingContext) -> tuple[int, list[int]]:

@@ -297,10 +297,6 @@ class SignedSubgroup(NamedTuple):
     contains_minus_one: bool
     lattice: Optional[intlinalg.HermiteLattice] = None
 
-    def character_trivial_on_projection(self, chi: Character) -> bool:
-        """A character is trivial on a generated subgroup iff it is on the generators."""
-        return all(chi(g) == 1 for g, _ in self.generators)
-
 
 def subgroup_closure(ambient: AmbientGroup, generators: Iterable) -> SignedSubgroup:
     """Close a list of (element, sign) pairs inside G x {+1,-1}; the pairs are checked once.

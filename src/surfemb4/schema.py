@@ -461,8 +461,8 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
     if not (errors or refused):
         try:
             return engine.ProblemInstance(
-                group=group, wM=wM, components=tuple(components), surface=surface, points=points,
-                collection=collection, band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
+                group=group, wM=wM, components=tuple(components), points=points, collection=collection,
+                band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
                 torus_summands=frozenset(doc["flags"]["torus_summand"]))
         except _domain_errors() as exc:  # every owned leaf is checked by now
             raise SchemaError(_point_errors(doc, group) or [f"/: {exc}"]) from None

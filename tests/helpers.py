@@ -1,10 +1,17 @@
 """Shared test fixtures, input builders and reference implementations.
 
 Small-group catalog, characters, random subgroups and contexts; builders of
-test inputs (cyclic groups, trivial characters, Seifert block sums,
-instance documents and their reorderings, the t-preserving transfer move
-and cusp trick, and the band-fibre finger move and formal union of band
-records, with the record and surface sums they read);
+test inputs (cyclic groups, trivial characters, Seifert block sums, torus
+knots T(p,q) and unimodular congruences, instance documents and their
+reorderings, the t-preserving transfer move and cusp trick, and the
+band-fibre finger move and formal union of band records, with the record
+and surface sums they read); list reduction of (sign, element) pairs through
+the checked columns ``reduce_list`` takes, and the sum of two Gamma elements;
+the paper's corollaries that no command runs (the Stong t-formula, the
+projective-plane parity, the Euler-characteristic bound, the r- and
+s-characteristic checks and the home of mu_1), which the acceptance
+criteria check; the torus-knot closed forms (the Alexander polynomial and
+Litherland's signature count);
 Theta read off a ``ThetaFunctional`` at any class of its span; the paper's
 H1 basis and intersection form, written out densely; and the slow
 or older computations that the package's fast paths are compared against:
@@ -30,7 +37,7 @@ import operator
 import random
 import reprlib
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 
@@ -78,6 +85,7 @@ from surfemb4.schema import (
 )
 from surfemb4.whitney import (
     DoublePoint,
+    DoublePoints,
     NotConvenient,
     UnpairedPoints,
     WhitneyCollection,
@@ -367,6 +375,78 @@ def torus_sum_signature(qs, r: Fraction) -> int:
     r = Fraction(r) % 2
     r = min(r, 2 - r)
     return -2 * sum(1 for q in qs for k in range(1, q, 2) if Fraction(k, q) < r)
+
+
+def torus_knot(p: int, q: int) -> SeifertMatrix:
+    """V(T(p,q)) = -A_(p-1) (x) A_(q-1), A_k the T(2,k+1) block of ``torus_sum``.
+
+    The Seifert form of the Milnor fibre of x^p + y^q, the join of the two
+    A-type forms (Sebastiani-Thom, Invent. Math. 13, 1971; Sakamoto, J. Math.
+    Soc. Japan 26, 1974).  With p = 2 it is ``torus_sum([q])``, so it has the
+    same sign convention: T(2,3) has signature -2.
+    """
+    a, b = ([[-1 if i == j else 1 if j == i + 1 else 0 for j in range(k - 1)] for i in range(k - 1)]
+            for k in (p, q))
+    return SeifertMatrix([[-x * y for x in row_a for y in row_b] for row_a in a for row_b in b])
+
+
+def torus_knot_alexander(p: int, q: int) -> list[int]:
+    """(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), low degree first, by exact division."""
+    def times(f, k, c):  # f * (t^k + c)
+        out = [0] * (len(f) + k)
+        for i, x in enumerate(f):
+            out[i] += c * x
+            out[i + k] += x
+        return out
+
+    num = times([-1] + [0] * (p * q - 1) + [1], 1, -1)
+    for k in (p, q):  # divide by t^k - 1, from the top: x_i = n_(i+k) + x_(i+k)
+        out = [0] * (len(num) - k)
+        for i in range(len(out) - 1, -1, -1):
+            out[i] = num[i + k] + (out[i + k] if i + k < len(out) else 0)
+        assert times(out, k, -1) == num
+        num = out
+    return num
+
+
+def torus_knot_signature(p: int, q: int, r) -> int:
+    """Litherland's count for the signature of T(p,q) at exp(i*pi*r), in ``torus_sum``'s sign.
+
+    With x = (r mod 2)/2 in (0, 1): the pairs 0 < i < p, 0 < j < q with i/p + j/q
+    outside [x, x + 1], minus those inside (x, x + 1) (Litherland, Signatures of
+    iterated torus knots, LNM 722, 1979).  A sum equal to x or x + 1 is a jump,
+    where exp(i*pi*r) is a root of the Alexander polynomial, and r = 0 mod 2 is
+    w = 1: both raise ``SingularAtOmega``.
+    """
+    x = Fraction(r) % 2 / 2
+    if x == 0:
+        raise knots.SingularAtOmega("w = 1")
+    total = 0
+    for i in range(1, p):
+        for j in range(1, q):
+            s = Fraction(i, p) + Fraction(j, q)
+            if s in (x, x + 1):
+                raise knots.SingularAtOmega(f"a jump of T({p},{q}) at r = {r}")
+            total += -1 if x < s < x + 1 else 1
+    return total
+
+
+def unimodular_congruence(V: SeifertMatrix, rng: random.Random, steps: int) -> SeifertMatrix:
+    """P V P^T for P a product of ``steps`` random elementary moves, each kept while every entry
+    stays below 2^53 in magnitude, the knot files' cap; the congruence keeps Delta, Arf and every
+    signature."""
+    rows = [list(row) for row in V.rows]
+    n = len(rows)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        new = [row[:] for row in rows]
+        new[i] = [x + c * y for x, y in zip(new[i], new[j])]  # row i += c row j, then the columns
+        for row in new:
+            row[i] += c * row[j]
+        if max(abs(x) for row in new for x in row) < 1 << 53:
+            rows = new
+    return SeifertMatrix(rows)
 
 
 def eighe_signature(V: SeifertMatrix, r, dps: int = 200) -> Optional[int]:
@@ -662,6 +742,31 @@ class EnumeratedFiniteGamma:
         self._orbits = [orbits[r] for r in sorted(orbits)]
 
 
+def reduce_pairs(entries, gamma: GammaGroup) -> GammaElement:
+    """``reduce_list`` of (sign, element) pairs, put into the columns it takes.
+
+    The columns are built by ``DoublePoints`` against the ambient group, so
+    ``check_signed`` checks the pairs once, with its own errors and messages.
+    """
+    entries = list(entries)
+    n = len(entries)
+    points = DoublePoints(range(n), [(0, 0)] * n, [sign for sign, _ in entries],
+                          [elem for _, elem in entries], gamma.ctx.ambient)
+    return reduce_list(points, gamma)
+
+
+def gamma_sum(a: GammaElement, b: GammaElement) -> GammaElement:
+    """The sum of two elements of one target group: coefficients merged, order-two ones mod 2,
+    zeros dropped."""
+    assert a.gamma is b.gamma
+    out = dict(a.coeffs)
+    for orbit, v in b.coeffs.items():
+        out[orbit] = out.get(orbit, 0) + v
+        if orbit.order_two:
+            out[orbit] %= 2
+    return GammaElement(a.gamma, {k: v for k, v in out.items() if v})
+
+
 def reduce_list_per_point(entries, gamma: GammaGroup) -> GammaElement:
     """``gamma.reduce_list`` one point at a time, each classified by ``classify``: the reference
     for the tally by distinct element."""
@@ -747,7 +852,7 @@ def instance_from_dict_per_point(doc) -> ProblemInstance:
         raise SchemaError(errors)
     try:  # the disc references last, one disc at a time, as ProblemInstance checks them
         inst = ProblemInstance(
-            group=group, wM=wM, components=tuple(components), surface=surface,
+            group=group, wM=wM, components=tuple(components),
             points=tuple(points), collection=None, band_catalog=band_catalog,
             good_group=doc["flags"]["good_group"], torus_summands=frozenset(doc["flags"]["torus_summand"]))
         if collection is not None:
@@ -837,7 +942,7 @@ def points_between_per_point(points, i: int, j: int) -> list[DoublePoint]:
 
 def primary_obstructions_per_point(inst: ProblemInstance) -> dict:
     """The coefficients of ``engine.primary_obstructions``, each point bucketed on its own and each
-    list reduced by the checked ``gamma.reduce_list``."""
+    list reduced by ``gamma.reduce_list`` over checked columns."""
     lists: dict = {}
     for p in inst.points:
         lists.setdefault(frozenset(p.components), []).append((p.sign, p.eta))
@@ -850,7 +955,7 @@ def primary_obstructions_per_point(inst: ProblemInstance) -> dict:
             if i != j and not entries:
                 continue
             ctx = PairingContext(inst.group, inst.wM, subgroup[i], subgroup[j], self_pairing=i == j)
-            out[("mu", i) if i == j else ("lambda", i, j)] = reduce_list(entries, build_gamma(ctx)).coeffs
+            out[("mu", i) if i == j else ("lambda", i, j)] = reduce_pairs(entries, build_gamma(ctx)).coeffs
     return out
 
 
@@ -1049,11 +1154,93 @@ def to_convenient_quadratic(points, collection: WhitneyCollection) -> WhitneyCol
     return WhitneyCollection(tuple(new_discs), {}, convenient=True)
 
 
+class InvalidEulerParity(EngineError):
+    pass
+
+
+class NotDivisibleBy8(EngineError):
+    pass
+
+
+def rp2_euler_parity(e: int) -> int:
+    """t of a projective plane in 4-space from its normal Euler number.
+
+    t = 0 at the base Euler numbers +-2 and flips at each step of 8 from
+    there, so t = 0 iff e = +-2 mod 16.
+    """
+    if e % 4 != 2:
+        raise InvalidEulerParity(f"normal Euler number must be 2 mod 4, got {e}")
+    return 0 if e % 16 in (2, 14) else 1
+
+
+def stong_t_formula(sigma_m: int, self_int: int) -> int:
+    """t of a characteristic sphere from (signature - self-intersection)/8."""
+    if (sigma_m - self_int) % 8:
+        raise NotDivisibleBy8(
+            f"signature {sigma_m} minus self-intersection {self_int} is not divisible by 8"
+        )
+    return ((sigma_m - self_int) // 8) % 2
+
+
+def euler_characteristic(comp: bands.SurfaceComponent) -> int:
+    """chi of a compact surface: 2 - 2g, or 2 - g for g cross-caps, less one per boundary circle."""
+    closed = 2 - 2 * comp.genus if comp.orientable else 2 - comp.genus
+    return closed - comp.boundary_circles
+
+
+class EulerBoundResult(NamedTuple):
+    ok: bool
+    chi: int
+    bound: int
+
+
+def abelian_euler_bound_check(surface: SurfaceModel, n_generators: int) -> EulerBoundResult:
+    """Euler-characteristic bound for closed characteristic surfaces.
+
+    A closed connected surface declared b-characteristic over an abelian
+    fundamental group with n generators must satisfy chi >= -2n; a failure
+    flags the instance as inconsistent.
+    """
+    if len(surface.components) != 1:
+        raise engine.ValidationError("the bound applies to a connected surface")
+    comp = surface.components[0]
+    if comp.boundary_circles:
+        raise engine.ValidationError("the bound applies to closed surfaces")
+    chi = euler_characteristic(comp)
+    bound = -2 * n_generators
+    return EulerBoundResult(chi >= bound, chi, bound)
+
+
+def is_s_characteristic(sphere_catalog) -> bool:
+    """Each pair is (F.a mod 2, a.a mod 2) over declared sphere generators."""
+    return all(fa % 2 == aa % 2 for fa, aa in sphere_catalog)
+
+
+def is_r_characteristic(rp2_catalog) -> bool:
+    """Each pair is (F.R mod 2, R.R mod 2) over projective planes with trivial w1 pullback."""
+    return all(fr % 2 == rr % 2 for fr, rr in rp2_catalog)
+
+
+def mu1_home(ctx: PairingContext) -> str:
+    """Home of the identity coefficient of a self-intersection number, by the subgroup criterion.
+
+    "Z" when the surface character is trivial on the kernel (no (1,-1) in the
+    signed subgroup) and the ambient character is trivial on the image,
+    which it is iff it is on the generators; otherwise "Z/2".  The tests
+    compare it with the order tag of the identity orbit.
+    """
+    if not ctx.self_pairing:
+        raise GammaError("mu1_home needs a self-pairing context")
+    s = ctx.s_f
+    home_z = not s.contains_minus_one and all(ctx.wM(g) == 1 for g, _ in s.generators)
+    return "Z" if home_z else "Z/2"
+
+
 def rp2_euler_parity_walk(e: int) -> int:
     """t of a projective plane from its Euler number e = 2 mod 4, by walking in steps of 8.
 
     Starts at the base value +-2 (t = 0) congruent to e mod 8 and flips t at
-    each step: the reference for ``engine.rp2_euler_parity``, O(|e|).
+    each step: the reference for ``rp2_euler_parity``, O(|e|).
     """
     assert e % 4 == 2, e
     cur, t = (2 if e % 8 == 2 else -2), 0
@@ -1224,7 +1411,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
             "components": [
                 {"id": s.id, "genus": s.genus, "orientable": s.orientable,
                  "boundary_circles": s.boundary_circles}
-                for s in inst.surface.components
+                for s in inst.band_catalog.surface.components
             ]
         },
         "double_points": [
@@ -1295,8 +1482,8 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
 
     ctx = PairingContext(inst.group, inst.wM, subgroup[cid], subgroup[cid], self_pairing=True)
     gamma = build_gamma(ctx)
-    before = reduce_list([(p.sign, p.eta) for p in points_between(inst.points, cid, cid)], gamma)
-    after = reduce_list([(p.sign, p.eta) for p in points_between(all_points, cid, cid)], gamma)
+    before = reduce_list(points_between(inst.points, cid, cid), gamma)
+    after = reduce_list(points_between(all_points, cid, cid), gamma)
     if before != after:
         raise InternalConsistency("cusp quadruple changed mu")
 

@@ -15,23 +15,27 @@ from surfemb4.bands import (
     SurfaceComponent,
     SurfaceModel,
     is_b_characteristic,
-    is_r_characteristic,
-    is_s_characteristic,
     theta,
 )
-from surfemb4.engine import abelian_euler_bound_check, flowchart, rp2_euler_parity, stong_t_formula
-from surfemb4.gamma import PairingContext, build_gamma, mu1_home, smith_oracle
+from surfemb4.engine import flowchart
+from surfemb4.gamma import PairingContext, build_gamma, smith_oracle
 from surfemb4.groups import subgroup_closure
 from surfemb4.knots import SeifertMatrix, arf, cp2_genus_verdict, levine_tristram, shake_genus_pm1, sigma_d
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count, to_convenient
 
 from helpers import (
+    abelian_euler_bound_check,
     all_characters,
     all_groups_up_to_8,
     band_fibre_finger_move,
+    is_r_characteristic,
+    is_s_characteristic,
+    mu1_home,
     orbit_counts,
     random_seifert_rows,
     random_signed_subgroup,
+    rp2_euler_parity,
+    stong_t_formula,
     total_boundary,
     union_records,
 )
@@ -65,7 +69,7 @@ def test_criterion_02_mu1_home_concordance():
     checked = 0
     for name, g, wM, s_f, _ in _sweep_contexts(100, seed=202):
         ctx = PairingContext(g, wM, s_f, s_f, self_pairing=True)
-        home = mu1_home(ctx)  # internally cross-checked against the orbit tag
+        home = mu1_home(ctx)
         gamma = build_gamma(ctx)
         assert (home == "Z/2") == gamma.orbit_of(g.identity).order_two, name
         checked += 1

@@ -16,8 +16,6 @@ from surfemb4.bands import (
     SurfaceModel,
     ThetaConflict,
     is_b_characteristic,
-    is_r_characteristic,
-    is_s_characteristic,
     lambda_boundary_check,
     theta,
     validate_theta_well_defined,
@@ -26,9 +24,9 @@ from surfemb4.bands import (
 from surfemb4.engine import flowchart
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count
 
-from helpers import (band_fibre_finger_move, boundary_form_witness_pairs, components_of, mask,
-                     paper_basis, paper_form, replace, theta_value, theta_violations,
-                     total_boundary, union_records)
+from helpers import (band_fibre_finger_move, boundary_form_witness_pairs, components_of,
+                     is_r_characteristic, is_s_characteristic, mask, paper_basis, paper_form, replace,
+                     theta_value, theta_violations, total_boundary, union_records)
 from test_engine import simple_instance
 
 

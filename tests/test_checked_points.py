@@ -1,9 +1,10 @@
 """Every sign and eta of a ``ProblemInstance`` is checked, whatever form its points arrive in.
 
 ``groups.check_signed`` is the one check of (sign, element) columns.
-``subgroup_closure``, ``reduce_list`` and ``whitney.DoublePoints`` built with
-a group run it, each raising its own error for a bad sign and ``GroupError``
-for a bad element.  ``DoublePoints.of`` is the one gate for trusted columns:
+``subgroup_closure`` and ``whitney.DoublePoints`` built with a group run it,
+each raising its own error for a bad sign and ``GroupError`` for a bad
+element; the tests' ``reduce_pairs`` builds the columns for ``reduce_list``
+that way.  ``DoublePoints.of`` is the one gate for trusted columns:
 ``ProblemInstance`` and ``reduce_list`` both take points through it, so
 columns checked against their own group are kept and every other form,
 records, bare columns or columns checked against another group object, goes
@@ -16,7 +17,7 @@ from importlib import resources
 
 import pytest
 
-from helpers import cyclic_group, random_points_doc, trivial_character
+from helpers import cyclic_group, random_points_doc, reduce_pairs, trivial_character
 from surfemb4 import schema, whitney
 from surfemb4.engine import EngineError, ProblemInstance, flowchart, homotopy_analysis
 from surfemb4.gamma import GammaError, PairingContext, build_gamma, reduce_list
@@ -125,7 +126,7 @@ def _entries(group):
     return {
         "check_signed": lambda signs, elems: check_signed(group, signs, elems),
         "subgroup_closure": lambda signs, elems: subgroup_closure(group, list(zip(elems, signs))),
-        "reduce_list": lambda signs, elems: reduce_list(list(zip(signs, elems)), gamma),
+        "reduce_list": lambda signs, elems: reduce_pairs(list(zip(signs, elems)), gamma),
         "DoublePoints": lambda signs, elems: _columns(signs, elems, group),
         "reduce_list of bare columns": lambda signs, elems: reduce_list(_columns(signs, elems), gamma),
     }
@@ -157,7 +158,7 @@ def test_reduce_list_checks_columns_unless_checked_against_its_own_group(monkeyp
     group, signs, elems = cyclic_group(4), [1, 1, -1, 1], [1, 3, 1, 2]
     trivial = subgroup_closure(group, [])
     gamma = build_gamma(PairingContext(group, trivial_character(group), trivial, trivial))
-    expected = reduce_list(list(zip(signs, elems)), gamma)
+    expected = reduce_pairs(list(zip(signs, elems)), gamma)
     checks = []
     monkeypatch.setattr(whitney, "check_signed",
                         lambda *args: checks.append(args[0]) or check_signed(*args))
@@ -188,4 +189,4 @@ def test_reduce_list_of_non_canonical_abelian_columns_equals_the_canonical_reduc
         assert not expected.is_zero()
         assert reduce_list(_columns(signs, raw), gamma) == expected
         assert reduce_list(_columns(signs, raw, abelian_group([0, 3, 4])), gamma) == expected
-        assert reduce_list(list(zip(signs, raw)), gamma) == expected
+        assert reduce_pairs(list(zip(signs, raw)), gamma) == expected

@@ -16,34 +16,35 @@ from surfemb4.engine import (
     NOT_REG_EMBED,
     REG_EMBED,
     ComponentData,
-    InvalidEulerParity,
     MissingWhitneyData,
     NoDualSpheres,
-    NotDivisibleBy8,
     PrimaryObstructionNonzero,
     ProblemInstance,
     ValidationError,
-    abelian_euler_bound_check,
     compute_km,
     flowchart,
     homotopy_analysis,
     restrict_Ft,
-    rp2_euler_parity,
-    stong_t_formula,
 )
 from surfemb4.groups import Character, subgroup_closure
 from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc
 
 from helpers import (
+    InvalidEulerParity,
+    NotDivisibleBy8,
     PreconditionW1Ker,
+    abelian_euler_bound_check,
     band_fibre_finger_move,
     boundary_form_witness_pairs,
     cusp_trick,
     cyclic_group,
+    euler_characteristic,
     paper_basis,
     random_points_doc,
     replace,
+    rp2_euler_parity,
     rp2_euler_parity_walk,
+    stong_t_formula,
     transfer_move,
     trivial_character,
 )
@@ -70,7 +71,6 @@ def simple_instance(*, genus=0, orientable=True, subgroup_gens=(), has_dual=True
         wM=trivial_character(group),
         components=(ComponentData(0, subgroup_closure(group, subgroup_gens),
                                   has_dual, framed),),
-        surface=surface,
         points=tuple(DoublePoint(i, (0, 0), s, 0) for i, s in enumerate(points)),
         collection=collection,
         band_catalog=BandCatalog(surface, rel, tuple(bands)),
@@ -132,7 +132,7 @@ def test_disc_pairing_across_ft_boundary_is_missing_data():
         group=group, wM=trivial_character(group),
         components=(ComponentData(0, trivial, True, False),
                     ComponentData(1, trivial, True, True)),
-        surface=surface, points=points, collection=collection,
+        points=points, collection=collection,
         band_catalog=BandCatalog(surface, RelH2((), {}), ()),
         good_group=True, torus_summands=frozenset(),
     )
@@ -206,7 +206,6 @@ def _klein_instance(*, has_dual, euler_bit=0, good=True, points=(), discs=()):
     return ProblemInstance(
         group=group, wM=trivial_character(group),
         components=(ComponentData(0, subgroup_closure(group, [(0, -1)]), has_dual, False),),
-        surface=surface,
         points=tuple(DoublePoint(i, (0, 0), s, 0) for i, s in enumerate(points)),
         collection=collection,
         band_catalog=BandCatalog(surface, rel, (band,)),
@@ -238,10 +237,10 @@ def _over_other_objects(inst) -> dict:
     group = type(inst.group)(inst.group.factors)  # equal to the instance's group, not the same
     surface = SurfaceModel([SurfaceComponent(5, 1, True, 0)])
     comp, catalog = inst.components[0], inst.band_catalog
-    on_surface = "band catalog not over the instance's surface"
-    return {
-        "catalog": (dict(band_catalog=BandCatalog(surface, catalog.rel, catalog.records)), on_surface),
-        "no catalog": (dict(band_catalog=None), on_surface),
+    return {  # the surface is the catalog's, so one over another surface has other component ids
+        "catalog": (dict(band_catalog=BandCatalog(surface, catalog.rel, catalog.records)),
+                    "immersion components [0] != surface components [5]"),
+        "no catalog": (dict(band_catalog=None), "no band catalog"),
         "character": (dict(wM=Character(group, inst.wM.values)),
                       "character not over the instance's group"),
         "subgroup": (dict(components=(comp._replace(subgroup=subgroup_closure(
@@ -252,7 +251,7 @@ def _over_other_objects(inst) -> dict:
 @pytest.mark.parametrize("case", ["catalog", "no catalog", "character", "subgroup"])
 def test_instance_rejects_parts_built_over_another_surface_or_group(case):
     inst = load_example("torus_s3s1")
-    catalog = BandCatalog(inst.surface, inst.band_catalog.rel, inst.band_catalog.records)
+    catalog = BandCatalog(inst.band_catalog.surface, inst.band_catalog.rel, inst.band_catalog.records)
     assert flowchart(replace(inst, band_catalog=catalog)) == flowchart(inst)  # same objects pass
     changes, message = _over_other_objects(inst)[case]
     with pytest.raises(ValidationError) as exc:
@@ -353,7 +352,6 @@ def test_flowchart_two_torsion_primary_check():
     inst = ProblemInstance(
         group=group, wM=trivial_character(group),
         components=(ComponentData(0, sub, False, False),),
-        surface=surface,
         points=(DoublePoint(0, (0, 0), 1, 1), DoublePoint(1, (0, 0), 1, 1)),
         collection=WhitneyCollection((WhitneyDisc(0, (0, 1), {0: 0}),), {}, True),
         band_catalog=BandCatalog(surface, RelH2((), {}), ()),
@@ -422,7 +420,6 @@ def test_flowchart_totality_fuzz():
         inst = ProblemInstance(
             group=group, wM=trivial_character(group),
             components=(ComponentData(0, sub, rng.random() < 0.7, rng.random() < 0.3),),
-            surface=surface,
             points=tuple(points),
             collection=WhitneyCollection(tuple(discs), {}, True),
             band_catalog=BandCatalog(surface, rel, records),
@@ -497,7 +494,7 @@ def test_decide_checks_each_record_once(mode, ft_points, monkeypatch, tmp_path, 
 
 def test_surface_with_boundary_circles():
     comp = SurfaceComponent(0, 1, True, boundary_circles=2)
-    assert comp.euler_characteristic() == -2
+    assert euler_characteristic(comp) == -2
     surface = SurfaceModel([comp])
     assert surface.dim == 3  # a1, b1 and one boundary class
     assert surface.w1_of(0b100) == 0
@@ -509,7 +506,7 @@ def test_theta_zero_band_move_keeps_flowchart_outcome():
     inst = load_example("torus_s3s1")
     band = inst.band_catalog.records[0]
     new_points, new_coll, delta = band_fibre_finger_move(
-        list(inst.points), inst.collection, band, inst.surface, [0], identity=(0,))
+        list(inst.points), inst.collection, band, inst.band_catalog.surface, [0], identity=(0,))
     assert delta == 0
     moved = replace(inst, points=tuple(new_points), collection=new_coll)
     assert flowchart(moved).outcome == flowchart(inst).outcome
@@ -541,8 +538,8 @@ def test_flowchart_evaluates_boundary_form_once_per_record_and_basis_vector(monk
     """Record i pairs with each vector of a basis of the span of records i, ..., R - 1 only."""
     count = 6
     base = simple_instance(genus=3)
-    rel, records = _records_on_a_classes(base.surface, count)
-    inst = replace(base, band_catalog=BandCatalog(base.surface, rel, records))
+    rel, records = _records_on_a_classes(base.band_catalog.surface, count)
+    inst = replace(base, band_catalog=BandCatalog(base.band_catalog.surface, rel, records))
     calls = _count_form_calls(monkeypatch)
     verdict = flowchart(inst)
     assert verdict.b_char == "yes"
@@ -594,7 +591,7 @@ def test_flowchart_on_four_thousand_copies_of_one_record_is_fast():
     rel = RelH2(("x",), {"x": (1, 0)})
     records = tuple(BandRecord(f"r{k}", "surface", (1,), ((1, 0),), (0,), 0, 0, 0, 0, 0)
                     for k in range(4000))
-    inst = replace(base, band_catalog=BandCatalog(base.surface, rel, records))
+    inst = replace(base, band_catalog=BandCatalog(base.band_catalog.surface, rel, records))
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
@@ -616,9 +613,10 @@ def _two_component_instance(*, case2):
         [((0, 0), 1), ((0, 0), -1), ((0, 1), 1), ((0, 1), -1)]))
     collection = WhitneyCollection((WhitneyDisc(0, (0, 1), {}), WhitneyDisc(1, (2, 3), {})), {})
     return ProblemInstance(
-        group=group, wM=trivial_character(group), components=components, surface=surface,
+        group=group, wM=trivial_character(group), components=components,
         points=points, collection=collection,
         band_catalog=BandCatalog(surface, RelH2((), {}), ()), good_group=True,
+        torus_summands=frozenset(),
     )
 
 

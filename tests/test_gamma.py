@@ -15,8 +15,6 @@ from surfemb4.gamma import (
     PairingContext,
     build_gamma,
     coefficient_at,
-    mu1_home,
-    reduce_list,
     smith_oracle,
 )
 from surfemb4.groups import Character, abelian_group, subgroup_closure
@@ -30,6 +28,8 @@ from helpers import (
     cyclic_group,
     dihedral,
     direct_product,
+    gamma_sum,
+    mu1_home,
     orbit_counts,
     quaternion8,
     random_abelian_context,
@@ -38,6 +38,7 @@ from helpers import (
     random_points_doc,
     random_signed_subgroup,
     reduce_list_per_point,
+    reduce_pairs,
     signed_closure,
     symmetric3,
     trivial_character,
@@ -80,14 +81,14 @@ def test_minus_one_in_subgroup_makes_everything_two_torsion():
 
 def test_reduce_cancelling_pair():
     gamma = build_gamma(_ctx(cyclic_group(1)))
-    assert reduce_list([(1, 0), (-1, 0)], gamma).is_zero()
+    assert reduce_pairs([(1, 0), (-1, 0)], gamma).is_zero()
 
 
 def test_reduce_two_torsion_coefficient():
     g = cyclic_group(2)
     ctx = _ctx(g, Character(g, [1, -1]), self_pairing=True)
     gamma = build_gamma(ctx)
-    elem = reduce_list([(1, 1)], gamma)
+    elem = reduce_pairs([(1, 1)], gamma)
     assert coefficient_at(elem, 1) == coefficient_at(elem, 1)
     assert coefficient_at(elem, 1).value == 1
     assert coefficient_at(elem, 1).order == "Z/2"
@@ -97,7 +98,7 @@ def test_reduce_double_point_pair_on_two_orbit():
     g = cyclic_group(1)
     ctx = _ctx(g, gens_f=[(0, -1)], self_pairing=True)
     gamma = build_gamma(ctx)
-    assert reduce_list([(1, 0), (1, 0)], gamma).is_zero()
+    assert reduce_pairs([(1, 0), (1, 0)], gamma).is_zero()
 
 
 def test_coefficient_sign_convention():
@@ -106,7 +107,7 @@ def test_coefficient_sign_convention():
     s = subgroup_closure(g, [((2,), -1)])
     ctx = PairingContext(g, trivial_character(g), s, s, self_pairing=False)
     gamma = build_gamma(ctx)
-    elem = reduce_list([(1, (0,)), (1, (0,))], gamma)
+    elem = reduce_pairs([(1, (0,)), (1, (0,))], gamma)
     assert coefficient_at(elem, (0,)).value == 2
     assert coefficient_at(elem, (2,)).value == -2
     assert coefficient_at(elem, (4,)).value == 2
@@ -114,7 +115,7 @@ def test_coefficient_sign_convention():
 
 def test_coefficient_zero_everywhere_for_zero_element():
     gamma = build_gamma(_ctx(cyclic_group(4)))
-    zero = reduce_list([], gamma)
+    zero = reduce_pairs([], gamma)
     for g in range(4):
         assert coefficient_at(zero, g).value == 0
 
@@ -248,7 +249,7 @@ def test_finite_targets_classify_only_the_orbits_queried():
             gamma, ref = build_gamma(ctx), EnumeratedFiniteGamma(ctx)
             assert gamma._table == {}, name
             entries = [(rng.choice((1, -1)), rng.randrange(g.order)) for _ in range(3)]
-            reduce_list(entries, gamma)
+            reduce_pairs(entries, gamma)
             queried = {ref._table[e][0] for _, e in entries}
             assert set(gamma._table) == {e for e in g.elements() if ref._table[e][0] in queried}
 
@@ -261,9 +262,9 @@ def test_finger_move_invariance():
                              random_signed_subgroup(g, rng))
         gamma = build_gamma(ctx)
         entries = [(rng.choice((1, -1)), rng.randrange(g.order)) for _ in range(6)]
-        base = reduce_list(entries, gamma)
+        base = reduce_pairs(entries, gamma)
         extra = rng.randrange(g.order)
-        assert reduce_list(entries + [(1, extra), (-1, extra)], gamma) == base, name
+        assert reduce_pairs(entries + [(1, extra), (-1, extra)], gamma) == base, name
 
 
 def test_reduce_additive():
@@ -275,7 +276,7 @@ def test_reduce_additive():
     for _ in range(50):
         l1 = [(rng.choice((1, -1)), rng.randrange(8)) for _ in range(4)]
         l2 = [(rng.choice((1, -1)), rng.randrange(8)) for _ in range(4)]
-        assert reduce_list(l1 + l2, gamma) == reduce_list(l1, gamma) + reduce_list(l2, gamma)
+        assert reduce_pairs(l1 + l2, gamma) == gamma_sum(reduce_pairs(l1, gamma), reduce_pairs(l2, gamma))
 
 
 def test_abelian_backend_matches_finite_backend():
@@ -343,8 +344,8 @@ def test_backends_agree_on_coefficients_multifactor():
             assert gamma_t.orbit_of(idx).order_two == gamma_l.orbit_of(to_tuple(idx)).order_two
 
         entries_idx = [(rng.choice((1, -1)), rng.randrange(8)) for _ in range(6)]
-        elem_t = reduce_list(entries_idx, gamma_t)
-        elem_l = reduce_list([(s, to_tuple(a)) for s, a in entries_idx], gamma_l)
+        elem_t = reduce_pairs(entries_idx, gamma_t)
+        elem_l = reduce_pairs([(s, to_tuple(a)) for s, a in entries_idx], gamma_l)
         for idx in range(8):
             ct = coefficient_at(elem_t, idx)
             cl = coefficient_at(elem_l, to_tuple(idx))
@@ -352,7 +353,7 @@ def test_backends_agree_on_coefficients_multifactor():
 
 
 def test_mu1_home_agrees_with_identity_tag_sweep():
-    # the internal assert in mu1_home cross-checks the subgroup criterion
+    # the subgroup criterion against the order tag of the identity orbit
     rng = random.Random(17)
     for name, g in all_groups_up_to_8():
         for wM in all_characters(g):
@@ -360,7 +361,7 @@ def test_mu1_home_agrees_with_identity_tag_sweep():
                 s = random_signed_subgroup(g, rng)
                 ctx = PairingContext(g, wM, s, s, self_pairing=True)
                 home = mu1_home(ctx)
-                assert home in ("Z", "Z/2")
+                assert (home == "Z/2") == build_gamma(ctx).orbit_of(g.identity).order_two, name
 
 
 @pytest.mark.parametrize("self_pairing", [False, True])
@@ -381,7 +382,7 @@ def test_abelian_orbits_and_signs_match_two_lattice_reference(self_pairing):
             else:
                 assert gamma.section_sign(e) == ref.section_sign(e), (ctx, e)
         entries = [(rng.choice((1, -1)), rng.choice(elems)) for _ in range(10)]
-        elem = reduce_list(entries, gamma)
+        elem = reduce_pairs(entries, gamma)
         assert elem.coeffs == ref.reduce(entries), (ctx, entries)
         for e in elems:
             c = coefficient_at(elem, e)
@@ -413,7 +414,7 @@ def test_abelian_queries_reduce_at_most_twice_per_distinct_element(monkeypatch):
             orbit = gamma.orbit_of(e)
             if not orbit.order_two:
                 gamma.section_sign(e)
-            coefficient_at(reduce_list([(1, e), (-1, e)], gamma), e)
+            coefficient_at(reduce_pairs([(1, e), (-1, e)], gamma), e)
             spent = vectors[0] - before
             canon = ctx.ambient.check_elem(e)
             assert spent <= (0 if canon in seen else per_element), (ctx, e)
@@ -422,7 +423,7 @@ def test_abelian_queries_reduce_at_most_twice_per_distinct_element(monkeypatch):
         batch += batch[:4] + list(seen)[:3]
         new = {ctx.ambient.check_elem(e) for e in batch} - seen
         before = vectors[0]
-        reduce_list([(rng.choice((1, -1)), e) for e in batch], gamma)
+        reduce_pairs([(rng.choice((1, -1)), e) for e in batch], gamma)
         assert vectors[0] - before <= per_element * len(new), (ctx, batch)
 
 
@@ -451,7 +452,7 @@ def _abelian_lists(draw):
 @given(_abelian_lists())
 def test_reduce_list_matches_the_point_by_point_reference(drawn):
     ctx, entries = drawn
-    got = reduce_list(entries, build_gamma(ctx))
+    got = reduce_pairs(entries, build_gamma(ctx))
     want = reduce_list_per_point(entries, build_gamma(ctx))
     assert got.coeffs == want.coeffs  # as GammaElement.__eq__ compares: not in insertion order
     assert got.coeffs == TwoLatticeGamma(ctx).reduce(entries)
@@ -471,7 +472,7 @@ def test_reduce_list_matches_the_point_by_point_reference(drawn):
 def test_reduce_list_reports_the_first_bad_entry_as_a_walk_would(entries):
     ctx = _ctx(abelian_group([0, 2]), gens_f=[((1, 0), 1)], self_pairing=True)
     with pytest.raises(ValueError) as got:
-        reduce_list(entries, build_gamma(ctx))
+        reduce_pairs(entries, build_gamma(ctx))
     with pytest.raises(ValueError) as want:
         reduce_list_per_point(entries, build_gamma(ctx))
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
@@ -536,7 +537,7 @@ def test_reduce_classifies_only_the_live_elements(drawn):
     signs = [sign for sign, _ in entries]
     canon = G.check_elems([e for _, e in entries])
     gamma = build_gamma(ctx)
-    got = reduce_list(entries, gamma)
+    got = reduce_pairs(entries, gamma)
     want = reduce_list_per_point(entries, build_gamma(ctx))
     assert got.coeffs == want.coeffs
     net = Counter()
@@ -554,19 +555,19 @@ def test_reduce_classifies_only_the_live_elements(drawn):
 @settings(max_examples=200)
 @given(_planted_lists(), st.data())
 def test_gamma_elements_hold_no_zero_coefficient(drawn, data):
-    """``reduce_list`` and ``+`` keep no zero coefficient, on both backends, so the tuple's own
-    equality compares elements: a list's reduction is the sum of its two parts', and a list plus
-    its negation is the zero element, ``{}``."""
+    """``reduce_list`` keeps no zero coefficient, on both backends, so the tuple's own equality
+    compares elements: a list's reduction is the sum of its two parts' (``helpers.gamma_sum``),
+    and a list plus its negation is the zero element, ``{}``."""
     ctx, entries = drawn
     gamma = build_gamma(ctx)
     k = data.draw(st.integers(0, len(entries)))
-    head, tail = reduce_list(entries[:k], gamma), reduce_list(entries[k:], gamma)
-    whole = reduce_list(entries, gamma)
-    negated = reduce_list([(-sign, e) for sign, e in entries], gamma)
-    zero = whole + negated
-    for elem in (head, tail, whole, negated, head + tail, zero):
+    head, tail = reduce_pairs(entries[:k], gamma), reduce_pairs(entries[k:], gamma)
+    whole = reduce_pairs(entries, gamma)
+    negated = reduce_pairs([(-sign, e) for sign, e in entries], gamma)
+    zero = gamma_sum(whole, negated)
+    for elem in (head, tail, whole, negated, gamma_sum(head, tail), zero):
         assert 0 not in elem.coeffs.values()
-    assert head + tail == whole and tail + head == whole
+    assert gamma_sum(head, tail) == whole and gamma_sum(tail, head) == whole
     assert zero == GammaElement(gamma, {}) and zero.is_zero()
     event(f"{ctx.ambient.kind}, {'zero' if whole.is_zero() else 'nonzero'}")
 
@@ -575,7 +576,7 @@ def test_a_cancelling_element_is_not_classified_and_the_coefficients_keep_their_
     ctx = _ctx(abelian_group([0, 0]), gens_f=[((1, 0), 1)])
     entries = [(1, (0, 0)), (-1, (0, 0)), (1, (0, 1)), (1, (5, 0))]
     gamma = build_gamma(ctx)
-    got = reduce_list(entries, gamma)
+    got = reduce_pairs(entries, gamma)
     want = reduce_list_per_point(entries, build_gamma(ctx))
     assert got.coeffs == want.coeffs
     assert set(gamma._table) == {(0, 1), (5, 0)}
@@ -594,7 +595,7 @@ def test_a_list_whose_points_all_cancel_classifies_nothing(monkeypatch, finite):
     vectors = []
     monkeypatch.setattr(HermiteLattice, "reduce_all", lambda self, vecs, f=HermiteLattice.reduce_all:
                         vectors.append(len(vecs)) or f(self, vecs))
-    assert reduce_list(pairs, gamma).is_zero()
+    assert reduce_pairs(pairs, gamma).is_zero()
     assert gamma._table == {} and vectors == []
 
 

@@ -1,4 +1,5 @@
-"""``reduce_list`` checks its signs and elements once; ``classify_all`` stays checked for other callers.
+"""The columns ``reduce_list`` takes are checked once, when they are built, and not again by
+``reduce_list``; ``classify_all`` stays checked for other callers.
 
 ``gamma`` on a table group classifies the group once, in one batch, and
 reads its orbit counts off that one orbit list.
@@ -9,9 +10,9 @@ import random
 
 import pytest
 
-from helpers import cyclic_group, random_points_doc, trivial_character
+from helpers import cyclic_group, random_points_doc, reduce_pairs, trivial_character
 from surfemb4 import cli
-from surfemb4.gamma import GammaError, GammaGroup, PairingContext, build_gamma, reduce_list
+from surfemb4.gamma import GammaError, GammaGroup, PairingContext, build_gamma
 from surfemb4.groups import GroupError, abelian_group, subgroup_closure
 
 CASES = {
@@ -40,8 +41,8 @@ def _counted_gamma(monkeypatch, make_group):
 def test_reduce_list_checks_elements_once(monkeypatch, case):
     make_group, entries, _ = CASES[case]
     _, gamma, calls = _counted_gamma(monkeypatch, make_group)
-    reduce_list(entries, gamma)
-    reduce_list(entries, gamma)  # the second call finds every element classified
+    reduce_pairs(entries, gamma)
+    reduce_pairs(entries, gamma)  # the second call finds every element classified
     assert calls == [len(entries), len(entries)]
 
 
@@ -69,9 +70,9 @@ def test_reduce_list_takes_exact_int_signs(monkeypatch, case, bad):
     make_group, entries, bad_elem = CASES[case]
     _, gamma, _ = _counted_gamma(monkeypatch, make_group)
     with pytest.raises(GammaError, match="sign must be"):
-        reduce_list(entries + [(bad, entries[0][1])], gamma)
+        reduce_pairs(entries + [(bad, entries[0][1])], gamma)
     with pytest.raises(GroupError):  # a bad element before the bad sign is met first
-        reduce_list(entries + [(1, bad_elem), (bad, entries[0][1])], gamma)
+        reduce_pairs(entries + [(1, bad_elem), (bad, entries[0][1])], gamma)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

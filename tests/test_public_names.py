@@ -1,15 +1,14 @@
 """Every public name in the package is reached by something a verdict uses.
 
 A public module-level function or class of ``src/surfemb4`` passes when
-another definition in the package refers to it as an identifier, when it is
-the first part of a ``perfbench/layers.py`` target's qualname, or when
-``tests/test_acceptance.py`` imports it or reads it as an attribute of an
-imported module (``schema.to_json``).  A public method of a
-module-level class passes when a definition other than itself uses its name
-as an attribute (``obj.name``, matching by name alone; a bare name such as a
-local variable does not count), or when it is a target's qualname.
-A name that only its own unit tests reach belongs in ``tests/helpers.py``, or
-nowhere.
+another definition in the package refers to it as an identifier, or when it
+is the first part of a ``perfbench/layers.py`` target's qualname.  A public
+method of a module-level class passes when a definition other than itself
+uses its name as an attribute (``obj.name``, matching by name alone; a bare
+name such as a local variable does not count), or when it is a target's
+qualname.  The benchmark's tracer is the one reader outside the package: a
+name that only tests reach, acceptance tests included, belongs in
+``tests/helpers.py``, or nowhere.
 """
 
 import ast
@@ -60,25 +59,6 @@ def _owned_identifiers(module: str, tree: ast.Module):
                 yield f"{module}.{stmt.name}{method}", _identifiers(node)
 
 
-def _acceptance_uses() -> set[tuple[str, str]]:
-    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
-    used, aliases = set(), {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "surfemb4":
-            aliases.update((a.asname or a.name, a.name) for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("surfemb4."):
-            module = node.module.split(".", 1)[1]
-            used.update((module, a.name) for a in node.names)
-        elif isinstance(node, ast.Import):
-            aliases.update((a.asname, a.name.split(".", 1)[1]) for a in node.names
-                           if a.asname and a.name.startswith("surfemb4."))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id in aliases:
-            used.add((aliases[node.value.id], node.attr))
-    return used
-
-
 def unreached_public_names() -> list[str]:
     refs: dict[tuple, set] = {}  # (is an attribute, identifier) -> owners of the definitions using it
     public = []  # (module, qualname, identifier)
@@ -95,7 +75,6 @@ def unreached_public_names() -> list[str]:
     traced = {(t.module.split(".", 1)[1], t.qualname) for t in layers.TARGETS
               if t.module.startswith("surfemb4.")}
     traced |= {(module, qualname.split(".")[0]) for module, qualname in traced}
-    accepted = _acceptance_uses()
 
     def reached(module, qualname, ident):
         own = f"{module}.{qualname}"  # uses inside the definition itself do not count
@@ -103,7 +82,7 @@ def unreached_public_names() -> list[str]:
         if "." not in qualname:  # a method is reached only as an attribute
             uses = uses | refs.get((False, ident), set())
         users = [o for o in uses if o is None or not (o + ".").startswith(own + ".")]
-        return bool(users) or (module, qualname) in traced or (module, qualname) in accepted
+        return bool(users) or (module, qualname) in traced
 
     return sorted(f"{module}.{qualname}" for module, qualname, ident in public
                   if not reached(module, qualname, ident))
@@ -111,5 +90,5 @@ def unreached_public_names() -> list[str]:
 
 def test_every_public_name_is_reached():
     unreached = unreached_public_names()
-    assert not unreached, ("reached by no other definition, traced target or acceptance test: "
+    assert not unreached, ("reached by no other definition or traced target: "
                            + ", ".join(unreached))

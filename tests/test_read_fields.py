@@ -8,9 +8,6 @@ modules that can name the class count: its own module and those that import
 it or its module.  So ``record.euler`` in ``bands``, which reads a band
 record, does not count as a read of ``ComponentData.euler``.  A field that
 no command reads should not be stored; the reader may still check it.
-
-``OWN_CHECK`` lists the fields that only their own class reads, each with
-the check that reads it; the test also asserts that the check does read it.
 """
 
 import ast
@@ -22,11 +19,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "surfemb4"
 
 RECORDS = (engine.ProblemInstance, engine.ComponentData, groups.SignedSubgroup)
 READER = "schema.instance_from_dict"
-
-OWN_CHECK = {
-    # band_catalog.surface is the same object, and the command reads that one
-    "ProblemInstance.surface": "the catalog and the components must be over this surface",
-}
 
 
 def _attribute_reads(node) -> set[str]:
@@ -54,9 +46,8 @@ def _names_class(tree: ast.Module, owner: str, cls: str) -> bool:
     return False
 
 
-def field_readers() -> dict[str, tuple[set[str], bool]]:
-    """'Class.field' -> (the definitions that read it outside its class and the reader, whether its
-    class reads it)."""
+def field_readers() -> dict[str, set[str]]:
+    """'Class.field' -> the definitions that read it outside its class and the reader."""
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
     out = {}
     for cls in RECORDS:
@@ -65,19 +56,13 @@ def field_readers() -> dict[str, tuple[set[str], bool]]:
         reads = [(name, attrs) for m, tree in trees.items()
                  if m == owner or _names_class(tree, owner, cls.__name__) for name, attrs in _definitions(m, tree)]
         for field in cls._fields:
-            users = {name for name, attrs in reads if field in attrs and name != READER}
-            out[f"{cls.__name__}.{field}"] = ({u for u in users if not u.startswith(own)},
-                                              any(u.startswith(own) for u in users))
+            out[f"{cls.__name__}.{field}"] = {
+                name for name, attrs in reads
+                if field in attrs and name != READER and not name.startswith(own)}
     return out
 
 
 def test_every_stored_field_is_read():
-    unread = sorted(f for f, (users, _) in field_readers().items() if not users and f not in OWN_CHECK)
+    unread = sorted(f for f, users in field_readers().items() if not users)
     assert not unread, ("stored but read by no definition outside its class and the reader: "
                         + ", ".join(unread))
-
-
-def test_the_fields_read_only_by_their_own_check_are_read_there():
-    readers = field_readers()
-    for field in OWN_CHECK:  # read outside, it no longer needs listing; read nowhere, it should go
-        assert readers[field] == (set(), True), field

@@ -8,7 +8,7 @@ rebuilds through the constructor, so the checks run.
 
 import pytest
 
-from helpers import cyclic_group, replace, trivial_character
+from helpers import EulerBoundResult, cyclic_group, replace, trivial_character
 from surfemb4.bands import (
     BandCatalog,
     BandError,
@@ -18,7 +18,7 @@ from surfemb4.bands import (
     SurfaceComponent,
     SurfaceModel,
 )
-from surfemb4.engine import ComponentData, EulerBoundResult, ProblemInstance, ValidationError
+from surfemb4.engine import ComponentData, ProblemInstance, ValidationError
 from surfemb4.gamma import Coefficient, GammaError, PairingContext
 from surfemb4.groups import Character, GroupError, abelian_group, make_finite_group, subgroup_closure
 from surfemb4.knots import CP2GenusVerdict, KnotError, SeifertMatrix
@@ -41,8 +41,8 @@ def _disc(did, pair, interior=None, **kw):
 def _instance(**changes):
     fields = dict(
         group=C2, wM=trivial_character(C2), components=(ComponentData(0, S2, True, False),),
-        surface=SURFACE, points=(), collection=None, band_catalog=BandCatalog(SURFACE, REL, ()),
-        good_group=True)
+        points=(), collection=None, band_catalog=BandCatalog(SURFACE, REL, ()), good_group=True,
+        torus_summands=frozenset())
     return ProblemInstance(**dict(fields, **changes))
 
 

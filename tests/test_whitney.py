@@ -11,7 +11,7 @@ from surfemb4.bands import (
     theta,
     validate_record,
 )
-from surfemb4.gamma import PairingContext, build_gamma, reduce_list
+from surfemb4.gamma import PairingContext, build_gamma
 from surfemb4.whitney import (
     DoublePoint,
     UnpairedPoints,
@@ -27,6 +27,7 @@ from helpers import (
     all_groups_up_to_8,
     band_fibre_finger_move,
     random_signed_subgroup,
+    reduce_pairs,
     to_convenient_quadratic,
     total_boundary,
     transfer_move,
@@ -54,7 +55,7 @@ def test_pairing_matches_exhaustive_search():
         ]
 
         def cancels(p, q):
-            return reduce_list([(p.sign, p.eta), (q.sign, q.eta)], gamma).is_zero()
+            return reduce_pairs([(p.sign, p.eta), (q.sign, q.eta)], gamma).is_zero()
 
         def exhaustive(remaining):
             if not remaining:
@@ -66,7 +67,7 @@ def test_pairing_matches_exhaustive_search():
             )
 
         expected = exhaustive(points)
-        reduced_zero = reduce_list([(p.sign, p.eta) for p in points], gamma).is_zero()
+        reduced_zero = reduce_pairs([(p.sign, p.eta) for p in points], gamma).is_zero()
         assert expected == reduced_zero, name
 
 
