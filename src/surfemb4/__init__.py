@@ -21,9 +21,10 @@ gamma``, which returns the registered placeholder without running it, and
 a function of it by attribute at the call (``engine.flowchart``).  ``cli``
 and ``schema`` are imported as usual.
 
-Every public name here is reached by the command line, the flowchart, the
-benchmark tracer or the acceptance tests (``tests/test_public_names.py``);
-builders of test inputs live in ``tests/helpers.py``.
+Every public name here is reached by the command line, the flowchart or
+the benchmark tracer; ``tests/test_public_names.py`` counts no test as a
+reader.  Builders of test inputs, and names only tests reach, live in
+``tests/helpers.py``.
 """
 
 import importlib.util

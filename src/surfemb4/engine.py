@@ -57,12 +57,12 @@ class ProblemInstance(namedtuple("ProblemInstance", (
         "group wM components points collection band_catalog good_group torus_summands"))):
     """One decision problem; its components, points and discs must refer to each other.
 
-    ``points`` are ``DoublePoint`` records or ``DoublePoints`` columns, stored
-    as ``DoublePoints.of(points, group)``.  The character and the subgroups
-    must be built over this instance's group.  The surface is the band
-    catalog's, and its component ids must be the immersion's.  Only what a
-    decision reads is stored: an instance file's sphere and RP2 catalogs and
-    a component's ``w2`` and ``e`` are checked by the reader and dropped.
+    The character, the subgroups and the ``DoublePoints`` columns must be
+    built over this instance's group object, so the points are not checked
+    again.  The surface is the band catalog's, and its component ids must be
+    the immersion's.  Only what a decision reads is stored: an instance
+    file's sphere and RP2 catalogs and a component's ``w2`` and ``e`` are
+    checked by the reader and dropped.
     """
 
     __slots__ = ()
@@ -74,6 +74,9 @@ class ProblemInstance(namedtuple("ProblemInstance", (
         for c in self.components:
             if c.subgroup.ambient is not self.group:
                 raise ValidationError(f"subgroup of component {c.id} not over the instance's group")
+        points = self.points
+        if getattr(points, "group", None) is not self.group:  # columns checked against it, no others
+            raise ValidationError("double points not over the instance's group")
         if not isinstance(self.band_catalog, BandCatalog):
             raise ValidationError("no band catalog")
         ids = [c.id for c in self.components]
@@ -85,7 +88,6 @@ class ProblemInstance(namedtuple("ProblemInstance", (
             raise ValidationError(
                 f"immersion components {sorted(known)} != surface components {sorted(surface_ids)}"
             )
-        points = DoublePoints.of(self.points, self.group)
         point_ids = set(points.ids)
         if len(point_ids) != len(points):
             raise ValidationError("duplicate double-point ids")
@@ -99,9 +101,9 @@ class ProblemInstance(namedtuple("ProblemInstance", (
                 raise ValidationError("Whitney collection references unknown double points")
             discs = self.collection.discs
             if not known.issuperset(chain.from_iterable(discs.interiors)):
-                did = next(d.id for d in discs if not known.issuperset(d.interior))
+                did = next(d for d, met in zip(discs.ids, discs.interiors) if not known.issuperset(met))
                 raise ValidationError(f"Whitney disc {did} meets unknown components")
-        return self if points is self.points else self._replace(points=points)
+        return self
 
 
 class TraceEntry(NamedTuple):
@@ -126,9 +128,8 @@ class Verdict(NamedTuple):
 # -- primary obstructions ----------------------------------------------------
 
 
-def points_between(points, i: int, j: int) -> DoublePoints:
+def points_between(points: DoublePoints, i: int, j: int) -> DoublePoints:
     """Double points between components i and j; self-intersections when i == j."""
-    points = DoublePoints.of(points)
     return points.take(points.by_pair().get(frozenset((i, j)), ()))
 
 

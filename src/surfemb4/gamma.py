@@ -40,7 +40,7 @@ from itertools import compress, filterfalse, repeat
 from operator import add, and_, eq, mul, ne, neg
 from typing import NamedTuple, Optional
 
-from . import intlinalg, whitney  # intlinalg is run by abelian groups and the Smith oracle only
+from . import intlinalg  # run by abelian groups and the Smith oracle only
 from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit
 
 
@@ -221,17 +221,18 @@ class Coefficient(NamedTuple):
 
 
 def reduce_list(points, gamma: GammaGroup) -> GammaElement:
-    """Reduce ``DoublePoints`` columns into the quotient, by their signs and etas.
+    """Reduce ``whitney.DoublePoints`` columns into the quotient, by their signs and etas.
 
-    ``DoublePoints.of`` checks the columns against the ambient group unless
-    that check is done already.  The list is tallied by distinct element, as
-    (point count, signed sum), and each live element, one whose signed sum is
-    not 0, is classified once, in order of first occurrence: an order-two
-    orbit gains the count mod 2, an infinite orbit the signed sum times the
-    section sign.  An element whose points cancel adds 0 to either kind of
-    orbit, so it is not classified.
+    Like the character and the subgroups, the columns must be checked against
+    the ambient group object; they are not checked again.  The list is
+    tallied by distinct element, as (point count, signed sum), and each live
+    element, one whose signed sum is not 0, is classified once, in order of
+    first occurrence: an order-two orbit gains the count mod 2, an infinite
+    orbit the signed sum times the section sign.  An element whose points
+    cancel adds 0 to either kind of orbit, so it is not classified.
     """
-    points = whitney.DoublePoints.of(points, gamma.ctx.ambient)
+    if getattr(points, "group", None) is not gamma.ctx.ambient:
+        raise GammaError("double points not over the ambient group")
     signs, canon = points.signs, points.etas
     count = Counter(canon)
     plus = Counter(compress(canon, map(eq, signs, repeat(1))))

@@ -9,9 +9,11 @@ signature has one algorithm, O(n^3) operations at p bits: a congruence from
 a pivoted LDL^H, checked by Gershgorin intervals with rigorous rounding bounds
 (see ``_certified_signature``), run in floats at p = 53 and, where that
 declines, in mpmath's p-bit arithmetic at p = 106, 212, ... up to
-``MAX_PREC``.  cos(pi r) and sin(pi r) come from integer fixed point
-(``_cos_sin_pi``), so a signature that the 53-bit step decides runs no
-mpmath.  The certificate never answers at a singular point: after its first
+``MAX_PREC``.  A diagonal entry is a pivot only when it is at least half the
+largest entry of its row, so a diagonal that is 0 in exact arithmetic, and
+rounding error at p bits, is never one.  cos(pi r) and sin(pi r) come from
+integer fixed point (``_cos_sin_pi``), so a signature that the 53-bit step
+decides runs no mpmath.  The certificate never answers at a singular point: after its first
 decline an exact singularity pre-check against the cyclotomic minimal
 polynomial raises there, computing the Alexander polynomial at most once per
 matrix.  The cp2 class scan evaluates each distinct point once.
@@ -263,21 +265,26 @@ def _certified_signature(V: SeifertMatrix, num: int, den: int, prec: int = 53) -
     entries fl(fl(1 - c^) S) - i fl(s^ A) and is exactly Hermitian, and following
     each rounding gives |H - H^| <= E with E_jk = 20u max(|V_jk|, |V_kj|).
 
-    The congruence.  Gaussian elimination of H^ by congruence, each pivot the
-    largest remaining |diagonal|, accumulates X ~ L^-1 of H^ = L D L^H.  Where
-    the remaining diagonal is all 0, the largest remaining h_ij (i != j) is
-    moved onto it: e_i becomes e_i + z e_j, z in {1, -1, i, -i} maximising
-    Re(z h_ji), so the new pivot 2 Re(z h_ji) is at least sqrt(2) |h_ij|.  This
-    is T = I + z e_i e_j^T, unimodular over Z[i], applied to the block, to the
-    stored rows (X_i += z X_j) and to H^; it keeps the inertia of H.  Products
-    by z are exact, so H^ stays exactly Hermitian and is T H^ T^H up to
-    3u |T| |H^| |T|^T, which is added to E before E becomes |T| E |T|^T.  In
-    pivot order X is unit lower triangular as stored, so it is exactly
-    nonsingular, and by Sylvester's law of inertia C = X H X^H has the inertia
-    of H.  C^ = fl(fl(X H^) X^H) is formed from complex inner products of
-    length <= n, each within gamma_(n+2) |x|^T |y| of exact, gamma_k = ku/(1-ku)
-    (Higham, Accuracy and Stability of Numerical Algorithms, sections 3.1 and
-    3.6).  Hence
+    The congruence.  Gaussian elimination of H^ by congruence accumulates
+    X ~ L^-1 of H^ = L D L^H.  The pivot is the largest remaining |diagonal|
+    when that is at least half the largest |entry| of its row.  Otherwise the
+    largest remaining h_ij (i != j) is moved onto the diagonal and pivoted on,
+    as for a diagonal that is all 0: e_i becomes e_i + z e_j, z in
+    {1, -1, i, -i} maximising |h_ii + h_jj + 2 Re(z h_ji)|, so the new pivot is
+    at least sqrt(2) |h_ij|.  (A diagonal that is 0 in exact arithmetic rounds
+    to about 1e-16; a pivot that small makes later entries huge, and no
+    interval would clear 0 at any precision.)  This is T = I + z e_i e_j^T,
+    unimodular over Z[i], applied to the block, to the stored rows
+    (X_i += z X_j) and to H^; it keeps the inertia of H, and there is at most
+    one per pivot.  Products by z are exact, so H^ stays exactly Hermitian and
+    is T H^ T^H up to 3u |T| |H^| |T|^T, which is added to E before E becomes
+    |T| E |T|^T.  The proof holds for any pivot sequence; the rule only keeps
+    the intervals narrow.  In pivot order X is unit lower triangular as stored,
+    so it is exactly nonsingular, and by Sylvester's law of inertia
+    C = X H X^H has the inertia of H.  C^ = fl(fl(X H^) X^H) is formed from
+    complex inner products of length <= n, each within gamma_(n+2) |x|^T |y|
+    of exact, gamma_k = ku/(1-ku) (Higham, Accuracy and Stability of
+    Numerical Algorithms, sections 3.1 and 3.6).  Hence
 
         |C - C^| <= B = |X| (g |H^| + E) |X|^T,  g = gamma_(n+2) (2 + gamma_(n+2)),
 
@@ -296,8 +303,9 @@ def _certified_signature(V: SeifertMatrix, num: int, den: int, prec: int = 53) -
     1 + 2^-20, which exceeds their own rounding and that of E (at most n
     changes of basis, five roundings each), (1 - u)^-(10n + 16) - 1, for n < 2^26.
 
-    Returns None when an interval meets 0 or is not finite, when the remaining
-    block is 0, or when an entry has |v| >= 2^p.  Cost: O(n^3) operations at p bits.
+    Returns None when an interval meets 0 or is not finite, when a pivot is 0
+    or not a number, or when an entry has |v| >= 2^p.  Cost: O(n^3) operations
+    at p bits; the pivot rule's row scans add O(n^2).
     """
     n, rows = V.size, V.rows
     if any(abs(v) >> prec for row in rows for v in row):
@@ -321,12 +329,11 @@ def _certified_signature(V: SeifertMatrix, num: int, den: int, prec: int = 53) -
         order, active, block = [], list(range(n)), [row[:] for row in H]
         while active:
             q = max(range(len(active)), key=lambda t: abs(block[t][t].real))
-            if not block[q][q].real:  # change of basis e_i -> e_i + z e_j
+            if 2 * abs(block[q][q]) < max(map(abs, block[q])):  # change of basis e_i -> e_i + z e_j
                 size, q, k = max(((abs(block[k][t]), t, k) for t in range(len(active))
-                                  for k in range(len(active)) if k != t), default=(0, 0, 0))
-                if not size:
-                    return None
-                z = max((1, -1, 1j, -1j), key=lambda z: (z * block[k][q]).real)
+                                  for k in range(len(active)) if k != t))
+                diag = block[q][q].real + block[k][k].real
+                z = max((1, -1, 1j, -1j), key=lambda z: abs(diag + 2 * (z * block[k][q]).real))
                 i, j = active[q], active[k]
                 X[i] = [xi + z * xj for xi, xj in zip(X[i], X[j])]
                 E = [[e + 3 * u * abs(h) for e, h in zip(er, hr)] for er, hr in zip(E, H)]

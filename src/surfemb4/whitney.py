@@ -1,9 +1,11 @@
 """Combinatorial double points, Whitney-disc collections, and t-counts.
 
 Intersection data is stored as counts, not positions: every invariant in
-scope is a signed or mod-2 count.  Points and discs are held as parallel
-columns, and the checks and counts are C-level passes over them.  A collection is *convenient* when every
-disc is framed (zero twisting), has no boundary self-intersections, and
+scope is a signed or mod-2 count.  Points and discs have one form each,
+parallel columns (``DoublePoints``, ``WhitneyDiscs``), and the checks and
+counts are C-level passes over them.  ``DoublePoints`` are checked against
+their group when built.  A collection is *convenient* when every disc is
+framed (zero twisting), has no boundary self-intersections, and
 all pairwise boundary intersection counts vanish; *weak* collections relax
 all three.  ``t_count`` is the one t formula, for weak and convenient
 collections alike: on a convenient collection its framing and boundary
@@ -17,7 +19,6 @@ import reprlib
 from collections import Counter, namedtuple
 from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter
-from typing import NamedTuple
 
 from . import _INTS, gamma  # its GammaError is the error of a bad sign
 from .groups import check_signed
@@ -42,40 +43,21 @@ def _pick(col: tuple, idx: list) -> tuple:
     return itemgetter(*idx)(col) if len(idx) > 1 else tuple(map(col.__getitem__, idx))
 
 
-class DoublePoint(NamedTuple):
-    id: int
-    components: tuple[int, int]  # (i, j); i == j for a self-intersection
-    sign: int
-    eta: object  # group element, per ambient backend
-
-
 class DoublePoints:
     """Double points as parallel columns: ids, component pairs, signs and etas.
 
-    Built with a ``group``, the signs and etas are checked against it once and
-    the etas stored canonical; ``group`` records it, and ``take`` keeps it.
-    Without one, they are the view that ``t_count`` and ``to_convenient`` read.
-    ``of`` is the one gate that decides whether columns are checked again.
-    ``by_pair`` buckets the points once; iterating gives ``DoublePoint`` records.
+    Construction checks the signs and etas against ``group`` once and stores
+    the etas canonical; ``group`` records the group object they were checked
+    against, and ``take`` keeps it without checking again.  ``by_pair``
+    buckets the points once.
     """
 
     __slots__ = ("ids", "pairs", "signs", "etas", "group", "_by_pair")
 
-    def __init__(self, ids, pairs, signs, etas, group=None):
+    def __init__(self, ids, pairs, signs, etas, group):
         self.ids, self.pairs, self.signs, self.etas = map(tuple, (ids, pairs, signs, etas))
-        if group is not None:
-            self.etas = check_signed(group, self.signs, self.etas, gamma.GammaError)
-        self.group = group
-        self._by_pair = None
-
-    @classmethod
-    def of(cls, points, group=None) -> "DoublePoints":
-        """``points``, records or columns, as columns checked against ``group`` unless it is None."""
-        if not isinstance(points, cls):
-            return cls(*(tuple(zip(*points)) or ((),) * 4), group)
-        if group in (None, points.group):  # no check asked for, or done already
-            return points
-        return cls(points.ids, points.pairs, points.signs, points.etas, group)
+        self.etas = check_signed(group, self.signs, self.etas, gamma.GammaError)
+        self.group, self._by_pair = group, None
 
     def by_pair(self) -> dict:
         """Point indices by unordered component pair, in point order; bucketed on first use.
@@ -95,8 +77,10 @@ class DoublePoints:
 
     def take(self, idx: list) -> "DoublePoints":
         """The points at positions ``idx``, in that order, checked against the same group."""
-        out = DoublePoints(*(_pick(col, idx) for col in (self.ids, self.pairs, self.signs, self.etas)))
-        out.group = self.group
+        out = DoublePoints.__new__(DoublePoints)  # checked already: __init__ is not run again
+        out.ids, out.pairs, out.signs, out.etas = (_pick(col, idx) for col in (
+            self.ids, self.pairs, self.signs, self.etas))
+        out.group, out._by_pair = self.group, None
         return out
 
     def ids_within(self, components) -> set:
@@ -105,30 +89,15 @@ class DoublePoints:
         inside = compress(buckets.values(), map(set(components).issuperset, buckets))
         return set(_pick(self.ids, list(chain.from_iterable(inside))))
 
-    def __iter__(self):
-        return map(DoublePoint, self.ids, self.pairs, self.signs, self.etas)
-
     def __len__(self) -> int:
         return len(self.ids)
-
-
-class WhitneyDisc(NamedTuple):
-    id: int
-    pair: tuple[int, int]  # ids of the two paired double points
-    interior: dict  # surface component -> |Int W ^ f_i|, nonnegative counts
-    mu_boundary: int = 0  # boundary self-intersections
-    euler: int = 0  # twisting relative to the Whitney framing
-
-    def is_convenient(self) -> bool:
-        return self.euler == 0 and self.mu_boundary == 0
 
 
 class WhitneyDiscs:
     """Whitney discs as parallel columns: ids, point pairs, interiors, ``mu_boundary`` and ``euler``.
 
-    The reader builds one from its checked columns; ``of`` also takes
-    ``WhitneyDisc`` records.  The checks and counts are passes over the
-    columns; iterating or indexing gives ``WhitneyDisc`` records.
+    The reader builds one from its checked columns, and the checks and counts
+    are passes over them.
     """
 
     __slots__ = ("ids", "pairs", "interiors", "mu_boundary", "euler")
@@ -137,11 +106,6 @@ class WhitneyDiscs:
         self.ids, self.pairs, self.interiors, self.mu_boundary, self.euler = map(
             tuple, (ids, pairs, interiors, mu_boundary, euler))
 
-    @classmethod
-    def of(cls, discs) -> "WhitneyDiscs":
-        """``discs`` as columns; columns are returned as they are."""
-        return discs if isinstance(discs, cls) else cls(*(tuple(zip(*discs)) or ((),) * 5))
-
     def _columns(self) -> tuple:
         return self.ids, self.pairs, self.interiors, self.mu_boundary, self.euler
 
@@ -149,12 +113,6 @@ class WhitneyDiscs:
         """The discs at the true entries of ``mask``, in order."""
         mask = list(mask)
         return WhitneyDiscs(*(compress(col, mask) for col in self._columns()))
-
-    def __iter__(self):
-        return map(WhitneyDisc, *self._columns())
-
-    def __getitem__(self, k: int) -> WhitneyDisc:
-        return WhitneyDisc(*(col[k] for col in self._columns()))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -168,18 +126,16 @@ def _interior_values(discs: WhitneyDiscs):
 
 
 class WhitneyCollection(namedtuple("WhitneyCollection", "discs boundary convenient")):
-    """Disc columns in order plus the symmetric boundary-intersection counts.
+    """``WhitneyDiscs`` columns in order plus the symmetric boundary-intersection counts.
 
-    ``discs`` may be ``WhitneyDisc`` records; they are stored as columns.
-    Each check is a pass over the columns, and only a failing one walks the
-    discs, for the first bad disc's message.
+    ``boundary`` maps frozenset({id, id}) to a count.  Each check is a pass
+    over the columns, and only a failing one walks them, for the first bad
+    disc's message.
     """
 
     __slots__ = ()
 
-    def __new__(cls, discs, boundary: dict = None, convenient: bool = True):
-        boundary = {} if boundary is None else boundary  # frozenset{id,id} -> count
-        discs = WhitneyDiscs.of(discs)
+    def __new__(cls, discs: WhitneyDiscs, boundary: dict, convenient: bool):
         ids = discs.ids
         if len(set(ids)) != len(ids):
             raise WhitneyError("duplicate disc ids")
@@ -192,12 +148,12 @@ class WhitneyCollection(namedtuple("WhitneyCollection", "discs boundary convenie
         counts = list(chain(discs.mu_boundary, _interior_values(discs)))
         if not (_INTS.issuperset(map(type, counts)) and _INTS.issuperset(map(type, discs.euler))
                 and min(counts, default=0) >= 0):
-            for d in discs:
-                counts = (d.mu_boundary, *d.interior.values())
-                if not (_INTS.issuperset(map(type, counts)) and type(d.euler) is int):
-                    raise WhitneyError(f"non-integer count on disc {d.id}")  # neither True nor 0.5
+            for did, mu, interior, euler in zip(ids, discs.mu_boundary, discs.interiors, discs.euler):
+                counts = (mu, *interior.values())
+                if not (_INTS.issuperset(map(type, counts)) and type(euler) is int):
+                    raise WhitneyError(f"non-integer count on disc {did}")  # neither True nor 0.5
                 if min(counts) < 0:
-                    raise WhitneyError(f"negative count on disc {d.id}")
+                    raise WhitneyError(f"negative count on disc {did}")
         known, bcounts = set(ids), list(boundary.values())
         if not ({2}.issuperset(map(len, boundary)) and known.issuperset(chain.from_iterable(boundary))
                 and _INTS.issuperset(map(type, bcounts)) and min(bcounts, default=0) >= 0):
@@ -210,7 +166,7 @@ class WhitneyCollection(namedtuple("WhitneyCollection", "discs boundary convenie
                     raise WhitneyError("negative boundary count")
         if convenient:
             if any(discs.euler) or any(discs.mu_boundary):
-                bad = next(d.id for d in discs if not d.is_convenient())
+                bad = next(compress(ids, map(any, zip(discs.euler, discs.mu_boundary))))
                 raise NotConvenient(f"disc {bad} is twisted or has boundary self-intersections")
             if any(boundary.values()):
                 raise NotConvenient("convenient collections have disjoint boundaries")
@@ -220,7 +176,7 @@ class WhitneyCollection(namedtuple("WhitneyCollection", "discs boundary convenie
         return set(chain.from_iterable(self.discs.pairs))
 
 
-def t_count(points, components, collection: WhitneyCollection) -> int:
+def t_count(points: DoublePoints, components, collection: WhitneyCollection) -> int:
     """t mod 2: interior intersections with the given components, plus framing and boundary terms.
 
     The framing, boundary self-intersection and pairwise boundary counts are
@@ -228,7 +184,7 @@ def t_count(points, components, collection: WhitneyCollection) -> int:
     convenient collections.  Each term is a sum over a column, the interior
     one masked to ``components``: C-level passes, O(P + D + B).
     """
-    want, got = DoublePoints.of(points).ids_within(components), collection.paired_point_ids()
+    want, got = points.ids_within(components), collection.paired_point_ids()
     if want != got:
         unpaired, outside = (reprlib.repr(sorted(ids)) for ids in (want - got, got - want))
         raise UnpairedPoints(f"no disc pairs the components' double points {unpaired}; "
@@ -240,7 +196,7 @@ def t_count(points, components, collection: WhitneyCollection) -> int:
             + interior) % 2
 
 
-def to_convenient(points, collection: WhitneyCollection) -> WhitneyCollection:
+def to_convenient(points: DoublePoints, collection: WhitneyCollection) -> WhitneyCollection:
     """Trade twisting and boundary intersections for interior intersections.
 
     Boundary twists fix the framing at the cost of one interior intersection
@@ -255,7 +211,7 @@ def to_convenient(points, collection: WhitneyCollection) -> WhitneyCollection:
     and the boundary counts, O(D + B).  The result is convenient by
     construction, so the constructor's checks are not run again.
     """
-    points, discs = DoublePoints.of(points), collection.discs
+    discs = collection.discs
     position = dict(zip(discs.ids, count()))
     lower = map(min, map(map, repeat(position.__getitem__), collection.boundary))
     tally = Counter(chain(compress(count(), map(_odd, map(add, discs.euler, discs.mu_boundary))),

@@ -5,8 +5,11 @@ test inputs (cyclic groups, trivial characters, Seifert block sums, torus
 knots T(p,q) and unimodular congruences, instance documents and their
 reorderings, the t-preserving transfer move and cusp trick, and the
 band-fibre finger move and formal union of band records, with the record
-and surface sums they read); list reduction of (sign, element) pairs through
-the checked columns ``reduce_list`` takes, and the sum of two Gamma elements;
+and surface sums they read); one-point and one-disc records (``DoublePoint``,
+``WhitneyDisc``), which the package no longer has, with builders of the
+checked ``DoublePoints`` and the ``WhitneyDiscs`` columns from them and
+back; list reduction of (sign, element) pairs through the checked columns
+``reduce_list`` takes, and the sum of two Gamma elements;
 the paper's corollaries that no command runs (the Stong t-formula, the
 projective-plane parity, the Euler-characteristic bound, the r- and
 s-characteristic checks and the home of mu_1), which the acceptance
@@ -84,12 +87,11 @@ from surfemb4.schema import (
     _shape_errors,
 )
 from surfemb4.whitney import (
-    DoublePoint,
     DoublePoints,
     NotConvenient,
     UnpairedPoints,
     WhitneyCollection,
-    WhitneyDisc,
+    WhitneyDiscs,
     WhitneyError,
     t_count,
     to_convenient,
@@ -742,6 +744,52 @@ class EnumeratedFiniteGamma:
         self._orbits = [orbits[r] for r in sorted(orbits)]
 
 
+class DoublePoint(NamedTuple):
+    """One double point as a record: a row of ``whitney.DoublePoints``."""
+    id: int
+    components: tuple[int, int]  # (i, j); i == j for a self-intersection
+    sign: int
+    eta: object  # group element, per ambient backend
+
+
+class WhitneyDisc(NamedTuple):
+    """One Whitney disc as a record: a row of ``whitney.WhitneyDiscs``."""
+    id: int
+    pair: tuple[int, int]  # ids of the two paired double points
+    interior: dict  # surface component -> |Int W ^ f_i|
+    mu_boundary: int = 0  # boundary self-intersections
+    euler: int = 0  # twisting relative to the Whitney framing
+
+    def is_convenient(self) -> bool:
+        return self.euler == 0 and self.mu_boundary == 0
+
+
+def point_columns(points, group: AmbientGroup) -> DoublePoints:
+    """``DoublePoint`` records, or any (id, components, sign, eta) rows, as columns checked
+    against ``group``."""
+    return DoublePoints(*(tuple(zip(*points)) or ((),) * 4), group)
+
+
+def point_records(points: DoublePoints) -> list[DoublePoint]:
+    return list(map(DoublePoint, points.ids, points.pairs, points.signs, points.etas))
+
+
+def disc_columns(discs) -> WhitneyDiscs:
+    """``WhitneyDisc`` records as columns."""
+    return WhitneyDiscs(*(tuple(zip(*discs)) or ((),) * 5))
+
+
+def disc_records(discs: WhitneyDiscs) -> list[WhitneyDisc]:
+    return list(map(WhitneyDisc, discs.ids, discs.pairs, discs.interiors, discs.mu_boundary,
+                    discs.euler))
+
+
+def disc_collection(discs, boundary: Optional[dict] = None,
+                    convenient: bool = True) -> WhitneyCollection:
+    """``WhitneyCollection`` of ``WhitneyDisc`` records, with no boundary counts unless given."""
+    return WhitneyCollection(disc_columns(discs), {} if boundary is None else boundary, convenient)
+
+
 def reduce_pairs(entries, gamma: GammaGroup) -> GammaElement:
     """``reduce_list`` of (sign, element) pairs, put into the columns it takes.
 
@@ -853,13 +901,13 @@ def instance_from_dict_per_point(doc) -> ProblemInstance:
     try:  # the disc references last, one disc at a time, as ProblemInstance checks them
         inst = ProblemInstance(
             group=group, wM=wM, components=tuple(components),
-            points=tuple(points), collection=None, band_catalog=band_catalog,
+            points=point_columns(points, group), collection=None, band_catalog=band_catalog,
             good_group=doc["flags"]["good_group"], torus_summands=frozenset(doc["flags"]["torus_summand"]))
         if collection is not None:
-            if not {pid for d in collection.discs for pid in d.pair} <= {p.id for p in points}:
+            if not {pid for d in discs for pid in d.pair} <= {p.id for p in points}:
                 raise engine.ValidationError("Whitney collection references unknown double points")
             known = {c.id for c in components}
-            for d in collection.discs:
+            for d in discs:
                 if not set(d.interior) <= known:
                     raise engine.ValidationError(f"Whitney disc {d.id} meets unknown components")
         return inst._replace(collection=collection)
@@ -898,53 +946,54 @@ def whitney_collection_per_disc(discs, boundary: dict, convenient: bool) -> Whit
                 raise NotConvenient(f"disc {d.id} is twisted or has boundary self-intersections")
         if any(boundary.values()):
             raise NotConvenient("convenient collections have disjoint boundaries")
-    return WhitneyCollection(discs, boundary, convenient)
+    return disc_collection(discs, boundary, convenient)
 
 
-def t_count_per_disc(points, components, collection: WhitneyCollection) -> int:
+def t_count_per_disc(points: DoublePoints, components, collection: WhitneyCollection) -> int:
     """``whitney.t_count`` summed one disc at a time: the reference for its column sums."""
-    comps = set(components)
-    want = {p.id for p in points if set(p.components) <= comps}
-    got = {pid for d in collection.discs for pid in d.pair}
+    comps, discs = set(components), disc_records(collection.discs)
+    want = {p.id for p in point_records(points) if set(p.components) <= comps}
+    got = {pid for d in discs for pid in d.pair}
     if want != got:
         unpaired, outside = (reprlib.repr(sorted(ids)) for ids in (want - got, got - want))
         raise UnpairedPoints(f"no disc pairs the components' double points {unpaired}; "
                              f"discs pair {outside} off the components")
     total = sum(collection.boundary.values())
-    for d in collection.discs:
+    for d in discs:
         total += d.mu_boundary + d.euler
         total += sum(c for comp, c in d.interior.items() if comp in comps)
     return total % 2
 
 
-def to_convenient_per_disc(points, collection: WhitneyCollection) -> WhitneyCollection:
+def to_convenient_per_disc(points: DoublePoints, collection: WhitneyCollection) -> WhitneyCollection:
     """``whitney.to_convenient`` with each bump summed and each disc rebuilt on its own: the
     reference for its column passes."""
-    pair_of = {p.id: p.components for p in points}
-    position = {d.id: idx for idx, d in enumerate(collection.discs)}
-    bumps = [d.euler + d.mu_boundary for d in collection.discs]
+    pair_of = {p.id: p.components for p in point_records(points)}
+    discs = disc_records(collection.discs)
+    position = {d.id: idx for idx, d in enumerate(discs)}
+    bumps = [d.euler + d.mu_boundary for d in discs]
     for key, count in collection.boundary.items():
         bumps[min(position[i] for i in key)] += count
     new_discs = []
-    for d, bump in zip(collection.discs, bumps):
+    for d, bump in zip(discs, bumps):
         interior = d.interior
         if bump % 2:
             comp = min(pair_of[d.pair[0]])
             interior = {**interior, comp: interior.get(comp, 0) + 1}
         new_discs.append(WhitneyDisc(d.id, d.pair, interior))
-    return WhitneyCollection(tuple(new_discs), {}, convenient=True)
+    return disc_collection(new_discs)
 
 
-def points_between_per_point(points, i: int, j: int) -> list[DoublePoint]:
+def points_between_per_point(points: DoublePoints, i: int, j: int) -> list[DoublePoint]:
     """``engine.points_between`` by a test of every point."""
-    return [p for p in points if set(p.components) == {i, j}]
+    return [p for p in point_records(points) if set(p.components) == {i, j}]
 
 
 def primary_obstructions_per_point(inst: ProblemInstance) -> dict:
     """The coefficients of ``engine.primary_obstructions``, each point bucketed on its own and each
     list reduced by ``gamma.reduce_list`` over checked columns."""
     lists: dict = {}
-    for p in inst.points:
+    for p in point_records(inst.points):
         lists.setdefault(frozenset(p.components), []).append((p.sign, p.eta))
     out = {}
     subgroup = {c.id: c.subgroup for c in inst.components}
@@ -963,19 +1012,19 @@ def t_for_ft_per_point(inst: ProblemInstance, ft) -> int:
     """``engine._t_for_ft`` with the F^t points found by a test of every point, and W^t (the
     discs whose points are all F^t points, and the boundary counts among them) by a test of
     every disc and every boundary count."""
-    pts = [p for p in inst.points if set(p.components) <= set(ft)]
+    pts = [p for p in point_records(inst.points) if set(p.components) <= set(ft)]
     if not pts:
         return 0
     collection = inst.collection
     if collection is None:
         raise MissingWhitneyData("F^t has double points but no Whitney collection was declared")
     ids = {p.id for p in pts}
-    discs = tuple(d for d in collection.discs if set(d.pair) <= ids)
+    discs = [d for d in disc_records(collection.discs) if set(d.pair) <= ids]
     wt = {d.id for d in discs}
-    sub = collection._replace(discs=discs, boundary={key: n for key, n in collection.boundary.items()
-                                                     if set(key) <= wt})
+    sub = collection._replace(discs=disc_columns(discs), boundary={
+        key: n for key, n in collection.boundary.items() if set(key) <= wt})
     try:
-        return t_count_per_disc(pts, ft, sub)
+        return t_count_per_disc(point_columns(pts, inst.group), ft, sub)
     except UnpairedPoints as exc:
         raise MissingWhitneyData(
             f"the declared collection does not pair the double points of F^t: {exc}") from exc
@@ -1132,17 +1181,18 @@ def linear_pencil_det_lagrange(pairs) -> list[int]:
     return [int(c) for c in coeffs]
 
 
-def to_convenient_quadratic(points, collection: WhitneyCollection) -> WhitneyCollection:
+def to_convenient_quadratic(points: DoublePoints, collection: WhitneyCollection) -> WhitneyCollection:
     """``whitney.to_convenient`` by a scan of all later discs for every disc, O(D^2).
 
     Each disc's bump is its framing, boundary self-intersections and the
     boundary counts against every later disc, mod 2; a bumped disc gains one
     interior point on the lesser component of its first double point.
     """
-    by_id = {p.id: p for p in points}
-    order = [d.id for d in collection.discs]
+    by_id = {p.id: p for p in point_records(points)}
+    discs = disc_records(collection.discs)
+    order = [d.id for d in discs]
     new_discs = []
-    for idx, d in enumerate(collection.discs):
+    for idx, d in enumerate(discs):
         bump = d.euler + d.mu_boundary
         for later in order[idx + 1:]:
             bump += collection.boundary.get(frozenset((d.id, later)), 0)
@@ -1151,7 +1201,7 @@ def to_convenient_quadratic(points, collection: WhitneyCollection) -> WhitneyCol
             comp = min(by_id[d.pair[0]].components)
             interior[comp] = interior.get(comp, 0) + 1
         new_discs.append(replace(d, interior=interior, mu_boundary=0, euler=0))
-    return WhitneyCollection(tuple(new_discs), {}, convenient=True)
+    return disc_collection(new_discs)
 
 
 class InvalidEulerParity(EngineError):
@@ -1395,7 +1445,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
                     "mu_boundary": d.mu_boundary,
                     "euler": d.euler,
                 }
-                for d in inst.collection.discs
+                for d in disc_records(inst.collection.discs)
             ],
             "boundary_intersections": [
                 [min(key), max(key), count]
@@ -1417,7 +1467,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
         "double_points": [
             {"id": p.id, "components": list(p.components), "sign": p.sign,
              "eta": p.eta}
-            for p in inst.points
+            for p in point_records(inst.points)
         ],
         "whitney_collection": wc,
         "catalogs": {
@@ -1463,7 +1513,7 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
         )
     cid = min(eligible)
     identity = inst.group.identity
-    next_pid = max((p.id for p in inst.points), default=-1) + 1
+    next_pid = max(inst.points.ids, default=-1) + 1
     new_points = [
         DoublePoint(next_pid + k, (cid, cid), 1, identity) for k in range(4)
     ]
@@ -1471,14 +1521,14 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
     if collection is None:
         if inst.points:
             raise MissingWhitneyData("cannot rebuild t without a Whitney collection")
-        collection = WhitneyCollection((), {}, convenient=True)
-    next_did = max((d.id for d in collection.discs), default=-1) + 1
+        collection = disc_collection(())
+    next_did = max(collection.discs.ids, default=-1) + 1
     w_a = WhitneyDisc(next_did, (new_points[0].id, new_points[1].id), {})
     w_b = WhitneyDisc(next_did + 1, (new_points[2].id, new_points[3].id), {})
     boundary = {**collection.boundary, frozenset((w_a.id, w_b.id)): 1}
-    new_collection = WhitneyCollection(tuple(collection.discs) + (w_a, w_b), boundary,
-                                       convenient=False)
-    all_points = list(inst.points) + new_points
+    new_collection = disc_collection(disc_records(collection.discs) + [w_a, w_b], boundary,
+                                     convenient=False)
+    all_points = point_columns(point_records(inst.points) + new_points, inst.group)
 
     ctx = PairingContext(inst.group, inst.wM, subgroup[cid], subgroup[cid], self_pairing=True)
     gamma = build_gamma(ctx)
@@ -1487,28 +1537,28 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
     if before != after:
         raise InternalConsistency("cusp quadruple changed mu")
 
-    return replace(inst, points=tuple(all_points), collection=new_collection)
+    return replace(inst, points=all_points, collection=new_collection)
 
 
 class NothingToTransfer(WhitneyError):
     pass
 
 
-def transfer_move(points, collection: WhitneyCollection, w1_id: int, w2_id: int,
-                  identity) -> tuple[list[DoublePoint], WhitneyCollection]:
+def transfer_move(points: DoublePoints, collection: WhitneyCollection, w1_id: int, w2_id: int,
+                  identity) -> tuple[DoublePoints, WhitneyCollection]:
     """Move one interior intersection from each of two discs onto fresh discs.
 
     A finger move creates six new double points paired by three embedded
     discs V, U1, U2; V picks up the two transferred intersections and each
     U_i meets the surface twice, so the total t-count is unchanged.
     """
-    discs = {d.id: d for d in collection.discs}
+    discs = {d.id: d for d in disc_records(collection.discs)}
     if w1_id not in discs or w2_id not in discs:
         raise WhitneyError("unknown disc id")
     w1, w2 = discs[w1_id], discs[w2_id]
     if sum(w1.interior.values()) < 1 or sum(w2.interior.values()) < 1:
         raise NothingToTransfer("both discs need an interior intersection")
-    by_id = {p.id: p for p in points}
+    by_id = {p.id: p for p in point_records(points)}
 
     def decrement(d: WhitneyDisc) -> tuple[WhitneyDisc, int]:
         comp = min(c for c, v in sorted(d.interior.items()) if v > 0)
@@ -1521,7 +1571,7 @@ def transfer_move(points, collection: WhitneyCollection, w1_id: int, w2_id: int,
     comp_a = by_id[w1.pair[0]].components[0]
     comp_c = by_id[w2.pair[0]].components[0]
 
-    next_pid = max((p.id for p in points), default=-1) + 1
+    next_pid = max(points.ids, default=-1) + 1
     next_did = max(discs) + 1
 
     def fresh_pair(pair_comps):
@@ -1534,14 +1584,13 @@ def transfer_move(points, collection: WhitneyCollection, w1_id: int, w2_id: int,
     v1, v2 = fresh_pair((comp_a, comp_c))
     u11, u12 = fresh_pair((comp_e, comp_a))
     u21, u22 = fresh_pair((comp_f, comp_c))
-    new_points = list(points) + [v1, v2, u11, u12, u21, u22]
+    new_points = point_columns(point_records(points) + [v1, v2, u11, u12, u21, u22], points.group)
     v_disc = WhitneyDisc(next_did, (v1.id, v2.id), {comp_e: 1, comp_f: 1} if comp_e != comp_f else {comp_e: 2})
     u1_disc = WhitneyDisc(next_did + 1, (u11.id, u12.id), {comp_a: 2})
     u2_disc = WhitneyDisc(next_did + 2, (u21.id, u22.id), {comp_c: 2})
-    new_list = [new_w1 if d.id == w1_id else new_w2 if d.id == w2_id else d for d in collection.discs]
+    new_list = [new_w1 if d.id == w1_id else new_w2 if d.id == w2_id else d for d in discs.values()]
     new_list += [v_disc, u1_disc, u2_disc]
-    return new_points, WhitneyCollection(tuple(new_list), dict(collection.boundary),
-                                         convenient=collection.convenient)
+    return new_points, disc_collection(new_list, dict(collection.boundary), collection.convenient)
 
 
 def total_boundary(record: BandRecord, surface: SurfaceModel) -> int:
@@ -1578,7 +1627,7 @@ def union_records(r1: BandRecord, r2: BandRecord, surface: SurfaceModel,
     )
 
 
-def band_fibre_finger_move(points, collection: WhitneyCollection, record: BandRecord,
+def band_fibre_finger_move(points: DoublePoints, collection: WhitneyCollection, record: BandRecord,
                            surface: SurfaceModel, components, identity):
     """Finger move along a band fibre: two new double points, one new disc.
 
@@ -1595,11 +1644,11 @@ def band_fibre_finger_move(points, collection: WhitneyCollection, record: BandRe
         pair_comps = (first, first)
     before = t_count(points, components, collection)
 
-    next_pid = max((p.id for p in points), default=-1) + 1
-    next_did = max((d.id for d in collection.discs), default=-1) + 1
+    next_pid = max(points.ids, default=-1) + 1
+    next_did = max(collection.discs.ids, default=-1) + 1
     p = DoublePoint(next_pid, pair_comps, 1, identity)
     q = DoublePoint(next_pid + 1, pair_comps, -1, identity)
-    new_points = list(points) + [p, q]
+    new_points = point_columns(point_records(points) + [p, q], points.group)
     interior = {pair_comps[0]: record.interior} if record.interior else {}
     new_disc = WhitneyDisc(next_did, (p.id, q.id), interior,
                            mu_boundary=record.mu_boundary, euler=record.euler)
@@ -1609,8 +1658,8 @@ def band_fibre_finger_move(points, collection: WhitneyCollection, record: BandRe
             raise BandError(
                 f"band {record.id!r} declares an arc intersection but there are no Whitney arcs"
             )
-        boundary[frozenset((new_disc.id, collection.discs[0].id))] = record.arc_count
-    weak = WhitneyCollection(tuple(collection.discs) + (new_disc,), boundary, convenient=False)
+        boundary[frozenset((new_disc.id, collection.discs.ids[0]))] = record.arc_count
+    weak = disc_collection(disc_records(collection.discs) + [new_disc], boundary, convenient=False)
     out = to_convenient(new_points, weak)
     after = t_count(new_points, components, out)
     delta = (after - before) % 2

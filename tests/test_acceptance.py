@@ -21,17 +21,22 @@ from surfemb4.engine import flowchart
 from surfemb4.gamma import PairingContext, build_gamma, smith_oracle
 from surfemb4.groups import subgroup_closure
 from surfemb4.knots import SeifertMatrix, arf, cp2_genus_verdict, levine_tristram, shake_genus_pm1, sigma_d
-from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count, to_convenient
+from surfemb4.whitney import t_count, to_convenient
 
 from helpers import (
+    DoublePoint,
+    WhitneyDisc,
     abelian_euler_bound_check,
     all_characters,
     all_groups_up_to_8,
     band_fibre_finger_move,
+    cyclic_group,
+    disc_collection,
     is_r_characteristic,
     is_s_characteristic,
     mu1_home,
     orbit_counts,
+    point_columns,
     random_seifert_rows,
     random_signed_subgroup,
     rp2_euler_parity,
@@ -178,6 +183,7 @@ def _random_admissible_record(surface, rng, rid, basis_size, basis_slot):
 
 def test_criterion_08_theta_machinery():
     rng = random.Random(808)
+    C1 = cyclic_group(1)  # the points' etas are its identity, 0
     # (a) quadraticity of theta on formal unions
     done = 0
     while done < 1000:
@@ -202,7 +208,7 @@ def test_criterion_08_theta_machinery():
             points += [DoublePoint(2 * d, (cid, cid), 1, 0),
                        DoublePoint(2 * d + 1, (cid, cid), -1, 0)]
             specs.append(WhitneyDisc(d, (2 * d, 2 * d + 1), {cid: rng.randrange(3)}))
-        coll = WhitneyCollection(tuple(specs), {}, convenient=True)
+        points, coll = point_columns(points, C1), disc_collection(specs)
         record = _random_admissible_record(surface, rng, "b", 1, 0)
         try:
             expected = theta(record)
@@ -226,7 +232,7 @@ def test_criterion_08_theta_machinery():
             for b in range(a + 1, n_discs):
                 if rng.random() < 0.4:
                     boundary[frozenset((a, b))] = rng.randrange(1, 3)
-        weak = WhitneyCollection(tuple(discs), boundary, convenient=False)
+        points, weak = point_columns(points, C1), disc_collection(discs, boundary, convenient=False)
         expected = t_count(points, [0], weak)
         assert t_count(points, [0], to_convenient(points, weak)) == expected
     print("ACCEPTANCE 8 PASS: theta quadraticity, finger-move delta, and "

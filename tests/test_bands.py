@@ -22,10 +22,11 @@ from surfemb4.bands import (
     _boundary_form_witness,
 )
 from surfemb4.engine import flowchart
-from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc, t_count
+from surfemb4.whitney import t_count
 
-from helpers import (band_fibre_finger_move, boundary_form_witness_pairs, components_of,
-                     is_r_characteristic, is_s_characteristic, mask, paper_basis, paper_form, replace,
+from helpers import (DoublePoint, WhitneyDisc, band_fibre_finger_move, boundary_form_witness_pairs,
+                     components_of, cyclic_group, disc_collection, is_r_characteristic,
+                     is_s_characteristic, mask, paper_basis, paper_form, point_columns, replace,
                      theta_value, theta_violations, total_boundary, union_records)
 from test_engine import simple_instance
 
@@ -331,9 +332,9 @@ def test_s_and_r_characteristic():
 
 def _torus_fixture():
     surface = torus_surface()
-    points = [DoublePoint(0, (0, 0), 1, 0), DoublePoint(1, (0, 0), -1, 0)]
-    disc = WhitneyDisc(0, (0, 1), {0: 1})
-    coll = WhitneyCollection((disc,), {}, convenient=True)
+    points = point_columns([DoublePoint(0, (0, 0), 1, 0), DoublePoint(1, (0, 0), -1, 0)],
+                           cyclic_group(1))
+    coll = disc_collection([WhitneyDisc(0, (0, 1), {0: 1})])
     return surface, points, coll
 
 

@@ -1,14 +1,14 @@
-"""Every sign and eta of a ``ProblemInstance`` is checked, whatever form its points arrive in.
+"""Every sign and eta of a ``ProblemInstance`` is checked, and only once.
 
 ``groups.check_signed`` is the one check of (sign, element) columns.
-``subgroup_closure`` and ``whitney.DoublePoints`` built with a group run it,
-each raising its own error for a bad sign and ``GroupError`` for a bad
-element; the tests' ``reduce_pairs`` builds the columns for ``reduce_list``
-that way.  ``DoublePoints.of`` is the one gate for trusted columns:
-``ProblemInstance`` and ``reduce_list`` both take points through it, so
-columns checked against their own group are kept and every other form,
-records, bare columns or columns checked against another group object, goes
-through that same check, and none of them is a way round it.
+``subgroup_closure`` and ``whitney.DoublePoints``, which always takes a
+group, run it, each raising its own error for a bad sign and ``GroupError``
+for a bad element; ``helpers.point_columns`` and ``helpers.reduce_pairs``
+build the columns that way.  ``DoublePoints`` columns are the one form of
+points: ``ProblemInstance`` and ``reduce_list`` keep columns checked against
+their own group object as they are and reject every other input, columns
+checked against another group object included, with ``ValidationError`` and
+``GammaError``, so there is no way round the check.
 """
 
 import json
@@ -17,12 +17,13 @@ from importlib import resources
 
 import pytest
 
-from helpers import cyclic_group, random_points_doc, reduce_pairs, trivial_character
+from helpers import (cyclic_group, point_columns, point_records, random_points_doc, reduce_pairs,
+                     trivial_character)
 from surfemb4 import schema, whitney
-from surfemb4.engine import EngineError, ProblemInstance, flowchart, homotopy_analysis
+from surfemb4.engine import EngineError, ProblemInstance, ValidationError, flowchart, homotopy_analysis
 from surfemb4.gamma import GammaError, PairingContext, build_gamma, reduce_list
 from surfemb4.groups import Character, GroupError, abelian_group, check_signed, subgroup_closure
-from surfemb4.whitney import DoublePoint, DoublePoints
+from surfemb4.whitney import DoublePoints
 
 INSTANCES = resources.files("surfemb4").joinpath("data", "instances")
 SHIPPED = sorted(p.name[:-5] for p in INSTANCES.iterdir() if p.name.endswith(".json"))
@@ -37,12 +38,6 @@ def _rebuilt(inst: ProblemInstance, points) -> ProblemInstance:
     return ProblemInstance(**dict(inst._asdict(), points=points))
 
 
-def _forms(inst: ProblemInstance, points: list):
-    """``points`` as ``DoublePoint`` records and as bare columns, built with no group."""
-    records = tuple(DoublePoint(*p) for p in points)
-    return {"records": records, "columns": DoublePoints.of(records)}
-
-
 # (instance, point, sign or None to keep it, eta or None to keep it, error class, message)
 BAD = [
     ("torus_s3s1", 0, 7, (12345,), GammaError, "sign must be +1 or -1, got 7"),
@@ -52,15 +47,15 @@ BAD = [
 ]
 
 
-@pytest.mark.parametrize("form", ["records", "columns"])
 @pytest.mark.parametrize("name, k, sign, eta, error, message", BAD)
-def test_instance_rejects_a_bad_sign_or_eta_in_every_form(form, name, k, sign, eta, error, message):
+def test_instance_rejects_a_bad_sign_or_eta_in_every_form(name, k, sign, eta, error, message):
+    """On the one form of points, columns built against the instance's group."""
     inst = schema.instance_from_dict(_doc(name))
-    points = [list(p) for p in inst.points]
+    points = [list(p) for p in point_records(inst.points)]
     points[k][2] = points[k][2] if sign is None else sign
     points[k][3] = points[k][3] if eta is None else eta
     with pytest.raises(error) as exc:
-        _rebuilt(inst, _forms(inst, points)[form])
+        _rebuilt(inst, point_columns(points, inst.group))
     assert type(exc.value) is error and str(exc.value) == message
 
 
@@ -75,20 +70,27 @@ def test_a_non_canonical_abelian_eta_is_stored_canonical():
     raw = {dp["id"]: dp["eta"] for dp in doc["double_points"]}
     canonical = {pid: tuple(x % f if f else x for x, f in zip(raw[pid], factors)) for pid in raw}
     assert canonical != {pid: tuple(eta) for pid, eta in raw.items()}
-    bare = DoublePoints(inst.points.ids, inst.points.pairs, inst.points.signs,
-                        [tuple(raw[pid]) for pid in inst.points.ids])
-    for points in (inst.points, bare, tuple(bare)):
+    unreduced = DoublePoints(inst.points.ids, inst.points.pairs, inst.points.signs,
+                             [tuple(raw[pid]) for pid in inst.points.ids], inst.group)
+    for points in (inst.points, unreduced):
         stored = _rebuilt(inst, points).points
         assert stored.group is inst.group
         assert dict(zip(stored.ids, stored.etas)) == canonical
 
 
 def test_checked_columns_are_kept_and_others_checked_against_the_instance_group():
+    """Columns checked against the instance's group object are kept as they are; the group
+    of any others is checked, and they are rejected."""
     inst = schema.instance_from_dict(_doc("torus_s3s1"))
     assert inst.points.group is inst.group
     assert _rebuilt(inst, inst.points).points is inst.points
-    other = DoublePoints.of(inst.points, type(inst.group)(inst.group.factors))  # equal, not the same
-    assert _rebuilt(inst, other).points.group is inst.group
+    p = inst.points
+    other = DoublePoints(p.ids, p.pairs, p.signs, p.etas, type(inst.group)(inst.group.factors))
+    for points in (other, point_records(p)):  # an equal group, not the same; rows, not columns
+        with pytest.raises(ValidationError) as exc:
+            _rebuilt(inst, points)
+        assert type(exc.value) is ValidationError
+        assert str(exc.value) == "double points not over the instance's group"
 
 
 def _outcome(decide, inst):
@@ -100,6 +102,8 @@ def _outcome(decide, inst):
 
 @pytest.mark.parametrize("source", SHIPPED + ["generated finite", "generated abelian"])
 def test_records_and_columns_give_byte_identical_verdicts(source):
+    """The declared point records, unreduced, built into columns by ``helpers.point_columns``,
+    decide as the reader's columns do."""
     if source.startswith("generated"):
         doc = random_points_doc(random.Random(source), source == "generated finite", pairs=40)
     else:
@@ -108,14 +112,12 @@ def test_records_and_columns_give_byte_identical_verdicts(source):
     raw = [(dp["id"], tuple(dp["components"]), dp["sign"],
             tuple(dp["eta"]) if type(dp["eta"]) is list else dp["eta"])
            for dp in doc["double_points"]]  # as declared, unreduced
-    forms = _forms(inst, raw)
+    rebuilt = _rebuilt(inst, point_columns(raw, inst.group))
     for decide in (flowchart, homotopy_analysis):
-        expected = _outcome(decide, inst)
-        for points in forms.values():
-            assert _outcome(decide, _rebuilt(inst, points)) == expected
+        assert _outcome(decide, rebuilt) == _outcome(decide, inst)
 
 
-def _columns(signs, etas, group=None) -> DoublePoints:
+def _columns(signs, etas, group) -> DoublePoints:
     return DoublePoints(range(len(signs)), [(0, 0)] * len(signs), signs, etas, group)
 
 
@@ -128,13 +130,11 @@ def _entries(group):
         "subgroup_closure": lambda signs, elems: subgroup_closure(group, list(zip(elems, signs))),
         "reduce_list": lambda signs, elems: reduce_pairs(list(zip(signs, elems)), gamma),
         "DoublePoints": lambda signs, elems: _columns(signs, elems, group),
-        "reduce_list of bare columns": lambda signs, elems: reduce_list(_columns(signs, elems), gamma),
     }
 
 
 SIGN_ERROR = {"check_signed": GroupError, "subgroup_closure": GroupError,
-              "reduce_list": GammaError, "DoublePoints": GammaError,
-              "reduce_list of bare columns": GammaError}
+              "reduce_list": GammaError, "DoublePoints": GammaError}
 
 
 @pytest.mark.parametrize("entry", SIGN_ERROR)
@@ -152,25 +152,26 @@ def test_every_entry_keeps_its_error_class_and_message(entry, bad_sign):
         call([1, bad_sign], [0, 9])
 
 
-def test_reduce_list_checks_columns_unless_checked_against_its_own_group(monkeypatch):
-    """``DoublePoints.of`` decides: columns checked against the ambient group object are
-    reduced as they are, bare ones and ones checked against another group are checked."""
+def test_reduce_list_takes_only_columns_checked_against_its_own_group(monkeypatch):
+    """Columns checked against the ambient group object are reduced as they are, with no
+    check run again; columns checked against another group object, and rows, are rejected."""
     group, signs, elems = cyclic_group(4), [1, 1, -1, 1], [1, 3, 1, 2]
     trivial = subgroup_closure(group, [])
     gamma = build_gamma(PairingContext(group, trivial_character(group), trivial, trivial))
     expected = reduce_pairs(list(zip(signs, elems)), gamma)
+    columns = _columns(signs, elems, group)
     checks = []
     monkeypatch.setattr(whitney, "check_signed",
                         lambda *args: checks.append(args[0]) or check_signed(*args))
-    cases = [(_columns(signs, elems, group), []), (_columns(signs, elems), [group]),
-             (_columns(signs, elems, cyclic_group(4)), [group])]  # an equal group, not the same
-    for columns, checked in cases:
-        checks.clear()
-        assert reduce_list(columns, gamma) == expected
-        assert checks == checked
-    with pytest.raises(GroupError) as exc:  # checked against C_8, where 6 is an element
-        reduce_list(_columns([1, -1], [1, 6], cyclic_group(8)), gamma)
-    assert type(exc.value) is GroupError and str(exc.value) == "invalid element 6 for group of order 4"
+    assert reduce_list(columns, gamma) == expected and checks == []
+    others = [_columns(signs, elems, cyclic_group(4)),  # an equal group, not the same
+              _columns([1, -1], [1, 6], cyclic_group(8)),  # 6 is an element of C_8 only
+              point_records(columns)]
+    for points in others:
+        with pytest.raises(GammaError) as exc:
+            reduce_list(points, gamma)
+        assert type(exc.value) is GammaError
+        assert str(exc.value) == "double points not over the ambient group"
 
 
 def test_reduce_list_of_non_canonical_abelian_columns_equals_the_canonical_reduction():
@@ -187,6 +188,5 @@ def test_reduce_list_of_non_canonical_abelian_columns_equals_the_canonical_reduc
         gamma = build_gamma(PairingContext(group, wM, s_f, s_g, self_pairing=self_pairing))
         expected = reduce_list(_columns(signs, canonical, group), gamma)
         assert not expected.is_zero()
-        assert reduce_list(_columns(signs, raw), gamma) == expected
-        assert reduce_list(_columns(signs, raw, abelian_group([0, 3, 4])), gamma) == expected
+        assert reduce_list(_columns(signs, raw, group), gamma) == expected
         assert reduce_pairs(list(zip(signs, raw)), gamma) == expected

@@ -5,7 +5,8 @@ columns and checks, buckets and counts them in C-level passes.  These
 guards count what a per-point or per-disc loop would show, on one generated
 abelian instance at 1x, 2x and 4x its discs, in both modes:
 
-- no ``WhitneyDisc`` record is built;
+- ``whitney`` defines no per-point or per-disc record type to build: its one
+  tuple type is ``WhitneyCollection``;
 - the shape walk never calls ``_Object.check``, and its ``_Object.fits_all``
   calls, one per object shape whatever the number of objects, do not grow;
 - the package's Python lines run do not grow by as much as one per disc.
@@ -78,10 +79,11 @@ def _instance(tmp_path, pairs: int) -> Path:
 
 @pytest.mark.parametrize("mode", ["regular", "homotopy"])
 def test_decide_work_does_not_grow_per_point_or_disc(mode, tmp_path, monkeypatch, capsys):
-    counts = {"records": 0, "object checks": 0, "object fits": 0}
+    records = [name for name, obj in vars(whitney).items() if isinstance(obj, type)
+               and obj.__module__ == whitney.__name__ and issubclass(obj, tuple)]
+    assert records == ["WhitneyCollection"]
+    counts = {"object checks": 0, "object fits": 0}
     counted = _counter(counts)
-    monkeypatch.setattr(whitney.WhitneyDisc, "__new__",
-                        counted("records", whitney.WhitneyDisc.__new__))
     monkeypatch.setattr(schema._Object, "check", counted("object checks", schema._Object.check))
     monkeypatch.setattr(schema._Object, "fits_all", counted("object fits", schema._Object.fits_all))
     seen = []
@@ -95,7 +97,7 @@ def test_decide_work_does_not_grow_per_point_or_disc(mode, tmp_path, monkeypatch
         assert "outcome" in json.loads(capsys.readouterr().out)
         seen.append((pairs, lines.count, dict(counts)))
     (_, lines1, counts1), *rest = seen
-    assert counts1["records"] == 0 and counts1["object checks"] == 0, seen
+    assert counts1["object checks"] == 0, seen
     for pairs, lines, counts_k in rest:
         assert counts_k == counts1, seen
         assert lines - lines1 < 100, seen  # 100 more discs (and 200 points) at least

@@ -6,8 +6,8 @@ are passes over its columns.  On generated instances, valid or with bad
 discs planted, the error lists, the disc records, t, the converted
 collections and the verdicts must equal those of the per-disc code they
 replaced (``helpers.instance_from_dict_per_point``, which builds one
-``WhitneyDisc`` per disc and checks them one at a time, and the
-``*_per_disc`` oracles).
+``helpers.WhitneyDisc`` record per disc and checks them one at a time, and
+the ``*_per_disc`` oracles).
 """
 
 import copy
@@ -17,6 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    WhitneyDisc,
+    disc_columns,
+    disc_records,
     instance_from_dict_per_point,
     random_points_doc,
     t_count_per_disc,
@@ -25,7 +28,7 @@ from helpers import (
 )
 from surfemb4 import schema
 from surfemb4.engine import EngineError, _t_for_ft, flowchart, homotopy_analysis, restrict_Ft
-from surfemb4.whitney import WhitneyDisc, WhitneyError, t_count, to_convenient
+from surfemb4.whitney import WhitneyError, t_count, to_convenient
 
 
 def _plant(rng: random.Random, doc, kind: str) -> None:
@@ -102,11 +105,11 @@ def test_counts_conversions_and_verdicts_equal_the_per_disc_code(seed, finite, c
     inst = schema.instance_from_dict(copy.deepcopy(doc))
     ref = instance_from_dict_per_point(doc)
     records = _records(doc)
-    assert list(inst.collection.discs) == records
-    assert all(type(d) is WhitneyDisc and type(d.pair) is tuple for d in inst.collection.discs)
-    assert [inst.collection.discs[k] for k in range(len(records))] == records
+    assert inst.collection.discs == disc_columns(records)
+    assert disc_records(inst.collection.discs) == records
+    assert all(type(pair) is tuple for pair in inst.collection.discs.pairs)
     assert len(inst.collection.discs) == len(records)
-    points = list(ref.points)
+    points = ref.points
     assert to_convenient(inst.points, inst.collection) == to_convenient_per_disc(points, ref.collection)
     for comps in (range(components), restrict_Ft(inst), [0]):
         assert _outcome(t_count, inst.points, comps, inst.collection) == \

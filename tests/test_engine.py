@@ -27,19 +27,24 @@ from surfemb4.engine import (
     restrict_Ft,
 )
 from surfemb4.groups import Character, subgroup_closure
-from surfemb4.whitney import DoublePoint, WhitneyCollection, WhitneyDisc
+from surfemb4.whitney import WhitneyCollection
 
 from helpers import (
+    DoublePoint,
     InvalidEulerParity,
     NotDivisibleBy8,
     PreconditionW1Ker,
+    WhitneyDisc,
     abelian_euler_bound_check,
     band_fibre_finger_move,
     boundary_form_witness_pairs,
     cusp_trick,
     cyclic_group,
+    disc_collection,
     euler_characteristic,
     paper_basis,
+    point_columns,
+    point_records,
     random_points_doc,
     replace,
     rp2_euler_parity,
@@ -61,17 +66,16 @@ def simple_instance(*, genus=0, orientable=True, subgroup_gens=(), has_dual=True
     group = cyclic_group(1)
     surface = SurfaceModel([SurfaceComponent(0, genus, orientable)])
     rel = rel if rel is not None else RelH2((), {})
-    collection = WhitneyCollection(
-        tuple(WhitneyDisc(i, pair, dict(interior)) for i, (pair, interior) in enumerate(discs)),
+    collection = disc_collection(
+        [WhitneyDisc(i, pair, dict(interior)) for i, (pair, interior) in enumerate(discs)],
         {frozenset((a, b)): c for a, b, c in boundary},
-        convenient=True,
     )
     return ProblemInstance(
         group=group,
         wM=trivial_character(group),
         components=(ComponentData(0, subgroup_closure(group, subgroup_gens),
                                   has_dual, framed),),
-        points=tuple(DoublePoint(i, (0, 0), s, 0) for i, s in enumerate(points)),
+        points=point_columns([DoublePoint(i, (0, 0), s, 0) for i, s in enumerate(points)], group),
         collection=collection,
         band_catalog=BandCatalog(surface, rel, tuple(bands)),
         good_group=good,
@@ -109,7 +113,8 @@ def test_compute_km_errors():
     inst = load_example("torus_s3s1")
     with pytest.raises(NoDualSpheres):
         compute_km(replace(inst, components=(replace(inst.components[0], has_alg_dual=False),)))
-    bad_points = tuple(inst.points) + (DoublePoint(7, (0, 0), 1, (0,)),)
+    bad_points = point_columns(point_records(inst.points) + [DoublePoint(7, (0, 0), 1, (0,))],
+                               inst.group)
     with pytest.raises(PrimaryObstructionNonzero):
         compute_km(replace(inst, points=bad_points))
     with pytest.raises(MissingWhitneyData):
@@ -122,12 +127,11 @@ def test_disc_pairing_across_ft_boundary_is_missing_data():
     group = cyclic_group(1)
     surface = SurfaceModel([SurfaceComponent(0, 1, True), SurfaceComponent(1, 0, True)])
     trivial = subgroup_closure(group, [])
-    points = (
+    points = point_columns([
         DoublePoint(0, (0, 0), 1, 0), DoublePoint(1, (0, 0), -1, 0),
         DoublePoint(2, (0, 1), 1, 0), DoublePoint(3, (0, 1), -1, 0),
-    )
-    collection = WhitneyCollection(
-        (WhitneyDisc(0, (0, 2), {}), WhitneyDisc(1, (1, 3), {})), {}, convenient=True)
+    ], group)
+    collection = disc_collection([WhitneyDisc(0, (0, 2), {}), WhitneyDisc(1, (1, 3), {})])
     inst = ProblemInstance(
         group=group, wM=trivial_character(group),
         components=(ComponentData(0, trivial, True, False),
@@ -199,14 +203,12 @@ def _klein_instance(*, has_dual, euler_bit=0, good=True, points=(), discs=()):
     surface = SurfaceModel([SurfaceComponent(0, 2, False)])
     rel = RelH2(("b11",), {"b11": (1, 1)})
     band = BandRecord("b11", "mobius", (1,), ((1, 1),), (0,), 0, 0, 0, 0, euler_bit)
-    collection = WhitneyCollection(
-        tuple(WhitneyDisc(i, pair, dict(interior)) for i, (pair, interior) in enumerate(discs)),
-        {}, convenient=True,
-    )
+    collection = disc_collection(
+        [WhitneyDisc(i, pair, dict(interior)) for i, (pair, interior) in enumerate(discs)])
     return ProblemInstance(
         group=group, wM=trivial_character(group),
         components=(ComponentData(0, subgroup_closure(group, [(0, -1)]), has_dual, False),),
-        points=tuple(DoublePoint(i, (0, 0), s, 0) for i, s in enumerate(points)),
+        points=point_columns([DoublePoint(i, (0, 0), s, 0) for i, s in enumerate(points)], group),
         collection=collection,
         band_catalog=BandCatalog(surface, rel, (band,)),
         good_group=good, torus_summands=frozenset(),
@@ -338,8 +340,8 @@ def test_transfer_move_keeps_flowchart_outcome():
                            discs=(((0, 1), {0: 1}), ((2, 3), {0: 1})),
                            torus=(0,))
     base = flowchart(inst).outcome
-    new_points, new_coll = transfer_move(list(inst.points), inst.collection, 0, 1, identity=0)
-    moved = replace(inst, points=tuple(new_points), collection=new_coll)
+    new_points, new_coll = transfer_move(inst.points, inst.collection, 0, 1, identity=0)
+    moved = replace(inst, points=new_points, collection=new_coll)
     assert flowchart(moved).outcome == base
 
 
@@ -352,8 +354,8 @@ def test_flowchart_two_torsion_primary_check():
     inst = ProblemInstance(
         group=group, wM=trivial_character(group),
         components=(ComponentData(0, sub, False, False),),
-        points=(DoublePoint(0, (0, 0), 1, 1), DoublePoint(1, (0, 0), 1, 1)),
-        collection=WhitneyCollection((WhitneyDisc(0, (0, 1), {0: 0}),), {}, True),
+        points=point_columns([DoublePoint(0, (0, 0), 1, 1), DoublePoint(1, (0, 0), 1, 1)], group),
+        collection=disc_collection([WhitneyDisc(0, (0, 1), {0: 0})]),
         band_catalog=BandCatalog(surface, RelH2((), {}), ()),
         good_group=True, torus_summands=frozenset(),
     )
@@ -420,8 +422,8 @@ def test_flowchart_totality_fuzz():
         inst = ProblemInstance(
             group=group, wM=trivial_character(group),
             components=(ComponentData(0, sub, rng.random() < 0.7, rng.random() < 0.3),),
-            points=tuple(points),
-            collection=WhitneyCollection(tuple(discs), {}, True),
+            points=point_columns(points, group),
+            collection=disc_collection(discs),
             band_catalog=BandCatalog(surface, rel, records),
             good_group=rng.random() < 0.8,
             torus_summands=frozenset([0] if rng.random() < 0.2 else []),
@@ -437,11 +439,11 @@ def test_flowchart_totality_fuzz():
         seen.add(verdict.outcome)
 
         # regular-homotopy moves never change the verdict
-        eligible = [d for d in inst.collection.discs if sum(d.interior.values()) >= 1]
+        eligible = [d.id for d in discs if sum(d.interior.values()) >= 1]
         if balanced and len(eligible) >= 2:
-            pts2, coll2 = transfer_move(list(inst.points), inst.collection,
-                                        eligible[0].id, eligible[1].id, identity=0)
-            moved = replace(inst, points=tuple(pts2), collection=coll2)
+            pts2, coll2 = transfer_move(inst.points, inst.collection, eligible[0], eligible[1],
+                                        identity=0)
+            moved = replace(inst, points=pts2, collection=coll2)
             assert flowchart(moved).outcome == verdict.outcome
     assert seen == outcomes  # the fuzz actually explores all branches
 
@@ -449,8 +451,7 @@ def test_flowchart_totality_fuzz():
 def test_flowchart_normalizes_weak_collections():
     # the framing term of a declared weak collection counts in t
     inst = simple_instance(genus=1, points=(1, -1))
-    weak = WhitneyCollection(
-        (WhitneyDisc(0, (0, 1), {}, mu_boundary=0, euler=1),), {}, convenient=False)
+    weak = disc_collection([WhitneyDisc(0, (0, 1), {}, mu_boundary=0, euler=1)], convenient=False)
     inst = replace(inst, collection=weak)
     assert engine._t_for_ft(inst, [0]) == 1
     verdict = flowchart(inst)
@@ -506,9 +507,9 @@ def test_theta_zero_band_move_keeps_flowchart_outcome():
     inst = load_example("torus_s3s1")
     band = inst.band_catalog.records[0]
     new_points, new_coll, delta = band_fibre_finger_move(
-        list(inst.points), inst.collection, band, inst.band_catalog.surface, [0], identity=(0,))
+        inst.points, inst.collection, band, inst.band_catalog.surface, [0], identity=(0,))
     assert delta == 0
-    moved = replace(inst, points=tuple(new_points), collection=new_coll)
+    moved = replace(inst, points=new_points, collection=new_coll)
     assert flowchart(moved).outcome == flowchart(inst).outcome
 
 
@@ -609,9 +610,9 @@ def _two_component_instance(*, case2):
         ComponentData(0, subgroup_closure(group, [(0, -1)] if case2 else []), True, False),
         ComponentData(1, subgroup_closure(group, []), True, False),
     )
-    points = tuple(DoublePoint(i, comps, sign, 0) for i, (comps, sign) in enumerate(
-        [((0, 0), 1), ((0, 0), -1), ((0, 1), 1), ((0, 1), -1)]))
-    collection = WhitneyCollection((WhitneyDisc(0, (0, 1), {}), WhitneyDisc(1, (2, 3), {})), {})
+    points = point_columns([DoublePoint(i, comps, sign, 0) for i, (comps, sign) in enumerate(
+        [((0, 0), 1), ((0, 0), -1), ((0, 1), 1), ((0, 1), -1)])], group)
+    collection = disc_collection([WhitneyDisc(0, (0, 1), {}), WhitneyDisc(1, (2, 3), {})])
     return ProblemInstance(
         group=group, wM=trivial_character(group), components=components,
         points=points, collection=collection,

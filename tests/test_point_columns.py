@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     instance_from_dict_per_point,
+    point_records,
     points_between_per_point,
     primary_obstructions_per_point,
     random_points_doc,
@@ -93,12 +94,13 @@ def test_columns_and_verdicts_equal_the_per_point_code(seed, finite, components)
     doc = random_points_doc(rng, finite, pairs=rng.randrange(0, 40), components=components)
     inst = schema.instance_from_dict(copy.deepcopy(doc))
     ref = instance_from_dict_per_point(doc)
-    assert list(inst.points) == list(ref.points)
+    assert point_records(inst.points) == point_records(ref.points)
     assert [c.subgroup.generators for c in inst.components] == \
         [c.subgroup.generators for c in ref.components]
     for i in range(components):
         for j in range(components):
-            assert list(points_between(inst.points, i, j)) == points_between_per_point(ref.points, i, j)
+            assert point_records(points_between(inst.points, i, j)) == \
+                points_between_per_point(ref.points, i, j)
     assert {k: v.coeffs for k, v in primary_obstructions(inst).items()} == \
         primary_obstructions_per_point(ref)
     assert _t_for_ft(inst, restrict_Ft(inst)) == t_for_ft_per_point(ref, restrict_Ft(ref))

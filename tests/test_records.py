@@ -8,7 +8,8 @@ rebuilds through the constructor, so the checks run.
 
 import pytest
 
-from helpers import EulerBoundResult, cyclic_group, replace, trivial_character
+from helpers import (DoublePoint, EulerBoundResult, WhitneyDisc, cyclic_group, disc_collection,
+                     point_columns, replace, trivial_character)
 from surfemb4.bands import (
     BandCatalog,
     BandError,
@@ -22,7 +23,7 @@ from surfemb4.engine import ComponentData, ProblemInstance, ValidationError
 from surfemb4.gamma import Coefficient, GammaError, PairingContext
 from surfemb4.groups import Character, GroupError, abelian_group, make_finite_group, subgroup_closure
 from surfemb4.knots import CP2GenusVerdict, KnotError, SeifertMatrix
-from surfemb4.whitney import DoublePoint, NotConvenient, WhitneyCollection, WhitneyDisc, WhitneyError
+from surfemb4.whitney import NotConvenient, WhitneyError
 
 C2, C3 = cyclic_group(2), cyclic_group(3)
 S2, S3 = subgroup_closure(C2, []), subgroup_closure(C3, [])
@@ -38,15 +39,24 @@ def _disc(did, pair, interior=None, **kw):
     return WhitneyDisc(did, pair, interior or {}, **kw)
 
 
+def _collection(*discs, boundary=None, convenient=True):
+    return disc_collection(discs, boundary, convenient)
+
+
+def _points(*records, group=C2):
+    return point_columns(records, group)
+
+
 def _instance(**changes):
     fields = dict(
         group=C2, wM=trivial_character(C2), components=(ComponentData(0, S2, True, False),),
-        points=(), collection=None, band_catalog=BandCatalog(SURFACE, REL, ()), good_group=True,
-        torus_summands=frozenset())
+        points=_points(), collection=None, band_catalog=BandCatalog(SURFACE, REL, ()),
+        good_group=True, torus_summands=frozenset())
     return ProblemInstance(**dict(fields, **changes))
 
 
 POINTS = (DoublePoint(0, (0, 0), 1, 1), DoublePoint(1, (0, 0), -1, 1))
+POINTS_23 = (DoublePoint(2, (0, 0), 1, 1), DoublePoint(3, (0, 0), -1, 1))
 
 BAD_INPUT = {
     "surface-negative": (lambda: SurfaceComponent(0, -1, True), BandError,
@@ -70,39 +80,42 @@ BAD_INPUT = {
                           "duplicate band ids"),
     "catalog-class": (lambda: BandCatalog(SURFACE, REL, (BAD_CLASS,)),
                       BandError, "bad RelH2 vector (1, 1)"),
-    "collection-ids": (lambda: WhitneyCollection((_disc(0, (0, 1)), _disc(0, (2, 3))), {}),
+    "collection-ids": (lambda: _collection(_disc(0, (0, 1)), _disc(0, (2, 3))),
                        WhitneyError, "duplicate disc ids"),
-    "collection-self": (lambda: WhitneyCollection((_disc(0, (4, 4)),), {}),
+    "collection-self": (lambda: _collection(_disc(0, (4, 4))),
                         WhitneyError, "disc 0 pairs a point with itself"),
-    "collection-paired": (lambda: WhitneyCollection((_disc(0, (0, 1)), _disc(1, (1, 2))), {}),
+    "collection-paired": (lambda: _collection(_disc(0, (0, 1)), _disc(1, (1, 2))),
                           WhitneyError, "a double point is paired by more than one disc"),
-    "collection-negative": (lambda: WhitneyCollection((_disc(0, (0, 1), {0: -1}),), {}),
+    "collection-negative": (lambda: _collection(_disc(0, (0, 1), {0: -1})),
                             WhitneyError, "negative count on disc 0"),
-    "collection-pair": (lambda: WhitneyCollection((_disc(0, (0, 1)),), {frozenset((0, 9)): 1}, False),
+    "collection-pair": (lambda: _collection(_disc(0, (0, 1)), boundary={frozenset((0, 9)): 1},
+                                            convenient=False),
                         WhitneyError, "bad boundary pair {0, 9}"),
-    "collection-count": (lambda: WhitneyCollection((_disc(0, (0, 1)), _disc(1, (2, 3))),
-                                                   {frozenset((0, 1)): -1}, False),
+    "collection-count": (lambda: _collection(_disc(0, (0, 1)), _disc(1, (2, 3)),
+                                             boundary={frozenset((0, 1)): -1}, convenient=False),
                          WhitneyError, "negative boundary count"),
-    "collection-twisted": (lambda: WhitneyCollection((_disc(0, (0, 1), euler=1),), {}),
-                           NotConvenient, "disc 0 is twisted or has boundary self-intersections"),
-    "collection-boundaries": (lambda: WhitneyCollection((_disc(0, (0, 1)), _disc(1, (2, 3))),
-                                                        {frozenset((0, 1)): 1}),
+    "collection-twisted": (lambda: _collection(_disc(0, (0, 1)), _disc(1, (2, 3), euler=1)),
+                           NotConvenient, "disc 1 is twisted or has boundary self-intersections"),
+    "collection-boundaries": (lambda: _collection(_disc(0, (0, 1)), _disc(1, (2, 3)),
+                                                  boundary={frozenset((0, 1)): 1}),
                               NotConvenient, "convenient collections have disjoint boundaries"),
     "instance-ids": (lambda: _instance(components=(ComponentData(0, S2, True, False),) * 2),
                      ValidationError, "duplicate component ids"),
     "instance-surface": (lambda: _instance(components=()), ValidationError,
                          "immersion components [] != surface components [0]"),
-    "instance-point": (lambda: _instance(points=(DoublePoint(0, (0, 5), 1, 1),)), ValidationError,
-                       "double point 0 references unknown components"),
-    "instance-point-ids": (lambda: _instance(points=POINTS + (DoublePoint(0, (0, 0), 1, 1),)),
+    "instance-point": (lambda: _instance(points=_points(DoublePoint(0, (0, 5), 1, 1))),
+                       ValidationError, "double point 0 references unknown components"),
+    "instance-point-ids": (lambda: _instance(points=_points(*POINTS, DoublePoint(0, (0, 0), 1, 1))),
                            ValidationError, "duplicate double-point ids"),
+    "instance-point-group": (lambda: _instance(points=_points(*POINTS, group=cyclic_group(2))),
+                             ValidationError, "double points not over the instance's group"),
     "instance-torus": (lambda: _instance(torus_summands=frozenset({3})), ValidationError,
                        "torus_summand flag references unknown components"),
-    "instance-disc-points": (lambda: _instance(collection=WhitneyCollection((_disc(0, (0, 1)),), {})),
+    "instance-disc-points": (lambda: _instance(collection=_collection(_disc(0, (0, 1)))),
                              ValidationError, "Whitney collection references unknown double points"),
-    "instance-disc-components": (lambda: _instance(points=POINTS, collection=WhitneyCollection(
-                                     (_disc(0, (0, 1), {7: 1}),), {})),
-                                 ValidationError, "Whitney disc 0 meets unknown components"),
+    "instance-disc-components": (lambda: _instance(points=_points(*POINTS, *POINTS_23), collection=_collection(
+                                     _disc(0, (0, 1), {0: 1}), _disc(1, (2, 3), {7: 1}))),
+                                 ValidationError, "Whitney disc 1 meets unknown components"),
     "context-character": (lambda: PairingContext(C2, trivial_character(C3), S2, S2), GammaError,
                           "character not over the ambient group"),
     "context-subgroup": (lambda: PairingContext(C2, trivial_character(C2), S2, S3),
@@ -128,13 +141,14 @@ NEEDS_INT = {
     "character-finite": (lambda one: Character(C2, [1, one]), GroupError),
     "character-abelian": (lambda one: Character(abelian_group([2]), [one]), GroupError),
     "finite-table": (lambda one: make_finite_group([[0, one], [one, 0]]), GroupError),
-    "disc-interior": (lambda one: WhitneyCollection((_disc(0, (0, 1), {0: one}),), {}), WhitneyError),
-    "disc-mu": (lambda one: WhitneyCollection((_disc(0, (0, 1), mu_boundary=one),), {}, False),
+    "disc-interior": (lambda one: _collection(_disc(0, (0, 1), {0: one})), WhitneyError),
+    "disc-mu": (lambda one: _collection(_disc(0, (0, 1), mu_boundary=one), convenient=False),
                 WhitneyError),
-    "disc-euler": (lambda one: WhitneyCollection((_disc(0, (0, 1), euler=one),), {}, False),
+    "disc-euler": (lambda one: _collection(_disc(0, (0, 1), euler=one), convenient=False),
                    WhitneyError),
-    "boundary-count": (lambda one: WhitneyCollection((_disc(0, (0, 1)), _disc(1, (2, 3))),
-                                                     {frozenset((0, 1)): one}, False), WhitneyError),
+    "boundary-count": (lambda one: _collection(_disc(0, (0, 1)), _disc(1, (2, 3)),
+                                               boundary={frozenset((0, 1)): one}, convenient=False),
+                       WhitneyError),
     "band-parity": (lambda one: BandRecord(**dict(ANNULUS, interior=one)), BandError),
 }
 
@@ -149,14 +163,12 @@ def test_constructors_require_exact_integers(case, value):
 
 
 def test_valid_instance_builds():
-    inst = _instance(points=POINTS, collection=WhitneyCollection((_disc(0, (0, 1), {0: 1}),), {}))
+    inst = _instance(points=_points(*POINTS), collection=_collection(_disc(0, (0, 1), {0: 1})))
     assert inst.components[0].subgroup is S2 and inst.torus_summands == frozenset()
 
 
 FROZEN = {
-    "DoublePoint": (lambda: POINTS[0], "sign"),
-    "WhitneyDisc": (lambda: _disc(0, (0, 1)), "euler"),
-    "WhitneyCollection": (lambda: WhitneyCollection((), {}), "convenient"),
+    "WhitneyCollection": (lambda: _collection(), "convenient"),
     "SurfaceComponent": (lambda: SurfaceComponent(0, 1, True), "genus"),
     "RelH2": (lambda: REL, "basis"),
     "BandRecord": (lambda: RECORD, "kind"),

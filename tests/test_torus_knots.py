@@ -9,6 +9,9 @@ unity that are neither p-th nor q-th roots, all simple, so the signature jumps
 there and nowhere else.
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,9 +19,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from surfemb4 import knots
-from surfemb4.knots import (SignRefinementFailed, SingularAtOmega, arf, cp2_genus_lower_bound,
-                            levine_tristram)
+from surfemb4 import cli, knots
+from surfemb4.knots import SingularAtOmega, arf, cp2_genus_lower_bound, levine_tristram
 
 from helpers import (torus_knot, torus_knot_alexander, torus_knot_signature, torus_sum,
                      torus_sum_signature, unimodular_congruence)
@@ -91,14 +93,44 @@ def test_torus_knot_invariants_match_their_closed_forms(knot, k, d, side):
     assert cp2_genus_lower_bound(V, d) == knots._lower_bound(d, signature)
 
 
-# Regular points, roots of no Delta, where no precision up to knots.MAX_PREC certifies the
-# signature of the sparse matrix: the certificate pivots on a diagonal that is 0 in exact
-# arithmetic and rounding error in p-bit arithmetic, at every p.  (2, 25, 5/9), (3, 13, 7/10),
-# (4, 9, 3/5) and (5, 6, 1/6) decline too, at n = 24 and 20, where each costs 0.3-0.4 s.
-@pytest.mark.xfail(raises=SignRefinementFailed, strict=True,
-                   reason="the certificate pivots on rounding error at these regular points")
+# Regular points, roots of no Delta, where the elimination of the sparse matrix meets a diagonal
+# that is 0 in exact arithmetic and rounding error in p-bit arithmetic.  A pivot on it would
+# leave every interval over 0 at every precision up to knots.MAX_PREC.
 @pytest.mark.parametrize("p, q, r", [(3, 5, Fraction(5, 6)), (3, 8, Fraction(7, 9)),
-                                     (2, 19, Fraction(3, 7))])
+                                     (2, 19, Fraction(3, 7)), (2, 25, Fraction(5, 9)),
+                                     (3, 13, Fraction(7, 10)), (4, 9, Fraction(3, 5)),
+                                     (5, 6, Fraction(1, 6))])
 def test_the_certificate_decides_every_regular_point(p, q, r):
     assert not _is_root(p, q, r)
     assert levine_tristram(torus_knot(p, q), r) == torus_knot_signature(p, q, r)
+
+
+def test_knot_sig_decides_t3_5_at_five_sixths(tmp_path):
+    """``knot sig --omega 5/6`` on T(3,5), the first of the points above, prints -6 and exits 0."""
+    path = tmp_path / "t3_5.json"
+    path.write_text(json.dumps({"seifert": [list(row) for row in torus_knot(3, 5).rows]}))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["knot", "sig", str(path), "--omega", "5/6"])
+    assert code == 0 and json.loads(out.getvalue()) == {"signature": -6}
+
+
+def test_every_regular_point_of_the_small_torus_knots_is_decided_at_53_bits(monkeypatch):
+    """Every regular point a/b, b <= 10, of every T(p,q) with (p - 1)(q - 1) <= 12 equals
+    Litherland's count, and no certificate runs above 53 bits."""
+    precisions = []
+
+    def certified(V, num, den, prec=53):
+        precisions.append(prec)
+        return certify(V, num, den, prec)
+
+    certify = knots._certified_signature
+    monkeypatch.setattr(knots, "_certified_signature", certified)
+    points = sorted({Fraction(a, b) for b in range(1, 11) for a in range(1, 2 * b)})
+    checked = 0
+    for p, q in [(p, q) for p, q in PAIRS if (p - 1) * (q - 1) <= 12]:
+        V = torus_knot(p, q)
+        for r in points:
+            if not _is_root(p, q, r):
+                assert levine_tristram(V, r) == torus_knot_signature(p, q, r), (p, q, r)
+                checked += 1
+    assert checked > 500 and set(precisions) == {53}, (checked, set(precisions))

@@ -12,20 +12,18 @@ from surfemb4.bands import (
     validate_record,
 )
 from surfemb4.gamma import PairingContext, build_gamma
-from surfemb4.whitney import (
-    DoublePoint,
-    UnpairedPoints,
-    WhitneyCollection,
-    WhitneyDisc,
-    t_count,
-    to_convenient,
-)
+from surfemb4.whitney import UnpairedPoints, t_count, to_convenient
 
 from helpers import (
+    DoublePoint,
     NothingToTransfer,
+    WhitneyDisc,
     all_characters,
     all_groups_up_to_8,
     band_fibre_finger_move,
+    cyclic_group,
+    disc_collection,
+    point_columns,
     random_signed_subgroup,
     reduce_pairs,
     to_convenient_quadratic,
@@ -33,9 +31,12 @@ from helpers import (
     transfer_move,
 )
 
+C1 = cyclic_group(1)  # every eta below is its identity, 0
+
 
 def pts(*specs):
-    return [DoublePoint(i, (c1, c2), sign, eta) for i, (c1, c2, sign, eta) in enumerate(specs)]
+    return point_columns([DoublePoint(i, (c1, c2), sign, eta)
+                          for i, (c1, c2, sign, eta) in enumerate(specs)], C1)
 
 
 def test_pairing_matches_exhaustive_search():
@@ -77,7 +78,7 @@ def _collection(*disc_specs, boundary=(), convenient=True):
         for i, (pair, interior, mu, e) in enumerate(disc_specs)
     )
     bd = {frozenset((a, b)): c for a, b, c in boundary}
-    return WhitneyCollection(discs, bd, convenient=convenient)
+    return disc_collection(discs, bd, convenient=convenient)
 
 
 def test_t_count_basic():
@@ -101,7 +102,7 @@ def test_t_alt_equals_t_on_convenient():
     points = pts((0, 0, 1, 0), (0, 0, -1, 0))
     coll = _collection(((0, 1), {0: 3}, 0, 0))
     weak = _collection(((0, 1), {0: 3}, 0, 0), convenient=False)
-    interior = sum(d.interior.get(0, 0) for d in coll.discs) % 2
+    interior = sum(d.get(0, 0) for d in coll.discs.interiors) % 2
     assert t_count(points, [0], weak) == t_count(points, [0], coll) == interior == 1
 
 
@@ -127,8 +128,8 @@ def test_to_convenient_boundary_twist():
     twisted = _collection(((0, 1), {}, 0, 1), convenient=False)
     out = to_convenient(points, twisted)
     assert out.convenient
-    assert out.discs[0].interior == {0: 1}
-    assert out.discs[0].euler == 0
+    assert out.discs.interiors[0] == {0: 1}
+    assert out.discs.euler[0] == 0
 
 
 def test_to_convenient_pushes_arc_intersections_to_lower_index():
@@ -136,8 +137,7 @@ def test_to_convenient_pushes_arc_intersections_to_lower_index():
     crossing = _collection(((0, 1), {}, 0, 0), ((2, 3), {}, 0, 0),
                            boundary=[(0, 1, 1)], convenient=False)
     out = to_convenient(points, crossing)
-    assert out.discs[0].interior == {0: 1}
-    assert out.discs[1].interior == {}
+    assert out.discs.interiors == ({0: 1}, {})
 
 
 def test_to_convenient_preserves_t_randomized():
@@ -159,6 +159,7 @@ def test_to_convenient_preserves_t_randomized():
                 if rng.random() < 0.4:
                     boundary.append((a, b, rng.randrange(1, 3)))
         weak = _collection(*specs, boundary=boundary, convenient=False)
+        points = point_columns(points, C1)
         expected = t_count(points, [0], weak)
         out = to_convenient(points, weak)
         assert t_count(points, [0], out) == expected
@@ -174,8 +175,7 @@ def test_transfer_move_examples():
 
     coll31 = _collection(((0, 1), {0: 3}, 0, 0), ((2, 3), {0: 1}, 0, 0))
     new_points, out = transfer_move(points, coll31, 0, 1, identity=0)
-    assert out.discs[0].interior == {0: 2}
-    assert out.discs[1].interior == {0: 0}
+    assert out.discs.interiors[:2] == ({0: 2}, {0: 0})
     assert t_count(new_points, [0], out) == t_count(points, [0], coll31)
 
     coll01 = _collection(((0, 1), {0: 0}, 0, 0), ((2, 3), {0: 1}, 0, 0))
@@ -211,7 +211,7 @@ def _random_weak_collection(rng, max_discs):
     pairs = [frozenset(rng.sample(disc_ids, 2)) for _ in range(rng.randrange(3 * n_discs))
              if n_discs > 1]
     boundary = {key: rng.randrange(4) for key in pairs}
-    return points, WhitneyCollection(tuple(discs), boundary, convenient=False)
+    return point_columns(points, C1), disc_collection(discs, boundary, convenient=False)
 
 
 def test_to_convenient_matches_quadratic_reference():
@@ -246,7 +246,7 @@ def _weak_collections(draw):
     components = sorted({c for p in points for c in p.components}
                         | {c for d in discs for c in d.interior})
     event(f"{len(components)} components")
-    return points, WhitneyCollection(tuple(discs), boundary, convenient=False), components
+    return point_columns(points, C1), disc_collection(discs, boundary, convenient=False), components
 
 
 @settings(max_examples=200)
@@ -265,7 +265,8 @@ def test_transfer_move_keeps_t_on_multi_component_weak_collections(drawn, data):
     """Hypotheses: the two discs are distinct and each has an interior intersection, and t is
     counted over every component of the collection, which holds the new points' components."""
     points, weak, comps = drawn
-    with_interior = [d.id for d in weak.discs if sum(d.interior.values())]
+    with_interior = [did for did, interior in zip(weak.discs.ids, weak.discs.interiors)
+                     if sum(interior.values())]
     assume(len(with_interior) >= 2)
     w1, w2 = data.draw(st.lists(st.sampled_from(with_interior), min_size=2, max_size=2,
                                 unique=True))
