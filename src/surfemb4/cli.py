@@ -3,11 +3,15 @@
 Exit codes: 0 success, 1 the result could not be written (a full disk, a
 closed pipe; one line on stderr), 2 validation failure, 3 internal
 consistency failure (two independent computations of one quantity
-disagreeing, e.g. the two Arf methods).  ``main`` alone turns errors into
-exit codes; a command line that ``parse`` refuses is a validation failure,
-printed as JSON like any other.  ``parse`` reads the command table
-``COMMANDS`` by argparse's rules; it does not import argparse, whose import
-and parser building cost about 5 ms of a child's start.
+disagreeing, e.g. the two Arf methods).  A command's handler returns its
+exit code and document and writes nothing; ``_failure`` turns an error
+into the code and document of a failure, and ``main`` writes the one
+answer.  A command line that ``parse`` refuses is a validation failure,
+printed as JSON like any other.  ``decide --batch`` keeps a failure in its
+file's entry, with that entry's own 2 or 3, and exits with the worst code
+of its entries.  ``parse`` reads the command table ``COMMANDS`` by
+argparse's rules; it does not import argparse, whose import and parser
+building cost about 5 ms of a child's start.
 
 Each verdict is one interpreter start.  A child's CPU time goes to starting
 the interpreter and ``site``, to compiling the package source it runs when
@@ -56,72 +60,50 @@ def _resolve(path: str, kind: str) -> Path:
     raise ValueError(f"no such file or shipped {kind[:-1]} '{path}'")
 
 
-class _OutputError(Exception):
-    """Writing the result to stdout failed: a full disk, a closed pipe."""
-
-
-def _write(text: str) -> None:
-    """Write and flush the result, so that a failed write raises here and not at exit."""
-    if sys.stdout is None:  # the process started with fd 1 closed
-        raise _OutputError("stdout is closed")
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except OSError as exc:
-        raise _OutputError(exc) from None
-
-
-def _emit(doc) -> None:
-    _write(schema.to_json(doc))
-
-
-def _error_doc(exc: ValueError) -> dict:
-    return {"ok": False, "errors": exc.errors if isinstance(exc, schema.SchemaError) else [str(exc)]}
+def _failure(exc: Exception) -> tuple[int, dict]:
+    """Exit code and document of a failed command: 2 for bad input, 3 for a failed cross-check."""
+    code = EXIT_INTERNAL if isinstance(exc, InternalConsistency) else EXIT_VALIDATION
+    return code, {"ok": False, "errors": exc.errors if isinstance(exc, schema.SchemaError) else [str(exc)]}
 
 
 def _load_instance(name: str) -> engine.ProblemInstance:
     return schema.load_instance(str(_resolve(name, "instances")))
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, dict]:
     _load_instance(args.instance)
-    _emit({"ok": True, "errors": []})
-    return EXIT_OK
+    return EXIT_OK, {"ok": True, "errors": []}
 
 
 def _decide_one(path: str, mode: str) -> tuple[int, dict]:
-    """Exit code and output of one instance; errors stay in the entry, for batches."""
+    """Exit code and document of one instance; a failure stays in the entry, for batches."""
     try:
         inst = _load_instance(path)
         verdict = engine.flowchart(inst) if mode == "regular" else engine.homotopy_analysis(inst)
-    except ValueError as exc:  # bad input and every domain error derived from it
-        return EXIT_VALIDATION, _error_doc(exc)
+    except (ValueError, InternalConsistency) as exc:  # ValueError: every domain error derives from it
+        return _failure(exc)
     return EXIT_OK, verdict.as_dict()
 
 
-def cmd_decide(args) -> int:
-    if args.batch:
-        paths = sorted(Path(args.instance).glob("*.json"))
-        if not paths:
-            raise ValueError(f"no instance files in {args.instance}")
-        worst = EXIT_OK
-        out = {}
-        for p in paths:
-            code, out[p.name] = _decide_one(str(p), args.mode)
-            worst = max(worst, code)
-        _emit(out)
-        return worst
-    code, doc = _decide_one(args.instance, args.mode)
-    _emit(doc)
-    return code
+def cmd_decide(args) -> tuple[int, dict]:
+    if not args.batch:
+        return _decide_one(args.instance, args.mode)
+    paths = sorted(Path(args.instance).glob("*.json"))
+    if not paths:
+        raise ValueError(f"no instance files in {args.instance}")
+    worst = EXIT_OK
+    out = {}
+    for p in paths:
+        code, out[p.name] = _decide_one(str(p), args.mode)
+        worst = max(worst, code)
+    return worst, out
 
 
-def cmd_km(args) -> int:
-    _emit({"km": engine.compute_km(_load_instance(args.instance))})
-    return EXIT_OK
+def cmd_km(args) -> tuple[int, dict]:
+    return EXIT_OK, {"km": engine.compute_km(_load_instance(args.instance))}
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args) -> tuple[int, dict]:
     inst = _load_instance(args.instance)
     i = args.component
     j = args.other if args.other is not None else i
@@ -154,21 +136,20 @@ def cmd_gamma(args) -> int:
             "element": value,
             "orbit_rep": orbit.rep,
             "order": "Z/2" if orbit.order_two else "Z",
-            "coefficient": elem.coefficient(orbit, section).value,
+            "coefficient": elem.coefficient(orbit, section),
         })
     report["reduced_is_zero"] = elem.is_zero()
     report["queries"] = queries
-    _emit(report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_knot(args) -> int:
+def cmd_knot(args) -> tuple[int, dict]:
     V = schema.load_knot(str(_resolve(args.knot, "knots")))
     if args.invariant == "arf":
-        _emit({"arf": knots.arf(V)})
-    elif args.invariant == "alex":
-        _emit({"alexander_at_minus_one": knots.alexander_at_minus_one(V)})
-    elif args.invariant == "sig":
+        return EXIT_OK, {"arf": knots.arf(V)}
+    if args.invariant == "alex":
+        return EXIT_OK, {"alexander_at_minus_one": knots.alexander_at_minus_one(V)}
+    if args.invariant == "sig":
         try:  # the point exp(i*pi*p/q) as two ints, reduced by levine_tristram
             p, q = args.omega.split("/") if "/" in args.omega else (args.omega, "1")
             p, q = int(p), int(q)
@@ -176,30 +157,27 @@ def cmd_knot(args) -> int:
                 raise ValueError("zero denominator")
         except ValueError as exc:
             raise ValueError(f"bad --omega {args.omega!r}: {exc}") from None
-        _emit({"signature": knots.levine_tristram(V, p, q)})
-    elif args.invariant == "sigma-d":
-        _emit({"sigma_d": knots.sigma_d(V, args.d)})
-    elif args.invariant == "cp2-bound":
-        _emit({"lower_bound": knots.cp2_genus_lower_bound(V, args.d)})
-    elif args.invariant == "cp2-verdict":
+        return EXIT_OK, {"signature": knots.levine_tristram(V, p, q)}
+    if args.invariant == "sigma-d":
+        return EXIT_OK, {"sigma_d": knots.sigma_d(V, args.d)}
+    if args.invariant == "cp2-bound":
+        return EXIT_OK, {"lower_bound": knots.cp2_genus_lower_bound(V, args.d)}
+    if args.invariant == "cp2-verdict":
         v = knots.cp2_genus_verdict(V)
-        _emit({"lower": v.lower, "upper": v.upper,
-               "exact": v.exact if v.exact is not None else "unknown",
-               "incomplete": v.incomplete, "scan_limit": v.scan_limit})
-    elif args.invariant == "shake-genus":
-        _emit({"shake_genus_pm1": knots.shake_genus_pm1(V)})
-    return EXIT_OK
+        return EXIT_OK, {"lower": v.lower, "upper": v.upper,
+                         "exact": v.exact if v.exact is not None else "unknown",
+                         "incomplete": v.incomplete, "scan_limit": v.scan_limit}
+    return EXIT_OK, {"shake_genus_pm1": knots.shake_genus_pm1(V)}
 
 
-def cmd_examples(args) -> int:
+def cmd_examples(args) -> tuple[int, dict]:
     out = {}
     for kind in ("instances", "knots"):
         try:
             out[kind] = sorted(name for name in os.listdir(_DATA / kind) if name.endswith(".json"))
         except OSError as exc:  # not a directory: a zipped package
             raise ValueError(f"cannot list the shipped {kind}: {exc}") from None
-    _emit(out)
-    return EXIT_OK
+    return EXIT_OK, out
 
 
 USAGE = """\
@@ -223,9 +201,8 @@ surfemb4 -h                               # this text; also after a command
 """
 
 
-def cmd_help(args) -> int:
-    _write(USAGE)
-    return EXIT_OK
+def cmd_help(args) -> tuple[int, str]:
+    return EXIT_OK, USAGE
 
 
 # The command table.  Each command has its handler, its positionals as (name,
@@ -379,20 +356,22 @@ def main(argv=None) -> int:
         gc.disable()
         atexit.register(gc.freeze)
     try:
-        try:
-            args = parse(sys.argv[1:] if own else argv)
-            return args.func(args)
-        except ValueError as exc:  # bad input and every domain error derived from it
-            _emit(_error_doc(exc))
-            return EXIT_VALIDATION
-        except InternalConsistency as exc:
-            _emit({"ok": False, "errors": [str(exc)]})
-            return EXIT_INTERNAL
-    except _OutputError as exc:
+        args = parse(sys.argv[1:] if own else argv)
+        code, doc = args.func(args)
+    except (ValueError, InternalConsistency) as exc:  # ValueError: every domain error derives from it
+        code, doc = _failure(exc)
+    text = doc if isinstance(doc, str) else schema.to_json(doc)
+    try:  # flushed here, so that a failed write is reported here and not at exit
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError("stdout is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
         print(f"surfemb4: cannot write the result: {exc}", file=sys.stderr)
         if own and sys.stdout is not None:  # what the flush at exit writes goes to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OUTPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -324,7 +324,7 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
     obstructions = primary_obstructions(inst)
     bad = sorted(
         c.id for c in inst.components
-        if coefficient_at(obstructions[("mu", c.id)], inst.group.identity).value != 0
+        if coefficient_at(obstructions[("mu", c.id)], inst.group.identity) != 0
     )
     if bad:
         raise ValidationError(

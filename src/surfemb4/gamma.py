@@ -209,15 +209,10 @@ class GammaElement(NamedTuple):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, orbit: Orbit, section: Optional[int]) -> "Coefficient":
+    def coefficient(self, orbit: Orbit, section: Optional[int]) -> int:
         """Coefficient at an element that ``GammaGroup.classify`` sends to (orbit, section sign)."""
         raw = self.coeffs.get(orbit, 0)
-        return Coefficient(raw % 2, "Z/2") if section is None else Coefficient(raw * section, "Z")
-
-
-class Coefficient(NamedTuple):
-    value: int
-    order: str  # "Z" or "Z/2"
+        return raw % 2 if section is None else raw * section
 
 
 def reduce_list(points, gamma: GammaGroup) -> GammaElement:
@@ -246,7 +241,7 @@ def reduce_list(points, gamma: GammaGroup) -> GammaElement:
     return GammaElement(gamma, {k: v for k, v in coeffs.items() if v})
 
 
-def coefficient_at(elem: GammaElement, g) -> Coefficient:
+def coefficient_at(elem: GammaElement, g) -> int:
     """Coefficient at g, with the convention that the section sends [g] to g."""
     return elem.coefficient(*elem.gamma.classify(g))
 

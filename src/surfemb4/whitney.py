@@ -117,9 +117,6 @@ class WhitneyDiscs:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WhitneyDiscs) and self._columns() == other._columns()
-
 
 def _interior_values(discs: WhitneyDiscs):
     return chain.from_iterable(map(dict.values, discs.interiors))

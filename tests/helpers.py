@@ -779,6 +779,16 @@ def disc_columns(discs) -> WhitneyDiscs:
     return WhitneyDiscs(*(tuple(zip(*discs)) or ((),) * 5))
 
 
+def disc_values(discs: WhitneyDiscs) -> tuple:
+    """The five columns of ``discs``, for comparing two disc columns by value."""
+    return discs.ids, discs.pairs, discs.interiors, discs.mu_boundary, discs.euler
+
+
+def collection_values(collection: WhitneyCollection) -> tuple:
+    """``disc_values`` of the discs, then the boundary counts and the convenient flag."""
+    return disc_values(collection.discs), collection.boundary, collection.convenient
+
+
 def disc_records(discs: WhitneyDiscs) -> list[WhitneyDisc]:
     return list(map(WhitneyDisc, discs.ids, discs.pairs, discs.interiors, discs.mu_boundary,
                     discs.euler))

@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     WhitneyDisc,
+    collection_values,
     disc_columns,
     disc_records,
+    disc_values,
     instance_from_dict_per_point,
     random_points_doc,
     t_count_per_disc,
@@ -105,12 +107,13 @@ def test_counts_conversions_and_verdicts_equal_the_per_disc_code(seed, finite, c
     inst = schema.instance_from_dict(copy.deepcopy(doc))
     ref = instance_from_dict_per_point(doc)
     records = _records(doc)
-    assert inst.collection.discs == disc_columns(records)
+    assert disc_values(inst.collection.discs) == disc_values(disc_columns(records))
     assert disc_records(inst.collection.discs) == records
     assert all(type(pair) is tuple for pair in inst.collection.discs.pairs)
     assert len(inst.collection.discs) == len(records)
     points = ref.points
-    assert to_convenient(inst.points, inst.collection) == to_convenient_per_disc(points, ref.collection)
+    assert collection_values(to_convenient(inst.points, inst.collection)) == \
+        collection_values(to_convenient_per_disc(points, ref.collection))
     for comps in (range(components), restrict_Ft(inst), [0]):
         assert _outcome(t_count, inst.points, comps, inst.collection) == \
             _outcome(t_count_per_disc, points, comps, ref.collection)

@@ -20,7 +20,7 @@ from surfemb4.bands import (
     SurfaceModel,
 )
 from surfemb4.engine import ComponentData, ProblemInstance, ValidationError
-from surfemb4.gamma import Coefficient, GammaError, PairingContext
+from surfemb4.gamma import GammaError, PairingContext
 from surfemb4.groups import Character, GroupError, abelian_group, make_finite_group, subgroup_closure
 from surfemb4.knots import CP2GenusVerdict, KnotError, SeifertMatrix
 from surfemb4.whitney import NotConvenient, WhitneyError
@@ -176,7 +176,6 @@ FROZEN = {
     "BCharResult": (lambda: BCharResult(True), "yes"),
     "ComponentData": (lambda: ComponentData(0, S2, True, False), "has_alg_dual"),
     "EulerBoundResult": (lambda: EulerBoundResult(True, 0, -2), "ok"),
-    "Coefficient": (lambda: Coefficient(1, "Z"), "value"),
     "PairingContext": (lambda: PairingContext(C2, trivial_character(C2), S2, S2), "self_pairing"),
     "SignedSubgroup": (lambda: S2, "generators"),
     "CP2GenusVerdict": (lambda: CP2GenusVerdict(0, 1, 0), "exact"),

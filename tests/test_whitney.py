@@ -21,8 +21,10 @@ from helpers import (
     all_characters,
     all_groups_up_to_8,
     band_fibre_finger_move,
+    collection_values,
     cyclic_group,
     disc_collection,
+    disc_values,
     point_columns,
     random_signed_subgroup,
     reduce_pairs,
@@ -120,7 +122,7 @@ def test_to_convenient_identity_on_convenient():
     points = pts((0, 0, 1, 0), (0, 0, -1, 0))
     coll = _collection(((0, 1), {0: 1}, 0, 0))
     out = to_convenient(points, coll)
-    assert out.discs == coll.discs
+    assert disc_values(out.discs) == disc_values(coll.discs)
 
 
 def test_to_convenient_boundary_twist():
@@ -219,7 +221,7 @@ def test_to_convenient_matches_quadratic_reference():
     for _ in range(400):
         points, weak = _random_weak_collection(rng, 60)
         out = to_convenient(points, weak)
-        assert out == to_convenient_quadratic(points, weak)
+        assert collection_values(out) == collection_values(to_convenient_quadratic(points, weak))
         # the weak terms and the conversion's interior bumps must give the same t
         assert t_count(points, [0, 1, 2], weak) == t_count(points, [0, 1, 2], out)
 
