@@ -42,7 +42,6 @@ class MixedW1Annulus(BandError):
             f"band {band_id}: annulus with exactly one w1-nontrivial boundary; "
             "Theta undefined, and the boundary class has lambda(dS,dS)=1, forcing km=0"
         )
-        self.verdict_hint = "km=0"
 
 
 class NotLinearizable(BandError):
@@ -57,7 +56,6 @@ class ThetaConflict(BandError):
             f"records {', '.join(map(repr, witnesses))} have classes summing to zero but "
             "Theta summing to 1; Theta is not linear on the span, inconsistent declaration"
         )
-        self.witnesses = witnesses
 
 
 def h1_ranks(genus: int, orientable: bool, boundary_circles: int) -> tuple[int, int]:

@@ -9,9 +9,8 @@ into the code and document of a failure, and ``main`` writes the one
 answer.  A command line that ``parse`` refuses is a validation failure,
 printed as JSON like any other.  ``decide --batch`` keeps a failure in its
 file's entry, with that entry's own 2 or 3, and exits with the worst code
-of its entries.  ``parse`` reads the command table ``COMMANDS`` by
-argparse's rules; it does not import argparse, whose import and parser
-building cost about 5 ms of a child's start.
+of its entries.  ``parse`` reads the command table ``COMMANDS`` by one
+strict grammar; it does not import argparse, which would cost a child 5 ms.
 
 Each verdict is one interpreter start.  A child's CPU time goes to starting
 the interpreter and ``site``, to compiling the package source it runs when
@@ -34,7 +33,6 @@ import atexit
 import gc
 import json
 import os
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -192,7 +190,7 @@ surfemb4 gamma my.json --component 0 --other 1   # a pair of components
 surfemb4 knot arf sum3_trefoil
 surfemb4 knot alex trefoil                # the Alexander polynomial at -1
 surfemb4 knot sig --omega 1/1 trefoil     # signature at exp(i*pi*1/1) = -1
-surfemb4 knot sig --omega=-1/3 trefoil    # a value starting with - takes the = form
+surfemb4 knot sig trefoil --omega -1/3    # a value may start with -
 surfemb4 knot sigma-d --d 3 sum3_trefoil
 surfemb4 knot cp2-bound --d 2 sum3_trefoil
 surfemb4 knot cp2-verdict sum3_trefoil
@@ -225,31 +223,6 @@ COMMANDS = {
     "examples": (cmd_examples, (("what", ("list",)),), {}),
 }
 
-# A word that looks like a negative number is a value, as in argparse.
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _option(word: str, names) -> tuple | None:
-    """How a word before ``--`` reads: None for a value, else (option, its value or None).
-
-    The option is one of ``names``, named in full or by a unique prefix, or
-    None for an unknown option.  ``-h`` is "help", and so is ``-hh``
-    or ``-h=h``; given any other tail, it is help given a value.
-    """
-    if word[:1] != "-" or word == "-":
-        return None
-    if word[1] == "-":
-        key, eq, value = word[2:].partition("=")
-        found = [key] if key in names else [n for n in names if n.startswith(key)]
-        if len(found) > 1:
-            raise ValueError(f"ambiguous option {word!r}: " + ", ".join("--" + n for n in found))
-        if found:
-            return found[0], value if eq else None
-    elif word[1] == "h":
-        tail = word[2:]
-        return "help", None if not tail or set(tail.removeprefix("=")) == {"h"} else tail
-    return None if _NEGATIVE.match(word) or " " in word else (None, None)
-
 
 def _value(option: str, kind, text: str, before):
     if kind is STR:
@@ -266,88 +239,57 @@ def _value(option: str, kind, text: str, before):
     return text
 
 
-def _parse_command(command: str, words: list) -> SimpleNamespace:
-    handler, positionals, options = COMMANDS[command]
-    names = (*options, "help")
-    marker = words.index("--") if "--" in words else len(words)
-    # every word before -- is read first, so an ambiguous one is refused before any help
-    opts = [_option(word, names) for word in words[:marker]]
-    # the handler bound on the module now, so that a wrapper set over it (perfbench's tracer) runs
-    values = {"command": command, "func": globals()[handler.__name__],
-              **{k: d for k, (_, d) in options.items()}}
-    taken, unknown = [], []
-
-    def take(word):  # the next positional, checked as it comes
-        if len(taken) == len(positionals):
-            unknown.append(word)
-            return
-        name, choices = positionals[len(taken)]
-        if choices and word not in choices:
-            raise ValueError(f"{command}: {name} is one of {', '.join(choices)}, not {word!r}")
-        taken.append(name)
-        values[name] = word
-
-    pairs = zip(words, opts)
-    for word, opt in pairs:
-        if opt is None:
-            take(word)
-            continue
-        key, value = opt
-        if key is None:
-            unknown.append(word)
-        elif key != "help" and options[key][0] is not FLAG:
-            if value is None:  # the next word, if it reads as a value
-                value, after = next(pairs, ("", ()))
-                if after is not None:
-                    raise ValueError(f"--{key} needs a value; one that starts with - "
-                                     f"takes the form --{key}=VALUE")
-            values[key] = _value(key, options[key][0], value, values[key])
-        elif value is not None:
-            raise ValueError(f"{word!r}: --{key} takes no value")
-        elif key == "help":
-            return SimpleNamespace(command=command, func=cmd_help)
-        else:
-            values[key] = True
-    for word in words[marker + 1:]:
-        take(word)
-    missing = [name for name, _ in positionals[len(taken):]]
-    missing += [f"--{k}" for k, v in values.items() if v is REQUIRED]
-    if missing:
-        raise ValueError(f"{command}: missing {', '.join(missing)}")
-    if unknown:
-        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
-    return SimpleNamespace(**values)
-
-
 def parse(argv) -> SimpleNamespace:
     """The handler and values of a command line; they read ``args.func(args)``.
 
-    The same lines as ``argparse`` accepts, with the same values: options
-    anywhere after their command, ``--opt value`` and ``--opt=value``, unique
-    prefixes, ``--query`` kept at each use and any other option's last value,
-    ``--`` ending the options, and a value that starts with ``-`` only when it
-    looks like a negative number or has the ``=`` form.  ``-h`` or ``--help``
-    gives ``cmd_help``, and a line that ``argparse`` refuses raises ValueError.
+    The command comes first, then its positionals and options in any order:
+    ``--opt VALUE`` or ``--opt=VALUE`` by full name, the value being the next
+    word whatever it is.  ``--`` ends the options; ``-h`` or ``--help`` before
+    it, or as the command, gives ``cmd_help``.  A bad line raises ValueError.
     """
-    unknown = []
-    for k, word in enumerate(argv):
+    if not argv:
+        raise ValueError(f"no command given; the commands are {', '.join(COMMANDS)}")
+    command, *words = argv
+    if command in ("-h", "--help"):
+        return SimpleNamespace(command=None, func=cmd_help)
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}; the commands are {', '.join(COMMANDS)}")
+    handler, positionals, options = COMMANDS[command]
+    # the handler bound on the module now, so that a wrapper set over it (perfbench's tracer) runs
+    values = {"command": command, "func": globals()[handler.__name__],
+              **{k: d for k, (_, d) in options.items()}}
+    given, texts, unknown = [], [], []  # read first and checked after, so that help wins
+    words = iter(words)
+    for word in words:
+        if word in ("-h", "--help"):
+            return SimpleNamespace(command=command, func=cmd_help)
+        key, eq, text = word[2:].partition("=")
         if word == "--":
-            raise ValueError("the command must come before --")
-        opt = _option(word, ("help",))
-        if opt is None:
-            if word not in COMMANDS:
-                raise ValueError(f"unknown command {word!r}; the commands are {', '.join(COMMANDS)}")
-            args = _parse_command(word, list(argv[k + 1:]))
-            if unknown and args.func is not cmd_help:
-                raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
-            return args
-        if opt[0] is None:
+            given += words  # every word left is a positional
+        elif word[:2] != "--":
+            given.append(word)
+        elif key not in options or eq and options[key][0] is FLAG:
             unknown.append(word)
-        elif opt[1] is None:
-            return SimpleNamespace(command=None, func=cmd_help)
+        elif options[key][0] is FLAG:
+            values[key] = True
+        elif eq or (text := next(words, None)) is not None:
+            texts.append((key, text))
         else:
-            raise ValueError(f"{word!r}: --help takes no value")
-    raise ValueError(f"no command given; the commands are {', '.join(COMMANDS)}")
+            raise ValueError(f"--{key} needs a value")
+    for key, text in texts:
+        values[key] = _value(key, options[key][0], text, values[key])
+    for (name, choices), word in zip(positionals, given):
+        if choices and word not in choices:
+            raise ValueError(f"{command}: {name} is one of {', '.join(choices)}, not {word!r}")
+        values[name] = word
+    missing = [name for name, _ in positionals[len(given):]]
+    missing += [f"--{k}" for k, v in values.items() if v is REQUIRED]
+    if missing:
+        raise ValueError(f"{command}: missing {', '.join(missing)}")
+    unknown += given[len(positionals):]
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:

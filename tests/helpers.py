@@ -25,14 +25,12 @@ interpolation of the Alexander polynomial, the per-point and per-disc
 reader, bucketing and F^t filter that the double-point columns
 replaced, the per-disc collection checks, t-count and conversion that the
 disc columns replaced, the pair-by-pair boundary-form scan that the
-span-basis walk replaced, the per-record band checks that the catalog's
-one mask per vector replaced, and the argparse parser that the command
-table replaced.
+span-basis walk replaced, and the per-record band checks that the
+catalog's one mask per vector replaced.
 """
 
 from __future__ import annotations
 
-import argparse
 import copy
 import functools
 import itertools
@@ -1676,49 +1674,3 @@ def band_fibre_finger_move(points: DoublePoints, collection: WhitneyCollection, 
     if delta != expected:
         raise InternalConsistency("finger move changed t by a value other than Theta")
     return new_points, out, delta
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of the command line before ``cli.COMMANDS``: the oracle of ``cli.parse``."""
-    parser = argparse.ArgumentParser(
-        prog="surfemb4",
-        description="Embedding obstructions for surfaces in 4-manifolds",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate an instance file")
-    p.add_argument("instance")
-    p.set_defaults(func=cli.cmd_validate)
-
-    p = sub.add_parser("decide", help="run the embedding decision flowchart")
-    p.add_argument("instance", help="instance file, shipped example name, or directory with --batch")
-    p.add_argument("--mode", choices=("regular", "homotopy"), default="regular")
-    p.add_argument("--batch", action="store_true", help="process a directory of instance files")
-    p.set_defaults(func=cli.cmd_decide)
-
-    p = sub.add_parser("km", help="compute the secondary invariant only")
-    p.add_argument("instance")
-    p.set_defaults(func=cli.cmd_km)
-
-    p = sub.add_parser("gamma", help="report the intersection-number target group")
-    p.add_argument("instance")
-    p.add_argument("--component", type=int, required=True)
-    p.add_argument("--other", type=int, default=None,
-                   help="second component (defaults to a self-pairing)")
-    p.add_argument("--query", action="append",
-                   help="group element (JSON) whose orbit and coefficient to report")
-    p.set_defaults(func=cli.cmd_gamma)
-
-    p = sub.add_parser("knot", help="Seifert-matrix knot invariants")
-    p.add_argument("invariant", choices=("arf", "alex", "sig", "sigma-d",
-                                         "cp2-bound", "cp2-verdict", "shake-genus"))
-    p.add_argument("knot", help="knot file or shipped knot name")
-    p.add_argument("--omega", default="1/1", help="signature point p/q, meaning exp(i*pi*p/q)")
-    p.add_argument("--d", type=int, default=2, help="homology class for sigma-d / cp2-bound")
-    p.set_defaults(func=cli.cmd_knot)
-
-    p = sub.add_parser("examples", help="shipped example files")
-    p.add_argument("what", choices=("list",))
-    p.set_defaults(func=cli.cmd_examples)
-
-    return parser

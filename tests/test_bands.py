@@ -1,6 +1,7 @@
 import itertools
 import time
 import random
+import re
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -37,6 +38,11 @@ def torus_surface():
 
 def klein_surface():
     return SurfaceModel([SurfaceComponent(0, 2, False)])
+
+
+def named(exc) -> tuple:
+    """The record ids that a ``ThetaConflict`` message names, in its order."""
+    return tuple(re.findall(r"'([^']*)'", str(exc.value).partition(" have ")[0]))
 
 
 def record(surface, rel, rid, kind, rel_class, boundary_classes, *, mu=0, arc=0,
@@ -78,7 +84,7 @@ def test_theta_mixed_annulus_raises_with_hint():
     r = record(surface, rel, "m", "annulus", [1], [(1, 0), (0, 0)])
     with pytest.raises(MixedW1Annulus) as exc:
         theta(r)
-    assert exc.value.verdict_hint == "km=0"
+    assert str(exc.value).endswith("forcing km=0")
 
 
 def test_mobius_with_reversing_boundary_rejected():
@@ -128,7 +134,7 @@ def test_validate_theta_well_defined():
     r3 = record(surface, rel, "r3", "surface", [1], [], interior=1)
     with pytest.raises(ThetaConflict) as exc:
         validate_theta_well_defined(BandCatalog(surface, rel, (r1, r3)))
-    assert exc.value.witnesses == ("r1", "r3")
+    assert named(exc) == ("r1", "r3")
 
 
 def test_theta_on_span_linearity():
@@ -177,14 +183,14 @@ def test_span_conflict_names_the_records():
     catalog = BandCatalog(surface, rel, (r1, r2, r3))
     with pytest.raises(ThetaConflict) as exc:
         is_b_characteristic(catalog)
-    assert exc.value.witnesses == ("r1", "r2", "r3")
+    assert named(exc) == ("r1", "r2", "r3")
     with pytest.raises(ThetaConflict) as exc:
         validate_theta_well_defined(catalog)
-    assert exc.value.witnesses == ("r1", "r2", "r3")
+    assert named(exc) == ("r1", "r2", "r3")
     # the first record that closes a cycle names it; r0 + r1 closes first here
     with pytest.raises(ThetaConflict) as exc:
         validate_theta_well_defined(BandCatalog(surface, rel, (r0, r2, r1, r3)))
-    assert exc.value.witnesses == ("r0", "r1")
+    assert named(exc) == ("r0", "r1")
 
 
 def test_class_zero_over_an_empty_basis_has_boundary_zero():
@@ -300,11 +306,10 @@ def test_theta_on_span_matches_the_subset_oracle(drawn):
     if violations:
         with pytest.raises(ThetaConflict) as exc:
             validate_theta_well_defined(catalog)
-        named = tuple(int(rid[1:]) for rid in exc.value.witnesses)
-        assert named in violations
+        assert tuple(int(rid[1:]) for rid in named(exc)) in violations
         with pytest.raises(ThetaConflict) as b_exc:
             is_b_characteristic(catalog)
-        assert b_exc.value.witnesses == exc.value.witnesses
+        assert named(b_exc) == named(exc)
         with pytest.raises(ThetaConflict):
             flowchart(inst)
         return

@@ -1,161 +1,172 @@
-"""``cli.parse`` reads every command line as the argparse parser did.
+"""``cli.parse`` reads one strict grammar, pinned by a table of literal lines.
 
-The oracle is that parser, kept as ``helpers.build_parser``.  On each drawn
-line it either accepts (the values and the handler), shows help (exit 0) or
-refuses (exit 2), and ``cli.parse`` must give the same outcome: the same
-namespace, ``cli.cmd_help``, or a ValueError.  The lines mix every command,
-every option in full and by each prefix, the ``=`` form, ``-h``, ``--``,
-unknown options and bad values.
-
-One difference is deliberate.  argparse (3.11) drops the first ``--`` from an
-argument's words, so a value that is exactly ``--`` (``--omega=--``, or a
-knot file named ``--`` after the ``--`` that ended the options) becomes an
-empty list, skipping the type and choice checks, and the handler then
-crashes.  ``cli.parse`` keeps the word ``--`` as the value.  The oracle is run
-with that one step patched to keep it too.
+The command comes first; then its positionals and options in any order.  An
+option is ``--opt VALUE`` or ``--opt=VALUE`` by its full name, and one that
+takes a value takes the next word, whatever it is.  ``--`` ends the options,
+and ``-h`` or ``--help`` in place of the command or before ``--`` gives help.
+Each line of the table is accepted with the namespace written out in full,
+gives help, or is refused with the message written out in full.
 """
 
-import argparse
-import contextlib
-import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from surfemb4 import cli
-
-from helpers import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
-ORACLE = build_parser()
-_GET_VALUES = argparse.ArgumentParser._get_values
+HELP = "help"
+COMMAND_LIST = "the commands are validate, decide, km, gamma, knot, examples"
+INVARIANTS = "arf, alex, sig, sigma-d, cp2-bound, cp2-verdict, shake-genus"
 
 
-def _keep_lone_dashes(parser, action, arg_strings):
-    if arg_strings == ["--"] and action.nargs is None:
-        arg_strings = ["--", "--"]  # argparse removes one, and the value "--" is checked
-    return _GET_VALUES(parser, action, arg_strings)
+def decide(instance, mode="regular", batch=False):
+    return dict(command="decide", func=cli.cmd_decide, instance=instance, mode=mode, batch=batch)
 
 
-def argparse_outcome(argv, keep_lone_dashes=True):
-    """("accept", values), ("help", None) or ("refuse", None), as the argparse parser read ``argv``."""
-    patch = (mock.patch.object(argparse.ArgumentParser, "_get_values", _keep_lone_dashes)
-             if keep_lone_dashes else contextlib.nullcontext())
-    with patch, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return "accept", vars(ORACLE.parse_args(argv))
-        except SystemExit as exc:
-            return ("help" if exc.code == 0 else "refuse"), None
+def gamma(instance, component, other=None, query=None):
+    return dict(command="gamma", func=cli.cmd_gamma, instance=instance, component=component,
+                other=other, query=query)
 
 
-def parse_outcome(argv):
-    """The same three outcomes, as ``cli.parse`` reads ``argv``."""
+def knot(invariant, name, omega="1/1", d=2):
+    return dict(command="knot", func=cli.cmd_knot, invariant=invariant, knot=name, omega=omega, d=d)
+
+
+# (argv, what parse gives): the namespace, HELP, or the ValueError's message
+TABLE = [
+    # accepted
+    (["validate", "torus_s3s1"], dict(command="validate", func=cli.cmd_validate, instance="torus_s3s1")),
+    (["validate", "-3"], dict(command="validate", func=cli.cmd_validate, instance="-3")),
+    (["km", "--", "-h"], dict(command="km", func=cli.cmd_km, instance="-h")),
+    (["examples", "list"], dict(command="examples", func=cli.cmd_examples, what="list")),
+    (["decide", "torus_s3s1"], decide("torus_s3s1")),
+    (["decide", "--batch", "some/dir", "--mode", "homotopy"], decide("some/dir", "homotopy", True)),
+    (["decide", "x", "--mode=homotopy", "--mode", "regular", "--batch", "--batch"],
+     decide("x", "regular", True)),
+    (["gamma", "--component", "0", "torus_s3s1", "--query", "[0]", "--query=[1]", "--other=1"],
+     gamma("torus_s3s1", 0, 1, ["[0]", "[1]"])),
+    (["gamma", "x", "--component=-2", "--other", "-3", "--query", "-1 ", "--query", "--"],
+     gamma("x", -2, -3, ["-1 ", "--"])),
+    (["gamma", "x", "--query", "-h", "--component", "1_0"], gamma("x", 10, None, ["-h"])),
+    (["knot", "sig", "trefoil", "--omega", "-1/3"], knot("sig", "trefoil", "-1/3")),
+    (["knot", "--omega=-1/3", "sig", "trefoil", "--d", "-3"], knot("sig", "trefoil", "-1/3", -3)),
+    (["knot", "sig", "trefoil", "--omega=--"], knot("sig", "trefoil", "--")),
+    (["knot", "sig", "trefoil", "--omega", "--", "--omega", "2/7"], knot("sig", "trefoil", "2/7")),
+    (["knot", "sig", "trefoil", "--omega", "-h"], knot("sig", "trefoil", "-h")),
+    (["knot", "sig", "--", "-x"], knot("sig", "-x")),
+    (["knot", "sig", "--", "--"], knot("sig", "--")),
+    (["knot", "arf", "-"], knot("arf", "-")),
+    (["knot", "cp2-bound", "--d=3", "--", "--d"], knot("cp2-bound", "--d", d=3)),
+    # help
+    (["-h"], HELP),
+    (["--help"], HELP),
+    (["-h", "bogus", "--d"], HELP),
+    (["knot", "sig", "--help", "trefoil"], HELP),
+    (["knot", "arf", "-h", "--", "x"], HELP),
+    (["gamma", "x", "--component", "y", "-h"], HELP),
+    (["decide", "x", "--mode", "bogus", "--bogus", "extra", "-h"], HELP),
+    (["knot", "foo", "-h"], HELP),
+    # refused: no command, or words before it
+    ([], f"no command given; {COMMAND_LIST}"),
+    (["foo"], f"unknown command 'foo'; {COMMAND_LIST}"),
+    (["-hh"], f"unknown command '-hh'; {COMMAND_LIST}"),
+    (["-x", "decide", "x"], f"unknown command '-x'; {COMMAND_LIST}"),
+    (["--", "decide", "x"], f"unknown command '--'; {COMMAND_LIST}"),
+    (["--he"], f"unknown command '--he'; {COMMAND_LIST}"),
+    # refused: options by a prefix, or with a value where none is taken
+    (["decide", "torus_s3s1", "--mo=homotopy", "--batch"], "unrecognized arguments: --mo=homotopy"),
+    (["knot", "--omega=-1/3", "sig", "trefoil", "--om", "1/3", "--d", "-3"],
+     "unrecognized arguments: --om 1/3"),
+    (["gamma", "--comp", "0", "torus_s3s1", "--query", "[0]", "--q=[1]", "--other=1"],
+     "gamma: missing --component"),
+    (["decide", "x", "--b"], "unrecognized arguments: --b"),
+    (["decide", "x", "-hh"], "unrecognized arguments: -hh"),
+    (["decide", "x", "-h=h"], "unrecognized arguments: -h=h"),
+    (["decide", "x", "--help=x"], "unrecognized arguments: --help=x"),
+    (["decide", "x", "--batch=yes"], "unrecognized arguments: --batch=yes"),
+    (["decide", "x", "--=regular"], "unrecognized arguments: --=regular"),
+    (["decide", "x", "extra", "--bogus"], "unrecognized arguments: --bogus extra"),
+    # refused: values and positionals
+    (["knot", "sig", "trefoil", "--omega"], "--omega needs a value"),
+    (["gamma", "x", "--component", "x"], "--component takes an integer, not 'x'"),
+    (["gamma", "x", "--component", "-h"], "--component takes an integer, not '-h'"),
+    (["gamma", "x", "--component", "0", "--other", " 7 x"], "--other takes an integer, not ' 7 x'"),
+    (["decide", "x", "--mode", "bogus"], "--mode takes one of regular, homotopy, not 'bogus'"),
+    (["decide", "x", "--mode=--"], "--mode takes one of regular, homotopy, not '--'"),
+    (["knot", "foo", "trefoil"], f"knot: invariant is one of {INVARIANTS}, not 'foo'"),
+    (["examples", "all"], "examples: what is one of list, not 'all'"),
+    (["decide"], "decide: missing instance"),
+    (["knot"], "knot: missing invariant, knot"),
+    (["gamma", "torus_s3s1"], "gamma: missing --component"),
+    (["gamma", "--other", "1"], "gamma: missing instance, --component"),
+]
+
+
+def _id(argv) -> str:
+    return " ".join(arg if len(arg) < 20 else f"<{len(arg)} digits>" for arg in argv) or "<empty>"
+
+
+@pytest.mark.parametrize(("argv", "expected"), TABLE, ids=[_id(argv) for argv, _ in TABLE])
+def test_parse_table(argv, expected):
     try:
         args = cli.parse(argv)
-    except ValueError:
-        return "refuse", None
-    return ("help", None) if args.func is cli.cmd_help else ("accept", vars(args))
-
-
-COMMANDS = list(cli.COMMANDS)
-OPTIONS = ("mode", "batch", "component", "other", "query", "omega", "d", "help")
-SPELLINGS = sorted({f"--{name[:k]}" for name in OPTIONS for k in range(1, len(name) + 1)}
-                   | {"--", "-h", "-hh", "-h=h", "-hx", "-x", "--bogus", "--mod"})
-VALUES = ("torus_s3s1", "trefoil", "x", "regular", "homotopy", "bogus", "arf", "sig", "sigma-d",
-          "cp2-verdict", "list", "0", "1", "2/7", "-3", "-1/3", "-.5", "[0]", "1_0", " 7", "",
-          "-", "- 1", "--", "-h", "9" * 5000)
-WORD = st.one_of(st.sampled_from(SPELLINGS), st.sampled_from(VALUES), st.sampled_from(COMMANDS),
-                 st.builds("{}={}".format, st.sampled_from(SPELLINGS), st.sampled_from(VALUES)))
-# Per command, the chunks of words it needs, in order, each from a list of
-# choices, and chunks it may take anywhere: so that many drawn lines are
-# accepted and the rest are near misses.
-GOOD = {
-    "validate": ([[["torus_s3s1"], ["-3"], ["-a b"]]], []),
-    "decide": ([[["torus_s3s1"]]], [["--mode", "homotopy"], ["--mo=regular"], ["--batch"], ["--b"],
-                                      ["--=regular"]]),
-    "km": ([[["torus_s3s1"], ["--", "-h"]]], []),
-    "gamma": ([[["torus_s3s1"]], [["--component", "0"], ["--comp=1"], ["--c", "-2"]]],
-              [["--other", "-3"], ["--o=1"], ["--query", "[0]"], ["--q=[1]"], ["--qu", "-1"], ["--query", "-1 "]]),
-    "knot": ([[["arf"], ["sig"], ["cp2-bound"], ["shake-genus"]], [["trefoil"], ["-"], ["--", "-x"]]],
-             [["--omega", "2/7"], ["--om=-1/3"], ["--d", "-3"], ["--d=3"], ["--omeg", "x"],
-              ["--=2/7"], ["--omega", "-1/3"], ["--om"]]),
-    "examples": ([[["list"]]], []),
-    "foo": ([[["x"]]], []),
-}
-
-
-@st.composite
-def lines(draw):
-    """Words before the command (rarely), the command, its own chunks, and other words."""
-    head = draw(st.sampled_from([[], [], [], [], ["-h"], ["--he"], ["--help=x"], ["-x"], ["--"], ["-3"]]))
-    command = draw(st.sampled_from(list(GOOD)))
-    needed, optional = GOOD[command]
-    parts = [draw(st.sampled_from(choices)) for choices in needed]
-    for chunk in draw(st.lists(st.sampled_from(optional), max_size=3)) if optional else []:
-        parts.insert(draw(st.integers(0, len(parts))), chunk)
-    words = [word for part in parts for word in part]
-    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
-        words.insert(draw(st.integers(0, len(words))), draw(WORD))
-    return head + [command] + words
-
-
-LINE = st.one_of(lines(), lines(), lines(), st.lists(WORD, max_size=3))
-
-
-@settings(max_examples=2000)
-@given(LINE)
-def test_parse_reads_every_line_as_argparse_did(argv):
-    assert parse_outcome(argv) == argparse_outcome(argv)
-
-
-@pytest.mark.parametrize("argv", [
-    ["decide", "torus_s3s1", "--mo=homotopy", "--batch"],
-    ["knot", "--omega=-1/3", "sig", "trefoil", "--om", "1/3", "--d", "-3"],
-    ["gamma", "--comp", "0", "torus_s3s1", "--query", "[0]", "--q=[1]", "--other=1"],
-    ["knot", "sig", "--", "-x"],
-], ids=" ".join)
-def test_accepted_lines_give_argparse_values(argv):
-    """Each line's namespace, value by value, beside the oracle's."""
-    kind, values = parse_outcome(argv)
-    assert kind == "accept" and (kind, values) == argparse_outcome(argv)
+    except ValueError as exc:
+        got = str(exc)
+    else:
+        got = HELP if args.func is cli.cmd_help else vars(args)
+    assert got == expected
 
 
 def test_a_lone_dash_dash_value_is_kept():
-    """The one relaxation: where argparse made an empty list, ``cli.parse`` keeps ``--``."""
+    """``--`` as a value is the word ``--``, checked like any other value."""
     for argv, field in ((["knot", "sig", "trefoil", "--omega=--"], "omega"),
                         (["knot", "sig", "--", "--"], "knot")):
-        assert argparse_outcome(argv, keep_lone_dashes=False)[1][field] == []
         assert getattr(cli.parse(argv), field) == "--"
-    assert argparse_outcome(["decide", "x", "--mode=--"], keep_lone_dashes=False)[1]["mode"] == []
-    assert parse_outcome(["decide", "x", "--mode=--"]) == ("refuse", None)
+    with pytest.raises(ValueError):
+        cli.parse(["decide", "x", "--mode=--"])
 
 
-# The argparse parser ended each of these with its usage on stderr, exit 2 and no JSON.
+@pytest.mark.parametrize("line", cli.USAGE.splitlines(), ids=lambda line: line.split("#")[0].strip())
+def test_every_usage_line_parses(line):
+    """Each example in ``cli.USAGE`` (README's block) gives help or holds its literal values."""
+    program, *argv = shlex.split(line, comments=True)
+    assert program == "surfemb4"
+    args = cli.parse(argv)
+    if args.func is cli.cmd_help:
+        assert argv == ["-h"]
+        return
+    values = vars(args)
+    literals = {str(v) for value in values.values() for v in (value if isinstance(value, list) else [value])}
+    for word in argv[1:]:
+        option, eq, text = word.partition("=")
+        if word.startswith("--"):
+            assert option[2:] in values and values[option[2:]] is not None
+            assert not eq or text in literals
+        else:
+            assert word in literals, word
+    assert args.func is getattr(cli, f"cmd_{argv[0]}")
+
+
 BAD_LINES = [
     [],
     ["decide"],
     ["gamma", "torus_s3s1"],
     ["knot", "foo", "trefoil"],
-    ["knot", "sig", "trefoil", "--omega", "-1/3"],
     ["gamma", "torus_s3s1", "--component", "x"],
     ["decide", "torus_s3s1", "--mode", "bogus"],
     ["decide", "torus_s3s1", "--bogus"],
     ["decide", "torus_s3s1", "extra"],
     ["knot", "sigma-d", "trefoil", "--d", "9" * 5000],
 ]
-
-
-def _id(argv) -> str:
-    return " ".join(arg if len(arg) < 20 else f"<{len(arg)} digits>" for arg in argv) or "<empty>"
 
 
 @pytest.mark.parametrize("argv", BAD_LINES, ids=_id)
@@ -169,7 +180,6 @@ def test_bad_command_line_prints_one_json_error(argv):
 
 def test_bad_command_line_returns_2_in_process(capsys):
     for argv in BAD_LINES:
-        assert argparse_outcome(argv) == ("refuse", None)
         assert cli.main(argv) == cli.EXIT_VALIDATION  # no SystemExit
         assert json.loads(capsys.readouterr().out)["ok"] is False
 

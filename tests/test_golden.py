@@ -4,11 +4,18 @@
 code; ``<name>.out`` holds the exact stdout.  ``{instances}`` in an argv
 stands for the shipped instance directory, and ``{test_instances}`` for
 ``tests/data/instances``, which holds instances that are not shipped.  The
-instance files were recorded before the engine and band checks were
+shipped instance files were recorded before the engine and band checks were
 consolidated, the ``<knot>.knot-*`` files before the knot invariants were
 made polynomial, and ``weak_collection.*`` (a weak Whitney collection on a
 proper F^t) when t(F^t, W^t) came to be counted on W^t as declared, so any
 drift in verdict, ``km``, ``gamma``, batch or knot JSON fails here.
+
+Four test instances reach branches that no shipped one does.  In
+``framed_sphere_minus_one`` a framed sphere, outside F^t, has (1, -1) in its
+signed subgroup, so the homotopy analysis stays in case 1; in its mirror
+``torus_minus_one`` the torus in F^t has it, which is case 2.
+``lambda_nonzero`` answers "lambda = mu = 0?" with no, and
+``group_not_good`` answers "Is pi_1(M) good?" with no.
 """
 
 import json
