@@ -150,7 +150,7 @@ def cmd_knot(args) -> tuple[int, dict]:
     if args.invariant == "sig":
         try:  # the point exp(i*pi*p/q) as two ints, reduced by levine_tristram
             p, q = args.omega.split("/") if "/" in args.omega else (args.omega, "1")
-            p, q = int(p), int(q)
+            p, q = _int(p), _int(q)
             if not q:
                 raise ValueError("zero denominator")
         except ValueError as exc:
@@ -224,6 +224,14 @@ COMMANDS = {
 }
 
 
+def _int(text: str) -> int:
+    """``int(text)`` for a canonical decimal word only: ``text == str(int(text))``."""
+    value = int(text)
+    if text != str(value):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return value
+
+
 def _value(option: str, kind, text: str, before):
     if kind is STR:
         return text
@@ -231,7 +239,7 @@ def _value(option: str, kind, text: str, before):
         return (before or []) + [text]
     if kind is INT:
         try:
-            return int(text)
+            return _int(text)
         except ValueError:
             raise ValueError(f"--{option} takes an integer, not {text!r}") from None
     if text not in kind:

@@ -264,12 +264,7 @@ def smith_oracle(ctx: PairingContext) -> tuple[int, list[int]]:
                   for b, eb in ctx.s_g.generators for g in G.elements()]
     if ctx.self_pairing:
         relations += [(g, G.inv(g), wM(g)) for g in G.elements()]
-    rows = []
-    for g, h, s in relations:
-        row = [0] * n
-        row[g] += 1
-        row[h] -= s
-        rows.append(row)
+    rows = [{g: 1 - s} if g == h else {g: 1, h: -s} for g, h, s in relations]
     diag = intlinalg.smith_diagonal(rows, n)
     free_rank = n - len(diag)
     torsion = [d for d in diag if d > 1]

@@ -1,21 +1,20 @@
 """Exact integer matrix routines: Smith diagonal, Hermite form, determinants.
 
-Everything here works on plain Python ints (arbitrary precision) held in
-lists of lists.  The Hermite form and the determinants use the classical
+Everything here works on plain Python ints (arbitrary precision).  The
+Hermite form and the determinants hold lists of lists and use the classical
 cubic algorithms, since their matrices stay small; the Hermite form keeps
-one row per pivot column, keyed by the column.  The Smith diagonal
-first eliminates unit pivots on sparse rows, which keeps the large and very
-sparse relation matrices of the Smith oracle cheap, and runs the cubic
-dense loop only on what is left.
+one row per pivot column, keyed by the column.  The Smith diagonal takes
+sparse ``{column: entry}`` rows and runs one sparse elimination, which keeps
+the large and very sparse relation matrices of the Smith oracle cheap.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import repeat
 from operator import floordiv, mul, sub
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalConsistency
 
@@ -32,133 +31,85 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def smith_diagonal(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form of an integer matrix.
+def smith_diagonal(rows: Sequence[Mapping[int, int]], ncols: int) -> list[int]:
+    """Nonzero diagonal entries of the Smith normal form of a sparse integer matrix.
 
+    ``rows`` are ``{column: entry}`` maps over the columns ``0 .. ncols-1``.
     Returns the invariant factors d_1 | d_2 | ... | d_r (all positive); the
     cokernel of the row lattice is Z^(ncols-r) + sum_i Z/d_i.
 
-    A pivot of +-1 splits the matrix as 1 + (the rest): clearing its column
-    with row operations and then its row with column operations changes
-    nothing else.  Such pivots are eliminated first on sparse rows, each
-    costing the rows that meet its column; the dense loop then runs on the
-    distinct residue rows only, over the columns they still use.
+    One elimination loop.  The pivot is a +-1 of a row changed since it was
+    last searched, else an entry of least magnitude.  Row operations clear
+    its column, a nonzero remainder becoming the next, smaller pivot; with
+    the column clear, a column operation changes the pivot row only, so that
+    row is reduced mod the pivot, a nonzero residue again becoming the pivot.
+    A pivot alone in its row and column is a diagonal entry, and a gcd/lcm
+    pass makes the divisibility chain.  A unit pivot costs the rows that meet
+    its column; any other pivot also costs one scan of the live entries.
     """
-    ones, residue = _eliminate_unit_pivots(rows)
-    cols = sorted({j for row in residue for j in row})
-    at = {j: k for k, j in enumerate(cols)}
-    distinct = set()  # rows equal up to sign span the same lattice, so one of each is enough
-    for row in residue:
-        out = [0] * len(cols)
-        for j, v in row.items():
-            out[at[j]] = v
-        sign = 1 if next(filter(None, out)) > 0 else -1
-        distinct.add(tuple(sign * v for v in out))
-    return [1] * ones + _dense_smith_diagonal([list(row) for row in distinct], len(cols))
-
-
-def _eliminate_unit_pivots(rows: Sequence[Sequence[int]]) -> tuple[int, list[dict[int, int]]]:
-    """(number of +-1 pivots eliminated, the nonzero rows left, as {column: entry})."""
     live: dict[int, dict[int, int]] = {}
-    where: dict[int, set[int]] = {}  # column -> live rows with a nonzero there
+    where: dict[int, set[int]] = {j: set() for j in range(ncols)}  # column -> live rows with a nonzero there
     for i, row in enumerate(rows):
-        sparse = {j: row[j] for j in compress(range(len(row)), row)}
-        if sparse:
-            live[i] = sparse
-            for j in sparse:
-                where.setdefault(j, set()).add(i)
-    ones = 0
-    queue = list(live)
-    while queue:
-        r = queue.pop()
-        pivot_row = live.get(r)
-        if pivot_row is None:
-            continue
-        units = [j for j, v in pivot_row.items() if v in (1, -1)]
-        if not units:
-            continue
-        j = min(units, key=lambda c: len(where[c]))
-        p = pivot_row[j]
-        del live[r]
-        for k in pivot_row:
-            where[k].discard(r)
-        for i in where.pop(j):
-            row = live[i]
-            q = row[j] * p  # p = +-1, so row[j] / p
-            for k, v in pivot_row.items():
-                nv = row.get(k, 0) - q * v
-                if nv:
-                    if k not in row:
-                        where[k].add(i)
-                    row[k] = nv
-                else:
-                    del row[k]
-                    if k != j:
-                        where[k].discard(i)
-            if row:
-                queue.append(i)
-            else:
-                del live[i]
-        ones += 1
-    return ones, list(live.values())
-
-
-def _dense_smith_diagonal(a: list[list[int]], n: int) -> list[int]:
-    """``smith_diagonal`` by a full pivot search each step, on nonzero rows ``a`` (changed)."""
-    m = len(a)
-    if m == 0:
-        return []
-    diag: list[int] = []
-    t = 0
-    while t < m and t < n:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v != 0 and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        # clear row and column t; each restart strictly shrinks |pivot|
+        row = {j: v for j, v in row.items() if v}
+        if row:
+            live[i] = row
+            for j in row:
+                where[j].add(i)
+    diag = []
+    queue = list(live)  # rows changed since they were last searched for a unit
+    while live:
+        j = None
+        while queue and j is None:
+            r = queue.pop()
+            units = [k for k, v in live.get(r, {}).items() if v == 1 or v == -1]
+            if units:
+                j = min(units, key=lambda k: len(where[k]))
+        if j is None:
+            _, r, j = min((abs(v), i, k) for i, row in live.items() for k, v in row.items())
+        pivot_row = live[r]
         while True:
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // pivot
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // pivot
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j] != 0:
-                        for i in range(t, m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        diag.append(abs(a[t][t]))
-        t += 1
-    diag = [d for d in diag if d != 0]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            if diag[j] % diag[i] != 0:
-                g = math.gcd(diag[i], diag[j])
-                diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return sorted(diag)
+            p = pivot_row[j]
+            for i in [i for i in where[j] if i != r]:
+                row = live[i]
+                q = row[j] // p
+                if q:
+                    for k, v in pivot_row.items():
+                        nv = row.get(k, 0) - q * v
+                        if nv:
+                            if k not in row:
+                                where[k].add(i)
+                            row[k] = nv
+                        else:
+                            del row[k]
+                            where[k].discard(i)
+                    if not row:
+                        del live[i]
+                        continue
+                    queue.append(i)
+                if j in row:  # what is left is smaller than p: the next pivot
+                    r, pivot_row = i, row
+                    break
+            else:  # column j is clear but at row r
+                for k in [k for k in pivot_row if k != j]:
+                    v = pivot_row[k] % p
+                    if v:
+                        pivot_row[k] = v
+                    else:
+                        del pivot_row[k]
+                        where[k].discard(r)
+                if len(pivot_row) == 1:
+                    break
+                j = min((k for k in pivot_row if k != j), key=lambda k: abs(pivot_row[k]))
+        diag.append(abs(p))
+        del live[r]
+        where[j].discard(r)
+    big = [d for d in diag if d > 1]
+    for i in range(len(big)):
+        for j in range(i + 1, len(big)):
+            if big[j] % big[i] != 0:
+                g = math.gcd(big[i], big[j])
+                big[i], big[j] = g, big[i] * big[j] // g
+    return [1] * (len(diag) - len(big)) + sorted(big)
 
 
 class HermiteLattice:

@@ -56,7 +56,6 @@ TABLE = [
      gamma("torus_s3s1", 0, 1, ["[0]", "[1]"])),
     (["gamma", "x", "--component=-2", "--other", "-3", "--query", "-1 ", "--query", "--"],
      gamma("x", -2, -3, ["-1 ", "--"])),
-    (["gamma", "x", "--query", "-h", "--component", "1_0"], gamma("x", 10, None, ["-h"])),
     (["knot", "sig", "trefoil", "--omega", "-1/3"], knot("sig", "trefoil", "-1/3")),
     (["knot", "--omega=-1/3", "sig", "trefoil", "--d", "-3"], knot("sig", "trefoil", "-1/3", -3)),
     (["knot", "sig", "trefoil", "--omega=--"], knot("sig", "trefoil", "--")),
@@ -100,6 +99,13 @@ TABLE = [
     (["gamma", "x", "--component", "x"], "--component takes an integer, not 'x'"),
     (["gamma", "x", "--component", "-h"], "--component takes an integer, not '-h'"),
     (["gamma", "x", "--component", "0", "--other", " 7 x"], "--other takes an integer, not ' 7 x'"),
+    # refused: an integer word that is not canonical decimal, text != str(int(text))
+    (["gamma", "x", "--query", "-h", "--component", "1_0"], "--component takes an integer, not '1_0'"),
+    (["gamma", "x", "--component", " 0 "], "--component takes an integer, not ' 0 '"),
+    (["gamma", "x", "--component", "0", "--other", "+1"], "--other takes an integer, not '+1'"),
+    (["gamma", "x", "--component", "007"], "--component takes an integer, not '007'"),
+    (["gamma", "x", "--component", "-0"], "--component takes an integer, not '-0'"),
+    (["knot", "sigma-d", "--d", "\u0663", "trefoil"], "--d takes an integer, not '\u0663'"),
     (["decide", "x", "--mode", "bogus"], "--mode takes one of regular, homotopy, not 'bogus'"),
     (["decide", "x", "--mode=--"], "--mode takes one of regular, homotopy, not '--'"),
     (["knot", "foo", "trefoil"], f"knot: invariant is one of {INVARIANTS}, not 'foo'"),
@@ -126,13 +132,23 @@ def test_parse_table(argv, expected):
     assert got == expected
 
 
-def test_a_lone_dash_dash_value_is_kept():
-    """``--`` as a value is the word ``--``, checked like any other value."""
-    for argv, field in ((["knot", "sig", "trefoil", "--omega=--"], "omega"),
-                        (["knot", "sig", "--", "--"], "knot")):
-        assert getattr(cli.parse(argv), field) == "--"
-    with pytest.raises(ValueError):
-        cli.parse(["decide", "x", "--mode=--"])
+# (--omega, the half refused): p and q of p/q are read as canonical decimal words
+OMEGA_REFUSALS = [
+    ("1_0/ 7", "1_0"),
+    ("1/ 7", " 7"),
+    ("+1/3", "+1"),
+    ("1/03", "03"),
+    ("-0/3", "-0"),
+    ("\u0663", "\u0663"),
+]
+
+
+@pytest.mark.parametrize(("omega", "half"), OMEGA_REFUSALS, ids=[omega for omega, _ in OMEGA_REFUSALS])
+def test_omega_takes_canonical_integers(omega, half):
+    args = cli.parse(["knot", "sig", "trefoil", "--omega", omega])
+    with pytest.raises(ValueError) as exc:
+        cli.cmd_knot(args)
+    assert str(exc.value) == f"bad --omega {omega!r}: invalid literal for int() with base 10: {half!r}"
 
 
 @pytest.mark.parametrize("line", cli.USAGE.splitlines(), ids=lambda line: line.split("#")[0].strip())
@@ -166,6 +182,9 @@ BAD_LINES = [
     ["decide", "torus_s3s1", "--bogus"],
     ["decide", "torus_s3s1", "extra"],
     ["knot", "sigma-d", "trefoil", "--d", "9" * 5000],
+    ["gamma", "torus_s3s1", "--component", " 0 "],
+    ["knot", "sig", "trefoil", "--omega", "1_0/ 7"],
+    ["knot", "sigma-d", "--d", "\u0663", "trefoil"],
 ]
 
 

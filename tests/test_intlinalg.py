@@ -4,12 +4,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import linear_pencil_det_lagrange
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
+
+from helpers import (cyclic_group, dihedral, direct_product, linear_pencil_det_lagrange, random_character,
+                     random_signed_subgroup)
 from surfemb4 import intlinalg
 from surfemb4.errors import InternalConsistency
+from surfemb4.gamma import PairingContext, smith_oracle
 from surfemb4.intlinalg import (
     HermiteLattice,
-    _eliminate_unit_pivots,
     bareiss_det,
     cyclotomic,
     linear_pencil_det,
@@ -18,11 +22,25 @@ from surfemb4.intlinalg import (
 )
 
 
+def _sparse(rows):
+    """Dense rows as the ``{column: entry}`` rows ``smith_diagonal`` takes, zeros kept."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+def _sympy_diagonal(rows, n):
+    """The reference: the nonzero diagonal of sympy's Smith normal form, as positive ints."""
+    if not rows or not n:
+        return []
+    snf = smith_normal_form(sympy.Matrix(rows))
+    return sorted(abs(int(snf[i, i])) for i in range(min(len(rows), n)) if snf[i, i] != 0)
+
+
 def test_smith_diagonal_basic():
     assert smith_diagonal([], 3) == []
-    assert smith_diagonal([[2, 0], [0, 3]], 2) == [1, 6]
-    assert smith_diagonal([[0, 2]], 2) == [2]
-    assert smith_diagonal([[2, 4], [4, 8]], 2) == [2]
+    assert smith_diagonal(_sparse([[2, 0], [0, 3]]), 2) == [1, 6]
+    assert smith_diagonal([{1: 2}], 2) == [2]
+    assert smith_diagonal(_sparse([[2, 4], [4, 8]]), 2) == [2]
+    assert smith_diagonal([{0: 0}, {}], 1) == []
 
 
 def test_smith_diagonal_divisibility_chain():
@@ -30,49 +48,84 @@ def test_smith_diagonal_divisibility_chain():
     for _ in range(200):
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
         rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
-        diag = smith_diagonal(rows, n)
+        diag = smith_diagonal(_sparse(rows), n)
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
 
 
 def test_smith_diagonal_against_sympy():
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form
-
     rng = random.Random(17)
     for _ in range(60):
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
         rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
-        mine = smith_diagonal(rows, n)
-        snf = smith_normal_form(sympy.Matrix(rows))
-        theirs = sorted(abs(snf[i, i]) for i in range(min(m, n)) if snf[i, i] != 0)
-        assert mine == theirs, rows
+        assert smith_diagonal(_sparse(rows), n) == _sympy_diagonal(rows, n), rows
+
+
+# Each case forces one branch of the elimination loop.
+BRANCH_CASES = {
+    # no +-1 anywhere: every pivot comes from the scan for a least entry
+    "no unit": [[2, 4, 0], [0, 6, 8], [4, 0, 10]],
+    # column remainders move the pivot: 6 leaves 10 - 6 = 4, then 4 leaves 6 - 4 = 2, ...
+    "column remainder": [[6], [10], [15]],
+    # row residues move the pivot: 10 and 15 mod 6 leave 4 and 3
+    "row residue": [[6, 10, 15]],
+    "both": [[6, 10, 0], [15, 0, 10], [0, 15, 6]],
+    # 4 clears its column, leaving [0, 1]; the residue 6 mod 4 = 2 is the pivot, and the 1
+    # below it, smaller, becomes the pivot with no row operation
+    "smaller entry below": [[4, 6], [4, 7]],
+    "empty row": [[0, 0, 0], [2, 0, 4], [0, 0, 0], [0, 3, 0]],
+    # the order-256 dihedral oracle's shape: units leave isolated +-2, repeated up to sign
+    "isolated twos": [[1, -1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 2, 0, 0], [0, 0, -2, 0, 0],
+                      [0, 0, 0, 2, 0], [0, 0, 0, 0, -2], [0, 0, 0, 0, 2], [1, 0, 0, 0, 0]],
+    "units then a residue": [[1, 2, 0], [2, 2, 0], [0, 4, 6], [-1, 0, 6]],
+}
+
+
+@pytest.mark.parametrize("rows", BRANCH_CASES.values(), ids=BRANCH_CASES)
+def test_smith_diagonal_branches_against_sympy(rows):
+    n = len(rows[0])
+    assert smith_diagonal(_sparse(rows), n) == _sympy_diagonal(rows, n)
 
 
 def test_smith_diagonal_sparse_against_sympy():
-    # sparse entries in {0, +-1, +-2}: unit pivots are eliminated first, and the
-    # dense loop runs on whatever is left
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form
-
     rng = random.Random(29)
-    paths = {"units": 0, "residue": 0, "both": 0}
     for _ in range(250):
         m, n = rng.randrange(1, 11), rng.randrange(1, 11)
         density = rng.choice((0.15, 0.3, 0.5))
-        entries = rng.choice(((1, -1, 2, -2), (2, -2, 1), (2, -2)))
+        entries = rng.choice(((1, -1, 2, -2), (2, -2, 1), (2, -2), (6, 10, 15, -6)))
         rows = [[rng.choice(entries) if rng.random() < density else 0 for _ in range(n)]
                 for _ in range(m)]
-        ones, residue = _eliminate_unit_pivots(rows)
-        paths["units"] += ones > 0
-        paths["residue"] += bool(residue)
-        paths["both"] += ones > 0 and bool(residue)
-        mine = smith_diagonal(rows, n)
-        snf = smith_normal_form(sympy.Matrix(rows))
-        theirs = sorted(abs(snf[i, i]) for i in range(min(m, n)) if snf[i, i] != 0)
-        assert mine == theirs, rows
-        assert mine[:ones] == [1] * ones
-    assert min(paths.values()) >= 40, paths
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        assert smith_diagonal(sparse, n) == _sympy_diagonal(rows, n), rows
+
+
+def _relations(ctx):
+    """The oracle's relation matrix written out densely: e_g - s e_h for each relation g ~ s h."""
+    G, n = ctx.ambient, ctx.ambient.order
+    relations = [(g, G.mul(a, g), ea) for a, ea in ctx.s_f.generators for g in G.elements()]
+    relations += [(g, G.mul(g, b), eb * ctx.wM(b)) for b, eb in ctx.s_g.generators for g in G.elements()]
+    if ctx.self_pairing:
+        relations += [(g, G.inv(g), ctx.wM(g)) for g in G.elements()]
+    rows = []
+    for g, h, s in relations:
+        row = [0] * n
+        row[g] += 1
+        row[h] -= s
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("group", ["C32", "D16", "C4xD4"])
+def test_smith_oracle_against_sympy(group):
+    G = {"C32": lambda: cyclic_group(32), "D16": lambda: dihedral(16),
+         "C4xD4": lambda: direct_product(cyclic_group(4), dihedral(4))}[group]()
+    rng = random.Random(group)
+    for self_pairing in (False, True, True):
+        s_f = random_signed_subgroup(G, rng)
+        s_g = s_f if self_pairing else random_signed_subgroup(G, rng)
+        ctx = PairingContext(G, random_character(G, rng), s_f, s_g, self_pairing=self_pairing)
+        diag = _sympy_diagonal(_relations(ctx), G.order)
+        assert smith_oracle(ctx) == (G.order - len(diag), [d for d in diag if d > 1])
 
 
 def test_hermite_reduce_is_coset_invariant():
