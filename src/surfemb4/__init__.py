@@ -9,17 +9,18 @@ Library layout:
 - ``bands``: surface homology model, the band invariant, characteristic checks
 - ``engine``: the decision flowchart and homotopy-class analysis
 - ``knots``: Seifert-matrix invariants and genus bounds
-- ``schema`` / ``cli``: reading instance and knot files, verdict JSON, the command line
+- ``schema``: reading instance files
+- ``shapes`` / ``cli``: the JSON shapes both file kinds use, knot files, verdict JSON, the command line
 - ``errors``: the internal-consistency exception (exit code 3)
 
 Importing the package runs no submodule.  Every CLI command is one
-interpreter start, so the package registers its seven domain modules, and
-``knots`` registers ``mpmath``, with ``_lazy``: a module's body runs only
-when one of its attributes is first used, and a command runs only the
-modules it reaches.  A module names another with a plain ``from . import
-gamma``, which returns the registered placeholder without running it, and
-a function of it by attribute at the call (``engine.flowchart``).  ``cli``
-and ``schema`` are imported as usual.
+interpreter start, so the package registers its seven domain modules and
+the instance reader ``schema``, and ``knots`` registers ``mpmath``, with
+``_lazy``: a module's body runs only when one of its attributes is first
+used, and a command runs only the modules it reaches.  A module names
+another with a plain ``from . import gamma``, which returns the registered
+placeholder without running it, and a function of it by attribute at the
+call (``engine.flowchart``).  ``cli`` and ``shapes`` are imported as usual.
 
 Every public name here is reached by the command line, the flowchart or
 the benchmark tracer; ``tests/test_public_names.py`` counts no test as a
@@ -33,7 +34,7 @@ import sys
 __version__ = "0.1.0"
 
 # Seifert entries of magnitude below 2^53 are exact as floats.  Knot files
-# (``schema``) may hold only those, so the signature certificate (``knots``)
+# (``shapes``) may hold only those, so the signature certificate (``knots``)
 # can start in floats on every knot file.
 FLOAT_EXACT_BOUND = 1 << 53
 
@@ -57,6 +58,6 @@ def _lazy(name: str):
     return sys.modules[name]
 
 
-for _module in ("bands", "engine", "gamma", "groups", "intlinalg", "knots", "whitney"):
+for _module in ("bands", "engine", "gamma", "groups", "intlinalg", "knots", "schema", "whitney"):
     _lazy(f"{__name__}.{_module}")
 del _module

@@ -14,10 +14,11 @@ strict grammar; it does not import argparse, which would cost a child 5 ms.
 
 Each verdict is one interpreter start.  A child's CPU time goes to starting
 the interpreter and ``site``, to compiling the package source it runs when
-no bytecode is written (11 ms of ``examples list``, 26 ms of ``decide``), to
-the command's work (well under 1 ms for ``knot arf`` or ``examples list``)
-and to exit, where ``Py_FinalizeEx`` runs two full collections that walk
-every container left.  So ``main``, and only ``main``, sets the collector
+no bytecode is written (6-7 ms of ``examples list``, 12-15 ms of ``knot
+arf``, 23-26 ms of ``decide``), to the command's work (well under 1 ms for
+``knot arf`` or ``examples list``) and to exit, where ``Py_FinalizeEx``
+runs two full collections that walk every container left.  So ``main``,
+and only ``main``, sets the collector
 when it runs the process's own command line (``argv`` None): it turns the
 collector off and registers ``gc.freeze`` with ``atexit``, which runs
 before those collections, so that no collection walks what the process
@@ -37,7 +38,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import engine, gamma, knots, schema
+from . import engine, gamma, knots, schema, shapes
 from .errors import InternalConsistency
 
 _DATA = Path(__file__).with_name("data")  # the shipped files; a zipped package is not supported
@@ -61,7 +62,7 @@ def _resolve(path: str, kind: str) -> Path:
 def _failure(exc: Exception) -> tuple[int, dict]:
     """Exit code and document of a failed command: 2 for bad input, 3 for a failed cross-check."""
     code = EXIT_INTERNAL if isinstance(exc, InternalConsistency) else EXIT_VALIDATION
-    return code, {"ok": False, "errors": exc.errors if isinstance(exc, schema.SchemaError) else [str(exc)]}
+    return code, {"ok": False, "errors": exc.errors if isinstance(exc, shapes.SchemaError) else [str(exc)]}
 
 
 def _load_instance(name: str) -> engine.ProblemInstance:
@@ -142,7 +143,7 @@ def cmd_gamma(args) -> tuple[int, dict]:
 
 
 def cmd_knot(args) -> tuple[int, dict]:
-    V = schema.load_knot(str(_resolve(args.knot, "knots")))
+    V = shapes.load_knot(str(_resolve(args.knot, "knots")))
     if args.invariant == "arf":
         return EXIT_OK, {"arf": knots.arf(V)}
     if args.invariant == "alex":
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
         code, doc = args.func(args)
     except (ValueError, InternalConsistency) as exc:  # ValueError: every domain error derives from it
         code, doc = _failure(exc)
-    text = doc if isinstance(doc, str) else schema.to_json(doc)
+    text = doc if isinstance(doc, str) else shapes.to_json(doc)
     try:  # flushed here, so that a failed write is reported here and not at exit
         if sys.stdout is None:  # the process started with fd 1 closed
             raise OSError("stdout is closed")

@@ -75,15 +75,8 @@ from surfemb4.groups import (
 )
 from surfemb4.intlinalg import HermiteLattice, bareiss_det
 from surfemb4.knots import SeifertMatrix, _is_alexander_root
-from surfemb4.schema import (
-    INSTANCE_SHAPE,
-    SCHEMA_VERSION,
-    SchemaError,
-    _build,
-    _domain_errors,
-    _h1_dim_error,
-    _shape_errors,
-)
+from surfemb4.schema import INSTANCE_SHAPE, SCHEMA_VERSION, _build, _domain_errors, _h1_dim_error
+from surfemb4.shapes import SchemaError, shape_errors
 from surfemb4.whitney import (
     DoublePoints,
     NotConvenient,
@@ -846,7 +839,7 @@ def instance_from_dict_per_point(doc) -> ProblemInstance:
     point is checked on its own and becomes a ``DoublePoint``; the errors are the reader's, in
     the reader's order.
     """
-    errors = _shape_errors(INSTANCE_SHAPE, doc)
+    errors = shape_errors(INSTANCE_SHAPE, doc)
     if errors:
         raise SchemaError(errors)
     gdoc = doc["group"]

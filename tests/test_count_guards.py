@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from helpers import random_points_doc
-from surfemb4 import cli, engine, schema, whitney
+from surfemb4 import cli, engine, schema, shapes, whitney
 
 PACKAGE = str(Path(schema.__file__).parent)
 PACKAGE_DATA = Path(PACKAGE) / "data" / "instances"
@@ -84,8 +84,8 @@ def test_decide_work_does_not_grow_per_point_or_disc(mode, tmp_path, monkeypatch
     assert records == ["WhitneyCollection"]
     counts = {"object checks": 0, "object fits": 0}
     counted = _counter(counts)
-    monkeypatch.setattr(schema._Object, "check", counted("object checks", schema._Object.check))
-    monkeypatch.setattr(schema._Object, "fits_all", counted("object fits", schema._Object.fits_all))
+    monkeypatch.setattr(shapes.Object, "check", counted("object checks", shapes.Object.check))
+    monkeypatch.setattr(shapes.Object, "fits_all", counted("object fits", shapes.Object.fits_all))
     seen = []
     for pairs in (100, 200, 400):
         path = _instance(tmp_path, pairs)

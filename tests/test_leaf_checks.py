@@ -13,7 +13,7 @@ import random
 from collections import Counter
 
 from helpers import band_catalog_doc, random_points_doc
-from surfemb4 import bands, groups, schema, whitney
+from surfemb4 import bands, groups, schema, shapes, whitney
 
 KINDS = {"+1 or -1": "sign", "0 or 1": "bit", "a nonnegative integer": "count", "an integer": "int"}
 
@@ -36,11 +36,11 @@ def _leaves(shape, value, out: Counter) -> None:
             _leaves(shape.shape, value, out)
     elif isinstance(shape, schema._Tagged):
         _leaves(shape.variants[value[shape.tag]], value, out)
-    elif isinstance(shape, schema._Object):
+    elif isinstance(shape, shapes.Object):
         for key, field in shape.fields:
             if key in value:
                 _leaves(field, value[key], out)
-    elif isinstance(shape, (schema._Tuple, schema._Array)):
+    elif isinstance(shape, (schema._Tuple, shapes.Array)):
         items = shape.items if isinstance(shape, schema._Tuple) else [shape.item] * len(value)
         for item, entry in zip(items, value):
             _leaves(item, entry, out)
@@ -48,7 +48,7 @@ def _leaves(shape, value, out: Counter) -> None:
         out["key"] += len(value) if shape.int_keys else 0
         for entry in value.values():
             _leaves(shape.value, entry, out)
-    elif isinstance(shape, schema._Leaf):
+    elif isinstance(shape, shapes.Leaf):
         out[KINDS.get(shape.expected, shape.expected)] += 1
     else:
         out["element"] += 1
@@ -70,7 +70,7 @@ def test_each_leaf_is_checked_once(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, call)
 
-    spy(schema._Leaf, "fits_all", lambda self, values, trust=False: (
+    spy(shapes.Leaf, "fits_all", lambda self, values, trust=False: (
         {} if trust and self.owned else {KINDS.get(self.expected, self.expected): len(values)}))
     for module in (groups, whitney):  # whitney binds its own name for it
         spy(module, "check_signed", lambda group, signs, elems, error=None: {"sign": len(signs)})
@@ -82,7 +82,7 @@ def test_each_leaf_is_checked_once(monkeypatch):
         "count": len(discs.mu_boundary) + sum(map(len, discs.interiors)) + len(boundary),
         "int": len(discs.euler)})
     spy(schema, "_int_keys", lambda keys: {"key": len(keys)})
-    for shape in (schema._Shape, schema._Leaf, schema._Array, schema._Tuple, schema._Object, schema._Map,
+    for shape in (shapes.Shape, shapes.Leaf, shapes.Array, schema._Tuple, shapes.Object, schema._Map,
                   schema._Tagged, schema._Nullable):  # the per-entry walk runs only on errors
         spy(shape, "check", lambda self, value: {"entry walk": 1})
 

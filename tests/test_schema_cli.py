@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from surfemb4 import cli, schema
+from surfemb4 import cli, schema, shapes
 from surfemb4.engine import ProblemInstance, flowchart
 
 from helpers import instance_to_dict
@@ -97,9 +97,9 @@ def test_round_trip_of_constructed_instances():
 
 def test_verdict_json_is_stable():
     inst = schema.load_instance(example_path("torus_s3s1"))
-    first = schema.to_json(flowchart(inst).as_dict())
+    first = shapes.to_json(flowchart(inst).as_dict())
     for _ in range(3):
-        assert schema.to_json(flowchart(inst).as_dict()) == first
+        assert shapes.to_json(flowchart(inst).as_dict()) == first
 
 
 def test_cli_validate(capsys):
@@ -407,7 +407,7 @@ def test_knot_file_fields(tmp_path, capsys):
     assert _cli(capsys, "knot", "arf", str(path))[0] == 2
 
 
-@pytest.mark.parametrize("size", [schema.MAX_SEIFERT_SIZE + 2, 1000])
+@pytest.mark.parametrize("size", [shapes.MAX_SEIFERT_SIZE + 2, 1000])
 def test_seifert_size_is_capped(size, tmp_path, capsys):
     path = tmp_path / "large.json"
     path.write_text(json.dumps({"seifert": [[0] * size for _ in range(size)]}))
@@ -416,12 +416,12 @@ def test_seifert_size_is_capped(size, tmp_path, capsys):
     assert time.perf_counter() - started < 2.0
     assert code == 2
     assert out["errors"] == [f"/seifert: the Seifert size {size} exceeds the cap of "
-                             f"{schema.MAX_SEIFERT_SIZE}"]
+                             f"{shapes.MAX_SEIFERT_SIZE}"]
 
 
 def test_seifert_size_at_the_cap_is_read(tmp_path, capsys):
     # T(2, 41): Seifert size 40, Arf 0 since 41 = 1 mod 8
-    n = schema.MAX_SEIFERT_SIZE
+    n = shapes.MAX_SEIFERT_SIZE
     path = tmp_path / "t2_41.json"
     path.write_text(json.dumps(
         {"seifert": [[-1 if i == j else 1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]}))

@@ -22,14 +22,11 @@ from surfemb4.schema import (
     ELEMENT,
     INSTANCE_SHAPE,
     INT,
-    KNOT_SHAPE,
     SIGN,
-    _Array,
-    _Leaf,
     _Map,
-    _Object,
     _Tuple,
 )
+from surfemb4.shapes import KNOT_SHAPE, Array, Leaf, Object
 
 FIELDS = dict(INSTANCE_SHAPE.fields)
 COLLECTION = dict(FIELDS["whitney_collection"].shape.fields)
@@ -40,10 +37,10 @@ SHAPES = {
     "band": dict(FIELDS["catalogs"].fields)["bands"].item,  # owned bits, arrays of arrays
     "component": FIELDS["components"].item,  # optional w2 and e
     "knot": KNOT_SHAPE,  # optional name
-    "flat": _Object({"a": INT, "b": BIT}),
-    "optional": _Object({"a": INT, "b": _Tuple(SIGN, INT)}, optional=("b",)),
+    "flat": Object({"a": INT, "b": BIT}),
+    "optional": Object({"a": INT, "b": _Tuple(SIGN, INT)}, optional=("b",)),
     "interior": _Map(COUNT, int_keys=True),
-    "free keys": _Map(_Array(BIT)),
+    "free keys": _Map(Array(BIT)),
 }
 KEYS = ["0", "1", "12", "-3", "01", " 1", "1_0", "٣", "+1", "1" * 4301, "x", ""]
 JUNK = [True, False, 1.5, "x", None, [], {}, 2 ** 70, -1, 0, [0, 1]]
@@ -57,7 +54,7 @@ def _value(draw, shape, valid: bool):
         return draw(st.sampled_from(JUNK))
     if shape is ELEMENT:
         return draw(st.sampled_from(JUNK))
-    if isinstance(shape, _Leaf):
+    if isinstance(shape, Leaf):
         pool = LEAF_VALUES.get(shape.expected) or (["a", ""] if shape.typ is str else [0, 5, -2])
         if valid:
             pool = [v for v in pool if not shape.check(v)]
@@ -65,13 +62,13 @@ def _value(draw, shape, valid: bool):
     if isinstance(shape, _Tuple):
         size = len(shape.items) + (0 if valid else draw(st.sampled_from([0, 0, 0, 1, -1])))
         return [_value(draw, shape.items[min(i, len(shape.items) - 1)], valid) for i in range(size)]
-    if isinstance(shape, _Array):
+    if isinstance(shape, Array):
         return [_value(draw, shape.item, valid) for _ in range(draw(st.integers(0, 3)))]
     if isinstance(shape, _Map):
         pool = KEYS[:4] if valid and shape.int_keys else KEYS
         keys = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
         return {k: _value(draw, shape.value, valid) for k in keys}
-    if isinstance(shape, _Object):
+    if isinstance(shape, Object):
         out = {}
         for key, field in shape.fields:
             if key in shape.required and valid:
@@ -96,7 +93,7 @@ def _one_fault(draw, shape, entry: dict) -> None:
         pool = KEYS[4:] if isinstance(shape, _Map) else ["extra", "01", "id2"]
         value = _value(draw, shape.value, True) if isinstance(shape, _Map) else 0
         entry[draw(st.sampled_from(pool))] = value
-    elif fault == "drop" and isinstance(shape, _Object):
+    elif fault == "drop" and isinstance(shape, Object):
         del entry[draw(st.sampled_from(sorted(entry)))]
     else:
         entry[draw(st.sampled_from(sorted(entry)))] = draw(st.sampled_from(JUNK))
@@ -121,14 +118,14 @@ def test_fits_all_is_true_exactly_when_no_entry_has_an_error(name, mode, data):
 
 def _columns(shape, values: list, trust: bool):
     """The columns of entries that fit, taken one entry at a time."""
-    if isinstance(shape, _Array):
+    if isinstance(shape, Array):
         if trust and shape.item.owned:  # passed on as they are
             return values
         return _columns(shape.item, [item for value in values for item in value], trust)
     if isinstance(shape, _Tuple):
         return tuple(_columns(item, tuple(value[i] for value in values), trust)
                      for i, item in enumerate(shape.items))
-    if isinstance(shape, _Object):
+    if isinstance(shape, Object):
         return {key: _columns(field, [value[key] for value in values if key in value], trust)
                 for key, field in shape.fields}
     if isinstance(shape, _Map) and shape.int_keys:

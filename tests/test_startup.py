@@ -8,12 +8,14 @@ list shows that ``decide``, ``examples list`` and the ``knot`` commands import
 no ``fractions``, ``decimal`` or ``numbers``, and that no command imports
 ``argparse``, ``gettext`` or ``locale``.
 
-The package registers its domain modules, and ``knots`` registers ``mpmath``,
-lazily (``surfemb4._lazy``), and nothing else does; so ``-X importtime``
-does not show which of them ran.  A module has run when
-it is in ``sys.modules`` as a plain module; an unrun lazy placeholder is of a
-``types.ModuleType`` subclass.  The second test reads that list at the end of
-the command.
+The package registers its domain modules and the instance reader ``schema``,
+and ``knots`` registers ``mpmath``, lazily (``surfemb4._lazy``), and nothing
+else does; so ``-X importtime`` does not show which of them ran, and the
+import list is checked to hold ``shapes``, which ``cli`` imports as usual.
+A module has run when it is in ``sys.modules`` as a plain module; an unrun
+lazy placeholder is of a ``types.ModuleType`` subclass.  The second test
+reads that list at the end of the command: a ``knot`` child and ``examples
+list`` never run ``schema``, and the instance commands do.
 
 A child that runs the CLI as its program turns the collector off as
 ``cli.main`` starts and freezes its heap at exit, so no collection walks what
@@ -80,7 +82,7 @@ def _imported(argv, *flags, env=ENV) -> set[str]:
     assert proc.returncode == 0, proc.stdout + proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert "surfemb4.schema" in imported, imported
+    assert "surfemb4.shapes" in imported, imported
     return imported
 
 
@@ -142,26 +144,30 @@ print(json.dumps(sorted(ran + ["surfemb4.cli"])), file=sys.stderr)
 sys.exit(code)
 """
 
-DOMAIN = {f"surfemb4.{m}" for m in ("engine", "bands", "gamma", "groups", "whitney")}
+# the instance reader and the domain modules, which only the instance commands run
+INSTANCE_SIDE = {f"surfemb4.{m}" for m in ("schema", "engine", "bands", "gamma", "groups", "whitney")}
+READER = "surfemb4.schema"
 RUNS = [  # (argv, modules that must run, modules that must not)
-    (["decide", "torus_s3s1"], {"surfemb4.engine"}, {"mpmath", "surfemb4.knots"}),
+    (["decide", "torus_s3s1"], {READER, "surfemb4.engine"}, {"mpmath", "surfemb4.knots"}),
     # a table group needs no lattice, so a finite decide compiles no intlinalg;
     # gamma runs it for the Smith oracle
-    (["decide", "star_cp2_sphere"], {"surfemb4.engine"},
+    (["decide", "star_cp2_sphere"], {READER, "surfemb4.engine"},
      {"surfemb4.intlinalg", "surfemb4.knots", "mpmath"}),
-    (["validate", "star_cp2_sphere"], {"surfemb4.groups"},
+    (["validate", "star_cp2_sphere"], {READER, "surfemb4.groups"},
      {"surfemb4.intlinalg", "surfemb4.knots", "mpmath"}),
-    (["gamma", "star_cp2_sphere", "--component", "0"], {"surfemb4.intlinalg"},
+    (["km", "tubed_sphere"], {READER, "surfemb4.engine"}, {"surfemb4.knots", "mpmath"}),
+    (["gamma", "star_cp2_sphere", "--component", "0"], {READER, "surfemb4.intlinalg"},
      {"surfemb4.knots", "mpmath"}),
-    (["knot", "arf", "trefoil"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
-    (["knot", "cp2-verdict", "t2_7"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
+    (["knot", "arf", "trefoil"], {"surfemb4.knots"}, INSTANCE_SIDE | {"mpmath"}),
+    (["knot", "cp2-verdict", "t2_7"], {"surfemb4.knots"}, INSTANCE_SIDE | {"mpmath"}),
     # a signature that the 53-bit certificate decides runs no mpmath; the Arf = 1
     # trefoil's cp2 scan computes signatures
-    (["knot", "sig", "trefoil"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
-    (["knot", "cp2-verdict", "trefoil"], {"surfemb4.knots"}, DOMAIN | {"mpmath"}),
+    (["knot", "sig", "trefoil"], {"surfemb4.knots"}, INSTANCE_SIDE | {"mpmath"}),
+    (["knot", "cp2-verdict", "trefoil"], {"surfemb4.knots"}, INSTANCE_SIDE | {"mpmath"}),
+    (["knot", "sigma-d", "--d", "3", "sum3_trefoil"], {"surfemb4.knots"}, INSTANCE_SIDE | {"mpmath"}),
     # 10^-14 from the root 1/3 the 53-bit step declines, and the 106-bit one runs mpmath
     (["knot", "sig", "trefoil", "--omega", "33333333333333/100000000000000"],
-     {"surfemb4.knots", "mpmath"}, DOMAIN),
+     {"surfemb4.knots", "mpmath"}, INSTANCE_SIDE),
 ]
 
 
@@ -181,7 +187,7 @@ def test_cli_child_runs_only_the_modules_its_command_uses(argv, runs, skips):
 
 def test_examples_list_runs_no_domain_module():
     assert _ran(["examples", "list"]) == {
-        "surfemb4", "surfemb4.cli", "surfemb4.schema", "surfemb4.errors"}
+        "surfemb4", "surfemb4.cli", "surfemb4.shapes", "surfemb4.errors"}
 
 
 # Runs surfemb4.cli as _RAN does; an exit hook registered first, so run last,
