@@ -13,10 +13,10 @@ nothing is classified before a query.  A list reduction tallies its points
 by element first and queries only the live elements, those whose points do
 not cancel (as many + as - signs add 0 to a Z orbit and to a Z/2 orbit), so
 it costs O(P) C-level tallying for P points plus the classification of the
-live elements alone.  For a finite ambient, one signed search from (e, +1)
-over the moves of the subgroup generators (and the inversion) classifies
-e's whole orbit, its least element being the representative: O(size of the
-queried orbits x number of generators) per context.  For a finitely
+live elements alone.  For a finite ambient, ``groups.signed_search`` (that
+of ``subgroup_closure``; it states the lemma) from (e, +1) classifies e's
+whole orbit, represented by its least element: O(n x generators) per context
+to lay out the moves, O(orbit size x generators) per orbit.  For a finitely
 generated abelian ambient G = Z^k / (factors), one signed lattice L in
 Z^(k+1) does it: the subgroup generators with their sign bit, the s_g
 generators with the sign twisted by wM, the factors, and (0, 2).
@@ -37,11 +37,11 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import compress, filterfalse, repeat
-from operator import add, and_, eq, mul, ne, neg
+from operator import add, and_, eq, itemgetter, mul, ne, neg
 from typing import NamedTuple, Optional
 
 from . import intlinalg  # run by abelian groups and the Smith oracle only
-from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit
+from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit, signed_search
 
 
 class GammaError(ValueError):
@@ -93,9 +93,12 @@ class GammaGroup:
         G = ctx.ambient
         wM = ctx.wM
         if self.finite:
-            # g -> a*g and g -> g*b, each with the sign factor it applies
-            self._left = [(G.table[a], ea) for a, ea in ctx.s_f.generators]
-            self._right = [(b, eb * wM(b)) for b, eb in ctx.s_g.generators]
+            # g -> a*g, g -> g*b and g -> g^-1, each with the sign factor it applies
+            self._moves = [(G.table[a], (ea,) * G.order) for a, ea in ctx.s_f.generators]
+            self._moves += [(list(map(itemgetter(b), G.table)), (eb * wM(b),) * G.order)
+                            for b, eb in ctx.s_g.generators]
+            if ctx.self_pairing:
+                self._moves.append((G.inverse, wM.values))
             return
         # with self-pairing, a generator g with wM(g) = -1 enters with both sign
         # bits, so (0, 1) lies in the lattice and every orbit has order two
@@ -106,28 +109,10 @@ class GammaGroup:
     def _classify_new(self, new: list) -> None:
         """Table entries for canonical elements not yet classified."""
         if self.finite:
-            G, wM = self.ctx.ambient, self.ctx.wM.values
             for e in new:
                 if e in self._table:  # an earlier element's orbit holds it
                     continue
-                # Each element keeps the sign it is first reached with.  Forward
-                # moves reach the whole orbit of a finite group, so unless some
-                # element is reached with both signs, the signed set reached is
-                # closed under every move: the orbit of (e, +1), not of order two.
-                sign, stack, two = {e: 1}, [e], False
-                while stack:
-                    g = stack.pop()
-                    t = sign[g]
-                    moves = [(row[g], t * ea) for row, ea in self._left]
-                    moves += [(G.table[g][b], t * f) for b, f in self._right]
-                    if self.ctx.self_pairing:
-                        moves.append((G.inverse[g], t * wM[g]))
-                    for h, s in moves:
-                        if h not in sign:
-                            sign[h] = s
-                            stack.append(h)
-                        elif sign[h] != s:
-                            two = True
+                sign, two = signed_search(e, self._moves)
                 orbit = Orbit(min(sign), two)
                 for g, s in sign.items():
                     self._table[g] = (orbit, None if two else s * sign[orbit.rep])

@@ -5,7 +5,8 @@ table (elements are indices 0..n-1) and finitely generated abelian groups
 given by invariant factors (elements are reduced integer tuples, a factor
 of 0 denoting an infinite cyclic summand).  A signed subgroup is a subgroup
 of G x {+1,-1} recording the image of a surface group together with the
-surface's orientation character.
+surface's orientation character.  ``signed_search`` states the lemma behind
+the one signed orbit search that ``subgroup_closure`` and ``gamma`` run.
 """
 
 from __future__ import annotations
@@ -298,31 +299,44 @@ class SignedSubgroup(NamedTuple):
     lattice: Optional[intlinalg.HermiteLattice] = None
 
 
+def signed_search(start: int, moves: list[tuple]) -> tuple[dict[int, int], bool]:
+    """Signs first given to the elements reached from (start, +1), and whether one got both.
+
+    A move (image, signs), sequences indexed by element, sends (g, t) to
+    (image[g], t * signs[g]); each image permutes the elements.  The lemma:
+    a finite permutation's inverse is a power of it, so forward moves reach
+    start's whole orbit; unless some element is reached with both signs, the
+    signed set reached is closed under the moves, the orbit of (start, +1).
+    The moves commute with (g, t) -> (g, -t), so an element reached with both
+    puts (start, -1) in that orbit.  O(orbit size x number of moves).
+    """
+    sign, stack, both = {start: 1}, [start], False
+    while stack:
+        g = stack.pop()
+        t = sign[g]
+        for image, signs in moves:
+            h, s = image[g], t * signs[g]
+            if h not in sign:
+                sign[h] = s
+                stack.append(h)
+            elif sign[h] != s:
+                both = True
+    return sign, both
+
+
 def subgroup_closure(ambient: AmbientGroup, generators: Iterable) -> SignedSubgroup:
     """Close a list of (element, sign) pairs inside G x {+1,-1}; the pairs are checked once.
 
-    For a finite group each element keeps the sign it is first reached with
-    from (1, +1) by the generators.  Forward moves reach every product in a
-    finite group, so unless some element is reached with both signs, the
-    signed set reached is closed under the moves, is the subgroup, and holds
-    one sign per element; the search stops at the first element reached with
-    both.  An abelian group's lattice is asked once.
+    A finite group's subgroup is the orbit of (1, +1) under left products by
+    the generators, so it holds (1, -1) when ``signed_search`` reaches some
+    element with both signs.  An abelian group's lattice is asked once.
     """
     pairs = list(generators)
     signs = [s for _, s in pairs]
     gens = tuple(zip(check_signed(ambient, signs, [g for g, _ in pairs]), signs))
     if ambient.kind == "finite":
-        sign, stack = {ambient.identity: 1}, [ambient.identity]
-        while stack:
-            g = stack.pop()
-            for h, t in gens:
-                cand, s = ambient.mul(g, h), sign[g] * t
-                if cand not in sign:
-                    sign[cand] = s
-                    stack.append(cand)
-                elif sign[cand] != s:
-                    return SignedSubgroup(ambient, gens, True)
-        return SignedSubgroup(ambient, gens, False)
+        moves = [(ambient.table[h], (t,) * ambient.order) for h, t in gens]
+        return SignedSubgroup(ambient, gens, signed_search(ambient.identity, moves)[1])
     k = ambient.rank
     rows = [list(g) + [_sign_bit(s)] for g, s in gens]
     for i, f in enumerate(ambient.factors):

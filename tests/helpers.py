@@ -298,6 +298,17 @@ def all_groups_up_to_8() -> list[tuple[str, FiniteTableGroup]]:
     ]
 
 
+def cyclic_and_dihedral_groups_16_to_256() -> list[tuple[str, FiniteTableGroup]]:
+    """C_n, D_n (order 2n) and their products of orders 16 to 256, the families that the
+    decide-finite workload draws."""
+    c = {n: cyclic_group(n) for n in (2, 4, 8, 16, 256)}
+    return [
+        ("C16", c[16]), ("D16", dihedral(16)), ("C2xD16", direct_product(c[2], dihedral(16))),
+        ("C8xC8", direct_product(c[8], c[8])), ("C4xD16", direct_product(c[4], dihedral(16))),
+        ("D128", dihedral(128)), ("C256", c[256]), ("D16xC8", direct_product(dihedral(16), c[8])),
+    ]
+
+
 def all_characters(group: FiniteTableGroup) -> list[Character]:
     """Every homomorphism to {+1,-1}, found by exhaustive filtering."""
     return [Character(group, signs)
@@ -316,10 +327,10 @@ def random_signed_subgroup(group: FiniteTableGroup, rng: random.Random):
 def signed_closure(group: FiniteTableGroup, generators) -> frozenset:
     """The subgroup of G x {+1,-1} that the (element, sign) pairs generate, closed under products
     and inverses until nothing is new: the reference for ``subgroup_closure``."""
-    closure = {(group.identity, 1), *generators}
+    closure, table = {(group.identity, 1), *generators}, group.table
     while True:
         more = {(group.inv(a), s) for a, s in closure}
-        more |= {(group.mul(a, b), s * t) for a, s in closure for b, t in closure}
+        more |= {(table[a][b], s * t) for a, s in closure for b, t in closure}
         if more <= closure:
             return frozenset(closure)
         closure |= more
@@ -694,8 +705,9 @@ class EnumeratedFiniteGamma:
     def _build_finite(self):
         G = self.ctx.ambient
         wM = self.ctx.wM
+        table = G.table
         left = sorted(signed_closure(G, self.ctx.s_f.generators))
-        right = sorted(signed_closure(G, self.ctx.s_g.generators))
+        right = [(b, eb * wM(b)) for b, eb in sorted(signed_closure(G, self.ctx.s_g.generators))]
         orbit_id: dict[tuple, int] = {}
         next_id = 0
         for e in G.elements():
@@ -708,11 +720,9 @@ class EnumeratedFiniteGamma:
                 orbit_id[(e, s)] = oid
                 while stack:
                     g, t = stack.pop()
-                    nbrs = []
-                    for a, ea in left:
-                        nbrs.append((G.mul(a, g), t * ea))
-                    for b, eb in right:
-                        nbrs.append((G.mul(g, b), t * eb * wM(b)))
+                    row = table[g]
+                    nbrs = [(table[a][g], t * ea) for a, ea in left]
+                    nbrs += [(row[b], t * f) for b, f in right]
                     if self.ctx.self_pairing:
                         nbrs.append((G.inv(g), t * wM(g)))
                     for node in nbrs:

@@ -7,7 +7,7 @@ abelian instance at 1x, 2x and 4x its discs, in both modes:
 
 - ``whitney`` defines no per-point or per-disc record type to build: its one
   tuple type is ``WhitneyCollection``;
-- the shape walk never calls ``_Object.check``, and its ``_Object.fits_all``
+- the shape walk never calls ``shapes.Object.check``, and its ``Object.fits_all``
   calls, one per object shape whatever the number of objects, do not grow;
 - the package's Python lines run do not grow by as much as one per disc.
 

@@ -25,6 +25,7 @@ from helpers import (
     TwoLatticeGamma,
     all_characters,
     all_groups_up_to_8,
+    cyclic_and_dihedral_groups_16_to_256,
     cyclic_group,
     dihedral,
     direct_product,
@@ -229,7 +230,7 @@ def test_finite_tables_match_the_enumeration_on_groups_up_to_8(self_pairing):
 
 def test_finite_tables_match_the_enumeration_on_products_and_dihedral_groups():
     rng = random.Random(6464)
-    for name, g in _products_and_dihedral_groups_up_to_64():
+    for name, g in _products_and_dihedral_groups_up_to_64() + cyclic_and_dihedral_groups_16_to_256():
         for self_pairing in (False, True):
             for _ in range(3):
                 s_f = random_signed_subgroup(g, rng)

@@ -23,6 +23,7 @@ from surfemb4.groups import (
 from helpers import (
     all_characters,
     all_groups_up_to_8,
+    cyclic_and_dihedral_groups_16_to_256,
     cyclic_group,
     dihedral,
     direct_product,
@@ -295,10 +296,10 @@ def test_closure_idempotent():
 
 
 def test_finite_closure_is_the_closure_under_products_and_inverses():
-    # the search by forward moves from the generators stops at the first element
-    # reached with both signs; the reference closes under products and inverses
+    # the search by forward moves from the generators runs to the end and flags an
+    # element reached with both signs; the reference closes under products and inverses
     rng = random.Random(12)
-    for name, g in all_groups_up_to_8():
+    for name, g in all_groups_up_to_8() + cyclic_and_dihedral_groups_16_to_256():
         for _ in range(10):
             s = random_signed_subgroup(g, rng)
             brute = signed_closure(g, s.generators)
