@@ -10,17 +10,19 @@ Library layout:
 - ``engine``: the decision flowchart and homotopy-class analysis
 - ``knots``: Seifert-matrix invariants and genus bounds
 - ``schema``: reading instance files
-- ``shapes`` / ``cli``: the JSON shapes both file kinds use, knot files, verdict JSON, the command line
-- ``errors``: the internal-consistency exception (exit code 3)
+- ``shapes``: the JSON shapes both file kinds use, knot files
+- ``cli``: the command line, and the JSON text of each answer (``to_json``)
+- ``errors``: the exceptions the CLI maps to exit codes 2 (``SchemaError``) and 3
 
 Importing the package runs no submodule.  Every CLI command is one
-interpreter start, so the package registers its seven domain modules and
-the instance reader ``schema``, and ``knots`` registers ``mpmath``, with
-``_lazy``: a module's body runs only when one of its attributes is first
-used, and a command runs only the modules it reaches.  A module names
-another with a plain ``from . import gamma``, which returns the registered
-placeholder without running it, and a function of it by attribute at the
-call (``engine.flowchart``).  ``cli`` and ``shapes`` are imported as usual.
+interpreter start, so the package registers its seven domain modules, the
+instance reader ``schema`` and the knot reader ``shapes``, and ``knots``
+registers ``mpmath``, with ``_lazy``: a module's body runs only when one of
+its attributes is first used, and a command runs only the modules it
+reaches.  A module names another with a plain ``from . import gamma``,
+which returns the registered placeholder without running it, and a function
+of it by attribute at the call (``engine.flowchart``).  ``cli`` and
+``errors`` are imported as usual.
 
 Every public name here is reached by the command line, the flowchart or
 the benchmark tracer; ``tests/test_public_names.py`` counts no test as a
@@ -58,6 +60,6 @@ def _lazy(name: str):
     return sys.modules[name]
 
 
-for _module in ("bands", "engine", "gamma", "groups", "intlinalg", "knots", "schema", "whitney"):
+for _module in ("bands", "engine", "gamma", "groups", "intlinalg", "knots", "schema", "shapes", "whitney"):
     _lazy(f"{__name__}.{_module}")
 del _module

@@ -11,21 +11,24 @@ printed as JSON like any other.  ``decide --batch`` keeps a failure in its
 file's entry, with that entry's own 2 or 3, and exits with the worst code
 of its entries.  ``parse`` reads the command table ``COMMANDS`` by one
 strict grammar; it does not import argparse, which would cost a child 5 ms.
+This module holds only parsing, dispatch and writing (``to_json``); each
+answer is computed where its data lives (``gamma.report``).
 
 Each verdict is one interpreter start.  A child's CPU time goes to starting
 the interpreter and ``site``, to compiling the package source it runs when
-no bytecode is written (6-7 ms of ``examples list``, 12-15 ms of ``knot
-arf``, 23-26 ms of ``decide``), to the command's work (well under 1 ms for
-``knot arf`` or ``examples list``) and to exit, where ``Py_FinalizeEx``
-runs two full collections that walk every container left.  So ``main``,
-and only ``main``, sets the collector
-when it runs the process's own command line (``argv`` None): it turns the
-collector off and registers ``gc.freeze`` with ``atexit``, which runs
-before those collections, so that no collection walks what the process
-made; this saves a ``knot`` or ``examples list`` child 5-8 ms.  An
-in-process caller's collector is left as it is.  ``os._exit`` would save
-about 2 ms more, but it skips ``atexit`` and the report of a failed flush,
-so it is not taken.  README has the measurements.
+no bytecode is written (3-4 ms of ``examples list``, which compiles only
+the package, this module and ``errors``, 12-15 ms of ``knot arf``, 23-26 ms
+of ``decide``), to the command's work (well under 1 ms for ``knot arf`` or
+``examples list``) and to exit, where ``Py_FinalizeEx`` runs two full
+collections that walk every container left.  So ``main``, and only
+``main``, sets the collector when it runs the process's own command line
+(``argv`` None): it turns the collector off and registers ``gc.freeze``
+with ``atexit``, which runs before those collections, so that no
+collection walks what the process made; this saves a ``knot`` or
+``examples list`` child 5-8 ms.  An in-process caller's collector is left
+as it is.  ``os._exit`` would save about 2 ms more, but it skips
+``atexit`` and the report of a failed flush, so it is not taken.  README
+has the measurements.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import engine, gamma, knots, schema, shapes
-from .errors import InternalConsistency
+from .errors import InternalConsistency, SchemaError
 
 _DATA = Path(__file__).with_name("data")  # the shipped files; a zipped package is not supported
 
@@ -62,7 +65,12 @@ def _resolve(path: str, kind: str) -> Path:
 def _failure(exc: Exception) -> tuple[int, dict]:
     """Exit code and document of a failed command: 2 for bad input, 3 for a failed cross-check."""
     code = EXIT_INTERNAL if isinstance(exc, InternalConsistency) else EXIT_VALIDATION
-    return code, {"ok": False, "errors": exc.errors if isinstance(exc, shapes.SchemaError) else [str(exc)]}
+    return code, {"ok": False, "errors": exc.errors if isinstance(exc, SchemaError) else [str(exc)]}
+
+
+def to_json(doc) -> str:
+    """The canonical byte-stable text of a JSON document: sorted keys, two-space indent."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _load_instance(name: str) -> engine.ProblemInstance:
@@ -104,42 +112,9 @@ def cmd_km(args) -> tuple[int, dict]:
 
 def cmd_gamma(args) -> tuple[int, dict]:
     inst = _load_instance(args.instance)
-    i = args.component
-    j = args.other if args.other is not None else i
-    elem = engine.obstruction(inst, {c.id: c.subgroup for c in inst.components}, i, j)
-    target = elem.gamma
-    classified = []  # each query checked once, by the classification
-    for raw in args.query or []:
-        try:
-            value = json.loads(raw)
-            classified.append((value, target.classify(value)))
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"bad query element {raw!r}: {exc}") from None
-    report: dict = {"self_pairing": i == j}
-    if target.finite:
-        orbits = target.orbits()  # built once; the counts are read off it
-        report["orbits"] = [{"rep": o.rep, "order": "Z/2" if o.order_two else "Z"} for o in orbits]
-        report["z2_count"] = sum(o.order_two for o in orbits)
-        report["free_rank"] = len(orbits) - report["z2_count"]
-        oracle_rank, oracle_torsion = gamma.smith_oracle(target.ctx)
-        if (oracle_rank, oracle_torsion) != (report["free_rank"], [2] * report["z2_count"]):
-            raise InternalConsistency(
-                f"orbit counts (free rank {report['free_rank']}, {report['z2_count']} Z/2) disagree "
-                f"with the Smith oracle (free rank {oracle_rank}, torsion {oracle_torsion})")
-        report["smith_oracle"] = {"free_rank": oracle_rank, "torsion": oracle_torsion}
-    else:
-        report["note"] = "infinite ambient group; orbits reported per queried element"
-    queries = []
-    for value, (orbit, section) in classified:
-        queries.append({
-            "element": value,
-            "orbit_rep": orbit.rep,
-            "order": "Z/2" if orbit.order_two else "Z",
-            "coefficient": elem.coefficient(orbit, section),
-        })
-    report["reduced_is_zero"] = elem.is_zero()
-    report["queries"] = queries
-    return EXIT_OK, report
+    j = args.other if args.other is not None else args.component
+    elem = engine.obstruction(inst, {c.id: c.subgroup for c in inst.components}, args.component, j)
+    return EXIT_OK, gamma.report(elem, args.query or [])
 
 
 def cmd_knot(args) -> tuple[int, dict]:
@@ -311,7 +286,7 @@ def main(argv=None) -> int:
         code, doc = args.func(args)
     except (ValueError, InternalConsistency) as exc:  # ValueError: every domain error derives from it
         code, doc = _failure(exc)
-    text = doc if isinstance(doc, str) else shapes.to_json(doc)
+    text = doc if isinstance(doc, str) else to_json(doc)
     try:  # flushed here, so that a failed write is reported here and not at exit
         if sys.stdout is None:  # the process started with fd 1 closed
             raise OSError("stdout is closed")

@@ -35,12 +35,14 @@ the orbit search.
 
 from __future__ import annotations
 
+import json
 from collections import Counter, namedtuple
 from itertools import compress, filterfalse, repeat
 from operator import add, and_, eq, itemgetter, mul, ne, neg
 from typing import NamedTuple, Optional
 
 from . import intlinalg  # run by abelian groups and the Smith oracle only
+from .errors import InternalConsistency
 from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit, signed_search
 
 
@@ -254,3 +256,35 @@ def smith_oracle(ctx: PairingContext) -> tuple[int, list[int]]:
     free_rank = n - len(diag)
     torsion = [d for d in diag if d > 1]
     return free_rank, torsion
+
+
+def report(elem: GammaElement, queries: list[str]) -> dict:
+    """The ``gamma`` answer on ``elem`` and the JSON-text elements ``queries``; on a finite
+    ambient, the orbit list, whose counts the Smith oracle must confirm (else InternalConsistency)."""
+    target = elem.gamma
+    classified = []  # each query checked once, by the classification
+    for raw in queries:
+        try:
+            value = json.loads(raw)
+            classified.append((value, target.classify(value)))
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"bad query element {raw!r}: {exc}") from None
+    out: dict = {"self_pairing": target.ctx.self_pairing}
+    if target.finite:
+        orbits = target.orbits()  # built once; the counts are read off it
+        out["orbits"] = [{"rep": o.rep, "order": "Z/2" if o.order_two else "Z"} for o in orbits]
+        out["z2_count"] = sum(o.order_two for o in orbits)
+        out["free_rank"] = len(orbits) - out["z2_count"]
+        oracle_rank, oracle_torsion = smith_oracle(target.ctx)
+        if (oracle_rank, oracle_torsion) != (out["free_rank"], [2] * out["z2_count"]):
+            raise InternalConsistency(
+                f"orbit counts (free rank {out['free_rank']}, {out['z2_count']} Z/2) disagree "
+                f"with the Smith oracle (free rank {oracle_rank}, torsion {oracle_torsion})")
+        out["smith_oracle"] = {"free_rank": oracle_rank, "torsion": oracle_torsion}
+    else:
+        out["note"] = "infinite ambient group; orbits reported per queried element"
+    out["reduced_is_zero"] = elem.is_zero()
+    out["queries"] = [{"element": value, "orbit_rep": orbit.rep, "order": "Z/2" if orbit.order_two else "Z",
+                       "coefficient": elem.coefficient(orbit, section)}
+                      for value, (orbit, section) in classified]
+    return out

@@ -6,9 +6,10 @@ fields, bools for integers and floats are errors.  One walk takes and
 checks the columns, and the domain objects are built from them; their
 constructors' errors are reported at the pointer of the data they were
 given, and the shape's JSON-pointer errors, when there are any, instead.
-The shapes both file kinds use, the knot file and ``to_json`` are in
-``shapes``.  The package registers this module lazily, so only the
-instance commands (``validate``, ``decide``, ``km``, ``gamma``) run it.
+The shapes both file kinds use and the knot file are in ``shapes``,
+``SchemaError`` is in ``errors`` and ``to_json`` in ``cli``.  The package
+registers this module lazily, so only the instance commands (``validate``,
+``decide``, ``km``, ``gamma``) run it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import json
 from itertools import chain, compress, islice, repeat
 
 from . import bands, engine, gamma, groups, whitney
-from .shapes import (STR, Array, Leaf, Object, SchemaError, Shape, describe, each, expected, read_json,
-                     shape_errors, token)
+from .errors import SchemaError
+from .shapes import (STR, Array, Leaf, Object, Shape, describe, each, expected, read_json, shape_errors,
+                     token)
 
 SCHEMA_VERSION = 1
 

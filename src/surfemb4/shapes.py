@@ -1,13 +1,14 @@
-"""JSON shapes both file kinds share, the knot file, and serialization.
+"""JSON shapes both file kinds share, and the knot file.
 
 A JSON document is declared once as a shape giving each field's exact type
 and whether it may be absent; unknown fields, bools for integers and floats
 are errors.  This module holds the shapes both file kinds use, their error
 walks, and the knot file (``KNOT_SHAPE``, ``load_knot``).  The instance
 file's shape and reader are in ``schema``, which only the instance commands
-run: a ``knot`` or ``examples list`` child, which compiles each module it
-runs, compiles this module and not the instance reader, and so starts about
-4-6 ms sooner (README, *Install and test*).
+run, so a ``knot`` child, which compiles each module it runs, compiles this
+module and not the instance reader.  The package registers this module
+lazily, and ``SchemaError`` is in ``errors`` and ``to_json`` in ``cli``, so
+``examples list`` compiles neither (README, *Install and test*).
 """
 
 from __future__ import annotations
@@ -18,19 +19,12 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import FLOAT_EXACT_BOUND, knots
+from .errors import SchemaError
 
 # Largest Seifert matrix a knot file may declare.  Checked before the matrix
 # is built, since its unimodularity check and every invariant cost O(n^3) to
 # O(n^4) and the cp2 scan's signatures grow with n.
 MAX_SEIFERT_SIZE = 40
-
-
-class SchemaError(ValueError):
-    """An invalid input file; ``errors`` are its "pointer: message" strings."""
-
-    def __init__(self, errors: list[str]):
-        super().__init__("; ".join(errors))
-        self.errors = errors
 
 
 # -- the declared shapes ---------------------------------------------------------
@@ -189,8 +183,3 @@ def load_knot(path) -> knots.SeifertMatrix:
         return knots.SeifertMatrix(doc["seifert"])
     except knots.KnotError as exc:
         raise SchemaError([f"/seifert: {exc}"]) from None
-
-
-def to_json(doc) -> str:
-    """The canonical byte-stable text of a JSON document: sorted keys, two-space indent."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

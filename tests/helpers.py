@@ -51,7 +51,7 @@ from surfemb4.engine import (
     points_between,
     restrict_Ft,
 )
-from surfemb4.errors import InternalConsistency
+from surfemb4.errors import InternalConsistency, SchemaError
 from surfemb4.gamma import (
     GammaElement,
     GammaError,
@@ -76,7 +76,7 @@ from surfemb4.groups import (
 from surfemb4.intlinalg import HermiteLattice, bareiss_det
 from surfemb4.knots import SeifertMatrix, _is_alexander_root
 from surfemb4.schema import INSTANCE_SHAPE, SCHEMA_VERSION, _build, _domain_errors, _h1_dim_error
-from surfemb4.shapes import SchemaError, shape_errors
+from surfemb4.shapes import shape_errors
 from surfemb4.whitney import (
     DoublePoints,
     NotConvenient,

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 
-from surfemb4 import schema, shapes
+from surfemb4 import cli, schema
 from surfemb4.bands import (
     BandCatalog,
     BandRecord,
@@ -271,9 +271,9 @@ def test_criterion_10_consistency_guards():
              "klein_bottle_e4", "klein_bottle_em4", "rp2_r4_e2")
     for name in names:
         inst = _example(name)
-        first = shapes.to_json(flowchart(inst).as_dict()).encode()
+        first = cli.to_json(flowchart(inst).as_dict()).encode()
         for _ in range(9):
-            assert shapes.to_json(flowchart(_example(name)).as_dict()).encode() == first, name
+            assert cli.to_json(flowchart(_example(name)).as_dict()).encode() == first, name
 
     # also across processes, under different hash seeds
     import os

@@ -19,7 +19,7 @@ import pytest
 
 from helpers import (cyclic_group, point_columns, point_records, random_points_doc, reduce_pairs,
                      trivial_character)
-from surfemb4 import schema, shapes, whitney
+from surfemb4 import cli, schema, whitney
 from surfemb4.engine import EngineError, ProblemInstance, ValidationError, flowchart, homotopy_analysis
 from surfemb4.gamma import GammaError, PairingContext, build_gamma, reduce_list
 from surfemb4.groups import Character, GroupError, abelian_group, check_signed, subgroup_closure
@@ -95,7 +95,7 @@ def test_checked_columns_are_kept_and_others_checked_against_the_instance_group(
 
 def _outcome(decide, inst):
     try:
-        return shapes.to_json(decide(inst).as_dict())
+        return cli.to_json(decide(inst).as_dict())
     except EngineError as exc:
         return repr(exc)
 

@@ -13,7 +13,7 @@ import shutil
 
 import pytest
 
-from surfemb4 import cli, engine, shapes
+from surfemb4 import cli, engine
 from surfemb4.errors import InternalConsistency
 
 # one shipped case per command in cli.COMMANDS
@@ -42,7 +42,7 @@ def test_a_handler_returns_its_answer_and_writes_nothing(argv, capsys):
         text = doc
     else:
         assert type(doc) is dict
-        text = shapes.to_json(doc)
+        text = cli.to_json(doc)
     assert cli.main(argv) == code
     assert capsys.readouterr().out == text
 

@@ -7,6 +7,12 @@ malformed.  The rest of the instance is the shipped torus in S^3 x S^1.  On
 exit 0 every query's orbit representative, order and coefficient must
 match the two-lattice reference in ``helpers``.
 
+The same holds on table groups: Hypothesis draws a group of order <= 8, a
+character, the signed subgroups of both components, their points, whether
+to pair component 0 with itself or with component 1, and the queries.  On
+exit 0 the orbit list, its counts and every query's representative, order
+and coefficient must match ``helpers.EnumeratedFiniteGamma``.
+
 For ``decide`` (single file or ``--batch``, both modes) and ``km`` a second
 component with a framed dual is added, and the points, on either component
 pair, take their etas from a pool of a few elements, so they repeat.  On
@@ -29,7 +35,7 @@ from surfemb4 import cli
 from surfemb4.gamma import PairingContext
 from surfemb4.groups import Character, abelian_group, subgroup_closure
 
-from helpers import TwoLatticeGamma
+from helpers import EnumeratedFiniteGamma, TwoLatticeGamma, all_characters, all_groups_up_to_8
 
 TEMPLATE = json.loads(resources.files("surfemb4").joinpath(
     "data", "instances", "torus_s3s1.json").read_text())
@@ -88,6 +94,65 @@ def test_gamma_query_exits_with_json_and_matches_reference(case):
         event(order)
         assert q["orbit_rep"] == list(orbit.rep)
         assert (q["coefficient"], q["order"]) == (value, order)
+    assert doc["reduced_is_zero"] == (not coeffs)
+
+
+GROUPS = all_groups_up_to_8()
+CHARACTERS = [all_characters(group) for _, group in GROUPS]
+
+
+@st.composite
+def finite_cases(draw):
+    k = draw(st.integers(0, len(GROUPS) - 1))
+    group = GROUPS[k][1]
+    elem = st.integers(0, group.order - 1)
+    sign = st.sampled_from((1, -1))
+    wM = list(draw(st.sampled_from(CHARACTERS[k])).values)
+    gens = [draw(st.lists(st.tuples(elem, sign).map(list), max_size=2)) for _ in range(2)]
+    pair = draw(st.sampled_from(((0, 0), (0, 1))))
+    points = draw(st.lists(st.tuples(elem, sign), max_size=6))
+    queries = draw(st.lists(elem.map(json.dumps), min_size=1, max_size=3))
+    if draw(st.sampled_from((False, False, False, True))):  # one malformed query, somewhere in the list
+        bad = draw(st.sampled_from(("[", "[0]", "-1", str(group.order), "1.5")))
+        queries.insert(draw(st.integers(0, len(queries))), bad)
+    return k, wM, gens, pair, points, queries
+
+
+@settings(max_examples=150)
+@given(case=finite_cases())
+def test_gamma_query_on_table_groups_matches_the_enumeration(case):
+    k, wM, gens, pair, points, queries = case
+    name, group = GROUPS[k]
+    doc = _two_component_document(None, wM, gens, [(pair, eta, s) for eta, s in points], None)
+    doc["group"] = {"kind": "finite", "table": [list(row) for row in group.table]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        Path(path).write_text(json.dumps(doc))
+        code, doc = _run(["gamma", path, "--component", "0", "--other", str(pair[1])]
+                         + [f"--query={q}" for q in queries])
+    event(f"exit {code}")
+    if code:  # only a malformed query is refused
+        assert code == 2 and doc["ok"] is False and doc["errors"][0].startswith("bad query element"), doc
+        return
+    s_f, s_g = (subgroup_closure(group, [tuple(g) for g in gs]) for gs in gens)
+    ref = EnumeratedFiniteGamma(PairingContext(group, Character(group, wM), s_f, s_g, pair == (0, 0)))
+    coeffs: dict = {}
+    for eta, s in points:
+        orbit, section = ref._table[eta]
+        coeffs[orbit] = coeffs.get(orbit, 0) + (1 if section is None else s * section)
+    coeffs = {o: v for o, v in coeffs.items() if (v % 2 if o.order_two else v)}
+    z2 = sum(o.order_two for o in ref._orbits)
+    assert doc["orbits"] == [{"rep": o.rep, "order": "Z/2" if o.order_two else "Z"} for o in ref._orbits]
+    assert (doc["free_rank"], doc["z2_count"]) == (len(ref._orbits) - z2, z2)
+    assert doc["smith_oracle"] == {"free_rank": len(ref._orbits) - z2, "torsion": [2] * z2}
+    assert [q["element"] for q in doc["queries"]] == [json.loads(q) for q in queries]
+    for q in doc["queries"]:
+        orbit, section = ref._table[q["element"]]
+        raw = coeffs.get(orbit, 0)
+        event(f"{name}: {'Z/2' if orbit.order_two else 'Z'}")
+        assert (q["orbit_rep"], q["order"]) == (orbit.rep, "Z/2" if orbit.order_two else "Z")
+        assert q["coefficient"] == (raw % 2 if section is None else raw * section)
+    assert doc["self_pairing"] is (pair == (0, 0))
     assert doc["reduced_is_zero"] == (not coeffs)
 
 

@@ -8,7 +8,11 @@ shipped instance files were recorded before the engine and band checks were
 consolidated, the ``<knot>.knot-*`` files before the knot invariants were
 made polynomial, and ``weak_collection.*`` (a weak Whitney collection on a
 proper F^t) when t(F^t, W^t) came to be counted on W^t as declared, so any
-drift in verdict, ``km``, ``gamma``, batch or knot JSON fails here.
+drift in verdict, ``km``, ``gamma``, batch or knot JSON fails here.  The
+``gamma-*-query`` cases pin the whole Γ report with queried elements: a
+finite group with self-pairing, a finite pair with the Smith oracle, an
+abelian pair that does not reduce to zero, and a malformed and a wrong-rank
+query, which exit 2.
 
 Four test instances reach branches that no shipped one does.  In
 ``framed_sphere_minus_one`` a framed sphere, outside F^t, has (1, -1) in its

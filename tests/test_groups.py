@@ -299,11 +299,28 @@ def test_finite_closure_is_the_closure_under_products_and_inverses():
     # the search by forward moves from the generators runs to the end and flags an
     # element reached with both signs; the reference closes under products and inverses
     rng = random.Random(12)
+    answers = []  # above order 8
     for name, g in all_groups_up_to_8() + cyclic_and_dihedral_groups_16_to_256():
         for _ in range(10):
             s = random_signed_subgroup(g, rng)
             brute = signed_closure(g, s.generators)
             assert s.contains_minus_one == ((g.identity, -1) in brute), name
+            if g.order > 8:
+                answers.append(s.contains_minus_one)
+    # few of those draws hold (1, -1) above order 8; these add the power a^k of a generator
+    # (a, e) with the sign -e^k, which puts (1, -1) in, or e^k, which leaves the answer
+    for name, g in cyclic_and_dihedral_groups_16_to_256():
+        for _ in range(8):
+            gens = [(rng.randrange(g.order), rng.choice((1, -1))) for _ in range(1 + rng.randrange(2))]
+            (a, e), k = gens[0], rng.randrange(1, g.order)
+            power = g.identity
+            for _ in range(k):
+                power = g.table[power][a]
+            gens.append((power, e ** k * rng.choice((1, -1))))
+            s = subgroup_closure(g, gens)
+            assert s.contains_minus_one == ((g.identity, -1) in signed_closure(g, gens)), name
+            answers.append(s.contains_minus_one)
+    assert min(answers.count(True), answers.count(False)) >= 20, (answers.count(True), len(answers))
 
 
 def test_minus_one_iff_sign_not_functional():

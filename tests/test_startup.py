@@ -8,14 +8,17 @@ list shows that ``decide``, ``examples list`` and the ``knot`` commands import
 no ``fractions``, ``decimal`` or ``numbers``, and that no command imports
 ``argparse``, ``gettext`` or ``locale``.
 
-The package registers its domain modules and the instance reader ``schema``,
-and ``knots`` registers ``mpmath``, lazily (``surfemb4._lazy``), and nothing
-else does; so ``-X importtime`` does not show which of them ran, and the
-import list is checked to hold ``shapes``, which ``cli`` imports as usual.
-A module has run when it is in ``sys.modules`` as a plain module; an unrun
-lazy placeholder is of a ``types.ModuleType`` subclass.  The second test
-reads that list at the end of the command: a ``knot`` child and ``examples
-list`` never run ``schema``, and the instance commands do.
+The package registers its domain modules, the instance reader ``schema``
+and the knot reader ``shapes``, and ``knots`` registers ``mpmath``, lazily
+(``surfemb4._lazy``), and nothing else does; so ``-X importtime`` does not
+show which of them ran, and the import list is checked to hold ``errors``,
+which ``cli`` imports as usual.  A module has run when it is in
+``sys.modules`` as a plain module; an unrun lazy placeholder is of a
+``types.ModuleType`` subclass.  The second test reads that list at the end
+of the command: every ``knot`` command and every instance command runs
+``shapes``, a ``knot`` child never runs ``schema``, and the instance
+commands do.  ``examples list``, ``-h`` and a refused command line run
+only the package, ``cli`` and ``errors``.
 
 A child that runs the CLI as its program turns the collector off as
 ``cli.main`` starts and freezes its heap at exit, so no collection walks what
@@ -82,7 +85,7 @@ def _imported(argv, *flags, env=ENV) -> set[str]:
     assert proc.returncode == 0, proc.stdout + proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert "surfemb4.shapes" in imported, imported
+    assert "surfemb4.errors" in imported, imported
     return imported
 
 
@@ -146,39 +149,46 @@ sys.exit(code)
 
 # the instance reader and the domain modules, which only the instance commands run
 INSTANCE_SIDE = {f"surfemb4.{m}" for m in ("schema", "engine", "bands", "gamma", "groups", "whitney")}
-READER = "surfemb4.schema"
+# the shapes both file kinds use, which every knot and instance command runs
+SHAPES = "surfemb4.shapes"
+READERS = {"surfemb4.schema", SHAPES}
+KNOT = {"surfemb4.knots", SHAPES}
 RUNS = [  # (argv, modules that must run, modules that must not)
-    (["decide", "torus_s3s1"], {READER, "surfemb4.engine"}, {"mpmath", "surfemb4.knots"}),
+    (["decide", "torus_s3s1"], READERS | {"surfemb4.engine"}, {"mpmath", "surfemb4.knots"}),
+    (BATCH, READERS | {"surfemb4.engine"}, {"mpmath", "surfemb4.knots"}),
     # a table group needs no lattice, so a finite decide compiles no intlinalg;
     # gamma runs it for the Smith oracle
-    (["decide", "star_cp2_sphere"], {READER, "surfemb4.engine"},
+    (["decide", "star_cp2_sphere"], READERS | {"surfemb4.engine"},
      {"surfemb4.intlinalg", "surfemb4.knots", "mpmath"}),
-    (["validate", "star_cp2_sphere"], {READER, "surfemb4.groups"},
+    (["validate", "star_cp2_sphere"], READERS | {"surfemb4.groups"},
      {"surfemb4.intlinalg", "surfemb4.knots", "mpmath"}),
-    (["km", "tubed_sphere"], {READER, "surfemb4.engine"}, {"surfemb4.knots", "mpmath"}),
-    (["gamma", "star_cp2_sphere", "--component", "0"], {READER, "surfemb4.intlinalg"},
+    (["km", "tubed_sphere"], READERS | {"surfemb4.engine"}, {"surfemb4.knots", "mpmath"}),
+    (["gamma", "star_cp2_sphere", "--component", "0"], READERS | {"surfemb4.intlinalg"},
      {"surfemb4.knots", "mpmath"}),
-    (["knot", "arf", "trefoil"], {"surfemb4.knots"}, INSTANCE_SIDE | {"mpmath"}),
-    (["knot", "cp2-verdict", "t2_7"], {"surfemb4.knots"}, INSTANCE_SIDE | {"mpmath"}),
+    (["knot", "arf", "trefoil"], KNOT, INSTANCE_SIDE | {"mpmath"}),
+    (["knot", "alex", "trefoil"], KNOT, INSTANCE_SIDE | {"mpmath"}),
+    (["knot", "cp2-verdict", "t2_7"], KNOT, INSTANCE_SIDE | {"mpmath"}),
     # a signature that the 53-bit certificate decides runs no mpmath; the Arf = 1
     # trefoil's cp2 scan computes signatures
-    (["knot", "sig", "trefoil"], {"surfemb4.knots"}, INSTANCE_SIDE | {"mpmath"}),
-    (["knot", "cp2-verdict", "trefoil"], {"surfemb4.knots"}, INSTANCE_SIDE | {"mpmath"}),
-    (["knot", "sigma-d", "--d", "3", "sum3_trefoil"], {"surfemb4.knots"}, INSTANCE_SIDE | {"mpmath"}),
+    (["knot", "sig", "trefoil"], KNOT, INSTANCE_SIDE | {"mpmath"}),
+    (["knot", "cp2-verdict", "trefoil"], KNOT, INSTANCE_SIDE | {"mpmath"}),
+    (["knot", "sigma-d", "--d", "3", "sum3_trefoil"], KNOT, INSTANCE_SIDE | {"mpmath"}),
+    (["knot", "cp2-bound", "--d", "2", "sum3_trefoil"], KNOT, INSTANCE_SIDE | {"mpmath"}),
+    (["knot", "shake-genus", "trefoil"], KNOT, INSTANCE_SIDE | {"mpmath"}),
     # 10^-14 from the root 1/3 the 53-bit step declines, and the 106-bit one runs mpmath
     (["knot", "sig", "trefoil", "--omega", "33333333333333/100000000000000"],
-     {"surfemb4.knots", "mpmath"}, INSTANCE_SIDE),
+     KNOT | {"mpmath"}, INSTANCE_SIDE),
 ]
 
 
-def _ran(argv) -> set[str]:
+def _ran(argv, code=0) -> set[str]:
     proc = subprocess.run([sys.executable, "-c", _RAN, *argv],
                           capture_output=True, text=True, timeout=120, env=ENV)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.returncode == code, proc.stdout + proc.stderr
     return set(json.loads(proc.stderr.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("argv, runs, skips", RUNS, ids=[" ".join(r[0]) for r in RUNS])
+@pytest.mark.parametrize("argv, runs, skips", RUNS, ids=[_id(r[0]) for r in RUNS])
 def test_cli_child_runs_only_the_modules_its_command_uses(argv, runs, skips):
     ran = _ran(argv)
     assert runs <= ran, runs - ran
@@ -186,8 +196,9 @@ def test_cli_child_runs_only_the_modules_its_command_uses(argv, runs, skips):
 
 
 def test_examples_list_runs_no_domain_module():
-    assert _ran(["examples", "list"]) == {
-        "surfemb4", "surfemb4.cli", "surfemb4.shapes", "surfemb4.errors"}
+    """The dispatcher alone, also for help and for a refused command line: no shape, no reader."""
+    for argv, code in (["examples", "list"], 0), (["-h"], 0), (["bogus"], 2):
+        assert _ran(argv, code) == {"surfemb4", "surfemb4.cli", "surfemb4.errors"}, argv
 
 
 # Runs surfemb4.cli as _RAN does; an exit hook registered first, so run last,
