@@ -2,8 +2,8 @@
 
 Library layout:
 
-- ``groups``: finite/abelian group backends, characters, signed subgroups
-- ``gamma``: intersection-number target groups and reduction into them
+- ``groups``: finite/abelian group backends, each classifying a signed action; characters, signed subgroups
+- ``gamma``: intersection-number targets, classified by the ambient's backend; reduction into them
 - ``intlinalg``: exact integer linear algebra (Smith and Hermite forms, determinants)
 - ``whitney``: double-point columns, Whitney collections, t-counts, weak-to-convenient conversion
 - ``bands``: surface homology model, the band invariant, characteristic checks

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 the result could not be written (a full disk, a
-closed pipe; one line on stderr), 2 validation failure, 3 internal
-consistency failure (two independent computations of one quantity
+closed pipe; one line on stderr), 2 validation failure or a MemoryError, 3
+internal consistency failure (two independent computations of one quantity
 disagreeing, e.g. the two Arf methods).  A command's handler returns its
 exit code and document and writes nothing; ``_failure`` turns an error
 into the code and document of a failure, and ``main`` writes the one
@@ -63,8 +63,10 @@ def _resolve(path: str, kind: str) -> Path:
 
 
 def _failure(exc: Exception) -> tuple[int, dict]:
-    """Exit code and document of a failed command: 2 for bad input, 3 for a failed cross-check."""
+    """Exit code and document of a failed command: 2 for bad or too large input, 3 for a failed check."""
     code = EXIT_INTERNAL if isinstance(exc, InternalConsistency) else EXIT_VALIDATION
+    if isinstance(exc, MemoryError):
+        return code, {"ok": False, "errors": ["out of memory: the input is too large"]}
     return code, {"ok": False, "errors": exc.errors if isinstance(exc, SchemaError) else [str(exc)]}
 
 
@@ -87,7 +89,7 @@ def _decide_one(path: str, mode: str) -> tuple[int, dict]:
     try:
         inst = _load_instance(path)
         verdict = engine.flowchart(inst) if mode == "regular" else engine.homotopy_analysis(inst)
-    except (ValueError, InternalConsistency) as exc:  # ValueError: every domain error derives from it
+    except (ValueError, InternalConsistency, MemoryError) as exc:  # every domain error is a ValueError
         return _failure(exc)
     return EXIT_OK, verdict.as_dict()
 
@@ -284,7 +286,7 @@ def main(argv=None) -> int:
     try:
         args = parse(sys.argv[1:] if own else argv)
         code, doc = args.func(args)
-    except (ValueError, InternalConsistency) as exc:  # ValueError: every domain error derives from it
+    except (ValueError, InternalConsistency, MemoryError) as exc:  # every domain error is a ValueError
         code, doc = _failure(exc)
     text = doc if isinstance(doc, str) else to_json(doc)
     try:  # flushed here, so that a failed write is reported here and not at exit

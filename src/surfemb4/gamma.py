@@ -13,20 +13,10 @@ nothing is classified before a query.  A list reduction tallies its points
 by element first and queries only the live elements, those whose points do
 not cancel (as many + as - signs add 0 to a Z orbit and to a Z/2 orbit), so
 it costs O(P) C-level tallying for P points plus the classification of the
-live elements alone.  For a finite ambient, ``groups.signed_search`` (that
-of ``subgroup_closure``; it states the lemma) from (e, +1) classifies e's
-whole orbit, represented by its least element: O(n x generators) per context
-to lay out the moves, O(orbit size x generators) per orbit.  For a finitely
-generated abelian ambient G = Z^k / (factors), one signed lattice L in
-Z^(k+1) does it: the subgroup generators with their sign bit, the s_g
-generators with the sign twisted by wM, the factors, and (0, 2).
-A Hermite reduction returns the one vector of its coset with
-0 <= v[c] < pivot at every pivot column, so reducing (e, 0) gives
-(r, bit), where r is e reduced modulo the projection of L (the canonical
-orbit element) and bit is the lift sign, (-1)^bit.  With self-pairing,
-(e, +1) ~ (-e, wM(e)), so (-e, bit(wM(e))) reduces to the class of the
-inverse; the orbit takes the lesser of the two, and has order two when
-(0, 1) lies in L or when both land on one element with opposite bits.
+live elements alone.  The ambient's ``signed_classifier`` classifies them
+(the ``groups`` docstring states both backends): s_f acts on the left,
+s_g on the right with its signs twisted by wM, and with self-pairing the
+inversion by wM.
 
 ``smith_oracle`` recomputes the same invariants by brute force from the
 relation presentation via Smith normal form and is kept independent of
@@ -38,12 +28,12 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from itertools import compress, filterfalse, repeat
-from operator import add, and_, eq, itemgetter, mul, ne, neg
+from operator import eq, mul, ne
 from typing import NamedTuple, Optional
 
-from . import intlinalg  # run by abelian groups and the Smith oracle only
+from . import intlinalg  # run by the Smith oracle only
 from .errors import InternalConsistency
-from .groups import AmbientGroup, Character, SignedSubgroup, _sign_bit, signed_search
+from .groups import AmbientGroup, Character, Orbit, SignedSubgroup
 
 
 class GammaError(ValueError):
@@ -72,70 +62,24 @@ class PairingContext(namedtuple("PairingContext", "ambient wM s_f s_g self_pairi
         return super().__new__(cls, ambient, wM, s_f, s_f if self_pairing else s_g, self_pairing)
 
 
-class Orbit(NamedTuple):
-    """One summand of the quotient; a tuple, so hashing it per distinct element stays cheap."""
-
-    rep: object  # canonical element: int index or reduced tuple
-    order_two: bool
-
-
 class GammaGroup:
-    """Orbit decomposition of the quotient; backend chosen by the ambient.
+    """Orbit decomposition of the quotient.
 
-    Both backends answer ``classify_all`` from one table of element ->
-    (orbit, section sign), filled by ``_classify_new`` for the elements new
-    to each call: the finite backend searches each new element's orbit, the
-    abelian backend reduces them in one batched Hermite pass (two with
-    self-pairing).
+    ``classify_all`` reads one table of element -> (orbit, section sign),
+    which the ambient's classifier fills for the elements new to each call.
     """
 
     def __init__(self, ctx: PairingContext):
         self.ctx = ctx
         self._table: dict = {}  # element -> (Orbit, sign or None)
-        G = ctx.ambient
-        wM = ctx.wM
-        if self.finite:
-            # g -> a*g, g -> g*b and g -> g^-1, each with the sign factor it applies
-            self._moves = [(G.table[a], (ea,) * G.order) for a, ea in ctx.s_f.generators]
-            self._moves += [(list(map(itemgetter(b), G.table)), (eb * wM(b),) * G.order)
-                            for b, eb in ctx.s_g.generators]
-            if ctx.self_pairing:
-                self._moves.append((G.inverse, wM.values))
-            return
-        # with self-pairing, a generator g with wM(g) = -1 enters with both sign
-        # bits, so (0, 1) lies in the lattice and every orbit has order two
-        twisted = [list(g) + [_sign_bit(s * wM(g))] for g, s in ctx.s_g.generators]
-        self._hat = intlinalg.HermiteLattice(ctx.s_f.lattice.rows + twisted, G.rank + 1)
-        self._global_two = self._hat.contains([0] * G.rank + [1])
+        wM = ctx.wM  # with self-pairing, a generator g with wM(g) = -1 makes every orbit order two
+        self._classify = ctx.ambient.signed_classifier(
+            ctx.s_f.generators, [(b, eb * wM(b)) for b, eb in ctx.s_g.generators],
+            wM if ctx.self_pairing else None)
 
     def _classify_new(self, new: list) -> None:
         """Table entries for canonical elements not yet classified."""
-        if self.finite:
-            for e in new:
-                if e in self._table:  # an earlier element's orbit holds it
-                    continue
-                sign, two = signed_search(e, self._moves)
-                orbit = Orbit(min(sign), two)
-                for g, s in sign.items():
-                    self._table[g] = (orbit, None if two else s * sign[orbit.rep])
-            return
-        reps = self._hat.reduce_all(list(map(add, new, repeat((0,)))))
-        invs = reps  # without self-pairing, comparing each class with itself changes nothing
-        if self.ctx.self_pairing:
-            # (e, +1) ~ (-e, wM(e)): the inverses' classes, built column by column
-            cols = list(zip(*new))
-            bits = [0] * len(new)
-            for col, v in zip(cols, self.ctx.wM.values):
-                if v == -1:
-                    bits = list(map(add, bits, col))
-            invs = self._hat.reduce_all(list(zip(*[map(neg, col) for col in cols],
-                                                 map(and_, bits, repeat(1)))))
-        for e, r, inv in zip(new, reps, invs):
-            rep, bit, irep, ibit = r[:-1], r[-1], inv[:-1], inv[-1]
-            two = self._global_two or (irep == rep and ibit != bit)
-            if irep < rep:
-                rep, bit = irep, ibit
-            self._table[e] = (Orbit(rep, two), None if two else 1 - 2 * bit)
+        self._classify(self._table, new)
 
     # -- shared API ------------------------------------------------------
 

@@ -5,16 +5,35 @@ table (elements are indices 0..n-1) and finitely generated abelian groups
 given by invariant factors (elements are reduced integer tuples, a factor
 of 0 denoting an infinite cyclic summand).  A signed subgroup is a subgroup
 of G x {+1,-1} recording the image of a surface group together with the
-surface's orientation character.  ``signed_search`` states the lemma behind
-the one signed orbit search that ``subgroup_closure`` and ``gamma`` run.
+surface's orientation character.
+
+Each backend owns one classifier of elements under a signed action
+(``signed_classifier``): (a, s) on the left sends (g, t) to (a*g, s*t), (b, s)
+on the right sends it to (g*b, s*t), and an optional inversion character chi
+sends it to (g^-1, chi(g)*t).  It fills a table element -> (``Orbit``, sign
+relative to the representative, or None on an orbit of order two), for the
+identity with a subgroup's generators on the left (``subgroup_closure``) and
+for the etas of a pairing context (``gamma``).  A finite group runs
+``signed_search`` (it states the lemma) from each new element over its moves:
+a table row per left generator, a column per right one and the inverse map;
+laying them out costs O(n x generators), an orbit O(orbit size x
+generators).  An abelian G = Z^k / (factors) reduces modulo one lattice L
+in Z^(k+1): the left generators with their sign bit, the factors, (0, 2)
+and the right generators.  A Hermite reduction returns the one vector of
+its coset with 0 <= v[c] < pivot at every pivot column, so (e, 0) reduces
+to (r, bit): r is e modulo the projection of L, the canonical element, and
+(-1)^bit the lift sign.  With the inversion, (e, +1) ~ (-e, chi(e)); the
+orbit takes the lesser of the two reductions, and has order two when (0, 1)
+lies in L or both land on one element with opposite bits.  The new elements
+are reduced together, column by column.
 """
 
 from __future__ import annotations
 
 import reprlib
 from itertools import compress, repeat
-from operator import itemgetter, mod
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import add, and_, itemgetter, mod, neg
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import _INTS, intlinalg  # intlinalg is run by abelian groups only
 from .errors import InternalConsistency
@@ -75,6 +94,24 @@ class FiniteTableGroup:
             raise GroupError(f"invalid element {reprlib.repr(bad)} for group of order {self.order}")
         return tuple(values)
 
+    def signed_classifier(self, left: Sequence, right: Sequence = (),
+                          inversion: Optional[Character] = None) -> Callable[[dict, list], None]:
+        """Fills the table by ``signed_search`` from each new element, for its whole orbit."""
+        moves = [(self.table[a], (s,) * self.order) for a, s in left]
+        moves += [(list(map(itemgetter(b), self.table)), (s,) * self.order) for b, s in right]
+        if inversion is not None:
+            moves.append((self.inverse, inversion.values))
+
+        def classify(table: dict, new: list) -> None:
+            for e in new:
+                if e in table:  # an earlier element's orbit holds it
+                    continue
+                sign, two = signed_search(e, moves)
+                orbit = Orbit(min(sign), two)
+                for g, s in sign.items():
+                    table[g] = (orbit, None if two else s * sign[orbit.rep])
+        return classify
+
     def __repr__(self):
         return f"FiniteTableGroup(order={self.order})"
 
@@ -110,6 +147,32 @@ class FGAbelianGroup:
         bad = next(a for a in values if not isinstance(a, (tuple, list)) or len(a) != self.rank
                    or not _INTS.issuperset(map(type, a)))
         raise GroupError(f"invalid element {reprlib.repr(bad)} for factors {self.factors}")
+
+    def signed_classifier(self, left: Sequence, right: Sequence = (),
+                          inversion: Optional[Character] = None) -> Callable[[dict, list], None]:
+        """Fills the table by reducing modulo one signed Hermite lattice, the new elements at once."""
+        k = self.rank
+        rows = [[*g, (1 - s) // 2] for g, s in left]  # the sign bit: 1 for -1
+        rows += [[f if j == i else 0 for j in range(k)] + [0] for i, f in enumerate(self.factors) if f]
+        rows += [[0] * k + [2]] + [[*g, (1 - s) // 2] for g, s in right]
+        lattice = intlinalg.HermiteLattice(rows, k + 1)
+        everywhere_two = lattice.contains((0,) * k + (1,))
+
+        def classify(table: dict, new: list) -> None:
+            reps = invs = lattice.reduce_all(list(map(add, new, repeat((0,)))))
+            if inversion is not None:
+                # (e, +1) ~ (-e, chi(e)): the inverses' classes, built column by column
+                cols = list(zip(*new))
+                odd = [col for col, v in zip(cols, inversion.values) if v == -1] or [(0,) * len(new)]
+                invs = lattice.reduce_all(list(zip(*[map(neg, col) for col in cols],
+                                                   map(and_, map(sum, zip(*odd)), repeat(1)))))
+            for e, r, inv in zip(new, reps, invs):
+                rep, bit, irep, ibit = r[:-1], r[-1], inv[:-1], inv[-1]
+                two = everywhere_two or (irep == rep and ibit != bit)
+                if irep < rep:
+                    rep, bit = irep, ibit
+                table[e] = (Orbit(rep, two), None if two else 1 - 2 * bit)
+        return classify
 
     def __repr__(self):
         return f"FGAbelianGroup(factors={self.factors})"
@@ -279,24 +342,24 @@ class Character:
         return out
 
 
-def _sign_bit(s: int) -> int:
-    return 0 if s == 1 else 1
-
-
 class SignedSubgroup(NamedTuple):
     """Subgroup of G x {+1,-1} generated by (element, sign) pairs.
 
     Either the sign component is a homomorphism on the projection, or the
     subgroup contains (1,-1); both are legal, and ``contains_minus_one``,
-    found once by ``subgroup_closure``, tells them apart.  Abelian groups also
-    store a Hermite ``lattice`` with the sign encoded as an extra mod-2
-    coordinate, which ``gamma`` extends.
+    found once by ``subgroup_closure``, tells them apart.
     """
 
     ambient: AmbientGroup
     generators: tuple
     contains_minus_one: bool
-    lattice: Optional[intlinalg.HermiteLattice] = None
+
+
+class Orbit(NamedTuple):
+    """One orbit of a signed action; a tuple, so hashing it per distinct element stays cheap."""
+
+    rep: object  # canonical element: int index or reduced tuple
+    order_two: bool
 
 
 def signed_search(start: int, moves: list[tuple]) -> tuple[dict[int, int], bool]:
@@ -327,21 +390,12 @@ def signed_search(start: int, moves: list[tuple]) -> tuple[dict[int, int], bool]
 def subgroup_closure(ambient: AmbientGroup, generators: Iterable) -> SignedSubgroup:
     """Close a list of (element, sign) pairs inside G x {+1,-1}; the pairs are checked once.
 
-    A finite group's subgroup is the orbit of (1, +1) under left products by
-    the generators, so it holds (1, -1) when ``signed_search`` reaches some
-    element with both signs.  An abelian group's lattice is asked once.
+    The subgroup is the orbit of (1, +1) under the generators acting on the
+    left alone, so it holds (1, -1) exactly when that orbit has order two.
     """
     pairs = list(generators)
     signs = [s for _, s in pairs]
     gens = tuple(zip(check_signed(ambient, signs, [g for g, _ in pairs]), signs))
-    if ambient.kind == "finite":
-        moves = [(ambient.table[h], (t,) * ambient.order) for h, t in gens]
-        return SignedSubgroup(ambient, gens, signed_search(ambient.identity, moves)[1])
-    k = ambient.rank
-    rows = [list(g) + [_sign_bit(s)] for g, s in gens]
-    for i, f in enumerate(ambient.factors):
-        if f:
-            rows.append([f if j == i else 0 for j in range(k)] + [0])
-    rows.append([0] * k + [2])
-    lattice = intlinalg.HermiteLattice(rows, k + 1)
-    return SignedSubgroup(ambient, gens, lattice.contains((0,) * k + (1,)), lattice)
+    table: dict = {}
+    ambient.signed_classifier(gens)(table, [ambient.identity])
+    return SignedSubgroup(ambient, gens, table[ambient.identity][0].order_two)

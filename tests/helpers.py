@@ -19,7 +19,9 @@ Theta read off a ``ThetaFunctional`` at any class of its span; the paper's
 H1 basis and intersection form, written out densely; and the slow
 or older computations that the package's fast paths are compared against:
 knot (the Arf count and the eigenvalue signature), the signed closure of
-a subgroup's generators, finite and abelian gamma, list-reduction,
+a subgroup's generators and membership in it by the group's own classifier,
+finite abelian groups rewritten as relabelled Cayley tables (a group alone
+or a whole instance document), finite and abelian gamma, list-reduction,
 Whitney-conversion and projective-plane oracles, the Lagrange
 interpolation of the Alexander polynomial, the per-point and per-disc
 reader, bucketing and F^t filter that the double-point columns
@@ -34,6 +36,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
 import operator
 import random
 import reprlib
@@ -68,7 +71,6 @@ from surfemb4.groups import (
     FiniteTableGroup,
     GroupError,
     NotAssociative,
-    _sign_bit,
     abelian_group,
     make_finite_group,
     subgroup_closure,
@@ -334,6 +336,53 @@ def signed_closure(group: FiniteTableGroup, generators) -> frozenset:
         if more <= closure:
             return frozenset(closure)
         closure |= more
+
+
+def closure_contains(group: AmbientGroup, generators, pairs) -> list[bool]:
+    """Whether each (element, sign) pair lies in the signed subgroup the checked ``generators``
+    give: in the orbit of (1, +1) under their action on the left, by the group's own classifier."""
+    elems = group.check_elems([g for g, _ in pairs])
+    table: dict = {}
+    group.signed_classifier(generators)(table, list(dict.fromkeys((group.identity, *elems))))
+    one, sign = table[group.identity]
+    return [table[g][0] == one and (sign is None or table[g][1] == s * sign)
+            for g, (_, s) in zip(elems, pairs)]
+
+
+def abelian_table(factors, rng: random.Random):
+    """The Cayley table of the product of the Z/f (each f >= 1), its elements relabelled by a
+    random permutation, and the function giving each element's label from any integer tuple."""
+    elements = list(itertools.product(*map(range, factors)))  # mixed radix
+    label = dict(zip(elements, rng.sample(range(len(elements)), len(elements))))
+
+    def label_of(elem) -> int:
+        return label[tuple(x % f for x, f in zip(elem, factors))]
+
+    table = [[0] * len(elements) for _ in elements]
+    for a, la in label.items():
+        row = table[la]
+        for b, lb in label.items():
+            row[lb] = label_of(map(operator.add, a, b))
+    return table, label_of
+
+
+def abelian_as_table(doc: dict, rng: random.Random) -> dict:
+    """``doc``, over invariant factors all >= 1, written over a relabelled Cayley table of the same
+    group: wM extended to every element as the product of wM(e_i)^(a_i), and every signed-subgroup
+    element and every eta mapped to its label."""
+    doc = copy.deepcopy(doc)
+    factors = doc["group"]["factors"]
+    table, label = abelian_table(factors, rng)
+    values = doc["characters"]["wM"]
+    wm = [1] * len(table)
+    for elem in itertools.product(*map(range, factors)):
+        wm[label(elem)] = math.prod(v ** a for v, a in zip(values, elem))
+    doc["group"], doc["characters"]["wM"] = {"kind": "finite", "table": table}, wm
+    for comp in doc["components"]:
+        comp["signed_subgroup"] = [[label(g), s] for g, s in comp["signed_subgroup"]]
+    for point in doc["double_points"]:
+        point["eta"] = label(point["eta"])
+    return doc
 
 
 def random_seifert_rows(rng: random.Random, max_genus: int = 3, min_genus: int = 1,
@@ -617,7 +666,7 @@ class TwoLatticeGamma:
         wm_nontrivial_on_span = False
         for g, s in gen_pairs:
             v = list(G.check_elem(g))
-            hat_rows.append(v + [_sign_bit(s)])
+            hat_rows.append(v + [(1 - s) // 2])
             proj_rows.append(v)
             wm_nontrivial_on_span |= wM(tuple(v)) == -1
         for i, f in enumerate(G.factors):
@@ -641,7 +690,7 @@ class TwoLatticeGamma:
             rep = r_plus
         two = self.global_two
         if not two and self.ctx.self_pairing:
-            wbit = _sign_bit(self.ctx.wM(e))
+            wbit = (1 - self.ctx.wM(e)) // 2
             two = self.hat.contains([2 * x for x in e] + [wbit ^ 1])
         return Orbit(rep, two)
 
@@ -1041,13 +1090,15 @@ def t_for_ft_per_point(inst: ProblemInstance, ft) -> int:
             f"the declared collection does not pair the double points of F^t: {exc}") from exc
 
 
-def random_points_doc(rng: random.Random, finite: bool, pairs: int, components: int = 3) -> dict:
+def random_points_doc(rng: random.Random, finite: bool, pairs: int, components: int = 3,
+                      factors: Optional[list[int]] = None) -> dict:
     """An instance document of ``components`` spheres and ``pairs`` cancelling pairs of double points.
 
     Each pair lies on a random component pair, self or mixed, its two points have one eta and
     opposite signs, so lambda = mu = 0, and one disc pairs them; about half the collections are
-    weak.  The group is a cyclic table of order 4, 6 or 8, or an abelian group with free and
-    torsion factors whose etas are written unreduced.  The band catalog is empty.
+    weak.  The group is a cyclic table of order 4, 6 or 8, or an abelian group, with ``factors``
+    or else with free and torsion factors, whose etas are written unreduced.  The band catalog
+    is empty.
     """
     if finite:
         n = rng.choice((4, 6, 8))
@@ -1057,7 +1108,8 @@ def random_points_doc(rng: random.Random, finite: bool, pairs: int, components: 
         def elem():
             return rng.randrange(n)
     else:
-        factors = rng.choice(([0], [0, 2], [0, 3, 0], [2, 0, 4]))
+        if factors is None:
+            factors = rng.choice(([0], [0, 2], [0, 3, 0], [2, 0, 4]))
         group = {"kind": "abelian", "factors": factors}
         wm = [rng.choice((1, -1)) if f % 2 == 0 else 1 for f in factors]
 

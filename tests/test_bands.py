@@ -145,7 +145,7 @@ def test_theta_on_span_linearity():
     functional = validate_theta_well_defined(BandCatalog(surface, rel, (rx, ry)))
     assert theta_value(functional, (1, 0)) == 1
     assert theta_value(functional, (1, 1)) == 0  # disjoint boundaries: values add
-    assert functional.witness is not None
+    assert functional.witness == "x"  # the first of the two records with Theta = 1
 
 
 def test_theta_on_span_empty():
@@ -321,7 +321,7 @@ def test_theta_on_span_matches_the_subset_oracle(drawn):
                 total = [a ^ b for a, b in zip(total, pairs[i][0])]
             assert theta_value(functional, total) == sum(pairs[i][1] for i in subset) % 2
     any_one = any(value for _, value in pairs)
-    assert (functional.witness is None) == (not any_one)
+    assert functional.witness == next((f"r{i}" for i, (_, value) in enumerate(pairs) if value), None)
     assert is_b_characteristic(catalog).yes == (not any_one)
     assert flowchart(inst).b_char == ("no" if any_one else "yes")
 

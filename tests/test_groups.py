@@ -14,15 +14,16 @@ from surfemb4.groups import (
     NoIdentity,
     NoInverse,
     NotAssociative,
-    _sign_bit,
     abelian_group,
     make_finite_group,
     subgroup_closure,
 )
 
 from helpers import (
+    abelian_table,
     all_characters,
     all_groups_up_to_8,
+    closure_contains,
     cyclic_and_dihedral_groups_16_to_256,
     cyclic_group,
     dihedral,
@@ -30,6 +31,7 @@ from helpers import (
     greedy_generators_by_products,
     is_group_table,
     is_multiplicative,
+    random_abelian_element,
     random_signed_subgroup,
     relabel,
     signed_closure,
@@ -295,12 +297,18 @@ def test_closure_idempotent():
         assert again.contains_minus_one == s.contains_minus_one == ((0, -1) in closure)
 
 
+ABELIAN_FACTORS = ([4, 8], [2, 2, 16], [3, 5, 7], [6, 10])
+# relabelled Cayley tables of those groups, for the finite closure
+ABELIAN_TABLES = [(f"Z/{factors} as a table", make_finite_group(abelian_table(factors, random.Random(5))[0]))
+                  for factors in ABELIAN_FACTORS]
+
+
 def test_finite_closure_is_the_closure_under_products_and_inverses():
     # the search by forward moves from the generators runs to the end and flags an
     # element reached with both signs; the reference closes under products and inverses
     rng = random.Random(12)
     answers = []  # above order 8
-    for name, g in all_groups_up_to_8() + cyclic_and_dihedral_groups_16_to_256():
+    for name, g in all_groups_up_to_8() + cyclic_and_dihedral_groups_16_to_256() + ABELIAN_TABLES:
         for _ in range(10):
             s = random_signed_subgroup(g, rng)
             brute = signed_closure(g, s.generators)
@@ -321,6 +329,28 @@ def test_finite_closure_is_the_closure_under_products_and_inverses():
             assert s.contains_minus_one == ((g.identity, -1) in signed_closure(g, gens)), name
             answers.append(s.contains_minus_one)
     assert min(answers.count(True), answers.count(False)) >= 20, (answers.count(True), len(answers))
+
+
+def test_abelian_closure_matches_the_closure_of_its_table():
+    # the Hermite path of subgroup_closure against the brute closure over a relabelled table
+    rng = random.Random(41)
+    minus_one, answers = [], []
+    for factors in ABELIAN_FACTORS:
+        group = abelian_group(factors)
+        table, label = abelian_table(factors, rng)
+        g = make_finite_group(table)
+        for _ in range(6):
+            gens = [(random_abelian_element(group, rng), rng.choice((1, -1))) for _ in range(rng.randrange(4))]
+            s = subgroup_closure(group, gens)
+            brute = signed_closure(g, [(label(a), e) for a, e in gens])
+            assert s.contains_minus_one == ((g.identity, -1) in brute), (factors, gens)
+            pairs = [(random_abelian_element(group, rng), rng.choice((1, -1))) for _ in range(24)]
+            members = [(label(a), e) in brute for a, e in pairs]
+            assert closure_contains(group, s.generators, pairs) == members, (factors, gens)
+            minus_one.append(s.contains_minus_one)
+            answers += members
+    assert min(minus_one.count(True), minus_one.count(False)) >= 5, minus_one
+    assert min(answers.count(True), answers.count(False)) >= 100, answers.count(True)
 
 
 def test_minus_one_iff_sign_not_functional():
@@ -371,14 +401,8 @@ def test_abelian_character_factor_compatibility():
 def test_abelian_subgroup_lattice():
     g = abelian_group([0, 2])
     s = subgroup_closure(g, [((2, 1), -1)])
-
-    def contains(elem, sign):  # the lattice's last coordinate is the sign bit
-        return s.lattice.contains(elem + (_sign_bit(sign),))
-
-    assert contains((2, 1), -1)
-    assert contains((4, 0), 1)
-    assert not contains((1, 0), 1)
-    assert not contains((1, 0), -1)
+    pairs = [((2, 1), -1), ((4, 0), 1), ((-2, 1), -1), ((1, 0), 1), ((1, 0), -1), ((2, 1), 1)]
+    assert closure_contains(g, s.generators, pairs) == [True, True, True, False, False, False]
     assert not s.contains_minus_one
 
 

@@ -14,10 +14,7 @@ import surfemb4
 
 PACKAGE = Path(surfemb4.__file__).parent
 EXEMPT = {("surfemb4", "_lazy"), ("surfemb4", "_INTS")}
-ALLOWED = {  # (module, source module, name): reason
-    ("gamma", "groups", "_sign_bit"):
-        "Γ's twisted lattice must encode a sign as the subgroup lattice does, with the same bit",
-}
+ALLOWED: dict = {}  # (module, source module, name): reason
 
 
 def _private(name: str) -> bool:

@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -327,6 +328,32 @@ def test_a_closed_stdout_is_one_line_and_exit_1():
     # started with fd 1 closed (``>&-`` in a shell), the child's sys.stdout is None
     proc = _child(["examples", "list"], subprocess.DEVNULL, False, preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stderr) == (1, "surfemb4: cannot write the result: stdout is closed\n")
+
+
+ADDRESS_SPACE = 60 << 20  # room to start and list the examples, not to read an order-1000 table
+
+
+def _capped():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def test_an_input_too_large_for_memory_is_one_json_error_and_exit_2(tmp_path):
+    # the limit is set in the child alone; a MemoryError is an oversized input, exit 2 and no
+    # traceback, and in a batch it stays in its file's entry
+    doc = json.loads((cli._DATA / "instances" / "tubed_sphere.json").read_text())
+    n = 1000  # a cyclic table, 4.9 MB of JSON
+    doc["group"] = {"kind": "finite", "table": [[(a + b) % n for b in range(n)] for a in range(n)]}
+    doc["characters"]["wM"] = [1] * n
+    (tmp_path / "cyclic_1000.json").write_text(json.dumps(doc))
+    (tmp_path / "torus_s3s1.json").write_text((cli._DATA / "instances" / "torus_s3s1.json").read_text())
+    assert _child(["examples", "list"], subprocess.PIPE, False, preexec_fn=_capped).returncode == 0
+    failure = {"ok": False, "errors": ["out of memory: the input is too large"]}
+    proc = _child(["decide", str(tmp_path / "cyclic_1000.json")], subprocess.PIPE, False, preexec_fn=_capped)
+    assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == (2, failure, "")
+    proc = _child(["decide", "--batch", str(tmp_path)], subprocess.PIPE, False, preexec_fn=_capped)
+    verdict = flowchart(schema.load_instance(str(tmp_path / "torus_s3s1.json"))).as_dict()
+    assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == \
+        (2, {"cyclic_1000.json": failure, "torus_s3s1.json": verdict}, "")
 
 
 class _ClosedPipe(io.StringIO):
