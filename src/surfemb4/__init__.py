@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``groups``: finite/abelian group backends, each classifying a signed action; characters, signed subgroups
+- ``groups``: finite/abelian group backends, each classifying a signed action and checking its characters; signed subgroups
 - ``gamma``: intersection-number targets, classified by the ambient's backend; reduction into them
 - ``intlinalg``: exact integer linear algebra (Smith and Hermite forms, determinants)
 - ``whitney``: double-point columns, Whitney collections, t-counts, weak-to-convenient conversion

@@ -65,8 +65,8 @@ class PairingContext(namedtuple("PairingContext", "ambient wM s_f s_g self_pairi
 class GammaGroup:
     """Orbit decomposition of the quotient.
 
-    ``classify_all`` reads one table of element -> (orbit, section sign),
-    which the ambient's classifier fills for the elements new to each call.
+    ``_lookup`` reads one table of element -> (orbit, section sign), which
+    the ambient's classifier fills for the elements new to each call.
     """
 
     def __init__(self, ctx: PairingContext):
@@ -77,11 +77,12 @@ class GammaGroup:
             ctx.s_f.generators, [(b, eb * wM(b)) for b, eb in ctx.s_g.generators],
             wM if ctx.self_pairing else None)
 
-    def _classify_new(self, new: list) -> None:
-        """Table entries for canonical elements not yet classified."""
-        self._classify(self._table, new)
-
-    # -- shared API ------------------------------------------------------
+    def _lookup(self, canon: list) -> list[tuple[Orbit, Optional[int]]]:
+        """``classify`` of elements already checked and canonical; the new ones in one batch."""
+        new = list(filterfalse(self._table.__contains__, dict.fromkeys(canon)))
+        if new:
+            self._classify(self._table, new)
+        return list(map(self._table.__getitem__, canon))
 
     @property
     def finite(self) -> bool:
@@ -91,23 +92,11 @@ class GammaGroup:
         """Every orbit, by representative; classifies every element not yet classified."""
         if not self.finite:
             raise GammaError("orbits of an infinite group are computed per query")
-        entries = self._classify_canonical(list(self.ctx.ambient.elements()))
-        return sorted({orbit for orbit, _ in entries})
-
-    def classify_all(self, elems: list) -> list[tuple[Orbit, Optional[int]]]:
-        """``classify`` of each element; those new to the table are classified in one batch."""
-        return self._classify_canonical(self.ctx.ambient.check_elems(elems))
-
-    def _classify_canonical(self, canon: list) -> list[tuple[Orbit, Optional[int]]]:
-        """``classify_all`` of elements already checked and in canonical form."""
-        new = list(filterfalse(self._table.__contains__, dict.fromkeys(canon)))
-        if new:
-            self._classify_new(new)
-        return list(map(self._table.__getitem__, canon))
+        return sorted({orbit for orbit, _ in self._lookup(list(self.ctx.ambient.elements()))})
 
     def classify(self, elem) -> tuple[Orbit, Optional[int]]:
         """(orbit of ``elem``, its sign relative to the representative, or None on order two)."""
-        return self.classify_all([elem])[0]
+        return self._lookup(self.ctx.ambient.check_elems([elem]))[0]
 
     def orbit_of(self, elem) -> Orbit:
         return self.classify(elem)[0]
@@ -165,7 +154,7 @@ def reduce_list(points, gamma: GammaGroup) -> GammaElement:
     live = list(compress(count, map(ne, map(mul, map(plus.get, count, repeat(0)), repeat(2)),
                                     count.values())))  # one C-level pass
     coeffs: dict = {}
-    for e, (orbit, section) in zip(live, gamma._classify_canonical(live)):
+    for e, (orbit, section) in zip(live, gamma._lookup(live)):
         n = count[e]
         coeffs[orbit] = coeffs.get(orbit, 0) + (n if section is None else (2 * plus[e] - n) * section)
     coeffs = {k: v % 2 if k.order_two else v for k, v in coeffs.items()}
@@ -225,8 +214,9 @@ def report(elem: GammaElement, queries: list[str]) -> dict:
                 f"orbit counts (free rank {out['free_rank']}, {out['z2_count']} Z/2) disagree "
                 f"with the Smith oracle (free rank {oracle_rank}, torsion {oracle_torsion})")
         out["smith_oracle"] = {"free_rank": oracle_rank, "torsion": oracle_torsion}
-    else:
-        out["note"] = "infinite ambient group; orbits reported per queried element"
+    else:  # abelian: infinite exactly when a factor is 0
+        size = "infinite" if 0 in target.ctx.ambient.factors else "finite abelian"
+        out["note"] = f"{size} ambient group; orbits reported per queried element"
     out["reduced_is_zero"] = elem.is_zero()
     out["queries"] = [{"element": value, "orbit_rep": orbit.rep, "order": "Z/2" if orbit.order_two else "Z",
                        "coefficient": elem.coefficient(orbit, section)}

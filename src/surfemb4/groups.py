@@ -7,6 +7,13 @@ of 0 denoting an infinite cyclic summand).  A signed subgroup is a subgroup
 of G x {+1,-1} recording the image of a surface group together with the
 surface's orientation character.
 
+Each backend owns its character rule: ``character(values)`` checks the
+declared values and returns their evaluator.  A table group takes one value
+per element, multiplicative at every (a, b) with b a generator, which
+implies it everywhere; an abelian group one per invariant factor, with no
+-1 on an odd factor.  ``Character`` itself checks only that every value is
++1 or -1.
+
 Each backend owns one classifier of elements under a signed action
 (``signed_classifier``): (a, s) on the left sends (g, t) to (a*g, s*t), (b, s)
 on the right sends it to (g*b, s*t), and an optional inversion character chi
@@ -83,9 +90,6 @@ class FiniteTableGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def check_elem(self, a) -> int:
-        return self.check_elems([a])[0]
-
     def check_elems(self, values: Sequence) -> tuple[int, ...]:
         """The values, checked in C-level passes; raises at the first invalid one."""
         if values and not (_INTS.issuperset(map(type, values))
@@ -93,6 +97,17 @@ class FiniteTableGroup:
             bad = next(a for a in values if type(a) is not int or not 0 <= a < self.order)
             raise GroupError(f"invalid element {reprlib.repr(bad)} for group of order {self.order}")
         return tuple(values)
+
+    def character(self, values: tuple) -> Callable[[int], int]:
+        """The evaluator of one value per element, multiplicative at every (a, b), b a generator."""
+        if len(values) != self.order:
+            raise GroupError("need one value per group element")
+        # the b with chi(a*b) = chi(a)*chi(b) for all a are closed under products
+        for b in self.generators:
+            for a, row in enumerate(self.table):
+                if values[row[b]] != values[a] * values[b]:
+                    raise GroupError(f"not multiplicative at ({a},{b})")
+        return values.__getitem__
 
     def signed_classifier(self, left: Sequence, right: Sequence = (),
                           inversion: Optional[Character] = None) -> Callable[[dict, list], None]:
@@ -131,9 +146,6 @@ class FGAbelianGroup:
         self.rank = len(self.factors)
         self.identity = tuple(0 for _ in self.factors)
 
-    def check_elem(self, a) -> tuple[int, ...]:
-        return self.check_elems([a])[0]
-
     def check_elems(self, values: Sequence) -> tuple[tuple[int, ...], ...]:
         """The values reduced by the factors, column by column; raises at the first invalid one."""
         if ((_SEQUENCES.issuperset(map(type, values)) or all(map(isinstance, values, repeat((tuple, list)))))
@@ -147,6 +159,16 @@ class FGAbelianGroup:
         bad = next(a for a in values if not isinstance(a, (tuple, list)) or len(a) != self.rank
                    or not _INTS.issuperset(map(type, a)))
         raise GroupError(f"invalid element {reprlib.repr(bad)} for factors {self.factors}")
+
+    def character(self, values: tuple) -> Callable[[tuple], int]:
+        """The evaluator of one value per factor, with no -1 on an odd factor."""
+        if len(values) != self.rank:
+            raise GroupError("need one value per invariant factor")
+        for f, v in zip(self.factors, values):
+            if f % 2 == 1 and v == -1:
+                raise GroupError(f"value -1 incompatible with odd factor {f}")
+        odd = [i for i, v in enumerate(values) if v == -1]
+        return lambda a: -1 if sum(a[i] for i in odd) % 2 else 1
 
     def signed_classifier(self, left: Sequence, right: Sequence = (),
                           inversion: Optional[Character] = None) -> Callable[[dict, list], None]:
@@ -304,42 +326,17 @@ def abelian_group(factors: Sequence[int]) -> FGAbelianGroup:
 
 
 class Character:
-    """A homomorphism G -> {+1,-1}.
-
-    For a finite group the values are given per element and multiplicativity
-    is checked at every (a, b) with b in the group's generating set, which
-    implies it everywhere; for an abelian group they are given per
-    invariant-factor generator and compatibility with the factors is checked.
-    """
+    """A homomorphism G -> {+1,-1}, its values declared and checked by the group's ``character``."""
 
     def __init__(self, group: AmbientGroup, values: Sequence[int]):
         self.group = group
         self.values = tuple(values)
         if not (_INTS.issuperset(map(type, self.values)) and {1, -1}.issuperset(self.values)):
             raise GroupError("character values must be +1 or -1")
-        if group.kind == "finite":
-            if len(self.values) != group.order:
-                raise GroupError("need one value per group element")
-            # the b with chi(a*b) = chi(a)*chi(b) for all a are closed under products
-            for b in group.generators:
-                for a in group.elements():
-                    if self.values[group.mul(a, b)] != self.values[a] * self.values[b]:
-                        raise GroupError(f"not multiplicative at ({a},{b})")
-        else:
-            if len(self.values) != group.rank:
-                raise GroupError("need one value per invariant factor")
-            for f, v in zip(group.factors, self.values):
-                if f % 2 == 1 and f != 0 and v == -1:
-                    raise GroupError(f"value -1 incompatible with odd factor {f}")
+        self._evaluate = group.character(self.values)
 
     def __call__(self, a) -> int:
-        if self.group.kind == "finite":
-            return self.values[a]
-        out = 1
-        for x, v in zip(a, self.values):
-            if v == -1 and x % 2:
-                out = -out
-        return out
+        return self._evaluate(a)
 
 
 class SignedSubgroup(NamedTuple):

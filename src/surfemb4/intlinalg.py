@@ -116,7 +116,7 @@ class HermiteLattice:
     """An integer lattice in Z^n held in row-echelon Hermite form.
 
     One row per pivot column, keyed by that column, each with a positive
-    pivot; ``rows`` and ``pivot_cols`` read them in pivot order.  Supports
+    pivot.  Supports
     canonical coset representatives and membership tests, which is all the
     orbit machinery for finitely generated abelian groups needs.
     """
@@ -126,14 +126,6 @@ class HermiteLattice:
         self._by_pivot: dict[int, list[int]] = {}
         for row in rows:
             self._insert(list(row))
-
-    @property
-    def pivot_cols(self) -> list[int]:
-        return sorted(self._by_pivot)
-
-    @property
-    def rows(self) -> list[list[int]]:
-        return [self._by_pivot[col] for col in self.pivot_cols]
 
     def _insert(self, row: list[int]) -> None:
         while any(row):

@@ -236,7 +236,7 @@ def _point_errors(doc, group) -> list[str]:
             errors.append(f"/double_points/{i}/id: duplicate double-point id")
         elif group is not None:
             try:
-                group.check_elem(dp["eta"])
+                group.check_elems([dp["eta"]])
             except groups.GroupError as exc:
                 errors.append(f"/double_points/{i}/eta: {exc}")
         seen.add(dp["id"])

@@ -349,6 +349,28 @@ def closure_contains(group: AmbientGroup, generators, pairs) -> list[bool]:
             for g, (_, s) in zip(elems, pairs)]
 
 
+def classified_batches(monkeypatch, backend: type) -> list[list]:
+    """Each batch of elements that the signed classifiers ``backend`` builds from now on receive."""
+    batches = []
+    original = backend.signed_classifier
+
+    def counted(self, *args):
+        classify = original(self, *args)
+        return lambda table, new: batches.append(list(new)) or classify(table, new)
+    monkeypatch.setattr(backend, "signed_classifier", counted)
+    return batches
+
+
+def pivot_cols(lattice: HermiteLattice) -> list[int]:
+    """The pivot columns of a Hermite lattice, in increasing order."""
+    return sorted(lattice._by_pivot)
+
+
+def hermite_rows(lattice: HermiteLattice) -> list[list[int]]:
+    """The echelon rows of a Hermite lattice, in pivot order."""
+    return [lattice._by_pivot[col] for col in pivot_cols(lattice)]
+
+
 def abelian_table(factors, rng: random.Random):
     """The Cayley table of the product of the Z/f (each f >= 1), its elements relabelled by a
     random permutation, and the function giving each element's label from any integer tuple."""
@@ -662,10 +684,10 @@ class TwoLatticeGamma:
         self.ctx = ctx
         hat_rows, proj_rows = [], []
         gen_pairs = list(ctx.s_f.generators)
-        gen_pairs += [(g, s * wM(G.check_elem(g))) for g, s in ctx.s_g.generators]
+        gen_pairs += [(g, s * wM(G.check_elems([g])[0])) for g, s in ctx.s_g.generators]
         wm_nontrivial_on_span = False
         for g, s in gen_pairs:
-            v = list(G.check_elem(g))
+            v = list(G.check_elems([g])[0])
             hat_rows.append(v + [(1 - s) // 2])
             proj_rows.append(v)
             wm_nontrivial_on_span |= wM(tuple(v)) == -1
@@ -682,7 +704,7 @@ class TwoLatticeGamma:
         self.global_two = self.hat.contains([0] * k + [1])
 
     def orbit_of(self, elem) -> Orbit:
-        e = self.ctx.ambient.check_elem(elem)
+        e = self.ctx.ambient.check_elems([elem])[0]
         r_plus = self.proj.reduce(e)
         if self.ctx.self_pairing:
             rep = min(r_plus, self.proj.reduce([-x for x in e]))
@@ -696,7 +718,7 @@ class TwoLatticeGamma:
 
     def section_sign(self, elem):
         """+-1 relative to the representative, or None on an order-two orbit."""
-        e = self.ctx.ambient.check_elem(elem)
+        e = self.ctx.ambient.check_elems([elem])[0]
         orbit = self.orbit_of(e)
         if orbit.order_two:
             return None
@@ -709,7 +731,7 @@ class TwoLatticeGamma:
             return -1
         summ = [x + y for x, y in zip(e, rep)]
         assert self.ctx.self_pairing and self.proj.contains(summ), e
-        wr = self.ctx.wM(self.ctx.ambient.check_elem(rep))
+        wr = self.ctx.wM(self.ctx.ambient.check_elems([rep])[0])
         if self.hat.contains(summ + [0]):
             return wr
         assert self.hat.contains(summ + [1]), e
@@ -931,7 +953,8 @@ def instance_from_dict_per_point(doc) -> ProblemInstance:
             errors.append(f"/double_points/{i}/id: duplicate double-point id")
         elif group is not None:
             try:
-                points.append(DoublePoint(pid, tuple(pair), dp["sign"], group.check_elem(dp["eta"])))
+                eta, = group.check_elems([dp["eta"]])
+                points.append(DoublePoint(pid, tuple(pair), dp["sign"], eta))
             except GroupError as exc:
                 errors.append(f"/double_points/{i}/eta: {exc}")
         seen.add(pid)

@@ -10,7 +10,6 @@ from surfemb4.engine import flowchart, homotopy_analysis
 from surfemb4.gamma import (
     AmbientNotFinite,
     GammaElement,
-    GammaGroup,
     GammaError,
     PairingContext,
     build_gamma,
@@ -25,6 +24,7 @@ from helpers import (
     TwoLatticeGamma,
     all_characters,
     all_groups_up_to_8,
+    classified_batches,
     cyclic_and_dihedral_groups_16_to_256,
     cyclic_group,
     dihedral,
@@ -211,8 +211,8 @@ def _assert_tables_match_the_enumeration(ctx, rng):
     gamma, ref = build_gamma(ctx), EnumeratedFiniteGamma(ctx)
     elems = list(ctx.ambient.elements())
     first = rng.sample(elems, rng.randrange(len(elems) + 1))
-    assert dict(zip(first, gamma.classify_all(first))) == {e: ref._table[e] for e in first}
-    assert dict(zip(elems, gamma.classify_all(elems))) == ref._table
+    assert {e: gamma.classify(e) for e in first} == {e: ref._table[e] for e in first}
+    assert {e: gamma.classify(e) for e in elems} == ref._table
     assert gamma.orbits() == ref._orbits
 
 
@@ -414,12 +414,12 @@ def test_abelian_queries_reduce_at_most_twice_per_distinct_element(monkeypatch):
                 gamma.section_sign(e)
             coefficient_at(reduce_pairs([(1, e), (-1, e)], gamma), e)
             spent = vectors[0] - before
-            canon = ctx.ambient.check_elem(e)
+            canon = ctx.ambient.check_elems([e])[0]
             assert spent <= (0 if canon in seen else per_element), (ctx, e)
             seen.add(canon)
         batch = [random_abelian_element(ctx.ambient, rng) for _ in range(8)]
         batch += batch[:4] + list(seen)[:3]
-        new = {ctx.ambient.check_elem(e) for e in batch} - seen
+        new = set(ctx.ambient.check_elems(batch)) - seen
         before = vectors[0]
         reduce_pairs([(rng.choice((1, -1)), e) for e in batch], gamma)
         assert vectors[0] - before <= per_element * len(new), (ctx, batch)
@@ -456,7 +456,7 @@ def test_reduce_list_matches_the_point_by_point_reference(drawn):
     assert got.coeffs == TwoLatticeGamma(ctx).reduce(entries)
     for orbit in got.coeffs:
         event("order-two orbit" if orbit.order_two else "infinite orbit")
-    event("repeated element" if len({ctx.ambient.check_elem(e) for _, e in entries}) < len(entries)
+    event("repeated element" if len(set(ctx.ambient.check_elems([e for _, e in entries]))) < len(entries)
           else "no repeat")
 
 
@@ -515,7 +515,7 @@ def _planted_lists(draw):
 
     entries = []
     for _ in range(draw(st.integers(1, 5))):
-        e = G.check_elem(elem())
+        e = G.check_elems([elem()])[0]
         k = draw(st.sampled_from((1, 2)))
         entries += [(1, e)] * k + [(-1, e)] * k
         entries += [(rng.choice((1, -1)), rng.choice(_orbit_mates(ctx, e)))
@@ -598,22 +598,13 @@ def test_a_list_whose_points_all_cancel_classifies_nothing(monkeypatch, finite):
     assert gamma._table == {} and vectors == []
 
 
-def _count_classified(monkeypatch) -> list:
-    """Record each batch of elements that reaches ``GammaGroup._classify_new``."""
-    batches = []
-    original = GammaGroup._classify_new
-    monkeypatch.setattr(GammaGroup, "_classify_new",
-                        lambda self, new: batches.append(list(new)) or original(self, new))
-    return batches
-
-
 @pytest.mark.parametrize("pairs", [300, 600, 1200])
 def test_flowchart_classifies_no_element_of_a_cancelling_instance(monkeypatch, pairs):
     """Every pair of points cancels: the flowchart classifies nothing at 1x, 2x and 4x the points,
     and the homotopy analysis only the identity, whose mu coefficient it reads."""
     doc = random_points_doc(random.Random(pairs), finite=False, pairs=pairs)
     inst = schema.instance_from_dict(doc)
-    batches = _count_classified(monkeypatch)
+    batches = classified_batches(monkeypatch, type(inst.group))
     flowchart(inst)
     assert batches == []
     homotopy_analysis(inst)

@@ -1,5 +1,5 @@
 """The columns ``reduce_list`` takes are checked once, when they are built, and not again by
-``reduce_list``; ``classify_all`` stays checked for other callers.
+``reduce_list``; ``classify`` checks the one element it is given.
 
 ``gamma`` on a table group classifies the group once, in one batch, and
 reads its orbit counts off that one orbit list.
@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from helpers import cyclic_group, random_points_doc, reduce_pairs, trivial_character
+from helpers import classified_batches, cyclic_group, random_points_doc, reduce_pairs, trivial_character
 from surfemb4 import cli
-from surfemb4.gamma import GammaError, GammaGroup, PairingContext, build_gamma
-from surfemb4.groups import GroupError, abelian_group, subgroup_closure
+from surfemb4.gamma import GammaError, PairingContext, build_gamma
+from surfemb4.groups import FiniteTableGroup, GroupError, abelian_group, subgroup_closure
 
 CASES = {
     "finite": (lambda: cyclic_group(6), [(1, 2), (-1, 3), (1, 2), (-1, 5)], 7),
@@ -47,17 +47,18 @@ def test_reduce_list_checks_elements_once(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_classify_all_checks_and_names_the_first_bad_element(monkeypatch, case):
+def test_classify_checks_and_names_a_bad_element(monkeypatch, case):
     make_group, entries, bad = CASES[case]
     group, gamma, calls = _counted_gamma(monkeypatch, make_group)
     elems = [e for _, e in entries]
-    assert gamma.classify_all(elems) == [gamma.classify(e) for e in elems]
+    canon = group.check_elems(elems)
+    assert [gamma.classify(e) for e in elems] == [gamma.classify(e) for e in canon]
+    assert calls == [len(elems)] + [1] * 2 * len(elems)  # each classify checks its one element
     with pytest.raises(GroupError) as expected:
-        group.check_elem(bad)
+        group.check_elems([bad])
     with pytest.raises(GroupError) as got:
-        gamma.classify_all(elems + [bad, "also bad"])
+        gamma.classify(bad)
     assert str(got.value) == str(expected.value)
-    assert calls[0] == len(elems)
 
 
 # Exact ints only: True and 1.0 equal 1, and each once counted as a +1 point.
@@ -80,13 +81,11 @@ def test_gamma_command_classifies_the_group_once(seed, tmp_path, monkeypatch, ca
     doc = random_points_doc(random.Random(seed), finite=True, pairs=10)
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
-    batches = []
-    classify = GammaGroup._classify_canonical
-    monkeypatch.setattr(GammaGroup, "_classify_canonical",
-                        lambda self, canon: batches.append(len(canon)) or classify(self, canon))
+    batches = classified_batches(monkeypatch, FiniteTableGroup)
     assert cli.main(["gamma", str(path), "--component", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
-    # the reduction's live elements first (none, since every pair cancels), then the group once
-    assert batches == [0, len(doc["group"]["table"])]
+    # the load closes each component's subgroup, the identity 0's orbit; then the reduction gives
+    # Gamma no element, since every pair cancels, and the orbit list the whole group in one batch
+    assert batches == [[0]] * len(doc["components"]) + [list(range(len(doc["group"]["table"])))]
     assert report["free_rank"] + report["z2_count"] == len(report["orbits"])
     assert report["z2_count"] == sum(o["order"] == "Z/2" for o in report["orbits"])

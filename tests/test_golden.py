@@ -14,12 +14,14 @@ finite group with self-pairing, a finite pair with the Smith oracle, an
 abelian pair that does not reduce to zero, and a malformed and a wrong-rank
 query, which exit 2.
 
-Four test instances reach branches that no shipped one does.  In
+Five test instances reach branches that no shipped one does.  In
 ``framed_sphere_minus_one`` a framed sphere, outside F^t, has (1, -1) in its
 signed subgroup, so the homotopy analysis stays in case 1; in its mirror
 ``torus_minus_one`` the torus in F^t has it, which is case 2.
 ``lambda_nonzero`` answers "lambda = mu = 0?" with no, and
-``group_not_good`` answers "Is pi_1(M) good?" with no.
+``group_not_good`` answers "Is pi_1(M) good?" with no.  In
+``two_theta_records`` F^t carries two band records with Theta = 1, so the
+trace's ``{"witness": ...}`` node pins the first of them.
 """
 
 import json

@@ -62,7 +62,7 @@ def test_cyclic_cases():
     z = cyclic_group(0)
     assert isinstance(z, FGAbelianGroup)
     assert z.factors == (0,)
-    assert z.identity == (0,) and z.check_elem((-3,)) == (-3,)
+    assert z.identity == (0,) and z.check_elems([(-3,)])[0] == (-3,)
 
 
 def test_axioms_exhaustive_up_to_12():
@@ -431,18 +431,18 @@ def test_trivial_character_helper():
 @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None, [0]])
 def test_finite_check_elem_takes_exact_ints(bad):
     with pytest.raises(GroupError):
-        make_finite_group([[0, 1], [1, 0]]).check_elem(bad)
+        make_finite_group([[0, 1], [1, 0]]).check_elems([bad])
 
 
 @pytest.mark.parametrize("bad", [[True, 0], [1.5, 0], ["1", 0], [None, 0], (0,), "01", 3])
 def test_abelian_check_elem_takes_exact_int_entries(bad):
     with pytest.raises(GroupError):
-        abelian_group([0, 2]).check_elem(bad)
+        abelian_group([0, 2]).check_elems([bad])
 
 
 def test_abelian_check_elem_accepts_lists_and_tuples():
     g = abelian_group([0, 2])
-    assert g.check_elem([-3, 5]) == g.check_elem((-3, 5)) == (-3, 1)
+    assert g.check_elems([[-3, 5], (-3, 5)]) == ((-3, 1), (-3, 1))
 
 
 def _outcome(check, *args):
@@ -454,8 +454,8 @@ def _outcome(check, *args):
 
 
 def _walk(group, values):
-    """``check_elem`` on each value in turn, so the first invalid value raises."""
-    return tuple(group.check_elem(v) for v in values)
+    """``check_elems`` on each value alone, in turn, so the first invalid value raises."""
+    return tuple(group.check_elems([v])[0] for v in values)
 
 
 _BIG = st.integers(-10**100, 10**100)

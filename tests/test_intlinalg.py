@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from helpers import (cyclic_group, dihedral, direct_product, linear_pencil_det_lagrange, random_character,
-                     random_signed_subgroup)
+from helpers import (cyclic_group, dihedral, direct_product, hermite_rows, linear_pencil_det_lagrange,
+                     pivot_cols, random_character, random_signed_subgroup)
 from surfemb4 import intlinalg
 from surfemb4.errors import InternalConsistency
 from surfemb4.gamma import PairingContext, smith_oracle
@@ -255,7 +255,7 @@ def test_hermite_reduce_all_matches_reduce_per_vector(data):
     assert got == [lat.reduce(v) for v in vecs]
     for vec, rep in zip(vecs, got):  # each output is the canonical member of its coset
         assert lat.contains([a - b for a, b in zip(vec, rep)])
-        assert all(0 <= rep[col] < r[col] for r, col in zip(lat.rows, lat.pivot_cols))
+        assert all(0 <= rep[col] < r[col] for r, col in zip(hermite_rows(lat), pivot_cols(lat)))
 
 
 @given(st.data())
@@ -264,10 +264,10 @@ def test_hermite_rows_have_one_positive_pivot_per_column_in_increasing_order(dat
     row = st.lists(_ENTRY, min_size=n, max_size=n)
     rows = data.draw(st.lists(row, max_size=6))
     lat = HermiteLattice(rows, n)
-    cols = lat.pivot_cols
+    cols = pivot_cols(lat)
     assert all(a < b for a, b in zip(cols, cols[1:]))
-    assert len(lat.rows) == len(cols)
-    for r, col in zip(lat.rows, cols):
+    assert len(hermite_rows(lat)) == len(cols)
+    for r, col in zip(hermite_rows(lat), cols):
         assert len(r) == n and not any(r[:col]) and r[col] > 0
     assert all(lat.contains(r) for r in rows)
 

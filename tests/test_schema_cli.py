@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from surfemb4 import cli, schema, shapes
 from surfemb4.engine import ProblemInstance, flowchart
 
-from helpers import instance_to_dict
+from helpers import instance_to_dict, random_points_doc
 
 SHIPPED = (
     "torus_s3s1", "star_cp2_sphere", "tubed_sphere",
@@ -183,6 +184,15 @@ def test_cli_gamma(capsys):
     assert out["reduced_is_zero"] is True
     assert out["queries"][0]["coefficient"] == 0
     assert out["note"].startswith("infinite ambient group")
+
+
+def test_cli_gamma_names_a_finite_abelian_ambient(tmp_path, capsys):
+    path = tmp_path / "z4_z8.json"
+    path.write_text(json.dumps(random_points_doc(random.Random(4), finite=False, pairs=3, factors=[4, 8])))
+    assert cli.main(["gamma", str(path), "--component", "0", "--query", "[1, 2]"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["note"] == "finite abelian ambient group; orbits reported per queried element"
+    assert len(out["queries"]) == 1
 
 
 def test_cli_gamma_finite_reports_oracle(capsys):
