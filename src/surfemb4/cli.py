@@ -97,7 +97,7 @@ def _decide_one(path: str, mode: str) -> tuple[int, dict]:
 def cmd_decide(args) -> tuple[int, dict]:
     if not args.batch:
         return _decide_one(args.instance, args.mode)
-    paths = sorted(Path(args.instance).glob("*.json"))
+    paths = sorted(filter(Path.is_file, Path(args.instance).glob("*.json")))
     if not paths:
         raise ValueError(f"no instance files in {args.instance}")
     worst = EXIT_OK

@@ -3,15 +3,16 @@
 The flowchart decides whether a generic immersion is regularly homotopic to
 an embedding, from declared data: signed subgroups and double points feed
 the primary intersection obstructions, a band catalog feeds the
-characteristic decision, and a Whitney collection feeds the secondary
-count.  Every verdict carries an ordered trace of the nodes visited, with
-the citations needed to audit it.
+characteristic decision, and the declared Whitney collection feeds the
+secondary count whole: ``whitney.t_count`` cuts W^t, the discs that pair
+the double points of F^t, from it.  Every verdict carries an ordered
+trace of the nodes visited, with the citations needed to audit it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, compress
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
@@ -189,28 +190,14 @@ def _bchar_nodes(inst: ProblemInstance, ft: Sequence[int], trace: list[TraceEntr
 
 
 def _t_for_ft(inst: ProblemInstance, ft: Sequence[int]) -> int:
-    """t(F^t, W^t) by ``t_count`` on W^t as declared, in any disc order.
-
-    W^t is the discs whose two points are double points of F^t, and the
-    boundary counts between two of them.  A crossing of a W^t arc with an
-    arc outside W^t adds nothing: pushing the outside arc off the end changes
-    only its own disc, and pushing the W^t arc off the end, at a point of
-    f_i ^ f_j with f_j outside F^t, makes the W^t disc meet f_j, which
-    t(F^t, W^t) does not count.  W^t is a subset of checked records, so it
-    is taken with ``_replace``.
-    """
-    ids = inst.points.ids_within(ft)
-    if not ids:
-        return 0
+    """t(F^t, W^t) by ``t_count`` on the declared collection, which cuts W^t from it."""
     collection = inst.collection
     if collection is None:
-        raise MissingWhitneyData("F^t has double points but no Whitney collection was declared")
-    discs, keep = collection.discs, list(map(ids.issuperset, collection.discs.pairs))
-    wt = set(compress(discs.ids, keep))
-    sub = collection._replace(discs=discs.where(keep),
-                              boundary={key: n for key, n in collection.boundary.items() if key <= wt})
+        if inst.points.ids_within(ft):
+            raise MissingWhitneyData("F^t has double points but no Whitney collection was declared")
+        return 0
     try:
-        return t_count(inst.points, ft, sub)
+        return t_count(inst.points, ft, collection)
     except UnpairedPoints as exc:
         raise MissingWhitneyData(
             f"the declared collection does not pair the double points of F^t: {exc}") from exc

@@ -9,21 +9,21 @@ framed (zero twisting), has no boundary self-intersections, and
 all pairwise boundary intersection counts vanish; *weak* collections relax
 all three.  ``t_count`` is the one t formula, for weak and convenient
 collections alike: on a convenient collection its framing and boundary
-terms are zero.  ``to_convenient`` trades those terms for interior
-intersections and keeps the count of the whole collection.
+terms are zero.  It makes the one cut of a collection down to the discs
+that pair the double points of the given components, so callers hand it
+the whole declared collection.  ``to_convenient`` trades those terms for
+interior intersections and keeps the count of the whole collection.
 """
 
 from __future__ import annotations
 
 import reprlib
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter
 
 from . import _INTS, gamma  # its GammaError is the error of a bad sign
 from .groups import check_signed
-
-_odd = (1).__and__  # parity of an int, as a C-level callable
 
 
 class WhitneyError(ValueError):
@@ -106,14 +106,6 @@ class WhitneyDiscs:
         self.ids, self.pairs, self.interiors, self.mu_boundary, self.euler = map(
             tuple, (ids, pairs, interiors, mu_boundary, euler))
 
-    def _columns(self) -> tuple:
-        return self.ids, self.pairs, self.interiors, self.mu_boundary, self.euler
-
-    def where(self, mask) -> "WhitneyDiscs":
-        """The discs at the true entries of ``mask``, in order."""
-        mask = list(mask)
-        return WhitneyDiscs(*(compress(col, mask) for col in self._columns()))
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -174,23 +166,34 @@ class WhitneyCollection(namedtuple("WhitneyCollection", "discs boundary convenie
 
 
 def t_count(points: DoublePoints, components, collection: WhitneyCollection) -> int:
-    """t mod 2: interior intersections with the given components, plus framing and boundary terms.
+    """t mod 2 over W: interior intersections with the components, plus framing and boundary terms.
 
-    The framing, boundary self-intersection and pairwise boundary counts are
+    W is the discs of ``collection`` whose two points are double points of
+    ``components``, and the boundary counts between two of them; every such
+    point must be paired by a disc of W.  A crossing of a W arc with an arc
+    outside W adds nothing: pushing the outside arc off the end changes only
+    its own disc, and pushing the W arc off the end, at a point of f_i ^ f_j
+    with f_j not among the components, makes the W disc meet f_j, which t
+    does not count.  So the order of the discs never changes t.  The
+    framing, boundary self-intersection and pairwise boundary counts are
     zero on a convenient collection, so one formula serves weak and
-    convenient collections.  Each term is a sum over a column, the interior
-    one masked to ``components``: C-level passes, O(P + D + B).
+    convenient collections.  Each term is a sum over a column under one
+    keep mask, the interior one also masked to ``components``: C-level
+    passes, O(P + D + B).
     """
-    want, got = points.ids_within(components), collection.paired_point_ids()
-    if want != got:
-        unpaired, outside = (reprlib.repr(sorted(ids)) for ids in (want - got, got - want))
-        raise UnpairedPoints(f"no disc pairs the components' double points {unpaired}; "
-                             f"discs pair {outside} off the components")
-    discs = collection.discs
-    keys = chain.from_iterable(discs.interiors)  # in the order of _interior_values
-    interior = sum(compress(_interior_values(discs), map(set(components).__contains__, keys)))
-    return (sum(collection.boundary.values()) + sum(discs.mu_boundary) + sum(discs.euler)
-            + interior) % 2
+    ids, discs = points.ids_within(components), collection.discs
+    keep = list(map(ids.issuperset, discs.pairs))
+    unpaired = ids.difference(chain.from_iterable(compress(discs.pairs, keep)))
+    if unpaired:
+        raise UnpairedPoints(f"no disc pairs the components' double points "
+                             f"{reprlib.repr(sorted(unpaired))}")
+    w, interiors = set(compress(discs.ids, keep)), list(compress(discs.interiors, keep))
+    boundary = compress(collection.boundary.values(), map(w.issuperset, collection.boundary))
+    keys = chain.from_iterable(interiors)
+    interior = compress(chain.from_iterable(map(dict.values, interiors)),
+                        map(set(components).__contains__, keys))
+    own = chain(compress(discs.mu_boundary, keep), compress(discs.euler, keep))
+    return (sum(boundary) + sum(own) + sum(interior)) % 2
 
 
 def to_convenient(points: DoublePoints, collection: WhitneyCollection) -> WhitneyCollection:
@@ -201,25 +204,25 @@ def to_convenient(points: DoublePoints, collection: WhitneyCollection) -> Whitne
     disc's arc, so ``t_count`` of the result equals that of the input over
     the whole collection only.  A crossing is credited to the lower-indexed
     disc, on the lesser component of that disc's first point, so a converted
-    collection must not be cut down to some of its components.  Only
-    a bump's parity matters, so the discs with odd own terms and the
-    lower-indexed discs of odd boundary counts are tallied, and a disc
-    tallied an odd number of times is bumped.  C-level passes over the discs
-    and the boundary counts, O(D + B).  The result is convenient by
-    construction, so the constructor's checks are not run again.
+    collection must not be cut down to some of its components.  Each disc's
+    bump is its own terms plus the boundary counts credited to it, and a
+    disc whose bump is odd gains one interior point: one pass over the
+    boundary counts and one over the discs, O(D + B).  The result is
+    convenient by construction, so the constructor's checks are not run
+    again.
     """
     discs = collection.discs
     position = dict(zip(discs.ids, count()))
-    lower = map(min, map(map, repeat(position.__getitem__), collection.boundary))
-    tally = Counter(chain(compress(count(), map(_odd, map(add, discs.euler, discs.mu_boundary))),
-                          compress(lower, map(_odd, collection.boundary.values()))))
-    bumped = list(compress(tally, map(_odd, tally.values())))
-    # each bumped disc meets the lesser component of its first point once more
-    first = map(itemgetter(0), map(discs.pairs.__getitem__, bumped))
-    comps = list(map(min, map(dict(zip(points.ids, points.pairs)).__getitem__, first)))
-    new = list(map(dict, map(discs.interiors.__getitem__, bumped)))
-    list(map(dict.__setitem__, new, comps, map(add, map(dict.get, new, comps, repeat(0)), repeat(1))))
-    interiors = map(dict(zip(bumped, new)).get, count(), discs.interiors)
+    bumps = list(map(add, discs.euler, discs.mu_boundary))
+    for key, n in collection.boundary.items():
+        bumps[min(map(position.__getitem__, key))] += n
+    components = dict(zip(points.ids, points.pairs))
+    interiors = []
+    for pair, interior, bump in zip(discs.pairs, discs.interiors, bumps):
+        if bump % 2:
+            comp = min(components[pair[0]])
+            interior = {**interior, comp: interior.get(comp, 0) + 1}
+        interiors.append(interior)
     zeros = (0,) * len(discs)
     return collection._replace(discs=WhitneyDiscs(discs.ids, discs.pairs, interiors, zeros, zeros),
                                boundary={}, convenient=True)

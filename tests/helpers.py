@@ -1033,15 +1033,19 @@ def whitney_collection_per_disc(discs, boundary: dict, convenient: bool) -> Whit
 
 
 def t_count_per_disc(points: DoublePoints, components, collection: WhitneyCollection) -> int:
-    """``whitney.t_count`` summed one disc at a time: the reference for its column sums."""
-    comps, discs = set(components), disc_records(collection.discs)
+    """``whitney.t_count`` summed one disc at a time: the reference for its column sums.
+
+    A disc is in W when both its points lie on the components, and a boundary count is summed
+    only between two discs of W."""
+    comps = set(components)
     want = {p.id for p in point_records(points) if set(p.components) <= comps}
-    got = {pid for d in discs for pid in d.pair}
-    if want != got:
-        unpaired, outside = (reprlib.repr(sorted(ids)) for ids in (want - got, got - want))
-        raise UnpairedPoints(f"no disc pairs the components' double points {unpaired}; "
-                             f"discs pair {outside} off the components")
-    total = sum(collection.boundary.values())
+    discs = [d for d in disc_records(collection.discs) if set(d.pair) <= want]
+    unpaired = want - {pid for d in discs for pid in d.pair}
+    if unpaired:
+        raise UnpairedPoints(f"no disc pairs the components' double points "
+                             f"{reprlib.repr(sorted(unpaired))}")
+    kept = {d.id for d in discs}
+    total = sum(n for key, n in collection.boundary.items() if key <= kept)
     for d in discs:
         total += d.mu_boundary + d.euler
         total += sum(c for comp, c in d.interior.items() if comp in comps)

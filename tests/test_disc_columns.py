@@ -1,13 +1,13 @@
 """Whitney discs as columns: the reader's column passes against the per-disc reader.
 
 The reader holds the discs as one ``whitney.WhitneyDiscs`` record, and the
-collection checks, ``to_convenient``, the F^t sub-collection and ``t_count``
-are passes over its columns.  On generated instances, valid or with bad
-discs planted, the error lists, the disc records, t, the converted
-collections and the verdicts must equal those of the per-disc code they
-replaced (``helpers.instance_from_dict_per_point``, which builds one
-``helpers.WhitneyDisc`` record per disc and checks them one at a time, and
-the ``*_per_disc`` oracles).
+collection checks, ``to_convenient`` and ``t_count``, with its cut to the
+discs on the given components, are passes over its columns.  On generated
+instances, valid or with bad discs planted, the error lists, the disc
+records, t, the converted collections and the verdicts must equal those of
+the per-disc code they replaced (``helpers.instance_from_dict_per_point``,
+which builds one ``helpers.WhitneyDisc`` record per disc and checks them one
+at a time, and the ``*_per_disc`` oracles).
 """
 
 import copy
@@ -117,8 +117,7 @@ def test_counts_conversions_and_verdicts_equal_the_per_disc_code(seed, finite, c
     for comps in (range(components), restrict_Ft(inst), [0]):
         assert _outcome(t_count, inst.points, comps, inst.collection) == \
             _outcome(t_count_per_disc, points, comps, ref.collection)
-    ft = restrict_Ft(inst)
-    assert _outcome(_t_for_ft, inst, ft) == _outcome(t_for_ft_per_point, ref, ft)
+        assert _outcome(_t_for_ft, inst, comps) == _outcome(t_for_ft_per_point, ref, comps)
     for decide in (flowchart, homotopy_analysis):
         assert _outcome(lambda i: decide(i).as_dict(), inst) == \
             _outcome(lambda i: decide(i).as_dict(), ref)

@@ -157,7 +157,7 @@ def test_unpaired_points_error_names_only_the_unpaired_points(tmp_path, capsys):
         assert cli.main(["decide", str(path), "--mode", mode]) == 2
         out = capsys.readouterr().out
         assert len(out.encode()) < 1024
-        assert "double points [3998, 3999]; discs pair [] off" in out
+        assert "the components' double points [3998, 3999]\"" in out
 
 
 def test_flowchart_primary_obstruction():

@@ -139,6 +139,14 @@ def test_cli_decide_batch(tmp_path, capsys):
     assert set(out) == {"torus_s3s1.json", "klein_bottle_e0.json"}
 
 
+def test_cli_decide_batch_decides_regular_files_only(tmp_path, capsys):
+    (tmp_path / "torus_s3s1.json").write_text(Path(example_path("torus_s3s1")).read_text())
+    (tmp_path / "extra.json").mkdir()
+    assert cli.main(["decide", "--batch", str(tmp_path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"torus_s3s1.json"}
+
+
 def test_cli_decide_batch_on_a_directory_without_instance_files(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text("no instances here")
     assert _cli(capsys, "decide", "--batch", str(tmp_path)) == (
