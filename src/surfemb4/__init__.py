@@ -8,15 +8,15 @@ Library layout:
 - ``whitney``: double-point columns, Whitney collections, t-counts, weak-to-convenient conversion
 - ``bands``: surface homology model, the band invariant, characteristic checks
 - ``engine``: the decision flowchart and homotopy-class analysis
-- ``knots``: Seifert-matrix invariants and genus bounds
+- ``knots``: knot files, Seifert-matrix invariants and genus bounds
 - ``schema``: reading instance files
-- ``shapes``: the JSON shapes both file kinds use, knot files
+- ``shapes``: the JSON shapes both file kinds use, and the JSON file reader
 - ``cli``: the command line, and the JSON text of each answer (``to_json``)
 - ``errors``: the exceptions the CLI maps to exit codes 2 (``SchemaError``) and 3
 
 Importing the package runs no submodule.  Every CLI command is one
 interpreter start, so the package registers its seven domain modules, the
-instance reader ``schema`` and the knot reader ``shapes``, and ``knots``
+instance reader ``schema`` and the shared JSON layer ``shapes``, and ``knots``
 registers ``mpmath``, with ``_lazy``: a module's body runs only when one of
 its attributes is first used, and a command runs only the modules it
 reaches.  A module names another with a plain ``from . import gamma``,
@@ -34,11 +34,6 @@ import importlib.util
 import sys
 
 __version__ = "0.1.0"
-
-# Seifert entries of magnitude below 2^53 are exact as floats.  Knot files
-# (``shapes``) may hold only those, so the signature certificate (``knots``)
-# can start in floats on every knot file.
-FLOAT_EXACT_BOUND = 1 << 53
 
 # The exact type of an integer field: ``_INTS.issuperset(map(type, values))``
 # rejects the bools and floats that ``isinstance`` and ``int()`` let through.

@@ -41,7 +41,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import engine, gamma, knots, schema, shapes
+from . import engine, gamma, knots, schema
 from .errors import InternalConsistency, SchemaError
 
 _DATA = Path(__file__).with_name("data")  # the shipped files; a zipped package is not supported
@@ -120,7 +120,7 @@ def cmd_gamma(args) -> tuple[int, dict]:
 
 
 def cmd_knot(args) -> tuple[int, dict]:
-    V = shapes.load_knot(str(_resolve(args.knot, "knots")))
+    V = knots.load_knot(str(_resolve(args.knot, "knots")))
     if args.invariant == "arf":
         return EXIT_OK, {"arf": knots.arf(V)}
     if args.invariant == "alex":

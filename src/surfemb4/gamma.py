@@ -91,7 +91,7 @@ class GammaGroup:
     def orbits(self) -> list[Orbit]:
         """Every orbit, by representative; classifies every element not yet classified."""
         if not self.finite:
-            raise GammaError("orbits of an infinite group are computed per query")
+            raise GammaError("orbits are listed for a table group only; an abelian ambient is classified per query")
         return sorted({orbit for orbit, _ in self._lookup(list(self.ctx.ambient.elements()))})
 
     def classify(self, elem) -> tuple[Orbit, Optional[int]]:
@@ -175,7 +175,7 @@ def smith_oracle(ctx: PairingContext) -> tuple[int, list[int]]:
     """
     G = ctx.ambient
     if G.kind != "finite":
-        raise AmbientNotFinite("the Smith oracle needs a finite ambient group")
+        raise AmbientNotFinite("the Smith oracle enumerates a table group; it refuses an abelian ambient")
     n = G.order
     wM = ctx.wM
     # each relation g ~ s h is the row e_g - s e_h

@@ -1,4 +1,7 @@
-"""Seifert-matrix knot invariants and topological genus bounds.
+"""Knot files, Seifert-matrix knot invariants and topological genus bounds.
+
+Knot files are read here (``load_knot``, with the JSON layer ``shapes``),
+beside the invariants whose cost and float start their caps protect.
 
 Every invariant is polynomial in the Seifert size n.  The Arf invariant is
 computed two independent ways, the mod-8 determinant rule (O(n^3)) and a
@@ -28,8 +31,9 @@ from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import _INTS, _lazy
-from .errors import InternalConsistency
+from .errors import InternalConsistency, SchemaError
 from .intlinalg import bareiss_det, cyclotomic, linear_pencil_det, poly_divmod
+from .shapes import STR, Array, Leaf, Object, read_json, shape_errors
 
 mpmath = _lazy("mpmath")  # run by p-bit arithmetic above 53 bits only
 
@@ -52,6 +56,23 @@ class SignRefinementFailed(KnotError):
 
 class DNotCovered(KnotError):
     pass
+
+
+# Seifert entries of magnitude below 2^53 are exact as floats, so the signature
+# certificate can start in floats on every knot file.  Larger ones would also
+# raise the exact path's working precision: one signature of a 40 x 40 matrix
+# with 100-digit entries took 75 s.
+FLOAT_EXACT_BOUND = 1 << 53
+
+# Largest Seifert matrix a knot file may declare.  Checked before the matrix
+# is built, since its unimodularity check and every invariant cost O(n^3) to
+# O(n^4) and the cp2 scan's signatures grow with n.
+MAX_SEIFERT_SIZE = 40
+
+SEIFERT_ENTRY = Leaf("an integer of magnitude below 2^53", int,
+                     minimum=1 - FLOAT_EXACT_BOUND, maximum=FLOAT_EXACT_BOUND - 1)
+
+KNOT_SHAPE = Object({"seifert": Array(Array(SEIFERT_ENTRY)), "name": STR}, optional=("name",))
 
 
 class SeifertMatrix:
@@ -83,6 +104,20 @@ class SeifertMatrix:
             [self.rows[i][j] + self.rows[j][i] for j in range(self.size)]
             for i in range(self.size)
         ]
+
+
+def load_knot(path) -> SeifertMatrix:
+    """The Seifert matrix of a knot file, or a SchemaError."""
+    doc = read_json(path, "knot file")
+    if KNOT_SHAPE.fits_all([doc]) is None:
+        raise SchemaError(shape_errors(KNOT_SHAPE, doc))
+    if len(doc["seifert"]) > MAX_SEIFERT_SIZE:
+        raise SchemaError([f"/seifert: the Seifert size {len(doc['seifert'])} "
+                           f"exceeds the cap of {MAX_SEIFERT_SIZE}"])
+    try:
+        return SeifertMatrix(doc["seifert"])
+    except KnotError as exc:
+        raise SchemaError([f"/seifert: {exc}"]) from None
 
 
 def alexander_at_minus_one(V: SeifertMatrix) -> int:

@@ -6,10 +6,12 @@ fields, bools for integers and floats are errors.  One walk takes and
 checks the columns, and the domain objects are built from them; their
 constructors' errors are reported at the pointer of the data they were
 given, and the shape's JSON-pointer errors, when there are any, instead.
-The shapes both file kinds use and the knot file are in ``shapes``,
-``SchemaError`` is in ``errors`` and ``to_json`` in ``cli``.  The package
-registers this module lazily, so only the instance commands (``validate``,
-``decide``, ``km``, ``gamma``) run it.
+A domain error is any ``ValueError``, the rule ``cli`` maps to exit 2, so
+this reader lists no module's error classes.  The shapes both file kinds
+use are in ``shapes``, the knot file in ``knots``, ``SchemaError`` in
+``errors`` and ``to_json`` in ``cli``.  The package registers this module
+lazily, so only the instance commands (``validate``, ``decide``, ``km``,
+``gamma``) run it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import gc
 import json
 from itertools import chain, compress, islice, repeat
 
-from . import bands, engine, gamma, groups, whitney
+from . import bands, engine, groups, whitney
 from .errors import SchemaError
 from .shapes import (STR, Array, Leaf, Object, Shape, describe, each, expected, read_json, shape_errors,
                      token)
@@ -199,16 +201,11 @@ def load_instance(path) -> engine.ProblemInstance:
 # -- building the domain objects -------------------------------------------------
 
 
-def _domain_errors() -> tuple:
-    """The errors a domain constructor raises on data that fits the shape."""
-    return groups.GroupError, bands.BandError, whitney.WhitneyError, engine.EngineError, gamma.GammaError
-
-
 def _build(errors: list[str], pointer: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, or None with its domain error recorded at ``pointer``."""
+    """``make(*args, **kwargs)``, or None with its domain error (a ValueError) recorded at ``pointer``."""
     try:
         return make(*args, **kwargs)
-    except _domain_errors() as exc:
+    except ValueError as exc:
         errors.append(f"{pointer}: {exc}")
         return None
 
@@ -237,7 +234,7 @@ def _point_errors(doc, group) -> list[str]:
         elif group is not None:
             try:
                 group.check_elems([dp["eta"]])
-            except groups.GroupError as exc:
+            except ValueError as exc:
                 errors.append(f"/double_points/{i}/eta: {exc}")
         seen.add(dp["id"])
     return errors
@@ -308,7 +305,7 @@ def instance_from_dict(doc) -> engine.ProblemInstance:
                 group=group, wM=wM, components=tuple(components), points=points, collection=collection,
                 band_catalog=band_catalog, good_group=doc["flags"]["good_group"],
                 torus_summands=frozenset(doc["flags"]["torus_summand"]))
-        except _domain_errors() as exc:  # every owned leaf is checked by now
+        except ValueError as exc:  # every owned leaf is checked by now
             raise SchemaError(_point_errors(doc, group) or [f"/: {exc}"]) from None
     errors[at:at] = _point_errors(doc, group)
     raise SchemaError(shape_errors(INSTANCE_SHAPE, doc) or errors)

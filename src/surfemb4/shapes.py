@@ -1,14 +1,13 @@
-"""JSON shapes both file kinds share, and the knot file.
+"""The JSON shapes both file kinds share, and the reader of a JSON file.
 
 A JSON document is declared once as a shape giving each field's exact type
 and whether it may be absent; unknown fields, bools for integers and floats
 are errors.  This module holds the shapes both file kinds use, their error
-walks, and the knot file (``KNOT_SHAPE``, ``load_knot``).  The instance
-file's shape and reader are in ``schema``, which only the instance commands
-run, so a ``knot`` child, which compiles each module it runs, compiles this
-module and not the instance reader.  The package registers this module
-lazily, and ``SchemaError`` is in ``errors`` and ``to_json`` in ``cli``, so
-``examples list`` compiles neither (README, *Install and test*).
+walks and ``read_json``, and imports nothing from the package but
+``errors``.  Each file kind's rules are beside the code they protect: the
+knot file's shape and caps in ``knots``, the instance file's in ``schema``.
+The package registers this module lazily, so ``examples list`` does not
+compile it (README, *Install and test*).
 """
 
 from __future__ import annotations
@@ -18,13 +17,7 @@ from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
-from . import FLOAT_EXACT_BOUND, knots
 from .errors import SchemaError
-
-# Largest Seifert matrix a knot file may declare.  Checked before the matrix
-# is built, since its unimodularity check and every invariant cost O(n^3) to
-# O(n^4) and the cp2 scan's signatures grow with n.
-MAX_SEIFERT_SIZE = 40
 
 
 # -- the declared shapes ---------------------------------------------------------
@@ -144,14 +137,6 @@ class Object(Shape):
 
 STR = Leaf("a string", str)
 
-# Seifert entries below 2^53 are exact as floats, as the signature certificate
-# needs.  Larger ones would also raise the exact path's working precision: one
-# signature of a 40 x 40 matrix with 100-digit entries took 75 s.
-SEIFERT_ENTRY = Leaf("an integer of magnitude below 2^53", int,
-                     minimum=1 - FLOAT_EXACT_BOUND, maximum=FLOAT_EXACT_BOUND - 1)
-
-KNOT_SHAPE = Object({"seifert": Array(Array(SEIFERT_ENTRY)), "name": STR}, optional=("name",))
-
 
 def shape_errors(shape, doc) -> list[str]:
     """Every mismatch between ``doc`` and ``shape``, as pointer messages."""
@@ -160,7 +145,7 @@ def shape_errors(shape, doc) -> list[str]:
     return [f"{pointer or '/'}: {message}" for pointer, message in shape.check(doc)]
 
 
-# -- reading and writing files -----------------------------------------------------
+# -- reading files -----------------------------------------------------------------
 
 
 def read_json(path, what: str):
@@ -170,16 +155,3 @@ def read_json(path, what: str):
     except (OSError, ValueError, RecursionError) as exc:  # decode errors are ValueErrors
         raise SchemaError([f"/: unreadable {what}: {exc}"]) from None
 
-
-def load_knot(path) -> knots.SeifertMatrix:
-    """The Seifert matrix of a knot file, or a SchemaError."""
-    doc = read_json(path, "knot file")
-    if KNOT_SHAPE.fits_all([doc]) is None:
-        raise SchemaError(shape_errors(KNOT_SHAPE, doc))
-    if len(doc["seifert"]) > MAX_SEIFERT_SIZE:
-        raise SchemaError([f"/seifert: the Seifert size {len(doc['seifert'])} "
-                           f"exceeds the cap of {MAX_SEIFERT_SIZE}"])
-    try:
-        return knots.SeifertMatrix(doc["seifert"])
-    except knots.KnotError as exc:
-        raise SchemaError([f"/seifert: {exc}"]) from None

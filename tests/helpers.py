@@ -77,7 +77,7 @@ from surfemb4.groups import (
 )
 from surfemb4.intlinalg import HermiteLattice, bareiss_det
 from surfemb4.knots import SeifertMatrix, _is_alexander_root
-from surfemb4.schema import INSTANCE_SHAPE, SCHEMA_VERSION, _build, _domain_errors, _h1_dim_error
+from surfemb4.schema import INSTANCE_SHAPE, SCHEMA_VERSION, _build, _h1_dim_error
 from surfemb4.shapes import shape_errors
 from surfemb4.whitney import (
     DoublePoints,
@@ -994,7 +994,7 @@ def instance_from_dict_per_point(doc) -> ProblemInstance:
                 if not set(d.interior) <= known:
                     raise engine.ValidationError(f"Whitney disc {d.id} meets unknown components")
         return inst._replace(collection=collection)
-    except _domain_errors() as exc:
+    except ValueError as exc:
         raise SchemaError([f"/: {exc}"]) from None
 
 

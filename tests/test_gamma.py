@@ -130,16 +130,20 @@ def test_mu1_home_cases():
 
 
 def test_smith_oracle_requires_finite_group():
-    g = abelian_group([0])
-    s = subgroup_closure(g, [])
-    with pytest.raises(AmbientNotFinite):
-        smith_oracle(PairingContext(g, trivial_character(g), s, s))
+    """It enumerates a table group, so it refuses every abelian ambient, a finite one too."""
+    for factors in [0], [4, 8]:
+        g = abelian_group(factors)
+        s = subgroup_closure(g, [])
+        with pytest.raises(AmbientNotFinite, match="enumerates a table group; it refuses an abelian ambient"):
+            smith_oracle(PairingContext(g, trivial_character(g), s, s))
 
 
 def test_orbits_of_an_abelian_ambient_are_refused():
-    gamma = build_gamma(_ctx(abelian_group([0, 2]), gens_f=[((1, 0), 1)], self_pairing=True))
-    with pytest.raises(GammaError, match="orbits of an infinite group are computed per query"):
-        gamma.orbits()
+    """Only a table group's orbits are listed, so a finite abelian ambient's are refused too."""
+    for factors in [0, 2], [4, 8]:
+        gamma = build_gamma(_ctx(abelian_group(factors), gens_f=[((1, 0), 1)], self_pairing=True))
+        with pytest.raises(GammaError, match="listed for a table group only; an abelian ambient is classified"):
+            gamma.orbits()
 
 
 def test_oracle_equivalence_sample():

@@ -3,7 +3,7 @@
 Hypothesis draws knot files of four kinds: Seifert matrices of T(2,q)
 connected sums, random valid Seifert matrices, random square integer
 matrices (mostly not unimodular, sometimes of odd size) and matrices past
-``shapes.MAX_SEIFERT_SIZE``.  The ``--omega`` values include roots of the
+``knots.MAX_SEIFERT_SIZE``.  The ``--omega`` values include roots of the
 Alexander polynomial of the torus sums and points within 10^-15 of them,
 where the float certificate declines; ``--d`` runs over small classes
 including +-1 and 0, and over classes up to 2^64 in magnitude.
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from hypothesis import event, example, given, settings, strategies as st
 
-from surfemb4 import cli, shapes
+from surfemb4 import cli, knots
 
 from helpers import random_seifert_rows, torus_sum
 
@@ -45,8 +45,8 @@ def torus_sums(draw):
 SEIFERT = st.integers(0, 2**32).map(lambda seed: random_seifert_rows(random.Random(seed)))
 SQUARE = st.integers(0, 5).flatmap(lambda n: st.lists(
     st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
-OVERSIZED = st.integers(1, 3).map(lambda k: [[0] * (shapes.MAX_SEIFERT_SIZE + k)]
-                                  * (shapes.MAX_SEIFERT_SIZE + k))
+OVERSIZED = st.integers(1, 3).map(lambda k: [[0] * (knots.MAX_SEIFERT_SIZE + k)]
+                                  * (knots.MAX_SEIFERT_SIZE + k))
 KNOTS = torus_sums() | st.tuples(SEIFERT | SQUARE | OVERSIZED, OMEGA)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from surfemb4 import cli, schema, shapes
+from surfemb4 import cli, knots, schema
 from surfemb4.engine import ProblemInstance, flowchart
 
 from helpers import instance_to_dict, random_points_doc
@@ -452,7 +452,7 @@ def test_knot_file_fields(tmp_path, capsys):
     assert _cli(capsys, "knot", "arf", str(path))[0] == 2
 
 
-@pytest.mark.parametrize("size", [shapes.MAX_SEIFERT_SIZE + 2, 1000])
+@pytest.mark.parametrize("size", [knots.MAX_SEIFERT_SIZE + 2, 1000])
 def test_seifert_size_is_capped(size, tmp_path, capsys):
     path = tmp_path / "large.json"
     path.write_text(json.dumps({"seifert": [[0] * size for _ in range(size)]}))
@@ -461,12 +461,12 @@ def test_seifert_size_is_capped(size, tmp_path, capsys):
     assert time.perf_counter() - started < 2.0
     assert code == 2
     assert out["errors"] == [f"/seifert: the Seifert size {size} exceeds the cap of "
-                             f"{shapes.MAX_SEIFERT_SIZE}"]
+                             f"{knots.MAX_SEIFERT_SIZE}"]
 
 
 def test_seifert_size_at_the_cap_is_read(tmp_path, capsys):
     # T(2, 41): Seifert size 40, Arf 0 since 41 = 1 mod 8
-    n = shapes.MAX_SEIFERT_SIZE
+    n = knots.MAX_SEIFERT_SIZE
     path = tmp_path / "t2_41.json"
     path.write_text(json.dumps(
         {"seifert": [[-1 if i == j else 1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]}))

@@ -26,7 +26,8 @@ from surfemb4.schema import (
     _Map,
     _Tuple,
 )
-from surfemb4.shapes import KNOT_SHAPE, Array, Leaf, Object
+from surfemb4.knots import KNOT_SHAPE
+from surfemb4.shapes import Array, Leaf, Object
 
 FIELDS = dict(INSTANCE_SHAPE.fields)
 COLLECTION = dict(FIELDS["whitney_collection"].shape.fields)
