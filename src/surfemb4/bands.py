@@ -11,7 +11,7 @@ decide the b-characteristic condition.
 Once the boundary form vanishes on the declared boundaries, Theta is a
 GF(2)-linear functional on the span of the record classes (Lemma 5.10).
 ``ThetaFunctional`` is the one consistency check: records whose classes sum
-to zero while their Theta values sum to 1 raise ``ThetaConflict`` naming
+to zero while their Theta values sum to 1 raise a ``BandError`` naming
 exactly those records.
 """
 
@@ -28,34 +28,6 @@ from . import _INTS
 
 class BandError(ValueError):
     pass
-
-
-class MixedW1Annulus(BandError):
-    """Annulus with exactly one orientation-reversing boundary curve.
-
-    Theta is undefined here, but the self-pairing of the boundary class is
-    then 1, which already forces the secondary obstruction to vanish.
-    """
-
-    def __init__(self, band_id):
-        super().__init__(
-            f"band {band_id}: annulus with exactly one w1-nontrivial boundary; "
-            "Theta undefined, and the boundary class has lambda(dS,dS)=1, forcing km=0"
-        )
-
-
-class NotLinearizable(BandError):
-    pass
-
-
-class ThetaConflict(BandError):
-    """Records whose classes sum to zero while their Theta values sum to 1."""
-
-    def __init__(self, witnesses: tuple[str, ...]):
-        super().__init__(
-            f"records {', '.join(map(repr, witnesses))} have classes summing to zero but "
-            "Theta summing to 1; Theta is not linear on the span, inconsistent declaration"
-        )
 
 
 def h1_ranks(genus: int, orientable: bool, boundary_circles: int) -> tuple[int, int]:
@@ -266,11 +238,16 @@ def theta(record: BandRecord) -> int:
     """The four-term parity invariant of a band or surface record.
 
     An annulus with both boundary curves orientation-reversing uses the
-    cut-open Euler term, declared in the same field; the mixed annulus case
-    has no invariant and raises with a verdict hint.
+    cut-open Euler term, declared in the same field.  An annulus with exactly
+    one orientation-reversing boundary curve has no invariant and raises with
+    a verdict hint: the self-pairing of its boundary class is then 1, which
+    already forces the secondary obstruction km to vanish.
     """
     if record.kind == "annulus" and sorted(record.w1_sigma) == [0, 1]:
-        raise MixedW1Annulus(record.id)
+        raise BandError(
+            f"band {record.id}: annulus with exactly one w1-nontrivial boundary; "
+            "Theta undefined, and the boundary class has lambda(dS,dS)=1, forcing km=0"
+        )
     return (record.mu_boundary + record.arc_count + record.interior + record.euler) % 2
 
 
@@ -314,7 +291,8 @@ class ThetaFunctional:
 
     Classes are int bitmasks; each echelon row, keyed by its highest bit, is
     (class, Theta value, mask of the records it sums), so a record reducing
-    to class 0 with value 1 names the records of a ``ThetaConflict``.
+    to class 0 with value 1 names, in a ``BandError``, the records whose
+    classes sum to zero while their Theta values sum to 1.
     ``witness`` is the first record with Theta = 1, or None.  Each record
     costs at most one XOR per bit of its class.
     """
@@ -331,7 +309,11 @@ class ThetaFunctional:
             if vec:
                 self._rows[vec.bit_length() - 1] = (vec, value, used)
             elif value:
-                raise ThetaConflict(tuple(q.id for i, q in enumerate(records) if used >> i & 1))
+                witnesses = (q.id for i, q in enumerate(records) if used >> i & 1)
+                raise BandError(
+                    f"records {', '.join(map(repr, witnesses))} have classes summing to zero but "
+                    "Theta summing to 1; Theta is not linear on the span, inconsistent declaration"
+                )
 
     def _reduce(self, vec: int, value: int, used: int) -> tuple[int, int, int]:
         """Clear leading bits with rows; stops at the first leading bit without a row."""
@@ -346,11 +328,13 @@ class ThetaFunctional:
 def validate_theta_well_defined(catalog: BandCatalog) -> ThetaFunctional:
     """Theta as a linear functional on the span of the classes.
 
-    Raises ``NotLinearizable`` when the boundary form does not vanish on the
-    records, and ``ThetaConflict`` when Theta is not linear on their span.
+    Raises ``BandError``: "the cross-term lambda(C,C') obstructs linearity"
+    when the boundary form does not vanish on the records, and "records ...
+    have classes summing to zero but Theta summing to 1" when Theta is not
+    linear on their span.
     """
     if _boundary_form_witness(catalog) is not None:
-        raise NotLinearizable("the cross-term lambda(C,C') obstructs linearity")
+        raise BandError("the cross-term lambda(C,C') obstructs linearity")
     return ThetaFunctional(catalog)
 
 
@@ -367,7 +351,8 @@ class BCharResult(NamedTuple):
 def is_b_characteristic(catalog: BandCatalog) -> BCharResult:
     """Boundary form zero and Theta identically zero on the declared generators.
 
-    Raises ``ThetaConflict`` when the form vanishes but Theta is not linear.
+    Raises ``BandError`` "records ... have classes summing to zero but Theta
+    summing to 1" when the form vanishes but Theta is not linear.
     """
     pair = _boundary_form_witness(catalog)
     if pair is not None:

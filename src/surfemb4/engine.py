@@ -31,22 +31,6 @@ class EngineError(ValueError):
     pass
 
 
-class ValidationError(EngineError):
-    pass
-
-
-class PrimaryObstructionNonzero(EngineError):
-    pass
-
-
-class NoDualSpheres(EngineError):
-    pass
-
-
-class MissingWhitneyData(EngineError):
-    pass
-
-
 class ComponentData(NamedTuple):
     id: int
     subgroup: SignedSubgroup
@@ -71,39 +55,39 @@ class ProblemInstance(namedtuple("ProblemInstance", (
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.wM.group is not self.group:
-            raise ValidationError("character not over the instance's group")
+            raise EngineError("character not over the instance's group")
         for c in self.components:
             if c.subgroup.ambient is not self.group:
-                raise ValidationError(f"subgroup of component {c.id} not over the instance's group")
+                raise EngineError(f"subgroup of component {c.id} not over the instance's group")
         points = self.points
         if getattr(points, "group", None) is not self.group:  # columns checked against it, no others
-            raise ValidationError("double points not over the instance's group")
+            raise EngineError("double points not over the instance's group")
         if not isinstance(self.band_catalog, BandCatalog):
-            raise ValidationError("no band catalog")
+            raise EngineError("no band catalog")
         ids = [c.id for c in self.components]
         if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate component ids")
+            raise EngineError("duplicate component ids")
         known = set(ids)
         surface_ids = {c.id for c in self.band_catalog.surface.components}
         if known != surface_ids:
-            raise ValidationError(
+            raise EngineError(
                 f"immersion components {sorted(known)} != surface components {sorted(surface_ids)}"
             )
         point_ids = set(points.ids)
         if len(point_ids) != len(points):
-            raise ValidationError("duplicate double-point ids")
+            raise EngineError("duplicate double-point ids")
         if not known.issuperset(chain.from_iterable(set(points.pairs))):  # the distinct pairs
             pid = next(p for p, pair in zip(points.ids, points.pairs) if not known.issuperset(pair))
-            raise ValidationError(f"double point {pid} references unknown components")
+            raise EngineError(f"double point {pid} references unknown components")
         if not self.torus_summands <= known:
-            raise ValidationError("torus_summand flag references unknown components")
+            raise EngineError("torus_summand flag references unknown components")
         if self.collection is not None:
             if not self.collection.paired_point_ids() <= point_ids:
-                raise ValidationError("Whitney collection references unknown double points")
+                raise EngineError("Whitney collection references unknown double points")
             discs = self.collection.discs
             if not known.issuperset(chain.from_iterable(discs.interiors)):
                 did = next(d for d, met in zip(discs.ids, discs.interiors) if not known.issuperset(met))
-                raise ValidationError(f"Whitney disc {did} meets unknown components")
+                raise EngineError(f"Whitney disc {did} meets unknown components")
         return self
 
 
@@ -142,7 +126,7 @@ def obstruction(inst: ProblemInstance, subgroups: dict, i: int, j: int) -> Gamma
     """
     for cid in (i, j):
         if cid not in subgroups:
-            raise ValidationError(f"no component {cid}")
+            raise EngineError(f"no component {cid}")
     ctx = PairingContext(inst.group, inst.wM, subgroups[i], subgroups[j], self_pairing=i == j)
     return reduce_list(points_between(inst.points, i, j), build_gamma(ctx))
 
@@ -194,12 +178,12 @@ def _t_for_ft(inst: ProblemInstance, ft: Sequence[int]) -> int:
     collection = inst.collection
     if collection is None:
         if inst.points.ids_within(ft):
-            raise MissingWhitneyData("F^t has double points but no Whitney collection was declared")
+            raise EngineError("F^t has double points but no Whitney collection was declared")
         return 0
     try:
         return t_count(inst.points, ft, collection)
     except UnpairedPoints as exc:
-        raise MissingWhitneyData(
+        raise EngineError(
             f"the declared collection does not pair the double points of F^t: {exc}") from exc
 
 
@@ -211,10 +195,10 @@ def compute_km(inst: ProblemInstance) -> int:
     t-count of F^t otherwise.
     """
     if not all(c.has_alg_dual for c in inst.components):
-        raise NoDualSpheres("every component needs an algebraically dual sphere")
+        raise EngineError("every component needs an algebraically dual sphere")
     verdict = flowchart(inst)
     if verdict.km is None:  # with dual spheres, only a nonzero primary obstruction leaves km open
-        raise PrimaryObstructionNonzero("lambda or mu is nonzero; km is undefined")
+        raise EngineError("lambda or mu is nonzero; km is undefined")
     return verdict.km
 
 
@@ -314,7 +298,7 @@ def homotopy_analysis(inst: ProblemInstance) -> Verdict:
         if coefficient_at(obstructions[("mu", c.id)], inst.group.identity) != 0
     )
     if bad:
-        raise ValidationError(
+        raise EngineError(
             f"mu(f_i)_1 != 0 for components {bad}; homotope to the normalized "
             "representative before running the analysis"
         )

@@ -40,10 +40,6 @@ class GammaError(ValueError):
     pass
 
 
-class AmbientNotFinite(GammaError):
-    pass
-
-
 class PairingContext(namedtuple("PairingContext", "ambient wM s_f s_g self_pairing")):
     """Data determining the target group of an intersection number.
 
@@ -175,7 +171,7 @@ def smith_oracle(ctx: PairingContext) -> tuple[int, list[int]]:
     """
     G = ctx.ambient
     if G.kind != "finite":
-        raise AmbientNotFinite("the Smith oracle enumerates a table group; it refuses an abelian ambient")
+        raise GammaError("the Smith oracle enumerates a table group; it refuses an abelian ambient")
     n = G.order
     wM = ctx.wM
     # each relation g ~ s h is the row e_g - s e_h

@@ -52,18 +52,6 @@ class GroupError(ValueError):
     pass
 
 
-class NotAssociative(GroupError):
-    pass
-
-
-class NoIdentity(GroupError):
-    pass
-
-
-class NoInverse(GroupError):
-    pass
-
-
 class FiniteTableGroup:
     """Finite group as a Cayley table on indices 0..n-1.
 
@@ -203,24 +191,25 @@ class FGAbelianGroup:
 AmbientGroup = FiniteTableGroup | FGAbelianGroup
 
 
-def check_signed(group: AmbientGroup, signs: Sequence, elems: Sequence, error=GroupError) -> tuple:
+def check_signed(group: AmbientGroup, signs: Sequence, elems: Sequence) -> tuple:
     """The elements, checked and canonical, with signs +1 or -1: the one check of (sign, element) pairs.
 
-    Raises at the first bad pair, its sign first: ``error`` for a sign (neither True nor 1.0).
+    Raises at the first bad pair, its sign first: ``GroupError`` for a sign (neither True nor 1.0).
     """
     if not (_INTS.issuperset(map(type, signs)) and {1, -1}.issuperset(signs)):
         k = next(k for k, s in enumerate(signs) if type(s) is not int or s not in (1, -1))
         group.check_elems(elems[:k])
-        raise error(f"sign must be +1 or -1, got {signs[k]!r}")
+        raise GroupError(f"sign must be +1 or -1, got {signs[k]!r}")
     return group.check_elems(elems)
 
 
 def make_finite_group(table: Sequence[Sequence[int]]) -> FiniteTableGroup:
     """Validate a multiplication table and build the group.
 
-    After the shape and range checks, reports the first failing axiom in the
-    order identity (``NoIdentity``), inverses (``NoInverse``), associativity
-    (``NotAssociative``, whose message names a failing triple).
+    After the shape and range checks, raises ``GroupError`` for the first
+    failing axiom in the order identity ("no two-sided identity"), inverses
+    ("element a has no inverse"), associativity ("(a*b)*c != a*(b*c)",
+    naming a failing triple).
 
     Associativity is checked in two steps.  With an identity and inverses,
     a repeated entry a*b = a*c breaks it at (a^-1, a, b) or (a^-1, a, c),
@@ -249,13 +238,13 @@ def make_finite_group(table: Sequence[Sequence[int]]) -> FiniteTableGroup:
     ident = tuple(range(n))
     identity = next((e for e in range(n) if rows[e] == ident and cols[e] == ident), None)
     if identity is None:
-        raise NoIdentity("no two-sided identity")
+        raise GroupError("no two-sided identity")
     inverse = []
     for a, row in enumerate(rows):
         right = compress(range(n), map(identity.__eq__, row))
         b = next((b for b in right if rows[b][a] == identity), None)
         if b is None:
-            raise NoInverse(f"element {a} has no inverse")
+            raise GroupError(f"element {a} has no inverse")
         inverse.append(b)
     for a, (row, col) in enumerate(zip(rows, cols)):
         if len(set(row)) < n:
@@ -274,10 +263,10 @@ def _repeat(seq: Sequence[int]) -> tuple[int, int]:
     return first[seq[c]], c
 
 
-def _failing_triple(rows, *triples) -> NotAssociative:
+def _failing_triple(rows, *triples) -> GroupError:
     for a, b, c in triples:
         if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-            return NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+            return GroupError(f"({a}*{b})*{c} != {a}*({b}*{c})")
     raise InternalConsistency(f"a repeated table entry without a failing triple among {triples}")
 
 
@@ -285,7 +274,7 @@ def _greedy_generators(rows, cols, identity: int) -> list[int]:
     """Smallest elements not yet generated, each passing Light's test, until they generate ``rows``.
 
     Each generator g is tested as it is found: (x*g)*y = x*(g*y) for all x, y,
-    or NotAssociative names the first failing (x, y).  The g that pass are
+    or a ``GroupError`` names the first failing (x, y).  The g that pass are
     closed under products (with g and h, (x*(gh))*y = ((x*g)*h)*y =
     (x*g)*(h*y) = x*(g*(h*y)) = x*((gh)*y)), so the products of generators
     associate, every one is a product g1*g2*...*gk of generators, and the
@@ -307,7 +296,7 @@ def _greedy_generators(rows, cols, identity: int) -> list[int]:
             if x_g_y != x_gy:
                 x = next(x for x in range(n) if x_g_y[x] != x_gy[x])
                 y = next(y for y in range(n) if x_g_y[x][y] != x_gy[x][y])
-                raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
+                raise GroupError(f"({x}*{g})*{y} != {x}*({g}*{y})")
         generators.append(g)
         fresh = {g, *map(cols[g].__getitem__, members)} - closure  # old members times g
         done = len(members)

@@ -42,19 +42,7 @@ class KnotError(ValueError):
     pass
 
 
-class ArfMethodsDisagree(InternalConsistency):
-    pass
-
-
 class SingularAtOmega(KnotError):
-    pass
-
-
-class SignRefinementFailed(KnotError):
-    pass
-
-
-class DNotCovered(KnotError):
     pass
 
 
@@ -109,8 +97,8 @@ class SeifertMatrix:
 def load_knot(path) -> SeifertMatrix:
     """The Seifert matrix of a knot file, or a SchemaError."""
     doc = read_json(path, "knot file")
-    if KNOT_SHAPE.fits_all([doc]) is None:
-        raise SchemaError(shape_errors(KNOT_SHAPE, doc))
+    if errors := shape_errors(KNOT_SHAPE, doc):
+        raise SchemaError(errors)
     if len(doc["seifert"]) > MAX_SEIFERT_SIZE:
         raise SchemaError([f"/seifert: the Seifert size {len(doc['seifert'])} "
                            f"exceeds the cap of {MAX_SEIFERT_SIZE}"])
@@ -187,7 +175,7 @@ def arf(V: SeifertMatrix) -> int:
     by_det = 0 if det % 8 in (1, 7) else 1
     by_form = _arf_symplectic(V.rows)
     if by_det != by_form:
-        raise ArfMethodsDisagree(
+        raise InternalConsistency(
             f"determinant rule gives {by_det}, symplectic basis gives {by_form}"
         )
     return by_det
@@ -437,7 +425,8 @@ def levine_tristram(V: SeifertMatrix, omega, q: int = 1) -> int:
     After its first decline, values of w where the matrix is singular (roots of
     the Alexander polynomial, where the signature jumps) raise instead of
     refining; a point that no precision up to the cap separates from the
-    singular ones raises SignRefinementFailed.
+    singular ones raises ``KnotError`` "could not separate the signature from
+    zero at 1696 bits".
     """
     if V.size == 0:
         return 0
@@ -451,7 +440,7 @@ def levine_tristram(V: SeifertMatrix, omega, q: int = 1) -> int:
             point = f"{p}/{q}" if q > 1 else p  # as str(Fraction(p, q))
             raise SingularAtOmega(f"exp(i*pi*{point}) is a root of the Alexander polynomial")
         if prec == MAX_PREC:
-            raise SignRefinementFailed(f"could not separate the signature from zero at {prec} bits")
+            raise KnotError(f"could not separate the signature from zero at {prec} bits")
         prec *= 2
     return signature
 
@@ -486,7 +475,7 @@ def _lower_bound(d: int, signature: Callable[[int, int], int]) -> int:
     bound, a multiple of 1/2, is held exactly as the integer twice its value.
     """
     if d in (1, -1):
-        raise DNotCovered("classes +-1 are governed by the Arf invariant")
+        raise KnotError("classes +-1 are governed by the Arf invariant")
     doubled = []
     if d % 2 == 0:
         doubled.append(abs(d * d - 2 - 2 * signature(1, 1)))

@@ -22,15 +22,11 @@ from collections import namedtuple
 from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter
 
-from . import _INTS, gamma  # its GammaError is the error of a bad sign
+from . import _INTS
 from .groups import check_signed
 
 
 class WhitneyError(ValueError):
-    pass
-
-
-class NotConvenient(WhitneyError):
     pass
 
 
@@ -56,7 +52,7 @@ class DoublePoints:
 
     def __init__(self, ids, pairs, signs, etas, group):
         self.ids, self.pairs, self.signs, self.etas = map(tuple, (ids, pairs, signs, etas))
-        self.etas = check_signed(group, self.signs, self.etas, gamma.GammaError)
+        self.etas = check_signed(group, self.signs, self.etas)
         self.group, self._by_pair = group, None
 
     def by_pair(self) -> dict:
@@ -156,9 +152,9 @@ class WhitneyCollection(namedtuple("WhitneyCollection", "discs boundary convenie
         if convenient:
             if any(discs.euler) or any(discs.mu_boundary):
                 bad = next(compress(ids, map(any, zip(discs.euler, discs.mu_boundary))))
-                raise NotConvenient(f"disc {bad} is twisted or has boundary self-intersections")
+                raise WhitneyError(f"disc {bad} is twisted or has boundary self-intersections")
             if any(boundary.values()):
-                raise NotConvenient("convenient collections have disjoint boundaries")
+                raise WhitneyError("convenient collections have disjoint boundaries")
         return super().__new__(cls, discs, boundary, convenient)
 
     def paired_point_ids(self) -> set[int]:

@@ -49,7 +49,6 @@ from surfemb4 import bands, cli, engine, groups, knots, whitney
 from surfemb4.bands import BandError, BandRecord, SurfaceModel, ThetaFunctional, theta
 from surfemb4.engine import (
     EngineError,
-    MissingWhitneyData,
     ProblemInstance,
     points_between,
     restrict_Ft,
@@ -70,7 +69,6 @@ from surfemb4.groups import (
     FGAbelianGroup,
     FiniteTableGroup,
     GroupError,
-    NotAssociative,
     abelian_group,
     make_finite_group,
     subgroup_closure,
@@ -81,7 +79,6 @@ from surfemb4.schema import INSTANCE_SHAPE, SCHEMA_VERSION, _build, _h1_dim_erro
 from surfemb4.shapes import shape_errors
 from surfemb4.whitney import (
     DoublePoints,
-    NotConvenient,
     UnpairedPoints,
     WhitneyCollection,
     WhitneyDiscs,
@@ -175,7 +172,7 @@ def greedy_generators_by_products(rows, cols, identity: int) -> list[int]:
     The reference for the search that tests each generator as it is found.
     The closure grows by multiplying each new member with every earlier one
     on both sides, O(n^2); then each generator but the identity is tested in
-    turn, and the first failing (x, g, y) raises NotAssociative.
+    turn, and the first failing (x, g, y) raises the ``GroupError`` "(x*g)*y != x*(g*y)".
     """
     n = len(rows)
     generators: list[int] = []
@@ -203,7 +200,7 @@ def greedy_generators_by_products(rows, cols, identity: int) -> list[int]:
         for x in range(n):
             y = next((y for y in range(n) if rows[rows[x][g]][y] != rows[x][rows[g][y]]), None)
             if y is not None:
-                raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
+                raise GroupError(f"({x}*{g})*{y} != {x}*({g}*{y})")
     return generators
 
 
@@ -613,7 +610,7 @@ def fold_by_fractions(r) -> Fraction:
 def lower_bound_by_fractions(d: int, signature) -> int:
     """``knots._lower_bound`` with its bounds as Fractions; ``signature(r)`` takes a Fraction."""
     if d in (1, -1):
-        raise knots.DNotCovered("classes +-1 are governed by the Arf invariant")
+        raise knots.KnotError("classes +-1 are governed by the Arf invariant")
     bounds = []
     if d % 2 == 0:
         sigma = signature(Fraction(1))
@@ -903,7 +900,7 @@ def reduce_list_per_point(entries, gamma: GammaGroup) -> GammaElement:
     coeffs: dict = {}
     for sign, elem in entries:
         if type(sign) is not int or sign not in (1, -1):
-            raise GammaError(f"sign must be +1 or -1, got {sign!r}")
+            raise GroupError(f"sign must be +1 or -1, got {sign!r}")
         orbit, section = gamma.classify(elem)
         if section is None:
             coeffs[orbit] = (coeffs.get(orbit, 0) + 1) % 2
@@ -988,11 +985,11 @@ def instance_from_dict_per_point(doc) -> ProblemInstance:
             good_group=doc["flags"]["good_group"], torus_summands=frozenset(doc["flags"]["torus_summand"]))
         if collection is not None:
             if not {pid for d in discs for pid in d.pair} <= {p.id for p in points}:
-                raise engine.ValidationError("Whitney collection references unknown double points")
+                raise EngineError("Whitney collection references unknown double points")
             known = {c.id for c in components}
             for d in discs:
                 if not set(d.interior) <= known:
-                    raise engine.ValidationError(f"Whitney disc {d.id} meets unknown components")
+                    raise EngineError(f"Whitney disc {d.id} meets unknown components")
         return inst._replace(collection=collection)
     except ValueError as exc:
         raise SchemaError([f"/: {exc}"]) from None
@@ -1026,9 +1023,9 @@ def whitney_collection_per_disc(discs, boundary: dict, convenient: bool) -> Whit
     if convenient:
         for d in discs:
             if not d.is_convenient():
-                raise NotConvenient(f"disc {d.id} is twisted or has boundary self-intersections")
+                raise WhitneyError(f"disc {d.id} is twisted or has boundary self-intersections")
         if any(boundary.values()):
-            raise NotConvenient("convenient collections have disjoint boundaries")
+            raise WhitneyError("convenient collections have disjoint boundaries")
     return disc_collection(discs, boundary, convenient)
 
 
@@ -1104,7 +1101,7 @@ def t_for_ft_per_point(inst: ProblemInstance, ft) -> int:
         return 0
     collection = inst.collection
     if collection is None:
-        raise MissingWhitneyData("F^t has double points but no Whitney collection was declared")
+        raise EngineError("F^t has double points but no Whitney collection was declared")
     ids = {p.id for p in pts}
     discs = [d for d in disc_records(collection.discs) if set(d.pair) <= ids]
     wt = {d.id for d in discs}
@@ -1113,7 +1110,7 @@ def t_for_ft_per_point(inst: ProblemInstance, ft) -> int:
     try:
         return t_count_per_disc(point_columns(pts, inst.group), ft, sub)
     except UnpairedPoints as exc:
-        raise MissingWhitneyData(
+        raise EngineError(
             f"the declared collection does not pair the double points of F^t: {exc}") from exc
 
 
@@ -1342,10 +1339,10 @@ def abelian_euler_bound_check(surface: SurfaceModel, n_generators: int) -> Euler
     flags the instance as inconsistent.
     """
     if len(surface.components) != 1:
-        raise engine.ValidationError("the bound applies to a connected surface")
+        raise EngineError("the bound applies to a connected surface")
     comp = surface.components[0]
     if comp.boundary_circles:
-        raise engine.ValidationError("the bound applies to closed surfaces")
+        raise EngineError("the bound applies to closed surfaces")
     chi = euler_characteristic(comp)
     bound = -2 * n_generators
     return EulerBoundResult(chi >= bound, chi, bound)
@@ -1610,7 +1607,7 @@ def cusp_trick(inst: ProblemInstance) -> ProblemInstance:
     collection = inst.collection
     if collection is None:
         if inst.points:
-            raise MissingWhitneyData("cannot rebuild t without a Whitney collection")
+            raise EngineError("cannot rebuild t without a Whitney collection")
         collection = disc_collection(())
     next_did = max(collection.discs.ids, default=-1) + 1
     w_a = WhitneyDisc(next_did, (new_points[0].id, new_points[1].id), {})

@@ -9,8 +9,8 @@ from importlib import resources
 from surfemb4 import cli, schema
 from surfemb4.bands import (
     BandCatalog,
+    BandError,
     BandRecord,
-    MixedW1Annulus,
     RelH2,
     SurfaceComponent,
     SurfaceModel,
@@ -123,7 +123,7 @@ def test_criterion_05_arf_dual_method_agreement():
     rng = random.Random(505)
     for i in range(10_000):
         V = SeifertMatrix(random_seifert_rows(rng))
-        arf(V)  # raises ArfMethodsDisagree on any mismatch of the two methods
+        arf(V)  # raises InternalConsistency on any mismatch of the two methods
     print("ACCEPTANCE 5 PASS: Arf determinant rule == quadratic-form count on 10000 matrices")
 
 
@@ -193,7 +193,8 @@ def test_criterion_08_theta_machinery():
         lam = surface.form(total_boundary(r1, surface), total_boundary(r2, surface))
         try:
             expected = (theta(r1) + theta(r2) + lam) % 2
-        except MixedW1Annulus:
+        except BandError as exc:
+            assert "annulus with exactly one w1-nontrivial boundary" in str(exc)
             continue
         assert theta(union_records(r1, r2, surface)) == expected
         done += 1
@@ -212,7 +213,8 @@ def test_criterion_08_theta_machinery():
         record = _random_admissible_record(surface, rng, "b", 1, 0)
         try:
             expected = theta(record)
-        except MixedW1Annulus:
+        except BandError as exc:
+            assert "annulus with exactly one w1-nontrivial boundary" in str(exc)
             continue
         before = t_count(points, comps, coll)
         new_points, out, delta = band_fibre_finger_move(points, coll, record, surface,

@@ -10,12 +10,9 @@ from surfemb4.bands import (
     BandCatalog,
     BandError,
     BandRecord,
-    MixedW1Annulus,
-    NotLinearizable,
     RelH2,
     SurfaceComponent,
     SurfaceModel,
-    ThetaConflict,
     is_b_characteristic,
     lambda_boundary_check,
     theta,
@@ -40,8 +37,15 @@ def klein_surface():
     return SurfaceModel([SurfaceComponent(0, 2, False)])
 
 
+# The text of each BandError that the Theta checks raise, past the names they start with.
+MIXED = re.escape("annulus with exactly one w1-nontrivial boundary; "
+                  "Theta undefined, and the boundary class has lambda(dS,dS)=1, forcing km=0")
+CONFLICT = re.escape(" have classes summing to zero but Theta summing to 1; "
+                     "Theta is not linear on the span, inconsistent declaration")
+
+
 def named(exc) -> tuple:
-    """The record ids that a ``ThetaConflict`` message names, in its order."""
+    """The record ids that a Theta-conflict message names, in its order."""
     return tuple(re.findall(r"'([^']*)'", str(exc.value).partition(" have ")[0]))
 
 
@@ -82,9 +86,8 @@ def test_theta_mixed_annulus_raises_with_hint():
     surface = klein_surface()
     rel = RelH2(("m",), {"m": (1, 0)})
     r = record(surface, rel, "m", "annulus", [1], [(1, 0), (0, 0)])
-    with pytest.raises(MixedW1Annulus) as exc:
+    with pytest.raises(BandError, match=f"^band m: {MIXED}$"):
         theta(r)
-    assert str(exc.value).endswith("forcing km=0")
 
 
 def test_mobius_with_reversing_boundary_rejected():
@@ -132,9 +135,8 @@ def test_validate_theta_well_defined():
     r2 = record(surface, rel, "r2", "surface", [1], [], interior=1, euler=1)
     assert validate_theta_well_defined(BandCatalog(surface, rel, (r1, r2))).witness is None
     r3 = record(surface, rel, "r3", "surface", [1], [], interior=1)
-    with pytest.raises(ThetaConflict) as exc:
+    with pytest.raises(BandError, match=f"^records 'r1', 'r3'{CONFLICT}$"):
         validate_theta_well_defined(BandCatalog(surface, rel, (r1, r3)))
-    assert named(exc) == ("r1", "r3")
 
 
 def test_theta_on_span_linearity():
@@ -159,7 +161,7 @@ def test_theta_on_span_not_linearizable():
     rel = RelH2(("da", "db"), {"da": (1, 0), "db": (0, 1)})
     ra = record(surface, rel, "da", "surface", [1, 0], [(1, 0)])
     rb = record(surface, rel, "db", "surface", [0, 1], [(0, 1)])
-    with pytest.raises(NotLinearizable):
+    with pytest.raises(BandError, match=re.escape("the cross-term lambda(C,C') obstructs linearity")):
         validate_theta_well_defined(BandCatalog(surface, rel, (ra, rb)))
 
 
@@ -169,7 +171,7 @@ def test_span_inconsistency_detected():
     r1 = record(surface, rel, "r1", "surface", [1, 0], [], interior=1)
     r2 = record(surface, rel, "r2", "surface", [0, 1], [], interior=1)
     r3 = record(surface, rel, "r3", "surface", [1, 1], [], interior=1)
-    with pytest.raises(ThetaConflict):
+    with pytest.raises(BandError, match=CONFLICT):
         validate_theta_well_defined(BandCatalog(surface, rel, (r1, r2, r3)))
 
 
@@ -181,14 +183,14 @@ def test_span_conflict_names_the_records():
     r2 = record(surface, rel, "r2", "surface", [0, 1], [], interior=1)
     r3 = record(surface, rel, "r3", "surface", [1, 1], [], interior=1)
     catalog = BandCatalog(surface, rel, (r1, r2, r3))
-    with pytest.raises(ThetaConflict) as exc:
+    with pytest.raises(BandError, match=CONFLICT) as exc:
         is_b_characteristic(catalog)
     assert named(exc) == ("r1", "r2", "r3")
-    with pytest.raises(ThetaConflict) as exc:
+    with pytest.raises(BandError, match=CONFLICT) as exc:
         validate_theta_well_defined(catalog)
     assert named(exc) == ("r1", "r2", "r3")
     # the first record that closes a cycle names it; r0 + r1 closes first here
-    with pytest.raises(ThetaConflict) as exc:
+    with pytest.raises(BandError, match=CONFLICT) as exc:
         validate_theta_well_defined(BandCatalog(surface, rel, (r0, r2, r1, r3)))
     assert named(exc) == ("r0", "r1")
 
@@ -269,7 +271,7 @@ def test_bit_checks_accept_what_membership_in_0_1_accepts(make):
 @pytest.mark.parametrize("field", ["rel_class", "w1_sigma"])
 @pytest.mark.parametrize("entries", [(2,), (True,), "1", (0, 2)], ids=["2", "True", "str", "0-2"])
 def test_band_record_entries_must_be_exactly_0_or_1(field, entries):
-    # Theta once read a class entry 2 as bit 1 (a ThetaConflict between records of classes
+    # Theta once read a class entry 2 as bit 1 (a Theta conflict between records of classes
     # (2,) and (1,)), and w1_sigma (0, 2) on an annulus passed ``theta``.  The record checks
     # its w1_sigma; its class is checked once, by the catalog, against the basis.
     annulus = dict(id="b", kind="annulus", rel_class=(1, 0), boundary_classes=((0, 0), (0, 0)),
@@ -304,13 +306,13 @@ def test_theta_on_span_matches_the_subset_oracle(drawn):
     violations = theta_violations(pairs)
     inst = simple_instance(genus=1, rel=catalog.rel, bands=catalog.records)
     if violations:
-        with pytest.raises(ThetaConflict) as exc:
+        with pytest.raises(BandError, match=CONFLICT) as exc:
             validate_theta_well_defined(catalog)
         assert tuple(int(rid[1:]) for rid in named(exc)) in violations
-        with pytest.raises(ThetaConflict) as b_exc:
+        with pytest.raises(BandError, match=CONFLICT) as b_exc:
             is_b_characteristic(catalog)
         assert named(b_exc) == named(exc)
-        with pytest.raises(ThetaConflict):
+        with pytest.raises(BandError, match=CONFLICT):
             flowchart(inst)
         return
     functional = validate_theta_well_defined(catalog)
@@ -435,7 +437,8 @@ def test_theta_quadraticity_randomized():
         lam = surface.form(total_boundary(r1, surface), total_boundary(r2, surface))
         try:
             expected = (theta(r1) + theta(r2) + lam) % 2
-        except MixedW1Annulus:
+        except BandError as exc:
+            assert re.search(MIXED, str(exc))
             continue
         assert theta(u) == expected
         count += 1

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from collections import Counter
 from importlib import resources
@@ -16,11 +17,8 @@ from surfemb4.engine import (
     NOT_REG_EMBED,
     REG_EMBED,
     ComponentData,
-    MissingWhitneyData,
-    NoDualSpheres,
-    PrimaryObstructionNonzero,
+    EngineError,
     ProblemInstance,
-    ValidationError,
     compute_km,
     flowchart,
     homotopy_analysis,
@@ -111,13 +109,13 @@ def test_compute_km_degree_three_sphere_model():
 
 def test_compute_km_errors():
     inst = load_example("torus_s3s1")
-    with pytest.raises(NoDualSpheres):
+    with pytest.raises(EngineError, match="^every component needs an algebraically dual sphere$"):
         compute_km(replace(inst, components=(replace(inst.components[0], has_alg_dual=False),)))
     bad_points = point_columns(point_records(inst.points) + [DoublePoint(7, (0, 0), 1, (0,))],
                                inst.group)
-    with pytest.raises(PrimaryObstructionNonzero):
+    with pytest.raises(EngineError, match=re.escape("lambda or mu is nonzero; km is undefined")):
         compute_km(replace(inst, points=bad_points))
-    with pytest.raises(MissingWhitneyData):
+    with pytest.raises(EngineError, match="^F\\^t has double points but no Whitney collection was declared$"):
         compute_km(replace(inst, collection=None))
 
 
@@ -141,7 +139,9 @@ def test_disc_pairing_across_ft_boundary_is_missing_data():
         good_group=True, torus_summands=frozenset(),
     )
     assert restrict_Ft(inst) == [0]
-    with pytest.raises(MissingWhitneyData):
+    unpaired = re.escape("the declared collection does not pair the double points of F^t: "
+                         "no disc pairs the components' double points [0, 1]")
+    with pytest.raises(EngineError, match=f"^{unpaired}$"):
         engine._t_for_ft(inst, [0])
 
 
@@ -256,7 +256,7 @@ def test_instance_rejects_parts_built_over_another_surface_or_group(case):
     catalog = BandCatalog(inst.band_catalog.surface, inst.band_catalog.rel, inst.band_catalog.records)
     assert flowchart(replace(inst, band_catalog=catalog)) == flowchart(inst)  # same objects pass
     changes, message = _over_other_objects(inst)[case]
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(EngineError) as exc:
         replace(inst, **changes)
     assert str(exc.value) == message
 
@@ -264,7 +264,8 @@ def test_instance_rejects_parts_built_over_another_surface_or_group(case):
 def test_homotopy_analysis_requires_normalized_mu1():
     # a single +1 identity point on an orientable component has mu_1 = 1
     inst = simple_instance(points=(1,), discs=())
-    with pytest.raises(ValidationError):
+    with pytest.raises(EngineError, match=re.escape("mu(f_i)_1 != 0 for components [0]; homotope to the normalized "
+                                                    "representative before running the analysis")):
         homotopy_analysis(inst)
 
 

@@ -7,12 +7,13 @@ reads its orbit counts off that one orbit list.
 
 import json
 import random
+import re
 
 import pytest
 
 from helpers import classified_batches, cyclic_group, random_points_doc, reduce_pairs, trivial_character
 from surfemb4 import cli
-from surfemb4.gamma import GammaError, PairingContext, build_gamma
+from surfemb4.gamma import PairingContext, build_gamma
 from surfemb4.groups import FiniteTableGroup, GroupError, abelian_group, subgroup_closure
 
 CASES = {
@@ -70,9 +71,10 @@ BAD_SIGNS = [True, False, 1.0, -1.0, 0, 2, "1", None]
 def test_reduce_list_takes_exact_int_signs(monkeypatch, case, bad):
     make_group, entries, bad_elem = CASES[case]
     _, gamma, _ = _counted_gamma(monkeypatch, make_group)
-    with pytest.raises(GammaError, match="sign must be"):
+    with pytest.raises(GroupError, match=f"^{re.escape(f'sign must be +1 or -1, got {bad!r}')}$"):
         reduce_pairs(entries + [(bad, entries[0][1])], gamma)
-    with pytest.raises(GroupError):  # a bad element before the bad sign is met first
+    # a bad element before the bad sign is met first
+    with pytest.raises(GroupError, match=f"^invalid element {re.escape(repr(bad_elem))} for "):
         reduce_pairs(entries + [(1, bad_elem), (bad, entries[0][1])], gamma)
 
 

@@ -19,11 +19,11 @@ from surfemb4.bands import (
     SurfaceComponent,
     SurfaceModel,
 )
-from surfemb4.engine import ComponentData, ProblemInstance, ValidationError
+from surfemb4.engine import ComponentData, EngineError, ProblemInstance
 from surfemb4.gamma import GammaError, PairingContext
 from surfemb4.groups import Character, GroupError, abelian_group, make_finite_group, subgroup_closure
 from surfemb4.knots import CP2GenusVerdict, KnotError, SeifertMatrix
-from surfemb4.whitney import NotConvenient, WhitneyError
+from surfemb4.whitney import WhitneyError
 
 C2, C3 = cyclic_group(2), cyclic_group(3)
 S2, S3 = subgroup_closure(C2, []), subgroup_closure(C3, [])
@@ -95,27 +95,27 @@ BAD_INPUT = {
                                              boundary={frozenset((0, 1)): -1}, convenient=False),
                          WhitneyError, "negative boundary count"),
     "collection-twisted": (lambda: _collection(_disc(0, (0, 1)), _disc(1, (2, 3), euler=1)),
-                           NotConvenient, "disc 1 is twisted or has boundary self-intersections"),
+                           WhitneyError, "disc 1 is twisted or has boundary self-intersections"),
     "collection-boundaries": (lambda: _collection(_disc(0, (0, 1)), _disc(1, (2, 3)),
                                                   boundary={frozenset((0, 1)): 1}),
-                              NotConvenient, "convenient collections have disjoint boundaries"),
+                              WhitneyError, "convenient collections have disjoint boundaries"),
     "instance-ids": (lambda: _instance(components=(ComponentData(0, S2, True, False),) * 2),
-                     ValidationError, "duplicate component ids"),
-    "instance-surface": (lambda: _instance(components=()), ValidationError,
+                     EngineError, "duplicate component ids"),
+    "instance-surface": (lambda: _instance(components=()), EngineError,
                          "immersion components [] != surface components [0]"),
     "instance-point": (lambda: _instance(points=_points(DoublePoint(0, (0, 5), 1, 1))),
-                       ValidationError, "double point 0 references unknown components"),
+                       EngineError, "double point 0 references unknown components"),
     "instance-point-ids": (lambda: _instance(points=_points(*POINTS, DoublePoint(0, (0, 0), 1, 1))),
-                           ValidationError, "duplicate double-point ids"),
+                           EngineError, "duplicate double-point ids"),
     "instance-point-group": (lambda: _instance(points=_points(*POINTS, group=cyclic_group(2))),
-                             ValidationError, "double points not over the instance's group"),
-    "instance-torus": (lambda: _instance(torus_summands=frozenset({3})), ValidationError,
+                             EngineError, "double points not over the instance's group"),
+    "instance-torus": (lambda: _instance(torus_summands=frozenset({3})), EngineError,
                        "torus_summand flag references unknown components"),
     "instance-disc-points": (lambda: _instance(collection=_collection(_disc(0, (0, 1)))),
-                             ValidationError, "Whitney collection references unknown double points"),
+                             EngineError, "Whitney collection references unknown double points"),
     "instance-disc-components": (lambda: _instance(points=_points(*POINTS, *POINTS_23), collection=_collection(
                                      _disc(0, (0, 1), {0: 1}), _disc(1, (2, 3), {7: 1}))),
-                                 ValidationError, "Whitney disc 1 meets unknown components"),
+                                 EngineError, "Whitney disc 1 meets unknown components"),
     "context-character": (lambda: PairingContext(C2, trivial_character(C3), S2, S2), GammaError,
                           "character not over the ambient group"),
     "context-subgroup": (lambda: PairingContext(C2, trivial_character(C2), S2, S3),
@@ -209,7 +209,7 @@ def test_replace_helper_runs_the_checks():
         replace(SurfaceComponent(0, 1, True), genus=-1)
     with pytest.raises(BandError, match="duplicate band ids"):
         replace(BandCatalog(SURFACE, REL, (RECORD,)), records=(RECORD, RECORD))
-    with pytest.raises(ValidationError, match="duplicate component ids"):
+    with pytest.raises(EngineError, match="duplicate component ids"):
         replace(_instance(), components=(ComponentData(0, S2, True, False),) * 2)
     other = subgroup_closure(C2, [(1, 1)])
     ctx = PairingContext(C2, trivial_character(C2), S2, other)

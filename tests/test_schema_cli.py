@@ -239,13 +239,11 @@ def test_cli_knot_subcommands(capsys):
 
 
 def test_cli_knot_internal_failure_exit_code(monkeypatch, capsys):
-    from surfemb4.knots import ArfMethodsDisagree
-
-    def boom(V):
-        raise ArfMethodsDisagree("forced for the exit-code contract")
-
-    monkeypatch.setattr(cli.knots, "arf", boom)
+    # the trefoil's Arf invariant is 1; a symplectic count forced to 0 disagrees with the rule
+    monkeypatch.setattr(cli.knots, "_arf_symplectic", lambda rows: 0)
     assert cli.main(["knot", "arf", "trefoil"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": False, "errors": ["determinant rule gives 1, symplectic basis gives 0"]}
 
 
 def test_cli_examples_list(capsys):
